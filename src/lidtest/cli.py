@@ -53,9 +53,19 @@ def _params_from_config(cfg) -> TestParams:
         raise ConfigError(f"bad test parameters: {exc}") from exc
 
 
+def _pasting_k(cfg, params, default) -> int:
+    """The pasting tuple length: k distinct coordinates, at least d + 1 of
+    them needed to interpolate."""
+    k = int(cfg.get("k", default))
+    if not params.d + 1 <= k <= params.q:
+        raise ConfigError(f"k = {k} lies outside [d + 1, q] = "
+                          f"[{params.d + 1}, {params.q}]")
+    return k
+
+
 def _strategy_from_config(cfg, params, seed):
     from .instances import noisy_shared_randomness_strategy
-    from .polyspace import poly_by_index
+    from .polyspace import poly_by_index, polyspace_size
     from .stratfile import StrategyFileError, load_strategy
     from .strategies import example_adversary, honest_strategy
 
@@ -66,8 +76,11 @@ def _strategy_from_config(cfg, params, seed):
         return load_strategy(entry)
     builtin = entry.get("builtin")
     if builtin == "honest":
-        g = poly_by_index(params.field, params.m, params.d, int(entry["poly_index"]))
-        return honest_strategy(params, g)
+        index = int(entry["poly_index"])
+        size = polyspace_size(params.field, params.m, params.d)
+        if not 0 <= index < size:
+            raise ConfigError(f"poly_index {index} lies outside [0, {size})")
+        return honest_strategy(params, poly_by_index(params.field, params.m, params.d, index))
     if builtin == "adversary":
         return example_adversary(params)
     if builtin == "noisy":
@@ -184,10 +197,10 @@ def cmd_soundness_report(cfg, seed):
     from .strategies import ClassicalStrategy, classical_to_quantum
 
     params = _params_from_config(cfg)
+    k = _pasting_k(cfg, params, max(2, params.m * params.d + 1))
     strategy = _strategy_from_config(cfg, params, seed)
     if isinstance(strategy, ClassicalStrategy):
         strategy = classical_to_quantum(strategy)
-    k = int(cfg.get("k", max(2, params.m * params.d + 1)))
     return soundness_witness(strategy, k=k)
 
 
@@ -240,7 +253,7 @@ def cmd_paste(cfg, seed):
 
     params = _params_from_config(cfg)
     f = params.field
-    k = int(cfg.get("k", params.d + 2))
+    k = _pasting_k(cfg, params, params.d + 2)
     rng = rng_for(seed if seed is not None else 0)
     from .instances import random_projective_measurement
     from .polyspace import enumerate_polyspace

@@ -1,7 +1,12 @@
 """Cross-cutting numerical witnesses: commutator masses of the points and
-slice measurements, and the end-to-end soundness pipeline (symmetrize, solve
-the base case per coordinate, self-improve, paste) with every bound constant
-kept in one auditable table.
+slice measurements, and the end-to-end soundness pipeline with every bound
+constant kept in one auditable table.
+
+The pipeline follows the induction over m: at m = 1 the single axis family is
+the polynomial measurement; at m > 1 the last coordinate is fixed to each
+value x, the (m-1)-variable pipeline runs on that slice, the slice result is
+self-improved to a projective family, and the slices are pasted into one
+global measurement.  Goodness is measured once per strategy and handed down.
 
 Bounds that exceed 1 at desk scale are never silently 'passed': every report
 carries a vacuity flag alongside the raw measured value."""
@@ -25,7 +30,7 @@ from .polyspace import (
     point,
 )
 from .protocol import TestParams
-from .strategies import QuantumStrategy, pass_probabilities, symmetrize
+from .strategies import Goodness, QuantumStrategy, pass_probabilities, symmetrize
 
 # closed forms for every quoted bound, one place only; arguments arrive via
 # a dict of measured quantities (eps, delta, gamma, zeta, kappa, nu) and
@@ -188,9 +193,11 @@ def slice_hypotheses(strategy: QuantumStrategy, g_by_x: dict, Zs=None) -> dict:
     return out
 
 
-def slice_commutativity(strategy: QuantumStrategy, g_by_x: dict, Zs=None):
+def slice_commutativity(strategy: QuantumStrategy, good: Goodness, g_by_x: dict,
+                        Zs=None):
     """Both commutator masses (raw outcome pairs and evaluated pairs) with
-    their bounds; hypotheses are measured and folded into one zeta."""
+    their bounds; hypotheses are measured and folded into one zeta, and
+    gamma is read from the strategy's goodness `good`."""
     params = strategy.params
     f = params.field
     m_slice = params.m - 1
@@ -200,7 +207,6 @@ def slice_commutativity(strategy: QuantumStrategy, g_by_x: dict, Zs=None):
     if hyp["boundedness"] is not None:
         pieces.append(hyp["boundedness"])
     zeta = max(max(pieces), 0.0)
-    good = pass_probabilities(strategy, params)
     gamma = float(good.gamma)
 
     raw = 0.0
@@ -325,6 +331,78 @@ def base_case_family(strategy: QuantumStrategy) -> SubMeasurement:
     return SubMeasurement(relabelled, fam.ops, check=False)
 
 
+def witness_level(strategy: QuantumStrategy, good: Goodness, k: int,
+                  gap_tol=1e-7):
+    """One step of the induction over m, for a symmetric strategy whose
+    goodness is `good`.  Returns (G, cons, kappa, stages): a polynomial
+    measurement over the strategy's space, its measured consistency with the
+    points, the incompleteness of the pasted family before completion (0 at
+    m = 1), and the stage reports.
+
+    At m = 1 the single axis family is G.  Otherwise each slice x_m = x is
+    restricted, solved by recursion and self-improved, and the slices are
+    pasted and completed."""
+    params = strategy.params
+    if params.m == 1:
+        G = base_case_family(strategy)
+        cons = measure_points_consistency(strategy, G)
+        return G, cons, 0.0, {"base_case": {"dim": G.dim}}
+    f = params.field
+    g_by_x, Zs, per_x, levels = {}, {}, {}, {}
+    for x in range(f.q):
+        sub = restricted_strategy(strategy, x)
+        sub_good = pass_probabilities(sub, sub.params)
+        Gx, _, kappa_x, sub_stages = witness_level(sub, sub_good, k, gap_tol)
+        g_by_x[x], Zs[x], rep = projective_improve(sub, sub_good, Gx,
+                                                   gap_tol=gap_tol)
+        per_x[str(x)] = rep.as_dict()
+        if sub.params.m > 1:  # a base-case slice has nothing to nest
+            levels[str(x)] = {"kappa": kappa_x, "stages": sub_stages}
+    stages = {"per_slice_improvement": per_x}
+    if levels:
+        stages["slice_levels"] = levels
+    comm_reports, hyp = slice_commutativity(strategy, good, g_by_x, Zs)
+    stages["slice_commutativity"] = [r.as_dict() for r in comm_reports]
+    stages["slice_hypotheses"] = hyp
+
+    result = pasted_measurement(g_by_x, f, params.m - 1, params.d, k=k)
+    incomplete = result.family
+    eye = np.eye(strategy.dims[1])
+    kappa = 1.0 - float(expect_joint(incomplete.total(), eye, strategy.Psi).real)
+    G = complete_pasted(incomplete, f, params.m, params.d)
+    cons = measure_points_consistency(strategy, G)
+
+    # endpoint bounds of the pasting step: slice incompleteness + the
+    # measured hypothesis errors feed the sigma budget; the line
+    # consistency of the incomplete family is checked separately
+    kappa_slices = 1.0 - float(np.mean([
+        expect_joint(g_by_x[x].total(), eye, strategy.Psi).real
+        for x in range(f.q)
+    ]))
+    zeta_hyp = max(hyp["consistency"], hyp["self_consistency"],
+                   hyp["boundedness"], 0.0)
+    paste_inputs = {
+        "eps": float(good.eps), "delta": float(good.delta),
+        "gamma": float(good.gamma), "zeta": zeta_hyp,
+        "kappa": max(kappa_slices, 0.0),
+        "m": params.m - 1, "d": params.d, "q": params.q, "k": k,
+    }
+    line_measured = pasted_line_consistency(strategy, incomplete)
+    stages["pasting"] = {
+        "mode": result.mode,
+        "n_tuples": result.n_tuples,
+        "telescoping_residual": result.telescoping_residual,
+        "slice_incompleteness": kappa_slices,
+        "line_consistency": make_report(
+            "pasting_line_consistency", line_measured, paste_inputs
+        ).as_dict(),
+    }
+    stages["pasting_sigma"] = make_report(
+        "pasting_total", cons, paste_inputs
+    ).as_dict()
+    return G, cons, kappa, stages
+
+
 def soundness_witness(strategy: QuantumStrategy, k: int, gap_tol=1e-7) -> dict:
     """Run the pipeline to a global polynomial measurement and report the
     measured endpoint consistencies against the headline bound (vacuous at
@@ -333,74 +411,11 @@ def soundness_witness(strategy: QuantumStrategy, k: int, gap_tol=1e-7) -> dict:
     if not strategy.symmetric:
         strategy = symmetrize(strategy)
     good = pass_probabilities(strategy, params)
-    eps = float(max(good.as_floats()))
-    stages = {}
-
-    if params.m == 1:
-        G = base_case_family(strategy)
-        stages["base_case"] = {"dim": G.dim}
-        kappa_pasted = 0.0
-    elif params.m == 2:
-        f = params.field
-        g_by_x = {}
-        Zs = {}
-        per_x = {}
-        for x in range(f.q):
-            sub_strat = restricted_strategy(strategy, x)
-            Gx = base_case_family(sub_strat)
-            Px, Zx, rep = projective_improve(sub_strat, Gx, gap_tol=gap_tol)
-            g_by_x[x] = Px
-            Zs[x] = Zx
-            per_x[str(x)] = rep.as_dict()
-        stages["per_slice_improvement"] = per_x
-        comm_reports, hyp = slice_commutativity(strategy, g_by_x, Zs)
-        stages["slice_commutativity"] = [r.as_dict() for r in comm_reports]
-        stages["slice_hypotheses"] = hyp
-        result = pasted_measurement(g_by_x, f, 1, params.d, k=k)
-        incomplete = result.family
-        kappa_pasted = 1.0 - expect_joint(
-            incomplete.total(), np.eye(strategy.dims[1]), strategy.Psi
-        ).real
-        G = complete_pasted(incomplete, f, 2, params.d)
-        # endpoint bounds of the pasting step: slice incompleteness + the
-        # measured hypothesis errors feed the sigma budget; the line
-        # consistency of the incomplete family is checked separately
-        kappa_slices = 1.0 - float(np.mean([
-            expect_joint(g_by_x[x].total(), np.eye(strategy.dims[1]), strategy.Psi).real
-            for x in range(f.q)
-        ]))
-        zeta_hyp = max(hyp["consistency"], hyp["self_consistency"],
-                       hyp["boundedness"], 0.0)
-        paste_inputs = {
-            "eps": float(good.eps), "delta": float(good.delta),
-            "gamma": float(good.gamma), "zeta": zeta_hyp,
-            "kappa": max(kappa_slices, 0.0),
-            "m": 1, "d": params.d, "q": params.q, "k": k,
-        }
-        line_measured = pasted_line_consistency(strategy, incomplete)
-        stages["pasting"] = {
-            "mode": result.mode,
-            "n_tuples": result.n_tuples,
-            "telescoping_residual": result.telescoping_residual,
-            "slice_incompleteness": kappa_slices,
-            "line_consistency": make_report(
-                "pasting_line_consistency", line_measured, paste_inputs
-            ).as_dict(),
-        }
-        stages["pasting_sigma"] = None  # filled below once cons is measured
-        stages["_paste_inputs"] = paste_inputs
-    else:
-        raise ValueError("the pipeline is wired for one or two variables")
-
-    cons = measure_points_consistency(strategy, G)
+    G, cons, kappa, stages = witness_level(strategy, good, k, gap_tol)
     self_cons = consistency({0: G}, {0: G}, strategy.Psi, [(0, 1.0)])
     inputs = {
-        "eps": eps, "d": params.d, "q": params.q, "m": params.m, "k": k,
+        "eps": good.max(), "d": params.d, "q": params.q, "m": params.m, "k": k,
     }
-    if "_paste_inputs" in stages:
-        stages["pasting_sigma"] = make_report(
-            "pasting_total", cons, stages.pop("_paste_inputs")
-        ).as_dict()
     consistency_report = make_report("global_soundness", cons, inputs)
     self_report = make_report("global_soundness", self_cons, inputs)
     return {
@@ -410,7 +425,7 @@ def soundness_witness(strategy: QuantumStrategy, k: int, gap_tol=1e-7) -> dict:
             "delta": float(good.delta),
             "gamma": float(good.gamma),
         },
-        "kappa": float(kappa_pasted),
+        "kappa": kappa,
         "consistency_with_points": consistency_report.as_dict(),
         "self_consistency": self_report.as_dict(),
         "vacuous": consistency_report.vacuous,

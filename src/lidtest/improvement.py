@@ -21,15 +21,15 @@ import numpy as np
 from .measurements import (
     SubMeasurement,
     consistency,
+    cross_state_distance,
     expect_joint,
-    state_distance,
     strong_self_consistency_deficit,
 )
 from .orthogonalize import orthogonalize
 from .polyspace import all_points, enumerate_polyspace
 from .protocol import TestParams
-from .sdp import SdpInstance, SdpSolution, solve
-from .strategies import QuantumStrategy, pass_probabilities
+from .sdp import SdpInstance, solve
+from .strategies import Goodness, QuantumStrategy
 
 
 def zeta_budget(params: TestParams, eps: float, delta: float) -> float:
@@ -111,14 +111,14 @@ def measure_points_consistency(strategy: QuantumStrategy, G: SubMeasurement) -> 
     return consistency(fam_a, fam_g, Psi, [(u, w) for u in us])
 
 
-def improve(strategy: QuantumStrategy, G: SubMeasurement, gap_tol=1e-7):
-    """Returns (H family, Z, ImprovementReport)."""
+def improve(strategy: QuantumStrategy, good: Goodness, G: SubMeasurement,
+            gap_tol=1e-7):
+    """Returns (H family, Z, ImprovementReport); `good` is the strategy's
+    goodness, which sets the zeta budget."""
     params = strategy.params
     if not strategy.symmetric or not strategy.projective:
         raise ValueError("self-improvement expects a symmetric projective strategy")
-    Psi = strategy.Psi
     nu = measure_points_consistency(strategy, G)
-    good = pass_probabilities(strategy, params)
     eps, delta, _ = good.as_floats()
     zeta = zeta_budget(params, eps, delta)
 
@@ -138,19 +138,19 @@ def improve(strategy: QuantumStrategy, G: SubMeasurement, gap_tol=1e-7):
     ops /= M
     H = SubMeasurement(polys, ops)  # validates PSD and total <= I
 
-    report = _measure_four_properties(strategy, H, sol, nu, zeta)
+    report = _measure_four_properties(strategy, H, sol.Z, sol.min_constraint_slack,
+                                      sol.residual_summary(), nu, zeta)
     return H, sol.Z, report
 
 
-def _measure_four_properties(strategy, H, sol: SdpSolution, nu, zeta):
-    params = strategy.params
+def _measure_four_properties(strategy, H, Z, min_slack, sdp_summary, nu, zeta):
     Psi = strategy.Psi
     completeness = expect_joint(H.total(), np.eye(strategy.dims[1]), Psi).real
     cons = measure_points_consistency(strategy, H)
     x = "x"
     deficit = strong_self_consistency_deficit({x: H}, Psi, [(x, 1.0)])
     bound_val = expect_joint(
-        sol.Z, np.eye(strategy.dims[1]) - H.total(), Psi
+        Z, np.eye(strategy.dims[1]) - H.total(), Psi
     ).real
     return ImprovementReport(
         nu=nu,
@@ -160,40 +160,29 @@ def _measure_four_properties(strategy, H, sol: SdpSolution, nu, zeta):
         consistency_with_points=float(cons),
         self_consistency_deficit=float(deficit),
         boundedness=float(bound_val),
-        min_constraint_slack=sol.min_constraint_slack,
-        sdp=sol.residual_summary(),
+        min_constraint_slack=min_slack,
+        sdp=sdp_summary,
         vacuous=zeta >= 1.0,
     )
 
 
-def projective_improve(strategy: QuantumStrategy, G: SubMeasurement, gap_tol=1e-7):
+def projective_improve(strategy: QuantumStrategy, good: Goodness, G: SubMeasurement,
+                       gap_tol=1e-7):
     """improve followed by orthogonalization; the four properties are
     re-measured for the projective output against the same zeta budget."""
-    H, Z, report = improve(strategy, G, gap_tol=gap_tol)
+    H, Z, report = improve(strategy, good, G, gap_tol=gap_tol)
     P, ortho_report = orthogonalize(H, strategy.Psi)
-    sol_like = _ZWrap(Z, report.min_constraint_slack, report.sdp)
-    proj_report = _measure_four_properties(strategy, P, sol_like, report.nu, report.zeta)
+    proj_report = _measure_four_properties(strategy, P, Z, report.min_constraint_slack,
+                                           report.sdp, report.nu, report.zeta)
     # for projective families the two-sided distance form of self-consistency
     # is the meaningful one; record it alongside the deficit
     x = "x"
-    from .measurements import cross_state_distance
-
     proj_report.extras["self_consistency_cross_distance"] = cross_state_distance(
         {x: P}, {x: P}, strategy.Psi, [(x, 1.0)]
     )
     proj_report.extras["orthogonalization"] = ortho_report.as_dict()
     proj_report.extras["pre_projective"] = report.as_dict()
     return P, Z, proj_report
-
-
-class _ZWrap:
-    def __init__(self, Z, min_slack, sdp_summary):
-        self.Z = Z
-        self.min_constraint_slack = min_slack
-        self._summary = sdp_summary
-
-    def residual_summary(self):
-        return self._summary
 
 
 # convenience for reporting

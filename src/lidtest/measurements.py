@@ -131,13 +131,6 @@ class SubMeasurement:
         return f"SubMeasurement({len(self.outcomes)} outcomes, dim {self.dim})"
 
 
-def projective_family(outcomes, projectors) -> SubMeasurement:
-    fam = SubMeasurement(outcomes, projectors)
-    if not fam.is_projective():
-        raise MeasurementError("family is not projective")
-    return fam
-
-
 def diagonal_indicator_family(outcomes, assignment, dim) -> SubMeasurement:
     """assignment[i] = outcome of basis state i; yields commuting projectors."""
     ops = np.zeros((len(outcomes), dim, dim), dtype=complex)
@@ -150,11 +143,6 @@ def diagonal_indicator_family(outcomes, assignment, dim) -> SubMeasurement:
 # ---- bipartite expectation helpers -------------------------------------------
 
 
-def state_matrix(psi, dims) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex).reshape(dims)
-    return psi
-
-
 def expect_joint(left, right, Psi) -> float:
     """<psi| left (x) right |psi> for a state given as a matrix."""
     val = np.vdot(Psi, left @ Psi @ right.T)
@@ -163,10 +151,6 @@ def expect_joint(left, right, Psi) -> float:
 
 def expect_left(left, Psi) -> complex:
     return np.vdot(Psi, left @ Psi)
-
-
-def expect_right(right, Psi) -> complex:
-    return np.vdot(Psi, Psi @ right.T)
 
 
 def is_swap_invariant(Psi, tol=1e-9) -> bool:

@@ -101,11 +101,6 @@ def _clip_psd(op):
     return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 
-def dilate_family(family: dict) -> dict:
-    """Dilate every sub-measurement in a question-indexed family."""
-    return {x: dilate(sub) for x, sub in family.items()}
-
-
 def dilated_pair_state(Psi, left: DilatedMeasurement, right: DilatedMeasurement):
     """State matrix for psi (x) aux_left (x) aux_right, grouped by side."""
     out = np.einsum("ij,a,b->iajb", Psi, left.aux_state, right.aux_state)

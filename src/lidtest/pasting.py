@@ -34,7 +34,6 @@ from .polyspace import (
     MultiPoly,
     SizeGuardError,
     enumerate_polyspace,
-    poly_by_index,
     polyspace_size,
     slice_at,
 )

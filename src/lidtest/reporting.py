@@ -44,13 +44,6 @@ def to_json(obj) -> str:
     return json.dumps(canonical(obj), sort_keys=True, indent=2) + "\n"
 
 
-def write_report(path, obj):
-    text = to_json(obj)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return text
-
-
 def bound_rows(bundle, instance_id=""):
     """Flatten nested report dicts into (instance, lemma, measured, bound,
     margin, vacuous) rows for CSV summaries."""

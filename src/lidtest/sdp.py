@@ -87,9 +87,6 @@ class SdpSolution:
     warm_started: bool = False
     notes: dict = field(default_factory=dict)
 
-    def T_of(self, outcome):
-        return self.T[self.instance.outcomes.index(outcome)]
-
     def residual_summary(self):
         return {
             "duality_gap": self.duality_gap,

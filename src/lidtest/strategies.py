@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import GF
 from .measurements import (
     SubMeasurement,
     diagonal_indicator_family,
@@ -26,11 +25,8 @@ from .polyspace import (
     AxisLine,
     DiagonalLine,
     MultiPoly,
-    Point,
     UniPoly,
     all_points,
-    enumerate_polyspace,
-    point,
     restrict_axis,
     restrict_diagonal,
 )
@@ -135,45 +131,16 @@ def example_adversary(params: TestParams) -> ClassicalStrategy:
     """The degree-(d+1) points function x_1^{d+1} paired with give-up axis
     answers in the first direction; passes with probability 1 - 1/m on the
     axis subtest yet is far from every admissible polynomial."""
-    from .protocol import _check_support
-
-    _check_support(params)
-    f, m, d = params.field, params.m, params.d
+    f, d = params.field, params.d
     if d + 1 > f.q - 1:
         raise ProtocolError("need d + 1 <= q - 1 so the points function is "
                             "outside the admissible space")
-    h = MultiPoly.from_terms(f, m, d + 1, {(d + 1,) + (0,) * (m - 1): 1})
-    points_fn = {u: h(u) for u in all_points(f, m)}
-    axis_fn = {}
-    for u in all_points(f, m):
-        for i in range(m):
-            line = AxisLine.through(u, i)
-            if line in axis_fn:
-                continue
-            if i == 0:
-                axis_fn[line] = UniPoly(f, [0], bound=d)  # give up
-            else:
-                restricted = restrict_diagonal(
-                    h, DiagonalLine.through(line.base, _unit(f, m, i))
-                )
-                axis_fn[line] = UniPoly(f, restricted.coeffs, bound=d)
-    diag_fn = {}
-    for u in all_points(f, m):
-        for v in all_points(f, m):
-            line = DiagonalLine.through(u, v)
-            if line in diag_fn:
-                continue
-            if line.degenerate:
-                diag_fn[line] = Value(h(line.base))
-            else:
-                diag_fn[line] = restrict_diagonal(h, line).rebound(m * d)
-    return ClassicalStrategy(params, points_fn, axis_fn, diag_fn)
-
-
-def _unit(f, m, i):
-    ints = [0] * m
-    ints[i] = 1
-    return point(f, ints)
+    strategy = honest_strategy(params, adversary_points_polynomial(params))
+    axis_fn = strategy.tables["A"][1]
+    for line, answer in axis_fn.items():
+        # give up in the first direction; h is constant along the others
+        axis_fn[line] = UniPoly(f, [0], bound=d) if line.axis == 0 else answer.rebound(d)
+    return strategy
 
 
 def adversary_points_polynomial(params: TestParams) -> MultiPoly:
@@ -540,7 +507,3 @@ def unsymmetrize_measurement(sub: SubMeasurement, role: str) -> SubMeasurement:
     sl = slice(0, d) if role == "A" else slice(d, 2 * d)
     ops = np.array([op[sl, sl] for op in sub.ops])
     return SubMeasurement(sub.outcomes, ops, check=False)
-
-
-def polyspace_outcomes(f: GF, m, d):
-    return tuple(enumerate_polyspace(f, m, d))

@@ -12,7 +12,7 @@ import numpy as np
 
 from .gf import GF, field
 from .measurements import SubMeasurement
-from .polyspace import AxisLine, DiagonalLine, Point, UniPoly, point
+from .polyspace import AxisLine, DiagonalLine, Point, UniPoly
 from .protocol import ProtocolError, TestParams, Value
 from .strategies import ClassicalStrategy, QuantumStrategy
 

@@ -251,6 +251,7 @@ def test_criterion_10_self_improvement_batch():
     from lidtest.measurements import diagonal_indicator_family
     from lidtest.polyspace import enumerate_polyspace
     from lidtest.protocol import TestParams as TP
+    from lidtest.strategies import pass_probabilities
 
     for seed in range(25):
         q = (2, 3)[seed % 2]
@@ -275,7 +276,7 @@ def test_criterion_10_self_improvement_batch():
             ))
             assignment.append(best)
         G = diagonal_indicator_family(tuple(polys), assignment, n)
-        H, Z, report = improve(strat, G)
+        H, Z, report = improve(strat, pass_probabilities(strat), G)
         w = np.linalg.eigvalsh(H.total())
         assert w.max() <= 1 + 1e-9, seed
         assert improvement_margins_ok(report, tol=1e-7), (seed, report.margins())

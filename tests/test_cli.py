@@ -106,6 +106,32 @@ def test_config_error_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command,cfg", [
+    # the default k = max(2, m d + 1) = 3 exceeds q = 2
+    ("soundness-report", {"q": 2, "m": 2, "d": 1,
+                          "strategy": {"builtin": "honest", "poly_index": 1}}),
+    ("soundness-report", {"q": 3, "m": 1, "d": 1, "k": 1,
+                          "strategy": {"builtin": "honest", "poly_index": 1}}),
+    ("paste", {"q": 3, "m": 1, "d": 1, "k": 5}),
+    ("paste", {"q": 3, "m": 1, "d": 2, "k": 2}),
+])
+def test_pasting_k_out_of_range_is_config_error(tmp_path, capsys, command, cfg):
+    code, out = run_cli(tmp_path, command, cfg, "badk")
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: k = ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("index", [999999999, 16, -1])
+def test_honest_poly_index_out_of_range_is_config_error(tmp_path, capsys, index):
+    cfg = {"q": 2, "m": 2, "d": 1,
+           "strategy": {"builtin": "honest", "poly_index": index}}
+    code, _ = run_cli(tmp_path, "run-test", cfg, "badindex")
+    assert code == 2
+    assert "poly_index" in capsys.readouterr().err
+
+
 def test_guard_exit_code(tmp_path):
     cfg = {"q": 16, "m": 4, "d": 1, "strategy": {"builtin": "noisy"}}
     code, _ = run_cli(tmp_path, "run-test", cfg, "guard")
@@ -164,6 +190,33 @@ def test_soundness_report_command(tmp_path):
     rep = json.loads(out.read_text())["report"]
     assert rep["vacuous"] is True
     assert rep["consistency_with_points"]["measured"] <= 1e-7
+
+
+def test_soundness_report_three_variables(tmp_path):
+    cfg = {"q": 2, "m": 3, "d": 1, "k": 2, "strategy": {"builtin": "noisy"}}
+    code, out = run_cli(tmp_path, "soundness-report", cfg, "sound3")
+    assert code == 0
+    rep = json.loads(out.read_text())["report"]
+    residuals, margins = [], []
+
+    def walk(node):
+        if isinstance(node, dict):
+            for key, val in node.items():
+                if key == "telescoping_residual":
+                    residuals.append(val)
+                elif key == "margin":
+                    margins.append(val)
+                walk(val)
+        elif isinstance(node, list):
+            for val in node:
+                walk(val)
+
+    walk(rep)
+    # the top level pastes two 2-variable slices, each pasted from 1-variable slices
+    assert set(rep["stages"]["slice_levels"]) == {"0", "1"}
+    assert len(residuals) == 3
+    assert all(r <= 1e-9 for r in residuals)
+    assert margins and all(m >= -1e-7 for m in margins)
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -97,7 +97,7 @@ def test_slice_commutativity_honest_zero():
         ops[polys.index(slice_at(g, f.element(x)))] = 1.0
         g_by_x[x] = SubMeasurement(polys, ops, check=False)
     Zs = {x: np.eye(1, dtype=complex) for x in range(2)}
-    reports, hyp = slice_commutativity(strat, g_by_x, Zs)
+    reports, hyp = slice_commutativity(strat, pass_probabilities(strat), g_by_x, Zs)
     for rep in reports:
         assert rep.measured == pytest.approx(0.0, abs=1e-12)
         assert rep.margin >= 0
@@ -149,7 +149,7 @@ def test_slice_commutativity_without_certificates():
         ops = np.zeros((len(polys), 1, 1), dtype=complex)
         ops[polys.index(slice_at(g, f.element(x)))] = 1.0
         g_by_x[x] = SubMeasurement(polys, ops, check=False)
-    reports, hyp = slice_commutativity(strat, g_by_x, Zs=None)
+    reports, hyp = slice_commutativity(strat, pass_probabilities(strat), g_by_x, Zs=None)
     assert hyp["boundedness"] is None  # unverifiable, reported as such
     assert all(rep.margin >= 0 for rep in reports)
 
@@ -209,3 +209,25 @@ def test_base_case_consistency_equals_axis_failure():
         G = base_case_family(strat)
         measured = measure_points_consistency(strat, G)
         assert measured == pytest.approx(float(good.eps), abs=1e-12)
+
+
+def test_soundness_witness_measures_goodness_once_per_strategy(monkeypatch):
+    # each strategy object the pipeline builds (the input and one restriction
+    # per slice) has its goodness evaluated exactly once
+    from lidtest import diagnostics, improvement
+
+    seen = []
+
+    def counting(strategy, params=None):
+        seen.append(strategy)
+        return pass_probabilities(strategy, params)
+
+    monkeypatch.setattr(diagnostics, "pass_probabilities", counting)
+    monkeypatch.setattr(improvement, "pass_probabilities", counting, raising=False)
+    params = TestParams(field(2), 2, 1)
+    strat = noisy_shared_randomness_strategy(params, 3, 1, seed=5)
+    soundness_witness(strat, k=2)
+    assert seen[0] is strat
+    assert len(seen) == 1 + params.q
+    assert len({id(s) for s in seen}) == len(seen)
+    assert [s.params.m for s in seen] == [2, 1, 1]
