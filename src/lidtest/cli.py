@@ -76,7 +76,11 @@ def _strategy_from_config(cfg, params, seed):
         return load_strategy(entry)
     builtin = entry.get("builtin")
     if builtin == "honest":
-        index = int(entry["poly_index"])
+        try:
+            index = int(entry["poly_index"])
+        except (KeyError, ValueError) as exc:
+            raise ConfigError("an honest strategy entry needs an integer "
+                              f"'poly_index': {exc!r}") from exc
         size = polyspace_size(params.field, params.m, params.d)
         if not 0 <= index < size:
             raise ConfigError(f"poly_index {index} lies outside [0, {size})")
@@ -186,6 +190,9 @@ def _povm_instance(args):
 
 
 def cmd_round_povm(cfg, seed, workers=1):
+    for key, default in (("dim", 4), ("outcomes", 3)):
+        if int(cfg.get(key, default)) < 1:
+            raise ConfigError(f"{key} must be at least 1")
     seeds = _seed_batch(cfg, seed)
     jobs = [(s, cfg) for s in seeds]
     results = _run_batch(_povm_instance, jobs, workers)
@@ -207,9 +214,11 @@ def cmd_soundness_report(cfg, seed):
 def cmd_spectrum(cfg, seed):
     from .hypercube import HypercubeGraph, verify_eigensystem
 
-    params_q = int(cfg["q"])
-    m = int(cfg["m"])
-    graph = HypercubeGraph(field_for_order(params_q), m)
+    try:
+        f, m = field_for_order(int(cfg["q"])), int(cfg["m"])
+    except (KeyError, ValueError, FieldError) as exc:
+        raise ConfigError(f"spectrum needs integer q and m: {exc}") from exc
+    graph = HypercubeGraph(f, m)
     res = verify_eigensystem(graph)
     res["spectral_gap"] = graph.spectral_gap()
     res["expected_gap"] = 1.0 / (m * graph.size)

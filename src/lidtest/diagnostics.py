@@ -29,7 +29,7 @@ from .polyspace import (
     enumerate_polyspace,
     point,
 )
-from .protocol import TestParams
+from .protocol import GROUPS, TestParams, all_questions
 from .strategies import Goodness, QuantumStrategy, pass_probabilities, symmetrize
 
 # closed forms for every quoted bound, one place only; arguments arrive via
@@ -285,30 +285,20 @@ def restricted_strategy(strategy: QuantumStrategy, x: int) -> QuantumStrategy:
     if m < 1:
         raise ValueError("nothing left to restrict")
     sub_params = TestParams(f, m, d)
-    fams = strategy.families["A"]
-    points_fn = {}
-    for u in all_points(f, m):
-        points_fn[u] = fams["points"][point(f, u.ints() + (x,))]
-    axis_fn = {}
-    for u in all_points(f, m):
-        for i in range(m):
-            line = AxisLine.through(u, i)
-            if line in axis_fn:
-                continue
-            lifted = AxisLine(i, point(f, line.base.ints() + (x,)))
-            axis_fn[line] = fams["axis"][lifted]
-    diag_fn = {}
-    for u in all_points(f, m):
-        for v in all_points(f, m):
-            line = DiagonalLine.through(u, v)
-            if line in diag_fn:
-                continue
-            lifted = DiagonalLine(
-                point(f, line.base.ints() + (x,)),
-                point(f, line.direction.ints() + (0,)),
-            )
-            diag_fn[line] = fams["diag"][lifted]
-    shared = {"points": points_fn, "axis": axis_fn, "diag": diag_fn}
+
+    def lift(u):
+        return point(f, u.ints() + (x,))
+
+    shared = {group: {} for group in GROUPS}
+    for group, question in all_questions(sub_params):
+        if group == "points":
+            lifted = lift(question)
+        elif group == "axis":
+            lifted = AxisLine(question.axis, lift(question.base))
+        else:
+            lifted = DiagonalLine(lift(question.base),
+                                  point(f, question.direction.ints() + (0,)))
+        shared[group][question] = strategy.families["A"][group][lifted]
     return QuantumStrategy(
         sub_params, strategy.Psi, {"A": shared, "B": shared},
         symmetric=True, projective=strategy.projective, check=False,
@@ -352,8 +342,8 @@ def witness_level(strategy: QuantumStrategy, good: Goodness, k: int,
     for x in range(f.q):
         sub = restricted_strategy(strategy, x)
         sub_good = pass_probabilities(sub, sub.params)
-        Gx, _, kappa_x, sub_stages = witness_level(sub, sub_good, k, gap_tol)
-        g_by_x[x], Zs[x], rep = projective_improve(sub, sub_good, Gx,
+        _, nu_x, kappa_x, sub_stages = witness_level(sub, sub_good, k, gap_tol)
+        g_by_x[x], Zs[x], rep = projective_improve(sub, sub_good, nu_x,
                                                    gap_tol=gap_tol)
         per_x[str(x)] = rep.as_dict()
         if sub.params.m > 1:  # a base-case slice has nothing to nest

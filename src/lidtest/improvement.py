@@ -111,14 +111,14 @@ def measure_points_consistency(strategy: QuantumStrategy, G: SubMeasurement) -> 
     return consistency(fam_a, fam_g, Psi, [(u, w) for u in us])
 
 
-def improve(strategy: QuantumStrategy, good: Goodness, G: SubMeasurement,
-            gap_tol=1e-7):
+def improve(strategy: QuantumStrategy, good: Goodness, nu: float, gap_tol=1e-7):
     """Returns (H family, Z, ImprovementReport); `good` is the strategy's
-    goodness, which sets the zeta budget."""
+    goodness, which sets the zeta budget, and `nu` the measured consistency
+    of the input polynomial measurement G with the points,
+    measure_points_consistency(strategy, G)."""
     params = strategy.params
     if not strategy.symmetric or not strategy.projective:
         raise ValueError("self-improvement expects a symmetric projective strategy")
-    nu = measure_points_consistency(strategy, G)
     eps, delta, _ = good.as_floats()
     zeta = zeta_budget(params, eps, delta)
 
@@ -166,11 +166,11 @@ def _measure_four_properties(strategy, H, Z, min_slack, sdp_summary, nu, zeta):
     )
 
 
-def projective_improve(strategy: QuantumStrategy, good: Goodness, G: SubMeasurement,
+def projective_improve(strategy: QuantumStrategy, good: Goodness, nu: float,
                        gap_tol=1e-7):
     """improve followed by orthogonalization; the four properties are
     re-measured for the projective output against the same zeta budget."""
-    H, Z, report = improve(strategy, good, G, gap_tol=gap_tol)
+    H, Z, report = improve(strategy, good, nu, gap_tol=gap_tol)
     P, ortho_report = orthogonalize(H, strategy.Psi)
     proj_report = _measure_four_properties(strategy, P, Z, report.min_constraint_slack,
                                            report.sdp, report.nu, report.zeta)

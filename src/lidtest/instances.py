@@ -106,16 +106,13 @@ def corrupted_tables(params: TestParams, n_tables, n_corrupt, rng):
         size = (params.d + 1) ** params.m
         g = MultiPoly(f, params.m, params.d,
                       rng.integers(0, f.q, size=size))
-        s = honest_strategy(params, g)
-        pts = dict(s.tables["A"][0])
+        tables = honest_strategy(params, g).tables["A"]
+        pts = tables["points"]
         keys = sorted(pts, key=lambda u: u.ints())
         for k in rng.choice(len(keys), size=min(n_corrupt, len(keys)), replace=False):
             u = keys[int(k)]
             pts[u] = f.element(int(rng.integers(0, f.q)))
-        weighted.append(
-            (Fraction(1, n_tables),
-             ClassicalStrategy(params, pts, s.tables["A"][1], s.tables["A"][2]))
-        )
+        weighted.append((Fraction(1, n_tables), ClassicalStrategy(params, tables)))
     return weighted
 
 

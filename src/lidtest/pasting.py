@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import binom as _binom
 
 from .gf import GF
 from .measurements import BOTTOM, MeasurementError, SubMeasurement, expect_joint
@@ -242,8 +241,19 @@ def complete_pasted(family: SubMeasurement, f: GF, m1: int, d: int) -> SubMeasur
 
 
 def binomial_tail(k: int, d: int, p) -> float:
-    """P[Binomial(k, p) >= d + 1]."""
-    return float(_binom.sf(d, k, p))
+    """P[Binomial(k, p) >= d + 1], summed term by term in log space so that
+    C(k, r) p^r (1-p)^(k-r) neither overflows nor underflows early."""
+    p = float(p)
+    lo = max(d + 1, 0)
+    if lo > k:
+        return 0.0
+    if p <= 0.0 or p >= 1.0:  # all mass on 0 or on k
+        return float(lo == 0 or p >= 1.0)
+    log_p, log_q = math.log(p), math.log1p(-p)
+    return math.fsum(
+        math.exp(math.log(math.comb(k, r)) + r * log_p + (k - r) * log_q)
+        for r in range(lo, k + 1)
+    )
 
 
 def binomial_matrix_F(X: np.ndarray, k: int, d: int) -> np.ndarray:

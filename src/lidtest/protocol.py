@@ -13,13 +13,14 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .gf import GF
+from .gf import GF, FieldElement
 from .polyspace import (
     AxisLine,
     DiagonalLine,
     Point,
     SizeGuardError,
     UniPoly,
+    all_points,
     point,
 )
 
@@ -28,6 +29,8 @@ SUPPORT_GUARD = 10 ** 6
 AXIS, SELFCONS, DIAG = "axis", "selfcons", "diag"
 SUBTESTS = (AXIS, SELFCONS, DIAG)
 ROLES = ("A", "B")
+# the groups answer tables and measurement families file questions under
+GROUPS = ("points", "axis", "diag")
 
 
 class ProtocolError(ValueError):
@@ -61,37 +64,23 @@ class TestParams:
         return self.weights[SUBTESTS.index(subtest)]
 
 
-@dataclass(frozen=True)
-class PointQ:
-    u: Point
-
-
-@dataclass(frozen=True)
-class AxisLineQ:
-    line: AxisLine
-
-
-@dataclass(frozen=True)
-class DiagLineQ:
-    line: DiagonalLine
-
-
-@dataclass(frozen=True)
-class Value:
-    a: object  # FieldElement
-
-
-@dataclass(frozen=True)
-class Poly:
-    f: UniPoly
+def question_group(question):
+    """The table group a question is filed under: 'points', 'axis' or 'diag'."""
+    if isinstance(question, Point):
+        return "points"
+    if isinstance(question, AxisLine):
+        return "axis"
+    if isinstance(question, DiagonalLine):
+        return "diag"
+    raise ProtocolError(f"unknown question {question!r}")
 
 
 def answer_bound(params: TestParams, question):
     """Expected UniPoly degree bound for a line question (None for values)."""
-    if isinstance(question, AxisLineQ):
+    if isinstance(question, AxisLine):
         return params.d
-    if isinstance(question, DiagLineQ):
-        return None if question.line.degenerate else params.m * params.d
+    if isinstance(question, DiagonalLine):
+        return None if question.degenerate else params.m * params.d
     return None
 
 
@@ -105,11 +94,24 @@ class RoundSample:
     @property
     def line_role(self):
         """Which player holds the line question, or None for selfcons."""
-        if isinstance(self.question_a, (AxisLineQ, DiagLineQ)):
+        if isinstance(self.question_a, (AxisLine, DiagonalLine)):
             return "A"
-        if isinstance(self.question_b, (AxisLineQ, DiagLineQ)):
+        if isinstance(self.question_b, (AxisLine, DiagonalLine)):
             return "B"
         return None
+
+    @property
+    def line(self):
+        """The line question, or None for selfcons."""
+        role = self.line_role
+        if role is None:
+            return None
+        return self.question_a if role == "A" else self.question_b
+
+    @property
+    def point(self):
+        """The point question (the shared one for selfcons)."""
+        return self.question_b if self.line_role == "A" else self.question_a
 
 
 def _check_support(params: TestParams):
@@ -134,7 +136,7 @@ def axis_rounds(params: TestParams, weight=None):
             u = point(f, ints)
             for i in range(m):
                 line = AxisLine.through(u, i)
-                qa, qb = _assign(role, AxisLineQ(line), PointQ(u))
+                qa, qb = _assign(role, line, u)
                 yield RoundSample(AXIS, qa, qb, base)
 
 
@@ -146,7 +148,7 @@ def selfcons_rounds(params: TestParams, weight=None):
     base = weight * Fraction(1, f.q ** m)
     for ints in itertools.product(range(f.q), repeat=m):
         u = point(f, ints)
-        yield RoundSample(SELFCONS, PointQ(u), PointQ(u), base)
+        yield RoundSample(SELFCONS, u, u, base)
 
 
 def diag_rounds(params: TestParams, weight=None, restrict_i=None):
@@ -166,7 +168,7 @@ def diag_rounds(params: TestParams, weight=None, restrict_i=None):
                 for v_ints in itertools.product(range(f.q), repeat=i):
                     v = point(f, tuple(v_ints) + (0,) * (m - i))
                     line = DiagonalLine.through(u, v)
-                    qa, qb = _assign(role, DiagLineQ(line), PointQ(u))
+                    qa, qb = _assign(role, line, u)
                     mass = weight * Fraction(1, 2) * Fraction(1, f.q ** m) * i_mass * v_mass
                     yield RoundSample(DIAG, qa, qb, mass)
 
@@ -187,56 +189,63 @@ def restricted_diag_distribution(params: TestParams, j: int):
     yield from diag_rounds(params, weight=Fraction(1), restrict_i=j)
 
 
-def _line_question(sample: RoundSample):
-    q = sample.question_a if sample.line_role == "A" else sample.question_b
-    return q.line
-
-
-def _point_question(sample: RoundSample):
-    q = sample.question_b if sample.line_role == "A" else sample.question_a
-    return q.u
+def all_questions(params: TestParams):
+    """Every question of the support once, as (group, question): the points
+    in grid order, then each canonical axis line and each canonical diagonal
+    line in the order the points first reach them."""
+    _check_support(params)
+    pts = list(all_points(params.field, params.m))
+    for u in pts:
+        yield "points", u
+    lines = itertools.chain(
+        (("axis", AxisLine.through(u, i)) for u in pts for i in range(params.m)),
+        (("diag", DiagonalLine.through(u, v)) for u in pts for v in pts),
+    )
+    seen = set()
+    for group, line in lines:
+        if line not in seen:
+            seen.add(line)
+            yield group, line
 
 
 def verdict(sample: RoundSample, answers) -> bool:
     """Accept/reject a transcript; raises ProtocolError on malformed answers."""
     ans_a, ans_b = answers
     if sample.subtest == SELFCONS:
-        if not (isinstance(ans_a, Value) and isinstance(ans_b, Value)):
+        if not (isinstance(ans_a, FieldElement) and isinstance(ans_b, FieldElement)):
             raise ProtocolError("self-consistency answers must be values")
-        return ans_a.a == ans_b.a
+        return ans_a == ans_b
     line_ans = ans_a if sample.line_role == "A" else ans_b
     point_ans = ans_b if sample.line_role == "A" else ans_a
-    if not isinstance(point_ans, Value):
+    if not isinstance(point_ans, FieldElement):
         raise ProtocolError("point answer must be a value")
-    line = _line_question(sample)
-    u = _point_question(sample)
+    line = sample.line
     if isinstance(line, DiagonalLine) and line.degenerate:
         # single-point line: the answer collapses to one value
-        if not isinstance(line_ans, Value):
+        if not isinstance(line_ans, FieldElement):
             raise ProtocolError("degenerate-line answer must be a value")
-        return line_ans.a == point_ans.a
-    if not isinstance(line_ans, Poly):
+        return line_ans == point_ans
+    if not isinstance(line_ans, UniPoly):
         raise ProtocolError("line answer must be a polynomial")
-    t = line.param_of(u)
-    return line_ans.f(t) == point_ans.a
+    return line_ans(line.param_of(sample.point)) == point_ans
 
 
 def check_answer_format(params: TestParams, question, answer):
     """Degree-bound and shape validation for one answer."""
-    if isinstance(question, PointQ):
-        if not isinstance(answer, Value):
+    if isinstance(question, Point):
+        if not isinstance(answer, FieldElement):
             raise ProtocolError("point questions take value answers")
         return
     bound = answer_bound(params, question)
     if bound is None:
-        if not isinstance(answer, Value):
+        if not isinstance(answer, FieldElement):
             raise ProtocolError("degenerate-line questions take value answers")
         return
-    if not isinstance(answer, Poly):
+    if not isinstance(answer, UniPoly):
         raise ProtocolError("line questions take polynomial answers")
-    if answer.f.degree() > bound:
+    if answer.degree() > bound:
         raise ProtocolError(
-            f"line answer degree {answer.f.degree()} exceeds bound {bound}"
+            f"line answer degree {answer.degree()} exceeds bound {bound}"
         )
 
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .gf import FieldElement
 from .measurements import (
     SubMeasurement,
     diagonal_indicator_family,
@@ -25,24 +26,22 @@ from .polyspace import (
     AxisLine,
     DiagonalLine,
     MultiPoly,
+    Point,
     UniPoly,
-    all_points,
     restrict_axis,
     restrict_diagonal,
 )
 from .protocol import (
     AXIS,
     DIAG,
+    GROUPS,
     SELFCONS,
-    AxisLineQ,
-    DiagLineQ,
-    PointQ,
-    Poly,
     ProtocolError,
     TestParams,
-    Value,
+    all_questions,
     check_answer_format,
     enumerate_rounds,
+    question_group,
     verdict,
 )
 
@@ -64,33 +63,23 @@ class Goodness:
         return max(self.as_floats())
 
 
-class ClassicalStrategy:
-    """Total answer tables, optionally distinct per role."""
+def lookup(layout, role, question):
+    """The entry for `question` in a role -> group -> question layout, the
+    one shared by classical answer tables and quantum measurement families."""
+    return layout[role][question_group(question)][question]
 
-    def __init__(self, params: TestParams, points_fn, axis_fn, diag_fn,
-                 points_fn_b=None, axis_fn_b=None, diag_fn_b=None):
+
+class ClassicalStrategy:
+    """Total answer tables {group: {question: answer}}, with answers
+    FieldElement or UniPoly; `tables_b`, when given, answers for role B."""
+
+    def __init__(self, params: TestParams, tables, tables_b=None):
         self.params = params
-        self.tables = {
-            "A": (points_fn, axis_fn, diag_fn),
-            "B": (
-                points_fn_b if points_fn_b is not None else points_fn,
-                axis_fn_b if axis_fn_b is not None else axis_fn,
-                diag_fn_b if diag_fn_b is not None else diag_fn,
-            ),
-        }
-        self.symmetric = points_fn_b is None and axis_fn_b is None and diag_fn_b is None
+        self.tables = {"A": tables, "B": tables if tables_b is None else tables_b}
+        self.symmetric = tables_b is None
 
     def answer(self, role, question):
-        points_fn, axis_fn, diag_fn = self.tables[role]
-        if isinstance(question, PointQ):
-            ans = Value(points_fn[question.u])
-        elif isinstance(question, AxisLineQ):
-            ans = Poly(axis_fn[question.line])
-        elif isinstance(question, DiagLineQ):
-            raw = diag_fn[question.line]
-            ans = raw if isinstance(raw, Value) else Poly(raw)
-        else:
-            raise ProtocolError(f"unknown question {question!r}")
+        ans = lookup(self.tables, role, question)
         check_answer_format(self.params, question, ans)
         return ans
 
@@ -101,30 +90,18 @@ class ClassicalStrategy:
 
 def honest_strategy(params: TestParams, g: MultiPoly) -> ClassicalStrategy:
     """Answer every question from the fixed polynomial g."""
-    from .protocol import _check_support
-
-    _check_support(params)  # table size tracks the question support
-    f = params.field
-    points_fn = {}
-    for u in all_points(f, params.m):
-        points_fn[u] = g(u)
-    axis_fn = {}
-    for u in all_points(f, params.m):
-        for i in range(params.m):
-            line = AxisLine.through(u, i)
-            if line not in axis_fn:
-                axis_fn[line] = restrict_axis(g, line)
-    diag_fn = {}
-    for u in all_points(f, params.m):
-        for v in all_points(f, params.m):
-            line = DiagonalLine.through(u, v)
-            if line in diag_fn:
-                continue
-            if line.degenerate:
-                diag_fn[line] = Value(g(line.base))
-            else:
-                diag_fn[line] = restrict_diagonal(g, line).rebound(params.m * params.d)
-    return ClassicalStrategy(params, points_fn, axis_fn, diag_fn)
+    tables = {group: {} for group in GROUPS}
+    for group, question in all_questions(params):
+        if group == "points":
+            ans = g(question)
+        elif group == "axis":
+            ans = restrict_axis(g, question)
+        elif question.degenerate:
+            ans = g(question.base)
+        else:
+            ans = restrict_diagonal(g, question).rebound(params.m * params.d)
+        tables[group][question] = ans
+    return ClassicalStrategy(params, tables)
 
 
 def example_adversary(params: TestParams) -> ClassicalStrategy:
@@ -136,7 +113,7 @@ def example_adversary(params: TestParams) -> ClassicalStrategy:
         raise ProtocolError("need d + 1 <= q - 1 so the points function is "
                             "outside the admissible space")
     strategy = honest_strategy(params, adversary_points_polynomial(params))
-    axis_fn = strategy.tables["A"][1]
+    axis_fn = strategy.tables["A"]["axis"]
     for line, answer in axis_fn.items():
         # give up in the first direction; h is constant along the others
         axis_fn[line] = UniPoly(f, [0], bound=d) if line.axis == 0 else answer.rebound(d)
@@ -178,14 +155,7 @@ class QuantumStrategy:
         return self.Psi.shape
 
     def family(self, role, question):
-        fams = self.families[role]
-        if isinstance(question, PointQ):
-            return fams["points"][question.u]
-        if isinstance(question, AxisLineQ):
-            return fams["axis"][question.line]
-        if isinstance(question, DiagLineQ):
-            return fams["diag"][question.line]
-        raise ProtocolError(f"unknown question {question!r}")
+        return lookup(self.families, role, question)
 
     def validate(self):
         da, db = self.Psi.shape
@@ -224,15 +194,13 @@ def _accept_probability_quantum(strategy: QuantumStrategy, sample) -> float:
             if o in fam_b:
                 total += expect_joint(fam_a.op(o), fam_b.op(o), Psi).real
         return total
-    line_q = sample.question_a if sample.line_role == "A" else sample.question_b
-    u = (sample.question_b if sample.line_role == "A" else sample.question_a).u
-    line = line_q.line
+    line = sample.line
     f = strategy.params.field
     if isinstance(line, DiagonalLine) and line.degenerate:
         eval_fn = lambda val: val  # value answers compare directly
     else:
         # line outcomes are coefficient tuples; evaluate at u's parameter
-        t = line.param_of(u)
+        t = line.param_of(sample.point)
         eval_fn = lambda key: UniPoly(f, key)(t)
     line_fam = (fam_a if sample.line_role == "A" else fam_b).post_process(eval_fn)
     point_fam = fam_b if sample.line_role == "A" else fam_a
@@ -311,33 +279,30 @@ def pass_probabilities_monte_carlo(strategy, params, n_samples, seed):
 def transcript_records(strategy, params: TestParams = None):
     """Audit records, one per support sample: subtest, role holding the
     line, questions, answers, verdict, and exact mass."""
-    from .polyspace import AxisLine
-
     params = params or strategy.params
     if isinstance(strategy, QuantumStrategy):
         raise ProtocolError("transcripts are defined for deterministic tables")
 
     def describe(question):
-        if isinstance(question, PointQ):
-            return {"kind": "point", "u": [c.coeffs for c in question.u]}
-        line = question.line
-        if isinstance(line, AxisLine):
+        if isinstance(question, Point):
+            return {"kind": "point", "u": [c.coeffs for c in question]}
+        if isinstance(question, AxisLine):
             return {
                 "kind": "axis_line",
-                "axis": line.axis,
-                "base": [c.coeffs for c in line.base],
+                "axis": question.axis,
+                "base": [c.coeffs for c in question.base],
             }
         return {
             "kind": "diag_line",
-            "base": [c.coeffs for c in line.base],
-            "dir": [c.coeffs for c in line.direction],
+            "base": [c.coeffs for c in question.base],
+            "dir": [c.coeffs for c in question.direction],
         }
 
     def describe_answer(ans):
-        if isinstance(ans, Value):
-            return {"value": ans.a.coeffs}
+        if isinstance(ans, FieldElement):
+            return {"value": ans.coeffs}
         return {"coeffs": [list(params.field.element(c).coeffs)
-                           for c in ans.f.coeffs]}
+                           for c in ans.coeffs]}
 
     for sample in enumerate_rounds(params):
         answers = strategy.answers(sample)
@@ -374,8 +339,7 @@ def axis_failure_pessimistic(strategy: ClassicalStrategy, params: TestParams) ->
         if sample.subtest != AXIS:
             continue
         mass += sample.mass
-        line = (sample.question_a if sample.line_role == "A" else sample.question_b).line
-        if line.axis == 0:
+        if sample.line.axis == 0:
             fail += sample.mass
         elif not verdict(sample, strategy.answers(sample)):
             fail += sample.mass
@@ -418,38 +382,19 @@ def shared_randomness_strategy(params: TestParams, weighted_tables) -> QuantumSt
     Psi = np.diag(np.sqrt(weights)).astype(complex)
     strategies = [s for _, s in weighted_tables]
 
-    def fam_for(role, kind, key, outcomes):
-        assignment = []
-        for s in strategies:
-            points_fn, axis_fn, diag_fn = s.tables[role]
-            if kind == "points":
-                assignment.append(points_fn[key])
-            elif kind == "axis":
-                assignment.append(axis_fn[key].key())
-            else:
-                raw = diag_fn[key]
-                assignment.append(raw.a if isinstance(raw, Value) else raw.key())
-        return diagonal_indicator_family(outcomes, assignment, n)
-
-    f, m = params.field, params.m
-    fams = {"points": {}, "axis": {}, "diag": {}}
+    f = params.field
     value_outcomes = tuple(f.elements())
-    for u in all_points(f, m):
-        fams["points"][u] = fam_for("A", "points", u, value_outcomes)
-    axis_outcomes = _unipoly_keys(f, params.d)
-    for u in all_points(f, m):
-        for i in range(m):
-            line = AxisLine.through(u, i)
-            if line not in fams["axis"]:
-                fams["axis"][line] = fam_for("A", "axis", line, axis_outcomes)
-    diag_outcomes = _unipoly_keys(f, m * params.d)
-    for u in all_points(f, m):
-        for v in all_points(f, m):
-            line = DiagonalLine.through(u, v)
-            if line not in fams["diag"]:
-                outs = value_outcomes if line.degenerate else diag_outcomes
-                fams["diag"][line] = fam_for("A", "diag", line, outs)
-    shared = fams
+    outcomes = {"points": value_outcomes,
+                "axis": _unipoly_keys(f, params.d),
+                "diag": _unipoly_keys(f, params.m * params.d)}
+    shared = {group: {} for group in GROUPS}
+    for group, question in all_questions(params):
+        answers = [s.tables["A"][group][question] for s in strategies]
+        # indicator labels: values as they are, polynomials by coefficients
+        assignment = [a.key() if isinstance(a, UniPoly) else a for a in answers]
+        outs = (value_outcomes if group == "diag" and question.degenerate
+                else outcomes[group])
+        shared[group][question] = diagonal_indicator_family(outs, assignment, n)
     return QuantumStrategy(
         params, Psi, {"A": shared, "B": shared}, symmetric=True, projective=True
     )
@@ -490,7 +435,7 @@ def symmetrize(strategy: QuantumStrategy) -> QuantumStrategy:
             out[key] = SubMeasurement(tuple(labels), np.array(ops), check=False)
         return out
 
-    shared = {g: sym_family(g) for g in ("points", "axis", "diag")}
+    shared = {g: sym_family(g) for g in GROUPS}
     return QuantumStrategy(
         strategy.params,
         Psi,

@@ -10,10 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import GF, field
+from .gf import GF, FieldElement, field
 from .measurements import SubMeasurement
 from .polyspace import AxisLine, DiagonalLine, Point, UniPoly
-from .protocol import ProtocolError, TestParams, Value
+from .protocol import GROUPS, ProtocolError, TestParams
 from .strategies import ClassicalStrategy, QuantumStrategy
 
 
@@ -71,90 +71,85 @@ def _matrix_in(rows) -> np.ndarray:
     return np.array([[_cx_in(s) for s in row] for row in rows], dtype=complex)
 
 
+# classical record lists, by table group
+CLASSICAL_RECORDS = {"points": "points", "axis": "axis_lines", "diag": "diag_lines"}
+
+
+def _question_out(question) -> dict:
+    if isinstance(question, Point):
+        return {"u": _point_out(question)}
+    if isinstance(question, AxisLine):
+        return {"axis": question.axis, "base": _point_out(question.base)}
+    return {"base": _point_out(question.base), "dir": _point_out(question.direction)}
+
+
+def _question_in(f: GF, group, rec):
+    if group == "points":
+        return _point_in(f, rec["u"])
+    if group == "axis":
+        return AxisLine(int(rec["axis"]), _point_in(f, rec["base"]))
+    return DiagonalLine(_point_in(f, rec["base"]), _point_in(f, rec["dir"]))
+
+
+def _answer_out(f, group, ans) -> dict:
+    if isinstance(ans, UniPoly):
+        return {"coeffs": [_elem_out(f.element(c)) for c in ans.coeffs]}
+    return {"a" if group == "points" else "value": _elem_out(ans)}
+
+
+def _answer_in(params: TestParams, group, rec):
+    f = params.field
+    if group == "points":
+        return f.element(rec["a"])
+    if group == "diag" and "value" in rec:
+        return f.element(rec["value"])
+    bound = params.d if group == "axis" else params.m * params.d
+    return UniPoly(f, [f.element(c).i for c in rec["coeffs"]], bound=bound)
+
+
 def _classical_tables_out(f, tables):
-    points_fn, axis_fn, diag_fn = tables
     return {
-        "points": [
-            {"u": _point_out(u), "a": _elem_out(a)}
-            for u, a in sorted(points_fn.items(), key=lambda kv: kv[0].ints())
-        ],
-        "axis_lines": [
-            {"axis": line.axis, "base": _point_out(line.base),
-             "coeffs": [_elem_out(f.element(c)) for c in poly.coeffs]}
-            for line, poly in sorted(
-                axis_fn.items(), key=lambda kv: (kv[0].axis, kv[0].base.ints())
-            )
-        ],
-        "diag_lines": [
-            _diag_record_out(f, line, ans)
-            for line, ans in sorted(
-                diag_fn.items(), key=lambda kv: (kv[0].base.ints(), kv[0].direction.ints())
-            )
-        ],
+        name: [
+            {**_question_out(question), **_answer_out(f, group, ans)}
+            for question, ans in sorted(tables[group].items(), key=_file_order)
+        ]
+        for group, name in CLASSICAL_RECORDS.items()
     }
-
-
-def _diag_record_out(f, line, ans):
-    rec = {"base": _point_out(line.base), "dir": _point_out(line.direction)}
-    if isinstance(ans, Value):
-        rec["value"] = _elem_out(ans.a)
-    else:
-        rec["coeffs"] = [_elem_out(f.element(c)) for c in ans.coeffs]
-    return rec
 
 
 def _classical_tables_in(params: TestParams, data):
-    f = params.field
-    points_fn = {
-        _point_in(f, rec["u"]): f.element(rec["a"]) for rec in data["points"]
+    return {
+        group: {
+            _question_in(params.field, group, rec): _answer_in(params, group, rec)
+            for rec in data[name]
+        }
+        for group, name in CLASSICAL_RECORDS.items()
     }
-    axis_fn = {}
-    for rec in data["axis_lines"]:
-        line = AxisLine(int(rec["axis"]), _point_in(f, rec["base"]))
-        axis_fn[line] = UniPoly(f, [f.element(c).i for c in rec["coeffs"]],
-                                bound=params.d)
-    diag_fn = {}
-    for rec in data["diag_lines"]:
-        line = DiagonalLine(_point_in(f, rec["base"]), _point_in(f, rec["dir"]))
-        if "value" in rec:
-            diag_fn[line] = Value(f.element(rec["value"]))
-        else:
-            diag_fn[line] = UniPoly(f, [f.element(c).i for c in rec["coeffs"]],
-                                    bound=params.m * params.d)
-    return points_fn, axis_fn, diag_fn
 
 
-def _line_key_out(line):
-    if isinstance(line, AxisLine):
-        return {"axis": line.axis, "base": _point_out(line.base)}
-    return {"base": _point_out(line.base), "dir": _point_out(line.direction)}
+def _families_out(families):
+    return {
+        group: [
+            {**_question_out(question),
+             "outcomes": [_outcome_out(o) for o in sub.outcomes],
+             "ops": [_matrix_out(op) for op in sub.ops]}
+            for question, sub in sorted(families[group].items(), key=_file_order)
+        ]
+        for group in GROUPS
+    }
 
 
-def _family_out(f, group_name, group):
-    records = []
-    for key in sorted(group, key=_sort_key):
-        sub = group[key]
-        rec = {"outcomes": [_outcome_out(o) for o in sub.outcomes],
-               "ops": [_matrix_out(op) for op in sub.ops]}
-        if group_name == "points":
-            rec["u"] = _point_out(key)
-        else:
-            rec.update(_line_key_out(key))
-        records.append(rec)
-    return records
-
-
-def _sort_key(key):
-    if isinstance(key, Point):
-        return (0, key.ints())
-    if isinstance(key, AxisLine):
-        return (1, key.axis, key.base.ints())
-    return (2, key.base.ints(), key.direction.ints())
+def _file_order(entry):
+    """Sort key of a (question, answer or family) entry within its group."""
+    question = entry[0]
+    if isinstance(question, Point):
+        return question.ints()
+    if isinstance(question, AxisLine):
+        return (question.axis, question.base.ints())
+    return (question.base.ints(), question.direction.ints())
 
 
 def _outcome_out(o):
-    from .gf import FieldElement
-
     if isinstance(o, FieldElement):
         return {"value": _elem_out(o)}
     return {"coeffs": [int(c) for c in o]}
@@ -166,20 +161,18 @@ def _outcome_in(f, rec):
     return tuple(int(c) for c in rec["coeffs"])
 
 
-def _family_in(params, group_name, records):
-    f = params.field
-    out = {}
-    for rec in records:
-        if group_name == "points":
-            key = _point_in(f, rec["u"])
-        elif "axis" in rec:
-            key = AxisLine(int(rec["axis"]), _point_in(f, rec["base"]))
-        else:
-            key = DiagonalLine(_point_in(f, rec["base"]), _point_in(f, rec["dir"]))
-        outcomes = tuple(_outcome_in(f, o) for o in rec["outcomes"])
-        ops = np.array([_matrix_in(op) for op in rec["ops"]])
-        out[key] = SubMeasurement(outcomes, ops, check=False)
-    return out
+def _families_in(f: GF, data):
+    return {
+        group: {
+            _question_in(f, group, rec): SubMeasurement(
+                tuple(_outcome_in(f, o) for o in rec["outcomes"]),
+                np.array([_matrix_in(op) for op in rec["ops"]]),
+                check=False,
+            )
+            for rec in data[group]
+        }
+        for group in GROUPS
+    }
 
 
 def save_strategy(strategy, path):
@@ -201,18 +194,10 @@ def save_strategy(strategy, path):
             "symmetric": strategy.symmetric,
             "projective": strategy.projective,
             "psi": _matrix_out(strategy.Psi),
-            "families": {
-                "A": {
-                    g: _family_out(params.field, g, strategy.families["A"][g])
-                    for g in ("points", "axis", "diag")
-                }
-            },
+            "families": {"A": _families_out(strategy.families["A"])},
         }
         if strategy.families["B"] is not strategy.families["A"]:
-            doc["families"]["B"] = {
-                g: _family_out(params.field, g, strategy.families["B"][g])
-                for g in ("points", "axis", "diag")
-            }
+            doc["families"]["B"] = _families_out(strategy.families["B"])
     else:
         raise StrategyFileError(f"cannot serialize {type(strategy).__name__}")
     with open(path, "w") as fh:
@@ -221,31 +206,25 @@ def save_strategy(strategy, path):
 
 
 def load_strategy(path):
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
+        raise StrategyFileError(f"cannot read strategy file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise StrategyFileError("a strategy file holds one JSON object")
     kind = doc.get("type")
     params = _params_from_header(doc.get("params", {}))
     try:
         if kind == "classical":
             tables = _classical_tables_in(params, doc["tables"])
-            tables_b = (
-                _classical_tables_in(params, doc["tables_b"])
-                if "tables_b" in doc
-                else (None, None, None)
-            )
-            return ClassicalStrategy(params, *tables, *tables_b)
+            tables_b = (_classical_tables_in(params, doc["tables_b"])
+                        if "tables_b" in doc else None)
+            return ClassicalStrategy(params, tables, tables_b)
         if kind == "quantum":
-            fam_a = {
-                g: _family_in(params, g, doc["families"]["A"][g])
-                for g in ("points", "axis", "diag")
-            }
-            if "B" in doc["families"]:
-                fam_b = {
-                    g: _family_in(params, g, doc["families"]["B"][g])
-                    for g in ("points", "axis", "diag")
-                }
-            else:
-                fam_b = fam_a
+            fam_a = _families_in(params.field, doc["families"]["A"])
+            fam_b = (_families_in(params.field, doc["families"]["B"])
+                     if "B" in doc["families"] else fam_a)
             Psi = _matrix_in(doc["psi"])
             return QuantumStrategy(
                 params,

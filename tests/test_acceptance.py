@@ -118,7 +118,7 @@ def test_criterion_06_adversary(m, q, d):
     params = TestParams(field_for_order(q), m, d)
     strat = example_adversary(params)
     assert axis_failure_pessimistic(strat, params) == Fraction(1, m)
-    best = best_polyspace_agreement(params, strat.tables["A"][0])
+    best = best_polyspace_agreement(params, strat.tables["A"]["points"])
     assert best <= 1 - m * Fraction(1, m) + Fraction(d + 1, q)
     assert time.perf_counter() - start < 60.0
 
@@ -246,7 +246,11 @@ def test_criterion_09_sdp_batch():
 
 
 def test_criterion_10_self_improvement_batch():
-    from lidtest.improvement import improve, improvement_margins_ok
+    from lidtest.improvement import (
+        improve,
+        improvement_margins_ok,
+        measure_points_consistency,
+    )
     from lidtest.instances import noisy_shared_randomness_strategy
     from lidtest.measurements import diagonal_indicator_family
     from lidtest.polyspace import enumerate_polyspace
@@ -276,7 +280,8 @@ def test_criterion_10_self_improvement_batch():
             ))
             assignment.append(best)
         G = diagonal_indicator_family(tuple(polys), assignment, n)
-        H, Z, report = improve(strat, pass_probabilities(strat), G)
+        H, Z, report = improve(strat, pass_probabilities(strat),
+                               measure_points_consistency(strat, G))
         w = np.linalg.eigvalsh(H.total())
         assert w.max() <= 1 + 1e-9, seed
         assert improvement_margins_ok(report, tol=1e-7), (seed, report.margins())

@@ -132,6 +132,24 @@ def test_honest_poly_index_out_of_range_is_config_error(tmp_path, capsys, index)
     assert "poly_index" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,cfg,expected", [
+    ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": {"builtin": "honest"}}, 2),
+    ("spectrum", {"q": 3}, 2),
+    ("round-povm", {"dim": 0}, 2),
+    ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": "missing.json"}, 3),
+    ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": "notjson.json"}, 3),
+])
+def test_bad_input_exits_with_documented_code(tmp_path, capsys, command, cfg, expected):
+    (tmp_path / "notjson.json").write_text("{not json")
+    if isinstance(cfg.get("strategy"), str):
+        cfg = {**cfg, "strategy": str(tmp_path / cfg["strategy"])}
+    code, out = run_cli(tmp_path, command, cfg, "badinput")
+    assert code == expected
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_guard_exit_code(tmp_path):
     cfg = {"q": 16, "m": 4, "d": 1, "strategy": {"builtin": "noisy"}}
     code, _ = run_cli(tmp_path, "run-test", cfg, "guard")
@@ -289,7 +307,7 @@ def test_asymmetric_classical_file_round_trip(tmp_path):
     g1 = MultiPoly(f, 1, 1, np.array([0, 1]))
     s0 = honest_strategy(params, g0)
     s1 = honest_strategy(params, g1)
-    both = ClassicalStrategy(params, *s0.tables["A"], *s1.tables["B"])
+    both = ClassicalStrategy(params, s0.tables["A"], s1.tables["B"])
     assert not both.symmetric
     path = tmp_path / "asym.json"
     save_strategy(both, path)

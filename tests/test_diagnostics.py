@@ -12,6 +12,7 @@ from lidtest.diagnostics import (
     soundness_witness,
 )
 from lidtest.gf import field
+from lidtest.improvement import measure_points_consistency
 from lidtest.instances import noisy_shared_randomness_strategy, rng_for
 from lidtest.measurements import SubMeasurement
 from lidtest.polyspace import MultiPoly, enumerate_polyspace
@@ -231,3 +232,25 @@ def test_soundness_witness_measures_goodness_once_per_strategy(monkeypatch):
     assert len(seen) == 1 + params.q
     assert len({id(s) for s in seen}) == len(seen)
     assert [s.params.m for s in seen] == [2, 1, 1]
+
+
+def test_soundness_witness_measures_each_consistency_once(monkeypatch):
+    # per slice: the base-case G (the nu handed to self-improvement), then H
+    # and its orthogonalization P; at the top: the pasted G.  No pair of
+    # strategy and family is measured twice.
+    from lidtest import diagnostics, improvement
+
+    measured = []
+
+    def counting(strategy, G):
+        measured.append((strategy, G))
+        return measure_points_consistency(strategy, G)
+
+    monkeypatch.setattr(diagnostics, "measure_points_consistency", counting)
+    monkeypatch.setattr(improvement, "measure_points_consistency", counting)
+    params = TestParams(field(2), 2, 1)
+    strat = noisy_shared_randomness_strategy(params, 3, 1, seed=5)
+    soundness_witness(strat, k=2)
+    assert len(measured) == 3 * params.q + 1
+    pairs = {(id(s), id(G)) for s, G in measured}
+    assert len(pairs) == len(measured)

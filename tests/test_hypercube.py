@@ -148,7 +148,7 @@ def test_points_variance_noisy_strategies_within_bounds():
         polys = list(enumerate_polyspace(f, 2, 1))
         assignment = []
         for _, table in strat_tables(params, seed):
-            pts = table.tables["A"][0]
+            pts = table.tables["A"]["points"]
             best = max(
                 polys,
                 key=lambda h: sum(1 for u, a in pts.items() if h(u) == a),

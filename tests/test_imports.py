@@ -1,0 +1,35 @@
+"""The CLI and every module its commands import stay free of scipy."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def lazy_imports():
+    """perfbench/workloads.py's LAZY_IMPORTS: command -> lidtest modules."""
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "LAZY_IMPORTS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/workloads.py defines no LAZY_IMPORTS")
+
+
+def test_cli_and_command_modules_do_not_import_scipy():
+    modules = sorted({m for mods in lazy_imports().values() for m in mods})
+    code = (
+        "import importlib, json, sys\n"
+        "import lidtest.cli\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module('lidtest.' + name)\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": path})
+    assert json.loads(proc.stdout) == []

@@ -79,7 +79,8 @@ def test_build_instance_entries_are_agreements():
 
 def test_honest_fixed_point():
     params, g, strat, G = honest_setup()
-    H, Z, report = improve(strat, pass_probabilities(strat), G)
+    H, Z, report = improve(strat, pass_probabilities(strat),
+                           measure_points_consistency(strat, G))
     assert report.nu == pytest.approx(0.0, abs=1e-12)
     # H equals G on the honest outcome and vanishes elsewhere
     assert np.abs(H.op(g) - 1.0).max() < 1e-9
@@ -96,7 +97,8 @@ def test_honest_fixed_point():
 
 def test_h_is_sub_measurement():
     params, strat, G = noisy_setup(seed=5)
-    H, Z, report = improve(strat, pass_probabilities(strat), G)
+    H, Z, report = improve(strat, pass_probabilities(strat),
+                           measure_points_consistency(strat, G))
     w = np.linalg.eigvalsh(H.total())
     assert w.max() <= 1 + 1e-9
     assert w.min() >= -1e-10
@@ -105,7 +107,8 @@ def test_h_is_sub_measurement():
 @pytest.mark.parametrize("seed", range(5))
 def test_four_properties_on_noisy_instances(seed):
     params, strat, G = noisy_setup(seed=seed)
-    H, Z, report = improve(strat, pass_probabilities(strat), G)
+    H, Z, report = improve(strat, pass_probabilities(strat),
+                           measure_points_consistency(strat, G))
     assert improvement_margins_ok(report), report.margins()
     assert report.min_constraint_slack >= -1e-7
     # Z dominates every averaged constraint by construction of the dual
@@ -116,7 +119,8 @@ def test_four_properties_on_noisy_instances(seed):
 
 def test_projective_improve_output_projective():
     params, strat, G = noisy_setup(seed=7)
-    P, Z, report = projective_improve(strat, pass_probabilities(strat), G)
+    P, Z, report = projective_improve(strat, pass_probabilities(strat),
+                                      measure_points_consistency(strat, G))
     for i in range(len(P.ops)):
         assert np.abs(P.ops[i] @ P.ops[i] - P.ops[i]).max() < 1e-8
         for j in range(i + 1, len(P.ops)):
@@ -126,7 +130,8 @@ def test_projective_improve_output_projective():
 
 def test_projective_improve_honest_fixed_point():
     params, g, strat, G = honest_setup()
-    P, Z, report = projective_improve(strat, pass_probabilities(strat), G)
+    P, Z, report = projective_improve(strat, pass_probabilities(strat),
+                                      measure_points_consistency(strat, G))
     assert np.abs(P.op(g) - 1.0).max() < 1e-8
     assert improvement_margins_ok(report)
 
@@ -140,7 +145,8 @@ def test_rejects_non_symmetric_strategy():
     params, g, strat, G = honest_setup()
     strat.symmetric = False
     with pytest.raises(ValueError):
-        improve(strat, pass_probabilities(strat), G)
+        improve(strat, pass_probabilities(strat),
+                measure_points_consistency(strat, G))
 
 
 def test_assembly_identity():
@@ -150,7 +156,8 @@ def test_assembly_identity():
     from lidtest.sdp import solve
 
     params, strat, G = noisy_setup(seed=13)
-    H, Z, report = improve(strat, pass_probabilities(strat), G)
+    H, Z, report = improve(strat, pass_probabilities(strat),
+                           measure_points_consistency(strat, G))
     inst = build_instance(strat, params)
     sol = solve(inst)
     pts = strat.families["A"]["points"]
@@ -164,7 +171,8 @@ def test_assembly_identity():
 
 def test_projective_improve_cross_distance_recorded():
     params, strat, G = noisy_setup(seed=15)
-    P, Z, report = projective_improve(strat, pass_probabilities(strat), G)
+    P, Z, report = projective_improve(strat, pass_probabilities(strat),
+                                      measure_points_consistency(strat, G))
     cross = report.extras["self_consistency_cross_distance"]
     # projective families: cross distance == 2 * deficit
     assert cross == pytest.approx(2 * report.self_consistency_deficit, abs=1e-8)

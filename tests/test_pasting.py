@@ -254,6 +254,21 @@ def test_binomial_tail_against_exact_fraction():
     assert np.abs(F - float(exact) * np.eye(3)).max() < 1e-12
 
 
+@pytest.mark.parametrize("d", [-1, 0, 950, 980, 999, 1000, 1020, 1100, 1999, 2000])
+def test_binomial_tail_large_k_against_exact_fraction(d):
+    # k = 2000, p = 1/2: C(k, r) alone overflows a float near r = k/2
+    k = 2000
+    exact = Fraction(sum(math.comb(k, r) for r in range(max(d + 1, 0), k + 1)), 2 ** k)
+    assert binomial_tail(k, d, 0.5) == pytest.approx(float(exact), abs=1e-12)
+
+
+def test_binomial_tail_endpoints():
+    assert binomial_tail(5, 1, 0.0) == 0.0
+    assert binomial_tail(5, -1, 0.0) == 1.0
+    assert binomial_tail(5, 1, 1.0) == 1.0
+    assert binomial_tail(5, 5, 1.0) == 0.0
+
+
 def test_binomial_matrix_properties():
     rng = rng_for(7)
     H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

@@ -9,14 +9,9 @@ from lidtest.protocol import (
     AXIS,
     DIAG,
     SELFCONS,
-    AxisLineQ,
-    DiagLineQ,
-    PointQ,
-    Poly,
     ProtocolError,
     RoundSample,
     TestParams,
-    Value,
     check_answer_format,
     enumerate_rounds,
     restricted_diag_distribution,
@@ -65,36 +60,33 @@ def test_custom_weights():
 def test_selfcons_verdict():
     f = field(3)
     u = point(f, (1,))
-    s = RoundSample(SELFCONS, PointQ(u), PointQ(u), Fraction(1))
-    assert verdict(s, (Value(f.element(2)), Value(f.element(2))))
-    assert not verdict(s, (Value(f.element(2)), Value(f.element(1))))
+    s = RoundSample(SELFCONS, u, u, Fraction(1))
+    assert verdict(s, (f.element(2), f.element(2)))
+    assert not verdict(s, (f.element(2), f.element(1)))
 
 
 def test_axis_verdict_zero_poly():
     p = params_for(3, 2, 1)
     s = next(x for x in enumerate_rounds(p) if x.subtest == AXIS)
     f = p.field
-    zero = Poly(UniPoly(f, [0, 0], bound=1))
-    good = (zero, Value(f.zero)) if s.line_role == "A" else (Value(f.zero), zero)
-    bad = (zero, Value(f.one)) if s.line_role == "A" else (Value(f.one), zero)
+    zero = UniPoly(f, [0, 0], bound=1)
+    good = (zero, f.zero) if s.line_role == "A" else (f.zero, zero)
+    bad = (zero, f.one) if s.line_role == "A" else (f.one, zero)
     assert verdict(s, good)
     assert not verdict(s, bad)
 
 
 def honest_answers(g, sample):
-    from lidtest.polyspace import restrict_axis, restrict_diagonal
-
-    f = g.field
+    from lidtest.polyspace import AxisLine, Point, restrict_axis, restrict_diagonal
 
     def answer(question):
-        if isinstance(question, PointQ):
-            return Value(g(question.u))
-        if isinstance(question, AxisLineQ):
-            return Poly(restrict_axis(g, question.line))
-        line = question.line
-        if line.degenerate:
-            return Value(g(line.base))
-        return Poly(restrict_diagonal(g, line))
+        if isinstance(question, Point):
+            return g(question)
+        if isinstance(question, AxisLine):
+            return restrict_axis(g, question)
+        if question.degenerate:
+            return g(question.base)
+        return restrict_diagonal(g, question)
 
     return answer(sample.question_a), answer(sample.question_b)
 
@@ -116,19 +108,17 @@ def test_degenerate_diag_uses_value_answer():
         s
         for s in enumerate_rounds(p)
         if s.subtest == DIAG
-        and isinstance(
-            (s.question_a if s.line_role == "A" else s.question_b).line, DiagonalLine
-        )
-        and (s.question_a if s.line_role == "A" else s.question_b).line.degenerate
+        and isinstance(s.line, DiagonalLine)
+        and s.line.degenerate
     ]
     assert degenerate
     f = p.field
     s = degenerate[0]
-    pair = (Value(f.zero), Value(f.zero))
+    pair = (f.zero, f.zero)
     assert verdict(s, pair)
-    bad = Poly(UniPoly(f, [0], bound=0))
+    bad = UniPoly(f, [0], bound=0)
     with pytest.raises(ProtocolError):
-        verdict(s, (bad, Value(f.zero)) if s.line_role == "A" else (Value(f.zero), bad))
+        verdict(s, (bad, f.zero) if s.line_role == "A" else (f.zero, bad))
 
 
 def test_restricted_diag_support_and_marginal():
@@ -159,9 +149,7 @@ def test_axis_marginal_symmetry():
     for s in enumerate_rounds(p):
         if s.subtest != AXIS:
             continue
-        line = (s.question_a if s.line_role == "A" else s.question_b).line
-        u = (s.question_b if s.line_role == "A" else s.question_a).u
-        joint[(line, u)] += s.mass
+        joint[(s.line, s.point)] += s.mass
     lines = defaultdict(Fraction)
     points_ = defaultdict(Fraction)
     for (line, u), mass in joint.items():
@@ -177,9 +165,20 @@ def test_check_answer_format():
     f = p.field
     s_axis = next(x for x in enumerate_rounds(p) if x.subtest == AXIS)
     qline = s_axis.question_a if s_axis.line_role == "A" else s_axis.question_b
-    too_big = Poly(UniPoly(f, [0, 0, 1]))
+    too_big = UniPoly(f, [0, 0, 1])
     with pytest.raises(ProtocolError):
         check_answer_format(p, qline, too_big)
-    check_answer_format(p, qline, Poly(UniPoly(f, [1, 2], bound=1)))
+    check_answer_format(p, qline, UniPoly(f, [1, 2], bound=1))
     with pytest.raises(ProtocolError):
-        check_answer_format(p, PointQ(point(f, (0, 0))), too_big)
+        check_answer_format(p, point(f, (0, 0)), too_big)
+
+
+def test_sample_line_and_point():
+    p = params_for(3, 2, 1)
+    for s in enumerate_rounds(p):
+        if s.subtest == SELFCONS:
+            assert s.line is None and s.point == s.question_a == s.question_b
+        elif s.line_role == "A":
+            assert (s.line, s.point) == (s.question_a, s.question_b)
+        else:
+            assert (s.line, s.point) == (s.question_b, s.question_a)

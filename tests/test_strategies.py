@@ -48,7 +48,6 @@ def test_honest_strategy_perfect():
 def test_uniform_random_points_self_consistency():
     # m=1, q=2, d=0: uniformly random answers fail self-consistency half the time
     from lidtest.polyspace import AxisLine, DiagonalLine
-    from lidtest.protocol import Value
 
     params = make_params(2, 1, 0)
     f = params.field
@@ -67,10 +66,10 @@ def test_uniform_random_points_self_consistency():
                 if dline in diag:
                     continue
                 if dline.degenerate:
-                    diag[dline] = Value(pts[dline.base])
+                    diag[dline] = pts[dline.base]
                 else:
                     diag[dline] = UniPoly(f, [pts[dline.point_at(0)].i], bound=0)
-        return pts, axis, diag
+        return {"points": pts, "axis": axis, "diag": diag}
 
     # independent per-player randomness: all 4 x 4 table pairs, 2 points each
     mixture = []
@@ -79,7 +78,7 @@ def test_uniform_random_points_self_consistency():
             ta = deterministic_tables(bits_a)
             tb = deterministic_tables(bits_b)
             mixture.append((Fraction(1, 16),
-                            ClassicalStrategy(params, *ta, *tb)))
+                            ClassicalStrategy(params, ta, tb)))
     rand = RandomizedClassicalStrategy(mixture)
     good = pass_probabilities(rand, params)
     assert good.delta == Fraction(1, 2)
@@ -100,7 +99,7 @@ def test_adversary_exact_failures():
 def test_adversary_agreement_bound():
     params = make_params(5, 2, 1)
     strat = example_adversary(params)
-    best = best_polyspace_agreement(params, strat.tables["A"][0])
+    best = best_polyspace_agreement(params, strat.tables["A"]["points"])
     m, d, q = params.m, params.d, params.q
     bound = 1 - m * Fraction(1, m) + Fraction(d + 1, q)
     assert best <= bound
@@ -141,21 +140,18 @@ def test_shared_randomness_embedding_matches_mixture():
 
 def corrupted_tables_strategy(params, n_tables, n_corrupt, seed):
     """Shared-randomness strategy whose tables are honest except at a few points."""
-    from lidtest.polyspace import AxisLine, DiagonalLine
-    from lidtest.protocol import Value
-
     rng = np.random.default_rng(seed)
     f = params.field
     weighted = []
     for _ in range(n_tables):
         g, s = random_honest(params, int(rng.integers(0, 2 ** 31)))
-        pts = dict(s.tables["A"][0])
+        pts = dict(s.tables["A"]["points"])
         keys = list(pts)
         for k in rng.choice(len(keys), size=n_corrupt, replace=False):
             u = keys[int(k)]
             pts[u] = f.element(int(rng.integers(0, f.q)))
         weighted.append((Fraction(1, n_tables),
-                         ClassicalStrategy(params, pts, s.tables["A"][1], s.tables["A"][2])))
+                         ClassicalStrategy(params, {**s.tables["A"], "points": pts})))
     return shared_randomness_strategy(params, weighted)
 
 
@@ -232,3 +228,36 @@ def test_quantum_validation_rejects_bad_state():
     q = classical_to_quantum(s)
     with pytest.raises(ProtocolError):
         type(q)(params, q.Psi * 2, q.families, symmetric=True)
+
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2])
+def test_question_set_is_the_round_support(q, m):
+    # all_questions lists each question of enumerate_rounds once, and every
+    # table built from it is keyed by exactly those questions
+    from collections import defaultdict
+
+    from lidtest.instances import corrupted_tables
+    from lidtest.protocol import all_questions, enumerate_rounds, question_group
+
+    params = make_params(q, m, 1)
+    expected = defaultdict(set)
+    for s in enumerate_rounds(params):
+        for question in (s.question_a, s.question_b):
+            expected[question_group(question)].add(question)
+    listed = list(all_questions(params))
+    assert len(listed) == len(set(listed))
+    by_group = defaultdict(list)
+    for group, question in listed:
+        by_group[group].append(question)
+    layouts = [by_group]
+    _, honest = random_honest(params, q + m)
+    corrupted = [s for _, s in corrupted_tables(params, 2, 1, np.random.default_rng(0))]
+    layouts += [honest.tables["A"]] + [s.tables["A"] for s in corrupted]
+    layouts.append(shared_randomness_strategy(
+        params, [(Fraction(1, 2), s) for s in corrupted]).families["A"])
+    if m > 1 and q > 2:  # the adversary needs d + 1 <= q - 1 and m >= 2
+        layouts.append(example_adversary(params).tables["A"])
+    for layout in layouts:
+        assert {group: set(entries) for group, entries in layout.items()} == expected
