@@ -53,6 +53,17 @@ def _params_from_config(cfg) -> TestParams:
         raise ConfigError(f"bad test parameters: {exc}") from exc
 
 
+def _count(cfg, key, default) -> int:
+    """A config field that must be an integer of at least 1."""
+    try:
+        n = int(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be an integer: {exc}") from exc
+    if n < 1:
+        raise ConfigError(f"{key} must be at least 1")
+    return n
+
+
 def _pasting_k(cfg, params, default) -> int:
     """The pasting tuple length: k distinct coordinates, at least d + 1 of
     them needed to interpolate."""
@@ -74,6 +85,8 @@ def _strategy_from_config(cfg, params, seed):
         raise ConfigError("config needs a 'strategy' entry")
     if isinstance(entry, str):
         return load_strategy(entry)
+    if not isinstance(entry, dict):
+        raise ConfigError(f"a 'strategy' entry is a file path or an object, not {entry!r}")
     builtin = entry.get("builtin")
     if builtin == "honest":
         try:
@@ -104,13 +117,18 @@ def _strategy_from_config(cfg, params, seed):
 
 def cmd_run_test(cfg, seed):
     from .strategies import (
-        pass_probabilities,
+        ClassicalStrategy,
+        axis_failure_pessimistic,
+        export_transcript,
+        goodness,
+        judge,
         pass_probabilities_monte_carlo,
     )
 
     params = _params_from_config(cfg)
     strategy = _strategy_from_config(cfg, params, seed)
-    good = pass_probabilities(strategy, params)
+    judged = judge(strategy, params)
+    good = goodness(judged)
     out = {
         "goodness": {
             "axis_failure": good.eps,
@@ -121,22 +139,16 @@ def cmd_run_test(cfg, seed):
     }
     if cfg.get("mc_samples"):
         mc = pass_probabilities_monte_carlo(
-            strategy, params, int(cfg["mc_samples"]), seed if seed is not None else 0
+            judged, int(cfg["mc_samples"]), seed if seed is not None else 0
         )
         out["monte_carlo"] = {
             sub: {"estimate": est, "sigma": sig} for sub, (est, sig) in mc.items()
         }
-    from .strategies import (
-        ClassicalStrategy,
-        axis_failure_pessimistic,
-        export_transcript,
-    )
-
     if isinstance(strategy, ClassicalStrategy):
-        out["axis_failure_pessimistic"] = axis_failure_pessimistic(strategy, params)
+        out["axis_failure_pessimistic"] = axis_failure_pessimistic(judged)
         if cfg.get("transcript"):
             out["transcript_rounds"] = export_transcript(
-                strategy, cfg["transcript"], params
+                strategy, cfg["transcript"], judged
             )
     return out
 
@@ -191,8 +203,7 @@ def _povm_instance(args):
 
 def cmd_round_povm(cfg, seed, workers=1):
     for key, default in (("dim", 4), ("outcomes", 3)):
-        if int(cfg.get(key, default)) < 1:
-            raise ConfigError(f"{key} must be at least 1")
+        _count(cfg, key, default)
     seeds = _seed_batch(cfg, seed)
     jobs = [(s, cfg) for s in seeds]
     results = _run_batch(_povm_instance, jobs, workers)
@@ -215,9 +226,10 @@ def cmd_spectrum(cfg, seed):
     from .hypercube import HypercubeGraph, verify_eigensystem
 
     try:
-        f, m = field_for_order(int(cfg["q"])), int(cfg["m"])
+        f = field_for_order(int(cfg["q"]))
     except (KeyError, ValueError, FieldError) as exc:
-        raise ConfigError(f"spectrum needs integer q and m: {exc}") from exc
+        raise ConfigError(f"spectrum needs an integer q: {exc}") from exc
+    m = _count(cfg, "m", None)
     graph = HypercubeGraph(f, m)
     res = verify_eigensystem(graph)
     res["spectral_gap"] = graph.spectral_gap()
@@ -268,7 +280,7 @@ def cmd_paste(cfg, seed):
     from .polyspace import enumerate_polyspace
 
     polys = tuple(enumerate_polyspace(f, params.m, params.d))
-    dim = int(cfg.get("dim", 2))
+    dim = _count(cfg, "dim", 2)
     g_by_x = {}
     for x in range(f.q):
         fam = random_projective_measurement(rng, dim, min(dim, len(polys)))

@@ -263,9 +263,7 @@ def pasted_line_consistency(strategy: QuantumStrategy, pasted: SubMeasurement) -
     for u in pts:
         line = AxisLine(m_slice, point(f, u.ints() + (0,)))
         B = axis_fams[line]
-        restricted = pasted.post_process(
-            lambda h, line=line: restrict_axis(h, line).key()
-        )
+        restricted = pasted.post_process(lambda h, line=line: restrict_axis(h, line))
         val = expect_joint(restricted.total(), B.total(), Psi)
         for o in restricted.outcomes:
             if o in B:
@@ -314,10 +312,7 @@ def base_case_family(strategy: QuantumStrategy) -> SubMeasurement:
     f = params.field
     line = AxisLine.through(point(f, (0,)), 0)
     fam = strategy.families["A"]["axis"][line]
-    relabelled = tuple(
-        MultiPoly(f, 1, params.d, np.array(key, dtype=np.int64))
-        for key in fam.outcomes
-    )
+    relabelled = tuple(MultiPoly(f, 1, params.d, ans.coeffs) for ans in fam.outcomes)
     return SubMeasurement(relabelled, fam.ops, check=False)
 
 

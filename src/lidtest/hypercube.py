@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import GF
-from .polyspace import Point, SizeGuardError, all_points, point, point_index
+from .polyspace import Point, SizeGuardError, all_points, point_index
 
 VERTEX_CAP = 4096
 
@@ -204,9 +204,7 @@ def points_variance_diagnostics(strategy, G, Psi=None):
     axis = strategy.families["A"]["axis"]
     gen_b = 0.0
     n_lines = 0
-    from .polyspace import UniPoly, all_points as _ap
-
-    for u in _ap(f, m):
+    for u in all_points(f, m):
         for i in range(m):
             line = AxisLine.through(u, i)
             fam = axis[line]
@@ -214,10 +212,10 @@ def points_variance_diagnostics(strategy, G, Psi=None):
             for g in G.outcomes:
                 target = g(u)
                 ev = np.zeros((fam.dim, fam.dim), dtype=complex)
-                for key in fam.outcomes:
-                    if UniPoly(f, key)(t) == target:
-                        ev = ev + fam.op(key)
-                restr = fam.op(restrict_axis(g, line).key())
+                for ans in fam.outcomes:
+                    if ans(t) == target:
+                        ev = ev + fam.op(ans)
+                restr = fam.op(restrict_axis(g, line))
                 vvec = (ev - restr) @ Psi @ roots[g].T
                 gen_b += float(np.sum(np.abs(vvec) ** 2))
             n_lines += 1

@@ -92,9 +92,6 @@ class UniPoly:
     def rebound(self, bound):
         return UniPoly(self.field, self.coeffs, bound)
 
-    def key(self):
-        return self.coeffs
-
     def __eq__(self, other):
         return (
             isinstance(other, UniPoly)

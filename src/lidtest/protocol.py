@@ -208,6 +208,17 @@ def all_questions(params: TestParams):
             yield group, line
 
 
+def line_value(sample: RoundSample):
+    """The map from a line answer to the value it gives the round's point:
+    evaluation at the point's parameter, or the answer itself on a
+    degenerate (single-point) diagonal line."""
+    line = sample.line
+    if isinstance(line, DiagonalLine) and line.degenerate:
+        return lambda ans: ans
+    t = line.param_of(sample.point)
+    return lambda ans: ans(t)
+
+
 def verdict(sample: RoundSample, answers) -> bool:
     """Accept/reject a transcript; raises ProtocolError on malformed answers."""
     ans_a, ans_b = answers
@@ -221,13 +232,11 @@ def verdict(sample: RoundSample, answers) -> bool:
         raise ProtocolError("point answer must be a value")
     line = sample.line
     if isinstance(line, DiagonalLine) and line.degenerate:
-        # single-point line: the answer collapses to one value
         if not isinstance(line_ans, FieldElement):
             raise ProtocolError("degenerate-line answer must be a value")
-        return line_ans == point_ans
-    if not isinstance(line_ans, UniPoly):
+    elif not isinstance(line_ans, UniPoly):
         raise ProtocolError("line answer must be a polynomial")
-    return line_ans(line.param_of(sample.point)) == point_ans
+    return line_value(sample)(line_ans) == point_ans
 
 
 def check_answer_format(params: TestParams, question, answer):

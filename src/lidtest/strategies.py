@@ -4,7 +4,9 @@ pass probabilities, symmetrization, and the canonical adversarial example.
 Classical strategies are explicit tables keyed by canonical questions and
 evaluated with exact rational probability accounting.  Quantum strategies
 carry a bipartite state matrix plus per-question SubMeasurement families and
-are evaluated by exact dense contraction over the enumerated support.
+are evaluated by exact dense contraction over the enumerated support.  Every
+kind gives one round's acceptance probability through `accept(sample)`;
+`judge` lists it over the support once and the aggregators read that list.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .measurements import (
 )
 from .polyspace import (
     AxisLine,
-    DiagonalLine,
     MultiPoly,
     Point,
     UniPoly,
@@ -41,6 +42,7 @@ from .protocol import (
     all_questions,
     check_answer_format,
     enumerate_rounds,
+    line_value,
     question_group,
     verdict,
 )
@@ -87,6 +89,10 @@ class ClassicalStrategy:
         return (self.answer("A", sample.question_a),
                 self.answer("B", sample.question_b))
 
+    def accept(self, sample) -> int:
+        """1 if the verifier accepts this round's answers, else 0."""
+        return int(verdict(sample, self.answers(sample)))
+
 
 def honest_strategy(params: TestParams, g: MultiPoly) -> ClassicalStrategy:
     """Answer every question from the fixed polynomial g."""
@@ -112,6 +118,9 @@ def example_adversary(params: TestParams) -> ClassicalStrategy:
     if d + 1 > f.q - 1:
         raise ProtocolError("need d + 1 <= q - 1 so the points function is "
                             "outside the admissible space")
+    if params.m * d < d + 1:
+        raise ProtocolError("need m * d >= d + 1 so diagonal answers can hold "
+                            "the points function")
     strategy = honest_strategy(params, adversary_points_polynomial(params))
     axis_fn = strategy.tables["A"]["axis"]
     for line, answer in axis_fn.items():
@@ -133,6 +142,10 @@ class RandomizedClassicalStrategy:
         if sum(w for w, _ in self.weighted_tables) != 1:
             raise ProtocolError("table weights must sum to 1")
         self.params = self.weighted_tables[0][1].params
+
+    def accept(self, sample) -> Fraction:
+        """Exact acceptance probability of one round under the mixture."""
+        return sum(w * s.accept(sample) for w, s in self.weighted_tables)
 
 
 class QuantumStrategy:
@@ -182,90 +195,58 @@ class QuantumStrategy:
                 raise ProtocolError("symmetric strategy shares one family table")
         return self
 
-
-def _accept_probability_quantum(strategy: QuantumStrategy, sample) -> float:
-    """Exact acceptance probability of one round by dense contraction."""
-    Psi = strategy.Psi
-    fam_a = strategy.family("A", sample.question_a)
-    fam_b = strategy.family("B", sample.question_b)
-    if sample.subtest == SELFCONS:
+    def accept(self, sample):
+        """Exact acceptance probability of one round by dense contraction:
+        the line side's outcomes are grouped by the value they give the
+        point, then matched against the point side's outcomes."""
+        fam_a = self.family("A", sample.question_a)
+        fam_b = self.family("B", sample.question_b)
+        if sample.line_role == "A":
+            fam_a = fam_a.post_process(line_value(sample))
+        elif sample.line_role == "B":
+            fam_b = fam_b.post_process(line_value(sample))
+        point_fam, other = (fam_b, fam_a) if sample.line_role == "A" else (fam_a, fam_b)
         total = 0.0
-        for o in fam_a.outcomes:
-            if o in fam_b:
-                total += expect_joint(fam_a.op(o), fam_b.op(o), Psi).real
+        for o in point_fam.outcomes:
+            if o in other:
+                total += expect_joint(fam_a.op(o), fam_b.op(o), self.Psi).real
         return total
-    line = sample.line
-    f = strategy.params.field
-    if isinstance(line, DiagonalLine) and line.degenerate:
-        eval_fn = lambda val: val  # value answers compare directly
-    else:
-        # line outcomes are coefficient tuples; evaluate at u's parameter
-        t = line.param_of(sample.point)
-        eval_fn = lambda key: UniPoly(f, key)(t)
-    line_fam = (fam_a if sample.line_role == "A" else fam_b).post_process(eval_fn)
-    point_fam = fam_b if sample.line_role == "A" else fam_a
-    total = 0.0
-    for o in point_fam.outcomes:
-        if o in line_fam:
-            left = line_fam.op(o) if sample.line_role == "A" else point_fam.op(o)
-            right = point_fam.op(o) if sample.line_role == "A" else line_fam.op(o)
-            total += expect_joint(left, right, Psi).real
-    return total
+
+
+def judge(strategy, params: TestParams):
+    """Every round of the support once, as (sample, acceptance probability)."""
+    return [(sample, strategy.accept(sample)) for sample in enumerate_rounds(params)]
+
+
+def goodness(judged) -> Goodness:
+    """Per-subtest failure probabilities of judged rounds, conditional on the
+    subtest: exact for tables, floating point for quantum strategies."""
+    fail, mass = {}, {}
+    for sample, acc in judged:
+        zero = acc * 0  # sums stay in the acceptance's number type
+        sub = sample.subtest
+        fail[sub] = fail.get(sub, zero) + sample.mass * (1 - acc)
+        mass[sub] = mass.get(sub, zero) + sample.mass
+    return Goodness(*(fail[sub] / mass[sub] if mass.get(sub) else Fraction(0)
+                      for sub in (AXIS, SELFCONS, DIAG)))
 
 
 def pass_probabilities(strategy, params: TestParams = None) -> Goodness:
     """Per-subtest failure probabilities, conditional on the subtest."""
-    if isinstance(strategy, RandomizedClassicalStrategy):
-        parts = [
-            (w, pass_probabilities(s, params)) for w, s in strategy.weighted_tables
-        ]
-        return Goodness(
-            sum(w * g.eps for w, g in parts),
-            sum(w * g.delta for w, g in parts),
-            sum(w * g.gamma for w, g in parts),
-        )
-    params = params or strategy.params
-    quantum = isinstance(strategy, QuantumStrategy)
-    fail = {AXIS: 0.0 if quantum else Fraction(0),
-            SELFCONS: 0.0 if quantum else Fraction(0),
-            DIAG: 0.0 if quantum else Fraction(0)}
-    mass = dict(fail)
-    for sample in enumerate_rounds(params):
-        mass[sample.subtest] += sample.mass
-        if quantum:
-            p_acc = _accept_probability_quantum(strategy, sample)
-            fail[sample.subtest] += float(sample.mass) * (1.0 - p_acc)
-        else:
-            if not verdict(sample, strategy.answers(sample)):
-                fail[sample.subtest] += sample.mass
-
-    def norm(sub):
-        if mass[sub] == 0:
-            return Fraction(0)
-        if quantum:
-            return fail[sub] / float(mass[sub])
-        return fail[sub] / mass[sub]
-
-    return Goodness(norm(AXIS), norm(SELFCONS), norm(DIAG))
+    return goodness(judge(strategy, params or strategy.params))
 
 
-def pass_probabilities_monte_carlo(strategy, params, n_samples, seed):
+def pass_probabilities_monte_carlo(judged, n_samples, seed):
     """Sampling estimator with binomial standard errors, for scaling only."""
     rng = np.random.default_rng(seed)
-    samples = list(enumerate_rounds(params))
-    masses = np.array([float(s.mass) for s in samples])
+    masses = np.array([float(sample.mass) for sample, _ in judged])
     masses /= masses.sum()
     counts = {AXIS: [0, 0], SELFCONS: [0, 0], DIAG: [0, 0]}
-    idx = rng.choice(len(samples), size=n_samples, p=masses)
-    quantum = isinstance(strategy, QuantumStrategy)
+    idx = rng.choice(len(judged), size=n_samples, p=masses)
     for i in idx:
-        s = samples[i]
-        if quantum:
-            ok = rng.random() < _accept_probability_quantum(strategy, s)
-        else:
-            ok = verdict(s, strategy.answers(s))
-        counts[s.subtest][0] += 1
-        counts[s.subtest][1] += 0 if ok else 1
+        sample, acc = judged[i]
+        counts[sample.subtest][0] += 1
+        counts[sample.subtest][1] += 0 if rng.random() < acc else 1
     out = {}
     for sub, (n, bad) in counts.items():
         if n == 0:
@@ -276,12 +257,15 @@ def pass_probabilities_monte_carlo(strategy, params, n_samples, seed):
     return out
 
 
-def transcript_records(strategy, params: TestParams = None):
-    """Audit records, one per support sample: subtest, role holding the
-    line, questions, answers, verdict, and exact mass."""
-    params = params or strategy.params
-    if isinstance(strategy, QuantumStrategy):
+def export_transcript(strategy: ClassicalStrategy, path, judged):
+    """Write the audit transcript of judged rounds as JSON lines, one per
+    support sample: subtest, role holding the line, questions, answers,
+    verdict, and exact mass.  Returns the number of records."""
+    import json
+
+    if not isinstance(strategy, ClassicalStrategy):
         raise ProtocolError("transcripts are defined for deterministic tables")
+    f = strategy.params.field
 
     def describe(question):
         if isinstance(question, Point):
@@ -301,48 +285,34 @@ def transcript_records(strategy, params: TestParams = None):
     def describe_answer(ans):
         if isinstance(ans, FieldElement):
             return {"value": ans.coeffs}
-        return {"coeffs": [list(params.field.element(c).coeffs)
-                           for c in ans.coeffs]}
+        return {"coeffs": [list(f.element(c).coeffs) for c in ans.coeffs]}
 
-    for sample in enumerate_rounds(params):
-        answers = strategy.answers(sample)
-        yield {
-            "subtest": sample.subtest,
-            "role": sample.line_role,
-            "question_a": describe(sample.question_a),
-            "question_b": describe(sample.question_b),
-            "answer_a": describe_answer(answers[0]),
-            "answer_b": describe_answer(answers[1]),
-            "accept": verdict(sample, answers),
-            "mass": str(sample.mass),
-        }
-
-
-def export_transcript(strategy, path, params: TestParams = None):
-    """Write the audit transcript as JSON lines."""
-    import json
-
-    count = 0
     with open(path, "w") as fh:
-        for record in transcript_records(strategy, params):
+        for sample, acc in judged:
+            answers = strategy.answers(sample)
+            record = {
+                "subtest": sample.subtest,
+                "role": sample.line_role,
+                "question_a": describe(sample.question_a),
+                "question_b": describe(sample.question_b),
+                "answer_a": describe_answer(answers[0]),
+                "answer_b": describe_answer(answers[1]),
+                "accept": bool(acc),
+                "mass": str(sample.mass),
+            }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-            count += 1
-    return count
+    return len(judged)
 
 
-def axis_failure_pessimistic(strategy: ClassicalStrategy, params: TestParams) -> Fraction:
-    """Axis failure where every round whose line runs in the first direction
-    counts as a loss (the accounting under which the adversary fails 1/m)."""
-    fail = Fraction(0)
-    mass = Fraction(0)
-    for sample in enumerate_rounds(params):
-        if sample.subtest != AXIS:
-            continue
-        mass += sample.mass
-        if sample.line.axis == 0:
-            fail += sample.mass
-        elif not verdict(sample, strategy.answers(sample)):
-            fail += sample.mass
+def axis_failure_pessimistic(judged):
+    """Axis failure of judged rounds where every round whose line runs in the
+    first direction counts as a loss (the accounting under which the
+    adversary fails 1/m)."""
+    fail = mass = 0
+    for sample, acc in judged:
+        if sample.subtest == AXIS:
+            mass += sample.mass
+            fail += sample.mass if sample.line.axis == 0 else sample.mass * (1 - acc)
     return fail / mass
 
 
@@ -385,26 +355,24 @@ def shared_randomness_strategy(params: TestParams, weighted_tables) -> QuantumSt
     f = params.field
     value_outcomes = tuple(f.elements())
     outcomes = {"points": value_outcomes,
-                "axis": _unipoly_keys(f, params.d),
-                "diag": _unipoly_keys(f, params.m * params.d)}
+                "axis": _unipolys(f, params.d),
+                "diag": _unipolys(f, params.m * params.d)}
     shared = {group: {} for group in GROUPS}
     for group, question in all_questions(params):
         answers = [s.tables["A"][group][question] for s in strategies]
-        # indicator labels: values as they are, polynomials by coefficients
-        assignment = [a.key() if isinstance(a, UniPoly) else a for a in answers]
         outs = (value_outcomes if group == "diag" and question.degenerate
                 else outcomes[group])
-        shared[group][question] = diagonal_indicator_family(outs, assignment, n)
+        shared[group][question] = diagonal_indicator_family(outs, answers, n)
     return QuantumStrategy(
         params, Psi, {"A": shared, "B": shared}, symmetric=True, projective=True
     )
 
 
-def _unipoly_keys(f, bound):
-    # outcome labels for degree-<=bound univariate answers: coefficient tuples
+def _unipolys(f, bound):
+    """Every degree-<=bound univariate answer, the outcome labels of a line."""
     if f.q ** (bound + 1) > 10 ** 6:
         raise ProtocolError("answer alphabet too large to enumerate")
-    return tuple(itertools.product(range(f.q), repeat=bound + 1))
+    return tuple(UniPoly(f, c) for c in itertools.product(range(f.q), repeat=bound + 1))
 
 
 def symmetrize(strategy: QuantumStrategy) -> QuantumStrategy:

@@ -13,7 +13,7 @@ import numpy as np
 from .gf import GF, FieldElement, field
 from .measurements import SubMeasurement
 from .polyspace import AxisLine, DiagonalLine, Point, UniPoly
-from .protocol import GROUPS, ProtocolError, TestParams
+from .protocol import GROUPS, ProtocolError, TestParams, answer_bound
 from .strategies import ClassicalStrategy, QuantumStrategy
 
 
@@ -97,14 +97,14 @@ def _answer_out(f, group, ans) -> dict:
     return {"a" if group == "points" else "value": _elem_out(ans)}
 
 
-def _answer_in(params: TestParams, group, rec):
+def _answer_in(params: TestParams, question, rec):
+    """A classical answer or a quantum outcome label for `question`: a value,
+    or a polynomial held to the question's degree bound."""
     f = params.field
-    if group == "points":
-        return f.element(rec["a"])
-    if group == "diag" and "value" in rec:
-        return f.element(rec["value"])
-    bound = params.d if group == "axis" else params.m * params.d
-    return UniPoly(f, [f.element(c).i for c in rec["coeffs"]], bound=bound)
+    bound = answer_bound(params, question)
+    if bound is None:
+        return f.element(rec["a"] if "a" in rec else rec["value"])
+    return UniPoly(f, rec["coeffs"], bound=bound)
 
 
 def _classical_tables_out(f, tables):
@@ -118,13 +118,13 @@ def _classical_tables_out(f, tables):
 
 
 def _classical_tables_in(params: TestParams, data):
-    return {
-        group: {
-            _question_in(params.field, group, rec): _answer_in(params, group, rec)
-            for rec in data[name]
-        }
-        for group, name in CLASSICAL_RECORDS.items()
-    }
+    tables = {}
+    for group, name in CLASSICAL_RECORDS.items():
+        tables[group] = {}
+        for rec in data[name]:
+            question = _question_in(params.field, group, rec)
+            tables[group][question] = _answer_in(params, question, rec)
+    return tables
 
 
 def _families_out(families):
@@ -152,27 +152,21 @@ def _file_order(entry):
 def _outcome_out(o):
     if isinstance(o, FieldElement):
         return {"value": _elem_out(o)}
-    return {"coeffs": [int(c) for c in o]}
+    return {"coeffs": list(o.coeffs)}
 
 
-def _outcome_in(f, rec):
-    if "value" in rec:
-        return f.element(rec["value"])
-    return tuple(int(c) for c in rec["coeffs"])
-
-
-def _families_in(f: GF, data):
-    return {
-        group: {
-            _question_in(f, group, rec): SubMeasurement(
-                tuple(_outcome_in(f, o) for o in rec["outcomes"]),
+def _families_in(params: TestParams, data):
+    families = {}
+    for group in GROUPS:
+        families[group] = {}
+        for rec in data[group]:
+            question = _question_in(params.field, group, rec)
+            families[group][question] = SubMeasurement(
+                tuple(_answer_in(params, question, o) for o in rec["outcomes"]),
                 np.array([_matrix_in(op) for op in rec["ops"]]),
                 check=False,
             )
-            for rec in data[group]
-        }
-        for group in GROUPS
-    }
+    return families
 
 
 def save_strategy(strategy, path):
@@ -222,8 +216,8 @@ def load_strategy(path):
                         if "tables_b" in doc else None)
             return ClassicalStrategy(params, tables, tables_b)
         if kind == "quantum":
-            fam_a = _families_in(params.field, doc["families"]["A"])
-            fam_b = (_families_in(params.field, doc["families"]["B"])
+            fam_a = _families_in(params, doc["families"]["A"])
+            fam_b = (_families_in(params, doc["families"]["B"])
                      if "B" in doc["families"] else fam_a)
             Psi = _matrix_in(doc["psi"])
             return QuantumStrategy(
@@ -233,6 +227,6 @@ def load_strategy(path):
                 symmetric=doc.get("symmetric"),
                 projective=doc.get("projective", False),
             )
-    except (KeyError, ValueError, ProtocolError) as exc:
+    except (KeyError, TypeError, ValueError, ProtocolError) as exc:
         raise StrategyFileError(f"invalid strategy file: {exc}") from exc
     raise StrategyFileError(f"unknown strategy type {kind!r}")

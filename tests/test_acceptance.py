@@ -112,12 +112,13 @@ def test_criterion_06_adversary(m, q, d):
         axis_failure_pessimistic,
         best_polyspace_agreement,
         example_adversary,
+        judge,
     )
 
     start = time.perf_counter()
     params = TestParams(field_for_order(q), m, d)
     strat = example_adversary(params)
-    assert axis_failure_pessimistic(strat, params) == Fraction(1, m)
+    assert axis_failure_pessimistic(judge(strat, params)) == Fraction(1, m)
     best = best_polyspace_agreement(params, strat.tables["A"]["points"])
     assert best <= 1 - m * Fraction(1, m) + Fraction(d + 1, q)
     assert time.perf_counter() - start < 60.0

@@ -7,7 +7,7 @@ import pytest
 
 from lidtest.cli import main
 from lidtest.gf import field
-from lidtest.polyspace import MultiPoly
+from lidtest.polyspace import MultiPoly, UniPoly
 from lidtest.protocol import TestParams
 from lidtest.stratfile import load_strategy, save_strategy
 from lidtest.strategies import honest_strategy, pass_probabilities
@@ -93,6 +93,64 @@ def test_quantum_strategy_file_round_trip(tmp_path):
         assert abs(a - b) < 1e-12
 
 
+def test_quantum_strategy_file_round_trip_is_byte_identical(tmp_path):
+    from lidtest.instances import noisy_shared_randomness_strategy
+
+    params = TestParams(field(3), 2, 1)
+    strat = noisy_shared_randomness_strategy(params, 3, 1, seed=4)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_strategy(strat, first)
+    loaded = load_strategy(first)
+    save_strategy(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    for group, fams in strat.families["A"].items():
+        for question, sub in fams.items():
+            assert loaded.families["A"][group][question].outcomes == sub.outcomes
+    axis = loaded.families["A"]["axis"].values()
+    assert all(isinstance(o, UniPoly) for sub in axis for o in sub.outcomes)
+
+
+# an axis line answer has degree at most d = 1, and its coefficients are a list
+@pytest.mark.parametrize("outcome", [{"coeffs": [0, 1, 1]}, {"coeffs": 5}])
+def test_malformed_line_outcome_is_a_strategy_file_error(tmp_path, outcome):
+    from lidtest.instances import noisy_shared_randomness_strategy
+
+    params = TestParams(field(2), 1, 1)
+    path = tmp_path / "qstrategy.json"
+    save_strategy(noisy_shared_randomness_strategy(params, 2, 1, seed=9), path)
+    doc = json.loads(path.read_text())
+    doc["families"]["A"]["axis"][0]["outcomes"][0] = outcome
+    path.write_text(json.dumps(doc))
+    cfg = {"q": 2, "m": 1, "d": 1, "strategy": str(path)}
+    code, out = run_cli(tmp_path, "run-test", cfg, "overdegree")
+    assert code == 3
+    assert not out.exists()
+
+
+def test_run_test_enumerates_the_support_once(tmp_path, monkeypatch):
+    from lidtest import protocol, strategies
+    from lidtest.instances import corrupted_tables
+
+    calls = []
+
+    def counting(params):
+        calls.append(params)
+        return protocol.enumerate_rounds(params)
+
+    monkeypatch.setattr(strategies, "enumerate_rounds", counting)
+    params = TestParams(field(3), 2, 1)
+    (_, strat), = corrupted_tables(params, 1, 2, np.random.default_rng(0))
+    path = tmp_path / "classical.json"
+    save_strategy(strat, path)
+    cfg = {"q": 3, "m": 2, "d": 1, "strategy": str(path), "mc_samples": 200,
+           "transcript": str(tmp_path / "transcript.jsonl")}
+    code, out = run_cli(tmp_path, "run-test", cfg, "once", seed=1)
+    assert code == 0
+    rep = json.loads(out.read_text())["report"]
+    assert "monte_carlo" in rep and rep["transcript_rounds"] > 0
+    assert len(calls) == 1
+
+
 def test_invalid_strategy_file_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"type": "classical", "params": {"m": 1}}))
@@ -138,6 +196,14 @@ def test_honest_poly_index_out_of_range_is_config_error(tmp_path, capsys, index)
     ("round-povm", {"dim": 0}, 2),
     ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": "missing.json"}, 3),
     ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": "notjson.json"}, 3),
+    # the adversary's diagonal answers cannot hold x_1^{d+1} when m d < d + 1
+    ("run-test", {"q": 3, "m": 1, "d": 1, "strategy": {"builtin": "adversary"}}, 3),
+    ("run-test", {"q": 5, "m": 2, "d": 0, "strategy": {"builtin": "adversary"}}, 3),
+    ("spectrum", {"q": 3, "m": 0}, 2),
+    ("spectrum", {"q": 3, "m": -1}, 2),
+    ("paste", {"q": 3, "m": 1, "d": 1, "k": 2, "dim": 0}, 2),
+    ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": [1]}, 2),
+    ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": 5}, 2),
 ])
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, command, cfg, expected):
     (tmp_path / "notjson.json").write_text("{not json")
@@ -148,6 +214,7 @@ def test_bad_input_exits_with_documented_code(tmp_path, capsys, command, cfg, ex
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("config error" if expected == 2 else "strategy error")
 
 
 def test_guard_exit_code(tmp_path):

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidtest.gf import field, field_for_order
 from lidtest.measurements import expect_joint
@@ -16,7 +18,9 @@ from lidtest.strategies import (
     best_polyspace_agreement,
     classical_to_quantum,
     example_adversary,
+    goodness,
     honest_strategy,
+    judge,
     pass_probabilities,
     pass_probabilities_monte_carlo,
     shared_randomness_strategy,
@@ -93,7 +97,7 @@ def test_adversary_exact_failures():
     assert good.delta == 0
     assert good.gamma == 0
     # pessimistic accounting reproduces the headline 1/m
-    assert axis_failure_pessimistic(strat, params) == Fraction(1, 2)
+    assert axis_failure_pessimistic(judge(strat, params)) == Fraction(1, 2)
 
 
 def test_adversary_agreement_bound():
@@ -167,7 +171,7 @@ def test_monte_carlo_within_three_sigma():
     params = make_params(2, 2, 1)
     strat = corrupted_tables_strategy(params, 4, 1, seed=6)
     exact = pass_probabilities(strat, params)
-    mc = pass_probabilities_monte_carlo(strat, params, n_samples=4000, seed=7)
+    mc = pass_probabilities_monte_carlo(judge(strat, params), n_samples=4000, seed=7)
     for sub, truth in zip(("axis", "selfcons", "diag"), exact.as_floats()):
         est, sigma = mc[sub]
         assert abs(est - truth) <= 3 * sigma + 1e-9
@@ -261,3 +265,39 @@ def test_question_set_is_the_round_support(q, m):
         layouts.append(example_adversary(params).tables["A"])
     for layout in layouts:
         assert {group: set(entries) for group, entries in layout.items()} == expected
+
+
+def test_monte_carlo_of_a_mixture_within_three_sigma():
+    # two honest tables, the second answering role B from another polynomial,
+    # so the mixture fails some rounds
+    params = make_params(2, 1, 1)
+    _, s0 = random_honest(params, 1)
+    _, s1 = random_honest(params, 4)
+    crossed = ClassicalStrategy(params, s0.tables["A"], s1.tables["A"])
+    mix = RandomizedClassicalStrategy([(Fraction(1, 2), s0), (Fraction(1, 2), crossed)])
+    judged = judge(mix, params)
+    exact = goodness(judged)
+    assert max(exact.as_floats()) > 0
+    mc = pass_probabilities_monte_carlo(judged, n_samples=4000, seed=3)
+    for sub, truth in zip(("axis", "selfcons", "diag"), exact.as_floats()):
+        est, sigma = mc[sub]
+        assert abs(est - truth) <= 3 * sigma + 1e-9
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(qmd=st.sampled_from([(q, m, d) for q in (2, 3, 4) for m in (1, 2) for d in (0, 1)]),
+       seed=st.integers(0, 2 ** 16), n_corrupt=st.integers(0, 3))
+def test_classical_and_quantum_acceptance_agree_per_round(qmd, seed, n_corrupt):
+    # the quantum contraction of a diagonal embedding reproduces the table
+    # verdict round by round, for single tables and for two-table mixtures
+    from lidtest.instances import corrupted_tables
+
+    params = make_params(*qmd)
+    weighted = corrupted_tables(params, 2, n_corrupt, np.random.default_rng(seed))
+    single = weighted[0][1]
+    pairs = [(single, classical_to_quantum(single)),
+             (RandomizedClassicalStrategy(weighted),
+              shared_randomness_strategy(params, weighted))]
+    for classical, quantum in pairs:
+        for sample, acc in judge(classical, params):
+            assert abs(float(acc) - quantum.accept(sample)) < 1e-12
