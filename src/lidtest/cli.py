@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -62,6 +63,17 @@ def _count(cfg, key, default) -> int:
     if n < 1:
         raise ConfigError(f"{key} must be at least 1")
     return n
+
+
+def _gap_tol(cfg) -> float:
+    """The SDP duality-gap target: a positive finite number."""
+    try:
+        tol = float(cfg.get("gap_tol", 1e-7))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"gap_tol must be a number: {exc}") from exc
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"gap_tol must be positive and finite, not {tol}")
+    return tol
 
 
 def _pasting_k(cfg, params, default) -> int:
@@ -248,7 +260,7 @@ def _sdp_instance(args):
         params, int(cfg.get("tables", 4)), int(cfg.get("corrupt", 1)), seed
     )
     inst = build_instance(strat, params)
-    sol = solve(inst, gap_tol=float(cfg.get("gap_tol", 1e-7)))
+    sol = solve(inst, gap_tol=_gap_tol(cfg))
     out = {"seed": seed, **sol.residual_summary()}
     if commuting_basis(inst) is not None:
         oracle = solve_commuting(inst)
@@ -257,6 +269,7 @@ def _sdp_instance(args):
 
 
 def cmd_sdp(cfg, seed, workers=1):
+    _gap_tol(cfg)
     seeds = _seed_batch(cfg, seed)
     jobs = [(s, cfg) for s in seeds]
     return {"instances": _run_batch(_sdp_instance, jobs, workers)}

@@ -27,10 +27,18 @@ from .polyspace import (
     MultiPoly,
     all_points,
     enumerate_polyspace,
+    label_values,
     point,
+    point_index,
 )
 from .protocol import GROUPS, TestParams, all_questions
-from .strategies import Goodness, QuantumStrategy, pass_probabilities, symmetrize
+from .strategies import (
+    Goodness,
+    QuantumStrategy,
+    group_by_value,
+    pass_probabilities,
+    symmetrize,
+)
 
 # closed forms for every quoted bound, one place only; arguments arrive via
 # a dict of measured quantities (eps, delta, gamma, zeta, kappa, nu) and
@@ -136,6 +144,18 @@ def points_commutativity(strategy: QuantumStrategy) -> BoundReport:
     return make_report("points_commutativity", total, inputs)
 
 
+def evaluated_slices(g_by_x: dict, f, m_slice: int) -> dict:
+    """{x: [G^x evaluated at u, for u in point order]}: each slice family's
+    outcomes grouped by their value at each point of the slice, from one
+    value table per slice."""
+    out = {}
+    for x, G in g_by_x.items():
+        table = label_values(G.outcomes)
+        out[x] = [group_by_value(G, table[:, point_index(u)], f)
+                  for u in all_points(f, m_slice)]
+    return out
+
+
 def slice_hypotheses(strategy: QuantumStrategy, g_by_x: dict, Zs=None) -> dict:
     """Measured hypotheses for the slice-commutativity statements: consistency
     with the points family, strong self-consistency, and (when dual
@@ -146,14 +166,13 @@ def slice_hypotheses(strategy: QuantumStrategy, g_by_x: dict, Zs=None) -> dict:
     Psi = strategy.Psi
     points = strategy.families["A"]["points"]
 
+    evaluated_by_x = evaluated_slices(g_by_x, f, m_slice)
     cons = 0.0
     n = 0
     for x in range(f.q):
-        G = g_by_x[x]
-        for u in all_points(f, m_slice):
+        for u, evaluated in zip(all_points(f, m_slice), evaluated_by_x[x]):
             full_u = point(f, u.ints() + (x,))
             A = points[full_u]
-            evaluated = G.post_process(lambda g, uu=u: g(uu))
             val = expect_joint(A.total(), evaluated.total(), Psi)
             for o in A.outcomes:
                 if o in evaluated:
@@ -174,15 +193,18 @@ def slice_hypotheses(strategy: QuantumStrategy, g_by_x: dict, Zs=None) -> dict:
     if Zs is not None:
         bound_val = 0.0
         min_slack = np.inf
+        elements = tuple(f.elements())
+        pts = list(all_points(f, m_slice))  # point_index order, as value-table columns
+        values = label_values(tuple(enumerate_polyspace(f, m_slice, params.d))).tolist()
         for x in range(f.q):
             G = g_by_x[x]
             rest = np.eye(G.dim) - G.total()
             bound_val += expect_joint(rest, Zs[x], Psi).real
-            for g in enumerate_polyspace(f, m_slice, params.d):
+            slice_points = [points[point(f, u.ints() + (x,))] for u in pts]
+            for g_values in values:
                 avg = np.zeros((G.dim, G.dim), dtype=complex)
-                for u in all_points(f, m_slice):
-                    full_u = point(f, u.ints() + (x,))
-                    avg += points[full_u].op(g(u))
+                for A, v in zip(slice_points, g_values):
+                    avg += A.op(elements[v])
                 avg /= f.q ** m_slice
                 w = np.linalg.eigvalsh(0.5 * (Zs[x] + Zs[x].conj().T) - avg)
                 min_slack = min(min_slack, float(w.min()))
@@ -223,13 +245,11 @@ def slice_commutativity(strategy: QuantumStrategy, good: Goodness, g_by_x: dict,
 
     evaluated = 0.0
     n = 0
-    pts = list(all_points(f, m_slice))
+    evaluated_by_x = evaluated_slices(g_by_x, f, m_slice)
     for x in range(f.q):
         for y in range(f.q):
-            for u in pts:
-                Gx = g_by_x[x].post_process(lambda g, uu=u: g(uu))
-                for v in pts:
-                    Gy = g_by_x[y].post_process(lambda g, vv=v: g(vv))
+            for Gx in evaluated_by_x[x]:
+                for Gy in evaluated_by_x[y]:
                     for a in Gx.outcomes:
                         for b in Gy.outcomes:
                             comm = Gx.op(a) @ Gy.op(b) - Gy.op(b) @ Gx.op(a)

@@ -26,10 +26,10 @@ from .measurements import (
     strong_self_consistency_deficit,
 )
 from .orthogonalize import orthogonalize
-from .polyspace import all_points, enumerate_polyspace
+from .polyspace import all_points, enumerate_polyspace, label_values, point_index
 from .protocol import TestParams
 from .sdp import SdpInstance, solve
-from .strategies import Goodness, QuantumStrategy
+from .strategies import Goodness, QuantumStrategy, group_by_value
 
 
 def zeta_budget(params: TestParams, eps: float, delta: float) -> float:
@@ -47,16 +47,20 @@ def build_instance(strategy: QuantumStrategy, params: TestParams = None) -> SdpI
     dim = strategy.dims[0]
     M = f.q ** m
     ops = np.zeros((len(polys), dim, dim), dtype=complex)
-    for u in all_points(f, m):
+    for u, values in _point_values(f, m, polys):
         sub = points[u]
-        for n, g in enumerate(polys):
-            ops[n] += sub.op(g(u))
+        for n, value in enumerate(values):
+            ops[n] += sub.op(value)
     ops /= M
     return SdpInstance(polys, ops)
 
 
-def _eval_family(H: SubMeasurement, u) -> SubMeasurement:
-    return H.post_process(lambda g: g(u))
+def _point_values(f, m, polys):
+    """(u, [g(u) for g in polys]) for every point u, read from the value table."""
+    elements = tuple(f.elements())
+    table = label_values(polys)
+    for u in all_points(f, m):
+        yield u, [elements[v] for v in table[:, point_index(u)].tolist()]
 
 
 @dataclass
@@ -106,8 +110,9 @@ def measure_points_consistency(strategy: QuantumStrategy, G: SubMeasurement) -> 
     Psi = strategy.Psi
     us = list(points)
     w = 1.0 / len(us)
+    table = label_values(G.outcomes)
     fam_a = {u: points[u] for u in us}
-    fam_g = {u: _eval_family(G, u) for u in us}
+    fam_g = {u: group_by_value(G, table[:, point_index(u)], params.field) for u in us}
     return consistency(fam_a, fam_g, Psi, [(u, w) for u in us])
 
 
@@ -130,10 +135,10 @@ def improve(strategy: QuantumStrategy, good: Goodness, nu: float, gap_tol=1e-7):
     M = params.q ** params.m
 
     ops = np.zeros((len(polys), dim, dim), dtype=complex)
-    for u in all_points(params.field, params.m):
+    for u, values in _point_values(params.field, params.m, polys):
         sub = points[u]
-        for n, h in enumerate(polys):
-            a_op = sub.op(h(u))
+        for n, value in enumerate(values):
+            a_op = sub.op(value)
             ops[n] += a_op @ sol.T[n] @ a_op
     ops /= M
     H = SubMeasurement(polys, ops)  # validates PSD and total <= I

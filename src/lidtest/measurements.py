@@ -102,17 +102,19 @@ class SubMeasurement:
             np.abs(op @ op - op).max() <= tol for op in self.ops
         )
 
+    def group(self, labels) -> "SubMeasurement":
+        """Sum the operators that share a label (labels[j] is outcome j's),
+        keeping labels in first-seen order; completeness is preserved.  Each
+        sum adds its operators in outcome order, starting from zero."""
+        slot = {}
+        slots = [slot.setdefault(b, len(slot)) for b in labels]
+        ops = np.zeros((len(slot), self.dim, self.dim), dtype=complex)
+        np.add.at(ops, np.asarray(slots, dtype=np.intp), self.ops)
+        return SubMeasurement(tuple(slot), ops, check=False)
+
     def post_process(self, fn) -> "SubMeasurement":
         """Group outcomes by fn; completeness is preserved."""
-        grouped = {}
-        order = []
-        for o, op in self.items():
-            b = fn(o)
-            if b not in grouped:
-                grouped[b] = np.zeros((self.dim, self.dim), dtype=complex)
-                order.append(b)
-            grouped[b] = grouped[b] + op
-        return SubMeasurement(order, np.array([grouped[b] for b in order]), check=False)
+        return self.group([fn(o) for o in self.outcomes])
 
     def completion(self, label=BOTTOM) -> "SubMeasurement":
         if label in self._index:

@@ -412,12 +412,29 @@ def monomial_table(f: GF, m: int, d: int) -> np.ndarray:
 
 def evaluate_on_grid(g: MultiPoly) -> np.ndarray:
     """Integer-encoded values of g at all q^m points (point-index order)."""
-    f = g.field
-    table = monomial_table(f, g.m, g.d)
-    vals = np.zeros(table.shape[0], dtype=np.int64)
-    for col, c in enumerate(g.flat()):
-        if c:
-            vals = f.add(vals, f.mul(int(c), table[:, col]))
+    return label_values((g,))[0]
+
+
+def label_values(labels) -> np.ndarray:
+    """Integer-encoded value table of a tuple of polynomial labels, one row
+    per label.  UniPoly labels (one degree bound, as a line family's are)
+    give shape (n, q), column t holding the value at line parameter t;
+    MultiPoly labels (one space) give shape (n, q^m), the evaluate_on_grid
+    rows, indexed by point_index."""
+    first = labels[0]
+    f = first.field
+    if isinstance(first, UniPoly):
+        coeffs = np.array([p.coeffs for p in labels], dtype=np.int64)
+        ts = np.arange(f.q)[None, :]
+        vals = np.zeros((len(labels), f.q), dtype=np.int64)
+        for k in range(first.bound, -1, -1):  # Horner, all labels and parameters at once
+            vals = f.add(f.mul(vals, ts), coeffs[:, k:k + 1])
+        return vals
+    coeffs = np.array([g.flat() for g in labels], dtype=np.int64)
+    table = monomial_table(f, first.m, first.d)
+    vals = np.zeros((len(labels), table.shape[0]), dtype=np.int64)
+    for col in range(coeffs.shape[1]):
+        vals = f.add(vals, f.mul(coeffs[:, col:col + 1], table[None, :, col]))
     return vals
 
 

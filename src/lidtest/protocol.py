@@ -125,60 +125,67 @@ def _assign(role, line_q, point_q):
     return (line_q, point_q) if role == "A" else (point_q, line_q)
 
 
-def axis_rounds(params: TestParams, weight=None):
+def axis_rounds(params: TestParams, pts, weight=None):
+    """Axis-test support over the grid points `pts`; each line is built once
+    per (u, i) and shared by both roles."""
     f, m = params.field, params.m
     weight = params.weight(AXIS) if weight is None else weight
     if weight == 0:
         return
     base = weight * Fraction(1, 2) * Fraction(1, f.q ** m) * Fraction(1, m)
+    lines = [[AxisLine.through(u, i) for i in range(m)] for u in pts]
     for role in ROLES:
-        for ints in itertools.product(range(f.q), repeat=m):
-            u = point(f, ints)
-            for i in range(m):
-                line = AxisLine.through(u, i)
-                qa, qb = _assign(role, line, u)
-                yield RoundSample(AXIS, qa, qb, base)
+        for u, u_lines in zip(pts, lines):
+            for line in u_lines:
+                yield RoundSample(AXIS, *_assign(role, line, u), base)
 
 
-def selfcons_rounds(params: TestParams, weight=None):
+def selfcons_rounds(params: TestParams, pts, weight=None):
     f, m = params.field, params.m
     weight = params.weight(SELFCONS) if weight is None else weight
     if weight == 0:
         return
     base = weight * Fraction(1, f.q ** m)
-    for ints in itertools.product(range(f.q), repeat=m):
-        u = point(f, ints)
+    for u in pts:
         yield RoundSample(SELFCONS, u, u, base)
 
 
-def diag_rounds(params: TestParams, weight=None, restrict_i=None):
-    """Diagonal-test support; restrict_i (1-based direction count) conditions
-    on that draw and renormalizes, matching the restricted variant."""
+def diag_rounds(params: TestParams, pts, weight=None, restrict_i=None):
+    """Diagonal-test support over the grid points `pts`; restrict_i (1-based
+    direction count) conditions on that draw and renormalizes, matching the
+    restricted variant.  Each line is built once per (u, v) and shared by both
+    roles and by every direction count that draws v."""
     f, m = params.field, params.m
     weight = params.weight(DIAG) if weight is None else weight
     if weight == 0:
         return
     i_values = range(1, m + 1) if restrict_i is None else (restrict_i,)
     i_mass = Fraction(1, m) if restrict_i is None else Fraction(1)
+    masses = {i: weight * Fraction(1, 2) * Fraction(1, f.q ** m) * i_mass
+              * Fraction(1, f.q ** i) for i in i_values}
+    # dirs lists the directions of the largest count `top` in product order;
+    # those with only i free leading coordinates (the rest zero) are every
+    # q^(top - i)-th entry, in the order a count-i draw lists them
+    top = max(i_values)
+    dirs = [point(f, v + (0,) * (m - top)) for v in itertools.product(range(f.q), repeat=top)]
+    canonical = {}  # one object per distinct line, however many (u, v) reach it
+    lines = [[canonical.setdefault(line, line)
+              for line in (DiagonalLine.through(u, v) for v in dirs)] for u in pts]
     for role in ROLES:
-        for ints in itertools.product(range(f.q), repeat=m):
-            u = point(f, ints)
+        for u, u_lines in zip(pts, lines):
             for i in i_values:
-                v_mass = Fraction(1, f.q ** i)
-                for v_ints in itertools.product(range(f.q), repeat=i):
-                    v = point(f, tuple(v_ints) + (0,) * (m - i))
-                    line = DiagonalLine.through(u, v)
-                    qa, qb = _assign(role, line, u)
-                    mass = weight * Fraction(1, 2) * Fraction(1, f.q ** m) * i_mass * v_mass
-                    yield RoundSample(DIAG, qa, qb, mass)
+                for line in u_lines[::f.q ** (top - i)]:
+                    yield RoundSample(DIAG, *_assign(role, line, u), masses[i])
 
 
 def enumerate_rounds(params: TestParams):
-    """Exact support of the full question distribution."""
+    """Exact support of the full question distribution; each point is built
+    once and shared by every round that asks it."""
     _check_support(params)
-    yield from axis_rounds(params)
-    yield from selfcons_rounds(params)
-    yield from diag_rounds(params)
+    pts = list(all_points(params.field, params.m))
+    yield from axis_rounds(params, pts)
+    yield from selfcons_rounds(params, pts)
+    yield from diag_rounds(params, pts)
 
 
 def restricted_diag_distribution(params: TestParams, j: int):
@@ -186,7 +193,8 @@ def restricted_diag_distribution(params: TestParams, j: int):
     if not 1 <= j <= params.m:
         raise ProtocolError(f"direction count {j} out of range 1..{params.m}")
     _check_support(params)
-    yield from diag_rounds(params, weight=Fraction(1), restrict_i=j)
+    pts = list(all_points(params.field, params.m))
+    yield from diag_rounds(params, pts, weight=Fraction(1), restrict_i=j)
 
 
 def all_questions(params: TestParams):

@@ -7,6 +7,13 @@ carry a bipartite state matrix plus per-question SubMeasurement families and
 are evaluated by exact dense contraction over the enumerated support.  Every
 kind gives one round's acceptance probability through `accept(sample)`;
 `judge` lists it over the support once and the aggregators read that list.
+
+A quantum round groups the line family's outcomes by the value they give the
+round's point: one column of the family's integer value table
+(`label_values`, built once per family) labels the outcomes, and
+`SubMeasurement.group` sums the operators that share a value.  The summed
+values are relabelled as FieldElements, so they match the point family's
+outcomes.  `protocol.line_value` is the per-answer form of the same rule.
 """
 
 from __future__ import annotations
@@ -26,9 +33,11 @@ from .measurements import (
 )
 from .polyspace import (
     AxisLine,
+    DiagonalLine,
     MultiPoly,
     Point,
     UniPoly,
+    label_values,
     restrict_axis,
     restrict_diagonal,
 )
@@ -42,7 +51,6 @@ from .protocol import (
     all_questions,
     check_answer_format,
     enumerate_rounds,
-    line_value,
     question_group,
     verdict,
 )
@@ -160,6 +168,7 @@ class QuantumStrategy:
         if symmetric is None:
             symmetric = families.get("A") is families.get("B")
         self.symmetric = symmetric
+        self._value_tables = {}  # line family -> label_values of its outcomes
         if check:
             self.validate()
 
@@ -195,22 +204,43 @@ class QuantumStrategy:
                 raise ProtocolError("symmetric strategy shares one family table")
         return self
 
+    def round_family(self, role, sample) -> SubMeasurement:
+        """The family `role` measures in this round.  A line family is grouped
+        by the value its outcomes give the round's point, read from the
+        family's integer value table (built once per family); a degenerate
+        diagonal line's value outcomes pass through unchanged."""
+        question = sample.question_a if role == "A" else sample.question_b
+        fam = self.family(role, question)
+        line = sample.line
+        if role != sample.line_role or (isinstance(line, DiagonalLine) and line.degenerate):
+            return fam
+        table = self._value_tables.get(fam)
+        if table is None:
+            table = self._value_tables[fam] = label_values(fam.outcomes)
+        return group_by_value(fam, table[:, line.param_of(sample.point).i], self.params.field)
+
     def accept(self, sample):
         """Exact acceptance probability of one round by dense contraction:
         the line side's outcomes are grouped by the value they give the
         point, then matched against the point side's outcomes."""
-        fam_a = self.family("A", sample.question_a)
-        fam_b = self.family("B", sample.question_b)
-        if sample.line_role == "A":
-            fam_a = fam_a.post_process(line_value(sample))
-        elif sample.line_role == "B":
-            fam_b = fam_b.post_process(line_value(sample))
+        fam_a = self.round_family("A", sample)
+        fam_b = self.round_family("B", sample)
         point_fam, other = (fam_b, fam_a) if sample.line_role == "A" else (fam_a, fam_b)
         total = 0.0
         for o in point_fam.outcomes:
             if o in other:
                 total += expect_joint(fam_a.op(o), fam_b.op(o), self.Psi).real
         return total
+
+
+def group_by_value(fam: SubMeasurement, values, f) -> SubMeasurement:
+    """fam's outcomes grouped by the integer-encoded values they give (one
+    per outcome: a column of label_values), relabelled as FieldElements so
+    they match value-labelled families (a FieldElement and an int hash
+    differently)."""
+    grouped = fam.group(values.tolist())
+    return SubMeasurement(tuple(f.element(v) for v in grouped.outcomes), grouped.ops,
+                          check=False)
 
 
 def judge(strategy, params: TestParams):

@@ -204,6 +204,9 @@ def test_honest_poly_index_out_of_range_is_config_error(tmp_path, capsys, index)
     ("paste", {"q": 3, "m": 1, "d": 1, "k": 2, "dim": 0}, 2),
     ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": [1]}, 2),
     ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": 5}, 2),
+    ("sdp", {"q": 2, "m": 1, "d": 1, "gap_tol": 0}, 2),
+    ("sdp", {"q": 2, "m": 1, "d": 1, "gap_tol": -1}, 2),
+    ("sdp", {"q": 2, "m": 1, "d": 1, "gap_tol": "abc"}, 2),
 ])
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, command, cfg, expected):
     (tmp_path / "notjson.json").write_text("{not json")
