@@ -8,7 +8,8 @@ Config is a JSON file; command-line flags override config fields.  Every
 command is deterministic given config + seed, and reports embed the fully
 resolved config and the library version.
 
-Exit codes: 2 config error, 3 invalid strategy file, 4 size guard exceeded.
+Exit codes: 2 config error, 3 invalid strategy file, 4 size guard exceeded,
+5 SDP failure (the solver did not converge or left the interior).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .reporting import bound_rows, to_csv, to_json
 EXIT_CONFIG = 2
 EXIT_STRATEGY = 3
 EXIT_GUARD = 4
+EXIT_SDP = 5
 
 
 class ConfigError(ValueError):
@@ -243,8 +245,9 @@ def cmd_spectrum(cfg, seed):
         raise ConfigError(f"spectrum needs an integer q: {exc}") from exc
     m = _count(cfg, "m", None)
     graph = HypercubeGraph(f, m)
-    res = verify_eigensystem(graph)
-    res["spectral_gap"] = graph.spectral_gap()
+    system = graph.character_eigensystem()
+    res = verify_eigensystem(graph, system=system)
+    res["spectral_gap"] = graph.spectral_gap(system)
     res["expected_gap"] = 1.0 / (m * graph.size)
     return res
 
@@ -253,7 +256,7 @@ def _sdp_instance(args):
     seed, cfg = args
     from .improvement import build_instance
     from .instances import noisy_shared_randomness_strategy, rng_for
-    from .sdp import commuting_basis, solve, solve_commuting
+    from .sdp import solve
 
     params = _params_from_config(cfg)
     strat = noisy_shared_randomness_strategy(
@@ -262,9 +265,8 @@ def _sdp_instance(args):
     inst = build_instance(strat, params)
     sol = solve(inst, gap_tol=_gap_tol(cfg))
     out = {"seed": seed, **sol.residual_summary()}
-    if commuting_basis(inst) is not None:
-        oracle = solve_commuting(inst)
-        out["oracle_gap"] = abs(sol.primal_objective - oracle.primal_objective)
+    if sol.oracle is not None:
+        out["oracle_gap"] = abs(sol.primal_objective - sol.oracle.primal_objective)
     return out
 
 
@@ -415,13 +417,17 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except Exception as exc:  # strategy-file and validation failures
-        from .protocol import ProtocolError
+    except Exception as exc:  # strategy-file, validation and solver failures
+        from .sdp import SdpError
         from .stratfile import StrategyFileError
 
         if isinstance(exc, (StrategyFileError, ProtocolError)):
             print(f"strategy error: {exc}", file=sys.stderr)
             return EXIT_STRATEGY
+        if isinstance(exc, SdpError):
+            residuals = json.dumps(exc.residuals, sort_keys=True)
+            print(f"sdp error: {exc} {residuals}", file=sys.stderr)
+            return EXIT_SDP
         raise
     report = {
         "command": args.command,

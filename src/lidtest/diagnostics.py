@@ -156,17 +156,18 @@ def evaluated_slices(g_by_x: dict, f, m_slice: int) -> dict:
     return out
 
 
-def slice_hypotheses(strategy: QuantumStrategy, g_by_x: dict, Zs=None) -> dict:
+def slice_hypotheses(strategy: QuantumStrategy, g_by_x: dict, evaluated_by_x: dict,
+                     Zs=None) -> dict:
     """Measured hypotheses for the slice-commutativity statements: consistency
     with the points family, strong self-consistency, and (when dual
-    certificates Z^x are supplied) boundedness."""
+    certificates Z^x are supplied) boundedness.  evaluated_by_x is
+    evaluated_slices(g_by_x, ...)."""
     params = strategy.params
     f = params.field
     m_slice = params.m - 1
     Psi = strategy.Psi
     points = strategy.families["A"]["points"]
 
-    evaluated_by_x = evaluated_slices(g_by_x, f, m_slice)
     cons = 0.0
     n = 0
     for x in range(f.q):
@@ -224,7 +225,8 @@ def slice_commutativity(strategy: QuantumStrategy, good: Goodness, g_by_x: dict,
     f = params.field
     m_slice = params.m - 1
     Psi = strategy.Psi
-    hyp = slice_hypotheses(strategy, g_by_x, Zs)
+    evaluated_by_x = evaluated_slices(g_by_x, f, m_slice)
+    hyp = slice_hypotheses(strategy, g_by_x, evaluated_by_x, Zs)
     pieces = [hyp["consistency"], hyp["self_consistency"]]
     if hyp["boundedness"] is not None:
         pieces.append(hyp["boundedness"])
@@ -245,7 +247,6 @@ def slice_commutativity(strategy: QuantumStrategy, good: Goodness, g_by_x: dict,
 
     evaluated = 0.0
     n = 0
-    evaluated_by_x = evaluated_slices(g_by_x, f, m_slice)
     for x in range(f.q):
         for y in range(f.q):
             for Gx in evaluated_by_x[x]:

@@ -8,6 +8,7 @@ edge distribution (u, i, x) -> (u, u + x e_i)."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,38 +56,43 @@ class HypercubeGraph:
         M = self.size
         return np.eye(M) / M - self.adjacency()
 
-    def character_vector(self, alpha: Point) -> np.ndarray:
-        f = self.field
-        M = self.size
-        phi = np.zeros(M, dtype=complex)
-        for u in all_points(f, self.m):
-            dot = 0
-            for uc, ac in zip(u, alpha):
-                dot = int(f.add(dot, f.mul(uc.i, ac.i)))
-            phi[point_index(u)] = f._omega_pows[f.trace_int(dot)]
-        return phi / np.sqrt(M)
+    def character_matrix(self) -> np.ndarray:
+        """Unit-norm additive characters as columns, rows and columns both in
+        point-index order: entry (u, alpha) is omega^tr(u . alpha) / sqrt(M).
+        The trace is F_p-linear, so tr(u . alpha) = sum_j tr(u_j alpha_j),
+        read from one q x q table of tr(a b)."""
+        f, m = self.field, self.m
+        xs = np.arange(f.q)
+        tr_mul = f.trace_int(f.mul(xs[:, None], xs[None, :]))
+        coords = np.array(list(itertools.product(range(f.q), repeat=m)), dtype=np.int64)
+        phase = sum(tr_mul[coords[:, j, None], coords[None, :, j]] for j in range(m)) % f.p
+        return f._omega_pows[phase] / np.sqrt(self.size)
 
     def character_eigensystem(self):
         """[(alpha, eigenvalue, eigenvector)] with eigenvalue
         (1/M)(m - |alpha|)/m, in point-index order of alpha."""
         f, m, M = self.field, self.m, self.size
+        vecs = np.ascontiguousarray(self.character_matrix().T)
         out = []
-        for alpha in all_points(f, m):
+        for alpha, vec in zip(all_points(f, m), vecs):
             weight = sum(1 for c in alpha if c.i != 0)
             lam = (m - weight) / (m * M)
-            out.append((alpha, lam, self.character_vector(alpha)))
+            out.append((alpha, lam, vec))
         return out
 
-    def spectral_gap(self) -> float:
-        """Second-smallest Laplacian eigenvalue; analytically 1/(m*M)."""
-        lams = sorted(1.0 / self.size - lam for _, lam, _ in self.character_eigensystem())
+    def spectral_gap(self, system=None) -> float:
+        """Second-smallest Laplacian eigenvalue; analytically 1/(m*M).
+        system: the character eigensystem, when the caller already built it."""
+        system = self.character_eigensystem() if system is None else system
+        lams = sorted(1.0 / self.size - lam for _, lam, _ in system)
         return lams[1]
 
 
-def verify_eigensystem(graph: HypercubeGraph, tol=1e-10):
-    """Residuals of K phi = lambda phi and of orthonormality."""
+def verify_eigensystem(graph: HypercubeGraph, tol=1e-10, system=None):
+    """Residuals of K phi = lambda phi and of orthonormality.
+    system: the character eigensystem, when the caller already built it."""
     K = graph.adjacency()
-    system = graph.character_eigensystem()
+    system = graph.character_eigensystem() if system is None else system
     vecs = np.stack([v for _, _, v in system], axis=1)
     gram = vecs.conj().T @ vecs
     residuals = [

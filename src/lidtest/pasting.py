@@ -35,6 +35,7 @@ from .polyspace import (
     enumerate_polyspace,
     polyspace_size,
     slice_at,
+    slice_indices,
 )
 
 TUPLE_BUDGET = 10 ** 5
@@ -87,13 +88,17 @@ def sandwich(ghat_by_x, coords, outcomes) -> np.ndarray:
     return op
 
 
+def telescope_step(fam: SubMeasurement, acc: np.ndarray) -> np.ndarray:
+    """Conjugate acc by every outcome of one completed family and sum."""
+    return sum(fam.op(g) @ acc @ fam.op(g) for g in fam.outcomes)
+
+
 def sandwich_total(ghat_by_x, coords) -> np.ndarray:
     """Sum of the sandwich over every outcome tuple (telescopes to I)."""
     dim = next(iter(ghat_by_x.values())).dim
     acc = np.eye(dim, dtype=complex)
     for x in reversed(coords):
-        fam = ghat_by_x[x]
-        acc = sum(fam.op(g) @ acc @ fam.op(g) for g in fam.outcomes)
+        acc = telescope_step(ghat_by_x[x], acc)
     return acc
 
 
@@ -148,6 +153,23 @@ class PastedResult:
     notes: dict = field(default_factory=dict)
 
 
+def paste_step(layers, hit, miss, top):
+    """One coordinate of the weight-resolved sandwich DP.
+
+    layers[w] is the running sandwich of the inner coordinates with w hits
+    (w = top meaning at least top); hit is the stack of hit operators, one
+    per global outcome, and miss the completion operator.  Every layer is
+    conjugated by both: hits move it up one weight, capped at top, and the
+    miss keeps it.  The cap is exact because every step is linear and only
+    weight >= top is kept."""
+    out = [None] * min(len(layers) + 1, top + 1)
+    for w, block in enumerate(layers):
+        for v, term in ((min(w + 1, top), hit @ block @ hit),
+                        (w, miss @ block @ miss)):
+            out[v] = term if out[v] is None else out[v] + term
+    return out
+
+
 def pasted_measurement(g_by_x: dict, f: GF, m: int, d: int, k: int,
                        seed=None, tuple_budget=TUPLE_BUDGET,
                        check_telescoping=True) -> PastedResult:
@@ -156,6 +178,11 @@ def pasted_measurement(g_by_x: dict, f: GF, m: int, d: int, k: int,
     g_by_x: {x int: projective SubMeasurement over the m-variable space}.
     Averaging enumerates the distinct tuples exactly when their count fits
     the budget, otherwise draws that many tuples at the recorded seed.
+
+    The tuples are walked as a trie of their coordinates, innermost first,
+    so tuples that share an inner suffix share its DP state (and its
+    telescoping accumulator): exact mode takes sum_{j<=k} q!/(q-j)! steps
+    in place of k q!/(q-k)!.
     """
     if k < d + 1:
         raise ValueError(f"need k >= d + 1, got k = {k}")
@@ -166,22 +193,10 @@ def pasted_measurement(g_by_x: dict, f: GF, m: int, d: int, k: int,
         raise SizeGuardError("global outcome space times dimension exceeds cap")
 
     polys_m = list(enumerate_polyspace(f, m, d))
-    poly_pos = {g.key(): j for j, g in enumerate(polys_m)}
-    globals_m1 = list(enumerate_polyspace(f, m + 1, d))
-    # slice lookup: slice_idx[x][j] = position of (globals_m1[j])|_x
-    slice_idx = {}
-    for x in range(f.q):
-        slice_idx[x] = np.array(
-            [poly_pos[slice_at(h, f.element(x)).key()] for h in globals_m1]
-        )
-    # stacked operator tables per coordinate: ops_by_x[x][j] = Ghat^x_{poly j},
-    # last row is the completion outcome
-    ops_by_x = {}
-    bot_by_x = {}
-    for x in range(f.q):
-        fam = ghat[x]
-        ops_by_x[x] = np.stack([fam.op(g) for g in polys_m], axis=0)
-        bot_by_x[x] = fam.op(BOTTOM)
+    globals_m1 = tuple(enumerate_polyspace(f, m + 1, d))
+    # ops_by_x[x][j] = Ghat^x_{poly j}; slice_idx[x][n] = index of (global n)|_x
+    ops_by_x = {x: np.stack([ghat[x].op(g) for g in polys_m]) for x in range(f.q)}
+    slice_idx = {x: slice_indices(f, m + 1, d, x) for x in range(f.q)}
 
     count = distinct_tuple_count(f.q, k)
     if count <= tuple_budget:
@@ -192,33 +207,29 @@ def pasted_measurement(g_by_x: dict, f: GF, m: int, d: int, k: int,
         tuples = [tuple(rng.permutation(f.q)[:k]) for _ in range(tuple_budget)]
         mode = "sampled"
 
-    N = len(globals_m1)
-    total = np.zeros((N, dim, dim), dtype=complex)
+    top = d + 1
+    eye = np.eye(dim, dtype=complex)
+    total = np.zeros((n_global, dim, dim), dtype=complex)
     worst_telescope = 0.0
-    for coords in tuples:
-        # weight-resolved sandwich DP, innermost coordinate first
-        layers = {0: np.broadcast_to(np.eye(dim, dtype=complex), (N, dim, dim))}
-        for pos in range(k - 1, -1, -1):
-            x = coords[pos]
-            hit_ops = ops_by_x[x][slice_idx[x]]      # (N, dim, dim)
-            miss = bot_by_x[x]
-            new_layers = {}
-            for w, block in layers.items():
-                hit = np.einsum("nij,njk,nkl->nil", hit_ops, block, hit_ops)
-                new_layers[w + 1] = new_layers.get(w + 1, 0) + hit
-                missed = np.einsum("ij,njk,kl->nil", miss, block, miss)
-                new_layers[w] = new_layers.get(w, 0) + missed
-            layers = new_layers
-        contribution = sum(layers[w] for w in layers if w >= d + 1)
-        total += contribution
+    path = [([eye], eye)]  # (DP layers, telescoping accumulator) along the trie
+    prev = ()
+    for inner_first in sorted(tuple(reversed(c)) for c in tuples):
+        shared = next((j for j, (a, b) in enumerate(zip(prev, inner_first)) if a != b),
+                      len(prev))
+        del path[shared + 1:]
+        for x in inner_first[shared:]:
+            layers, acc = path[-1]
+            path.append((
+                paste_step(layers, ops_by_x[x][slice_idx[x]], ghat[x].op(BOTTOM), top),
+                telescope_step(ghat[x], acc) if check_telescoping else None,
+            ))
+        layers, acc = path[-1]
+        total += layers[top]
         if check_telescoping:
-            full = sandwich_total(ghat, coords)
-            worst_telescope = max(
-                worst_telescope,
-                float(np.abs(full - np.eye(dim)).max()),
-            )
+            worst_telescope = max(worst_telescope, float(np.abs(acc - eye).max()))
+        prev = inner_first
     total /= len(tuples)
-    family = SubMeasurement(tuple(globals_m1), total)
+    family = SubMeasurement(globals_m1, total)
     return PastedResult(
         family=family,
         mode=mode,

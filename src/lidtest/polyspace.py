@@ -376,6 +376,22 @@ def slice_at(h: MultiPoly, x) -> MultiPoly:
     return MultiPoly(f, h.m - 1, h.d, acc)
 
 
+def slice_indices(f: GF, m: int, d: int, x: int) -> np.ndarray:
+    """Index of slice_at(h, x) in the (m-1)-variable space for every h of the
+    m-variable space, in index order: one Horner step in the last variable
+    over the base-q coefficient digits of every index at once."""
+    size = polyspace_size(f, m, d)
+    if size > ENUM_GUARD:
+        raise SizeGuardError(f"|space| = {size} exceeds the enumeration cap")
+    n_exp = (d + 1) ** m
+    digits = (np.arange(size)[:, None] // f.q ** np.arange(n_exp)) % f.q
+    coeffs = digits.reshape(size, n_exp // (d + 1), d + 1)  # [h, other exponents, e_m]
+    acc = np.zeros(coeffs.shape[:2], dtype=np.int64)
+    for k in range(d, -1, -1):
+        acc = f.add(f.mul(acc, x), coeffs[:, :, k])
+    return acc @ f.q ** np.arange(acc.shape[1])
+
+
 def agreement_fraction(g: MultiPoly, h: MultiPoly) -> Fraction:
     """Exact fraction of points where g = h (exhaustive)."""
     if (g.m, g.d, g.field) != (h.m, h.d, h.field):

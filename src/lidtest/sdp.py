@@ -12,7 +12,8 @@ where the bare Z^{-1} term plays the role of the slack block.  On the path
 T_g = mu (Z - A_g)^{-1}, and the duality gap equals mu * r * (M + 1)
 exactly, so mu is driven down until the gap target is met.  Each mu step is
 solved by a damped Newton iteration in Z; the Newton system
-sum_j W_j dZ W_j = Phi - I is solved densely (desk-scale dimensions).
+sum_j W_j dZ W_j = Phi - I is assembled as one GEMM over the stacked
+inverses W_j and solved densely (desk-scale dimensions).
 
 A closed form exists when all constraints commute: in a joint eigenbasis the
 optimal Z takes entrywise maxima and T splits basis vectors equally among
@@ -84,7 +85,7 @@ class SdpSolution:
     projection_drift: float
     mu_final: float
     newton_iterations: int
-    warm_started: bool = False
+    oracle: SdpSolution | None = None  # the commuting closed form it warm-started from
     notes: dict = field(default_factory=dict)
 
     def residual_summary(self):
@@ -100,16 +101,17 @@ class SdpSolution:
 
 
 def _herm(M):
-    return 0.5 * (M + M.conj().T)
+    """Hermitian part of a matrix or of each matrix of a stack."""
+    return 0.5 * (M + M.conj().swapaxes(-1, -2))
 
 
 def commuting_basis(instance: SdpInstance, tol=1e-10):
     """Joint eigenbasis if all constraints pairwise commute, else None."""
     A = instance.constraints
-    for i in range(len(A)):
-        for j in range(i + 1, len(A)):
-            if np.abs(A[i] @ A[j] - A[j] @ A[i]).max() > tol:
-                return None
+    for i in range(len(A) - 1):
+        rest = A[i + 1:]
+        if np.abs(A[i] @ rest - rest @ A[i]).max() > tol:
+            return None
     weights = 1.0 + np.arange(len(A)) / (len(A) + 1.0)
     _, V = np.linalg.eigh(np.einsum("n,nij->ij", weights, A))
     rotated = np.einsum("ji,njk,kl->nil", V.conj(), A, V)
@@ -177,15 +179,24 @@ def _min_slack(Z, A):
 
 
 def _inverses(Z, blocks):
-    """Stable inverses (Z - A_j)^{-1} via Hermitian eigendecompositions;
-    returns None if any block is not strictly positive."""
-    out = np.empty_like(blocks)
-    for j, A in enumerate(blocks):
-        w, v = np.linalg.eigh(_herm(Z - A))
-        if w.min() <= 0:
-            return None
-        out[j] = (v / w) @ v.conj().T
-    return out
+    """Stable inverses (Z - A_j)^{-1} via one stacked Hermitian
+    eigendecomposition; returns None if any block is not strictly positive."""
+    w, v = np.linalg.eigh(_herm(Z - blocks))
+    if w.min() <= 0:
+        return None
+    return (v / w[:, None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _newton_matrix(W, mu):
+    """The Newton system's matrix: K[(i,l),(j,k)] = mu sum_n W_n[i,j] W_n[k,l],
+    so that K vec(dZ) = vec(mu sum_n W_n dZ W_n), as one GEMM over the
+    flattened blocks."""
+    n, r = W.shape[0], W.shape[1]
+    flat = W.reshape(n, r * r)
+    # (flat.T @ flat)[(i,j),(k,l)] = sum_n W_n[i,j] W_n[k,l]
+    K = (flat.T @ flat).reshape(r, r, r, r).transpose(0, 3, 1, 2).reshape(r * r, r * r)
+    K *= mu
+    return K
 
 
 def solve(instance: SdpInstance, gap_tol=1e-7, max_newton=2000):
@@ -205,15 +216,16 @@ def solve(instance: SdpInstance, gap_tol=1e-7, max_newton=2000):
 
     mu = 1.0
     mu_end = gap_tol / (r * (M + 1))
-    warm = False
     basis = commuting_basis(instance)
-    if basis is not None:
-        oracle = solve_commuting(instance, basis)
+    oracle = None if basis is None else solve_commuting(instance, basis)
+    if oracle is not None:
         Z = oracle.Z + (mu * (M + 1) + 1e-6) * np.eye(r)
-        warm = True
     else:
         Z = (lam_max + mu * (M + 1) + 1.0) * np.eye(r, dtype=complex)
 
+    W = _inverses(Z, blocks)
+    if W is None:
+        raise SdpError("left the interior", {"mu": mu, "iters": 0})
     iters = 0
     eye = np.eye(r)
     while True:
@@ -224,9 +236,6 @@ def solve(instance: SdpInstance, gap_tol=1e-7, max_newton=2000):
         best_res = np.inf
         stalled = 0
         for _ in range(80):
-            W = _inverses(Z, blocks)
-            if W is None:
-                raise SdpError("left the interior", {"mu": mu, "iters": iters})
             Phi = mu * W.sum(axis=0)
             R = Phi - eye
             res = float(np.abs(R).max())
@@ -245,18 +254,18 @@ def solve(instance: SdpInstance, gap_tol=1e-7, max_newton=2000):
             else:
                 stalled = 0
             best_res = min(best_res, res)
-            K = mu * np.einsum("nij,nkl->iljk", W, W).reshape(r * r, r * r)
-            dz = np.linalg.solve(K, R.reshape(-1)).reshape(r, r)
+            dz = np.linalg.solve(_newton_matrix(W, mu), R.reshape(-1)).reshape(r, r)
             dz = _herm(dz)
             step = 1.0
             for _ in range(60):
                 cand = Z + step * dz
-                if _inverses(cand, blocks) is not None:
+                W_cand = _inverses(cand, blocks)
+                if W_cand is not None:
                     break
                 step *= 0.5
             else:
                 raise SdpError("line search failed", {"mu": mu, "iters": iters})
-            Z = Z + step * dz
+            Z, W = cand, W_cand
             iters += 1
             if iters > max_newton:
                 raise SdpError(
@@ -267,9 +276,8 @@ def solve(instance: SdpInstance, gap_tol=1e-7, max_newton=2000):
             break
         mu = max(mu * 0.1, mu_end)
 
-    W = _inverses(Z, blocks)
     T = mu * W[:M]
-    T = np.array([_herm(Tn) for Tn in T])
+    T = _herm(T)
     primal_raw = float(sum(np.trace(T[n] @ A[n]).real for n in range(M)))
     T = _polish_active_support(T, Z, A, mu)
     T = _project_to_completion(T, Z, A)
@@ -288,35 +296,9 @@ def solve(instance: SdpInstance, gap_tol=1e-7, max_newton=2000):
         projection_drift=abs(primal - primal_raw),
         mu_final=mu,
         newton_iterations=iters,
-        warm_started=warm,
+        oracle=oracle,
         notes={"method": "path_following"},
     )
-
-
-def instance_to_dict(instance: SdpInstance) -> dict:
-    """Snapshot form: outcomes by repr, operators as re/im nested lists."""
-    return {
-        "outcomes": [repr(o) for o in instance.outcomes],
-        "constraints_re": instance.constraints.real.tolist(),
-        "constraints_im": instance.constraints.imag.tolist(),
-    }
-
-
-def instance_from_dict(data: dict) -> SdpInstance:
-    ops = np.array(data["constraints_re"]) + 1j * np.array(data["constraints_im"])
-    return SdpInstance(tuple(data["outcomes"]), ops)
-
-
-def solution_to_dict(sol: SdpSolution) -> dict:
-    return {
-        "T_re": sol.T.real.tolist(),
-        "T_im": sol.T.imag.tolist(),
-        "Z_re": sol.Z.real.tolist(),
-        "Z_im": sol.Z.imag.tolist(),
-        "primal_objective": sol.primal_objective,
-        "dual_objective": sol.dual_objective,
-        **sol.residual_summary(),
-    }
 
 
 def _polish_active_support(T, Z, A, mu):

@@ -226,6 +226,25 @@ def test_guard_exit_code(tmp_path):
     assert code == 4
 
 
+def test_sdp_error_exit_code(tmp_path, capsys, monkeypatch):
+    from lidtest import sdp
+
+    residuals = {"iters": 7, "mu": 0.001, "residual": 0.5}
+
+    def stalled(instance, gap_tol=1e-7, max_newton=2000):
+        raise sdp.SdpError("newton stalled", residuals)
+
+    monkeypatch.setattr(sdp, "solve", stalled)
+    code, out = run_cli(tmp_path, "sdp", {"q": 2, "m": 1, "d": 1}, "sdperror")
+    assert code == 5
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    prefix = "sdp error: newton stalled "
+    assert err.startswith(prefix)
+    assert json.loads(err[len(prefix):]) == residuals
+
+
 def test_spectrum_command(tmp_path):
     cfg = {"q": 3, "m": 2}
     code, out = run_cli(tmp_path, "spectrum", cfg, "spec")

@@ -212,6 +212,6 @@ def test_slice_commutativity_evaluates_each_slice_family_once(monkeypatch):
 
     monkeypatch.setattr(SubMeasurement, "group", counting)
     diagnostics.slice_commutativity(strat, pass_probabilities(strat), g_by_x)
-    # one evaluation per (x, u) for the hypotheses and one for the commutators
+    # one evaluation per (x, u), shared by the hypotheses and the commutators
     slice_families = [G for G in grouped if any(G is g for g in g_by_x.values())]
-    assert len(slice_families) == 2 * q * q ** (m - 1)
+    assert len(slice_families) == q * q ** (m - 1)

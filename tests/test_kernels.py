@@ -1,0 +1,218 @@
+"""Differential tests of the stacked numeric kernels against the per-tuple,
+per-block and per-scalar code they replaced, kept here as oracles: the
+pasting DP and its slice maps, the SDP Newton matrix and block inverses, and
+the hypercube character matrix."""
+
+import numpy as np
+import pytest
+
+from lidtest import sdp
+from lidtest.gf import field_for_order
+from lidtest.hypercube import VERTEX_CAP, HypercubeGraph
+from lidtest.instances import random_projective_measurement, rng_for
+from lidtest.measurements import BOTTOM, SubMeasurement
+from lidtest.pasting import (
+    complete_slice_families,
+    distinct_tuple_count,
+    distinct_tuples,
+    pasted_measurement,
+    sandwich_total,
+)
+from lidtest.polyspace import (
+    all_points,
+    enumerate_polyspace,
+    point_index,
+    slice_at,
+    slice_indices,
+)
+
+
+# ---- oracles ----------------------------------------------------------------------
+
+
+def reference_slice_indices(f, m, d, x):
+    """Position of slice_at(h, x) among the (m-1)-variable polynomials, one
+    scalar slice and one dict lookup per polynomial h."""
+    pos = {g.key(): j for j, g in enumerate(enumerate_polyspace(f, m - 1, d))}
+    return np.array([pos[slice_at(h, f.element(x)).key()]
+                     for h in enumerate_polyspace(f, m, d)])
+
+
+def reference_pasted_measurement(g_by_x, f, m, d, k, seed=None, tuple_budget=10 ** 5):
+    """One weight-resolved DP per tuple, with two three-operand einsums per
+    weight layer, no cap on the weight, and sandwich_total per tuple.
+    Returns (family ops, mode, tuple count, telescoping residual)."""
+    ghat = complete_slice_families(g_by_x)
+    dim = next(iter(ghat.values())).dim
+    polys_m = list(enumerate_polyspace(f, m, d))
+    slice_idx = {x: reference_slice_indices(f, m + 1, d, x) for x in range(f.q)}
+    ops_by_x = {x: np.stack([ghat[x].op(g) for g in polys_m], axis=0) for x in range(f.q)}
+    bot_by_x = {x: ghat[x].op(BOTTOM) for x in range(f.q)}
+
+    if distinct_tuple_count(f.q, k) <= tuple_budget:
+        tuples = list(distinct_tuples(f, k))
+        mode = "exact"
+    else:
+        rng = np.random.default_rng(seed)
+        tuples = [tuple(rng.permutation(f.q)[:k]) for _ in range(tuple_budget)]
+        mode = "sampled"
+
+    N = len(slice_idx[0])
+    total = np.zeros((N, dim, dim), dtype=complex)
+    worst_telescope = 0.0
+    for coords in tuples:
+        layers = {0: np.broadcast_to(np.eye(dim, dtype=complex), (N, dim, dim))}
+        for pos in range(k - 1, -1, -1):
+            x = coords[pos]
+            hit_ops = ops_by_x[x][slice_idx[x]]
+            miss = bot_by_x[x]
+            new_layers = {}
+            for w, block in layers.items():
+                hit = np.einsum("nij,njk,nkl->nil", hit_ops, block, hit_ops)
+                new_layers[w + 1] = new_layers.get(w + 1, 0) + hit
+                missed = np.einsum("ij,njk,kl->nil", miss, block, miss)
+                new_layers[w] = new_layers.get(w, 0) + missed
+            layers = new_layers
+        total += sum(layers[w] for w in layers if w >= d + 1)
+        full = sandwich_total(ghat, coords)
+        worst_telescope = max(worst_telescope, float(np.abs(full - np.eye(dim)).max()))
+    return total / len(tuples), mode, len(tuples), worst_telescope
+
+
+def reference_newton_matrix(W, mu):
+    r = W.shape[1]
+    return mu * np.einsum("nij,nkl->iljk", W, W).reshape(r * r, r * r)
+
+
+def reference_inverses(Z, blocks):
+    out = np.empty_like(blocks)
+    for j, A in enumerate(blocks):
+        w, v = np.linalg.eigh(0.5 * (Z - A + (Z - A).conj().T))
+        if w.min() <= 0:
+            return None
+        out[j] = (v / w) @ v.conj().T
+    return out
+
+
+def reference_character_vector(graph, alpha):
+    """One character, one scalar field product and sum per coordinate, read
+    from the field's q x q addition and multiplication tables."""
+    f = graph.field
+    add = f.add(*np.indices((f.q, f.q))).tolist()
+    mul = f.mul(*np.indices((f.q, f.q))).tolist()
+    trace = f.trace_int(np.arange(f.q)).tolist()
+    phi = np.zeros(graph.size, dtype=complex)
+    for u in all_points(f, graph.m):
+        dot = 0
+        for uc, ac in zip(u, alpha):
+            dot = add[dot][mul[uc.i][ac.i]]
+        phi[point_index(u)] = f._omega_pows[trace[dot]]
+    return phi / np.sqrt(graph.size)
+
+
+# ---- pasting ----------------------------------------------------------------------
+
+# (q, m, d, k, dim, tuple budget): the pasting sizes of tests/test_pasting.py and
+# tests/test_acceptance.py (criteria 11 and 13, and the slices of the
+# criterion-13 soundness report), the soundness workload's q = 4 (GF(2^2),
+# where addition is not mod q) and a two-variable slice; the small budgets
+# force sampled mode.
+PASTE_GRID = [
+    (2, 1, 1, 2, 2, 10 ** 5),
+    (3, 1, 1, 2, 3, 10 ** 5),
+    (3, 1, 1, 3, 2, 10 ** 5),
+    (3, 1, 0, 2, 3, 10 ** 5),
+    (4, 1, 1, 3, 3, 10 ** 5),
+    (5, 1, 1, 3, 3, 10 ** 5),
+    (5, 1, 1, 4, 2, 10 ** 5),
+    (3, 2, 1, 2, 2, 10 ** 5),
+    (4, 1, 1, 3, 2, 7),
+    (8, 1, 1, 5, 2, 20),
+]
+
+
+def random_slice_families(rng, f, m, d, dim):
+    """Projective slice families on random outcomes, one block dropped from
+    some so that they are strict sub-measurements."""
+    polys = tuple(enumerate_polyspace(f, m, d))
+    out = {}
+    for x in range(f.q):
+        fam = random_projective_measurement(rng, dim, min(dim, len(polys)))
+        ops = np.zeros((len(polys), dim, dim), dtype=complex)
+        slots = rng.choice(len(polys), size=len(fam.outcomes), replace=False)
+        ops[slots] = fam.ops
+        if rng.random() < 0.5:
+            ops[slots[0]] = 0.0
+        out[x] = SubMeasurement(polys, ops, check=False)
+    return out
+
+
+@pytest.mark.parametrize("q,m,d,k,dim,budget", PASTE_GRID)
+def test_pasted_measurement_matches_per_tuple_dp(q, m, d, k, dim, budget):
+    f = field_for_order(q)
+    g_by_x = random_slice_families(rng_for(100 + q + 10 * k), f, m, d, dim)
+    result = pasted_measurement(g_by_x, f, m, d, k, seed=3, tuple_budget=budget)
+    ops, mode, n_tuples, telescope = reference_pasted_measurement(
+        g_by_x, f, m, d, k, seed=3, tuple_budget=budget)
+    assert result.mode == mode == ("exact" if budget == 10 ** 5 else "sampled")
+    assert result.n_tuples == n_tuples
+    assert result.family.outcomes == tuple(enumerate_polyspace(f, m + 1, d))
+    assert np.abs(result.family.ops - ops).max() <= 1e-12
+    # the accumulators run the same products in the same order
+    assert result.telescoping_residual == telescope
+
+
+@pytest.mark.parametrize("q,m,d", sorted({(q, m + 1, d) for q, m, d, *_ in PASTE_GRID}
+                                         | {(9, 2, 1), (3, 3, 1), (2, 2, 2)}))
+def test_slice_indices_match_scalar_slices(q, m, d):
+    f = field_for_order(q)
+    for x in range(q):
+        assert np.array_equal(slice_indices(f, m, d, x), reference_slice_indices(f, m, d, x))
+
+
+# ---- SDP ----------------------------------------------------------------------------
+
+
+def random_complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("r", [1, 3, 16])
+@pytest.mark.parametrize("n", [1, 82])
+def test_newton_matrix_gemm_matches_einsum(r, n):
+    rng = rng_for(200 + r + n)
+    W = random_complex(rng, n, r, r)
+    K = sdp._newton_matrix(W, 0.3)
+    assert K.shape == (r * r, r * r)
+    assert np.abs(K - reference_newton_matrix(W, 0.3)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("r,n", [(1, 4), (3, 5), (16, 82)])
+def test_stacked_inverses_match_per_block_loop(r, n):
+    rng = rng_for(300 + r)
+    H = random_complex(rng, n, r, r)
+    blocks = H @ H.conj().transpose(0, 2, 1)
+    top = max(np.linalg.eigvalsh(A).max() for A in blocks)
+    Z = (top + 0.5) * np.eye(r) + 0.01 * random_complex(rng, r, r)
+    got, want = sdp._inverses(Z, blocks), reference_inverses(Z, blocks)
+    assert got is not None and want is not None
+    assert np.abs(got - want).max() <= 1e-12
+    # one block not strictly positive: both give None
+    bad = blocks.copy()
+    bad[n // 2] = (top + 1.0) * np.eye(r)
+    assert sdp._inverses(Z, bad) is None
+    assert reference_inverses(Z, bad) is None
+
+
+# ---- hypercube ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_character_matrix_matches_scalar_characters(q, m):
+    graph = HypercubeGraph(field_for_order(q), m)
+    assert graph.size <= VERTEX_CAP
+    Phi = graph.character_matrix()
+    for alpha in all_points(graph.field, m):
+        assert np.array_equal(Phi[:, point_index(alpha)],
+                              reference_character_vector(graph, alpha))
