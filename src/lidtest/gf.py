@@ -330,14 +330,16 @@ class FieldElement:
         return self.i != 0
 
     def __eq__(self, other):
+        """Equal to an element of the same field, or to the int c in [0, p)
+        that names a prime-subfield element, so equal values hash equally."""
         if isinstance(other, FieldElement):
             return self.field == other.field and self.i == other.i
         if isinstance(other, int):
-            return self == self.field.from_prime(other)
+            return 0 <= other < self.field.p and self.i == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.p, self.field.t, self.i))
+        return hash(self.i)
 
     def __repr__(self):
         if self.field.t == 1:

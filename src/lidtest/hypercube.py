@@ -146,99 +146,3 @@ def _family_by_index(family, graph):
     if len(by_index) != graph.size:
         raise ValueError("family must cover every point of the cube")
     return by_index
-
-
-def poincare_report(family, Psi, graph: HypercubeGraph):
-    local = local_variance(family, Psi, graph)
-    glob = global_variance(family, Psi, graph)
-    return {
-        "local": local,
-        "global": glob,
-        "bound": graph.m * local,
-        "margin": graph.m * local - glob,
-    }
-
-
-# ---- variance diagnostics for strategies ---------------------------------------
-
-
-def points_variance_diagnostics(strategy, G, Psi=None):
-    """Measured left-hand sides, with their bounds, of the three
-    points-variance inequalities for a strategy and a polynomial-valued
-    sub-measurement G on the other side.
-
-    Returns a dict of {name: (measured, bound, margin)}.
-    """
-    from .polyspace import AxisLine, restrict_axis
-    from .strategies import pass_probabilities
-
-    params = strategy.params
-    f, m, d, q = params.field, params.m, params.d, params.q
-    Psi = strategy.Psi if Psi is None else Psi
-    graph = HypercubeGraph(f, m)
-    good = pass_probabilities(strategy, params)
-    eps, delta, _ = good.as_floats()
-
-    roots = {g: _psd_sqrt(G.op(g)) for g in G.outcomes}
-    points = strategy.families["A"]["points"]
-
-    # local: (u, v) over edges, operators A^u_{g(u)} against sqrt(G_g) weights
-    def second_moment(u, v):
-        tot = 0.0
-        for g in G.outcomes:
-            a_u = points[u].op(g(u))
-            a_v = points[v].op(g(v))
-            vvec = (a_u - a_v) @ Psi @ roots[g].T
-            tot += float(np.sum(np.abs(vvec) ** 2))
-        return tot
-
-    by_pt = {point_index(u): u for u in points}
-    local = 0.0
-    for (ui, vi), w in graph.edge_distribution():
-        if ui == vi:
-            continue
-        local += w * second_moment(by_pt[ui], by_pt[vi])
-    M = graph.size
-    glob = 0.0
-    for ui in range(M):
-        for vi in range(M):
-            if ui == vi:
-                continue
-            glob += second_moment(by_pt[ui], by_pt[vi]) / (M * M)
-
-    # line families against evaluated/restricted outcomes
-    axis = strategy.families["A"]["axis"]
-    gen_b = 0.0
-    n_lines = 0
-    for u in all_points(f, m):
-        for i in range(m):
-            line = AxisLine.through(u, i)
-            fam = axis[line]
-            t = line.param_of(u)
-            for g in G.outcomes:
-                target = g(u)
-                ev = np.zeros((fam.dim, fam.dim), dtype=complex)
-                for ans in fam.outcomes:
-                    if ans(t) == target:
-                        ev = ev + fam.op(ans)
-                restr = fam.op(restrict_axis(g, line))
-                vvec = (ev - restr) @ Psi @ roots[g].T
-                gen_b += float(np.sum(np.abs(vvec) ** 2))
-            n_lines += 1
-    gen_b /= n_lines
-
-    base = eps + delta + m * d / q
-    return {
-        "points_local_variance": _triple(local, 24.0 * base),
-        "points_global_variance": _triple(glob, 24.0 * m * base),
-        "line_restriction_vs_evaluation": _triple(gen_b, m * d / q),
-    }
-
-
-def _triple(measured, bound):
-    return {"measured": measured, "bound": bound, "margin": bound - measured}
-
-
-def _psd_sqrt(op):
-    w, v = np.linalg.eigh(op)
-    return (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T

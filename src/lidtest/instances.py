@@ -13,7 +13,7 @@ from .polyspace import MultiPoly
 from .protocol import TestParams
 from .strategies import (
     ClassicalStrategy,
-    honest_strategy,
+    honest_tables,
     shared_randomness_strategy,
 )
 
@@ -106,7 +106,7 @@ def corrupted_tables(params: TestParams, n_tables, n_corrupt, rng):
         size = (params.d + 1) ** params.m
         g = MultiPoly(f, params.m, params.d,
                       rng.integers(0, f.q, size=size))
-        tables = honest_strategy(params, g).tables["A"]
+        tables = honest_tables(params, g)
         pts = tables["points"]
         keys = sorted(pts, key=lambda u: u.ints())
         for k in rng.choice(len(keys), size=min(n_corrupt, len(keys)), replace=False):

@@ -433,17 +433,18 @@ def evaluate_on_grid(g: MultiPoly) -> np.ndarray:
 
 def label_values(labels) -> np.ndarray:
     """Integer-encoded value table of a tuple of polynomial labels, one row
-    per label.  UniPoly labels (one degree bound, as a line family's are)
-    give shape (n, q), column t holding the value at line parameter t;
-    MultiPoly labels (one space) give shape (n, q^m), the evaluate_on_grid
-    rows, indexed by point_index."""
+    per label.  UniPoly labels give shape (n, q), column t holding the value
+    at line parameter t; MultiPoly labels (one space) give shape (n, q^m),
+    the evaluate_on_grid rows, indexed by point_index."""
     first = labels[0]
     f = first.field
     if isinstance(first, UniPoly):
-        coeffs = np.array([p.coeffs for p in labels], dtype=np.int64)
+        width = max(len(p.coeffs) for p in labels)  # bounds may differ: pad with zeros
+        coeffs = np.array([p.coeffs + (0,) * (width - len(p.coeffs)) for p in labels],
+                          dtype=np.int64)
         ts = np.arange(f.q)[None, :]
         vals = np.zeros((len(labels), f.q), dtype=np.int64)
-        for k in range(first.bound, -1, -1):  # Horner, all labels and parameters at once
+        for k in range(width - 1, -1, -1):  # Horner, all labels and parameters at once
             vals = f.add(f.mul(vals, ts), coeffs[:, k:k + 1])
         return vals
     coeffs = np.array([g.flat() for g in labels], dtype=np.int64)

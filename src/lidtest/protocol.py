@@ -4,7 +4,9 @@ exact rational masses, transcripts, and verdicts.
 Subtests: 'axis' (point vs axis-parallel line), 'selfcons' (same point to
 both players), 'diag' (point vs general line whose direction has a bounded
 number of free leading coordinates).  Probabilities are fractions.Fraction
-end to end; floating point never enters this layer.
+end to end; floating point never enters this layer.  The support is one
+integer table per TestParams (`support_table`, built once and cached), and
+the object views `all_questions` and `enumerate_rounds` read it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
 
 from .gf import GF, FieldElement
 from .polyspace import (
@@ -21,7 +26,6 @@ from .polyspace import (
     SizeGuardError,
     UniPoly,
     all_points,
-    point,
 )
 
 SUPPORT_GUARD = 10 ** 6
@@ -121,99 +125,122 @@ def _check_support(params: TestParams):
         raise SizeGuardError(f"question support ~{size} exceeds the cap")
 
 
-def _assign(role, line_q, point_q):
-    return (line_q, point_q) if role == "A" else (point_q, line_q)
+@dataclass(frozen=True, eq=False)
+class Support:
+    """The question support of one TestParams as integer arrays.
+
+    `questions` holds each question once, as (group, question), at its
+    position: the points in grid order, then each canonical axis line and
+    each canonical diagonal line in the order the points first reach them.
+    The other fields have one row per round, in the order of the subtests'
+    supports: the index into SUBTESTS, the question positions asked of A and
+    B, the role holding the line (0 for A, 1 for B, -1 for selfcons), the
+    point's parameter on the line (-1 for selfcons and degenerate lines), the
+    round's index into `masses`, and the axis of an axis line (-1 otherwise).
+    """
+
+    questions: tuple
+    subtest: np.ndarray
+    q_a: np.ndarray
+    q_b: np.ndarray
+    line_role: np.ndarray
+    t: np.ndarray
+    mass_class: np.ndarray
+    masses: tuple
+    axis: np.ndarray
+
+    def __len__(self):
+        return len(self.subtest)
+
+    def samples(self):
+        """Each round as a RoundSample over the shared question objects."""
+        qs = [question for _, question in self.questions]
+        for sub, a, b, c in zip(self.subtest.tolist(), self.q_a.tolist(),
+                                self.q_b.tolist(), self.mass_class.tolist()):
+            yield RoundSample(SUBTESTS[sub], qs[a], qs[b], self.masses[c])
 
 
-def axis_rounds(params: TestParams, pts, weight=None):
-    """Axis-test support over the grid points `pts`; each line is built once
-    per (u, i) and shared by both roles."""
+def _rounds(subtest, role, line, pt, t, mass_class, axis):
+    """Columns of a block of rounds, one per entry of pt."""
+    q_a, q_b = (line, pt) if role == 0 else (pt, line)
+    cols = (SUBTESTS.index(subtest), q_a, q_b, role, t, mass_class, axis)
+    return [np.broadcast_to(c, pt.shape) for c in cols]
+
+
+@lru_cache(maxsize=8)
+def support_table(params: TestParams) -> Support:
+    """The Support of params, built once: canonical lines come from integer
+    arrays over every (point, axis) and (point, direction) pair."""
+    _check_support(params)
     f, m = params.field, params.m
-    weight = params.weight(AXIS) if weight is None else weight
-    if weight == 0:
-        return
-    base = weight * Fraction(1, 2) * Fraction(1, f.q ** m) * Fraction(1, m)
-    lines = [[AxisLine.through(u, i) for i in range(m)] for u in pts]
-    for role in ROLES:
-        for u, u_lines in zip(pts, lines):
-            for line in u_lines:
-                yield RoundSample(AXIS, *_assign(role, line, u), base)
+    q, n = f.q, f.q ** m
+    pts = list(all_points(f, m))
+    place = q ** np.arange(m - 1, -1, -1)  # grid index = coordinates @ place
+    coords = np.array([u.ints() for u in pts], dtype=np.int64).reshape(n, m)
+    # the axis line through (u, i) has base u with u_i = 0, where it is first met
+    axis_id = (np.arange(n)[:, None] - coords * place) * m + np.arange(m)
+    first = coords == 0
+    rank = np.zeros(n * m, dtype=np.int64)
+    rank[axis_id[first]] = np.arange(first.sum())
+    axis_pos = n + rank[axis_id]
+    n_axis = int(first.sum())
+    # the diagonal line through (u, v): scale v to 1 at its pivot, and move
+    # the base to 0 there; v = 0 keeps the degenerate line (u, 0)
+    nonzero = coords != 0
+    piv = nonzero.argmax(axis=1)
+    degenerate = ~nonzero.any(axis=1)
+    lead = np.where(degenerate, 1, coords[np.arange(n), piv])
+    direction = f.mul(coords, f.inv(lead)[:, None])
+    t_uv = coords[:, piv]  # [u, v] = u at v's pivot
+    base = f.sub(coords[:, None, :], f.mul(t_uv[:, :, None], direction[None, :, :]))
+    keys, first_at, inverse = np.unique((base @ place) * n + direction @ place,
+                                        return_index=True, return_inverse=True)
+    order = np.argsort(first_at)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    diag_pos = n + n_axis + rank[inverse.reshape(n, n)]
+    t_diag = np.where(degenerate[None, :], -1, t_uv)
+    questions = tuple(itertools.chain(
+        (("points", u) for u in pts),
+        (("axis", AxisLine(int(k % m), pts[int(k // m)])) for k in axis_id[first]),
+        (("diag", DiagonalLine(pts[int(k // n)], pts[int(k % n)])) for k in keys[order]),
+    ))
 
-
-def selfcons_rounds(params: TestParams, pts, weight=None):
-    f, m = params.field, params.m
-    weight = params.weight(SELFCONS) if weight is None else weight
-    if weight == 0:
-        return
-    base = weight * Fraction(1, f.q ** m)
-    for u in pts:
-        yield RoundSample(SELFCONS, u, u, base)
-
-
-def diag_rounds(params: TestParams, pts, weight=None, restrict_i=None):
-    """Diagonal-test support over the grid points `pts`; restrict_i (1-based
-    direction count) conditions on that draw and renormalizes, matching the
-    restricted variant.  Each line is built once per (u, v) and shared by both
-    roles and by every direction count that draws v."""
-    f, m = params.field, params.m
-    weight = params.weight(DIAG) if weight is None else weight
-    if weight == 0:
-        return
-    i_values = range(1, m + 1) if restrict_i is None else (restrict_i,)
-    i_mass = Fraction(1, m) if restrict_i is None else Fraction(1)
-    masses = {i: weight * Fraction(1, 2) * Fraction(1, f.q ** m) * i_mass
-              * Fraction(1, f.q ** i) for i in i_values}
-    # dirs lists the directions of the largest count `top` in product order;
-    # those with only i free leading coordinates (the rest zero) are every
-    # q^(top - i)-th entry, in the order a count-i draw lists them
-    top = max(i_values)
-    dirs = [point(f, v + (0,) * (m - top)) for v in itertools.product(range(f.q), repeat=top)]
-    canonical = {}  # one object per distinct line, however many (u, v) reach it
-    lines = [[canonical.setdefault(line, line)
-              for line in (DiagonalLine.through(u, v) for v in dirs)] for u in pts]
-    for role in ROLES:
-        for u, u_lines in zip(pts, lines):
-            for i in i_values:
-                for line in u_lines[::f.q ** (top - i)]:
-                    yield RoundSample(DIAG, *_assign(role, line, u), masses[i])
+    w_axis, w_self, w_diag = params.weights
+    masses = (w_axis / 2 / n / m, w_self / n) + tuple(
+        w_diag / 2 / n / m / q ** i for i in range(1, m + 1))
+    u = np.arange(n)
+    blocks = []
+    if w_axis:
+        uu, ii = np.repeat(u, m), np.tile(np.arange(m), n)
+        blocks += [_rounds(AXIS, role, axis_pos[uu, ii], uu, coords[uu, ii], 0, ii)
+                   for role in (0, 1)]
+    if w_self:
+        blocks.append(_rounds(SELFCONS, -1, u, u, -1, 1, -1))
+    if w_diag:
+        # count i draws the q^i directions whose coordinates after the i-th are 0
+        vs = np.concatenate([np.arange(q ** i) * q ** (m - i) for i in range(1, m + 1)])
+        cls = np.concatenate([np.full(q ** i, 1 + i) for i in range(1, m + 1)])
+        uu, vv = np.repeat(u, len(vs)), np.tile(vs, n)
+        blocks += [_rounds(DIAG, role, diag_pos[uu, vv], uu, t_diag[uu, vv],
+                           np.tile(cls, n), -1) for role in (0, 1)]
+    cols = [np.concatenate(c) for c in zip(*blocks)]
+    for col in cols:
+        col.setflags(write=False)  # the table is cached and shared
+    subtest, q_a, q_b, role, t, mass_class, axis = cols
+    return Support(questions, subtest, q_a, q_b, role, t, mass_class, masses, axis)
 
 
 def enumerate_rounds(params: TestParams):
-    """Exact support of the full question distribution; each point is built
-    once and shared by every round that asks it."""
-    _check_support(params)
-    pts = list(all_points(params.field, params.m))
-    yield from axis_rounds(params, pts)
-    yield from selfcons_rounds(params, pts)
-    yield from diag_rounds(params, pts)
-
-
-def restricted_diag_distribution(params: TestParams, j: int):
-    """Diagonal test conditioned on the direction count being j (1 <= j <= m)."""
-    if not 1 <= j <= params.m:
-        raise ProtocolError(f"direction count {j} out of range 1..{params.m}")
-    _check_support(params)
-    pts = list(all_points(params.field, params.m))
-    yield from diag_rounds(params, pts, weight=Fraction(1), restrict_i=j)
+    """Exact support of the full question distribution, as RoundSamples that
+    share one object per distinct question."""
+    yield from support_table(params).samples()
 
 
 def all_questions(params: TestParams):
-    """Every question of the support once, as (group, question): the points
-    in grid order, then each canonical axis line and each canonical diagonal
-    line in the order the points first reach them."""
-    _check_support(params)
-    pts = list(all_points(params.field, params.m))
-    for u in pts:
-        yield "points", u
-    lines = itertools.chain(
-        (("axis", AxisLine.through(u, i)) for u in pts for i in range(params.m)),
-        (("diag", DiagonalLine.through(u, v)) for u in pts for v in pts),
-    )
-    seen = set()
-    for group, line in lines:
-        if line not in seen:
-            seen.add(line)
-            yield group, line
+    """Every question of the support once, as (group, question), in
+    Support.questions order."""
+    return iter(support_table(params).questions)
 
 
 def line_value(sample: RoundSample):
@@ -248,7 +275,9 @@ def verdict(sample: RoundSample, answers) -> bool:
 
 
 def check_answer_format(params: TestParams, question, answer):
-    """Degree-bound and shape validation for one answer."""
+    """Degree-bound, shape and field validation for one answer."""
+    if getattr(answer, "field", params.field) != params.field:
+        raise ProtocolError(f"answer {answer!r} lies outside {params.field!r}")
     if isinstance(question, Point):
         if not isinstance(answer, FieldElement):
             raise ProtocolError("point questions take value answers")
@@ -264,7 +293,3 @@ def check_answer_format(params: TestParams, question, answer):
         raise ProtocolError(
             f"line answer degree {answer.degree()} exceeds bound {bound}"
         )
-
-
-def total_mass(samples) -> Fraction:
-    return sum((s.mass for s in samples), Fraction(0))

@@ -1,12 +1,16 @@
 """Prover strategies: classical tables, quantum operator families, exact
 pass probabilities, symmetrization, and the canonical adversarial example.
 
-Classical strategies are explicit tables keyed by canonical questions and
-evaluated with exact rational probability accounting.  Quantum strategies
-carry a bipartite state matrix plus per-question SubMeasurement families and
-are evaluated by exact dense contraction over the enumerated support.  Every
-kind gives one round's acceptance probability through `accept(sample)`;
-`judge` lists it over the support once and the aggregators read that list.
+Classical strategies are explicit tables keyed by canonical questions.  At
+construction each table is checked once per question and turned into one
+integer row per question position of `protocol.support_table`: the values a
+line answer gives along its line, or a value answer repeated.  A round's
+verdict is then one array comparison, and exact probabilities are integer
+hit counts per mass class, turned into Fractions at the end.  Quantum
+strategies carry a bipartite state matrix plus per-question SubMeasurement
+families and are evaluated by exact dense contraction, round by round.
+`judge` gives every kind's acceptance over the support once, as a `Judged`
+record, and the aggregators read that record.
 
 A quantum round groups the line family's outcomes by the value they give the
 round's point: one column of the family's integer value table
@@ -19,13 +23,18 @@ outcomes.  `protocol.line_value` is the per-answer form of the same rule.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from .gf import FieldElement
 from .measurements import (
+    COMPLETENESS_TOL,
+    HERMITIAN_TOL,
+    PSD_FLOOR,
     SubMeasurement,
     diagonal_indicator_family,
     expect_joint,
@@ -43,19 +52,20 @@ from .polyspace import (
 )
 from .protocol import (
     AXIS,
-    DIAG,
     GROUPS,
-    SELFCONS,
+    SUBTESTS,
     ProtocolError,
+    Support,
     TestParams,
     all_questions,
     check_answer_format,
-    enumerate_rounds,
     question_group,
+    support_table,
     verdict,
 )
 
 QUANTUM_DIM_CAP = 64
+VALIDATION_ENTRIES = 2 ** 13  # matrix entries per stacked family test
 
 
 @dataclass
@@ -81,12 +91,16 @@ def lookup(layout, role, question):
 
 class ClassicalStrategy:
     """Total answer tables {group: {question: answer}}, with answers
-    FieldElement or UniPoly; `tables_b`, when given, answers for role B."""
+    FieldElement or UniPoly; `tables_b`, when given, answers for role B.
+    `rows[role]` holds the answers as integer rows by question position."""
 
     def __init__(self, params: TestParams, tables, tables_b=None):
         self.params = params
         self.tables = {"A": tables, "B": tables if tables_b is None else tables_b}
         self.symmetric = tables_b is None
+        rows_a = answer_rows(params, tables)
+        self.rows = {"A": rows_a,
+                     "B": rows_a if tables_b is None else answer_rows(params, tables_b)}
 
     def answer(self, role, question):
         ans = lookup(self.tables, role, question)
@@ -101,9 +115,42 @@ class ClassicalStrategy:
         """1 if the verifier accepts this round's answers, else 0."""
         return int(verdict(sample, self.answers(sample)))
 
+    def acceptance(self, support: Support):
+        """Every round's verdict at once: the line side's value at the
+        point's parameter against the point side's value (in a selfcons
+        round, A's value against B's); as (0/1 array, denominator 1)."""
+        rows = np.stack([self.rows["A"], self.rows["B"]])
+        side = (support.line_role == 1).astype(np.intp)
+        q_line = np.where(side, support.q_b, support.q_a)
+        q_point = np.where(side, support.q_a, support.q_b)
+        hits = rows[side, q_line, np.maximum(support.t, 0)] == rows[1 - side, q_point, 0]
+        return hits.astype(np.int64), 1
 
-def honest_strategy(params: TestParams, g: MultiPoly) -> ClassicalStrategy:
-    """Answer every question from the fixed polynomial g."""
+
+def answer_rows(params: TestParams, tables) -> np.ndarray:
+    """A total answer table as one integer row of q values per question
+    position: a line answer's values at each line parameter (label_values),
+    or a value answer repeated.  Each answer's format is checked here, once."""
+    questions = support_table(params).questions
+    rows = np.empty((len(questions), params.q), dtype=np.int64)
+    at, polys = [], []
+    for pos, (group, question) in enumerate(questions):
+        ans = tables.get(group, {}).get(question)
+        if ans is None:
+            raise ProtocolError(f"no answer for the {group} question {question}")
+        check_answer_format(params, question, ans)
+        if isinstance(ans, UniPoly):
+            at.append(pos)
+            polys.append(ans)
+        else:
+            rows[pos] = ans.i
+    if polys:
+        rows[at] = label_values(polys)
+    return rows
+
+
+def honest_tables(params: TestParams, g: MultiPoly):
+    """Answer tables for every question from the fixed polynomial g."""
     tables = {group: {} for group in GROUPS}
     for group, question in all_questions(params):
         if group == "points":
@@ -115,7 +162,12 @@ def honest_strategy(params: TestParams, g: MultiPoly) -> ClassicalStrategy:
         else:
             ans = restrict_diagonal(g, question).rebound(params.m * params.d)
         tables[group][question] = ans
-    return ClassicalStrategy(params, tables)
+    return tables
+
+
+def honest_strategy(params: TestParams, g: MultiPoly) -> ClassicalStrategy:
+    """Answer every question from the fixed polynomial g."""
+    return ClassicalStrategy(params, honest_tables(params, g))
 
 
 def example_adversary(params: TestParams) -> ClassicalStrategy:
@@ -129,12 +181,12 @@ def example_adversary(params: TestParams) -> ClassicalStrategy:
     if params.m * d < d + 1:
         raise ProtocolError("need m * d >= d + 1 so diagonal answers can hold "
                             "the points function")
-    strategy = honest_strategy(params, adversary_points_polynomial(params))
-    axis_fn = strategy.tables["A"]["axis"]
+    tables = honest_tables(params, adversary_points_polynomial(params))
+    axis_fn = tables["axis"]
     for line, answer in axis_fn.items():
         # give up in the first direction; h is constant along the others
         axis_fn[line] = UniPoly(f, [0], bound=d) if line.axis == 0 else answer.rebound(d)
-    return strategy
+    return ClassicalStrategy(params, tables)
 
 
 def adversary_points_polynomial(params: TestParams) -> MultiPoly:
@@ -154,6 +206,13 @@ class RandomizedClassicalStrategy:
     def accept(self, sample) -> Fraction:
         """Exact acceptance probability of one round under the mixture."""
         return sum(w * s.accept(sample) for w, s in self.weighted_tables)
+
+    def acceptance(self, support: Support):
+        """Every round's acceptance as integer numerators over the common
+        denominator of the weights."""
+        den = lcm(*(w.denominator for w, _ in self.weighted_tables))
+        num = sum(int(w * den) * s.acceptance(support)[0] for w, s in self.weighted_tables)
+        return num, den
 
 
 class QuantumStrategy:
@@ -186,23 +245,24 @@ class QuantumStrategy:
         norm = float(np.sum(np.abs(self.Psi) ** 2))
         if abs(norm - 1.0) > 1e-9:
             raise ProtocolError(f"state norm {norm:.2e} != 1")
+        questions = {question for _, question in support_table(self.params).questions}
         for role, fams in self.families.items():
             dim = da if role == "A" else db
+            missing = questions.difference(*fams.values())
+            if missing:
+                raise ProtocolError(f"no {role} family for the question {min(missing, key=str)}")
             for group in fams.values():
-                for sub in group.values():
-                    sub.validate()
-                    if sub.dim != dim:
-                        raise ProtocolError("family dimension mismatch")
-                    if not sub.is_measurement():
-                        raise ProtocolError("strategy families must be measurements")
-                    if self.projective and not sub.is_projective():
-                        raise ProtocolError("projective flag violated")
+                check_families(list(group.values()), dim, self.projective)
         if self.symmetric:
             if not is_swap_invariant(self.Psi):
                 raise ProtocolError("symmetric strategy needs a swap-invariant state")
             if self.families["A"] is not self.families["B"]:
                 raise ProtocolError("symmetric strategy shares one family table")
         return self
+
+    def acceptance(self, support: Support):
+        """Every round's `accept`, in round order, as (floats, denominator 1)."""
+        return np.array([self.accept(s) for s in support.samples()], dtype=float), 1
 
     def round_family(self, role, sample) -> SubMeasurement:
         """The family `role` measures in this round.  A line family is grouped
@@ -233,32 +293,108 @@ class QuantumStrategy:
         return total
 
 
+def check_family(sub: SubMeasurement, dim, projective):
+    """One strategy family's checks, in order; raises on the first failure."""
+    sub.validate()
+    if sub.dim != dim:
+        raise ProtocolError("family dimension mismatch")
+    if not sub.is_measurement():
+        raise ProtocolError("strategy families must be measurements")
+    if projective and not sub.is_projective():
+        raise ProtocolError("projective flag violated")
+
+
+def check_families(subs, dim, projective):
+    """check_family over a group of families, as stacked Hermitian, PSD and
+    completeness tests of about VALIDATION_ENTRIES operator entries each
+    (which bounds their temporaries).  A stack that fails is checked family
+    by family, so the first bad family raises the message it raises alone."""
+    ends = np.cumsum([s.ops.size for s in subs]) // VALIDATION_ENTRIES
+    for chunk in np.split(np.arange(len(subs)), np.flatnonzero(np.diff(ends)) + 1):
+        fams = [subs[k] for k in chunk]
+        if fams and not _stack_ok(fams, dim, projective):
+            for sub in fams:
+                check_family(sub, dim, projective)
+
+
+def _stack_ok(fams, dim, projective):
+    """Whether every family passes check_family, by one stacked test."""
+    if any(s.dim != dim or not s.outcomes for s in fams):
+        return False
+    ops = np.concatenate([s.ops for s in fams])
+    totals = np.add.reduceat(ops, np.cumsum([0] + [len(s.outcomes) for s in fams[:-1]]))
+    return bool(np.abs(ops - ops.conj().transpose(0, 2, 1)).max() <= HERMITIAN_TOL
+                and np.linalg.eigvalsh(ops).min() >= PSD_FLOOR
+                and np.linalg.eigvalsh(totals).max() <= 1 + COMPLETENESS_TOL
+                and np.abs(totals - np.eye(dim)).max() <= COMPLETENESS_TOL
+                and (not projective or np.abs(ops @ ops - ops).max() <= 1e-9))
+
+
 def group_by_value(fam: SubMeasurement, values, f) -> SubMeasurement:
     """fam's outcomes grouped by the integer-encoded values they give (one
     per outcome: a column of label_values), relabelled as FieldElements so
-    they match value-labelled families (a FieldElement and an int hash
-    differently)."""
+    they match value-labelled families (an int names a FieldElement only in
+    the prime subfield)."""
     grouped = fam.group(values.tolist())
     return SubMeasurement(tuple(f.element(v) for v in grouped.outcomes), grouped.ops,
                           check=False)
 
 
-def judge(strategy, params: TestParams):
-    """Every round of the support once, as (sample, acceptance probability)."""
-    return [(sample, strategy.accept(sample)) for sample in enumerate_rounds(params)]
+@dataclass(frozen=True, eq=False)
+class Judged:
+    """Every round of a Support with its acceptance probability,
+    acceptance / denominator: 0/1 for tables, integer numerators for
+    mixtures, floats for quantum strategies."""
+
+    support: Support
+    acceptance: np.ndarray
+    denominator: int = 1
+
+    def __len__(self):
+        return len(self.support)
+
+    def __iter__(self):
+        """(RoundSample, acceptance probability) per round, in round order."""
+        accs = self.acceptance.tolist()
+        if self.denominator != 1:
+            accs = [Fraction(a, self.denominator) for a in accs]
+        return zip(self.support.samples(), accs)
 
 
-def goodness(judged) -> Goodness:
+def judge(strategy, params: TestParams) -> Judged:
+    """Every round of the support once, with the strategy's acceptance."""
+    own = strategy.params
+    if (own.field, own.m, own.d) != (params.field, params.m, params.d):
+        raise ProtocolError(f"the strategy answers q={own.q} m={own.m} d={own.d} questions, "
+                            f"not q={params.q} m={params.m} d={params.d}")
+    support = support_table(params)
+    return Judged(support, *strategy.acceptance(support))
+
+
+def _mass_sum(support: Support, rows, counts) -> Fraction:
+    """Exact sum over the rows of each round's mass times its integer count."""
+    classes, counts = support.mass_class[rows], counts[rows]
+    return sum((support.masses[c] * int(counts[classes == c].sum())
+                for c in np.unique(classes).tolist()), Fraction(0))
+
+
+def goodness(judged: Judged) -> Goodness:
     """Per-subtest failure probabilities of judged rounds, conditional on the
-    subtest: exact for tables, floating point for quantum strategies."""
-    fail, mass = {}, {}
-    for sample, acc in judged:
-        zero = acc * 0  # sums stay in the acceptance's number type
-        sub = sample.subtest
-        fail[sub] = fail.get(sub, zero) + sample.mass * (1 - acc)
-        mass[sub] = mass.get(sub, zero) + sample.mass
-    return Goodness(*(fail[sub] / mass[sub] if mass.get(sub) else Fraction(0)
-                      for sub in (AXIS, SELFCONS, DIAG)))
+    subtest: exact for tables, floating point (summed in round order) for
+    quantum strategies."""
+    s, acc, den = judged.support, judged.acceptance, judged.denominator
+    out = []
+    for k in range(len(SUBTESTS)):
+        rows = s.subtest == k
+        if not rows.any():
+            out.append(Fraction(0))
+        elif acc.dtype.kind == "f":
+            masses = [s.masses[c] for c in s.mass_class[rows].tolist()]
+            fail = sum((m * (1 - a) for m, a in zip(masses, acc[rows].tolist())), 0.0)
+            out.append(fail / sum(masses, 0.0))
+        else:
+            out.append(_mass_sum(s, rows, den - acc) / den / _mass_sum(s, rows, np.ones_like(acc)))
+    return Goodness(*out)
 
 
 def pass_probabilities(strategy, params: TestParams = None) -> Goodness:
@@ -266,84 +402,92 @@ def pass_probabilities(strategy, params: TestParams = None) -> Goodness:
     return goodness(judge(strategy, params or strategy.params))
 
 
-def pass_probabilities_monte_carlo(judged, n_samples, seed):
+def pass_probabilities_monte_carlo(judged: Judged, n_samples, seed):
     """Sampling estimator with binomial standard errors, for scaling only."""
+    s, acc = judged.support, judged.acceptance
     rng = np.random.default_rng(seed)
-    masses = np.array([float(sample.mass) for sample, _ in judged])
+    masses = np.array([float(m) for m in s.masses])[s.mass_class]
     masses /= masses.sum()
-    counts = {AXIS: [0, 0], SELFCONS: [0, 0], DIAG: [0, 0]}
-    idx = rng.choice(len(judged), size=n_samples, p=masses)
-    for i in idx:
-        sample, acc = judged[i]
-        counts[sample.subtest][0] += 1
-        counts[sample.subtest][1] += 0 if rng.random() < acc else 1
+    idx = rng.choice(len(s), size=n_samples, p=masses)
+    draws = rng.random(n_samples)
+    ratio = acc[idx] / judged.denominator
+    passed = draws < ratio
+    if acc.dtype.kind != "f":
+        # ratio is a / den rounded to the nearest double, so it orders every
+        # draw as a / den does, except a draw equal to it
+        for j in np.flatnonzero(draws == ratio).tolist():
+            passed[j] = Fraction(draws[j]) < Fraction(int(acc[idx[j]]), judged.denominator)
+    subtest = s.subtest[idx]
     out = {}
-    for sub, (n, bad) in counts.items():
+    for j, sub in enumerate(SUBTESTS):
+        n = int(np.count_nonzero(subtest == j))
         if n == 0:
             out[sub] = (float("nan"), float("nan"))
         else:
-            p = bad / n
+            p = int(np.count_nonzero((subtest == j) & ~passed)) / n
             out[sub] = (p, float(np.sqrt(max(p * (1 - p), 1.0 / n) / n)))
     return out
 
 
-def export_transcript(strategy: ClassicalStrategy, path, judged):
+def _describe_question(question):
+    if isinstance(question, Point):
+        return {"kind": "point", "u": [c.coeffs for c in question]}
+    if isinstance(question, AxisLine):
+        return {"kind": "axis_line", "axis": question.axis,
+                "base": [c.coeffs for c in question.base]}
+    return {"kind": "diag_line", "base": [c.coeffs for c in question.base],
+            "dir": [c.coeffs for c in question.direction]}
+
+
+def _describe_answer(f, ans):
+    if isinstance(ans, FieldElement):
+        return {"value": ans.coeffs}
+    return {"coeffs": [list(f.element(c).coeffs) for c in ans.coeffs]}
+
+
+def export_transcript(strategy: ClassicalStrategy, path, judged: Judged):
     """Write the audit transcript of judged rounds as JSON lines, one per
     support sample: subtest, role holding the line, questions, answers,
-    verdict, and exact mass.  Returns the number of records."""
-    import json
-
+    verdict, and exact mass.  Each line joins JSON fragments rendered once
+    per distinct question, answer and mass, and is written as it is made.
+    Returns the number of records."""
     if not isinstance(strategy, ClassicalStrategy):
         raise ProtocolError("transcripts are defined for deterministic tables")
-    f = strategy.params.field
+    f, s = strategy.params.field, judged.support
 
-    def describe(question):
-        if isinstance(question, Point):
-            return {"kind": "point", "u": [c.coeffs for c in question]}
-        if isinstance(question, AxisLine):
-            return {
-                "kind": "axis_line",
-                "axis": question.axis,
-                "base": [c.coeffs for c in question.base],
-            }
-        return {
-            "kind": "diag_line",
-            "base": [c.coeffs for c in question.base],
-            "dir": [c.coeffs for c in question.direction],
-        }
+    def dumps(obj):
+        return json.dumps(obj, sort_keys=True)
 
-    def describe_answer(ans):
-        if isinstance(ans, FieldElement):
-            return {"value": ans.coeffs}
-        return {"coeffs": [list(f.element(c).coeffs) for c in ans.coeffs]}
+    questions = [dumps(_describe_question(q)) for _, q in s.questions]
 
+    def answers(role):
+        table = strategy.tables[role]
+        return [dumps(_describe_answer(f, table[group][q])) for group, q in s.questions]
+
+    answers_a = answers("A")
+    answers_b = answers_a if strategy.symmetric else answers("B")
+    masses = [dumps(str(m)) for m in s.masses]
+    subtests = [dumps(sub) for sub in SUBTESTS]
+    roles = {0: '"A"', 1: '"B"', -1: "null"}
     with open(path, "w") as fh:
-        for sample, acc in judged:
-            answers = strategy.answers(sample)
-            record = {
-                "subtest": sample.subtest,
-                "role": sample.line_role,
-                "question_a": describe(sample.question_a),
-                "question_b": describe(sample.question_b),
-                "answer_a": describe_answer(answers[0]),
-                "answer_b": describe_answer(answers[1]),
-                "accept": bool(acc),
-                "mass": str(sample.mass),
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    return len(judged)
+        fh.writelines(
+            f'{{"accept": {"true" if acc else "false"}, "answer_a": {answers_a[a]}, '
+            f'"answer_b": {answers_b[b]}, "mass": {masses[c]}, "question_a": {questions[a]}, '
+            f'"question_b": {questions[b]}, "role": {roles[r]}, "subtest": {subtests[k]}}}\n'
+            for acc, a, b, c, r, k in zip(
+                judged.acceptance.tolist(), s.q_a.tolist(), s.q_b.tolist(),
+                s.mass_class.tolist(), s.line_role.tolist(), s.subtest.tolist()))
+    return len(s)
 
 
-def axis_failure_pessimistic(judged):
+def axis_failure_pessimistic(judged: Judged):
     """Axis failure of judged rounds where every round whose line runs in the
     first direction counts as a loss (the accounting under which the
     adversary fails 1/m)."""
-    fail = mass = 0
-    for sample, acc in judged:
-        if sample.subtest == AXIS:
-            mass += sample.mass
-            fail += sample.mass if sample.line.axis == 0 else sample.mass * (1 - acc)
-    return fail / mass
+    s, den = judged.support, judged.denominator
+    rows = s.subtest == SUBTESTS.index(AXIS)
+    lost = np.where(s.axis == 0, den, den - judged.acceptance)
+    return _mass_sum(s, rows, lost) / den / _mass_sum(s, rows, np.ones_like(lost))
 
 
 def best_polyspace_agreement(params: TestParams, points_fn) -> Fraction:

@@ -117,13 +117,20 @@ def _classical_tables_out(f, tables):
     }
 
 
+def _file_under(table, question, entry):
+    """table[question] = entry, for a question no earlier record gave."""
+    if question in table:
+        raise StrategyFileError(f"two records for the question {question}")
+    table[question] = entry
+
+
 def _classical_tables_in(params: TestParams, data):
     tables = {}
     for group, name in CLASSICAL_RECORDS.items():
         tables[group] = {}
         for rec in data[name]:
             question = _question_in(params.field, group, rec)
-            tables[group][question] = _answer_in(params, question, rec)
+            _file_under(tables[group], question, _answer_in(params, question, rec))
     return tables
 
 
@@ -161,11 +168,11 @@ def _families_in(params: TestParams, data):
         families[group] = {}
         for rec in data[group]:
             question = _question_in(params.field, group, rec)
-            families[group][question] = SubMeasurement(
+            _file_under(families[group], question, SubMeasurement(
                 tuple(_answer_in(params, question, o) for o in rec["outcomes"]),
                 np.array([_matrix_in(op) for op in rec["ops"]]),
                 check=False,
-            )
+            ))
     return families
 
 

@@ -1,0 +1,166 @@
+"""Object-walking references for the integer support table and judge: the
+question support enumerated round by round with AxisLine/DiagonalLine.through,
+and the per-round goodness, Monte Carlo and transcript loops.  Tests compare
+the fast paths in `protocol` and `strategies` against these."""
+
+import itertools
+import json
+from fractions import Fraction
+
+import numpy as np
+
+from lidtest.gf import FieldElement
+from lidtest.polyspace import AxisLine, DiagonalLine, Point, all_points, point
+from lidtest.protocol import AXIS, DIAG, ROLES, SELFCONS, ProtocolError, RoundSample
+
+
+def _assign(role, line_q, point_q):
+    return (line_q, point_q) if role == "A" else (point_q, line_q)
+
+
+def _axis_rounds(params, pts):
+    f, m = params.field, params.m
+    weight = params.weight(AXIS)
+    if weight == 0:
+        return
+    base = weight * Fraction(1, 2) * Fraction(1, f.q ** m) * Fraction(1, m)
+    lines = [[AxisLine.through(u, i) for i in range(m)] for u in pts]
+    for role in ROLES:
+        for u, u_lines in zip(pts, lines):
+            for line in u_lines:
+                yield RoundSample(AXIS, *_assign(role, line, u), base)
+
+
+def _selfcons_rounds(params, pts):
+    weight = params.weight(SELFCONS)
+    if weight == 0:
+        return
+    for u in pts:
+        yield RoundSample(SELFCONS, u, u, weight * Fraction(1, params.q ** params.m))
+
+
+def _diag_rounds(params, pts, weight=None, restrict_i=None):
+    """restrict_i (1-based direction count) conditions on that draw and
+    renormalizes, the restricted variant of the diagonal test.  Each line is
+    built once per (u, v), and one object per distinct line is shared by both
+    roles and every count."""
+    f, m = params.field, params.m
+    weight = params.weight(DIAG) if weight is None else weight
+    if weight == 0:
+        return
+    i_values = range(1, m + 1) if restrict_i is None else (restrict_i,)
+    i_mass = Fraction(1, m) if restrict_i is None else Fraction(1)
+    top = max(i_values)
+    dirs = [point(f, v + (0,) * (m - top)) for v in itertools.product(range(f.q), repeat=top)]
+    canonical = {}
+    lines = [[canonical.setdefault(line, line) for line in (DiagonalLine.through(u, v) for v in dirs)]
+             for u in pts]
+    for role in ROLES:
+        for u, u_lines in zip(pts, lines):
+            for i in i_values:
+                mass = weight * Fraction(1, 2) * Fraction(1, f.q ** m) * i_mass * Fraction(1, f.q ** i)
+                # the count-i directions are every q^(top - i)-th of dirs
+                for line in u_lines[::f.q ** (top - i)]:
+                    yield RoundSample(DIAG, *_assign(role, line, u), mass)
+
+
+def reference_rounds(params):
+    """The full question distribution, round by round, in support order."""
+    pts = list(all_points(params.field, params.m))
+    yield from _axis_rounds(params, pts)
+    yield from _selfcons_rounds(params, pts)
+    yield from _diag_rounds(params, pts)
+
+
+def reference_questions(params):
+    """Every question once: the points, then the axis and diagonal lines
+    through every (point, axis) and (point, direction) pair, first-met order."""
+    pts = list(all_points(params.field, params.m))
+    listed = [("points", u) for u in pts]
+    seen = set()
+    for group, line in itertools.chain(
+            (("axis", AxisLine.through(u, i)) for u in pts for i in range(params.m)),
+            (("diag", DiagonalLine.through(u, v)) for u in pts for v in pts)):
+        if line not in seen:
+            seen.add(line)
+            listed.append((group, line))
+    return listed
+
+
+def restricted_diag_distribution(params, j):
+    """Diagonal test conditioned on the direction count being j (1 <= j <= m)."""
+    if not 1 <= j <= params.m:
+        raise ProtocolError(f"direction count {j} out of range 1..{params.m}")
+    pts = list(all_points(params.field, params.m))
+    yield from _diag_rounds(params, pts, weight=Fraction(1), restrict_i=j)
+
+
+def total_mass(samples):
+    return sum((s.mass for s in samples), Fraction(0))
+
+
+def reference_goodness(pairs):
+    """Per-subtest failure of (sample, acceptance) pairs, summed round by round."""
+    fail, mass = {}, {}
+    for sample, acc in pairs:
+        zero = acc * 0
+        sub = sample.subtest
+        fail[sub] = fail.get(sub, zero) + sample.mass * (1 - acc)
+        mass[sub] = mass.get(sub, zero) + sample.mass
+    return tuple(fail[sub] / mass[sub] if mass.get(sub) else Fraction(0)
+                 for sub in (AXIS, SELFCONS, DIAG))
+
+
+def reference_monte_carlo(pairs, n_samples, seed):
+    """The sampling estimator with one rng.random() call per draw."""
+    rng = np.random.default_rng(seed)
+    masses = np.array([float(sample.mass) for sample, _ in pairs])
+    masses /= masses.sum()
+    counts = {AXIS: [0, 0], SELFCONS: [0, 0], DIAG: [0, 0]}
+    for i in rng.choice(len(pairs), size=n_samples, p=masses):
+        sample, acc = pairs[i]
+        counts[sample.subtest][0] += 1
+        counts[sample.subtest][1] += 0 if rng.random() < acc else 1
+    out = {}
+    for sub, (n, bad) in counts.items():
+        if n == 0:
+            out[sub] = (float("nan"), float("nan"))
+        else:
+            p = bad / n
+            out[sub] = (p, float(np.sqrt(max(p * (1 - p), 1.0 / n) / n)))
+    return out
+
+
+def reference_transcript(strategy, path, pairs):
+    """The transcript written record by record from the round objects."""
+    f = strategy.params.field
+
+    def describe(question):
+        if isinstance(question, Point):
+            return {"kind": "point", "u": [c.coeffs for c in question]}
+        if isinstance(question, AxisLine):
+            return {"kind": "axis_line", "axis": question.axis,
+                    "base": [c.coeffs for c in question.base]}
+        return {"kind": "diag_line", "base": [c.coeffs for c in question.base],
+                "dir": [c.coeffs for c in question.direction]}
+
+    def describe_answer(ans):
+        if isinstance(ans, FieldElement):
+            return {"value": ans.coeffs}
+        return {"coeffs": [list(f.element(c).coeffs) for c in ans.coeffs]}
+
+    with open(path, "w") as fh:
+        for sample, acc in pairs:
+            answers = strategy.answers(sample)
+            record = {
+                "subtest": sample.subtest,
+                "role": sample.line_role,
+                "question_a": describe(sample.question_a),
+                "question_b": describe(sample.question_b),
+                "answer_a": describe_answer(answers[0]),
+                "answer_b": describe_answer(answers[1]),
+                "accept": bool(acc),
+                "mass": str(sample.mass),
+            }
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    return len(pairs)

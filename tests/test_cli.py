@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lidtest.cli import main
-from lidtest.gf import field
+from lidtest.gf import field, field_for_order
 from lidtest.polyspace import MultiPoly, UniPoly
 from lidtest.protocol import TestParams
 from lidtest.stratfile import load_strategy, save_strategy
@@ -128,27 +128,45 @@ def test_malformed_line_outcome_is_a_strategy_file_error(tmp_path, outcome):
 
 
 def test_run_test_enumerates_the_support_once(tmp_path, monkeypatch):
+    # one support table is built per run, its lines come from integer arrays
+    # rather than one DiagonalLine.through per (point, direction) pair, and
+    # each answer's format is checked once per question, not once per round
     from lidtest import protocol, strategies
     from lidtest.instances import corrupted_tables
+    from lidtest.polyspace import DiagonalLine
 
-    calls = []
-
-    def counting(params):
-        calls.append(params)
-        return protocol.enumerate_rounds(params)
-
-    monkeypatch.setattr(strategies, "enumerate_rounds", counting)
     params = TestParams(field(3), 2, 1)
     (_, strat), = corrupted_tables(params, 1, 2, np.random.default_rng(0))
     path = tmp_path / "classical.json"
     save_strategy(strat, path)
-    cfg = {"q": 3, "m": 2, "d": 1, "strategy": str(path), "mc_samples": 200,
-           "transcript": str(tmp_path / "transcript.jsonl")}
-    code, out = run_cli(tmp_path, "run-test", cfg, "once", seed=1)
+    builds, throughs, checks = [], [], []
+
+    def counting_support(*args):
+        builds.append(args)
+        return support_class(*args)
+
+    def counting_check(*args):
+        checks.append(args)
+        return check_answer_format(*args)
+
+    support_class, check_answer_format = protocol.Support, strategies.check_answer_format
+    monkeypatch.setattr(protocol, "Support", counting_support)
+    monkeypatch.setattr(strategies, "check_answer_format", counting_check)
+    monkeypatch.setattr(DiagonalLine, "through",
+                        classmethod(lambda cls, u, v: throughs.append((u, v))))
+    protocol.support_table.cache_clear()
+    try:
+        cfg = {"q": 3, "m": 2, "d": 1, "strategy": str(path), "mc_samples": 200,
+               "transcript": str(tmp_path / "transcript.jsonl")}
+        code, out = run_cli(tmp_path, "run-test", cfg, "once", seed=1)
+    finally:
+        protocol.support_table.cache_clear()
     assert code == 0
     rep = json.loads(out.read_text())["report"]
     assert "monte_carlo" in rep and rep["transcript_rounds"] > 0
-    assert len(calls) == 1
+    assert len(builds) == 1
+    assert throughs == []
+    assert len(checks) == len(builds[0][0]) < rep["transcript_rounds"]
 
 
 def test_invalid_strategy_file_exit_code(tmp_path):
@@ -190,6 +208,27 @@ def test_honest_poly_index_out_of_range_is_config_error(tmp_path, capsys, index)
     assert "poly_index" in capsys.readouterr().err
 
 
+def write_classical_file(path, q, m, edit=lambda doc: None):
+    """A corrupted-table classical strategy file, its JSON edited by `edit`."""
+    from lidtest.instances import corrupted_tables
+
+    params = TestParams(field_for_order(q), m, 1)
+    (_, strat), = corrupted_tables(params, 1, 2, np.random.default_rng(0))
+    save_strategy(strat, path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+BAD_CLASSICAL_FILES = {
+    "missing-record.json": lambda path: write_classical_file(
+        path, 3, 2, lambda doc: doc["tables"]["points"].pop()),
+    "repeated-record.json": lambda path: write_classical_file(
+        path, 3, 2, lambda doc: doc["tables"]["axis_lines"].append(doc["tables"]["axis_lines"][0])),
+    "q4m3.json": lambda path: write_classical_file(path, 4, 3),
+}
+
+
 @pytest.mark.parametrize("command,cfg,expected", [
     ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": {"builtin": "honest"}}, 2),
     ("spectrum", {"q": 3}, 2),
@@ -207,10 +246,17 @@ def test_honest_poly_index_out_of_range_is_config_error(tmp_path, capsys, index)
     ("sdp", {"q": 2, "m": 1, "d": 1, "gap_tol": 0}, 2),
     ("sdp", {"q": 2, "m": 1, "d": 1, "gap_tol": -1}, 2),
     ("sdp", {"q": 2, "m": 1, "d": 1, "gap_tol": "abc"}, 2),
+    # classical files with a record dropped or repeated, and a q=4 m=3 file
+    # run under a q=3 m=2 config
+    ("run-test", {"q": 3, "m": 2, "d": 1, "strategy": "missing-record.json"}, 3),
+    ("run-test", {"q": 3, "m": 2, "d": 1, "strategy": "repeated-record.json"}, 3),
+    ("run-test", {"q": 3, "m": 2, "d": 1, "strategy": "q4m3.json"}, 3),
 ])
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, command, cfg, expected):
     (tmp_path / "notjson.json").write_text("{not json")
     if isinstance(cfg.get("strategy"), str):
+        if cfg["strategy"] in BAD_CLASSICAL_FILES:
+            BAD_CLASSICAL_FILES[cfg["strategy"]](tmp_path / cfg["strategy"])
         cfg = {**cfg, "strategy": str(tmp_path / cfg["strategy"])}
     code, out = run_cli(tmp_path, command, cfg, "badinput")
     assert code == expected
@@ -406,3 +452,36 @@ def test_asymmetric_classical_file_round_trip(tmp_path):
     a1 = pass_probabilities(loaded, params)
     assert (a0.eps, a0.delta, a0.gamma) == (a1.eps, a1.delta, a1.gamma)
     assert a0.delta > 0  # the two roles answer from different polynomials
+
+
+# sha256 of reports and transcripts as the integer-indexed classical path was
+# introduced; a change to any of these bytes is a change to criterion 13's output
+GOLDEN = {
+    "strategy.json": "db2861b51623146d97aa3920382aadaad07d507adf4afb36ffe6a1c8042ad66f",
+    "classical.json": "381b6bab910df9ab88640386523ec4385e35287bf77429b872fbf63d165f5537",
+    "transcript.jsonl": "693f046528041324bd2667b3b123d52e5795f1444130a3a60e39975ad140fd53",
+    "quantum.json": "036575208c56b02b336ea0b2e5dd583af7fd7490dd2bb6de8cdb19bb08a371be",
+}
+
+
+def test_golden_report_hashes(tmp_path, monkeypatch):
+    import hashlib
+
+    from lidtest.instances import corrupted_tables
+
+    def cli(out, **cfg):
+        argv = ["run-test", "--seed", "0", "--out", out]
+        for key, value in cfg.items():
+            argv += ["--set", f"{key}={json.dumps(value)}"]
+        assert main(argv) == 0
+
+    monkeypatch.chdir(tmp_path)
+    params = TestParams(field(3), 2, 1)
+    (_, strat), = corrupted_tables(params, 1, 5, np.random.default_rng(0))
+    save_strategy(strat, "strategy.json")
+    cli("classical.json", q=3, m=2, d=1, strategy="strategy.json", mc_samples=2000,
+        transcript="transcript.jsonl")
+    cli("quantum.json", q=3, m=2, d=1, strategy={"builtin": "noisy"})
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in GOLDEN}
+    assert got == GOLDEN

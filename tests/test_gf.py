@@ -184,3 +184,18 @@ def test_vectorized_ops_match_scalar():
 def test_size_guard():
     with pytest.raises(FieldError):
         GF(2, 17)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_equal_values_hash_equally(q):
+    # a FieldElement equals the int that names it in the prime subfield, and
+    # then hashes like it, so either one finds the other in a dict
+    f = field_for_order(q)
+    assert {0: "zero"}.get(f.zero) == "zero"
+    assert {f.one: "one"}.get(1) == "one"
+    for e in f.elements():
+        for c in range(-2 * q, 2 * q):
+            assert (e == c) == (c == e) == (c < f.p and e.i == c >= 0)
+            if e == c:
+                assert hash(e) == hash(c)
+        assert hash(e) == hash(f.element(e.i))

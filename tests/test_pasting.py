@@ -16,16 +16,11 @@ from lidtest.pasting import (
     complete_slice_families,
     distinct_tuple_count,
     distinct_tuples,
-    is_global_tuple,
-    marginalize_last,
-    outcomes_of_type,
     pasted_measurement,
     sandwich,
     sandwich_total,
     scalar_ineq_check,
-    tuple_for,
     tv_distance_uniform_vs_distinct,
-    type_of,
 )
 from lidtest.polyspace import (
     MultiPoly,
@@ -33,6 +28,49 @@ from lidtest.polyspace import (
     interpolate_parallel,
     slice_at,
 )
+
+
+# ---- brute-force references: outcome tuples of the pasting construction --------
+
+
+def marginalize_last(ghat_by_x, coords, outcomes) -> np.ndarray:
+    """Sum over the last slot; equals the one-shorter sandwich."""
+    fam = ghat_by_x[coords[-1]]
+    return sum(
+        sandwich(ghat_by_x, coords, tuple(outcomes) + (g,))
+        for g in fam.outcomes
+    )
+
+
+def type_of(outcomes) -> tuple:
+    return tuple(0 if g is BOTTOM else 1 for g in outcomes)
+
+
+def tuple_for(h, coords, w) -> tuple:
+    """The outcome tuple h_w: slice of h on hits, completion slot on misses."""
+    f = h.field
+    return tuple(
+        slice_at(h, f.element(x)) if bit else BOTTOM
+        for x, bit in zip(coords, w)
+    )
+
+
+def outcomes_of_type(f, m: int, d: int, tau):
+    """Outcomes_tau: every tuple with polynomials exactly on the support."""
+    polys = list(enumerate_polyspace(f, m, d))
+    pools = [polys if bit else [BOTTOM] for bit in tau]
+    return itertools.product(*pools)
+
+
+def is_global_tuple(outcomes, coords, f, d: int) -> bool:
+    """Whether the non-completion slots agree with one global polynomial."""
+    hits = [(x, g) for x, g in zip(coords, outcomes) if g is not BOTTOM]
+    if len(hits) < d + 1:
+        return False
+    nodes = hits[: d + 1]
+    h = interpolate_parallel([(f.element(x), g) for x, g in nodes], d)
+    return all(slice_at(h, f.element(x)) == g for x, g in hits)
+
 
 
 def test_distinct_tuples_count():

@@ -14,10 +14,10 @@ from lidtest.protocol import (
     TestParams,
     check_answer_format,
     enumerate_rounds,
-    restricted_diag_distribution,
-    total_mass,
     verdict,
 )
+
+from oracles import restricted_diag_distribution, total_mass
 
 
 def params_for(q, m, d, weights=None):

@@ -1,0 +1,252 @@
+"""Differential tests of the integer support table and the array judge
+against the object-walking references in `oracles`."""
+
+from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from lidtest import strategies
+from lidtest.gf import field_for_order
+from lidtest.instances import corrupted_tables, noisy_shared_randomness_strategy
+from lidtest.measurements import MeasurementError, SubMeasurement
+from lidtest.polyspace import AxisLine, DiagonalLine, MultiPoly
+from lidtest.protocol import ProtocolError, TestParams, support_table, verdict
+from lidtest.strategies import (
+    ClassicalStrategy,
+    RandomizedClassicalStrategy,
+    axis_failure_pessimistic,
+    check_family,
+    example_adversary,
+    export_transcript,
+    goodness,
+    honest_strategy,
+    judge,
+    pass_probabilities_monte_carlo,
+)
+
+from oracles import (
+    reference_goodness,
+    reference_monte_carlo,
+    reference_questions,
+    reference_rounds,
+    reference_transcript,
+)
+
+# q = 4 is GF(2^2); q^m stays under the support guard on the whole grid.  The
+# largest point, q = 5 and m = 3 (38,750 diagonal rounds), runs one variant
+# of each test, to keep the object-walking references to a few seconds.
+QM = [(q, m) for q in (2, 3, 4, 5) for m in (1, 2, 3)]
+VARIANTS = [(q, m, v) for q, m in QM for v in (0, 1) if (q, m) != (5, 3) or v == 1]
+
+
+def params_for(q, m, d, weights=None):
+    f = field_for_order(q)
+    return TestParams(f, m, d) if weights is None else TestParams(f, m, d, weights=weights)
+
+
+@pytest.mark.parametrize("q,m,custom_weights", VARIANTS)
+def test_support_table_matches_object_enumeration(q, m, custom_weights):
+    weights = (Fraction(1, 2), Fraction(1, 6), Fraction(1, 3)) if custom_weights else None
+    params = params_for(q, m, 1, weights)
+    table = support_table(params)
+    assert list(table.questions) == reference_questions(params)
+    rounds = list(reference_rounds(params))
+    assert len(table) == len(rounds)
+    questions = [question for _, question in table.questions]
+    for k, sample in enumerate(rounds):
+        assert (questions[table.q_a[k]], questions[table.q_b[k]]) == (
+            sample.question_a, sample.question_b)
+        assert table.masses[table.mass_class[k]] == sample.mass
+        assert table.line_role[k] == {"A": 0, "B": 1, None: -1}[sample.line_role]
+        line = sample.line
+        if line is None or isinstance(line, DiagonalLine) and line.degenerate:
+            assert table.t[k] == -1
+        else:
+            assert table.t[k] == line.param_of(sample.point).i
+        assert table.axis[k] == (line.axis if isinstance(line, AxisLine) else -1)
+    keys = [(s.subtest, s.question_a, s.question_b, s.mass) for s in table.samples()]
+    assert keys == [(s.subtest, s.question_a, s.question_b, s.mass) for s in rounds]
+
+
+def strategies_for(params, seed):
+    """Honest, corrupted, adversarial and asymmetric tables, and a mixture
+    of two of them with weights that are not dyadic."""
+    f, m, d = params.field, params.m, params.d
+    rng = np.random.default_rng(seed)
+    g = MultiPoly(f, m, d, rng.integers(0, f.q, size=(d + 1) ** m))
+    (_, c0), (_, c1) = corrupted_tables(params, 2, 3, rng)
+    out = {"honest": honest_strategy(params, g), "corrupted": c0,
+           "asymmetric": ClassicalStrategy(params, c0.tables["A"], c1.tables["A"])}
+    if d + 1 <= f.q - 1 and m * d >= d + 1:
+        out["adversary"] = example_adversary(params)
+    out["mixture"] = RandomizedClassicalStrategy([(Fraction(1, 3), out["corrupted"]),
+                                                  (Fraction(2, 3), out["asymmetric"])])
+    return out
+
+
+def reference_verdicts(strat, rounds):
+    """ClassicalStrategy.accept per round, each answer looked up and checked
+    once per question object of the reference rounds."""
+    answers = {}
+
+    def answer(role, question):
+        key = (role, id(question))
+        if key not in answers:
+            answers[key] = strat.answer(role, question)
+        return answers[key]
+
+    return [int(verdict(s, (answer("A", s.question_a), answer("B", s.question_b))))
+            for s in rounds]
+
+
+@lru_cache(maxsize=1)
+def rounds_for(q, m):
+    """The reference rounds, which do not depend on d."""
+    return list(reference_rounds(params_for(q, m, 1)))
+
+
+@pytest.mark.parametrize("q,m,d", VARIANTS)
+def test_judge_matches_per_round_verdicts(tmp_path, q, m, d):
+    params = params_for(q, m, d)
+    rounds = rounds_for(q, m)
+    accepted = {}
+    for name, strat in strategies_for(params, q * 100 + m * 10 + d).items():
+        judged = judge(strat, params)
+        if name == "mixture":
+            accepted[name] = [sum(w * accepted[part][k] for w, part in
+                                  zip((Fraction(1, 3), Fraction(2, 3)), ("corrupted", "asymmetric")))
+                              for k in range(len(rounds))]
+        else:
+            accepted[name] = reference_verdicts(strat, rounds)
+        pairs = list(zip(rounds, accepted[name]))
+        assert [acc for _, acc in judged] == accepted[name], name
+        good = goodness(judged)
+        assert (good.eps, good.delta, good.gamma) == reference_goodness(pairs), name
+        mc = pass_probabilities_monte_carlo(judged, 600, seed=q + m + d)
+        assert repr(mc) == repr(reference_monte_carlo(pairs, 600, seed=q + m + d)), name
+        if name != "asymmetric":
+            continue  # the transcript of a symmetric table is pinned in test_cli
+        axis = [(s, acc) for s, acc in pairs if s.subtest == "axis"]
+        lost = sum(s.mass * (1 if s.line.axis == 0 else 1 - acc) for s, acc in axis)
+        assert axis_failure_pessimistic(judged) == lost / sum(s.mass for s, _ in axis)
+        got, want = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.ref.jsonl"
+        assert export_transcript(strat, got, judged) == reference_transcript(strat, want, pairs)
+        assert got.read_bytes() == want.read_bytes(), name
+
+
+def test_table_verdicts_match_accept_on_sampled_rounds():
+    # reference_verdicts memoizes answers; ClassicalStrategy.accept itself agrees
+    params = params_for(3, 2, 1)
+    rounds = rounds_for(3, 2)
+    for name, strat in strategies_for(params, 7).items():
+        want = [strat.accept(s) for s in rounds]
+        assert [acc for _, acc in judge(strat, params)] == want, name
+
+
+def test_mixture_monte_carlo_compares_draws_exactly():
+    # weights 1/3 and 2/3 put acceptances at 1/3 and 2/3, which no draw equals
+    # and float rounding of a/den would misjudge near the boundary
+    params = params_for(3, 2, 1)
+    mix = strategies_for(params, 5)["mixture"]
+    judged = judge(mix, params)
+    assert judged.denominator == 3
+    assert set(judged.acceptance.tolist()) >= {1, 2, 3}
+    pairs = list(judged)
+    for seed in range(5):
+        assert repr(pass_probabilities_monte_carlo(judged, 3000, seed)) == repr(
+            reference_monte_carlo(pairs, 3000, seed))
+
+
+def test_tables_are_checked_and_built_once(monkeypatch):
+    params = params_for(3, 2, 1)
+    built = []
+    original = strategies.answer_rows
+    monkeypatch.setattr(strategies, "answer_rows",
+                        lambda *args: built.append(args) or original(*args))
+    example_adversary(params)
+    assert len(built) == 1
+    corrupted_tables(params, 2, 1, np.random.default_rng(0))
+    assert len(built) == 3
+
+
+def test_answers_from_another_field_are_rejected():
+    # GF(9) under two moduli: equal indices, different fields
+    from lidtest.gf import field
+
+    params = params_for(9, 1, 1)
+    tables = strategies.honest_tables(params, MultiPoly.zero(params.field, 1, 1))
+    other = field(3, 2, (1, 0, 1))
+    tables["points"] = {u: other.element(a.i) for u, a in tables["points"].items()}
+    with pytest.raises(ProtocolError, match="lies outside"):
+        ClassicalStrategy(params, tables)
+
+
+def test_strategy_for_other_params_is_a_protocol_error():
+    strat = honest_strategy(params_for(3, 2, 1), MultiPoly.zero(field_for_order(3), 2, 1))
+    with pytest.raises(ProtocolError, match="q=3 m=2 d=1 questions, not q=3 m=1 d=1"):
+        judge(strat, params_for(3, 1, 1))
+
+
+def reference_validate(strategy):
+    """QuantumStrategy.validate's family loop, one family at a time."""
+    da, db = strategy.dims
+    for role, fams in strategy.families.items():
+        for group in fams.values():
+            for sub in group.values():
+                check_family(sub, da if role == "A" else db, strategy.projective)
+
+
+def break_ops(kind, ops):
+    """A family's operators with one defect; the diagonal indicator families
+    here have some zero operators, so j is a nonzero one and k another."""
+    ops = ops.copy()
+    j = int(np.argmax(np.abs(ops).sum(axis=(1, 2))))
+    k = (j + 1) % len(ops)
+    if kind == "hermitian":
+        ops[j, 0, 1] += 1e-6
+    elif kind == "psd":
+        ops[k] -= 1e-6 * np.eye(ops.shape[1])
+        ops[j] += 1e-6 * np.eye(ops.shape[1])
+    elif kind == "total":
+        ops[j] += 1e-3 * np.eye(ops.shape[1])
+    elif kind == "incomplete":
+        ops[j] *= 0.5
+    elif kind == "projective":
+        ops[j], ops[k] = 0.7 * ops[j] + 0.3 * ops[k], 0.3 * ops[j] + 0.7 * ops[k]
+    elif kind == "dim":
+        ops = np.zeros((ops.shape[0], ops.shape[1] + 1, ops.shape[1] + 1), dtype=complex)
+        ops[0] = np.eye(ops.shape[1])
+    return ops
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "psd", "total", "incomplete", "projective",
+                                  "dim", "two"])
+@pytest.mark.parametrize("group", ["points", "axis", "diag"])
+def test_stacked_validation_matches_per_family_checks(kind, group):
+    params = params_for(3, 2, 1)
+    strat = noisy_shared_randomness_strategy(params, 3, 1, seed=2)
+    reference_validate(strat)
+    strat.validate()
+    fams = strat.families["A"][group]
+    keys = list(fams)
+    rng = np.random.default_rng(len(kind) + len(group))
+    # break one family, or two where the later is broken differently
+    picks = [("incomplete", keys[-1]), ("hermitian", keys[len(keys) // 2])] if kind == "two" \
+        else [(kind, keys[int(rng.integers(len(keys)))])]
+    for how, key in picks:
+        fams[key] = SubMeasurement(fams[key].outcomes, break_ops(how, fams[key].ops), check=False)
+    with pytest.raises((ProtocolError, MeasurementError)) as want:
+        reference_validate(strat)
+    with pytest.raises(type(want.value)) as got:
+        strat.validate()
+    assert str(got.value) == str(want.value)
+
+
+def test_quantum_strategy_missing_a_family_is_a_protocol_error():
+    params = params_for(2, 2, 1)
+    strat = noisy_shared_randomness_strategy(params, 2, 1, seed=1)
+    del strat.families["A"]["diag"][next(iter(strat.families["A"]["diag"]))]
+    with pytest.raises(ProtocolError, match="no A family"):
+        strat.validate()
