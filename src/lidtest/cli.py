@@ -52,18 +52,18 @@ def _params_from_config(cfg) -> TestParams:
 
         return TestParams(f, int(cfg["m"]), int(cfg["d"]),
                           weights=tuple(Fraction(w) for w in weights))
-    except (KeyError, ValueError, FieldError, ProtocolError) as exc:
+    except (KeyError, TypeError, ValueError, FieldError, ProtocolError) as exc:
         raise ConfigError(f"bad test parameters: {exc}") from exc
 
 
-def _count(cfg, key, default) -> int:
-    """A config field that must be an integer of at least 1."""
+def _count(cfg, key, default, least=1) -> int:
+    """A config field that must be an integer of at least `least`."""
     try:
         n = int(cfg.get(key, default))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key} must be an integer: {exc}") from exc
-    if n < 1:
-        raise ConfigError(f"{key} must be at least 1")
+    if n < least:
+        raise ConfigError(f"{key} must be at least {least}")
     return n
 
 
@@ -81,7 +81,7 @@ def _gap_tol(cfg) -> float:
 def _pasting_k(cfg, params, default) -> int:
     """The pasting tuple length: k distinct coordinates, at least d + 1 of
     them needed to interpolate."""
-    k = int(cfg.get("k", default))
+    k = _count(cfg, "k", default)
     if not params.d + 1 <= k <= params.q:
         raise ConfigError(f"k = {k} lies outside [d + 1, q] = "
                           f"[{params.d + 1}, {params.q}]")
@@ -117,8 +117,8 @@ def _strategy_from_config(cfg, params, seed):
     if builtin == "noisy":
         return noisy_shared_randomness_strategy(
             params,
-            int(entry.get("tables", 3)),
-            int(entry.get("corrupt", 1)),
+            _count(entry, "tables", 3),
+            _count(entry, "corrupt", 1, least=0),
             seed if seed is not None else 0,
         )
     if "path" in entry:
@@ -153,7 +153,7 @@ def cmd_run_test(cfg, seed):
     }
     if cfg.get("mc_samples"):
         mc = pass_probabilities_monte_carlo(
-            judged, int(cfg["mc_samples"]), seed if seed is not None else 0
+            judged, _count(cfg, "mc_samples", None), seed if seed is not None else 0
         )
         out["monte_carlo"] = {
             sub: {"estimate": est, "sigma": sig} for sub, (est, sig) in mc.items()
@@ -161,9 +161,12 @@ def cmd_run_test(cfg, seed):
     if isinstance(strategy, ClassicalStrategy):
         out["axis_failure_pessimistic"] = axis_failure_pessimistic(judged)
         if cfg.get("transcript"):
-            out["transcript_rounds"] = export_transcript(
-                strategy, cfg["transcript"], judged
-            )
+            try:
+                out["transcript_rounds"] = export_transcript(
+                    strategy, cfg["transcript"], judged
+                )
+            except OSError as exc:
+                raise ConfigError(f"cannot write the transcript: {exc}") from exc
     return out
 
 
@@ -218,6 +221,9 @@ def _povm_instance(args):
 def cmd_round_povm(cfg, seed, workers=1):
     for key, default in (("dim", 4), ("outcomes", 3)):
         _count(cfg, key, default)
+    mode = cfg.get("mode", "orthogonalize")
+    if mode not in ("orthogonalize", "naimark"):
+        raise ConfigError(f"mode must be 'orthogonalize' or 'naimark', not {mode!r}")
     seeds = _seed_batch(cfg, seed)
     jobs = [(s, cfg) for s in seeds]
     results = _run_batch(_povm_instance, jobs, workers)
@@ -272,6 +278,8 @@ def _sdp_instance(args):
 
 def cmd_sdp(cfg, seed, workers=1):
     _gap_tol(cfg)
+    _count(cfg, "tables", 4)
+    _count(cfg, "corrupt", 1, least=0)
     seeds = _seed_batch(cfg, seed)
     jobs = [(s, cfg) for s in seeds]
     return {"instances": _run_batch(_sdp_instance, jobs, workers)}
@@ -441,8 +449,12 @@ def main(argv=None) -> int:
     else:
         text = to_json(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"config error: cannot write the report: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         sys.stdout.write(text)
     return 0

@@ -6,7 +6,11 @@ The pipeline follows the induction over m: at m = 1 the single axis family is
 the polynomial measurement; at m > 1 the last coordinate is fixed to each
 value x, the (m-1)-variable pipeline runs on that slice, the slice result is
 self-improved to a projective family, and the slices are pasted into one
-global measurement.  Goodness is measured once per strategy and handed down.
+global measurement.  Goodness is measured once per strategy and handed down,
+and the hypotheses of slice commutativity and pasting are read from the
+per-slice improvement reports, not measured again.  Polynomial-labelled
+families are read at points and along lines through their integer value
+tables.
 
 Bounds that exceed 1 at desk scale are never silently 'passed': every report
 carries a vacuity flag alongside the raw measured value."""
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .improvement import measure_points_consistency, projective_improve
+from .improvement import evaluated_at_points, measure_points_consistency, projective_improve
 from .measurements import SubMeasurement, consistency, expect_joint
 from .pasting import complete_pasted, pasted_measurement
 from .polyspace import (
@@ -26,7 +30,6 @@ from .polyspace import (
     DiagonalLine,
     MultiPoly,
     all_points,
-    enumerate_polyspace,
     label_values,
     point,
     point_index,
@@ -35,7 +38,6 @@ from .protocol import GROUPS, TestParams, all_questions
 from .strategies import (
     Goodness,
     QuantumStrategy,
-    group_by_value,
     pass_probabilities,
     symmetrize,
 )
@@ -144,93 +146,16 @@ def points_commutativity(strategy: QuantumStrategy) -> BoundReport:
     return make_report("points_commutativity", total, inputs)
 
 
-def evaluated_slices(g_by_x: dict, f, m_slice: int) -> dict:
-    """{x: [G^x evaluated at u, for u in point order]}: each slice family's
-    outcomes grouped by their value at each point of the slice, from one
-    value table per slice."""
-    out = {}
-    for x, G in g_by_x.items():
-        table = label_values(G.outcomes)
-        out[x] = [group_by_value(G, table[:, point_index(u)], f)
-                  for u in all_points(f, m_slice)]
-    return out
-
-
-def slice_hypotheses(strategy: QuantumStrategy, g_by_x: dict, evaluated_by_x: dict,
-                     Zs=None) -> dict:
-    """Measured hypotheses for the slice-commutativity statements: consistency
-    with the points family, strong self-consistency, and (when dual
-    certificates Z^x are supplied) boundedness.  evaluated_by_x is
-    evaluated_slices(g_by_x, ...)."""
-    params = strategy.params
-    f = params.field
-    m_slice = params.m - 1
-    Psi = strategy.Psi
-    points = strategy.families["A"]["points"]
-
-    cons = 0.0
-    n = 0
-    for x in range(f.q):
-        for u, evaluated in zip(all_points(f, m_slice), evaluated_by_x[x]):
-            full_u = point(f, u.ints() + (x,))
-            A = points[full_u]
-            val = expect_joint(A.total(), evaluated.total(), Psi)
-            for o in A.outcomes:
-                if o in evaluated:
-                    val -= expect_joint(A.op(o), evaluated.op(o), Psi)
-            cons += val.real
-            n += 1
-    cons /= n
-
-    self_cons = 0.0
-    for x in range(f.q):
-        G = g_by_x[x]
-        for op in G.ops:
-            v = op @ Psi - Psi @ op.T
-            self_cons += float(np.sum(np.abs(v) ** 2))
-    self_cons /= f.q
-
-    out = {"consistency": cons, "self_consistency": self_cons}
-    if Zs is not None:
-        bound_val = 0.0
-        min_slack = np.inf
-        elements = tuple(f.elements())
-        pts = list(all_points(f, m_slice))  # point_index order, as value-table columns
-        values = label_values(tuple(enumerate_polyspace(f, m_slice, params.d))).tolist()
-        for x in range(f.q):
-            G = g_by_x[x]
-            rest = np.eye(G.dim) - G.total()
-            bound_val += expect_joint(rest, Zs[x], Psi).real
-            slice_points = [points[point(f, u.ints() + (x,))] for u in pts]
-            for g_values in values:
-                avg = np.zeros((G.dim, G.dim), dtype=complex)
-                for A, v in zip(slice_points, g_values):
-                    avg += A.op(elements[v])
-                avg /= f.q ** m_slice
-                w = np.linalg.eigvalsh(0.5 * (Zs[x] + Zs[x].conj().T) - avg)
-                min_slack = min(min_slack, float(w.min()))
-        out["boundedness"] = bound_val / f.q
-        out["boundedness_certificate_floor"] = min_slack
-    else:
-        out["boundedness"] = None
-    return out
-
-
 def slice_commutativity(strategy: QuantumStrategy, good: Goodness, g_by_x: dict,
-                        Zs=None):
+                        zeta: float):
     """Both commutator masses (raw outcome pairs and evaluated pairs) with
-    their bounds; hypotheses are measured and folded into one zeta, and
-    gamma is read from the strategy's goodness `good`."""
+    their bounds; zeta folds the measured slice hypotheses, and gamma is read
+    from the strategy's goodness `good`."""
     params = strategy.params
     f = params.field
     m_slice = params.m - 1
     Psi = strategy.Psi
-    evaluated_by_x = evaluated_slices(g_by_x, f, m_slice)
-    hyp = slice_hypotheses(strategy, g_by_x, evaluated_by_x, Zs)
-    pieces = [hyp["consistency"], hyp["self_consistency"]]
-    if hyp["boundedness"] is not None:
-        pieces.append(hyp["boundedness"])
-    zeta = max(max(pieces), 0.0)
+    evaluated_by_x = {x: evaluated_at_points(G, f) for x, G in g_by_x.items()}
     gamma = float(good.gamma)
 
     raw = 0.0
@@ -261,30 +186,33 @@ def slice_commutativity(strategy: QuantumStrategy, good: Goodness, g_by_x: dict,
     inputs = {
         "gamma": gamma, "zeta": zeta, "m": m_slice, "d": params.d, "q": params.q,
     }
-    reports = [
+    return [
         make_report("slice_commutativity_raw", raw, inputs),
         make_report("slice_commutativity_evaluated", evaluated, inputs),
     ]
-    return reports, hyp
 
 
 def pasted_line_consistency(strategy: QuantumStrategy, pasted: SubMeasurement) -> float:
     """E_u sum over mismatched line answers of <H_{[h along line u]} (x) B^u_f>:
     the pasted family against the answer family for the line through u in the
     last direction."""
-    from .polyspace import restrict_axis
-
     params = strategy.params
-    f = params.field
-    m_slice = params.m - 1
+    f, d = params.field, params.d
     Psi = strategy.Psi
     axis_fams = strategy.families["A"]["axis"]
+    # A line answer has degree <= d <= q - 1 (the pipeline's k lies in
+    # [d + 1, q]), so its values at t = 0..d fix it: their base-q number is
+    # the answer's key, on both sides.  The line through u in the last
+    # direction holds the points u*q + t in point_index order.
+    weights = f.q ** np.arange(d + 1)
+    table = label_values(pasted.outcomes)
     total = 0.0
-    pts = list(all_points(f, m_slice))
+    pts = list(all_points(f, params.m - 1))
     for u in pts:
-        line = AxisLine(m_slice, point(f, u.ints() + (0,)))
-        B = axis_fams[line]
-        restricted = pasted.post_process(lambda h, line=line: restrict_axis(h, line))
+        B = axis_fams[AxisLine(params.m - 1, point(f, u.ints() + (0,)))]
+        B = B.group((label_values(B.outcomes)[:, :d + 1] @ weights).tolist())
+        start = point_index(u) * f.q
+        restricted = pasted.group((table[:, start:start + d + 1] @ weights).tolist())
         val = expect_joint(restricted.total(), B.total(), Psi)
         for o in restricted.outcomes:
             if o in B:
@@ -354,20 +282,36 @@ def witness_level(strategy: QuantumStrategy, good: Goodness, k: int,
         cons = measure_points_consistency(strategy, G)
         return G, cons, 0.0, {"base_case": {"dim": G.dim}}
     f = params.field
-    g_by_x, Zs, per_x, levels = {}, {}, {}, {}
+    g_by_x, reports, per_x, levels = {}, [], {}, {}
     for x in range(f.q):
         sub = restricted_strategy(strategy, x)
         sub_good = pass_probabilities(sub, sub.params)
         _, nu_x, kappa_x, sub_stages = witness_level(sub, sub_good, k, gap_tol)
-        g_by_x[x], Zs[x], rep = projective_improve(sub, sub_good, nu_x,
-                                                   gap_tol=gap_tol)
+        g_by_x[x], _, rep = projective_improve(sub, sub_good, nu_x, gap_tol=gap_tol)
+        reports.append(rep)
         per_x[str(x)] = rep.as_dict()
         if sub.params.m > 1:  # a base-case slice has nothing to nest
             levels[str(x)] = {"kappa": kappa_x, "stages": sub_stages}
     stages = {"per_slice_improvement": per_x}
     if levels:
         stages["slice_levels"] = levels
-    comm_reports, hyp = slice_commutativity(strategy, good, g_by_x, Zs)
+
+    # the hypotheses of slice commutativity and pasting are the guarantees
+    # each slice's self-improvement measured: consistency with the points,
+    # strong self-consistency, boundedness by its dual Z^x, completeness
+    def mean(values):
+        return float(np.mean(values))
+
+    hyp = {
+        "consistency": mean([r.consistency_with_points for r in reports]),
+        "self_consistency": mean([r.extras["self_consistency_cross_distance"]
+                                  for r in reports]),
+        "boundedness": mean([r.boundedness for r in reports]),
+        "boundedness_certificate_floor": min(r.min_constraint_slack for r in reports),
+    }
+    kappa_slices = 1.0 - mean([r.completeness for r in reports])
+    zeta_hyp = max(hyp["consistency"], hyp["self_consistency"], hyp["boundedness"], 0.0)
+    comm_reports = slice_commutativity(strategy, good, g_by_x, zeta_hyp)
     stages["slice_commutativity"] = [r.as_dict() for r in comm_reports]
     stages["slice_hypotheses"] = hyp
 
@@ -381,12 +325,6 @@ def witness_level(strategy: QuantumStrategy, good: Goodness, k: int,
     # endpoint bounds of the pasting step: slice incompleteness + the
     # measured hypothesis errors feed the sigma budget; the line
     # consistency of the incomplete family is checked separately
-    kappa_slices = 1.0 - float(np.mean([
-        expect_joint(g_by_x[x].total(), eye, strategy.Psi).real
-        for x in range(f.q)
-    ]))
-    zeta_hyp = max(hyp["consistency"], hyp["self_consistency"],
-                   hyp["boundedness"], 0.0)
     paste_inputs = {
         "eps": float(good.eps), "delta": float(good.delta),
         "gamma": float(good.gamma), "zeta": zeta_hyp,

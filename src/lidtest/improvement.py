@@ -103,17 +103,20 @@ class ImprovementReport:
         return out
 
 
+def evaluated_at_points(G: SubMeasurement, f) -> list:
+    """[G evaluated at u, for u in point_index order]: G's outcomes grouped by
+    their value at each point, from one value table."""
+    return [group_by_value(G, values, f) for values in label_values(G.outcomes).T]
+
+
 def measure_points_consistency(strategy: QuantumStrategy, G: SubMeasurement) -> float:
     """E_u sum_{a != b} <psi| A^u_a (x) G_{[g(u)=b]} |psi>."""
-    params = strategy.params
     points = strategy.families["A"]["points"]
-    Psi = strategy.Psi
     us = list(points)
     w = 1.0 / len(us)
-    table = label_values(G.outcomes)
-    fam_a = {u: points[u] for u in us}
-    fam_g = {u: group_by_value(G, table[:, point_index(u)], params.field) for u in us}
-    return consistency(fam_a, fam_g, Psi, [(u, w) for u in us])
+    evaluated = evaluated_at_points(G, strategy.params.field)
+    fam_g = {u: evaluated[point_index(u)] for u in us}
+    return consistency(points, fam_g, strategy.Psi, [(u, w) for u in us])
 
 
 def improve(strategy: QuantumStrategy, good: Goodness, nu: float, gap_tol=1e-7):

@@ -112,10 +112,6 @@ class SubMeasurement:
         np.add.at(ops, np.asarray(slots, dtype=np.intp), self.ops)
         return SubMeasurement(tuple(slot), ops, check=False)
 
-    def post_process(self, fn) -> "SubMeasurement":
-        """Group outcomes by fn; completeness is preserved."""
-        return self.group([fn(o) for o in self.outcomes])
-
     def completion(self, label=BOTTOM) -> "SubMeasurement":
         if label in self._index:
             raise MeasurementError("completion label already present")

@@ -56,6 +56,8 @@ class TestParams:
         if self.m < 1 or self.d < 0:
             raise ProtocolError("need m >= 1 and d >= 0")
         w = tuple(Fraction(x) for x in self.weights)
+        if len(w) != len(SUBTESTS):
+            raise ProtocolError(f"need {len(SUBTESTS)} subtest weights, not {len(w)}")
         if any(x < 0 for x in w) or sum(w) != 1:
             raise ProtocolError("subtest weights must be nonnegative and sum to 1")
         object.__setattr__(self, "weights", w)

@@ -586,11 +586,3 @@ def symmetrize(strategy: QuantumStrategy) -> QuantumStrategy:
         projective=strategy.projective,
     )
 
-
-def unsymmetrize_measurement(sub: SubMeasurement, role: str) -> SubMeasurement:
-    """Compress a block measurement on C^2 (x) C^d back to one role's block;
-    completeness survives the compression."""
-    d = sub.dim // 2
-    sl = slice(0, d) if role == "A" else slice(d, 2 * d)
-    ops = np.array([op[sl, sl] for op in sub.ops])
-    return SubMeasurement(sub.outcomes, ops, check=False)

@@ -1,7 +1,12 @@
 """Object-walking references for the integer support table and judge: the
 question support enumerated round by round with AxisLine/DiagonalLine.through,
 and the per-round goodness, Monte Carlo and transcript loops.  Tests compare
-the fast paths in `protocol` and `strategies` against these."""
+the fast paths in `protocol` and `strategies` against these.
+
+The soundness pipeline's references are here too: per-outcome
+post-processing, the slice hypotheses measured a second time from the slice
+families and their dual certificates, and the pasted family restricted to
+every line with scalar `restrict_axis`."""
 
 import itertools
 import json
@@ -10,7 +15,17 @@ from fractions import Fraction
 import numpy as np
 
 from lidtest.gf import FieldElement
-from lidtest.polyspace import AxisLine, DiagonalLine, Point, all_points, point
+from lidtest.measurements import expect_joint
+from lidtest.polyspace import (
+    AxisLine,
+    DiagonalLine,
+    Point,
+    all_points,
+    enumerate_polyspace,
+    label_values,
+    point,
+    restrict_axis,
+)
 from lidtest.protocol import AXIS, DIAG, ROLES, SELFCONS, ProtocolError, RoundSample
 
 
@@ -164,3 +179,86 @@ def reference_transcript(strategy, path, pairs):
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     return len(pairs)
+
+
+# ---- the soundness pipeline ------------------------------------------------------
+
+
+def post_process(sub, fn):
+    """sub's outcomes grouped by fn, one scalar call per outcome."""
+    return sub.group([fn(o) for o in sub.outcomes])
+
+
+def slice_hypotheses(strategy, g_by_x, evaluated_by_x, Zs):
+    """Consistency of the evaluated slice families with the points family,
+    strong self-consistency, and boundedness by the dual certificates Z^x,
+    with the smallest eigenvalue of Z^x - A^x_g over every slice x and slice
+    polynomial g; each A^x_g = E_u A^{(u, x)}_{g(u)} is rebuilt from the
+    points.  evaluated_by_x[x] is improvement.evaluated_at_points(g_by_x[x], f)."""
+    params = strategy.params
+    f = params.field
+    m_slice = params.m - 1
+    Psi = strategy.Psi
+    points = strategy.families["A"]["points"]
+
+    cons = 0.0
+    n = 0
+    for x in range(f.q):
+        for u, evaluated in zip(all_points(f, m_slice), evaluated_by_x[x]):
+            A = points[point(f, u.ints() + (x,))]
+            val = expect_joint(A.total(), evaluated.total(), Psi)
+            for o in A.outcomes:
+                if o in evaluated:
+                    val -= expect_joint(A.op(o), evaluated.op(o), Psi)
+            cons += val.real
+            n += 1
+    cons /= n
+
+    self_cons = 0.0
+    for x in range(f.q):
+        for op in g_by_x[x].ops:
+            v = op @ Psi - Psi @ op.T
+            self_cons += float(np.sum(np.abs(v) ** 2))
+    self_cons /= f.q
+
+    bound_val = 0.0
+    min_slack = np.inf
+    elements = tuple(f.elements())
+    pts = list(all_points(f, m_slice))  # point_index order, as value-table columns
+    values = label_values(tuple(enumerate_polyspace(f, m_slice, params.d))).tolist()
+    for x in range(f.q):
+        G = g_by_x[x]
+        rest = np.eye(G.dim) - G.total()
+        bound_val += expect_joint(rest, Zs[x], Psi).real
+        slice_points = [points[point(f, u.ints() + (x,))] for u in pts]
+        for g_values in values:
+            avg = np.zeros((G.dim, G.dim), dtype=complex)
+            for A, v in zip(slice_points, g_values):
+                avg += A.op(elements[v])
+            avg /= f.q ** m_slice
+            w = np.linalg.eigvalsh(0.5 * (Zs[x] + Zs[x].conj().T) - avg)
+            min_slack = min(min_slack, float(w.min()))
+    return {"consistency": cons, "self_consistency": self_cons,
+            "boundedness": bound_val / f.q, "boundedness_certificate_floor": min_slack}
+
+
+def pasted_line_consistency(strategy, pasted):
+    """E_u sum over mismatched line answers of <H_{[h along line u]} (x) B^u_f>,
+    each pasted outcome restricted to the line through u in the last
+    direction with scalar restrict_axis."""
+    f = strategy.params.field
+    m_slice = strategy.params.m - 1
+    Psi = strategy.Psi
+    axis_fams = strategy.families["A"]["axis"]
+    total = 0.0
+    pts = list(all_points(f, m_slice))
+    for u in pts:
+        line = AxisLine(m_slice, point(f, u.ints() + (0,)))
+        B = axis_fams[line]
+        restricted = post_process(pasted, lambda h, line=line: restrict_axis(h, line))
+        val = expect_joint(restricted.total(), B.total(), Psi)
+        for o in restricted.outcomes:
+            if o in B:
+                val -= expect_joint(restricted.op(o), B.op(o), Psi)
+        total += val.real
+    return total / len(pts)

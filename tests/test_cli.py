@@ -251,6 +251,25 @@ BAD_CLASSICAL_FILES = {
     ("run-test", {"q": 3, "m": 2, "d": 1, "strategy": "missing-record.json"}, 3),
     ("run-test", {"q": 3, "m": 2, "d": 1, "strategy": "repeated-record.json"}, 3),
     ("run-test", {"q": 3, "m": 2, "d": 1, "strategy": "q4m3.json"}, 3),
+    # config values of the wrong type or range
+    ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": {"builtin": "noisy", "tables": "x"}}, 2),
+    ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": {"builtin": "noisy", "corrupt": -1}}, 2),
+    ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": {"builtin": "noisy"},
+                  "mc_samples": -5}, 2),
+    ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": {"builtin": "noisy"},
+                  "mc_samples": "x"}, 2),
+    ("soundness-report", {"q": 2, "m": 2, "d": 1, "k": "x",
+                          "strategy": {"builtin": "noisy"}}, 2),
+    ("run-test", {"q": 2, "m": 1, "d": 1, "weights": [0.5, 0.5],
+                  "strategy": {"builtin": "noisy"}}, 2),
+    ("round-povm", {"mode": "foo"}, 2),
+    ("sdp", {"q": 2, "m": 1, "d": 1, "tables": "x"}, 2),
+    # a transcript or report path in a directory that does not exist; "out"
+    # is moved from the config to --out
+    ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": {"builtin": "honest", "poly_index": 1},
+                  "transcript": "missing-dir/transcript.jsonl"}, 2),
+    ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": {"builtin": "noisy"},
+                  "out": "missing-dir/report.json"}, 2),
 ])
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, command, cfg, expected):
     (tmp_path / "notjson.json").write_text("{not json")
@@ -258,7 +277,11 @@ def test_bad_input_exits_with_documented_code(tmp_path, capsys, command, cfg, ex
         if cfg["strategy"] in BAD_CLASSICAL_FILES:
             BAD_CLASSICAL_FILES[cfg["strategy"]](tmp_path / cfg["strategy"])
         cfg = {**cfg, "strategy": str(tmp_path / cfg["strategy"])}
-    code, out = run_cli(tmp_path, command, cfg, "badinput")
+    if "transcript" in cfg:
+        cfg = {**cfg, "transcript": str(tmp_path / cfg["transcript"])}
+    cfg = dict(cfg)
+    extra = ("--out", str(tmp_path / cfg.pop("out"))) if "out" in cfg else ()
+    code, out = run_cli(tmp_path, command, cfg, "badinput", extra=extra)
     assert code == expected
     assert not out.exists()
     err = capsys.readouterr().err
@@ -461,6 +484,12 @@ GOLDEN = {
     "classical.json": "381b6bab910df9ab88640386523ec4385e35287bf77429b872fbf63d165f5537",
     "transcript.jsonl": "693f046528041324bd2667b3b123d52e5795f1444130a3a60e39975ad140fd53",
     "quantum.json": "036575208c56b02b336ea0b2e5dd583af7fd7490dd2bb6de8cdb19bb08a371be",
+    # soundness reports, pinned before the slice hypotheses were read from the
+    # per-slice improvement reports and line answers from value tables
+    "soundness-criterion-13.json":
+        "274e391e3b900f4e0fb3f34ade35fcd2f31273bd382cbaad26cc0b81d5ea24fe",
+    "soundness-q3.json": "56ea98a5f8a24fff50eb550068dfcdc408a19d29df8c9e83c3373f391a3754d6",
+    "soundness-q2m3.json": "7598422d6ba35864068e990d5fa214d42336027c4d53c1447c448ed4e3ca969d",
 }
 
 
@@ -469,8 +498,8 @@ def test_golden_report_hashes(tmp_path, monkeypatch):
 
     from lidtest.instances import corrupted_tables
 
-    def cli(out, **cfg):
-        argv = ["run-test", "--seed", "0", "--out", out]
+    def cli(out, command="run-test", seed=0, **cfg):
+        argv = [command, "--seed", str(seed), "--out", out]
         for key, value in cfg.items():
             argv += ["--set", f"{key}={json.dumps(value)}"]
         assert main(argv) == 0
@@ -482,6 +511,11 @@ def test_golden_report_hashes(tmp_path, monkeypatch):
     cli("classical.json", q=3, m=2, d=1, strategy="strategy.json", mc_samples=2000,
         transcript="transcript.jsonl")
     cli("quantum.json", q=3, m=2, d=1, strategy={"builtin": "noisy"})
+    noisy = {"builtin": "noisy"}
+    cli("soundness-criterion-13.json", "soundness-report", 17, q=2, m=2, d=1, k=2,
+        strategy=noisy)
+    cli("soundness-q3.json", "soundness-report", q=3, m=2, d=1, strategy=noisy)
+    cli("soundness-q2m3.json", "soundness-report", q=2, m=3, d=1, k=2, strategy=noisy)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN}
     assert got == GOLDEN

