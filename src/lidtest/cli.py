@@ -67,15 +67,15 @@ def _count(cfg, key, default, least=1) -> int:
     return n
 
 
-def _gap_tol(cfg) -> float:
-    """The SDP duality-gap target: a positive finite number."""
+def _real(cfg, key, default, upper=math.inf) -> float:
+    """A config field that must be a number in the open interval (0, upper)."""
     try:
-        tol = float(cfg.get("gap_tol", 1e-7))
+        x = float(cfg.get(key, default))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"gap_tol must be a number: {exc}") from exc
-    if not 0 < tol < math.inf:
-        raise ConfigError(f"gap_tol must be positive and finite, not {tol}")
-    return tol
+        raise ConfigError(f"{key} must be a number: {exc}") from exc
+    if not 0 < x < upper:
+        raise ConfigError(f"{key} must lie in (0, {upper}), not {x}")
+    return x
 
 
 def _pasting_k(cfg, params, default) -> int:
@@ -269,7 +269,7 @@ def _sdp_instance(args):
         params, int(cfg.get("tables", 4)), int(cfg.get("corrupt", 1)), seed
     )
     inst = build_instance(strat, params)
-    sol = solve(inst, gap_tol=_gap_tol(cfg))
+    sol = solve(inst, gap_tol=_real(cfg, "gap_tol", 1e-7))
     out = {"seed": seed, **sol.residual_summary()}
     if sol.oracle is not None:
         out["oracle_gap"] = abs(sol.primal_objective - sol.oracle.primal_objective)
@@ -277,7 +277,7 @@ def _sdp_instance(args):
 
 
 def cmd_sdp(cfg, seed, workers=1):
-    _gap_tol(cfg)
+    _real(cfg, "gap_tol", 1e-7)
     _count(cfg, "tables", 4)
     _count(cfg, "corrupt", 1, least=0)
     seeds = _seed_batch(cfg, seed)
@@ -288,6 +288,7 @@ def cmd_sdp(cfg, seed, workers=1):
 def cmd_paste(cfg, seed):
     from .instances import rng_for
     from .pasting import (
+        check_paste_size,
         chernoff_completeness_check,
         pasted_measurement,
         scalar_ineq_check,
@@ -298,12 +299,15 @@ def cmd_paste(cfg, seed):
     params = _params_from_config(cfg)
     f = params.field
     k = _pasting_k(cfg, params, params.d + 2)
+    theta = _real(cfg, "theta", 0.25, upper=1)
+    grid = _count(cfg, "grid", 101, least=2)
     rng = rng_for(seed if seed is not None else 0)
     from .instances import random_projective_measurement
     from .polyspace import enumerate_polyspace
 
     polys = tuple(enumerate_polyspace(f, params.m, params.d))
     dim = _count(cfg, "dim", 2)
+    check_paste_size(f, params.m, params.d, dim)  # before building the slices
     g_by_x = {}
     for x in range(f.q):
         fam = random_projective_measurement(rng, dim, min(dim, len(polys)))
@@ -318,12 +322,10 @@ def cmd_paste(cfg, seed):
     from .instances import maximally_entangled
 
     Psi = maximally_entangled(dim)
-    theta = float(cfg.get("theta", 0.25))
     chernoff = chernoff_completeness_check(
         G_avg, Psi, k=max(k, int(np.ceil(2 * params.d / theta))), d=params.d,
         theta=theta, regime_m=params.m,
     )
-    grid = int(cfg.get("grid", 101))
     lam_grid = np.linspace(0, 1, grid)
     scalar_ok = all(
         scalar_ineq_check(float(lam), dd)
@@ -362,7 +364,7 @@ COMMANDS = {
 
 def _seed_batch(cfg, seed):
     base = int(seed if seed is not None else cfg.get("seed", 0))
-    n = int(cfg.get("instances", 1))
+    n = _count(cfg, "instances", 1)
     return [base + j for j in range(n)]
 
 

@@ -372,13 +372,3 @@ def character_sum(f: GF, a) -> complex:
     xs = np.arange(f.q)
     tr = f.trace_int(f.mul(xs, a.i))
     return complex(f._omega_pows[tr].mean())
-
-
-def vector_character_sum(f: GF, v) -> complex:
-    """E_{u ~ F_q^m} omega^tr(u.v) for a vector v of field elements."""
-    vi = [f.element(c).i for c in v]
-    total = 1.0 + 0j
-    # product structure: E_u prod_j omega^tr(u_j v_j) factorizes
-    for c in vi:
-        total *= character_sum(f, c)
-    return total

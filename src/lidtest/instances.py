@@ -27,12 +27,6 @@ def random_state(rng, da, db):
     return Psi / np.linalg.norm(Psi)
 
 
-def random_symmetric_state(rng, d):
-    M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    M = M + M.T
-    return M / np.linalg.norm(M)
-
-
 def maximally_entangled(d):
     return np.eye(d, dtype=complex) / np.sqrt(d)
 

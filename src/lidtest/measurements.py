@@ -180,17 +180,6 @@ def consistency(fam_a, fam_b, Psi, dist) -> float:
     return total
 
 
-def agreement(fam_a, fam_b, Psi, dist) -> float:
-    """E_x sum_a <psi| A^x_a (x) B^x_a |psi> (matched-outcome mass)."""
-    total = 0.0
-    for x, w in _as_dist(dist):
-        A, B = fam_a[x], fam_b[x]
-        for o in A.outcomes:
-            if o in B:
-                total += w * expect_joint(A.op(o), B.op(o), Psi).real
-    return total
-
-
 def state_distance(fam_a, fam_b, Psi, dist, side="left") -> float:
     """E_x sum_a || (A^x_a - B^x_a) |psi> ||^2 with both families applied to
     the same factor ('left' or 'right'); no bipartition is assumed beyond

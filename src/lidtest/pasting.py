@@ -38,7 +38,16 @@ from .polyspace import (
 )
 
 TUPLE_BUDGET = 10 ** 5
+# complex entries in one (global outcomes, dim, dim) stack of the DP (16 MB);
+# its trie path keeps up to k (d + 1) such stacks
 PASTE_GUARD = 10 ** 6
+
+
+def check_paste_size(f: GF, m: int, d: int, dim: int) -> None:
+    """Refuse pasting m-variable slices on C^dim when one operator per
+    (m+1)-variable outcome would exceed PASTE_GUARD entries."""
+    if polyspace_size(f, m + 1, d) * dim * dim > PASTE_GUARD:
+        raise SizeGuardError(f"global outcomes times dim^2 exceeds {PASTE_GUARD}")
 
 
 def distinct_tuples(f: GF, k: int):
@@ -88,8 +97,9 @@ def sandwich(ghat_by_x, coords, outcomes) -> np.ndarray:
 
 
 def telescope_step(fam: SubMeasurement, acc: np.ndarray) -> np.ndarray:
-    """Conjugate acc by every outcome of one completed family and sum."""
-    return sum(fam.op(g) @ acc @ fam.op(g) for g in fam.outcomes)
+    """Conjugate acc by every nonzero outcome of one completed family and
+    sum, in outcome order; a zero outcome would add an exact zero."""
+    return sum(G @ acc @ G for G in fam.ops[fam.ops.any(axis=(1, 2))])
 
 
 def sandwich_total(ghat_by_x, coords) -> np.ndarray:
@@ -111,20 +121,54 @@ class PastedResult:
     notes: dict = field(default_factory=dict)
 
 
-def paste_step(layers, hit, miss, top):
+def _conjugate_rows(miss, layer):
+    """miss @ X_n @ miss for every outcome n of a row-major layer (see
+    paste_step): two GEMMs, left product first."""
+    dim, n, _ = layer.shape
+    left = miss @ layer.reshape(dim, n * dim)
+    return (left.reshape(dim * n, dim) @ miss).reshape(dim, n, dim)
+
+
+def paste_step(layers, live, hit, miss, top):
     """One coordinate of the weight-resolved sandwich DP.
 
     layers[w] is the running sandwich of the inner coordinates with w hits
-    (w = top meaning at least top); hit is the stack of hit operators, one
-    per global outcome, and miss the completion operator.  Every layer is
+    (w = top meaning at least top).  Layer 0 holds no hit, so it is one
+    dim x dim operator shared by every global outcome.  Every other layer
+    holds one operator X_n per global outcome n, stored row-major across
+    outcomes: layers[w][i, n, j] = X_n[i, j], which makes conjugating all
+    of them by one matrix two copy-free GEMMs.  live masks the global
+    outcomes whose slice operator is nonzero, hit stacks those operators in
+    outcome order, and miss is the completion operator.  Every layer is
     conjugated by both: hits move it up one weight, capped at top, and the
     miss keeps it.  The cap is exact because every step is linear and only
-    weight >= top is kept."""
-    out = [None] * min(len(layers) + 1, top + 1)
-    for w, block in enumerate(layers):
-        for v, term in ((min(w + 1, top), hit @ block @ hit),
-                        (w, miss @ block @ miss)):
-            out[v] = term if out[v] is None else out[v] + term
+    weight >= top is kept.
+
+    Hits are formed on the live rows only.  A projective slice measurement
+    on C^dim has at most dim nonzero outcomes, so most global outcomes get
+    a zero slice operator; their hit term is an exact zero, and adding it
+    would change no bit.  The live hit terms are added in the order a step
+    over every outcome adds them: layer v < top is hit_{v-1} + miss_v, and
+    layer top is (hit_{top-1} + hit_top) + miss_top.
+    """
+    dim = miss.shape[0]
+
+    def hit_term(layer):
+        if layer.ndim == 3:
+            layer = layer[:, live].transpose(1, 0, 2)
+        return hit @ layer @ hit
+
+    out = [miss @ layers[0] @ miss]
+    for v in range(1, min(len(layers) + 1, top + 1)):
+        hits = hit_term(layers[v - 1])
+        if v == top < len(layers):
+            hits = hits + hit_term(layers[top])
+        if v < len(layers):
+            layer = _conjugate_rows(miss, layers[v])
+        else:
+            layer = np.zeros((dim, live.size, dim), dtype=complex)
+        layer[:, live] += hits.transpose(1, 0, 2)
+        out.append(layer)
     return out
 
 
@@ -144,17 +188,21 @@ def pasted_measurement(g_by_x: dict, f: GF, m: int, d: int, k: int,
     """
     if k < d + 1:
         raise ValueError(f"need k >= d + 1, got k = {k}")
+    dim = next(iter(g_by_x.values())).dim
+    check_paste_size(f, m, d, dim)
     ghat = complete_slice_families(g_by_x)
-    dim = next(iter(ghat.values())).dim
     n_global = polyspace_size(f, m + 1, d)
-    if n_global * dim > PASTE_GUARD:
-        raise SizeGuardError("global outcome space times dimension exceeds cap")
 
     polys_m = list(enumerate_polyspace(f, m, d))
     globals_m1 = tuple(enumerate_polyspace(f, m + 1, d))
-    # ops_by_x[x][j] = Ghat^x_{poly j}; slice_idx[x][n] = index of (global n)|_x
-    ops_by_x = {x: np.stack([ghat[x].op(g) for g in polys_m]) for x in range(f.q)}
-    slice_idx = {x: slice_indices(f, m + 1, d, x) for x in range(f.q)}
+    # per coordinate x: which global outcomes n hit a nonzero Ghat^x_{n|_x}
+    # (live), those operators, and the completion operator
+    slices = {}
+    for x in range(f.q):
+        ops = np.stack([ghat[x].op(g) for g in polys_m])
+        idx = slice_indices(f, m + 1, d, x)
+        live = ops.any(axis=(1, 2))[idx]
+        slices[x] = (live, ops[idx[live]], ghat[x].op(BOTTOM))
 
     count = distinct_tuple_count(f.q, k)
     if count <= tuple_budget:
@@ -167,7 +215,7 @@ def pasted_measurement(g_by_x: dict, f: GF, m: int, d: int, k: int,
 
     top = d + 1
     eye = np.eye(dim, dtype=complex)
-    total = np.zeros((n_global, dim, dim), dtype=complex)
+    total = np.zeros((dim, n_global, dim), dtype=complex)  # row-major, as the layers
     worst_telescope = 0.0
     path = [([eye], eye)]  # (DP layers, telescoping accumulator) along the trie
     prev = ()
@@ -178,7 +226,7 @@ def pasted_measurement(g_by_x: dict, f: GF, m: int, d: int, k: int,
         for x in inner_first[shared:]:
             layers, acc = path[-1]
             path.append((
-                paste_step(layers, ops_by_x[x][slice_idx[x]], ghat[x].op(BOTTOM), top),
+                paste_step(layers, *slices[x], top),
                 telescope_step(ghat[x], acc) if check_telescoping else None,
             ))
         layers, acc = path[-1]
@@ -186,6 +234,7 @@ def pasted_measurement(g_by_x: dict, f: GF, m: int, d: int, k: int,
         if check_telescoping:
             worst_telescope = max(worst_telescope, float(np.abs(acc - eye).max()))
         prev = inner_first
+    total = total.transpose(1, 0, 2).copy()  # one C-ordered operator per outcome
     total /= len(tuples)
     family = SubMeasurement(globals_m1, total)
     return PastedResult(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -176,11 +175,6 @@ class MultiPoly:
 
     def as_dict(self):
         return {"m": self.m, "d": self.d, "coeffs": self.flat().tolist()}
-
-    @classmethod
-    def from_dict(cls, f: GF, data):
-        return cls(f, int(data["m"]), int(data["d"]),
-                   np.array(data["coeffs"], dtype=np.int64))
 
     def __eq__(self, other):
         return (
@@ -390,15 +384,6 @@ def slice_indices(f: GF, m: int, d: int, x: int) -> np.ndarray:
     for k in range(d, -1, -1):
         acc = f.add(f.mul(acc, x), coeffs[:, :, k])
     return acc @ f.q ** np.arange(acc.shape[1])
-
-
-def agreement_fraction(g: MultiPoly, h: MultiPoly) -> Fraction:
-    """Exact fraction of points where g = h (exhaustive)."""
-    if (g.m, g.d, g.field) != (h.m, h.d, h.field):
-        raise ValueError("polynomials live in different spaces")
-    vg = evaluate_on_grid(g)
-    vh = evaluate_on_grid(h)
-    return Fraction(int(np.count_nonzero(vg == vh)), vg.size)
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,27 @@
+import numpy as np
+
+from lidtest.measurements import expect_joint
+
+
+def random_symmetric_state(rng, d):
+    """A random swap-invariant state: a symmetric coefficient matrix."""
+    M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    M = M + M.T
+    return M / np.linalg.norm(M)
+
+
+def agreement(fam_a, fam_b, Psi, dist) -> float:
+    """E_x sum_a <psi| A^x_a (x) B^x_a |psi> (matched-outcome mass), for
+    dist a list of (question, weight)."""
+    total = 0.0
+    for x, w in dist:
+        A, B = fam_a[x], fam_b[x]
+        for o in A.outcomes:
+            if o in B:
+                total += float(w) * expect_joint(A.op(o), B.op(o), Psi).real
+    return total
+
+
 CRITERIA = {
     1: "character sums are 0/1-valued on every small field",
     2: "exhaustive pairwise agreement stays within the distance bound",

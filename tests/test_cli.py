@@ -270,6 +270,16 @@ BAD_CLASSICAL_FILES = {
                   "transcript": "missing-dir/transcript.jsonl"}, 2),
     ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": {"builtin": "noisy"},
                   "out": "missing-dir/report.json"}, 2),
+    # paste's Chernoff slack and grid, and the batch size of sdp and round-povm
+    ("paste", {"q": 3, "m": 1, "d": 1, "k": 2, "theta": 2}, 2),
+    ("paste", {"q": 3, "m": 1, "d": 1, "k": 2, "theta": "x"}, 2),
+    ("paste", {"q": 3, "m": 1, "d": 1, "k": 2, "grid": "x"}, 2),
+    # a grid of fewer than two points would pass the scalar checks vacuously
+    ("paste", {"q": 3, "m": 1, "d": 1, "k": 2, "grid": 0}, 2),
+    ("sdp", {"q": 2, "m": 1, "d": 1, "instances": "x"}, 2),
+    ("round-povm", {"instances": "x"}, 2),
+    ("sdp", {"q": 2, "m": 1, "d": 1, "instances": 0}, 2),
+    ("round-povm", {"instances": -1}, 2),
 ])
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, command, cfg, expected):
     (tmp_path / "notjson.json").write_text("{not json")
@@ -293,6 +303,22 @@ def test_guard_exit_code(tmp_path):
     cfg = {"q": 16, "m": 4, "d": 1, "strategy": {"builtin": "noisy"}}
     code, _ = run_cli(tmp_path, "run-test", cfg, "guard")
     assert code == 4
+
+
+@pytest.mark.parametrize("dim,guard,expected", [(4, 1000, 4), (3, 1000, 0), (4, 1296, 0)])
+def test_paste_guard_counts_dim_squared(tmp_path, capsys, monkeypatch, dim, guard, expected):
+    # q=3 m=1 d=1 pastes into 81 global outcomes: 81 * 4^2 = 1296 entries
+    # trip a guard of 1000, which 81 * 4 and 81 * 3^2 = 729 would not
+    from lidtest import pasting
+
+    monkeypatch.setattr(pasting, "PASTE_GUARD", guard)
+    cfg = {"q": 3, "m": 1, "d": 1, "k": 2, "dim": dim}
+    code, out = run_cli(tmp_path, "paste", cfg, "pasteguard")
+    assert code == expected
+    err = capsys.readouterr().err
+    if expected:
+        assert not out.exists()
+        assert err.startswith("size guard: ") and err.count("\n") == 1
 
 
 def test_sdp_error_exit_code(tmp_path, capsys, monkeypatch):

@@ -7,8 +7,17 @@ from lidtest.gf import (
     character_sum,
     field,
     field_for_order,
-    vector_character_sum,
 )
+
+def vector_character_sum(f, v):
+    """E_{u ~ F_q^m} omega^tr(u.v) for a vector v of field elements."""
+    vi = [f.element(c).i for c in v]
+    total = 1.0 + 0j
+    # product structure: E_u prod_j omega^tr(u_j v_j) factorizes
+    for c in vi:
+        total *= character_sum(f, c)
+    return total
+
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 

@@ -8,9 +8,11 @@ from lidtest.hypercube import (
     local_variance,
     verify_eigensystem,
 )
-from lidtest.instances import random_point_family, random_symmetric_state, rng_for
+from lidtest.instances import random_point_family, rng_for
 from lidtest.polyspace import AxisLine, all_points, point_index, restrict_axis
 from lidtest.strategies import pass_probabilities
+
+from conftest import random_symmetric_state
 
 
 # ---- the paper's local/global variance inequalities, measured -------------------

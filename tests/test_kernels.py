@@ -6,7 +6,7 @@ the hypercube character matrix."""
 import numpy as np
 import pytest
 
-from lidtest import sdp
+from lidtest import pasting, sdp
 from lidtest.gf import field_for_order
 from lidtest.hypercube import VERTEX_CAP, HypercubeGraph
 from lidtest.instances import random_projective_measurement, rng_for
@@ -38,6 +38,56 @@ def reference_slice_indices(f, m, d, x):
                      for h in enumerate_polyspace(f, m, d)])
 
 
+def reference_tuples(f, k, seed, tuple_budget):
+    """The tuples pasted_measurement averages over, and its mode."""
+    if distinct_tuple_count(f.q, k) <= tuple_budget:
+        return list(distinct_tuples(f, k)), "exact"
+    rng = np.random.default_rng(seed)
+    return [tuple(rng.permutation(f.q)[:k]) for _ in range(tuple_budget)], "sampled"
+
+
+def dense_paste_step(layers, hit, miss, top):
+    """The pasting step on every global outcome: each one is conjugated by
+    its slice operator, zero or not, and by the miss, one matrix at a time."""
+    out = [None] * min(len(layers) + 1, top + 1)
+    for w, block in enumerate(layers):
+        for v, term in ((min(w + 1, top), hit @ block @ hit),
+                        (w, miss @ block @ miss)):
+            out[v] = term if out[v] is None else out[v] + term
+    return out
+
+
+def dense_pasted_measurement(g_by_x, f, m, d, k, seed=None, tuple_budget=10 ** 5):
+    """pasted_measurement's trie walk with dense_paste_step, and a telescoping
+    sum over every outcome label.  Returns (family ops, telescoping residual)."""
+    ghat = complete_slice_families(g_by_x)
+    dim = next(iter(ghat.values())).dim
+    polys_m = list(enumerate_polyspace(f, m, d))
+    hits = {x: np.stack([ghat[x].op(g) for g in polys_m])[slice_indices(f, m + 1, d, x)]
+            for x in range(f.q)}
+    tuples, _ = reference_tuples(f, k, seed, tuple_budget)
+    eye = np.eye(dim, dtype=complex)
+    total = np.zeros((len(hits[0]), dim, dim), dtype=complex)
+    worst_telescope = 0.0
+    path = [([eye], eye)]
+    prev = ()
+    for inner_first in sorted(tuple(reversed(c)) for c in tuples):
+        shared = next((j for j, (a, b) in enumerate(zip(prev, inner_first)) if a != b),
+                      len(prev))
+        del path[shared + 1:]
+        for x in inner_first[shared:]:
+            layers, acc = path[-1]
+            fam = ghat[x]
+            path.append((dense_paste_step(layers, hits[x], fam.op(BOTTOM), d + 1),
+                         sum(fam.op(g) @ acc @ fam.op(g) for g in fam.outcomes)))
+        layers, acc = path[-1]
+        total += layers[d + 1]
+        worst_telescope = max(worst_telescope, float(np.abs(acc - eye).max()))
+        prev = inner_first
+    total /= len(tuples)
+    return total, worst_telescope
+
+
 def reference_pasted_measurement(g_by_x, f, m, d, k, seed=None, tuple_budget=10 ** 5):
     """One weight-resolved DP per tuple, with two three-operand einsums per
     weight layer, no cap on the weight, and sandwich_total per tuple.
@@ -48,14 +98,7 @@ def reference_pasted_measurement(g_by_x, f, m, d, k, seed=None, tuple_budget=10 
     slice_idx = {x: reference_slice_indices(f, m + 1, d, x) for x in range(f.q)}
     ops_by_x = {x: np.stack([ghat[x].op(g) for g in polys_m], axis=0) for x in range(f.q)}
     bot_by_x = {x: ghat[x].op(BOTTOM) for x in range(f.q)}
-
-    if distinct_tuple_count(f.q, k) <= tuple_budget:
-        tuples = list(distinct_tuples(f, k))
-        mode = "exact"
-    else:
-        rng = np.random.default_rng(seed)
-        tuples = [tuple(rng.permutation(f.q)[:k]) for _ in range(tuple_budget)]
-        mode = "sampled"
+    tuples, mode = reference_tuples(f, k, seed, tuple_budget)
 
     N = len(slice_idx[0])
     total = np.zeros((N, dim, dim), dtype=complex)
@@ -131,9 +174,10 @@ PASTE_GRID = [
 ]
 
 
-def random_slice_families(rng, f, m, d, dim):
-    """Projective slice families on random outcomes, one block dropped from
-    some so that they are strict sub-measurements."""
+def random_slice_families(rng, f, m, d, dim, kind="random"):
+    """Projective slice families on random outcomes.  kind "random" drops one
+    block from some so that they are strict sub-measurements; "full" keeps
+    every block; "empty" also makes the family of x = 0 all zero."""
     polys = tuple(enumerate_polyspace(f, m, d))
     out = {}
     for x in range(f.q):
@@ -141,8 +185,10 @@ def random_slice_families(rng, f, m, d, dim):
         ops = np.zeros((len(polys), dim, dim), dtype=complex)
         slots = rng.choice(len(polys), size=len(fam.outcomes), replace=False)
         ops[slots] = fam.ops
-        if rng.random() < 0.5:
+        if kind != "full" and rng.random() < 0.5:
             ops[slots[0]] = 0.0
+        if kind == "empty" and x == 0:
+            ops[:] = 0.0
         out[x] = SubMeasurement(polys, ops, check=False)
     return out
 
@@ -160,6 +206,52 @@ def test_pasted_measurement_matches_per_tuple_dp(q, m, d, k, dim, budget):
     assert np.abs(result.family.ops - ops).max() <= 1e-12
     # the accumulators run the same products in the same order
     assert result.telescoping_residual == telescope
+
+
+# PASTE_GRID plus: every slice outcome nonzero (dim >= outcome count), so
+# every row is live; one slice family all zero, so that coordinate has no
+# live row; and the size of the benchmark's paste command
+DENSE_GRID = [(*case, "random") for case in PASTE_GRID] + [
+    (2, 1, 0, 2, 3, 10 ** 5, "full"),
+    (3, 1, 1, 3, 2, 10 ** 5, "empty"),
+    (5, 1, 1, 4, 4, 10 ** 5, "random"),
+]
+
+
+def per_matrix_conjugate_rows(miss, layer):
+    """pasting._conjugate_rows one matrix at a time, as the dense step."""
+    return (miss @ layer.transpose(1, 0, 2) @ miss).transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("q,m,d,k,dim,budget,kind", DENSE_GRID)
+def test_live_row_dp_matches_dense_dp(q, m, d, k, dim, budget, kind, monkeypatch):
+    f = field_for_order(q)
+    g_by_x = random_slice_families(rng_for(100 + q + 10 * k), f, m, d, dim, kind)
+    if kind == "full":
+        assert all(fam.ops.any(axis=(1, 2)).all() for fam in g_by_x.values())
+    ops, telescope = dense_pasted_measurement(g_by_x, f, m, d, k, seed=3,
+                                              tuple_budget=budget)
+    result = pasted_measurement(g_by_x, f, m, d, k, seed=3, tuple_budget=budget)
+    # the miss GEMMs may round differently from one product per matrix (they
+    # agree bitwise under OpenBLAS at dim 4, not at dims 2 and 3) ...
+    assert np.abs(result.family.ops - ops).max() <= 1e-12
+    assert result.telescoping_residual == telescope
+    # ... and with the miss products taken one matrix at a time, skipping
+    # the zero hits and keeping the order of the sums changes no bit
+    monkeypatch.setattr(pasting, "_conjugate_rows", per_matrix_conjugate_rows)
+    result = pasted_measurement(g_by_x, f, m, d, k, seed=3, tuple_budget=budget)
+    assert np.array_equal(result.family.ops, ops)
+    assert result.telescoping_residual == telescope
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 7, 625])
+def test_conjugate_rows_matches_per_matrix_products(dim, n):
+    rng = rng_for(400 + dim + n)
+    miss, layer = random_complex(rng, dim, dim), random_complex(rng, dim, n, dim)
+    got = pasting._conjugate_rows(miss, layer)
+    assert got.shape == layer.shape
+    assert np.abs(got - per_matrix_conjugate_rows(miss, layer)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("q,m,d", sorted({(q, m + 1, d) for q, m, d, *_ in PASTE_GRID}

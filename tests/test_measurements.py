@@ -7,14 +7,12 @@ from lidtest.instances import (
     random_povm,
     random_projective_measurement,
     random_state,
-    random_symmetric_state,
     rng_for,
 )
 from lidtest.measurements import (
     BOTTOM,
     MeasurementError,
     SubMeasurement,
-    agreement,
     consistency,
     cross_state_distance,
     diagonal_indicator_family,
@@ -25,6 +23,7 @@ from lidtest.measurements import (
     strong_self_consistency_deficit,
 )
 
+from conftest import agreement, random_symmetric_state
 from oracles import post_process
 
 X = "x"

@@ -5,7 +5,6 @@ from lidtest.instances import (
     maximally_entangled,
     perturbed_measurement_pair,
     random_projective_measurement,
-    random_symmetric_state,
     rng_for,
 )
 from lidtest.measurements import (
@@ -22,6 +21,8 @@ from lidtest.orthogonalize import (
     round_to_projectors,
     svd_project,
 )
+
+from conftest import random_symmetric_state
 
 X = "x"
 ONE = [(X, 1.0)]
