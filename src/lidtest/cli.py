@@ -67,12 +67,17 @@ def _count(cfg, key, default, least=1) -> int:
     return n
 
 
-def _real(cfg, key, default, upper=math.inf) -> float:
-    """A config field that must be a number in the open interval (0, upper)."""
+def _number(cfg, key, default) -> float:
+    """A config field that must be a number."""
     try:
-        x = float(cfg.get(key, default))
+        return float(cfg.get(key, default))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key} must be a number: {exc}") from exc
+
+
+def _real(cfg, key, default, upper=math.inf) -> float:
+    """A config field that must be a number in the open interval (0, upper)."""
+    x = _number(cfg, key, default)
     if not 0 < x < upper:
         raise ConfigError(f"{key} must lie in (0, {upper}), not {x}")
     return x
@@ -224,6 +229,8 @@ def cmd_round_povm(cfg, seed, workers=1):
     mode = cfg.get("mode", "orthogonalize")
     if mode not in ("orthogonalize", "naimark"):
         raise ConfigError(f"mode must be 'orthogonalize' or 'naimark', not {mode!r}")
+    if mode == "orthogonalize" and not 0 <= _number(cfg, "noise", 0.05) <= 1:
+        raise ConfigError(f"noise must lie in [0, 1], not {cfg['noise']!r}")
     seeds = _seed_batch(cfg, seed)
     jobs = [(s, cfg) for s in seeds]
     results = _run_batch(_povm_instance, jobs, workers)
@@ -363,7 +370,7 @@ COMMANDS = {
 
 
 def _seed_batch(cfg, seed):
-    base = int(seed if seed is not None else cfg.get("seed", 0))
+    base = seed if seed is not None else _count(cfg, "seed", 0, least=0)
     n = _count(cfg, "instances", 1)
     return [base + j for j in range(n)]
 
@@ -416,6 +423,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, not {args.seed}")
         fn = COMMANDS[args.command]
         if args.command in ("round-povm", "sdp"):
             body = fn(cfg, args.seed, workers=args.workers)

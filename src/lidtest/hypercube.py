@@ -52,10 +52,6 @@ class HypercubeGraph:
             K[ui, vi] += w
         return K
 
-    def laplacian(self) -> np.ndarray:
-        M = self.size
-        return np.eye(M) / M - self.adjacency()
-
     def character_matrix(self) -> np.ndarray:
         """Unit-norm additive characters as columns, rows and columns both in
         point-index order: entry (u, alpha) is omega^tr(u . alpha) / sqrt(M).

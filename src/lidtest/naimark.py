@@ -44,12 +44,6 @@ class DilatedMeasurement:
     unitary: np.ndarray
     base_dim: int
 
-    def compress(self, outcome) -> np.ndarray:
-        """(I (x) <aux|) op (I (x) |aux>) back on the base space."""
-        d, a = self.base_dim, self.aux_state.shape[0]
-        op = self.family.op(outcome).reshape(d, a, d, a)
-        return np.einsum("a,iajb,b->ij", self.aux_state.conj(), op, self.aux_state)
-
 
 def dilate(sub: SubMeasurement, aux_state=None) -> DilatedMeasurement:
     """Projective dilation of one sub-measurement.

@@ -154,11 +154,11 @@ class Support:
     def __len__(self):
         return len(self.subtest)
 
-    def samples(self):
-        """Each round as a RoundSample over the shared question objects."""
+    def samples(self, rows=slice(None)):
+        """Each round (or each in the index array `rows`) as a RoundSample."""
         qs = [question for _, question in self.questions]
-        for sub, a, b, c in zip(self.subtest.tolist(), self.q_a.tolist(),
-                                self.q_b.tolist(), self.mass_class.tolist()):
+        for sub, a, b, c in zip(self.subtest[rows].tolist(), self.q_a[rows].tolist(),
+                                self.q_b[rows].tolist(), self.mass_class[rows].tolist()):
             yield RoundSample(SUBTESTS[sub], qs[a], qs[b], self.masses[c])
 
 

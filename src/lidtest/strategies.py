@@ -8,7 +8,7 @@ line answer gives along its line, or a value answer repeated.  A round's
 verdict is then one array comparison, and exact probabilities are integer
 hit counts per mass class, turned into Fractions at the end.  Quantum
 strategies carry a bipartite state matrix plus per-question SubMeasurement
-families and are evaluated by exact dense contraction, round by round.
+families and are evaluated by exact dense contraction, once per question pair.
 `judge` gives every kind's acceptance over the support once, as a `Judged`
 record, and the aggregators read that record.
 
@@ -261,8 +261,15 @@ class QuantumStrategy:
         return self
 
     def acceptance(self, support: Support):
-        """Every round's `accept`, in round order, as (floats, denominator 1)."""
-        return np.array([self.accept(s) for s in support.samples()], dtype=float), 1
+        """Every round's `accept`, in round order, as (floats, denominator 1).
+        A round's acceptance, the sum over matching answers a of
+        <psi| A^{q_a}_a (x) B^{q_b}_a |psi>, reads only its two questions: they
+        fix both families, the line role and the point's parameter.  So
+        `accept` runs on the first round of each distinct pair (q_a, q_b) only."""
+        pairs = np.stack([support.q_a, support.q_b], axis=1)
+        _, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+        acc = np.array([self.accept(s) for s in support.samples(first)], dtype=float)
+        return acc[inverse.reshape(-1)], 1
 
     def round_family(self, role, sample) -> SubMeasurement:
         """The family `role` measures in this round.  A line family is grouped

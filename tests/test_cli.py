@@ -280,6 +280,13 @@ BAD_CLASSICAL_FILES = {
     ("round-povm", {"instances": "x"}, 2),
     ("sdp", {"q": 2, "m": 1, "d": 1, "instances": 0}, 2),
     ("round-povm", {"instances": -1}, 2),
+    # a config seed that is not a non-negative integer, and a noise level
+    # outside [0, 1]
+    ("round-povm", {"seed": "x"}, 2),
+    ("round-povm", {"seed": -1}, 2),
+    ("round-povm", {"noise": "x"}, 2),
+    ("round-povm", {"noise": -0.5}, 2),
+    ("round-povm", {"noise": 1.5}, 2),
 ])
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, command, cfg, expected):
     (tmp_path / "notjson.json").write_text("{not json")
@@ -297,6 +304,26 @@ def test_bad_input_exits_with_documented_code(tmp_path, capsys, command, cfg, ex
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("config error" if expected == 2 else "strategy error")
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("run-test", {"q": 3, "m": 2, "d": 1, "strategy": {"builtin": "noisy"}}),
+    ("paste", {"q": 3, "m": 1, "d": 1, "k": 2, "dim": 2}),
+    ("round-povm", {}),
+])
+def test_negative_seed_is_config_error(tmp_path, capsys, command, cfg):
+    code, out = run_cli(tmp_path, command, cfg, "badseed", seed=-1)
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --seed") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("noise", [0.0, 1.0])
+def test_noise_bounds_are_legal(tmp_path, noise):
+    code, out = run_cli(tmp_path, "round-povm", {"noise": noise}, "noise", seed=0)
+    assert code == 0
+    assert json.loads(out.read_text())["report"]["instances"][0]["seed"] == 0
 
 
 def test_guard_exit_code(tmp_path):
@@ -516,6 +543,10 @@ GOLDEN = {
         "274e391e3b900f4e0fb3f34ade35fcd2f31273bd382cbaad26cc0b81d5ea24fe",
     "soundness-q3.json": "56ea98a5f8a24fff50eb550068dfcdc408a19d29df8c9e83c3373f391a3754d6",
     "soundness-q2m3.json": "7598422d6ba35864068e990d5fa214d42336027c4d53c1447c448ed4e3ca969d",
+    # the quantum reports at the benchmark's sizes, pinned before quantum
+    # acceptance was evaluated once per distinct question pair
+    "quantum-q5.json": "8d4e7ef0b6a8cac055bd3f26c6c608dcc24846bc28c674398357490a3a23f96e",
+    "soundness-q4.json": "b45b634e921aa959db5b476887f74fa081e74564392122e88ee8660f0b7e549b",
 }
 
 
@@ -542,6 +573,8 @@ def test_golden_report_hashes(tmp_path, monkeypatch):
         strategy=noisy)
     cli("soundness-q3.json", "soundness-report", q=3, m=2, d=1, strategy=noisy)
     cli("soundness-q2m3.json", "soundness-report", q=2, m=3, d=1, k=2, strategy=noisy)
+    cli("quantum-q5.json", q=5, m=2, d=1, strategy=noisy)
+    cli("soundness-q4.json", "soundness-report", q=4, m=2, d=1, strategy=noisy)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN}
     assert got == GOLDEN

@@ -22,6 +22,13 @@ X = "x"
 ONE = [(X, 1.0)]
 
 
+def compress(dil, outcome) -> np.ndarray:
+    """(I (x) <aux|) op (I (x) |aux>): a dilated operator back on the base space."""
+    d, a = dil.base_dim, dil.aux_state.shape[0]
+    op = dil.family.op(outcome).reshape(d, a, d, a)
+    return np.einsum("a,iajb,b->ij", dil.aux_state.conj(), op, dil.aux_state)
+
+
 def test_dilated_family_is_projective_measurement():
     rng = rng_for(0)
     sub = random_povm(rng, 3, 4)
@@ -35,12 +42,12 @@ def test_compression_recovers_original():
     sub = random_povm(rng, 4, 3)
     dil = dilate(sub)
     for o in sub.outcomes:
-        assert np.abs(dil.compress(o) - sub.op(o)).max() < 1e-10
+        assert np.abs(compress(dil, o) - sub.op(o)).max() < 1e-10
     # the completion slot compresses to the incomplete part
     scaled = SubMeasurement(sub.outcomes, sub.ops * 0.6)
     dil2 = dilate(scaled)
     rest = np.eye(4) - scaled.total()
-    assert np.abs(dil2.compress(BOTTOM) - rest).max() < 1e-10
+    assert np.abs(compress(dil2, BOTTOM) - rest).max() < 1e-10
 
 
 def test_projective_input_dilates_to_itself_on_the_base_block():
@@ -48,7 +55,7 @@ def test_projective_input_dilates_to_itself_on_the_base_block():
     P = random_projective_measurement(rng, 4, 3)
     dil = dilate(P)
     for o in P.outcomes:
-        assert np.abs(dil.compress(o) - P.op(o)).max() < 1e-10
+        assert np.abs(compress(dil, o) - P.op(o)).max() < 1e-10
         # statistics on arbitrary product inputs are unchanged
     for _ in range(3):
         phi = random_state(rng, 4, 1).reshape(-1)

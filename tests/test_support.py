@@ -9,12 +9,14 @@ import pytest
 
 from lidtest import strategies
 from lidtest.gf import field_for_order
-from lidtest.instances import corrupted_tables, noisy_shared_randomness_strategy
-from lidtest.measurements import MeasurementError, SubMeasurement
+from lidtest.instances import corrupted_tables, noisy_shared_randomness_strategy, random_state
+from lidtest.measurements import MeasurementError, SubMeasurement, is_swap_invariant
 from lidtest.polyspace import AxisLine, DiagonalLine, MultiPoly
 from lidtest.protocol import ProtocolError, TestParams, support_table, verdict
+from lidtest.stratfile import load_strategy, save_strategy
 from lidtest.strategies import (
     ClassicalStrategy,
+    QuantumStrategy,
     RandomizedClassicalStrategy,
     axis_failure_pessimistic,
     check_family,
@@ -24,6 +26,7 @@ from lidtest.strategies import (
     honest_strategy,
     judge,
     pass_probabilities_monte_carlo,
+    symmetrize,
 )
 
 from oracles import (
@@ -250,3 +253,59 @@ def test_quantum_strategy_missing_a_family_is_a_protocol_error():
     del strat.families["A"]["diag"][next(iter(strat.families["A"]["diag"]))]
     with pytest.raises(ProtocolError, match="no A family"):
         strat.validate()
+
+
+def quantum_strategies_for(params, seed, path=None):
+    """A noisy strategy; two noisy family tables, A != B, on a state that is
+    not swap-invariant; its symmetrization; one family table for both roles
+    on that state; and, given a file path, the asymmetric strategy read back
+    from a strategy file."""
+    noisy = noisy_shared_randomness_strategy(params, 2, 1, seed)
+    other = noisy_shared_randomness_strategy(params, 2, 2, seed + 1)
+    psi = random_state(np.random.default_rng(seed), 2, 2)
+    assert not is_swap_invariant(psi)
+    asymmetric = QuantumStrategy(params, psi, {"A": noisy.families["A"],
+                                               "B": other.families["A"]})
+    out = {"noisy": noisy, "asymmetric": asymmetric, "symmetrized": symmetrize(asymmetric),
+           "twisted": QuantumStrategy(params, psi, noisy.families, symmetric=False)}
+    if path is not None:
+        save_strategy(asymmetric, path)
+        out["file"] = load_strategy(path)
+    return out
+
+
+# A strategy file at m = 3 takes seconds to write (38 MB at q = 4 d = 1), so
+# only m <= 2 reads one back.  m = 3 at q = 4 and 5 (11,200 and 39,625 rounds)
+# runs only the asymmetric strategy, and q = 5 only d = 0: each reference
+# round costs about what a question pair does.
+PAIR_CASES = [(q, m, d) for q, m in QM for d in (0, 1) if (q, m) != (5, 3) or d == 0]
+
+
+@pytest.mark.parametrize("q,m,d", PAIR_CASES)
+def test_quantum_acceptance_per_pair_matches_per_round_accept(tmp_path, q, m, d):
+    params = params_for(q, m, d)
+    support = support_table(params)
+    found = quantum_strategies_for(params, q * 100 + m * 10 + d,
+                                   tmp_path / "quantum.json" if m < 3 else None)
+    if q ** m >= 64:
+        found = {"asymmetric": found["asymmetric"]}
+    for name, strat in found.items():
+        want = np.array([strat.accept(r) for r in support.samples()])
+        got, den = strat.acceptance(support)
+        assert den == 1
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("q,pairs", [(5, 475), (4, 272)])
+def test_quantum_acceptance_runs_accept_once_per_question_pair(monkeypatch, q, pairs):
+    params = params_for(q, 2, 1)
+    support = support_table(params)
+    assert len(set(zip(support.q_a.tolist(), support.q_b.tolist()))) == pairs < len(support)
+    strat = noisy_shared_randomness_strategy(params, 3, 1, 0)
+    calls = []
+    accept = QuantumStrategy.accept
+    monkeypatch.setattr(QuantumStrategy, "accept",
+                        lambda self, sample: calls.append(sample) or accept(self, sample))
+    judged = judge(strat, params)
+    assert len(calls) == pairs
+    assert len(judged.acceptance) == len(support)
