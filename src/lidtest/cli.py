@@ -376,7 +376,9 @@ def _seed_batch(cfg, seed):
 
 
 def _run_batch(fn, jobs, workers):
-    if workers and workers > 1:
+    # a fork pool starts all its workers at once: never more than the jobs
+    workers = min(workers, len(jobs))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(fn, jobs))
     else:
@@ -391,9 +393,10 @@ def build_parser():
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--seed", type=int, default=None)
+    # --seed and --workers are read in main, so a bad value is a config error
+    parser.add_argument("--seed", default=None)
     parser.add_argument("--out", help="report path (default stdout)")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", default=1)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config field (JSON-parsed value)")
@@ -423,8 +426,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be a non-negative integer, not {args.seed}")
+        flags = {"--seed": args.seed, "--workers": args.workers}
+        if args.seed is not None:
+            args.seed = _count(flags, "--seed", None, least=0)
+        args.workers = _count(flags, "--workers", None)
         fn = COMMANDS[args.command]
         if args.command in ("round-povm", "sdp"):
             body = fn(cfg, args.seed, workers=args.workers)

@@ -131,17 +131,16 @@ def points_commutativity(strategy: QuantumStrategy) -> BoundReport:
     gamma = float(good.gamma)
     points = strategy.families["A"]["points"]
     Psi = strategy.Psi
-    us = list(points)
+    live = [A.live_ops() for A in points.values()]
     total = 0.0
-    for u in us:
-        for v in us:
-            A, B = points[u], points[v]
-            for a in A.outcomes:
-                for b in B.outcomes:
-                    comm = A.op(a) @ B.op(b) - B.op(b) @ A.op(a)
+    for A in live:
+        for B in live:
+            for a in A:
+                for b in B:
+                    comm = a @ b - b @ a
                     vvec = comm @ Psi
                     total += float(np.sum(np.abs(vvec) ** 2))
-    total /= len(us) ** 2
+    total /= len(live) ** 2
     inputs = {"gamma": gamma, "m": params.m, "d": params.d, "q": params.q}
     return make_report("points_commutativity", total, inputs)
 
@@ -155,17 +154,19 @@ def slice_commutativity(strategy: QuantumStrategy, good: Goodness, g_by_x: dict,
     f = params.field
     m_slice = params.m - 1
     Psi = strategy.Psi
-    evaluated_by_x = {x: evaluated_at_points(G, f) for x, G in g_by_x.items()}
     gamma = float(good.gamma)
+
+    # a zero operator adds exactly +0.0 to a non-negative sum, so both loops
+    # walk only the live operators, in outcome order
+    live = {x: G.live_ops() for x, G in g_by_x.items()}
+    live_evaluated = {x: [E.live_ops() for E in evaluated_at_points(G, f)]
+                      for x, G in g_by_x.items()}
 
     raw = 0.0
     for x in range(f.q):
         for y in range(f.q):
-            Gx, Gy = g_by_x[x], g_by_x[y]
-            for og in Gx.outcomes:
-                a = Gx.op(og)
-                for oh in Gy.outcomes:
-                    b = Gy.op(oh)
+            for a in live[x]:
+                for b in live[y]:
                     comm = a @ b - b @ a
                     raw += float(np.sum(np.abs(comm @ Psi) ** 2))
     raw /= f.q ** 2
@@ -174,11 +175,11 @@ def slice_commutativity(strategy: QuantumStrategy, good: Goodness, g_by_x: dict,
     n = 0
     for x in range(f.q):
         for y in range(f.q):
-            for Gx in evaluated_by_x[x]:
-                for Gy in evaluated_by_x[y]:
-                    for a in Gx.outcomes:
-                        for b in Gy.outcomes:
-                            comm = Gx.op(a) @ Gy.op(b) - Gy.op(b) @ Gx.op(a)
+            for Gx in live_evaluated[x]:
+                for Gy in live_evaluated[y]:
+                    for a in Gx:
+                        for b in Gy:
+                            comm = a @ b - b @ a
                             evaluated += float(np.sum(np.abs(comm @ Psi) ** 2))
                     n += 1
     evaluated /= n

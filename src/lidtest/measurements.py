@@ -68,10 +68,10 @@ class SubMeasurement:
         herm = np.abs(self.ops - np.conj(np.transpose(self.ops, (0, 2, 1))))
         if herm.size and herm.max() > HERMITIAN_TOL:
             raise MeasurementError("operators are not Hermitian")
-        for op in self.ops:
-            w = np.linalg.eigvalsh(op)
-            if w.size and w.min() < PSD_FLOOR:
-                raise MeasurementError(f"operator has eigenvalue {w.min():.3e} < 0")
+        low = np.linalg.eigvalsh(self.ops).min(axis=1, initial=np.inf)
+        bad = np.flatnonzero(low < PSD_FLOOR)
+        if bad.size:
+            raise MeasurementError(f"operator has eigenvalue {low[bad[0]]:.3e} < 0")
         w = np.linalg.eigvalsh(self.total())
         if w.size and w.max() > 1 + COMPLETENESS_TOL:
             raise MeasurementError(f"total exceeds identity: max eig {w.max():.6f}")
@@ -85,6 +85,10 @@ class SubMeasurement:
 
     def __contains__(self, outcome):
         return outcome in self._index
+
+    def live_ops(self) -> np.ndarray:
+        """The operators that are not exactly zero, in outcome order."""
+        return self.ops[np.any(self.ops != 0, axis=(1, 2))]
 
     def items(self):
         return zip(self.outcomes, self.ops)

@@ -152,9 +152,12 @@ def svd_project(reduced: SubMeasurement):
 
 
 def projectivity_residual(fam: SubMeasurement) -> float:
+    """max over pairs of |P_a P_b - delta_ab P_a|; a pair holding a zero
+    operator gives 0 exactly, so only the live operators are walked."""
     worst = 0.0
-    for i, a in enumerate(fam.ops):
-        for j, b in enumerate(fam.ops):
+    live = fam.live_ops()
+    for i, a in enumerate(live):
+        for j, b in enumerate(live):
             target = a if i == j else 0.0
             worst = max(worst, float(np.abs(a @ b - target).max()))
     return worst

@@ -287,6 +287,11 @@ BAD_CLASSICAL_FILES = {
     ("round-povm", {"noise": "x"}, 2),
     ("round-povm", {"noise": -0.5}, 2),
     ("round-povm", {"noise": 1.5}, 2),
+    # command-line flags, given here under their own names
+    ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": {"builtin": "noisy"}, "--seed": "x"}, 2),
+    ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": {"builtin": "noisy"}, "--seed": "1.5"}, 2),
+    ("round-povm", {"--workers": "x"}, 2),
+    ("round-povm", {"--workers": "-1"}, 2),
 ])
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, command, cfg, expected):
     (tmp_path / "notjson.json").write_text("{not json")
@@ -298,6 +303,8 @@ def test_bad_input_exits_with_documented_code(tmp_path, capsys, command, cfg, ex
         cfg = {**cfg, "transcript": str(tmp_path / cfg["transcript"])}
     cfg = dict(cfg)
     extra = ("--out", str(tmp_path / cfg.pop("out"))) if "out" in cfg else ()
+    extra += tuple(item for flag in [key for key in cfg if key.startswith("--")]
+                   for item in (flag, cfg.pop(flag)))
     code, out = run_cli(tmp_path, command, cfg, "badinput", extra=extra)
     assert code == expected
     assert not out.exists()
@@ -317,6 +324,38 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command, cfg):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("config error: --seed") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,cfg,workers,pool", [
+    ("sdp", {"q": 2, "m": 1, "d": 1, "instances": 3}, "100000", [3]),
+    ("round-povm", {"instances": 2}, "5", [2]),
+    ("round-povm", {"instances": 1}, "100000", []),
+])
+def test_worker_pool_is_never_larger_than_the_batch(tmp_path, monkeypatch, command, cfg,
+                                                    workers, pool):
+    # the executor is replaced by a recorder that maps in this process, so
+    # no worker is ever started
+    from lidtest import cli
+
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    code, out = run_cli(tmp_path, command, cfg, "pool", seed=1, extra=("--workers", workers))
+    assert code == 0 and sizes == pool
+    assert len(json.loads(out.read_text())["report"]["instances"]) == cfg["instances"]
 
 
 @pytest.mark.parametrize("noise", [0.0, 1.0])
@@ -547,6 +586,9 @@ GOLDEN = {
     # acceptance was evaluated once per distinct question pair
     "quantum-q5.json": "8d4e7ef0b6a8cac055bd3f26c6c608dcc24846bc28c674398357490a3a23f96e",
     "soundness-q4.json": "b45b634e921aa959db5b476887f74fa081e74564392122e88ee8660f0b7e549b",
+    # two pasting levels, pinned before the commutator and residual loops
+    # skipped zero operators
+    "soundness-q3m3.json": "298a34511233cfcd4fc7b9e9732c25eb41ec293fa53aaefcdaee50f9a203e3d1",
 }
 
 
@@ -575,6 +617,7 @@ def test_golden_report_hashes(tmp_path, monkeypatch):
     cli("soundness-q2m3.json", "soundness-report", q=2, m=3, d=1, k=2, strategy=noisy)
     cli("quantum-q5.json", q=5, m=2, d=1, strategy=noisy)
     cli("soundness-q4.json", "soundness-report", q=4, m=2, d=1, strategy=noisy)
+    cli("soundness-q3m3.json", "soundness-report", q=3, m=3, d=1, k=3, strategy=noisy)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN}
     assert got == GOLDEN

@@ -16,6 +16,7 @@ from lidtest.gf import field, field_for_order
 from lidtest.improvement import evaluated_at_points, measure_points_consistency
 from lidtest.instances import (
     noisy_shared_randomness_strategy,
+    random_povm,
     random_projective_measurement,
     random_state,
     rng_for,
@@ -23,7 +24,7 @@ from lidtest.instances import (
 from lidtest.measurements import SubMeasurement, expect_joint
 from lidtest.pasting import pasted_measurement
 from lidtest.polyspace import MultiPoly, UniPoly, enumerate_polyspace, poly_by_index
-from lidtest.protocol import TestParams
+from lidtest.protocol import GROUPS, TestParams
 from lidtest.strategies import (
     QuantumStrategy,
     classical_to_quantum,
@@ -32,6 +33,7 @@ from lidtest.strategies import (
 )
 
 import oracles
+from conftest import rotated_strategy
 
 
 def honest_quantum(q, m, d, coeffs):
@@ -149,30 +151,18 @@ def test_soundness_witness_noisy_two_variables():
             assert margin >= -1e-7, (x, name)
 
 
+def rotated_points_strategy():
+    """A noisy q=2 m=2 strategy whose point families are each conjugated by
+    their own unitary: valid, symmetric and projective, but not commuting."""
+    base = noisy_shared_randomness_strategy(TestParams(field(2), 2, 1), 3, 1, seed=21)
+    return rotated_strategy(base, 22)
+
+
 def test_points_commutativity_rotated_strategy():
     # conjugating each point family by its own unitary breaks commutativity
     # but leaves a valid symmetric projective strategy; the commutator mass
     # must stay below the bound computed from the measured diagonal failure
-    from lidtest.instances import noisy_shared_randomness_strategy, rng_for
-    from lidtest.strategies import QuantumStrategy
-
-    params = TestParams(field(2), 2, 1)
-    base = noisy_shared_randomness_strategy(params, 3, 1, seed=21)
-    rng = rng_for(22)
-    theta = 0.15
-    rotated_points = {}
-    for u, sub in base.families["A"]["points"].items():
-        H = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        H = theta * (H + H.conj().T)
-        w, v = np.linalg.eigh(H)
-        U = (v * np.exp(1j * w)) @ v.conj().T
-        ops = np.array([U @ op @ U.conj().T for op in sub.ops])
-        rotated_points[u] = SubMeasurement(sub.outcomes, ops, check=False)
-    shared = dict(base.families["A"])
-    shared["points"] = rotated_points
-    strat = QuantumStrategy(params, base.Psi, {"A": shared, "B": shared},
-                            symmetric=True, projective=True)
-    rep = points_commutativity(strat)
+    rep = points_commutativity(rotated_points_strategy())
     assert rep.measured > 1e-6  # genuinely non-commuting
     assert rep.inputs["gamma"] > 0
     assert rep.margin >= -1e-9
@@ -353,3 +343,130 @@ def test_soundness_witness_makes_no_scalar_restriction(monkeypatch):
     bundle = soundness_witness(strat, k=2)
     assert "slice_levels" in bundle["stages"]
     assert calls == []
+
+
+# ---- live-operator loops against the dense loops over every outcome pair ------
+
+
+def dense_points_commutativity(strategy):
+    """E_{u,v} sum_{a,b} ||[A^u_a, A^v_b] (x) I psi||^2 over every outcome
+    pair, zero operators included."""
+    points = strategy.families["A"]["points"]
+    Psi = strategy.Psi
+    us = list(points)
+    total = 0.0
+    for u in us:
+        for v in us:
+            A, B = points[u], points[v]
+            for a in A.outcomes:
+                for b in B.outcomes:
+                    comm = A.op(a) @ B.op(b) - B.op(b) @ A.op(a)
+                    vvec = comm @ Psi
+                    total += float(np.sum(np.abs(vvec) ** 2))
+    return total / len(us) ** 2
+
+
+def dense_slice_commutativity(strategy, g_by_x):
+    """The raw and evaluated slice commutator masses over every outcome pair,
+    zero operators included."""
+    f = strategy.params.field
+    Psi = strategy.Psi
+    evaluated_by_x = {x: evaluated_at_points(G, f) for x, G in g_by_x.items()}
+    raw = 0.0
+    for x in range(f.q):
+        for y in range(f.q):
+            Gx, Gy = g_by_x[x], g_by_x[y]
+            for og in Gx.outcomes:
+                a = Gx.op(og)
+                for oh in Gy.outcomes:
+                    b = Gy.op(oh)
+                    comm = a @ b - b @ a
+                    raw += float(np.sum(np.abs(comm @ Psi) ** 2))
+    raw /= f.q ** 2
+    evaluated = 0.0
+    n = 0
+    for x in range(f.q):
+        for y in range(f.q):
+            for Gx in evaluated_by_x[x]:
+                for Gy in evaluated_by_x[y]:
+                    for a in Gx.outcomes:
+                        for b in Gy.outcomes:
+                            comm = Gx.op(a) @ Gy.op(b) - Gy.op(b) @ Gx.op(a)
+                            evaluated += float(np.sum(np.abs(comm @ Psi) ** 2))
+                    n += 1
+    return raw, evaluated / n
+
+
+@pytest.mark.parametrize("q,m", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3)])
+def test_slice_commutativity_in_the_pipeline_equals_dense_loops(monkeypatch, q, m):
+    # every level's slice families, as the pipeline builds them from a noisy
+    # strategy with slightly rotated families, so that the slices do not
+    # commute; q = 4 is GF(2^2), and at m = 3 each m = 2 slice level is
+    # checked too
+    from lidtest import diagnostics
+
+    live = diagnostics.slice_commutativity
+    levels = []
+
+    def checked(strategy, good, g_by_x, zeta):
+        reports = live(strategy, good, g_by_x, zeta)
+        raw, evaluated = dense_slice_commutativity(strategy, g_by_x)
+        assert reports[0].measured == raw > 0
+        assert reports[1].measured == evaluated > 0
+        # the families have zero operators to skip
+        assert any(len(G.live_ops()) < len(G.outcomes) for G in g_by_x.values())
+        levels.append(strategy.params.m)
+        return reports
+
+    monkeypatch.setattr(diagnostics, "slice_commutativity", checked)
+    params = TestParams(field_for_order(q), m, 1)
+    base = noisy_shared_randomness_strategy(params, 3, 1, seed=q + m)
+    soundness_witness(rotated_strategy(base, 50 + q + m, 0.02, GROUPS), k=2)
+    assert levels == [2] * (q if m == 3 else 0) + [m]
+
+
+def edge_slice_families(kind, f, d, rng):
+    """Slice families on C^3 labelled by the one-variable polynomials: every
+    operator nonzero, slice 0 all zero beside random projective slices, or a
+    non-projective POVM on each slice."""
+    polys = tuple(enumerate_polyspace(f, 1, d))
+    n = len(polys)
+    if kind == "all-live":
+        # as many outcomes as the dimension, each given a nonzero projector
+        polys = polys[:3]
+        return {x: random_projective_measurement(rng, 3, 3, polys) for x in range(f.q)}
+    if kind == "zero-slice":
+        g_by_x = {x: random_projective_measurement(rng, 3, n, polys) for x in range(f.q)}
+        g_by_x[0] = SubMeasurement(polys, np.zeros((n, 3, 3), dtype=complex), check=False)
+        return g_by_x
+    return {x: random_povm(rng, 3, n, polys) for x in range(f.q)}
+
+
+@pytest.mark.parametrize("kind", ["all-live", "zero-slice", "povm"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_slice_commutativity_edge_families_equal_dense_loops(q, kind):
+    f = field(q)
+    params = TestParams(f, 2, 1)
+    shape = noisy_shared_randomness_strategy(params, 3, 1, seed=q)
+    rng = rng_for(40 + q)
+    strat = QuantumStrategy(params, random_state(rng, 3, 3), shape.families,
+                            symmetric=False, check=False)
+    g_by_x = edge_slice_families(kind, f, 1, rng)
+    reports = slice_commutativity(strat, pass_probabilities(strat), g_by_x, 0.0)
+    raw, evaluated = dense_slice_commutativity(strat, g_by_x)
+    assert reports[0].measured == raw
+    assert reports[1].measured == evaluated
+    # differently rotated slices do not commute; at q = 2 the zero-slice case
+    # keeps one projective slice, which commutes with itself
+    assert (raw > 1e-6) == (kind != "zero-slice" or q > 2)
+
+
+@pytest.mark.parametrize("name", ["honest", "noisy", "rotated"])
+def test_points_commutativity_equals_dense_loop(name):
+    if name == "honest":
+        strat = honest_quantum(2, 2, 1, (1, 0, 1, 0))[2]
+    elif name == "noisy":
+        strat = noisy_shared_randomness_strategy(TestParams(field(2), 2, 1), 3, 1, seed=0)
+    else:
+        strat = rotated_points_strategy()
+    assert points_commutativity(strat).measured == dense_points_commutativity(strat)

@@ -11,6 +11,7 @@ from lidtest.instances import (
 )
 from lidtest.measurements import (
     BOTTOM,
+    PSD_FLOOR,
     MeasurementError,
     SubMeasurement,
     consistency,
@@ -218,6 +219,35 @@ def test_validation_rejects_bad_families():
     bad = np.array([[[0, 1], [0, 0]]], dtype=complex)
     with pytest.raises(MeasurementError):
         SubMeasurement((0,), bad)  # not Hermitian
+
+
+def per_operator_psd_message(ops):
+    """The message of the first operator below PSD_FLOOR, found one operator
+    at a time with its own eigvalsh."""
+    for op in ops:
+        w = np.linalg.eigvalsh(op)
+        if w.size and w.min() < PSD_FLOOR:
+            return f"operator has eigenvalue {w.min():.3e} < 0"
+    return None
+
+
+@pytest.mark.parametrize("bad", [(0,), (3,), (6,), (0, 6), (2, 3, 5)])
+def test_stacked_psd_check_reports_the_first_bad_operator(bad):
+    # small PSD effects, with Hermitian operators of distinct negative
+    # eigenvalues at the positions in `bad` (first, middle, last, several)
+    rng = rng_for(15)
+    ops = random_povm(rng, 3, 7).ops / 2
+    for j in bad:
+        shift = np.linalg.eigvalsh(ops[j]).min() + 0.01 + 0.003 * j
+        ops[j] = ops[j] - shift * np.eye(3)
+    want = per_operator_psd_message(ops)
+    assert want is not None
+    with pytest.raises(MeasurementError) as exc:
+        SubMeasurement(range(7), ops)
+    assert str(exc.value) == want
+    # a family without a bad operator passes both checks
+    assert per_operator_psd_message(ops[[j for j in range(7) if j not in bad]]) is None
+    SubMeasurement(range(7 - len(bad)), np.delete(ops, bad, axis=0))
 
 
 def test_diagonal_indicator_family():

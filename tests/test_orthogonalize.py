@@ -4,6 +4,7 @@ import pytest
 from lidtest.instances import (
     maximally_entangled,
     perturbed_measurement_pair,
+    random_povm,
     random_projective_measurement,
     rng_for,
 )
@@ -22,7 +23,7 @@ from lidtest.orthogonalize import (
     svd_project,
 )
 
-from conftest import random_symmetric_state
+from conftest import random_symmetric_state, rotated_strategy
 
 X = "x"
 ONE = [(X, 1.0)]
@@ -175,3 +176,66 @@ def test_stage_bounds_track_zeta():
         Q = rank_reduce(R, Psi)
         dist_q = state_distance({X: A}, {X: Q}, Psi, ONE, side="left")
         assert dist_q <= 12.0 * np.sqrt(zeta) + 1e-9
+
+
+# ---- the live-operator residual against the dense loop over every pair --------
+
+
+def dense_projectivity_residual(fam):
+    """max over every outcome pair of |P_a P_b - delta_ab P_a|, zero operators
+    included."""
+    worst = 0.0
+    for i, a in enumerate(fam.ops):
+        for j, b in enumerate(fam.ops):
+            target = a if i == j else 0.0
+            worst = max(worst, float(np.abs(a @ b - target).max()))
+    return worst
+
+
+@pytest.mark.parametrize("q,m", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3)])
+def test_projectivity_residual_in_the_pipeline_equals_dense_loop(monkeypatch, q, m):
+    # every family the soundness pipeline orthogonalizes, from a noisy
+    # strategy with slightly rotated families; q = 4 is GF(2^2)
+    from lidtest import orthogonalize as module
+    from lidtest.diagnostics import soundness_witness
+    from lidtest.gf import field_for_order
+    from lidtest.instances import noisy_shared_randomness_strategy
+    from lidtest.protocol import GROUPS, TestParams
+
+    live = module.projectivity_residual
+    sparse = []
+
+    def checked(fam):
+        got = live(fam)
+        assert got == dense_projectivity_residual(fam)
+        sparse.append(len(fam.live_ops()) < len(fam.outcomes))
+        return got
+
+    monkeypatch.setattr(module, "projectivity_residual", checked)
+    params = TestParams(field_for_order(q), m, 1)
+    base = noisy_shared_randomness_strategy(params, 3, 1, seed=q + m)
+    soundness_witness(rotated_strategy(base, 50 + q + m, 0.02, GROUPS), k=2)
+    assert len(sparse) >= q and any(sparse)
+
+
+def residual_edge_family(kind, rng):
+    dim = 4
+    if kind == "all-live":
+        return random_projective_measurement(rng, dim, dim)
+    if kind == "all-zero":
+        return SubMeasurement(range(6), np.zeros((6, dim, dim), dtype=complex), check=False)
+    if kind == "povm":
+        return random_povm(rng, dim, 5)
+    # zeros around and between the live projectors, slightly off projective
+    P = random_projective_measurement(rng, dim, 3)
+    ops = np.zeros((8, dim, dim), dtype=complex)
+    ops[[1, 4, 6]] = P.ops * np.array([1.0, 0.99, 1.02])[:, None, None]
+    return SubMeasurement(range(8), ops, check=False)
+
+
+@pytest.mark.parametrize("kind", ["all-live", "all-zero", "povm", "padded"])
+def test_projectivity_residual_edge_families_equal_dense_loop(kind):
+    fam = residual_edge_family(kind, rng_for(60))
+    got = projectivity_residual(fam)
+    assert got == dense_projectivity_residual(fam)
+    assert (got == 0.0) == (kind == "all-zero")
