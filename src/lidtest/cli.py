@@ -23,44 +23,41 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
+from .errors import ConfigError, LidtestError, check_size
 from .gf import FieldError, field, field_for_order
-from .polyspace import SizeGuardError
-from .protocol import ProtocolError, TestParams
+from .protocol import TestParams
 from .reporting import bound_rows, to_csv, to_json
-
-EXIT_CONFIG = 2
-EXIT_STRATEGY = 3
-EXIT_GUARD = 4
-EXIT_SDP = 5
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _params_from_config(cfg) -> TestParams:
     try:
         if "p" in cfg:
-            f = field(int(cfg["p"]), int(cfg.get("t", 1)),
+            f = field(_count(cfg, "p", None), _count(cfg, "t", 1),
                       tuple(cfg["modulus"]) if "modulus" in cfg else None)
         else:
-            f = field_for_order(int(cfg["q"]))
+            f = field_for_order(_count(cfg, "q", None))
+        m, d = _count(cfg, "m", None), _count(cfg, "d", None, least=0)
         weights = cfg.get("weights")
         if weights is None:
-            return TestParams(f, int(cfg["m"]), int(cfg["d"]))
+            return TestParams(f, m, d)
         from fractions import Fraction
 
-        return TestParams(f, int(cfg["m"]), int(cfg["d"]),
-                          weights=tuple(Fraction(w) for w in weights))
-    except (KeyError, TypeError, ValueError, FieldError, ProtocolError) as exc:
+        return TestParams(f, m, d, weights=tuple(Fraction(w) for w in weights))
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:  # field, modulus, weights
         raise ConfigError(f"bad test parameters: {exc}") from exc
 
 
 def _count(cfg, key, default, least=1) -> int:
-    """A config field that must be an integer of at least `least`."""
+    """A config field that must be an integer of at least `least`: a JSON
+    integer, or a string of one (the command-line flags)."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ConfigError(f"{key} must be an integer, not {value!r}")
     try:
-        n = int(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
+        n = int(value)
+    except ValueError as exc:
         raise ConfigError(f"{key} must be an integer: {exc}") from exc
     if n < least:
         raise ConfigError(f"{key} must be at least {least}")
@@ -96,7 +93,7 @@ def _pasting_k(cfg, params, default) -> int:
 def _strategy_from_config(cfg, params, seed):
     from .instances import noisy_shared_randomness_strategy
     from .polyspace import poly_by_index, polyspace_size
-    from .stratfile import StrategyFileError, load_strategy
+    from .stratfile import load_strategy
     from .strategies import example_adversary, honest_strategy
 
     entry = cfg.get("strategy")
@@ -108,13 +105,9 @@ def _strategy_from_config(cfg, params, seed):
         raise ConfigError(f"a 'strategy' entry is a file path or an object, not {entry!r}")
     builtin = entry.get("builtin")
     if builtin == "honest":
-        try:
-            index = int(entry["poly_index"])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError("an honest strategy entry needs an integer "
-                              f"'poly_index': {exc!r}") from exc
+        index = _count(entry, "poly_index", None, least=0)
         size = polyspace_size(params.field, params.m, params.d)
-        if not 0 <= index < size:
+        if index >= size:
             raise ConfigError(f"poly_index {index} lies outside [0, {size})")
         return honest_strategy(params, poly_by_index(params.field, params.m, params.d, index))
     if builtin == "adversary":
@@ -126,7 +119,7 @@ def _strategy_from_config(cfg, params, seed):
             _count(entry, "corrupt", 1, least=0),
             seed if seed is not None else 0,
         )
-    if "path" in entry:
+    if isinstance(entry.get("path"), str):
         return load_strategy(entry["path"])
     raise ConfigError(f"unknown strategy entry {entry!r}")
 
@@ -165,27 +158,25 @@ def cmd_run_test(cfg, seed):
         }
     if isinstance(strategy, ClassicalStrategy):
         out["axis_failure_pessimistic"] = axis_failure_pessimistic(judged)
-        if cfg.get("transcript"):
+        transcript = cfg.get("transcript")
+        if transcript:
+            if not isinstance(transcript, str):
+                raise ConfigError(f"transcript must be a path, not {transcript!r}")
             try:
-                out["transcript_rounds"] = export_transcript(
-                    strategy, cfg["transcript"], judged
-                )
+                out["transcript_rounds"] = export_transcript(strategy, transcript, judged)
             except OSError as exc:
                 raise ConfigError(f"cannot write the transcript: {exc}") from exc
     return out
 
 
 def _povm_instance(args):
-    seed, cfg = args
+    seed, mode, dim, n_out, noise = args
     from .instances import perturbed_measurement_pair, random_povm, random_state, rng_for
     from .measurements import consistency, cross_state_distance
     from .naimark import joint_statistics_preserved
     from .orthogonalize import orthogonalize_measurement
 
     rng = rng_for(seed)
-    dim = int(cfg.get("dim", 4))
-    n_out = int(cfg.get("outcomes", 3))
-    mode = cfg.get("mode", "orthogonalize")
     if mode == "naimark":
         from .measurements import DistanceReport
 
@@ -217,24 +208,24 @@ def _povm_instance(args):
             "max_statistic_deviation": worst,
             "distance_reports": [r.as_dict() for r in reports],
         }
-    noise = float(cfg.get("noise", 0.05))
     A, B, Psi = perturbed_measurement_pair(rng, dim, n_out, noise)
     P, report = orthogonalize_measurement(A, B, Psi)
     return {"seed": seed, "mode": mode, **report.as_dict()}
 
 
 def cmd_round_povm(cfg, seed, workers=1):
-    for key, default in (("dim", 4), ("outcomes", 3)):
-        _count(cfg, key, default)
+    from .naimark import DIM_CAP
+
+    dim, n_out = _count(cfg, "dim", 4), _count(cfg, "outcomes", 3)
     mode = cfg.get("mode", "orthogonalize")
     if mode not in ("orthogonalize", "naimark"):
         raise ConfigError(f"mode must be 'orthogonalize' or 'naimark', not {mode!r}")
-    if mode == "orthogonalize" and not 0 <= _number(cfg, "noise", 0.05) <= 1:
-        raise ConfigError(f"noise must lie in [0, 1], not {cfg['noise']!r}")
-    seeds = _seed_batch(cfg, seed)
-    jobs = [(s, cfg) for s in seeds]
-    results = _run_batch(_povm_instance, jobs, workers)
-    return {"instances": results}
+    noise = _number(cfg, "noise", 0.05) if mode == "orthogonalize" else None
+    if noise is not None and not 0 <= noise <= 1:
+        raise ConfigError(f"noise must lie in [0, 1], not {noise}")
+    check_size("dilated dimension", dim * (n_out + 1), DIM_CAP)  # before any draw
+    jobs = [(s, mode, dim, n_out, noise) for s in _seed_batch(cfg, seed)]
+    return {"instances": _run_batch(_povm_instance, jobs, workers)}
 
 
 def cmd_soundness_report(cfg, seed):
@@ -253,9 +244,9 @@ def cmd_spectrum(cfg, seed):
     from .hypercube import HypercubeGraph, verify_eigensystem
 
     try:
-        f = field_for_order(int(cfg["q"]))
-    except (KeyError, ValueError, FieldError) as exc:
-        raise ConfigError(f"spectrum needs an integer q: {exc}") from exc
+        f = field_for_order(_count(cfg, "q", None))
+    except FieldError as exc:
+        raise ConfigError(f"bad field order: {exc}") from exc
     m = _count(cfg, "m", None)
     graph = HypercubeGraph(f, m)
     system = graph.character_eigensystem()
@@ -266,17 +257,14 @@ def cmd_spectrum(cfg, seed):
 
 
 def _sdp_instance(args):
-    seed, cfg = args
+    seed, params, tables, corrupt, gap_tol = args
     from .improvement import build_instance
-    from .instances import noisy_shared_randomness_strategy, rng_for
+    from .instances import noisy_shared_randomness_strategy
     from .sdp import solve
 
-    params = _params_from_config(cfg)
-    strat = noisy_shared_randomness_strategy(
-        params, int(cfg.get("tables", 4)), int(cfg.get("corrupt", 1)), seed
-    )
+    strat = noisy_shared_randomness_strategy(params, tables, corrupt, seed)
     inst = build_instance(strat, params)
-    sol = solve(inst, gap_tol=_real(cfg, "gap_tol", 1e-7))
+    sol = solve(inst, gap_tol=gap_tol)
     out = {"seed": seed, **sol.residual_summary()}
     if sol.oracle is not None:
         out["oracle_gap"] = abs(sol.primal_objective - sol.oracle.primal_objective)
@@ -284,11 +272,9 @@ def _sdp_instance(args):
 
 
 def cmd_sdp(cfg, seed, workers=1):
-    _real(cfg, "gap_tol", 1e-7)
-    _count(cfg, "tables", 4)
-    _count(cfg, "corrupt", 1, least=0)
-    seeds = _seed_batch(cfg, seed)
-    jobs = [(s, cfg) for s in seeds]
+    settings = (_params_from_config(cfg), _count(cfg, "tables", 4),
+                _count(cfg, "corrupt", 1, least=0), _real(cfg, "gap_tol", 1e-7))
+    jobs = [(s, *settings) for s in _seed_batch(cfg, seed)]
     return {"instances": _run_batch(_sdp_instance, jobs, workers)}
 
 
@@ -411,6 +397,8 @@ def _load_config(args):
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ConfigError("a config file holds one JSON object")
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"bad --set {item!r}")
@@ -435,44 +423,25 @@ def main(argv=None) -> int:
             body = fn(cfg, args.seed, workers=args.workers)
         else:
             body = fn(cfg, args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SizeGuardError as exc:
-        print(f"size guard: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except Exception as exc:  # strategy-file, validation and solver failures
-        from .sdp import SdpError
-        from .stratfile import StrategyFileError
-
-        if isinstance(exc, (StrategyFileError, ProtocolError)):
-            print(f"strategy error: {exc}", file=sys.stderr)
-            return EXIT_STRATEGY
-        if isinstance(exc, SdpError):
-            residuals = json.dumps(exc.residuals, sort_keys=True)
-            print(f"sdp error: {exc} {residuals}", file=sys.stderr)
-            return EXIT_SDP
-        raise
-    report = {
-        "command": args.command,
-        "config": cfg,
-        "seed": args.seed,
-        "version": __version__,
-        "report": body,
-    }
-    if args.format == "csv":
-        text = to_csv(bound_rows(report))
-    else:
-        text = to_json(report)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"config error: cannot write the report: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    else:
-        sys.stdout.write(text)
+        report = {
+            "command": args.command,
+            "config": cfg,
+            "seed": args.seed,
+            "version": __version__,
+            "report": body,
+        }
+        text = to_csv(bound_rows(report)) if args.format == "csv" else to_json(report)
+        if args.out:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write the report: {exc}") from exc
+        else:
+            sys.stdout.write(text)
+    except LidtestError as exc:
+        print(exc.line(), file=sys.stderr)
+        return exc.exit_code
     return 0
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .improvement import evaluated_at_points, measure_points_consistency, projective_improve
 from .measurements import SubMeasurement, consistency, expect_joint
-from .pasting import complete_pasted, pasted_measurement
+from .pasting import check_paste_size, complete_pasted, pasted_measurement
 from .polyspace import (
     AxisLine,
     DiagonalLine,
@@ -33,8 +33,10 @@ from .polyspace import (
     label_values,
     point,
     point_index,
+    polyspace_size,
 )
 from .protocol import GROUPS, TestParams, all_questions
+from .sdp import check_instance_size
 from .strategies import (
     Goodness,
     QuantumStrategy,
@@ -355,6 +357,10 @@ def soundness_witness(strategy: QuantumStrategy, k: int, gap_tol=1e-7) -> dict:
     params = strategy.params
     if not strategy.symmetric:
         strategy = symmetrize(strategy)
+    if params.m > 1:  # the top level's paste and slice SDP are the largest
+        f, m, d, dim = params.field, params.m - 1, params.d, strategy.dims[0]
+        check_paste_size(f, m, d, dim)
+        check_instance_size(polyspace_size(f, m, d), dim)
     good = pass_probabilities(strategy, params)
     G, cons, kappa, stages = witness_level(strategy, good, k, gap_tol)
     self_cons = consistency({0: G}, {0: G}, strategy.Psi, [(0, 1.0)])

@@ -355,7 +355,7 @@ def field(p: int, t: int = 1, modulus=None) -> GF:
 
 def field_for_order(q: int) -> GF:
     """The field of order q with the built-in modulus."""
-    for p in range(2, q + 1):
+    for p in range(2, min(q, MAX_Q) + 1):  # GF refuses a prime power above MAX_Q
         if not is_prime(p):
             continue
         t = 1
@@ -363,7 +363,7 @@ def field_for_order(q: int) -> GF:
             t += 1
         if p ** t == q:
             return field(p, t)
-    raise FieldError(f"{q} is not a prime power")
+    raise FieldError(f"{q} is not a prime power of at most {MAX_Q}")
 
 
 def character_sum(f: GF, a) -> complex:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import GF
-from .polyspace import Point, SizeGuardError, all_points, point_index
+from .errors import check_size
+from .polyspace import Point, all_points, point_index
 
 VERTEX_CAP = 4096
 
@@ -25,8 +26,7 @@ class HypercubeGraph:
     m: int
 
     def __post_init__(self):
-        if self.size > VERTEX_CAP:
-            raise SizeGuardError(f"q^m = {self.size} exceeds the vertex cap")
+        check_size("q^m vertices", self.size, VERTEX_CAP)
 
     @property
     def size(self):

@@ -27,7 +27,7 @@ from .measurements import (
 )
 from .orthogonalize import orthogonalize
 from .polyspace import all_points, enumerate_polyspace, label_values, point_index
-from .protocol import TestParams
+from .protocol import ProtocolError, TestParams
 from .sdp import SdpInstance, solve
 from .strategies import Goodness, QuantumStrategy, group_by_value
 
@@ -126,7 +126,7 @@ def improve(strategy: QuantumStrategy, good: Goodness, nu: float, gap_tol=1e-7):
     measure_points_consistency(strategy, G)."""
     params = strategy.params
     if not strategy.symmetric or not strategy.projective:
-        raise ValueError("self-improvement expects a symmetric projective strategy")
+        raise ProtocolError("self-improvement expects a symmetric projective strategy")
     eps, delta, _ = good.as_floats()
     zeta = zeta_budget(params, eps, delta)
 

@@ -4,18 +4,25 @@ seed means the same instance everywhere."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
+from .errors import check_size
 from .measurements import SubMeasurement
 from .polyspace import MultiPoly
 from .protocol import TestParams
 from .strategies import (
+    QUANTUM_DIM_CAP,
     ClassicalStrategy,
     honest_tables,
     shared_randomness_strategy,
 )
+
+# expected bucket draws of random_projective_measurement; one draw takes
+# 11-14 us (dim 10-14, 2-core x86-64), so about 15 s at the cap
+DRAW_CAP = 10 ** 6
 
 
 def rng_for(seed):
@@ -38,7 +45,15 @@ def random_unitary(rng, d):
 
 
 def random_projective_measurement(rng, dim, n_outcomes, outcomes=None):
-    """Random partition of a rotated basis into n_outcomes projectors."""
+    """Random partition of a rotated basis into n_outcomes projectors.  The
+    bucket vector is redrawn until min(n_outcomes, dim) buckets are used, so
+    n^dim over the number of such vectors, the expected draws, is capped."""
+    n = n_outcomes
+    if n >= dim:
+        good = math.perm(n, dim)
+    else:  # surjections, by inclusion-exclusion
+        good = sum((-1) ** j * math.comb(n, j) * (n - j) ** dim for j in range(n + 1))
+    check_size("expected bucket draws", (n ** dim + good - 1) // good, DRAW_CAP)
     U = random_unitary(rng, dim)
     buckets = rng.integers(0, n_outcomes, size=dim)
     while len(set(buckets.tolist())) < min(n_outcomes, dim):
@@ -112,6 +127,7 @@ def corrupted_tables(params: TestParams, n_tables, n_corrupt, rng):
 
 def noisy_shared_randomness_strategy(params: TestParams, n_tables, n_corrupt, seed):
     """Symmetric projective strategy with tunably small failure probabilities."""
+    check_size("tables", n_tables, QUANTUM_DIM_CAP)  # one state dimension per table
     rng = rng_for(seed)
     return shared_randomness_strategy(params, corrupted_tables(params, n_tables, n_corrupt, rng))
 

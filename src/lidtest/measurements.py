@@ -184,22 +184,15 @@ def consistency(fam_a, fam_b, Psi, dist) -> float:
     return total
 
 
-def state_distance(fam_a, fam_b, Psi, dist, side="left") -> float:
+def state_distance(fam_a, fam_b, Psi, dist) -> float:
     """E_x sum_a || (A^x_a - B^x_a) |psi> ||^2 with both families applied to
-    the same factor ('left' or 'right'); no bipartition is assumed beyond
-    that placement."""
+    the left factor; no bipartition is assumed beyond that placement."""
     total = 0.0
     for x, w in _as_dist(dist):
         A, B = fam_a[x], fam_b[x]
         labels = list(A.outcomes) + [o for o in B.outcomes if o not in A]
         for o in labels:
-            delta = A.op(o) - B.op(o)
-            if side == "left":
-                v = delta @ Psi
-            elif side == "right":
-                v = Psi @ delta.T
-            else:
-                raise MeasurementError(f"unknown side {side!r}")
+            v = (A.op(o) - B.op(o)) @ Psi
             total += w * float(np.sum(np.abs(v) ** 2))
     return total
 

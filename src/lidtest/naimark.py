@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_size
 from .measurements import BOTTOM, MeasurementError, SubMeasurement
 
 DIM_CAP = 4096
@@ -55,8 +56,7 @@ def dilate(sub: SubMeasurement, aux_state=None) -> DilatedMeasurement:
     d = sub.dim
     k = len(sub.outcomes)
     aux_dim = k + 1
-    if d * aux_dim > DIM_CAP:
-        raise MeasurementError(f"dilated dimension {d * aux_dim} exceeds cap")
+    check_size("dilated dimension", d * aux_dim, DIM_CAP)
     if aux_state is None:
         aux = np.zeros(aux_dim, dtype=complex)
         aux[0] = 1.0

@@ -183,7 +183,7 @@ def orthogonalize_measurement(A: SubMeasurement, B: SubMeasurement, Psi):
     report.svd_defective = bool(np.isnan(smin) or smin < SVD_RANK_TOL)
 
     def dist_to(target):
-        return state_distance({_X: A}, {_X: target}, Psi, [(_X, 1.0)], side="left")
+        return state_distance({_X: A}, {_X: target}, Psi, [(_X, 1.0)])
 
     report.stage_distances = {
         "rounded": dist_to(rounded),
@@ -213,9 +213,7 @@ def orthogonalize(A: SubMeasurement, Psi):
     P_hat, report = orthogonalize_measurement(completed, completed, Psi)
     P = P_hat.drop(BOTTOM)
     report.zeta = zeta
-    report.distance = state_distance(
-        {_X: A}, {_X: P}, Psi, [(_X, 1.0)], side="left"
-    )
+    report.distance = state_distance({_X: A}, {_X: P}, Psi, [(_X, 1.0)])
     report.distance_bound = 100.0 * zeta ** 0.25
     report.projectivity_residual = projectivity_residual(P)
     return P, report

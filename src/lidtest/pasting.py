@@ -27,15 +27,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import check_size
 from .gf import GF
 from .measurements import BOTTOM, MeasurementError, SubMeasurement, expect_joint
-from .polyspace import (
-    MultiPoly,
-    SizeGuardError,
-    enumerate_polyspace,
-    polyspace_size,
-    slice_indices,
-)
+from .polyspace import MultiPoly, enumerate_polyspace, polyspace_size, slice_indices
 
 TUPLE_BUDGET = 10 ** 5
 # complex entries in one (global outcomes, dim, dim) stack of the DP (16 MB);
@@ -46,8 +41,8 @@ PASTE_GUARD = 10 ** 6
 def check_paste_size(f: GF, m: int, d: int, dim: int) -> None:
     """Refuse pasting m-variable slices on C^dim when one operator per
     (m+1)-variable outcome would exceed PASTE_GUARD entries."""
-    if polyspace_size(f, m + 1, d) * dim * dim > PASTE_GUARD:
-        raise SizeGuardError(f"global outcomes times dim^2 exceeds {PASTE_GUARD}")
+    check_size("global outcomes times dim^2", polyspace_size(f, m + 1, d) * dim * dim,
+               PASTE_GUARD)
 
 
 def distinct_tuples(f: GF, k: int):
@@ -173,8 +168,7 @@ def paste_step(layers, live, hit, miss, top):
 
 
 def pasted_measurement(g_by_x: dict, f: GF, m: int, d: int, k: int,
-                       seed=None, tuple_budget=TUPLE_BUDGET,
-                       check_telescoping=True) -> PastedResult:
+                       seed=None, tuple_budget=TUPLE_BUDGET) -> PastedResult:
     """The averaged pasted sub-measurement over the (m+1)-variable space.
 
     g_by_x: {x int: projective SubMeasurement over the m-variable space}.
@@ -225,14 +219,10 @@ def pasted_measurement(g_by_x: dict, f: GF, m: int, d: int, k: int,
         del path[shared + 1:]
         for x in inner_first[shared:]:
             layers, acc = path[-1]
-            path.append((
-                paste_step(layers, *slices[x], top),
-                telescope_step(ghat[x], acc) if check_telescoping else None,
-            ))
+            path.append((paste_step(layers, *slices[x], top), telescope_step(ghat[x], acc)))
         layers, acc = path[-1]
         total += layers[top]
-        if check_telescoping:
-            worst_telescope = max(worst_telescope, float(np.abs(acc - eye).max()))
+        worst_telescope = max(worst_telescope, float(np.abs(acc - eye).max()))
         prev = inner_first
     total = total.transpose(1, 0, 2).copy()  # one C-ordered operator per outcome
     total /= len(tuples)

@@ -15,14 +15,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import SizeGuardError, check_size  # noqa: F401 (re-exported)
 from .gf import GF, FieldElement
 
 ENUM_GUARD = 10 ** 6
 POINT_GUARD = 10 ** 5
-
-
-class SizeGuardError(ValueError):
-    """An enumeration would exceed the desk-scale caps."""
 
 
 class Point(tuple):
@@ -50,8 +47,7 @@ def point(f: GF, ints) -> Point:
 
 
 def all_points(f: GF, m: int):
-    if f.q ** m > POINT_GUARD:
-        raise SizeGuardError(f"q^m = {f.q ** m} exceeds the point cap")
+    check_size("q^m points", f.q ** m, POINT_GUARD)
     for ints in itertools.product(range(f.q), repeat=m):
         yield point(f, ints)
 
@@ -375,8 +371,7 @@ def slice_indices(f: GF, m: int, d: int, x: int) -> np.ndarray:
     m-variable space, in index order: one Horner step in the last variable
     over the base-q coefficient digits of every index at once."""
     size = polyspace_size(f, m, d)
-    if size > ENUM_GUARD:
-        raise SizeGuardError(f"|space| = {size} exceeds the enumeration cap")
+    check_size("|space|", size, ENUM_GUARD)
     n_exp = (d + 1) ** m
     digits = (np.arange(size)[:, None] // f.q ** np.arange(n_exp)) % f.q
     coeffs = digits.reshape(size, n_exp // (d + 1), d + 1)  # [h, other exponents, e_m]
@@ -394,8 +389,7 @@ def monomial_table(f: GF, m: int, d: int) -> np.ndarray:
     matching polynomial/point integer indexing), columns in flat exponent
     order.  Entries are integer-encoded field values.
     """
-    if f.q ** m > POINT_GUARD:
-        raise SizeGuardError(f"q^m = {f.q ** m} exceeds the point cap")
+    check_size("q^m points", f.q ** m, POINT_GUARD)
     coords = np.array(list(itertools.product(range(f.q), repeat=m)), dtype=np.int64)
     # coords[:, j] is the j-th coordinate of each point
     pow_tables = [np.stack([f.pow(coords[:, j], e) for e in range(d + 1)], axis=1)
@@ -454,9 +448,7 @@ def polyspace_size(f: GF, m: int, d: int) -> int:
 
 def enumerate_polyspace(f: GF, m: int, d: int):
     """Each polynomial exactly once, in index order."""
-    size = polyspace_size(f, m, d)
-    if size > ENUM_GUARD:
-        raise SizeGuardError(f"|space| = {size} exceeds the enumeration cap")
+    check_size("|space|", polyspace_size(f, m, d), ENUM_GUARD)
     n_exp = (d + 1) ** m
     for flat in itertools.product(range(f.q), repeat=n_exp):
         # itertools varies the last slot fastest; we want digit 0 fastest
@@ -479,9 +471,7 @@ def value_table(f: GF, m: int, d: int) -> np.ndarray:
     coefficient digit at a time, so the cost is O(N * q^(N) ... ) dominated by
     the final table itself.
     """
-    size = polyspace_size(f, m, d)
-    if size > ENUM_GUARD:
-        raise SizeGuardError(f"|space| = {size} exceeds the enumeration cap")
+    check_size("|space|", polyspace_size(f, m, d), ENUM_GUARD)
     table = monomial_table(f, m, d)
     n_pts = table.shape[0]
     n_exp = (d + 1) ** m

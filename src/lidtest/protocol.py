@@ -18,15 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import StrategyError, check_size
 from .gf import GF, FieldElement
-from .polyspace import (
-    AxisLine,
-    DiagonalLine,
-    Point,
-    SizeGuardError,
-    UniPoly,
-    all_points,
-)
+from .polyspace import AxisLine, DiagonalLine, Point, UniPoly, all_points
 
 SUPPORT_GUARD = 10 ** 6
 
@@ -37,7 +31,7 @@ ROLES = ("A", "B")
 GROUPS = ("points", "axis", "diag")
 
 
-class ProtocolError(ValueError):
+class ProtocolError(StrategyError):
     pass
 
 
@@ -122,9 +116,8 @@ class RoundSample:
 
 def _check_support(params: TestParams):
     q, m = params.q, params.m
-    size = q ** m + 2 * m * q ** m + 2 * m * q ** m * q ** m
-    if size > SUPPORT_GUARD:
-        raise SizeGuardError(f"question support ~{size} exceeds the cap")
+    check_size("question support", q ** m + 2 * m * q ** m + 2 * m * q ** m * q ** m,
+               SUPPORT_GUARD)
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,16 +29,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import json
+
 import numpy as np
+
+from .errors import LidtestError, check_size
 
 R_CAP = 64
 OUTCOME_CAP = 1024
 
 
-class SdpError(RuntimeError):
+class SdpError(LidtestError, RuntimeError):
+    """The solver did not converge or left the interior."""
+
+    exit_code, label = 5, "sdp error"
+
     def __init__(self, msg, residuals=None):
         super().__init__(msg)
         self.residuals = residuals or {}
+
+    def line(self) -> str:
+        return f"{super().line()} {json.dumps(self.residuals, sort_keys=True)}"
+
+
+def check_instance_size(n_outcomes: int, dim: int) -> None:
+    check_size("SDP dimension", dim, R_CAP)
+    check_size("SDP outcomes", n_outcomes, OUTCOME_CAP)
 
 
 @dataclass
@@ -52,10 +68,7 @@ class SdpInstance:
             raise SdpError("constraints must be a stacked array")
         if len(self.outcomes) != self.constraints.shape[0]:
             raise SdpError("outcome/constraint count mismatch")
-        if self.dim > R_CAP:
-            raise SdpError(f"dimension {self.dim} exceeds cap {R_CAP}")
-        if len(self.outcomes) > OUTCOME_CAP:
-            raise SdpError(f"{len(self.outcomes)} outcomes exceed cap {OUTCOME_CAP}")
+        check_instance_size(len(self.outcomes), self.dim)
 
     @property
     def dim(self):

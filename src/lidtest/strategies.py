@@ -30,6 +30,7 @@ from math import lcm
 
 import numpy as np
 
+from .errors import check_size
 from .gf import FieldElement
 from .measurements import (
     COMPLETENESS_TOL,
@@ -240,8 +241,7 @@ class QuantumStrategy:
 
     def validate(self):
         da, db = self.Psi.shape
-        if da > QUANTUM_DIM_CAP or db > QUANTUM_DIM_CAP:
-            raise ProtocolError(f"dimension exceeds the {QUANTUM_DIM_CAP} cap")
+        check_size("local dimension", max(da, db), QUANTUM_DIM_CAP)
         norm = float(np.sum(np.abs(self.Psi) ** 2))
         if abs(norm - 1.0) > 1e-9:
             raise ProtocolError(f"state norm {norm:.2e} != 1")
@@ -551,8 +551,7 @@ def shared_randomness_strategy(params: TestParams, weighted_tables) -> QuantumSt
 
 def _unipolys(f, bound):
     """Every degree-<=bound univariate answer, the outcome labels of a line."""
-    if f.q ** (bound + 1) > 10 ** 6:
-        raise ProtocolError("answer alphabet too large to enumerate")
+    check_size("line answer alphabet", f.q ** (bound + 1), 10 ** 6)
     return tuple(UniPoly(f, c) for c in itertools.product(range(f.q), repeat=bound + 1))
 
 

@@ -10,14 +10,15 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import SizeGuardError, StrategyError
 from .gf import GF, FieldElement, field
 from .measurements import SubMeasurement
 from .polyspace import AxisLine, DiagonalLine, Point, UniPoly
-from .protocol import GROUPS, ProtocolError, TestParams, answer_bound
+from .protocol import GROUPS, TestParams, answer_bound
 from .strategies import ClassicalStrategy, QuantumStrategy
 
 
-class StrategyFileError(ValueError):
+class StrategyFileError(StrategyError):
     pass
 
 
@@ -38,7 +39,7 @@ def _params_from_header(h: dict) -> TestParams:
         f = field(int(h["p"]), int(h["t"]), tuple(h["modulus"]))
         weights = tuple(Fraction(w) for w in h.get("weights", ["1/3", "1/3", "1/3"]))
         return TestParams(f, int(h["m"]), int(h["d"]), weights=weights)
-    except (KeyError, ValueError, ProtocolError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise StrategyFileError(f"bad params header: {exc}") from exc
 
 
@@ -234,6 +235,8 @@ def load_strategy(path):
                 symmetric=doc.get("symmetric"),
                 projective=doc.get("projective", False),
             )
-    except (KeyError, TypeError, ValueError, ProtocolError) as exc:
+    except SizeGuardError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise StrategyFileError(f"invalid strategy file: {exc}") from exc
     raise StrategyFileError(f"unknown strategy type {kind!r}")

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidtest.cli import main
 from lidtest.gf import field, field_for_order
@@ -220,13 +227,34 @@ def write_classical_file(path, q, m, edit=lambda doc: None):
     path.write_text(json.dumps(doc))
 
 
-BAD_CLASSICAL_FILES = {
+def write_noisy_file(path, edit):
+    """A q=2 m=2 noisy quantum strategy file, its JSON edited by `edit`."""
+    from lidtest.instances import noisy_shared_randomness_strategy
+
+    save_strategy(noisy_shared_randomness_strategy(TestParams(field(2), 2, 1), 2, 1, 0), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+BAD_STRATEGY_FILES = {
     "missing-record.json": lambda path: write_classical_file(
         path, 3, 2, lambda doc: doc["tables"]["points"].pop()),
     "repeated-record.json": lambda path: write_classical_file(
         path, 3, 2, lambda doc: doc["tables"]["axis_lines"].append(doc["tables"]["axis_lines"][0])),
     "q4m3.json": lambda path: write_classical_file(path, 4, 3),
+    "list-header.json": lambda path: write_classical_file(
+        path, 3, 2, lambda doc: doc["params"].update(p=[3])),
+    # a valid quantum strategy that declares itself not projective
+    "non-projective.json": lambda path: write_noisy_file(path, lambda doc: doc.update(projective=False)),
+    # a q=16 m=4 header: its question support is refused before any table is read
+    "q16m4.json": lambda path: path.write_text(json.dumps({
+        "type": "classical", "tables": {"points": [], "axis_lines": [], "diag_lines": []},
+        "params": {"p": 2, "t": 4, "modulus": [1, 1, 0, 0, 1], "m": 4, "d": 1}})),
 }
+
+# every failure prints one stderr line that starts with its kind's label
+LABELS = {2: "config error", 3: "strategy error", 4: "size guard", 5: "sdp error"}
 
 
 @pytest.mark.parametrize("command,cfg,expected", [
@@ -292,14 +320,41 @@ BAD_CLASSICAL_FILES = {
     ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": {"builtin": "noisy"}, "--seed": "1.5"}, 2),
     ("round-povm", {"--workers": "x"}, 2),
     ("round-povm", {"--workers": "-1"}, 2),
+    # integer fields that are not integers, and caps that raised other kinds
+    ("spectrum", {"q": [3], "m": 2}, 2),
+    ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": {"builtin": "honest", "poly_index": None}}, 2),
+    ("run-test", {"q": 2, "m": 2.7, "d": 1, "strategy": {"builtin": "noisy"}}, 2),
+    ("round-povm", {"dim": 2.5}, 2),
+    ("round-povm", {"mode": "naimark", "dim": 1100}, 4),
+    ("sdp", {"q": 3, "m": 3, "d": 1, "tables": 2}, 4),
+    ("sdp", {"q": 2, "m": 1, "d": 1, "tables": 65}, 4),
+    ("run-test", {"q": 16, "m": 4, "d": 1, "strategy": "q16m4.json"}, 4),
+    # a strategy file whose header holds a list, a strategy path and a
+    # transcript path that are not strings, and an infinite subtest weight
+    ("run-test", {"q": 3, "m": 2, "d": 1, "strategy": "list-header.json"}, 3),
+    ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": {"path": [1]}}, 2),
+    ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": {"builtin": "honest", "poly_index": 1},
+                  "transcript": [1]}, 2),
+    ("run-test", {"q": 2, "m": 1, "d": 1, "weights": [math.inf, 0, 0],
+                  "strategy": {"builtin": "noisy"}}, 2),
+    # found by fuzzing main: infinite, null and list values of integer fields
+    ("paste", {"q": 3, "m": 1, "d": 1, "k": 2, "dim": math.inf}, 2),
+    ("run-test", {"q": math.inf, "m": 1, "d": 1, "strategy": {"builtin": "noisy"}}, 2),
+    ("spectrum", {"q": None, "m": 1}, 2),
+    ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": {"builtin": "honest", "poly_index": [1]}}, 2),
+    # the pipeline needs a projective strategy
+    ("soundness-report", {"q": 2, "m": 2, "d": 1, "k": 2, "strategy": "non-projective.json"}, 3),
+    # a boolean is not an integer, though int(True) is 1
+    ("spectrum", {"q": 3, "m": True}, 2),
+    ("round-povm", {"dim": True}, 2),
 ])
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, command, cfg, expected):
     (tmp_path / "notjson.json").write_text("{not json")
     if isinstance(cfg.get("strategy"), str):
-        if cfg["strategy"] in BAD_CLASSICAL_FILES:
-            BAD_CLASSICAL_FILES[cfg["strategy"]](tmp_path / cfg["strategy"])
+        if cfg["strategy"] in BAD_STRATEGY_FILES:
+            BAD_STRATEGY_FILES[cfg["strategy"]](tmp_path / cfg["strategy"])
         cfg = {**cfg, "strategy": str(tmp_path / cfg["strategy"])}
-    if "transcript" in cfg:
+    if isinstance(cfg.get("transcript"), str):
         cfg = {**cfg, "transcript": str(tmp_path / cfg["transcript"])}
     cfg = dict(cfg)
     extra = ("--out", str(tmp_path / cfg.pop("out"))) if "out" in cfg else ()
@@ -310,7 +365,7 @@ def test_bad_input_exits_with_documented_code(tmp_path, capsys, command, cfg, ex
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert err.startswith("config error" if expected == 2 else "strategy error")
+    assert err.startswith(LABELS[expected])
 
 
 @pytest.mark.parametrize("command,cfg", [
@@ -385,6 +440,49 @@ def test_paste_guard_counts_dim_squared(tmp_path, capsys, monkeypatch, dim, guar
     if expected:
         assert not out.exists()
         assert err.startswith("size guard: ") and err.count("\n") == 1
+
+
+def tripwire(*args, **kwargs):
+    raise AssertionError("the guarded work started before its size check")
+
+
+NOISY_Q3M2 = {"q": 3, "m": 2, "d": 1, "strategy": {"builtin": "noisy"}}
+
+
+# each cap is lowered until the config trips it, and the work it guards is
+# replaced by a tripwire: (module, cap, value), (module, work)
+@pytest.mark.parametrize("command,cfg,cap,work", [
+    # the pipeline's top-level paste (81 outcomes * 3^2) and slice SDP (9
+    # outcomes), before the strategy's goodness is measured
+    ("soundness-report", NOISY_Q3M2, ("pasting", "PASTE_GUARD", 100),
+     ("diagnostics", "pass_probabilities")),
+    ("soundness-report", NOISY_Q3M2, ("sdp", "OUTCOME_CAP", 8),
+     ("diagnostics", "pass_probabilities")),
+    # one state dimension per noisy table, before any table is built
+    ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": {"builtin": "noisy", "tables": 3}},
+     ("instances", "QUANTUM_DIM_CAP", 2), ("instances", "corrupted_tables")),
+    ("sdp", {"q": 2, "m": 1, "d": 1, "tables": 3},
+     ("instances", "QUANTUM_DIM_CAP", 2), ("instances", "corrupted_tables")),
+    # round-povm's dilated dimension 3 * (4 + 1) in both modes, before any draw
+    ("round-povm", {"dim": 3, "outcomes": 4}, ("naimark", "DIM_CAP", 14),
+     ("cli", "_povm_instance")),
+    ("round-povm", {"mode": "naimark", "dim": 3, "outcomes": 4}, ("naimark", "DIM_CAP", 14),
+     ("cli", "_povm_instance")),
+    # a random projective family on C^4 with 4 outcomes takes 4^4 / 4! draws
+    ("paste", {"q": 3, "m": 1, "d": 1, "k": 2, "dim": 4}, ("instances", "DRAW_CAP", 10),
+     ("instances", "random_unitary")),
+    ("round-povm", {"dim": 4, "outcomes": 4}, ("instances", "DRAW_CAP", 10),
+     ("instances", "random_unitary")),
+])
+def test_refusals_come_before_the_work(tmp_path, capsys, monkeypatch, command, cfg, cap, work):
+    import importlib
+
+    monkeypatch.setattr(importlib.import_module(f"lidtest.{cap[0]}"), cap[1], cap[2])
+    monkeypatch.setattr(importlib.import_module(f"lidtest.{work[0]}"), work[1], tripwire)
+    code, out = run_cli(tmp_path, command, cfg, "refused", seed=0)
+    assert code == 4 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("size guard: ") and err.count("\n") == 1
 
 
 def test_sdp_error_exit_code(tmp_path, capsys, monkeypatch):
@@ -589,13 +687,20 @@ GOLDEN = {
     # two pasting levels, pinned before the commutator and residual loops
     # skipped zero operators
     "soundness-q3m3.json": "298a34511233cfcd4fc7b9e9732c25eb41ec293fa53aaefcdaee50f9a203e3d1",
+    # a strategy whose families no longer commute, and its soundness report,
+    # the only pinned one with nonzero slice commutator masses
+    "rotated.json": "549a07c0d0d63eb45bcd19904f9d9d723977c055324d3255be41f09ce235f77c",
+    "soundness-rotated.json":
+        "cc091e3205a98ea3253d808920794be1025663fa34d99b3668d48eb60826541a",
 }
 
 
 def test_golden_report_hashes(tmp_path, monkeypatch):
     import hashlib
 
-    from lidtest.instances import corrupted_tables
+    from conftest import rotated_strategy
+    from lidtest.instances import corrupted_tables, noisy_shared_randomness_strategy
+    from lidtest.protocol import GROUPS
 
     def cli(out, command="run-test", seed=0, **cfg):
         argv = [command, "--seed", str(seed), "--out", out]
@@ -618,6 +723,80 @@ def test_golden_report_hashes(tmp_path, monkeypatch):
     cli("quantum-q5.json", q=5, m=2, d=1, strategy=noisy)
     cli("soundness-q4.json", "soundness-report", q=4, m=2, d=1, strategy=noisy)
     cli("soundness-q3m3.json", "soundness-report", q=3, m=3, d=1, k=3, strategy=noisy)
+    save_strategy(rotated_strategy(noisy_shared_randomness_strategy(params, 3, 1, 0), 0, 0.02,
+                                   GROUPS), "rotated.json")
+    cli("soundness-rotated.json", "soundness-report", q=3, m=2, d=1, strategy="rotated.json")
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN}
     assert got == GOLDEN
+    rotated = json.loads((tmp_path / "soundness-rotated.json").read_text())["report"]
+    masses = [r["measured"] for r in rotated["stages"]["slice_commutativity"]]
+    assert len(masses) == 2 and min(masses) > 0
+
+
+# ---- main on fuzzed configs ------------------------------------------------------
+
+# malformed values, given to up to two fields of an otherwise legal config
+ODD = (2.5, -1, "x", None, [1], True, math.inf, math.nan)
+# small legal values: mc_samples, instances and grid have no cap, and 10**9
+# goes only to the fields refused before any work
+LEGAL = {
+    "q": (2, 3), "m": (1, 2), "d": (0, 1), "k": (1, 2, 3),
+    "dim": (1, 2, 3, 10 ** 9), "outcomes": (1, 2, 3, 10 ** 9),
+    "tables": (1, 2, 10 ** 9), "corrupt": (0, 1), "poly_index": (0, 3),
+    "instances": (1, 2), "seed": (0, 1), "grid": (2, 5), "mc_samples": (0, 40),
+    "theta": (0.25, 0.5), "gap_tol": (1e-6,), "noise": (0.0, 0.05),
+    "mode": ("orthogonalize", "naimark"), "builtin": ("honest", "adversary", "noisy"),
+    "weights": (["1/2", "1/4", "1/4"],),
+}
+ENTRY = ("builtin", "tables", "corrupt", "poly_index")  # a builtin strategy's fields
+FIELDS = {
+    "run-test": ("mc_samples", "weights"),
+    "soundness-report": ("k",),
+    "spectrum": (),
+    "sdp": ("tables", "corrupt", "gap_tol", "instances", "seed"),
+    "paste": ("k", "dim", "theta", "grid"),
+    "round-povm": ("mode", "dim", "outcomes", "noise", "instances", "seed"),
+}
+REQUIRED = {"spectrum": ("q", "m"), "round-povm": ()}
+
+
+def legal_config(command):
+    def values(keys):
+        return {key: st.sampled_from(LEGAL[key]) for key in keys}
+
+    required = values(REQUIRED.get(command, ("q", "m", "d")))
+    if command in ("run-test", "soundness-report"):
+        required["strategy"] = st.fixed_dictionaries(values(ENTRY[::3]), optional=values(ENTRY[1:3]))
+    return st.fixed_dictionaries(required, optional=values(FIELDS[command]))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_configs_exit_with_a_documented_code(data):
+    command = data.draw(st.sampled_from(sorted(FIELDS)))
+    cfg = data.draw(legal_config(command))
+    seed = data.draw(st.sampled_from((None, "0", "1")))
+    targets = sorted(LEGAL) + ["strategy", "--seed"]
+    for key in data.draw(st.lists(st.sampled_from(targets), max_size=2, unique=True)):
+        if key == "--seed":
+            seed = data.draw(st.sampled_from(("-1", "x", "2.5")))
+        elif key in ENTRY and isinstance(cfg.get("strategy"), dict):
+            cfg["strategy"][key] = data.draw(st.sampled_from(ODD))
+        else:
+            cfg[key] = data.draw(st.sampled_from(ODD))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report")
+        argv = [command, "--workers", "1", "--out", out]
+        argv += [item for key, value in cfg.items() for item in ("--set", f"{key}={json.dumps(value)}")]
+        if seed is not None:
+            argv += ["--seed", seed]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 2, 3, 4, 5)
+        assert os.path.exists(out) == (code == 0)
+        if code:
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert err.startswith(LABELS[code] + ": ")

@@ -158,6 +158,14 @@ def test_modulus_must_be_irreducible():
         GF(4, 1)
 
 
+# the search for p stops at the cap: 10^8 and the prime 1000003 are refused
+# at once, not after trying every p up to q
+@pytest.mark.parametrize("q", [6, 10 ** 8, 1000003, 2 ** 20])
+def test_field_order_search_is_bounded(q):
+    with pytest.raises(FieldError):
+        field_for_order(q)
+
+
 def test_builtin_moduli_are_irreducible_and_primitive():
     from lidtest.gf import MODULUS_TABLE
 

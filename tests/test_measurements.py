@@ -159,6 +159,20 @@ def test_projective_cross_self_distance_is_twice_deficit():
         assert d == pytest.approx(2 * deficit, abs=1e-10)
 
 
+# n^dim bucket vectors, of which n!/(n-dim)! are injective when n >= dim, and
+# 14 of 16 surjective at dim 4, n 2: 256/24, 16/14, 9/6 and 5/5, rounded up
+@pytest.mark.parametrize("dim,n,draws", [(4, 4, 11), (4, 2, 2), (2, 3, 2), (1, 5, 1)])
+def test_expected_bucket_draws_are_capped(monkeypatch, dim, n, draws):
+    from lidtest import instances
+    from lidtest.errors import SizeGuardError
+
+    monkeypatch.setattr(instances, "DRAW_CAP", draws)
+    assert random_projective_measurement(rng_for(0), dim, n).is_projective()
+    monkeypatch.setattr(instances, "DRAW_CAP", draws - 1)
+    with pytest.raises(SizeGuardError, match=f"draws = {draws} exceeds"):
+        random_projective_measurement(rng_for(0), dim, n)
+
+
 def test_deficit_requires_symmetric_state():
     rng = rng_for(10)
     A = random_povm(rng, 3, 2)
@@ -179,7 +193,7 @@ def test_transfer_consistency_through_state_distance():
         sub_C = SubMeasurement(C.outcomes, C.ops * 0.7)
         Psi = random_state(rng, 4, 4)
         delta = consistency({X: A}, {X: sub_C}, Psi, ONE)
-        eps = state_distance({X: A}, {X: B}, Psi, ONE, side="left")
+        eps = state_distance({X: A}, {X: B}, Psi, ONE)
         got = consistency({X: B}, {X: sub_C}, Psi, ONE)
         assert got <= delta + np.sqrt(eps) + 1e-8
 

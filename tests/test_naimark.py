@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lidtest.errors import SizeGuardError
 from lidtest.instances import (
     maximally_entangled,
     random_povm,
@@ -140,7 +141,7 @@ def test_dimension_cap():
     old = nm.DIM_CAP
     try:
         nm.DIM_CAP = 16
-        with pytest.raises(MeasurementError):
+        with pytest.raises(SizeGuardError):
             dilate(big)
     finally:
         nm.DIM_CAP = old

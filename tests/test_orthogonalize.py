@@ -169,12 +169,12 @@ def test_stage_bounds_track_zeta():
             continue
         delta = float(np.sqrt(zeta))
         R = round_to_projectors(A, delta)
-        dist_r = state_distance({X: A}, {X: R}, Psi, ONE, side="left")
+        dist_r = state_distance({X: A}, {X: R}, Psi, ONE)
         assert dist_r <= 2.0 * np.sqrt(zeta) + 1e-9
         top = np.linalg.eigvalsh(R.total()).max()
         assert top <= 1.0 + 2.0 * np.sqrt(zeta) + 1e-9
         Q = rank_reduce(R, Psi)
-        dist_q = state_distance({X: A}, {X: Q}, Psi, ONE, side="left")
+        dist_q = state_distance({X: A}, {X: Q}, Psi, ONE)
         assert dist_q <= 12.0 * np.sqrt(zeta) + 1e-9
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from lidtest.errors import SizeGuardError
 from lidtest.instances import random_projective_measurement, rng_for
 from lidtest.sdp import (
-    SdpError,
     SdpInstance,
     commuting_basis,
     solve,
@@ -122,7 +122,7 @@ def test_commuting_basis_detection():
 
 
 def test_caps_enforced():
-    with pytest.raises(SdpError):
+    with pytest.raises(SizeGuardError):
         SdpInstance(tuple(range(2)), np.zeros((2, 65, 65)))
 
 
