@@ -9,8 +9,8 @@ self-improved to a projective family, and the slices are pasted into one
 global measurement.  Goodness is measured once per strategy and handed down,
 and the hypotheses of slice commutativity and pasting are read from the
 per-slice improvement reports, not measured again.  Polynomial-labelled
-families are read at points and along lines through their integer value
-tables.
+families are labelled by polynomial index and read at points and along lines
+through the cached value table of their space.
 
 Bounds that exceed 1 at desk scale are never silently 'passed': every report
 carries a vacuity flag alongside the raw measured value."""
@@ -28,12 +28,11 @@ from .pasting import check_paste_size, complete_pasted, pasted_measurement
 from .polyspace import (
     AxisLine,
     DiagonalLine,
-    MultiPoly,
     all_points,
-    label_values,
     point,
     point_index,
     polyspace_size,
+    value_table,
 )
 from .protocol import GROUPS, TestParams, all_questions
 from .sdp import check_instance_size
@@ -161,7 +160,7 @@ def slice_commutativity(strategy: QuantumStrategy, good: Goodness, g_by_x: dict,
     # a zero operator adds exactly +0.0 to a non-negative sum, so both loops
     # walk only the live operators, in outcome order
     live = {x: G.live_ops() for x, G in g_by_x.items()}
-    live_evaluated = {x: [E.live_ops() for E in evaluated_at_points(G, f)]
+    live_evaluated = {x: [E.live_ops() for E in evaluated_at_points(G, f, m_slice, params.d)]
                       for x, G in g_by_x.items()}
 
     raw = 0.0
@@ -208,12 +207,12 @@ def pasted_line_consistency(strategy: QuantumStrategy, pasted: SubMeasurement) -
     # the answer's key, on both sides.  The line through u in the last
     # direction holds the points u*q + t in point_index order.
     weights = f.q ** np.arange(d + 1)
-    table = label_values(pasted.outcomes)
+    table = value_table(f, params.m, d)[list(pasted.outcomes)]
     total = 0.0
     pts = list(all_points(f, params.m - 1))
     for u in pts:
         B = axis_fams[AxisLine(params.m - 1, point(f, u.ints() + (0,)))]
-        B = B.group((label_values(B.outcomes)[:, :d + 1] @ weights).tolist())
+        B = B.group((strategy.line_values(B)[:, :d + 1] @ weights).tolist())
         start = point_index(u) * f.q
         restricted = pasted.group((table[:, start:start + d + 1] @ weights).tolist())
         val = expect_joint(restricted.total(), B.total(), Psi)
@@ -257,14 +256,14 @@ def restricted_strategy(strategy: QuantumStrategy, x: int) -> QuantumStrategy:
 
 def base_case_family(strategy: QuantumStrategy) -> SubMeasurement:
     """For one variable there is a single axis line; its answer family,
-    relabelled by polynomials, is already the wanted measurement."""
+    relabelled by polynomial index sum_j c_j q^j, is already the wanted measurement."""
     params = strategy.params
     if params.m != 1:
         raise ValueError("base case applies to one variable only")
     f = params.field
     line = AxisLine.through(point(f, (0,)), 0)
     fam = strategy.families["A"]["axis"][line]
-    relabelled = tuple(MultiPoly(f, 1, params.d, ans.coeffs) for ans in fam.outcomes)
+    relabelled = [sum(c * f.q ** j for j, c in enumerate(ans.coeffs)) for ans in fam.outcomes]
     return SubMeasurement(relabelled, fam.ops, check=False)
 
 
@@ -322,7 +321,7 @@ def witness_level(strategy: QuantumStrategy, good: Goodness, k: int,
     incomplete = result.family
     eye = np.eye(strategy.dims[1])
     kappa = 1.0 - float(expect_joint(incomplete.total(), eye, strategy.Psi).real)
-    G = complete_pasted(incomplete, f, params.m, params.d)
+    G = complete_pasted(incomplete)
     cons = measure_points_consistency(strategy, G)
 
     # endpoint bounds of the pasting step: slice incompleteness + the

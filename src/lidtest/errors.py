@@ -27,3 +27,12 @@ class SizeGuardError(LidtestError, ValueError):
 def check_size(what: str, size: int, cap: int) -> None:
     if size > cap:
         raise SizeGuardError(f"{what} = {size} exceeds the cap {cap}")
+
+
+def check_power(what: str, base: int, exponent: int, cap: int, factor: int = 1) -> None:
+    """check_size of factor * base ** exponent, with base >= 2 and factor >= 1.
+    An exponent of cap.bit_length() or more is refused before the power is
+    built: 2 ** cap.bit_length() already exceeds the cap."""
+    if exponent >= cap.bit_length():
+        raise SizeGuardError(f"{what} of at least 2^{cap.bit_length()} exceeds the cap {cap}")
+    check_size(what, factor * base ** exponent, cap)

@@ -75,13 +75,15 @@ class GF:
     """The finite field F_q, q = p^t, with a fixed modulus polynomial."""
 
     def __init__(self, p: int, t: int = 1, modulus=None):
+        if p > MAX_Q:  # before the trial division, which takes sqrt(p) steps
+            raise FieldError(f"p = {p} exceeds the {MAX_Q} cap")
         if not is_prime(p):
             raise FieldError(f"p = {p} is not prime")
         if t < 1:
             raise FieldError(f"extension degree must be >= 1, got {t}")
+        if t >= MAX_Q.bit_length() or p ** t > MAX_Q:  # p^t >= 2^t: no huge power is built
+            raise FieldError(f"q = {p}^{t} exceeds the {MAX_Q} cap")
         q = p ** t
-        if q > MAX_Q:
-            raise FieldError(f"q = {q} exceeds the {MAX_Q} cap")
         if modulus is None:
             if t == 1:
                 modulus = (0, 1)

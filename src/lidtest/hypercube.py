@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import GF
-from .errors import check_size
+from .errors import check_power
 from .polyspace import Point, all_points, point_index
 
 VERTEX_CAP = 4096
@@ -26,7 +26,7 @@ class HypercubeGraph:
     m: int
 
     def __post_init__(self):
-        check_size("q^m vertices", self.size, VERTEX_CAP)
+        check_power("q^m vertices", self.field.q, self.m, VERTEX_CAP)
 
     @property
     def size(self):

@@ -26,7 +26,7 @@ from .measurements import (
     strong_self_consistency_deficit,
 )
 from .orthogonalize import orthogonalize
-from .polyspace import all_points, enumerate_polyspace, label_values, point_index
+from .polyspace import all_points, point_index, value_table
 from .protocol import ProtocolError, TestParams
 from .sdp import SdpInstance, solve
 from .strategies import Goodness, QuantumStrategy, group_by_value
@@ -39,28 +39,21 @@ def zeta_budget(params: TestParams, eps: float, delta: float) -> float:
 
 
 def build_instance(strategy: QuantumStrategy, params: TestParams = None) -> SdpInstance:
-    """Constraint operators A_g = E_u A^u_{g(u)} over the whole space."""
+    """Constraint operators A_g = E_u A^u_{g(u)}, one per polynomial index g."""
     params = params or strategy.params
-    f, m, d = params.field, params.m, params.d
-    polys = tuple(enumerate_polyspace(f, m, d))
+    ops = sum(_points_at_values(strategy, params)) / params.q ** params.m
+    return SdpInstance(tuple(range(len(ops))), ops)
+
+
+def _points_at_values(strategy, params):
+    """For every point u, in point_index order: A^u_{g(u)} stacked over
+    every polynomial index g, gathered from one value table."""
+    f = params.field
+    table = value_table(f, params.m, params.d)
     points = strategy.families["A"]["points"]
-    dim = strategy.dims[0]
-    M = f.q ** m
-    ops = np.zeros((len(polys), dim, dim), dtype=complex)
-    for u, values in _point_values(f, m, polys):
-        sub = points[u]
-        for n, value in enumerate(values):
-            ops[n] += sub.op(value)
-    ops /= M
-    return SdpInstance(polys, ops)
-
-
-def _point_values(f, m, polys):
-    """(u, [g(u) for g in polys]) for every point u, read from the value table."""
-    elements = tuple(f.elements())
-    table = label_values(polys)
-    for u in all_points(f, m):
-        yield u, [elements[v] for v in table[:, point_index(u)].tolist()]
+    for u in all_points(f, params.m):
+        by_value = np.stack([points[u].op(e) for e in f.elements()])
+        yield by_value[table[:, point_index(u)]]
 
 
 @dataclass
@@ -103,18 +96,20 @@ class ImprovementReport:
         return out
 
 
-def evaluated_at_points(G: SubMeasurement, f) -> list:
-    """[G evaluated at u, for u in point_index order]: G's outcomes grouped by
-    their value at each point, from one value table."""
-    return [group_by_value(G, values, f) for values in label_values(G.outcomes).T]
+def evaluated_at_points(G: SubMeasurement, f, m: int, d: int) -> list:
+    """[G evaluated at u, for u in point_index order]: the polynomial indices
+    labelling G, grouped by their value at each point in the value table."""
+    rows = value_table(f, m, d)[list(G.outcomes)]
+    return [group_by_value(G, values, f) for values in rows.T]
 
 
 def measure_points_consistency(strategy: QuantumStrategy, G: SubMeasurement) -> float:
     """E_u sum_{a != b} <psi| A^u_a (x) G_{[g(u)=b]} |psi>."""
+    params = strategy.params
     points = strategy.families["A"]["points"]
     us = list(points)
     w = 1.0 / len(us)
-    evaluated = evaluated_at_points(G, strategy.params.field)
+    evaluated = evaluated_at_points(G, params.field, params.m, params.d)
     fam_g = {u: evaluated[point_index(u)] for u in us}
     return consistency(points, fam_g, strategy.Psi, [(u, w) for u in us])
 
@@ -132,19 +127,8 @@ def improve(strategy: QuantumStrategy, good: Goodness, nu: float, gap_tol=1e-7):
 
     instance = build_instance(strategy, params)
     sol = solve(instance, gap_tol=gap_tol)
-    polys = instance.outcomes
-    points = strategy.families["A"]["points"]
-    dim = strategy.dims[0]
-    M = params.q ** params.m
-
-    ops = np.zeros((len(polys), dim, dim), dtype=complex)
-    for u, values in _point_values(params.field, params.m, polys):
-        sub = points[u]
-        for n, value in enumerate(values):
-            a_op = sub.op(value)
-            ops[n] += a_op @ sol.T[n] @ a_op
-    ops /= M
-    H = SubMeasurement(polys, ops)  # validates PSD and total <= I
+    ops = sum(A @ sol.T @ A for A in _points_at_values(strategy, params)) / params.q ** params.m
+    H = SubMeasurement(instance.outcomes, ops)  # validates PSD and total <= I
 
     report = _measure_four_properties(strategy, H, sol.Z, sol.min_constraint_slack,
                                       sol.residual_summary(), nu, zeta)

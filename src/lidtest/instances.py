@@ -12,10 +12,11 @@ import numpy as np
 from .errors import check_size
 from .measurements import SubMeasurement
 from .polyspace import MultiPoly
-from .protocol import TestParams
+from .protocol import TestParams, support_table
 from .strategies import (
     QUANTUM_DIM_CAP,
     ClassicalStrategy,
+    check_line_alphabet,
     honest_tables,
     shared_randomness_strategy,
 )
@@ -128,6 +129,9 @@ def corrupted_tables(params: TestParams, n_tables, n_corrupt, rng):
 def noisy_shared_randomness_strategy(params: TestParams, n_tables, n_corrupt, seed):
     """Symmetric projective strategy with tunably small failure probabilities."""
     check_size("tables", n_tables, QUANTUM_DIM_CAP)  # one state dimension per table
+    # the support and the widest line family's answers, before the first draw
+    support_table(params)
+    check_line_alphabet(params.field, params.m * params.d)
     rng = rng_for(seed)
     return shared_randomness_strategy(params, corrupted_tables(params, n_tables, n_corrupt, rng))
 

@@ -12,8 +12,9 @@ coordinate value x, the construction is:
      the completion outcome on misses;
   4. average over k-tuples of pairwise distinct coordinates.
 
-The result is a sub-measurement over the (m+1)-variable space; completing it
-assigns the leftover mass to the zero polynomial.  The completeness of the
+Families are labelled by polynomial index.  The result is a sub-measurement
+over the (m+1)-variable space; completing it assigns the leftover mass to the
+zero polynomial, index 0.  The completeness of the
 construction is governed by the binomial tail function
 F(X) = sum_{r=d+1}^k C(k,r) X^r (I-X)^{k-r} applied spectrally.
 """
@@ -27,10 +28,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import check_size
 from .gf import GF
 from .measurements import BOTTOM, MeasurementError, SubMeasurement, expect_joint
-from .polyspace import MultiPoly, enumerate_polyspace, polyspace_size, slice_indices
+from .polyspace import check_space, polyspace_size, slice_indices
 
 TUPLE_BUDGET = 10 ** 5
 # complex entries in one (global outcomes, dim, dim) stack of the DP (16 MB);
@@ -41,8 +41,7 @@ PASTE_GUARD = 10 ** 6
 def check_paste_size(f: GF, m: int, d: int, dim: int) -> None:
     """Refuse pasting m-variable slices on C^dim when one operator per
     (m+1)-variable outcome would exceed PASTE_GUARD entries."""
-    check_size("global outcomes times dim^2", polyspace_size(f, m + 1, d) * dim * dim,
-               PASTE_GUARD)
+    check_space("global outcomes times dim^2", f, m + 1, d, PASTE_GUARD, dim * dim)
 
 
 def distinct_tuples(f: GF, k: int):
@@ -187,13 +186,12 @@ def pasted_measurement(g_by_x: dict, f: GF, m: int, d: int, k: int,
     ghat = complete_slice_families(g_by_x)
     n_global = polyspace_size(f, m + 1, d)
 
-    polys_m = list(enumerate_polyspace(f, m, d))
-    globals_m1 = tuple(enumerate_polyspace(f, m + 1, d))
     # per coordinate x: which global outcomes n hit a nonzero Ghat^x_{n|_x}
     # (live), those operators, and the completion operator
     slices = {}
-    for x in range(f.q):
-        ops = np.stack([ghat[x].op(g) for g in polys_m])
+    for x, G in g_by_x.items():
+        ops = np.zeros((polyspace_size(f, m, d), dim, dim), dtype=complex)
+        ops[list(G.outcomes)] = G.ops
         idx = slice_indices(f, m + 1, d, x)
         live = ops.any(axis=(1, 2))[idx]
         slices[x] = (live, ops[idx[live]], ghat[x].op(BOTTOM))
@@ -226,7 +224,7 @@ def pasted_measurement(g_by_x: dict, f: GF, m: int, d: int, k: int,
         prev = inner_first
     total = total.transpose(1, 0, 2).copy()  # one C-ordered operator per outcome
     total /= len(tuples)
-    family = SubMeasurement(globals_m1, total)
+    family = SubMeasurement(range(n_global), total)
     return PastedResult(
         family=family,
         mode=mode,
@@ -236,12 +234,11 @@ def pasted_measurement(g_by_x: dict, f: GF, m: int, d: int, k: int,
     )
 
 
-def complete_pasted(family: SubMeasurement, f: GF, m1: int, d: int) -> SubMeasurement:
-    """Measurement completion assigning the leftover to the zero polynomial."""
-    zero = MultiPoly.zero(f, m1, d)
+def complete_pasted(family: SubMeasurement) -> SubMeasurement:
+    """Measurement completion assigning the leftover to the zero polynomial, index 0."""
     rest = np.eye(family.dim) - family.total()
     ops = family.ops.copy()
-    ops[family.outcomes.index(zero)] += rest
+    ops[family.outcomes.index(0)] += rest
     return SubMeasurement(family.outcomes, ops, check=False)
 
 

@@ -3,8 +3,9 @@ interpolation, and exhaustive distance.
 
 Coefficients are dense, indexed by exponent tuples (e_1, ..., e_m) with every
 e_j <= d, flattened in row-major order.  A polynomial is identified with an
-integer index (base-q digits = flat coefficients), which fixes the outcome
-order used by measurement families and the SDP.
+integer index (base-q digits = flat coefficients), the outcome label of
+polynomial-labelled measurement families and of the SDP, whose values are
+rows of `value_table`, built once per (field, m, d).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SizeGuardError, check_size  # noqa: F401 (re-exported)
+from .errors import SizeGuardError, check_power  # noqa: F401 (SizeGuardError re-exported)
 from .gf import GF, FieldElement
 
 ENUM_GUARD = 10 ** 6
@@ -47,7 +48,7 @@ def point(f: GF, ints) -> Point:
 
 
 def all_points(f: GF, m: int):
-    check_size("q^m points", f.q ** m, POINT_GUARD)
+    check_power("q^m points", f.q, m, POINT_GUARD)
     for ints in itertools.product(range(f.q), repeat=m):
         yield point(f, ints)
 
@@ -370,8 +371,8 @@ def slice_indices(f: GF, m: int, d: int, x: int) -> np.ndarray:
     """Index of slice_at(h, x) in the (m-1)-variable space for every h of the
     m-variable space, in index order: one Horner step in the last variable
     over the base-q coefficient digits of every index at once."""
+    check_space("|space|", f, m, d, ENUM_GUARD)
     size = polyspace_size(f, m, d)
-    check_size("|space|", size, ENUM_GUARD)
     n_exp = (d + 1) ** m
     digits = (np.arange(size)[:, None] // f.q ** np.arange(n_exp)) % f.q
     coeffs = digits.reshape(size, n_exp // (d + 1), d + 1)  # [h, other exponents, e_m]
@@ -389,7 +390,7 @@ def monomial_table(f: GF, m: int, d: int) -> np.ndarray:
     matching polynomial/point integer indexing), columns in flat exponent
     order.  Entries are integer-encoded field values.
     """
-    check_size("q^m points", f.q ** m, POINT_GUARD)
+    check_power("q^m points", f.q, m, POINT_GUARD)
     coords = np.array(list(itertools.product(range(f.q), repeat=m)), dtype=np.int64)
     # coords[:, j] is the j-th coordinate of each point
     pow_tables = [np.stack([f.pow(coords[:, j], e) for e in range(d + 1)], axis=1)
@@ -446,9 +447,17 @@ def polyspace_size(f: GF, m: int, d: int) -> int:
     return f.q ** ((d + 1) ** m)
 
 
+def check_space(what: str, f: GF, m: int, d: int, cap: int, factor: int = 1) -> None:
+    """check_size of factor * polyspace_size(f, m, d), with factor >= 1,
+    without building a space size far over the cap: for d >= 1,
+    (d+1)^m >= 2^m > m, so clipping m at cap.bit_length() leaves an
+    over-cap exponent over the cap."""
+    check_power(what, f.q, (d + 1) ** min(m, cap.bit_length()), cap, factor)
+
+
 def enumerate_polyspace(f: GF, m: int, d: int):
     """Each polynomial exactly once, in index order."""
-    check_size("|space|", polyspace_size(f, m, d), ENUM_GUARD)
+    check_space("|space|", f, m, d, ENUM_GUARD)
     n_exp = (d + 1) ** m
     for flat in itertools.product(range(f.q), repeat=n_exp):
         # itertools varies the last slot fastest; we want digit 0 fastest
@@ -465,19 +474,25 @@ def poly_by_index(f: GF, m: int, d: int, n: int) -> MultiPoly:
 
 
 def value_table(f: GF, m: int, d: int) -> np.ndarray:
-    """Values of every space member at every point: shape (q^N, q^m).
+    """Values of every space member at every point, read-only: row n is
+    evaluate_on_grid(poly_by_index(n)).  Built once per space; the guard runs
+    before the cache, so a lowered ENUM_GUARD refuses a cached space too."""
+    check_space("|space|", f, m, d, ENUM_GUARD)
+    return _value_table(f, m, d)
 
-    Row i is evaluate_on_grid(poly_by_index(i)).  Built by accumulating one
-    coefficient digit at a time, so the cost is O(N * q^(N) ... ) dominated by
-    the final table itself.
-    """
-    check_size("|space|", polyspace_size(f, m, d), ENUM_GUARD)
+
+@lru_cache(maxsize=None)
+def _value_table(f: GF, m: int, d: int) -> np.ndarray:
     table = monomial_table(f, m, d)
     n_pts = table.shape[0]
-    n_exp = (d + 1) ** m
     vals = np.zeros((1, n_pts), dtype=np.int64)
-    for j in range(n_exp):
+    for j in range((d + 1) ** m):
         # extend: new digit c_j multiplies monomial j
         contrib = np.stack([f.mul(c, table[:, j]) for c in range(f.q)], axis=0)
         vals = f.add(vals[None, :, :], contrib[:, None, :]).reshape(-1, n_pts)
+    vals.setflags(write=False)
     return vals
+
+
+value_table.cache_info = _value_table.cache_info
+value_table.cache_clear = _value_table.cache_clear

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import StrategyError, check_size
+from .errors import StrategyError, check_power, check_size
 from .gf import GF, FieldElement
 from .polyspace import AxisLine, DiagonalLine, Point, UniPoly, all_points
 
@@ -116,6 +116,7 @@ class RoundSample:
 
 def _check_support(params: TestParams):
     q, m = params.q, params.m
+    check_power("q^m points", q, m, SUPPORT_GUARD)  # the support holds more than q^m
     check_size("question support", q ** m + 2 * m * q ** m + 2 * m * q ** m * q ** m,
                SUPPORT_GUARD)
 

@@ -30,7 +30,7 @@ from math import lcm
 
 import numpy as np
 
-from .errors import check_size
+from .errors import check_power, check_size
 from .gf import FieldElement
 from .measurements import (
     COMPLETENESS_TOL,
@@ -66,6 +66,7 @@ from .protocol import (
 )
 
 QUANTUM_DIM_CAP = 64
+ALPHABET_CAP = 10 ** 6  # answers of one quantum line family
 VALIDATION_ENTRIES = 2 ** 13  # matrix entries per stacked family test
 
 
@@ -281,10 +282,15 @@ class QuantumStrategy:
         line = sample.line
         if role != sample.line_role or (isinstance(line, DiagonalLine) and line.degenerate):
             return fam
+        table = self.line_values(fam)
+        return group_by_value(fam, table[:, line.param_of(sample.point).i], self.params.field)
+
+    def line_values(self, fam) -> np.ndarray:
+        """label_values of a line family's outcomes, built once per family."""
         table = self._value_tables.get(fam)
         if table is None:
             table = self._value_tables[fam] = label_values(fam.outcomes)
-        return group_by_value(fam, table[:, line.param_of(sample.point).i], self.params.field)
+        return table
 
     def accept(self, sample):
         """Exact acceptance probability of one round by dense contraction:
@@ -549,9 +555,14 @@ def shared_randomness_strategy(params: TestParams, weighted_tables) -> QuantumSt
     )
 
 
+def check_line_alphabet(f, bound):
+    """Refuse a line answer alphabet, every degree-<=bound answer, over ALPHABET_CAP."""
+    check_power("line answer alphabet", f.q, bound + 1, ALPHABET_CAP)
+
+
 def _unipolys(f, bound):
     """Every degree-<=bound univariate answer, the outcome labels of a line."""
-    check_size("line answer alphabet", f.q ** (bound + 1), 10 ** 6)
+    check_line_alphabet(f, bound)
     return tuple(UniPoly(f, c) for c in itertools.product(range(f.q), repeat=bound + 1))
 
 

@@ -24,6 +24,7 @@ from lidtest.polyspace import (
     enumerate_polyspace,
     label_values,
     point,
+    poly_by_index,
     restrict_axis,
 )
 from lidtest.protocol import AXIS, DIAG, ROLES, SELFCONS, ProtocolError, RoundSample
@@ -194,7 +195,8 @@ def slice_hypotheses(strategy, g_by_x, evaluated_by_x, Zs):
     strong self-consistency, and boundedness by the dual certificates Z^x,
     with the smallest eigenvalue of Z^x - A^x_g over every slice x and slice
     polynomial g; each A^x_g = E_u A^{(u, x)}_{g(u)} is rebuilt from the
-    points.  evaluated_by_x[x] is improvement.evaluated_at_points(g_by_x[x], f)."""
+    points.  evaluated_by_x[x] is
+    improvement.evaluated_at_points(g_by_x[x], f, params.m - 1, params.d)."""
     params = strategy.params
     f = params.field
     m_slice = params.m - 1
@@ -245,8 +247,9 @@ def slice_hypotheses(strategy, g_by_x, evaluated_by_x, Zs):
 def pasted_line_consistency(strategy, pasted):
     """E_u sum over mismatched line answers of <H_{[h along line u]} (x) B^u_f>,
     each pasted outcome restricted to the line through u in the last
-    direction with scalar restrict_axis."""
-    f = strategy.params.field
+    direction with scalar restrict_axis; pasted is labelled by polynomial
+    index, decoded with poly_by_index."""
+    f, d = strategy.params.field, strategy.params.d
     m_slice = strategy.params.m - 1
     Psi = strategy.Psi
     axis_fams = strategy.families["A"]["axis"]
@@ -255,7 +258,8 @@ def pasted_line_consistency(strategy, pasted):
     for u in pts:
         line = AxisLine(m_slice, point(f, u.ints() + (0,)))
         B = axis_fams[line]
-        restricted = post_process(pasted, lambda h, line=line: restrict_axis(h, line))
+        restricted = post_process(pasted, lambda h, line=line: restrict_axis(
+            poly_by_index(f, m_slice + 1, d, h), line))
         val = expect_joint(restricted.total(), B.total(), Psi)
         for o in restricted.outcomes:
             if o in B:

@@ -279,8 +279,8 @@ def test_criterion_10_self_improvement_batch():
             best = max(polys, key=lambda h: sum(
                 1 for u in pts_family if h(u) == value_at(u)
             ))
-            assignment.append(best)
-        G = diagonal_indicator_family(tuple(polys), assignment, n)
+            assignment.append(best.index())
+        G = diagonal_indicator_family(tuple(h.index() for h in polys), assignment, n)
         H, Z, report = improve(strat, pass_probabilities(strat),
                                measure_points_consistency(strat, G))
         w = np.linalg.eigvalsh(H.total())
@@ -311,7 +311,7 @@ def test_criterion_11_pasting():
     f = field_for_order(5)
     m, d, k = 1, 1, 3
     rng = rng_for(11)
-    polys = tuple(enumerate_polyspace(f, m, d))
+    polys = tuple(g.index() for g in enumerate_polyspace(f, m, d))
     dim = 3
     from lidtest.instances import random_projective_measurement
 
@@ -331,16 +331,16 @@ def test_criterion_11_pasting():
     honest = {}
     for x in range(5):
         ops = np.zeros((len(polys), 1, 1), dtype=complex)
-        ops[polys.index(slice_at(h, f.element(x)))] = 1.0
+        ops[polys.index(slice_at(h, f.element(x)).index())] = 1.0
         honest[x] = SubMeasurement(polys, ops, check=False)
     result = pasted_measurement(honest, f, m, d, k=k)
     assert result.telescoping_residual <= 1e-9
     supported = [g for g in result.family.outcomes
                  if np.abs(result.family.op(g)).max() > 1e-12]
-    assert supported == [h]
+    assert supported == [h.index()]
     nodes = [(f.element(x), slice_at(h, f.element(x))) for x in (0, 1)]
     assert interpolate_parallel(nodes, d) == h
-    assert np.abs(result.family.op(h) - 1.0).max() <= 1e-12
+    assert np.abs(result.family.op(h.index()) - 1.0).max() <= 1e-12
 
     rep = tv_distance_uniform_vs_distinct(5, k)
     assert rep["exact"] <= rep["collision_bound"]

@@ -256,6 +256,47 @@ BAD_STRATEGY_FILES = {
 # every failure prints one stderr line that starts with its kind's label
 LABELS = {2: "config error", 3: "strategy error", 4: "size guard", 5: "sdp error"}
 
+# sizes that were built before they were refused: each of these hung or ran
+# out of memory, so each runs in a child process under a time and an
+# address-space limit
+GUARDED = [
+    ("spectrum", {"q": 3, "m": 10 ** 9}, 4),
+    ("run-test", {"q": 3, "m": 40, "d": 1, "strategy": {"builtin": "honest", "poly_index": 0}}, 4),
+    ("run-test", {"q": 3, "m": 1, "d": 10 ** 6,
+                  "strategy": {"builtin": "honest", "poly_index": 0}}, 4),
+    ("run-test", {"q": 3, "m": 2, "d": 10 ** 6, "strategy": {"builtin": "noisy"}}, 4),
+    ("sdp", {"q": 3, "m": 30, "d": 1, "tables": 2}, 4),
+    ("paste", {"q": 3, "m": 10 ** 9, "d": 1, "k": 2}, 4),
+    ("run-test", {"p": 2 ** 61 - 1, "m": 1, "d": 1, "strategy": {"builtin": "noisy"}}, 2),
+    ("run-test", {"p": 3, "t": 10 ** 9, "m": 1, "d": 1, "strategy": {"builtin": "noisy"}}, 2),
+    # the fields that count repeated work
+    ("run-test", {"q": 3, "m": 2, "d": 1, "strategy": {"builtin": "noisy"},
+                  "mc_samples": 10 ** 8}, 4),
+    ("paste", {"q": 3, "m": 1, "d": 1, "k": 2, "grid": 10 ** 8}, 4),
+    ("round-povm", {"instances": 10 ** 9}, 4),
+    ("sdp", {"q": 2, "m": 1, "d": 1, "instances": 10 ** 9}, 4),
+]
+
+
+def run_guarded(tmp_path, command, cfg, seconds=5, address_space=2 ** 30):
+    """main on cfg in a child process, killed after `seconds` and refused
+    any allocation past `address_space` bytes: (exit code, stderr)."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    cfg_path = tmp_path / "guarded.json"
+    cfg_path.write_text(json.dumps(cfg))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "lidtest.cli", command, "--config", str(cfg_path),
+         "--out", str(tmp_path / "guarded.out")],
+        capture_output=True, text=True, timeout=seconds, env=env, preexec_fn=limit)
+    assert not (tmp_path / "guarded.out").exists()
+    return proc.returncode, proc.stderr
+
 
 @pytest.mark.parametrize("command,cfg,expected", [
     ("run-test", {"q": 2, "m": 1, "d": 1, "strategy": {"builtin": "honest"}}, 2),
@@ -347,8 +388,14 @@ LABELS = {2: "config error", 3: "strategy error", 4: "size guard", 5: "sdp error
     # a boolean is not an integer, though int(True) is 1
     ("spectrum", {"q": 3, "m": True}, 2),
     ("round-povm", {"dim": True}, 2),
-])
+] + GUARDED)
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, command, cfg, expected):
+    if (command, cfg, expected) in GUARDED:
+        code, err = run_guarded(tmp_path, command, cfg)
+        assert code == expected, err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(LABELS[expected])
+        return
     (tmp_path / "notjson.json").write_text("{not json")
     if isinstance(cfg.get("strategy"), str):
         if cfg["strategy"] in BAD_STRATEGY_FILES:
@@ -692,6 +739,10 @@ GOLDEN = {
     "rotated.json": "549a07c0d0d63eb45bcd19904f9d9d723977c055324d3255be41f09ce235f77c",
     "soundness-rotated.json":
         "cc091e3205a98ea3253d808920794be1025663fa34d99b3668d48eb60826541a",
+    # a paste and an SDP batch, pinned before polynomial outcomes were
+    # labelled by index
+    "paste-q5.json": "f675fa417e6a3efed20d4bf3baf4a479fbd0d2bf7b8c87f15f71707750aa6443",
+    "sdp-q3.json": "48437518719d1cf580ea958ca19e2437c67e922ace5a9515719d12c5fd69d1f5",
 }
 
 
@@ -726,6 +777,8 @@ def test_golden_report_hashes(tmp_path, monkeypatch):
     save_strategy(rotated_strategy(noisy_shared_randomness_strategy(params, 3, 1, 0), 0, 0.02,
                                    GROUPS), "rotated.json")
     cli("soundness-rotated.json", "soundness-report", q=3, m=2, d=1, strategy="rotated.json")
+    cli("paste-q5.json", "paste", q=5, m=1, d=1, k=4, dim=4)
+    cli("sdp-q3.json", "sdp", q=3, m=2, d=1, tables=4)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN}
     assert got == GOLDEN
@@ -738,13 +791,13 @@ def test_golden_report_hashes(tmp_path, monkeypatch):
 
 # malformed values, given to up to two fields of an otherwise legal config
 ODD = (2.5, -1, "x", None, [1], True, math.inf, math.nan)
-# small legal values: mc_samples, instances and grid have no cap, and 10**9
-# goes only to the fields refused before any work
+# small legal values, and 10**9 for the fields refused before any work
 LEGAL = {
     "q": (2, 3), "m": (1, 2), "d": (0, 1), "k": (1, 2, 3),
     "dim": (1, 2, 3, 10 ** 9), "outcomes": (1, 2, 3, 10 ** 9),
     "tables": (1, 2, 10 ** 9), "corrupt": (0, 1), "poly_index": (0, 3),
-    "instances": (1, 2), "seed": (0, 1), "grid": (2, 5), "mc_samples": (0, 40),
+    "instances": (1, 2, 10 ** 9), "seed": (0, 1), "grid": (2, 5, 10 ** 9),
+    "mc_samples": (0, 40, 10 ** 9),
     "theta": (0.25, 0.5), "gap_tol": (1e-6,), "noise": (0.0, 0.05),
     "mode": ("orthogonalize", "naimark"), "builtin": ("honest", "adversary", "noisy"),
     "weights": (["1/2", "1/4", "1/4"],),

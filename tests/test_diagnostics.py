@@ -92,7 +92,7 @@ def test_base_case_family_is_polynomial_measurement():
     G = base_case_family(strat)
     assert G.is_measurement()
     outcomes = set(G.outcomes)
-    assert outcomes == set(enumerate_polyspace(field(3), 1, 1))
+    assert outcomes == set(g.index() for g in enumerate_polyspace(field(3), 1, 1))
     from lidtest.improvement import measure_points_consistency
 
     assert measure_points_consistency(strat, G) == pytest.approx(0.0, abs=1e-12)
@@ -101,13 +101,13 @@ def test_base_case_family_is_polynomial_measurement():
 def test_slice_commutativity_honest_zero():
     params, g, strat = honest_quantum(2, 2, 1, (0, 1, 1, 0))
     f = params.field
-    polys = tuple(enumerate_polyspace(f, 1, 1))
+    polys = tuple(h.index() for h in enumerate_polyspace(f, 1, 1))
     from lidtest.polyspace import slice_at
 
     g_by_x = {}
     for x in range(2):
         ops = np.zeros((len(polys), 1, 1), dtype=complex)
-        ops[polys.index(slice_at(g, f.element(x)))] = 1.0
+        ops[polys.index(slice_at(g, f.element(x)).index())] = 1.0
         g_by_x[x] = SubMeasurement(polys, ops, check=False)
     reports = slice_commutativity(strat, pass_probabilities(strat), g_by_x, 0.0)
     for rep in reports:
@@ -289,7 +289,8 @@ def test_slice_hypotheses_match_the_remeasured_reference(monkeypatch, q, m, kind
     for level, stages, slices in levels:
         g_by_x = {x: G for x, (G, _) in enumerate(slices)}
         Zs = {x: Z for x, (_, Z) in enumerate(slices)}
-        evaluated = {x: evaluated_at_points(G, level.params.field) for x, G in g_by_x.items()}
+        evaluated = {x: evaluated_at_points(G, level.params.field, level.params.m - 1,
+                                            level.params.d) for x, G in g_by_x.items()}
         want = oracles.slice_hypotheses(level, g_by_x, evaluated, Zs)
         got = stages["slice_hypotheses"]
         assert got.keys() == want.keys()
@@ -311,7 +312,7 @@ def test_pasted_line_consistency_equals_scalar_restriction(q, m, d):
     # a state that is not swap-invariant tells the two factors apart
     strat = QuantumStrategy(params, random_state(rng, 3, 3), shape.families,
                             symmetric=False, check=False)
-    slice_polys = tuple(enumerate_polyspace(f, m - 1, d))
+    slice_polys = tuple(g.index() for g in enumerate_polyspace(f, m - 1, d))
     g_by_x = {x: random_projective_measurement(rng, 3, len(slice_polys), slice_polys)
               for x in range(q)}
     pasted = pasted_measurement(g_by_x, f, m - 1, d, k=d + 1).family
@@ -345,6 +346,18 @@ def test_soundness_witness_makes_no_scalar_restriction(monkeypatch):
     assert calls == []
 
 
+def test_soundness_witness_builds_one_value_table_per_space():
+    from lidtest.polyspace import value_table
+
+    params = TestParams(field(2), 3, 1)
+    strat = noisy_shared_randomness_strategy(params, 3, 1, seed=0)
+    value_table.cache_clear()
+    soundness_witness(strat, k=2)
+    info = value_table.cache_info()
+    assert info.misses == info.currsize == 3  # m = 1, 2, 3
+    assert info.hits > 0
+
+
 # ---- live-operator loops against the dense loops over every outcome pair ------
 
 
@@ -369,9 +382,11 @@ def dense_points_commutativity(strategy):
 def dense_slice_commutativity(strategy, g_by_x):
     """The raw and evaluated slice commutator masses over every outcome pair,
     zero operators included."""
-    f = strategy.params.field
+    params = strategy.params
+    f = params.field
     Psi = strategy.Psi
-    evaluated_by_x = {x: evaluated_at_points(G, f) for x, G in g_by_x.items()}
+    evaluated_by_x = {x: evaluated_at_points(G, f, params.m - 1, params.d)
+                      for x, G in g_by_x.items()}
     raw = 0.0
     for x in range(f.q):
         for y in range(f.q):
@@ -429,7 +444,7 @@ def edge_slice_families(kind, f, d, rng):
     """Slice families on C^3 labelled by the one-variable polynomials: every
     operator nonzero, slice 0 all zero beside random projective slices, or a
     non-projective POVM on each slice."""
-    polys = tuple(enumerate_polyspace(f, 1, d))
+    polys = tuple(g.index() for g in enumerate_polyspace(f, 1, d))
     n = len(polys)
     if kind == "all-live":
         # as many outcomes as the dimension, each given a nonzero projector

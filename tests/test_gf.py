@@ -216,3 +216,42 @@ def test_equal_values_hash_equally(q):
             if e == c:
                 assert hash(e) == hash(c)
         assert hash(e) == hash(f.element(e.i))
+
+
+# ---- multiplication against sympy's galoistools as an independent oracle ------
+
+
+def galois_product(f, a, b):
+    """a * b in F_p[z] / (modulus) by sympy.polys.galoistools.  gf encodes
+    an element little-endian in base p; galoistools lists coefficients
+    highest degree first."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_mul, gf_rem
+
+    def high_first(n):
+        digits = []
+        for _ in range(f.t):
+            digits.append(n % f.p)
+            n //= f.p
+        return digits[::-1]
+
+    rem = gf_rem(gf_mul(high_first(a), high_first(b), f.p, ZZ),
+                 list(f.modulus[::-1]), f.p, ZZ)
+    n = 0
+    for c in rem:
+        n = n * f.p + int(c)
+    return n
+
+
+def test_extension_field_products_match_galoistools():
+    from lidtest.gf import MODULUS_TABLE
+
+    # every built-in modulus, and GF(3^4), whose modulus is found by search
+    fields = [GF(p, t, modulus=mod) for (p, t), mod in sorted(MODULUS_TABLE.items())]
+    fields.append(GF(3, 4))
+    assert (3, 4) not in MODULUS_TABLE
+    for f in fields:
+        a, b = np.divmod(np.arange(f.q * f.q), f.q)
+        got = f.mul(a, b).tolist()
+        want = [galois_product(f, x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert got == want, (f.p, f.t)

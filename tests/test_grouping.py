@@ -21,6 +21,7 @@ from lidtest.polyspace import (
     enumerate_polyspace,
     label_values,
     point_index,
+    poly_by_index,
 )
 from lidtest.protocol import TestParams, enumerate_rounds, line_value
 from lidtest.stratfile import load_strategy, save_strategy
@@ -128,21 +129,22 @@ def test_evaluated_slices_and_points_consistency_match_post_processing(q, m, d):
     params = TestParams(f, m, d)
     strat = noisy_shared_randomness_strategy(params, 3, 1, seed=q)
     rng = rng_for(q * d + m)
-    slice_polys = tuple(enumerate_polyspace(f, m - 1, d))
+    slice_polys = tuple(g.index() for g in enumerate_polyspace(f, m - 1, d))
     g_by_x = {x: random_povm(rng, 3, len(slice_polys), slice_polys) for x in range(q)}
     for x, G in g_by_x.items():
-        for u, got in zip(all_points(f, m - 1), evaluated_at_points(G, f)):
-            want = post_process(G, lambda g: g(u))
+        for u, got in zip(all_points(f, m - 1), evaluated_at_points(G, f, m - 1, d)):
+            want = post_process(G, lambda g: poly_by_index(f, m - 1, d, g)(u))
             assert got.outcomes == want.outcomes
             assert np.array_equal(got.ops, want.ops)
 
     from lidtest.measurements import consistency
 
-    polys = tuple(enumerate_polyspace(f, m, d))
+    polys = tuple(g.index() for g in enumerate_polyspace(f, m, d))
     G = random_povm(rng, 3, len(polys), polys)
     points = strat.families["A"]["points"]
     us = list(points)
-    want = consistency(points, {u: post_process(G, lambda g, u=u: g(u)) for u in us},
+    want = consistency(points, {u: post_process(G, lambda g, u=u: poly_by_index(f, m, d, g)(u))
+                                for u in us},
                        strat.Psi, [(u, 1.0 / len(us)) for u in us])
     assert measure_points_consistency(strat, G) == want
 
@@ -200,7 +202,7 @@ def test_slice_commutativity_evaluates_each_slice_family_once(monkeypatch):
     f = field_for_order(q)
     params = TestParams(f, m, d)
     strat = noisy_shared_randomness_strategy(params, 3, 1, seed=1)
-    slice_polys = tuple(enumerate_polyspace(f, m - 1, d))
+    slice_polys = tuple(g.index() for g in enumerate_polyspace(f, m - 1, d))
     rng = rng_for(7)
     g_by_x = {x: random_povm(rng, 3, len(slice_polys), slice_polys) for x in range(q)}
     grouped = []

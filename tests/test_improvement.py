@@ -11,7 +11,7 @@ from lidtest.improvement import (
 )
 from lidtest.instances import noisy_shared_randomness_strategy
 from lidtest.measurements import SubMeasurement, diagonal_indicator_family
-from lidtest.polyspace import MultiPoly, enumerate_polyspace
+from lidtest.polyspace import MultiPoly, enumerate_polyspace, poly_by_index
 from lidtest.protocol import TestParams
 from lidtest.strategies import classical_to_quantum, honest_strategy, pass_probabilities
 
@@ -21,7 +21,7 @@ def honest_setup(q=2, m=1, d=1, coeffs=(1, 0)):
     params = TestParams(f, m, d)
     g = MultiPoly(f, m, d, np.array(coeffs))
     strat = classical_to_quantum(honest_strategy(params, g))
-    G = SubMeasurement((g,), np.eye(1, dtype=complex)[None])
+    G = SubMeasurement((g.index(),), np.eye(1, dtype=complex)[None])
     return params, g, strat, G
 
 
@@ -47,15 +47,15 @@ def noisy_setup(seed, q=2, m=1, d=1, n_tables=3, n_corrupt=1):
                 1 for u in pts_family if h(u) == table_value(u)
             ),
         )
-        assignment.append(best)
-    G = diagonal_indicator_family(tuple(polys), assignment, n)
+        assignment.append(best.index())
+    G = diagonal_indicator_family(tuple(h.index() for h in polys), assignment, n)
     return params, strat, G
 
 
 def test_build_instance_honest_has_unit_eigenvector():
     params, g, strat, G = honest_setup()
     inst = build_instance(strat, params)
-    A_star = inst.constraints[list(inst.outcomes).index(g)]
+    A_star = inst.constraints[list(inst.outcomes).index(g.index())]
     assert np.linalg.eigvalsh(A_star).max() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -66,6 +66,7 @@ def test_build_instance_entries_are_agreements():
     pts_family = strat.families["A"]["points"]
     n = strat.dims[0]
     for idx, h in enumerate(inst.outcomes):
+        h = poly_by_index(params.field, params.m, params.d, h)
         A_h = inst.constraints[idx]
         assert np.abs(A_h - np.diag(np.diag(A_h))).max() < 1e-12
         for i in range(n):
@@ -83,9 +84,9 @@ def test_honest_fixed_point():
                            measure_points_consistency(strat, G))
     assert report.nu == pytest.approx(0.0, abs=1e-12)
     # H equals G on the honest outcome and vanishes elsewhere
-    assert np.abs(H.op(g) - 1.0).max() < 1e-9
+    assert np.abs(H.op(g.index()) - 1.0).max() < 1e-9
     total_other = sum(
-        float(np.abs(H.op(h)).max()) for h in H.outcomes if h != g
+        float(np.abs(H.op(h)).max()) for h in H.outcomes if h != g.index()
     )
     assert total_other < 1e-9
     assert report.completeness == pytest.approx(1.0, abs=1e-9)
@@ -132,7 +133,7 @@ def test_projective_improve_honest_fixed_point():
     params, g, strat, G = honest_setup()
     P, Z, report = projective_improve(strat, pass_probabilities(strat),
                                       measure_points_consistency(strat, G))
-    assert np.abs(P.op(g) - 1.0).max() < 1e-8
+    assert np.abs(P.op(g.index()) - 1.0).max() < 1e-8
     assert improvement_margins_ok(report)
 
 
@@ -162,11 +163,12 @@ def test_assembly_identity():
     sol = solve(inst)
     pts = strat.families["A"]["points"]
     M = len(pts)
-    for n, h in enumerate(inst.outcomes):
+    for n, label in enumerate(inst.outcomes):
+        h = poly_by_index(params.field, params.m, params.d, label)
         rebuilt = sum(
             pts[u].op(h(u)) @ sol.T[n] @ pts[u].op(h(u)) for u in pts
         ) / M
-        assert np.linalg.norm(H.op(h) - rebuilt) < 1e-12
+        assert np.linalg.norm(H.op(label) - rebuilt) < 1e-12
 
 
 def test_projective_improve_cross_distance_recorded():

@@ -63,7 +63,7 @@ def dense_pasted_measurement(g_by_x, f, m, d, k, seed=None, tuple_budget=10 ** 5
     ghat = complete_slice_families(g_by_x)
     dim = next(iter(ghat.values())).dim
     polys_m = list(enumerate_polyspace(f, m, d))
-    hits = {x: np.stack([ghat[x].op(g) for g in polys_m])[slice_indices(f, m + 1, d, x)]
+    hits = {x: np.stack([ghat[x].op(g.index()) for g in polys_m])[slice_indices(f, m + 1, d, x)]
             for x in range(f.q)}
     tuples, _ = reference_tuples(f, k, seed, tuple_budget)
     eye = np.eye(dim, dtype=complex)
@@ -96,7 +96,7 @@ def reference_pasted_measurement(g_by_x, f, m, d, k, seed=None, tuple_budget=10 
     dim = next(iter(ghat.values())).dim
     polys_m = list(enumerate_polyspace(f, m, d))
     slice_idx = {x: reference_slice_indices(f, m + 1, d, x) for x in range(f.q)}
-    ops_by_x = {x: np.stack([ghat[x].op(g) for g in polys_m], axis=0) for x in range(f.q)}
+    ops_by_x = {x: np.stack([ghat[x].op(g.index()) for g in polys_m], axis=0) for x in range(f.q)}
     bot_by_x = {x: ghat[x].op(BOTTOM) for x in range(f.q)}
     tuples, mode = reference_tuples(f, k, seed, tuple_budget)
 
@@ -178,7 +178,7 @@ def random_slice_families(rng, f, m, d, dim, kind="random"):
     """Projective slice families on random outcomes.  kind "random" drops one
     block from some so that they are strict sub-measurements; "full" keeps
     every block; "empty" also makes the family of x = 0 all zero."""
-    polys = tuple(enumerate_polyspace(f, m, d))
+    polys = tuple(g.index() for g in enumerate_polyspace(f, m, d))
     out = {}
     for x in range(f.q):
         fam = random_projective_measurement(rng, dim, min(dim, len(polys)))
@@ -202,7 +202,7 @@ def test_pasted_measurement_matches_per_tuple_dp(q, m, d, k, dim, budget):
         g_by_x, f, m, d, k, seed=3, tuple_budget=budget)
     assert result.mode == mode == ("exact" if budget == 10 ** 5 else "sampled")
     assert result.n_tuples == n_tuples
-    assert result.family.outcomes == tuple(enumerate_polyspace(f, m + 1, d))
+    assert result.family.outcomes == tuple(h.index() for h in enumerate_polyspace(f, m + 1, d))
     assert np.abs(result.family.ops - ops).max() <= 1e-12
     # the accumulators run the same products in the same order
     assert result.telescoping_residual == telescope

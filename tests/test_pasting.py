@@ -93,10 +93,10 @@ def test_tv_distance_trivial_and_exact():
 
 def honest_slice_families(f, m, d, h, dim=1):
     """G^x = rank-dim indicator of the honest slice of h at x."""
-    polys = tuple(enumerate_polyspace(f, m, d))
+    polys = tuple(g.index() for g in enumerate_polyspace(f, m, d))
     out = {}
     for x in range(f.q):
-        target = slice_at(h, f.element(x))
+        target = slice_at(h, f.element(x)).index()
         ops = np.zeros((len(polys), dim, dim), dtype=complex)
         ops[polys.index(target)] = np.eye(dim)
         out[x] = SubMeasurement(polys, ops, check=False)
@@ -106,7 +106,7 @@ def honest_slice_families(f, m, d, h, dim=1):
 def random_projective_slice_families(rng, f, m, d, dim):
     from lidtest.instances import random_projective_measurement
 
-    polys = tuple(enumerate_polyspace(f, m, d))
+    polys = tuple(g.index() for g in enumerate_polyspace(f, m, d))
     out = {}
     for x in range(f.q):
         fam = random_projective_measurement(rng, dim, min(len(polys), dim))
@@ -124,7 +124,7 @@ def test_sandwich_k1_is_projective_slice():
     f = field(3)
     h = MultiPoly.from_terms(f, 2, 1, {(1, 1): 1})
     ghat = complete_slice_families(honest_slice_families(f, 1, 1, h))
-    g0 = slice_at(h, f.element(0))
+    g0 = slice_at(h, f.element(0)).index()
     op = sandwich(ghat, (0,), (g0,))
     assert np.abs(op @ op - op).max() < 1e-12
 
@@ -222,9 +222,9 @@ def test_honest_pasting_recovers_interpolant():
     assert result.mode == "exact"
     assert result.telescoping_residual < 1e-9
     fam = result.family
-    assert np.abs(fam.op(h) - 1.0).max() < 1e-12
+    assert np.abs(fam.op(h.index()) - 1.0).max() < 1e-12
     for other in fam.outcomes:
-        if other != h:
+        if other != h.index():
             assert np.abs(fam.op(other)).max() < 1e-12
     # and the supported outcome is exactly the interpolant of d+1 slices
     nodes = [(f.element(x), slice_at(h, f.element(x))) for x in (0, 1)]
@@ -241,7 +241,7 @@ def test_pasted_family_is_sub_measurement():
     w = np.linalg.eigvalsh(fam.total())
     assert w.max() <= 1 + 1e-9
     assert result.telescoping_residual < 1e-9
-    completed = complete_pasted(fam, f, 2, 1)
+    completed = complete_pasted(fam)
     assert completed.is_measurement()
 
 
@@ -262,9 +262,10 @@ def test_pasted_equals_bruteforce_sum():
             for w in itertools.product((0, 1), repeat=k):
                 if sum(w) < d + 1:
                     continue
-                direct += sandwich(ghat, coords, tuple_for(h, coords, w))
+                labels = tuple(g if g is BOTTOM else g.index() for g in tuple_for(h, coords, w))
+                direct += sandwich(ghat, coords, labels)
         direct /= len(coords_list)
-        assert np.abs(result.family.op(h) - direct).max() < 1e-10
+        assert np.abs(result.family.op(h.index()) - direct).max() < 1e-10
 
 
 def test_sampled_mode_records_seed():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidtest.gf import field, field_for_order
 from lidtest.polyspace import (
@@ -18,9 +20,11 @@ from lidtest.polyspace import (
     point,
     point_index,
     poly_by_index,
+    polyspace_size,
     restrict_axis,
     restrict_diagonal,
     slice_at,
+    slice_indices,
     value_table,
 )
 
@@ -271,3 +275,42 @@ def test_multipoly_dict_round_trip():
     data = g.as_dict()
     assert data == {"m": 2, "d": 1, "coeffs": [1, 2, 0, 1]}
     assert multipoly_from_dict(f, data) == g
+
+
+# ---- the integer index format, property-tested ---------------------------------
+
+# (q, m, d) with spaces of at most 10^5 members, well within ENUM_GUARD
+INDEX_SPACES = [(q, m, d) for q in (2, 3, 4, 5, 7, 8, 9) for m in (1, 2, 3) for d in (0, 1, 2)
+                if polyspace_size(field_for_order(q), m, d) <= 10 ** 5]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_index_format_round_trips(data):
+    q, m, d = data.draw(st.sampled_from(INDEX_SPACES))
+    f = field_for_order(q)
+    n = data.draw(st.integers(0, polyspace_size(f, m, d) - 1))
+    x = data.draw(st.integers(0, q - 1))
+    g = poly_by_index(f, m, d, n)
+    assert g.index() == n
+    table = value_table(f, m, d)
+    assert table[n].tolist() == [g(u).i for u in all_points(f, m)]
+    assert slice_indices(f, m, d, x)[n] == slice_at(g, x).index()
+    if d + 1 <= q:
+        nodes = data.draw(st.permutations(range(q)))[:d + 1]
+        assert interpolate_parallel([(t, slice_at(g, t)) for t in nodes], d) == g
+    with pytest.raises(ValueError):
+        table[n, 0] = 0
+
+
+def test_value_table_is_built_once_and_guarded_on_every_call(monkeypatch):
+    from lidtest import polyspace
+
+    f = field(3)
+    value_table(f, 2, 1)
+    hits = value_table.cache_info().hits
+    assert value_table(f, 2, 1) is value_table(f, 2, 1)
+    assert value_table.cache_info().hits == hits + 2
+    monkeypatch.setattr(polyspace, "ENUM_GUARD", 80)  # |space| = 81
+    with pytest.raises(SizeGuardError):
+        value_table(f, 2, 1)
