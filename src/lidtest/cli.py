@@ -238,11 +238,15 @@ def cmd_round_povm(cfg, seed, workers=1):
 
 
 def cmd_soundness_report(cfg, seed):
-    from .diagnostics import soundness_witness
+    from .diagnostics import check_witness_size, soundness_witness
     from .strategies import ClassicalStrategy, classical_to_quantum
 
     params = _params_from_config(cfg)
     k = _pasting_k(cfg, params, max(2, params.m * params.d + 1))
+    entry = cfg.get("strategy")
+    builtin = entry.get("builtin") if isinstance(entry, dict) else None
+    if builtin in ("honest", "adversary", "noisy"):  # refused before it is built
+        check_witness_size(params, _count(entry, "tables", 3) if builtin == "noisy" else 1)
     strategy = _strategy_from_config(cfg, params, seed)
     if isinstance(strategy, ClassicalStrategy):
         strategy = classical_to_quantum(strategy)

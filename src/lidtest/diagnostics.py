@@ -29,6 +29,7 @@ from .polyspace import (
     AxisLine,
     DiagonalLine,
     all_points,
+    label_values,
     point,
     point_index,
     polyspace_size,
@@ -212,7 +213,7 @@ def pasted_line_consistency(strategy: QuantumStrategy, pasted: SubMeasurement) -
     pts = list(all_points(f, params.m - 1))
     for u in pts:
         B = axis_fams[AxisLine(params.m - 1, point(f, u.ints() + (0,)))]
-        B = B.group((strategy.line_values(B)[:, :d + 1] @ weights).tolist())
+        B = B.group((label_values(B.outcomes)[:, :d + 1] @ weights).tolist())
         start = point_index(u) * f.q
         restricted = pasted.group((table[:, start:start + d + 1] @ weights).tolist())
         val = expect_joint(restricted.total(), B.total(), Psi)
@@ -349,6 +350,15 @@ def witness_level(strategy: QuantumStrategy, good: Goodness, k: int,
     return G, cons, kappa, stages
 
 
+def check_witness_size(params: TestParams, dim: int) -> None:
+    """Refuse a pipeline run on a symmetric strategy on C^dim whose top
+    level's paste or slice SDP, the largest of the run, exceeds its cap."""
+    if params.m > 1:
+        f, m, d = params.field, params.m - 1, params.d
+        check_paste_size(f, m, d, dim)
+        check_instance_size(polyspace_size(f, m, d), dim)
+
+
 def soundness_witness(strategy: QuantumStrategy, k: int, gap_tol=1e-7) -> dict:
     """Run the pipeline to a global polynomial measurement and report the
     measured endpoint consistencies against the headline bound (vacuous at
@@ -356,10 +366,7 @@ def soundness_witness(strategy: QuantumStrategy, k: int, gap_tol=1e-7) -> dict:
     params = strategy.params
     if not strategy.symmetric:
         strategy = symmetrize(strategy)
-    if params.m > 1:  # the top level's paste and slice SDP are the largest
-        f, m, d, dim = params.field, params.m - 1, params.d, strategy.dims[0]
-        check_paste_size(f, m, d, dim)
-        check_instance_size(polyspace_size(f, m, d), dim)
+    check_witness_size(params, strategy.dims[0])
     good = pass_probabilities(strategy, params)
     G, cons, kappa, stages = witness_level(strategy, good, k, gap_tol)
     self_cons = consistency({0: G}, {0: G}, strategy.Psi, [(0, 1.0)])

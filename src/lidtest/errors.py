@@ -3,6 +3,8 @@ exit code and the label that starts its one stderr line."""
 
 from __future__ import annotations
 
+from functools import lru_cache, wraps
+
 
 class LidtestError(Exception):
     exit_code = 1
@@ -36,3 +38,20 @@ def check_power(what: str, base: int, exponent: int, cap: int, factor: int = 1) 
     if exponent >= cap.bit_length():
         raise SizeGuardError(f"{what} of at least 2^{cap.bit_length()} exceeds the cap {cap}")
     check_size(what, factor * base ** exponent, cap)
+
+
+def guarded_cache(check, maxsize=None):
+    """Decorator: cache a function of hashable arguments, running its size
+    check before the cache on every call, so a lowered cap refuses a cached
+    result too."""
+    def wrap(fn):
+        cached = lru_cache(maxsize=maxsize)(fn)
+
+        @wraps(fn)
+        def call(*args):
+            check(*args)
+            return cached(*args)
+
+        call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+        return call
+    return wrap

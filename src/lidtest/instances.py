@@ -109,19 +109,19 @@ def perturbed_measurement_pair(rng, dim, n_outcomes, noise):
 
 def corrupted_tables(params: TestParams, n_tables, n_corrupt, rng):
     """Honest tables with a few corrupted point answers; the line tables stay
-    honest, so goodness degrades but stays small."""
-    f = params.field
-    weighted = []
+    honest, so goodness degrades but stays small.  The draws come table by
+    table (the polynomial, then each corrupted point and its value), and
+    every table is built by one honest_tables call."""
+    f, m, d = params.field, params.m, params.d
+    polys, corrupt = [], []
     for _ in range(n_tables):
-        size = (params.d + 1) ** params.m
-        g = MultiPoly(f, params.m, params.d,
-                      rng.integers(0, f.q, size=size))
-        tables = honest_tables(params, g)
-        pts = tables["points"]
-        keys = sorted(pts, key=lambda u: u.ints())
-        for k in rng.choice(len(keys), size=min(n_corrupt, len(keys)), replace=False):
-            u = keys[int(k)]
-            pts[u] = f.element(int(rng.integers(0, f.q)))
+        polys.append(MultiPoly(f, m, d, rng.integers(0, f.q, size=(d + 1) ** m)))
+        picks = rng.choice(f.q ** m, size=min(n_corrupt, f.q ** m), replace=False)
+        corrupt.append({int(k): f.element(int(rng.integers(0, f.q))) for k in picks})
+    weighted = []
+    for tables, changes in zip(honest_tables(params, polys), corrupt):
+        points = list(tables["points"])  # grid order
+        tables["points"].update((points[k], value) for k, value in changes.items())
         weighted.append((Fraction(1, n_tables), ClassicalStrategy(params, tables)))
     return weighted
 

@@ -133,15 +133,6 @@ class SubMeasurement:
         return f"SubMeasurement({len(self.outcomes)} outcomes, dim {self.dim})"
 
 
-def diagonal_indicator_family(outcomes, assignment, dim) -> SubMeasurement:
-    """assignment[i] = outcome of basis state i; yields commuting projectors."""
-    ops = np.zeros((len(outcomes), dim, dim), dtype=complex)
-    index = {o: j for j, o in enumerate(outcomes)}
-    for i, o in enumerate(assignment):
-        ops[index[o], i, i] = 1.0
-    return SubMeasurement(tuple(outcomes), ops, check=False)
-
-
 # ---- bipartite expectation helpers -------------------------------------------
 
 

@@ -11,12 +11,12 @@ rows of `value_table`, built once per (field, m, d).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import SizeGuardError, check_power  # noqa: F401 (SizeGuardError re-exported)
+from .errors import SizeGuardError, check_power, guarded_cache  # noqa: F401 (re-export)
 from .gf import GF, FieldElement
 
 ENUM_GUARD = 10 ** 6
@@ -100,15 +100,6 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly{self.coeffs}"
-
-
-def _scalar_poly_mul(f: GF, a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = int(f.add(out[i + j], f.mul(ai, bj)))
-    return out
 
 
 class MultiPoly:
@@ -271,55 +262,46 @@ class DiagonalLine:
         return [self.point_at(t) for t in range(self.base.field.q)]
 
 
+def restrict_to_lines(f: GF, m: int, d: int, coeffs, bases, directions) -> np.ndarray:
+    """Flat coefficient rows (polynomials, (d+1)^m) restricted to each line
+    {b + t v} of the (lines, m) arrays b, v, as (polynomials, lines, m*d + 1)
+    coefficients sum_e R[l, k, e] c_e, where R[l, k, e] is the coefficient
+    of t^k in prod_j (b_j + t v_j)^{e_j}.  An axis line is v = e_i, and
+    v = 0 leaves g(b) at k = 0."""
+    bases, directions = (np.asarray(a, dtype=np.int64).reshape(-1, m) for a in (bases, directions))
+    n, ks = len(bases), np.arange(d + 1)
+    binom = np.array([[math.comb(e, k) % f.p for k in ks] for e in ks])
+    rest = np.maximum(ks[:, None] - ks, 0)  # e - k where k <= e
+    table = np.ones((n, 1, 1), dtype=np.int64)  # R: [line, k, exponents so far]
+    for j in range(m):
+        # [line, e, k]: C(e, k) b_j^(e-k) v_j^k, the coefficients of (b_j + t v_j)^e
+        powers = f.mul(binom, f.mul(f.pow(bases[:, j, None, None], rest),
+                                    f.pow(directions[:, j, None, None], ks)))
+        width = table.shape[1]
+        grown = np.zeros((n, width + d, table.shape[2], d + 1), dtype=np.int64)
+        for k in ks:  # times t^k
+            grown[:, k:k + width] = f.add(grown[:, k:k + width],
+                                          f.mul(table[:, :, :, None], powers[:, None, None, :, k]))
+        table = grown.reshape(n, width + d, -1)  # e_j is the fastest exponent
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    out = np.zeros((len(coeffs),) + table.shape[:2], dtype=np.int64)
+    for e in range(table.shape[2]):
+        out = f.add(out, f.mul(coeffs[:, e, None, None], table[None, :, :, e]))
+    return out
+
+
 def restrict_axis(g: MultiPoly, line: AxisLine) -> UniPoly:
     """g along an axis-parallel line, exact coefficients, degree <= d."""
-    f = g.field
-    i = line.axis
-    base = line.base.ints()
-    moved = np.moveaxis(g.coeffs, i, -1)  # [..., e_i]
-    out = [0] * (g.d + 1)
-    other = [j for j in range(g.m) if j != i]
-    for exps in itertools.product(range(g.d + 1), repeat=g.m - 1):
-        row = moved[exps]
-        if not row.any():
-            continue
-        scale = 1
-        for j, e in zip(other, exps):
-            scale = int(f.mul(scale, f.pow(base[j], e)))
-        if scale == 0:
-            continue
-        for k in range(g.d + 1):
-            out[k] = int(f.add(out[k], f.mul(scale, int(row[k]))))
-    return UniPoly(f, out, bound=g.d)
+    unit = point(g.field, [int(j == line.axis) for j in range(g.m)])
+    return restrict_diagonal(g, DiagonalLine(line.base, unit)).rebound(g.d)
 
 
 def restrict_diagonal(g: MultiPoly, line: DiagonalLine) -> UniPoly:
-    """g along an arbitrary line, exact coefficients, degree <= m*d."""
-    f = g.field
-    if line.degenerate:
-        return UniPoly(f, [g(line.base).i], bound=0)
-    base = line.base.ints()
-    dirv = line.direction.ints()
-    bound = g.m * g.d
-    # (base_j + t dir_j)^e for each coordinate and exponent, as t-polynomials
-    factor_pows = []
-    for j in range(g.m):
-        pows = [[1]]
-        lin = [base[j], dirv[j]]
-        for _ in range(g.d):
-            pows.append(_scalar_poly_mul(f, pows[-1], lin))
-        factor_pows.append(pows)
-    out = [0] * (bound + 1)
-    for exps in itertools.product(range(g.d + 1), repeat=g.m):
-        c = int(g.coeffs[exps])
-        if c == 0:
-            continue
-        term = [c]
-        for j, e in enumerate(exps):
-            term = _scalar_poly_mul(f, term, factor_pows[j][e])
-        for k, tc in enumerate(term):
-            out[k] = int(f.add(out[k], tc))
-    return UniPoly(f, out, bound=bound)
+    """g along an arbitrary line, exact coefficients, degree <= m*d; the
+    value g(base) on a degenerate line."""
+    coeffs = restrict_to_lines(g.field, g.m, g.d, g.flat()[None], line.base.ints(),
+                               line.direction.ints())[0, 0].tolist()
+    return UniPoly(g.field, coeffs, bound=0 if line.degenerate else g.m * g.d)
 
 
 def interpolate_parallel(slices, d: int) -> MultiPoly:
@@ -339,17 +321,13 @@ def interpolate_parallel(slices, d: int) -> MultiPoly:
     shape = (d + 1,) * (m + 1)
     out = np.zeros(shape, dtype=np.int64)
     for j, g in enumerate(polys):
-        # Lagrange basis polynomial through node j
-        lag = [1]
-        denom = 1
+        # Lagrange basis polynomial through node j: prod (t - x_l) / (x_j - x_l)
+        lag, denom = np.array([1]), 1
         for l, xl in enumerate(node_is):
-            if l == j:
-                continue
-            lag = _scalar_poly_mul(f, lag, [int(f.neg(xl)), 1])
-            denom = int(f.mul(denom, f.sub(node_is[j], xl)))
-        scale = int(f.inv(denom))
-        lag = [int(f.mul(scale, c)) for c in lag]
-        lag += [0] * (d + 1 - len(lag))
+            if l != j:
+                lag = f.add(np.append(0, lag), np.append(f.mul(lag, f.neg(xl)), 0))
+                denom = int(f.mul(denom, f.sub(node_is[j], xl)))
+        lag = f.mul(lag, f.inv(denom)).tolist()
         for k in range(d + 1):
             if lag[k] == 0:
                 continue
@@ -382,7 +360,7 @@ def slice_indices(f: GF, m: int, d: int, x: int) -> np.ndarray:
     return acc @ f.q ** np.arange(acc.shape[1])
 
 
-@lru_cache(maxsize=None)
+@guarded_cache(lambda f, m, d: check_power("q^m points", f.q, m, POINT_GUARD))
 def monomial_table(f: GF, m: int, d: int) -> np.ndarray:
     """Values of every exponent-tuple monomial at every point.
 
@@ -390,7 +368,6 @@ def monomial_table(f: GF, m: int, d: int) -> np.ndarray:
     matching polynomial/point integer indexing), columns in flat exponent
     order.  Entries are integer-encoded field values.
     """
-    check_power("q^m points", f.q, m, POINT_GUARD)
     coords = np.array(list(itertools.product(range(f.q), repeat=m)), dtype=np.int64)
     # coords[:, j] is the j-th coordinate of each point
     pow_tables = [np.stack([f.pow(coords[:, j], e) for e in range(d + 1)], axis=1)
@@ -473,16 +450,10 @@ def poly_by_index(f: GF, m: int, d: int, n: int) -> MultiPoly:
     return MultiPoly(f, m, d, np.array(flat, dtype=np.int64))
 
 
+@guarded_cache(lambda f, m, d: check_space("|space|", f, m, d, ENUM_GUARD))
 def value_table(f: GF, m: int, d: int) -> np.ndarray:
     """Values of every space member at every point, read-only: row n is
-    evaluate_on_grid(poly_by_index(n)).  Built once per space; the guard runs
-    before the cache, so a lowered ENUM_GUARD refuses a cached space too."""
-    check_space("|space|", f, m, d, ENUM_GUARD)
-    return _value_table(f, m, d)
-
-
-@lru_cache(maxsize=None)
-def _value_table(f: GF, m: int, d: int) -> np.ndarray:
+    evaluate_on_grid(poly_by_index(n)).  Built once per space."""
     table = monomial_table(f, m, d)
     n_pts = table.shape[0]
     vals = np.zeros((1, n_pts), dtype=np.int64)
@@ -493,6 +464,3 @@ def _value_table(f: GF, m: int, d: int) -> np.ndarray:
     vals.setflags(write=False)
     return vals
 
-
-value_table.cache_info = _value_table.cache_info
-value_table.cache_clear = _value_table.cache_clear

@@ -14,11 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import StrategyError, check_power, check_size
+from .errors import StrategyError, check_power, check_size, guarded_cache
 from .gf import GF, FieldElement
 from .polyspace import AxisLine, DiagonalLine, Point, UniPoly, all_points
 
@@ -163,11 +162,10 @@ def _rounds(subtest, role, line, pt, t, mass_class, axis):
     return [np.broadcast_to(c, pt.shape) for c in cols]
 
 
-@lru_cache(maxsize=8)
+@guarded_cache(_check_support, maxsize=8)
 def support_table(params: TestParams) -> Support:
     """The Support of params, built once: canonical lines come from integer
     arrays over every (point, axis) and (point, direction) pair."""
-    _check_support(params)
     f, m = params.field, params.m
     q, n = f.q, f.q ** m
     pts = list(all_points(f, m))

@@ -12,12 +12,12 @@ families and are evaluated by exact dense contraction, once per question pair.
 `judge` gives every kind's acceptance over the support once, as a `Judged`
 record, and the aggregators read that record.
 
-A quantum round groups the line family's outcomes by the value they give the
-round's point: one column of the family's integer value table
-(`label_values`, built once per family) labels the outcomes, and
-`SubMeasurement.group` sums the operators that share a value.  The summed
-values are relabelled as FieldElements, so they match the point family's
-outcomes.  `protocol.line_value` is the per-answer form of the same rule.
+A quantum round groups the line family's outcomes by the value they give at
+the point's parameter t: each line family's operators are summed per
+(t, value) once, from its integer value table (`label_values`), and matched
+by value against the point family's operators in stacked contractions.
+`protocol.line_value` is the per-answer form of the same rule.  Honest and
+noisy tables are built on integer arrays (`honest_tables`).
 """
 
 from __future__ import annotations
@@ -37,28 +37,26 @@ from .measurements import (
     HERMITIAN_TOL,
     PSD_FLOOR,
     SubMeasurement,
-    diagonal_indicator_family,
-    expect_joint,
     is_swap_invariant,
 )
 from .polyspace import (
     AxisLine,
-    DiagonalLine,
     MultiPoly,
     Point,
     UniPoly,
     label_values,
-    restrict_axis,
-    restrict_diagonal,
+    point_index,
+    restrict_to_lines,
 )
 from .protocol import (
     AXIS,
     GROUPS,
+    ROLES,
     SUBTESTS,
     ProtocolError,
     Support,
     TestParams,
-    all_questions,
+    answer_bound,
     check_answer_format,
     question_group,
     support_table,
@@ -67,7 +65,7 @@ from .protocol import (
 
 QUANTUM_DIM_CAP = 64
 ALPHABET_CAP = 10 ** 6  # answers of one quantum line family
-VALIDATION_ENTRIES = 2 ** 13  # matrix entries per stacked family test
+STACK_ENTRIES = 2 ** 13  # matrix entries per stacked family test or product
 
 
 @dataclass
@@ -85,12 +83,6 @@ class Goodness:
         return max(self.as_floats())
 
 
-def lookup(layout, role, question):
-    """The entry for `question` in a role -> group -> question layout, the
-    one shared by classical answer tables and quantum measurement families."""
-    return layout[role][question_group(question)][question]
-
-
 class ClassicalStrategy:
     """Total answer tables {group: {question: answer}}, with answers
     FieldElement or UniPoly; `tables_b`, when given, answers for role B.
@@ -105,7 +97,7 @@ class ClassicalStrategy:
                      "B": rows_a if tables_b is None else answer_rows(params, tables_b)}
 
     def answer(self, role, question):
-        ans = lookup(self.tables, role, question)
+        ans = self.tables[role][question_group(question)][question]
         check_answer_format(self.params, question, ans)
         return ans
 
@@ -151,25 +143,33 @@ def answer_rows(params: TestParams, tables) -> np.ndarray:
     return rows
 
 
-def honest_tables(params: TestParams, g: MultiPoly):
-    """Answer tables for every question from the fixed polynomial g."""
-    tables = {group: {} for group in GROUPS}
-    for group, question in all_questions(params):
-        if group == "points":
-            ans = g(question)
-        elif group == "axis":
-            ans = restrict_axis(g, question)
-        elif question.degenerate:
-            ans = g(question.base)
-        else:
-            ans = restrict_diagonal(g, question).rebound(params.m * params.d)
-        tables[group][question] = ans
+def honest_tables(params: TestParams, polys):
+    """Answer tables for every question from each fixed polynomial, all of
+    one shape (m, d), where d may exceed params.d: value answers from
+    label_values grid rows, line answers from one restrict_to_lines call."""
+    f, m, d = params.field, polys[0].m, polys[0].d
+    questions = support_table(params).questions
+    lines = {pos: q for pos, (_, q) in enumerate(questions) if answer_bound(params, q) is not None}
+    directions = [[int(j == q.axis) for j in range(m)] if isinstance(q, AxisLine)
+                  else q.direction.ints() for q in lines.values()]
+    restricted = restrict_to_lines(f, m, d, [g.flat() for g in polys],
+                                   [q.base.ints() for q in lines.values()], directions)
+    tables = []
+    for values, rows in zip(label_values(tuple(polys)).tolist(), restricted.tolist()):
+        rows = dict(zip(lines, rows))
+        table = {group: {} for group in GROUPS}
+        for pos, (group, q) in enumerate(questions):
+            table[group][q] = (
+                UniPoly(f, rows[pos], bound=d if group == "axis" else params.m * params.d)
+                if pos in rows else
+                f.element(values[point_index(q.base if group == "diag" else q)]))
+        tables.append(table)
     return tables
 
 
 def honest_strategy(params: TestParams, g: MultiPoly) -> ClassicalStrategy:
     """Answer every question from the fixed polynomial g."""
-    return ClassicalStrategy(params, honest_tables(params, g))
+    return ClassicalStrategy(params, honest_tables(params, [g])[0])
 
 
 def example_adversary(params: TestParams) -> ClassicalStrategy:
@@ -183,7 +183,7 @@ def example_adversary(params: TestParams) -> ClassicalStrategy:
     if params.m * d < d + 1:
         raise ProtocolError("need m * d >= d + 1 so diagonal answers can hold "
                             "the points function")
-    tables = honest_tables(params, adversary_points_polynomial(params))
+    tables = honest_tables(params, [adversary_points_polynomial(params)])[0]
     axis_fn = tables["axis"]
     for line, answer in axis_fn.items():
         # give up in the first direction; h is constant along the others
@@ -229,16 +229,12 @@ class QuantumStrategy:
         if symmetric is None:
             symmetric = families.get("A") is families.get("B")
         self.symmetric = symmetric
-        self._value_tables = {}  # line family -> label_values of its outcomes
         if check:
             self.validate()
 
     @property
     def dims(self):
         return self.Psi.shape
-
-    def family(self, role, question):
-        return lookup(self.families, role, question)
 
     def validate(self):
         da, db = self.Psi.shape
@@ -262,48 +258,68 @@ class QuantumStrategy:
         return self
 
     def acceptance(self, support: Support):
-        """Every round's `accept`, in round order, as (floats, denominator 1).
-        A round's acceptance, the sum over matching answers a of
-        <psi| A^{q_a}_a (x) B^{q_b}_a |psi>, reads only its two questions: they
-        fix both families, the line role and the point's parameter.  So
-        `accept` runs on the first round of each distinct pair (q_a, q_b) only."""
+        """Every round's acceptance, in round order, as (floats, denominator
+        1): the sum over matching answers a of <psi| A^{q_a}_a (x) B^{q_b}_a
+        |psi>, in the point family's outcome order.  A round reads only its
+        two questions, so each distinct pair is evaluated once: the other side
+        grouped by value (`_by_value`), one family at a time, and contracted
+        against the point family in stacks (`_contract`).  A value no answer
+        gives has a zero sum, and a zero's sign changes no nonzero result;
+        a term of +-0.0 cannot change a sum that starts at +0.0, so every
+        sum is the per-round one, bit for bit."""
         pairs = np.stack([support.q_a, support.q_b], axis=1)
         _, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
-        acc = np.array([self.accept(s) for s in support.samples(first)], dtype=float)
+        fams = [[self.families[role][group][q] for group, q in support.questions]
+                for role in ROLES]
+        # the value slot of each outcome at each t (one column for a value
+        # family): a field element's value, then any other label as first seen
+        slot = {v: v.i for v in self.params.field.elements()}
+        values, shared = {}, {}  # a built strategy's line families share outcome tuples
+        for side in fams:
+            for fam, (_, q) in zip(side, support.questions):
+                if answer_bound(self.params, q) is None:
+                    values[id(fam)] = np.array([slot.setdefault(o, len(slot))
+                                                for o in fam.outcomes], dtype=np.intp)[:, None]
+                else:
+                    if id(fam.outcomes) not in shared:
+                        shared[id(fam.outcomes)] = label_values(fam.outcomes)
+                    values[id(fam)] = shared[id(fam.outcomes)]
+        t, role = support.t[first], support.line_role[first]
+        line_pos = np.where(t < 0, -1, pairs[first, np.maximum(role, 0)])
+        acc, batch, key = np.zeros(len(first)), ([], [], []), None
+        for i in np.argsort(line_pos, kind="stable").tolist():
+            p = int(role[i] == 0)  # the point's side
+            point, other = fams[p][pairs[first[i], p]], fams[1 - p][pairs[first[i], 1 - p]]
+            if key != (line_pos[i], id(other)):  # one line family at a time
+                key = (line_pos[i], id(other))
+                grouped = _by_value(other, values[id(other)], len(slot))
+            pair = (point.ops, grouped[max(t[i], 0), values[id(point)][:, 0]])
+            for part, item in zip(batch, (np.full(len(point.ops), i), pair[p], pair[1 - p])):
+                part.append(item)
+            if sum(map(len, batch[0])) * max(self.Psi.shape) ** 2 >= STACK_ENTRIES:
+                _contract(self.Psi, batch, acc)
+        _contract(self.Psi, batch, acc)
         return acc[inverse.reshape(-1)], 1
 
-    def round_family(self, role, sample) -> SubMeasurement:
-        """The family `role` measures in this round.  A line family is grouped
-        by the value its outcomes give the round's point, read from the
-        family's integer value table (built once per family); a degenerate
-        diagonal line's value outcomes pass through unchanged."""
-        question = sample.question_a if role == "A" else sample.question_b
-        fam = self.family(role, question)
-        line = sample.line
-        if role != sample.line_role or (isinstance(line, DiagonalLine) and line.degenerate):
-            return fam
-        table = self.line_values(fam)
-        return group_by_value(fam, table[:, line.param_of(sample.point).i], self.params.field)
 
-    def line_values(self, fam) -> np.ndarray:
-        """label_values of a line family's outcomes, built once per family."""
-        table = self._value_tables.get(fam)
-        if table is None:
-            table = self._value_tables[fam] = label_values(fam.outcomes)
-        return table
+def _by_value(fam: SubMeasurement, values, width) -> np.ndarray:
+    """ops[t, v] over width value slots: the sum, from zero and in outcome
+    order, of fam's operators o with values[o, t] = v, as `group` sums."""
+    ts = np.arange(values.shape[1])
+    ops = np.zeros((len(ts), width) + fam.ops.shape[1:], dtype=complex)
+    np.add.at(ops, (ts, values), fam.ops[:, None])
+    return ops
 
-    def accept(self, sample):
-        """Exact acceptance probability of one round by dense contraction:
-        the line side's outcomes are grouped by the value they give the
-        point, then matched against the point side's outcomes."""
-        fam_a = self.round_family("A", sample)
-        fam_b = self.round_family("B", sample)
-        point_fam, other = (fam_b, fam_a) if sample.line_role == "A" else (fam_a, fam_b)
-        total = 0.0
-        for o in point_fam.outcomes:
-            if o in other:
-                total += expect_joint(fam_a.op(o), fam_b.op(o), self.Psi).real
-        return total
+
+def _contract(Psi, batch, acc):
+    """Add each batched term <psi| X (x) Y |psi>, as (X @ Psi) @ Y.T and one
+    vdot like expect_joint, to acc[owner] in order, and empty the batch."""
+    owners, left, right = batch
+    if owners:
+        prods = (np.concatenate(left) @ Psi) @ np.concatenate(right).transpose(0, 2, 1)
+        np.add.at(acc, np.concatenate(owners), [np.vdot(Psi, p).real for p in prods])
+        for part in batch:
+            part.clear()
 
 
 def check_family(sub: SubMeasurement, dim, projective):
@@ -319,10 +335,10 @@ def check_family(sub: SubMeasurement, dim, projective):
 
 def check_families(subs, dim, projective):
     """check_family over a group of families, as stacked Hermitian, PSD and
-    completeness tests of about VALIDATION_ENTRIES operator entries each
+    completeness tests of about STACK_ENTRIES operator entries each
     (which bounds their temporaries).  A stack that fails is checked family
     by family, so the first bad family raises the message it raises alone."""
-    ends = np.cumsum([s.ops.size for s in subs]) // VALIDATION_ENTRIES
+    ends = np.cumsum([s.ops.size for s in subs]) // STACK_ENTRIES
     for chunk in np.split(np.arange(len(subs)), np.flatnonzero(np.diff(ends)) + 1):
         fams = [subs[k] for k in chunk]
         if fams and not _stack_ok(fams, dim, projective):
@@ -529,7 +545,9 @@ def classical_to_quantum(strategy: ClassicalStrategy) -> QuantumStrategy:
 
 def shared_randomness_strategy(params: TestParams, weighted_tables) -> QuantumStrategy:
     """Diagonal quantum embedding of a distribution over deterministic tables:
-    psi = sum_i sqrt(w_i) |ii> and indicator projector families."""
+    psi = sum_i sqrt(w_i) |ii> and indicator projector families, scattered
+    from answer indices: a value, or a line answer's base-q number in
+    _unipolys order."""
     n = len(weighted_tables)
     weights = np.array([float(w) for w, _ in weighted_tables])
     if abs(weights.sum() - 1.0) > 1e-12:
@@ -537,19 +555,20 @@ def shared_randomness_strategy(params: TestParams, weighted_tables) -> QuantumSt
     if not all(s.symmetric for _, s in weighted_tables):
         raise ProtocolError("diagonal embedding expects symmetric tables")
     Psi = np.diag(np.sqrt(weights)).astype(complex)
-    strategies = [s for _, s in weighted_tables]
 
-    f = params.field
-    value_outcomes = tuple(f.elements())
-    outcomes = {"points": value_outcomes,
-                "axis": _unipolys(f, params.d),
-                "diag": _unipolys(f, params.m * params.d)}
+    f, diag = params.field, np.arange(n)
+    alphabets = {None: tuple(f.elements())}  # answer bound -> outcome labels
+    alphabets.update((b, _unipolys(f, b)) for b in (params.d, params.m * params.d))
     shared = {group: {} for group in GROUPS}
-    for group, question in all_questions(params):
-        answers = [s.tables["A"][group][question] for s in strategies]
-        outs = (value_outcomes if group == "diag" and question.degenerate
-                else outcomes[group])
-        shared[group][question] = diagonal_indicator_family(outs, answers, n)
+    for group, question in support_table(params).questions:
+        bound = answer_bound(params, question)
+        answers = [s.tables["A"][group][question] for _, s in weighted_tables]
+        index = ([a.i for a in answers] if bound is None else
+                 np.array([(a.coeffs + (0,) * bound)[:bound + 1] for a in answers])
+                 @ f.q ** np.arange(bound, -1, -1))
+        ops = np.zeros((len(alphabets[bound]), n, n), dtype=complex)
+        ops[index, diag, diag] = 1.0
+        shared[group][question] = SubMeasurement(alphabets[bound], ops, check=False)
     return QuantumStrategy(
         params, Psi, {"A": shared, "B": shared}, symmetric=True, projective=True
     )
@@ -578,23 +597,16 @@ def symmetrize(strategy: QuantumStrategy) -> QuantumStrategy:
     Psi[0:d, d:2 * d] = strategy.Psi / np.sqrt(2)
     Psi[d:2 * d, 0:d] = strategy.Psi.T / np.sqrt(2)
 
-    def sym_family(group):
-        out = {}
-        keys = set(strategy.families["A"][group]) | set(strategy.families["B"][group])
-        for key in keys:
-            fa = strategy.families["A"][group][key]
-            fb = strategy.families["B"][group][key]
-            labels = list(fa.outcomes) + [o for o in fb.outcomes if o not in fa]
-            ops = []
-            for o in labels:
-                op = np.zeros((2 * d, 2 * d), dtype=complex)
-                op[0:d, 0:d] = fa.op(o)
-                op[d:2 * d, d:2 * d] = fb.op(o)
-                ops.append(op)
-            out[key] = SubMeasurement(tuple(labels), np.array(ops), check=False)
-        return out
+    def sym_family(fa, fb):
+        labels = list(fa.outcomes) + [o for o in fb.outcomes if o not in fa]
+        ops = np.zeros((len(labels), 2 * d, 2 * d), dtype=complex)
+        ops[:, :d, :d] = [fa.op(o) for o in labels]
+        ops[:, d:, d:] = [fb.op(o) for o in labels]
+        return SubMeasurement(tuple(labels), ops, check=False)
 
-    shared = {g: sym_family(g) for g in GROUPS}
+    fam_a, fam_b = strategy.families["A"], strategy.families["B"]
+    shared = {g: {key: sym_family(fam_a[g][key], fam_b[g][key])
+                  for key in set(fam_a[g]) | set(fam_b[g])} for g in GROUPS}
     return QuantumStrategy(
         strategy.params,
         Psi,

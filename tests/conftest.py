@@ -1,6 +1,6 @@
 import numpy as np
 
-from lidtest.measurements import expect_joint
+from lidtest.measurements import SubMeasurement, expect_joint
 
 
 def random_symmetric_state(rng, d):
@@ -8,6 +8,15 @@ def random_symmetric_state(rng, d):
     M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     M = M + M.T
     return M / np.linalg.norm(M)
+
+
+def diagonal_indicator_family(outcomes, assignment, dim):
+    """assignment[i] = outcome of basis state i; yields commuting projectors."""
+    ops = np.zeros((len(outcomes), dim, dim), dtype=complex)
+    index = {o: j for j, o in enumerate(outcomes)}
+    for i, o in enumerate(assignment):
+        ops[index[o], i, i] = 1.0
+    return SubMeasurement(tuple(outcomes), ops, check=False)
 
 
 def agreement(fam_a, fam_b, Psi, dist) -> float:

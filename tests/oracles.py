@@ -6,7 +6,11 @@ the fast paths in `protocol` and `strategies` against these.
 The soundness pipeline's references are here too: per-outcome
 post-processing, the slice hypotheses measured a second time from the slice
 families and their dual certificates, and the pasted family restricted to
-every line with scalar `restrict_axis`."""
+every line with scalar `restrict_axis`.
+
+The quantum judge's reference is `accept`, one round by dense contraction
+with the line family grouped per round (`round_family`), and the builder's
+are the scalar restrictions `restrict_axis` and `restrict_diagonal`."""
 
 import itertools
 import json
@@ -20,14 +24,23 @@ from lidtest.polyspace import (
     AxisLine,
     DiagonalLine,
     Point,
+    UniPoly,
     all_points,
     enumerate_polyspace,
     label_values,
     point,
     poly_by_index,
-    restrict_axis,
 )
-from lidtest.protocol import AXIS, DIAG, ROLES, SELFCONS, ProtocolError, RoundSample
+from lidtest.protocol import (
+    AXIS,
+    DIAG,
+    ROLES,
+    SELFCONS,
+    ProtocolError,
+    RoundSample,
+    question_group,
+)
+from lidtest.strategies import group_by_value
 
 
 def _assign(role, line_q, point_q):
@@ -266,3 +279,116 @@ def pasted_line_consistency(strategy, pasted):
                 val -= expect_joint(restricted.op(o), B.op(o), Psi)
         total += val.real
     return total / len(pts)
+
+
+# ---- the quantum judge and the noisy builder -------------------------------------
+
+
+def lookup(layout, role, question):
+    """The entry for `question` in a role -> group -> question layout."""
+    return layout[role][question_group(question)][question]
+
+
+def round_family(strategy, role, sample):
+    """The family `role` measures in this round.  A line family is grouped
+    by the value its outcomes give the round's point, one column of its
+    label_values; a degenerate diagonal line's value outcomes pass through
+    unchanged."""
+    question = sample.question_a if role == "A" else sample.question_b
+    fam = lookup(strategy.families, role, question)
+    line = sample.line
+    if role != sample.line_role or (isinstance(line, DiagonalLine) and line.degenerate):
+        return fam
+    values = label_values(fam.outcomes)[:, line.param_of(sample.point).i]
+    return group_by_value(fam, values, strategy.params.field)
+
+
+def accept(strategy, sample):
+    """Exact acceptance probability of one round by dense contraction: the
+    line side's outcomes are grouped by the value they give the point, then
+    matched against the point side's outcomes, in the point side's order."""
+    fam_a = round_family(strategy, "A", sample)
+    fam_b = round_family(strategy, "B", sample)
+    point_fam, other = (fam_b, fam_a) if sample.line_role == "A" else (fam_a, fam_b)
+    total = 0.0
+    for o in point_fam.outcomes:
+        if o in other:
+            total += expect_joint(fam_a.op(o), fam_b.op(o), strategy.Psi).real
+    return total
+
+
+def _scalar_poly_mul(f, a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = int(f.add(out[i + j], f.mul(ai, bj)))
+    return out
+
+
+def restrict_axis(g, line):
+    """g along an axis-parallel line, by scalar field arithmetic."""
+    f = g.field
+    i = line.axis
+    base = line.base.ints()
+    moved = np.moveaxis(g.coeffs, i, -1)  # [..., e_i]
+    out = [0] * (g.d + 1)
+    other = [j for j in range(g.m) if j != i]
+    for exps in itertools.product(range(g.d + 1), repeat=g.m - 1):
+        row = moved[exps]
+        if not row.any():
+            continue
+        scale = 1
+        for j, e in zip(other, exps):
+            scale = int(f.mul(scale, f.pow(base[j], e)))
+        if scale == 0:
+            continue
+        for k in range(g.d + 1):
+            out[k] = int(f.add(out[k], f.mul(scale, int(row[k]))))
+    return UniPoly(f, out, bound=g.d)
+
+
+def restrict_diagonal(g, line):
+    """g along an arbitrary line, by scalar field arithmetic: the product of
+    (base_j + t dir_j)^{e_j} per monomial, or g(base) on a degenerate line."""
+    f = g.field
+    if line.degenerate:
+        return UniPoly(f, [g(line.base).i], bound=0)
+    base = line.base.ints()
+    dirv = line.direction.ints()
+    bound = g.m * g.d
+    factor_pows = []
+    for j in range(g.m):
+        pows = [[1]]
+        lin = [base[j], dirv[j]]
+        for _ in range(g.d):
+            pows.append(_scalar_poly_mul(f, pows[-1], lin))
+        factor_pows.append(pows)
+    out = [0] * (bound + 1)
+    for exps in itertools.product(range(g.d + 1), repeat=g.m):
+        c = int(g.coeffs[exps])
+        if c == 0:
+            continue
+        term = [c]
+        for j, e in enumerate(exps):
+            term = _scalar_poly_mul(f, term, factor_pows[j][e])
+        for k, tc in enumerate(term):
+            out[k] = int(f.add(out[k], tc))
+    return UniPoly(f, out, bound=bound)
+
+
+def honest_tables(params, g):
+    """Answer tables for every question from g, by MultiPoly.__call__ and
+    the scalar restrictions, in question order."""
+    tables = {"points": {}, "axis": {}, "diag": {}}
+    for group, question in reference_questions(params):
+        if group == "points":
+            ans = g(question)
+        elif group == "axis":
+            ans = restrict_axis(g, question)
+        elif question.degenerate:
+            ans = g(question.base)
+        else:
+            ans = restrict_diagonal(g, question).rebound(params.m * params.d)
+        tables[group][question] = ans
+    return tables

@@ -253,7 +253,7 @@ def test_criterion_10_self_improvement_batch():
         measure_points_consistency,
     )
     from lidtest.instances import noisy_shared_randomness_strategy
-    from lidtest.measurements import diagonal_indicator_family
+    from conftest import diagonal_indicator_family
     from lidtest.polyspace import enumerate_polyspace
     from lidtest.protocol import TestParams as TP
     from lidtest.strategies import pass_probabilities

@@ -520,6 +520,9 @@ NOISY_Q3M2 = {"q": 3, "m": 2, "d": 1, "strategy": {"builtin": "noisy"}}
      ("instances", "random_unitary")),
     ("round-povm", {"dim": 4, "outcomes": 4}, ("instances", "DRAW_CAP", 10),
      ("instances", "random_unitary")),
+    # the pipeline's top-level paste again, before the noisy strategy is built
+    ("soundness-report", NOISY_Q3M2, ("pasting", "PASTE_GUARD", 100),
+     ("instances", "noisy_shared_randomness_strategy")),
 ])
 def test_refusals_come_before_the_work(tmp_path, capsys, monkeypatch, command, cfg, cap, work):
     import importlib
@@ -743,6 +746,9 @@ GOLDEN = {
     # labelled by index
     "paste-q5.json": "f675fa417e6a3efed20d4bf3baf4a479fbd0d2bf7b8c87f15f71707750aa6443",
     "sdp-q3.json": "48437518719d1cf580ea958ca19e2437c67e922ace5a9515719d12c5fd69d1f5",
+    # the benchmark's 16-table SDP, pinned before the noisy builder restricted
+    # its tables on integer arrays
+    "sdp-q3-t16.json": "1589b704b08bb29c944ebebead188a61aa26b81c96cf64c31b5c4134db7c92ec",
 }
 
 
@@ -779,6 +785,7 @@ def test_golden_report_hashes(tmp_path, monkeypatch):
     cli("soundness-rotated.json", "soundness-report", q=3, m=2, d=1, strategy="rotated.json")
     cli("paste-q5.json", "paste", q=5, m=1, d=1, k=4, dim=4)
     cli("sdp-q3.json", "sdp", q=3, m=2, d=1, tables=4)
+    cli("sdp-q3-t16.json", "sdp", q=3, m=2, d=1, tables=16)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN}
     assert got == GOLDEN

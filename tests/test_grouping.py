@@ -1,6 +1,7 @@
 """Grouping outcomes through integer value tables, checked against the
 per-outcome evaluation it replaced: `oracles.post_process` with
-`protocol.line_value` (line families) or `MultiPoly.__call__` (G families),
+`protocol.line_value` (line families, as the per-round oracle
+`oracles.round_family` groups them) or `MultiPoly.__call__` (G families),
 and the sequential sum that post-processing used before `group`."""
 
 from functools import lru_cache
@@ -27,7 +28,7 @@ from lidtest.protocol import TestParams, enumerate_rounds, line_value
 from lidtest.stratfile import load_strategy, save_strategy
 from lidtest.strategies import QuantumStrategy, group_by_value, judge, symmetrize
 
-from oracles import post_process
+from oracles import lookup, post_process, round_family
 
 GRID = [(q, m, d) for q in (2, 3, 4, 5) for m in (1, 2) for d in (0, 1)]
 
@@ -90,20 +91,20 @@ def test_round_family_matches_line_value_post_processing(tmp_path, q, m, d, kind
     for sample in enumerate_rounds(params):
         role = sample.line_role
         if role is None:
-            assert strat.round_family("A", sample) is strat.family("A", sample.point)
+            assert round_family(strat, "A", sample) is lookup(strat.families, "A", sample.point)
             continue
-        fam = strat.family(role, sample.line)
+        fam = lookup(strat.families, role, sample.line)
         key = (id(fam), sample.line, sample.point)
         if key not in reference:
             reference[key] = post_process(fam, line_value(sample))
         want = reference[key]
-        got = strat.round_family(role, sample)
+        got = round_family(strat, role, sample)
         assert got.outcomes == want.outcomes
         assert all(isinstance(o, FieldElement) for o in got.outcomes)
         assert np.array_equal(got.ops, want.ops)
         other = "B" if role == "A" else "A"
         point_q = sample.question_b if role == "A" else sample.question_a
-        assert strat.round_family(other, sample) is strat.family(other, point_q)
+        assert round_family(strat, other, sample) is lookup(strat.families, other, point_q)
         n_lines += 1
     assert n_lines == sum(1 for s in enumerate_rounds(params) if s.line_role)
 

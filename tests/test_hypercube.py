@@ -233,7 +233,7 @@ def test_points_variance_honest_strategy_zero():
 
 def test_points_variance_noisy_strategies_within_bounds():
     from lidtest.instances import noisy_shared_randomness_strategy
-    from lidtest.measurements import diagonal_indicator_family
+    from conftest import diagonal_indicator_family
     from lidtest.polyspace import enumerate_polyspace
     from lidtest.protocol import TestParams
 

@@ -10,10 +10,12 @@ from lidtest.improvement import (
     projective_improve,
 )
 from lidtest.instances import noisy_shared_randomness_strategy
-from lidtest.measurements import SubMeasurement, diagonal_indicator_family
+from lidtest.measurements import SubMeasurement
 from lidtest.polyspace import MultiPoly, enumerate_polyspace, poly_by_index
 from lidtest.protocol import TestParams
 from lidtest.strategies import classical_to_quantum, honest_strategy, pass_probabilities
+
+from conftest import diagonal_indicator_family
 
 
 def honest_setup(q=2, m=1, d=1, coeffs=(1, 0)):

@@ -16,7 +16,6 @@ from lidtest.measurements import (
     SubMeasurement,
     consistency,
     cross_state_distance,
-    diagonal_indicator_family,
     expect_joint,
     is_swap_invariant,
     scalar_trunc_inequality_check,
@@ -24,7 +23,7 @@ from lidtest.measurements import (
     strong_self_consistency_deficit,
 )
 
-from conftest import agreement, random_symmetric_state
+from conftest import agreement, diagonal_indicator_family, random_symmetric_state
 from oracles import post_process
 
 X = "x"

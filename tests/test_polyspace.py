@@ -314,3 +314,19 @@ def test_value_table_is_built_once_and_guarded_on_every_call(monkeypatch):
     monkeypatch.setattr(polyspace, "ENUM_GUARD", 80)  # |space| = 81
     with pytest.raises(SizeGuardError):
         value_table(f, 2, 1)
+
+
+def test_cached_support_and_monomial_tables_are_guarded_on_every_call(monkeypatch):
+    from lidtest import polyspace, protocol
+    from lidtest.protocol import TestParams, support_table
+
+    f = field(3)
+    params = TestParams(f, 2, 1)
+    assert support_table(params) is support_table(params)
+    assert polyspace.monomial_table(f, 2, 1) is polyspace.monomial_table(f, 2, 1)
+    monkeypatch.setattr(protocol, "SUPPORT_GUARD", 10)  # q^m = 9, 261 rounds
+    with pytest.raises(SizeGuardError):
+        support_table(params)
+    monkeypatch.setattr(polyspace, "POINT_GUARD", 8)  # q^m = 9
+    with pytest.raises(SizeGuardError):
+        polyspace.monomial_table(f, 2, 1)

@@ -9,10 +9,15 @@ import pytest
 
 from lidtest import strategies
 from lidtest.gf import field_for_order
-from lidtest.instances import corrupted_tables, noisy_shared_randomness_strategy, random_state
+from lidtest.instances import (
+    corrupted_tables,
+    noisy_shared_randomness_strategy,
+    random_povm,
+    random_state,
+)
 from lidtest.measurements import MeasurementError, SubMeasurement, is_swap_invariant
-from lidtest.polyspace import AxisLine, DiagonalLine, MultiPoly
-from lidtest.protocol import ProtocolError, TestParams, support_table, verdict
+from lidtest.polyspace import AxisLine, DiagonalLine, MultiPoly, UniPoly
+from lidtest.protocol import ProtocolError, TestParams, answer_bound, support_table, verdict
 from lidtest.stratfile import load_strategy, save_strategy
 from lidtest.strategies import (
     ClassicalStrategy,
@@ -29,6 +34,7 @@ from lidtest.strategies import (
     symmetrize,
 )
 
+import oracles
 from oracles import (
     reference_goodness,
     reference_monte_carlo,
@@ -179,7 +185,7 @@ def test_answers_from_another_field_are_rejected():
     from lidtest.gf import field
 
     params = params_for(9, 1, 1)
-    tables = strategies.honest_tables(params, MultiPoly.zero(params.field, 1, 1))
+    tables = strategies.honest_tables(params, [MultiPoly.zero(params.field, 1, 1)])[0]
     other = field(3, 2, (1, 0, 1))
     tables["points"] = {u: other.element(a.i) for u, a in tables["points"].items()}
     with pytest.raises(ProtocolError, match="lies outside"):
@@ -281,31 +287,106 @@ def quantum_strategies_for(params, seed, path=None):
 PAIR_CASES = [(q, m, d) for q, m in QM for d in (0, 1) if (q, m) != (5, 3) or d == 0]
 
 
+def dense_strategy(params, dim, seed, permute=False, drop=False):
+    """Dense random POVMs on C^dim for the noisy strategy's questions and
+    outcomes, one table per role, on a random state, so that summation order
+    shows in the low bits.  `permute` lists each family's outcomes in a
+    random order; `drop` removes each family's first outcome, so a value is
+    missing from every point family (and, at d = 0, from every line family
+    at every t)."""
+    shape = noisy_shared_randomness_strategy(params, 2, 1, seed)
+    rng = np.random.default_rng(seed)
+    families = {}
+    for role in ("A", "B"):
+        families[role] = {}
+        for group, fams in shape.families["A"].items():
+            families[role][group] = {}
+            for question, sub in fams.items():
+                labels = list(sub.outcomes)
+                if permute:
+                    labels = [labels[j] for j in rng.permutation(len(labels))]
+                fam = random_povm(rng, dim, len(labels), labels)
+                families[role][group][question] = fam.drop(labels[0]) if drop else fam
+    return QuantumStrategy(params, random_state(rng, dim, dim), families, symmetric=False,
+                           check=False)
+
+
 @pytest.mark.parametrize("q,m,d", PAIR_CASES)
-def test_quantum_acceptance_per_pair_matches_per_round_accept(tmp_path, q, m, d):
+def test_quantum_acceptance_per_pair_matches_per_round_accept(tmp_path, monkeypatch, q, m, d):
     params = params_for(q, m, d)
     support = support_table(params)
-    found = quantum_strategies_for(params, q * 100 + m * 10 + d,
-                                   tmp_path / "quantum.json" if m < 3 else None)
+    seed = q * 100 + m * 10 + d
+    found = quantum_strategies_for(params, seed, tmp_path / "quantum.json" if m < 3 else None)
     if q ** m >= 64:
         found = {"asymmetric": found["asymmetric"]}
+    if m == 2 and q <= 3:
+        found.update(permuted=dense_strategy(params, 3, seed, permute=True),
+                     missing=dense_strategy(params, 3, seed, permute=True, drop=True),
+                     dim16=dense_strategy(params, 16, seed))
+    contracted = []
+    contract = strategies._contract
+    monkeypatch.setattr(strategies, "_contract",
+                        lambda Psi, batch, acc: contracted.append(len(batch[0])) or
+                        contract(Psi, batch, acc))
     for name, strat in found.items():
-        want = np.array([strat.accept(r) for r in support.samples()])
+        contracted.clear()
+        want = np.array([oracles.accept(strat, r) for r in support.samples()])
         got, den = strat.acceptance(support)
         assert den == 1
         assert np.array_equal(got, want), name
+        if name == "dim16":  # 256 entries a term: the terms span several stacks
+            assert sum(n > 0 for n in contracted) > 1
 
 
 @pytest.mark.parametrize("q,pairs", [(5, 475), (4, 272)])
-def test_quantum_acceptance_runs_accept_once_per_question_pair(monkeypatch, q, pairs):
+def test_quantum_acceptance_contracts_each_question_pair_once(monkeypatch, q, pairs):
+    # each line family grouped once, and one term per point outcome of each
+    # distinct question pair; no per-round family, grouping or contraction
+    from lidtest import measurements
+
     params = params_for(q, 2, 1)
     support = support_table(params)
     assert len(set(zip(support.q_a.tolist(), support.q_b.tolist()))) == pairs < len(support)
     strat = noisy_shared_randomness_strategy(params, 3, 1, 0)
-    calls = []
-    accept = QuantumStrategy.accept
-    monkeypatch.setattr(QuantumStrategy, "accept",
-                        lambda self, sample: calls.append(sample) or accept(self, sample))
+    assert not hasattr(strat, "accept") and not hasattr(strat, "round_family")
+    calls, grouped, terms = [], [], []
+
+    def tripwire(name):
+        return lambda *args, **kwargs: calls.append(name)
+
+    by_value, contract = strategies._by_value, strategies._contract
+    monkeypatch.setattr(strategies, "_by_value",
+                        lambda fam, *args: grouped.append(fam) or by_value(fam, *args))
+    monkeypatch.setattr(strategies, "_contract", lambda Psi, batch, acc:
+                        terms.extend(batch[0]) or contract(Psi, batch, acc))
+    monkeypatch.setattr(SubMeasurement, "group", tripwire("group"))
+    monkeypatch.setattr(measurements, "expect_joint", tripwire("expect_joint"))
     judged = judge(strat, params)
-    assert len(calls) == pairs
+    assert calls == []
+    lines = [fam for fam in grouped if isinstance(fam.outcomes[0], UniPoly)]
+    n_lines = sum(1 for _, question in support.questions if answer_bound(params, question))
+    assert len(lines) == len({id(fam) for fam in lines}) == n_lines
+    assert sum(map(len, terms)) == pairs * q
     assert len(judged.acceptance) == len(support)
+
+
+def test_noisy_builder_evaluates_no_polynomial_per_question(monkeypatch):
+    # the tables come from grid rows and one restriction call over every
+    # line; the families from integer answer indices
+    from lidtest import polyspace
+
+    params = params_for(5, 2, 1)
+    calls = []
+
+    def tripwire(name):
+        return lambda *args, **kwargs: calls.append(name)
+
+    restrict = polyspace.restrict_to_lines
+    monkeypatch.setattr(strategies, "restrict_to_lines",
+                        lambda *args: calls.append("restrict_to_lines") or restrict(*args))
+    monkeypatch.setattr(MultiPoly, "__call__", tripwire("MultiPoly.__call__"))
+    monkeypatch.setattr(UniPoly, "__call__", tripwire("UniPoly.__call__"))
+    for name in ("restrict_axis", "restrict_diagonal"):
+        monkeypatch.setattr(polyspace, name, tripwire(name))
+    noisy_shared_randomness_strategy(params, 3, 1, 0)
+    assert calls == ["restrict_to_lines"]
