@@ -193,22 +193,16 @@ def _povm_instance(args):
         B = random_povm(rng, dim, n_out)
         Psi = random_state(rng, dim, dim)
         worst, dil_a, dil_b, Psi_hat = joint_statistics_preserved(A, B, Psi)
-        x = "x"
-        one = [(x, 1.0)]
         reports = [
-            DistanceReport("consistency",
-                           consistency({x: A}, {x: B}, Psi, one),
+            DistanceReport("consistency", consistency(A, B, Psi),
                            {"stage": "original", "dim": dim}),
             DistanceReport("consistency",
-                           consistency({x: dil_a.family}, {x: dil_b.family},
-                                       Psi_hat, one),
+                           consistency(dil_a.family, dil_b.family, Psi_hat),
                            {"stage": "dilated", "dim": int(Psi_hat.shape[0])}),
-            DistanceReport("state_dependent",
-                           cross_state_distance({x: A}, {x: B}, Psi, one),
+            DistanceReport("state_dependent", cross_state_distance(A, B, Psi),
                            {"stage": "original", "dim": dim}),
             DistanceReport("state_dependent",
-                           cross_state_distance({x: dil_a.family},
-                                                {x: dil_b.family}, Psi_hat, one),
+                           cross_state_distance(dil_a.family, dil_b.family, Psi_hat),
                            {"stage": "dilated", "dim": int(Psi_hat.shape[0])}),
         ]
         return {

@@ -18,12 +18,12 @@ carries a vacuity flag alongside the raw measured value."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .improvement import evaluated_at_points, measure_points_consistency, projective_improve
-from .measurements import SubMeasurement, consistency, expect_joint
+from .measurements import SubMeasurement, commutator_mass, consistency, expect_joint
 from .pasting import check_paste_size, complete_pasted, pasted_measurement
 from .polyspace import (
     AxisLine,
@@ -105,14 +105,7 @@ class BoundReport:
         return self.bound >= 1.0
 
     def as_dict(self):
-        return {
-            "lemma": self.lemma,
-            "measured": self.measured,
-            "bound": self.bound,
-            "margin": self.margin,
-            "vacuous": self.vacuous,
-            "inputs": self.inputs,
-        }
+        return {**asdict(self), "margin": self.margin, "vacuous": self.vacuous}
 
 
 def make_report(lemma, measured, inputs) -> BoundReport:
@@ -131,17 +124,8 @@ def points_commutativity(strategy: QuantumStrategy) -> BoundReport:
     params = strategy.params
     good = pass_probabilities(strategy, params)
     gamma = float(good.gamma)
-    points = strategy.families["A"]["points"]
-    Psi = strategy.Psi
-    live = [A.live_ops() for A in points.values()]
-    total = 0.0
-    for A in live:
-        for B in live:
-            for a in A:
-                for b in B:
-                    comm = a @ b - b @ a
-                    vvec = comm @ Psi
-                    total += float(np.sum(np.abs(vvec) ** 2))
+    live = [A.live_ops() for A in strategy.families["A"]["points"].values()]
+    total = commutator_mass(((A, B) for A in live for B in live), strategy.Psi)
     total /= len(live) ** 2
     inputs = {"gamma": gamma, "m": params.m, "d": params.d, "q": params.q}
     return make_report("points_commutativity", total, inputs)
@@ -164,27 +148,12 @@ def slice_commutativity(strategy: QuantumStrategy, good: Goodness, g_by_x: dict,
     live_evaluated = {x: [E.live_ops() for E in evaluated_at_points(G, f, m_slice, params.d)]
                       for x, G in g_by_x.items()}
 
-    raw = 0.0
-    for x in range(f.q):
-        for y in range(f.q):
-            for a in live[x]:
-                for b in live[y]:
-                    comm = a @ b - b @ a
-                    raw += float(np.sum(np.abs(comm @ Psi) ** 2))
+    qs = range(f.q)
+    raw = commutator_mass(((live[x], live[y]) for x in qs for y in qs), Psi)
     raw /= f.q ** 2
-
-    evaluated = 0.0
-    n = 0
-    for x in range(f.q):
-        for y in range(f.q):
-            for Gx in live_evaluated[x]:
-                for Gy in live_evaluated[y]:
-                    for a in Gx:
-                        for b in Gy:
-                            comm = a @ b - b @ a
-                            evaluated += float(np.sum(np.abs(comm @ Psi) ** 2))
-                    n += 1
-    evaluated /= n
+    pairs = [(Gx, Gy) for x in qs for y in qs
+             for Gx in live_evaluated[x] for Gy in live_evaluated[y]]
+    evaluated = commutator_mass(pairs, Psi) / len(pairs)
 
     inputs = {
         "gamma": gamma, "zeta": zeta, "m": m_slice, "d": params.d, "q": params.q,
@@ -216,11 +185,7 @@ def pasted_line_consistency(strategy: QuantumStrategy, pasted: SubMeasurement) -
         B = B.group((label_values(B.outcomes)[:, :d + 1] @ weights).tolist())
         start = point_index(u) * f.q
         restricted = pasted.group((table[:, start:start + d + 1] @ weights).tolist())
-        val = expect_joint(restricted.total(), B.total(), Psi)
-        for o in restricted.outcomes:
-            if o in B:
-                val -= expect_joint(restricted.op(o), B.op(o), Psi)
-        total += val.real
+        total += consistency(restricted, B, Psi)
     return total / len(pts)
 
 
@@ -268,8 +233,7 @@ def base_case_family(strategy: QuantumStrategy) -> SubMeasurement:
     return SubMeasurement(relabelled, fam.ops, check=False)
 
 
-def witness_level(strategy: QuantumStrategy, good: Goodness, k: int,
-                  gap_tol=1e-7):
+def witness_level(strategy: QuantumStrategy, good: Goodness, k: int):
     """One step of the induction over m, for a symmetric strategy whose
     goodness is `good`.  Returns (G, cons, kappa, stages): a polynomial
     measurement over the strategy's space, its measured consistency with the
@@ -289,8 +253,8 @@ def witness_level(strategy: QuantumStrategy, good: Goodness, k: int,
     for x in range(f.q):
         sub = restricted_strategy(strategy, x)
         sub_good = pass_probabilities(sub, sub.params)
-        _, nu_x, kappa_x, sub_stages = witness_level(sub, sub_good, k, gap_tol)
-        g_by_x[x], _, rep = projective_improve(sub, sub_good, nu_x, gap_tol=gap_tol)
+        _, nu_x, kappa_x, sub_stages = witness_level(sub, sub_good, k)
+        g_by_x[x], _, rep = projective_improve(sub, sub_good, nu_x)
         reports.append(rep)
         per_x[str(x)] = rep.as_dict()
         if sub.params.m > 1:  # a base-case slice has nothing to nest
@@ -359,7 +323,7 @@ def check_witness_size(params: TestParams, dim: int) -> None:
         check_instance_size(polyspace_size(f, m, d), dim)
 
 
-def soundness_witness(strategy: QuantumStrategy, k: int, gap_tol=1e-7) -> dict:
+def soundness_witness(strategy: QuantumStrategy, k: int) -> dict:
     """Run the pipeline to a global polynomial measurement and report the
     measured endpoint consistencies against the headline bound (vacuous at
     desk scale; the raw numbers are the scientific output)."""
@@ -368,8 +332,8 @@ def soundness_witness(strategy: QuantumStrategy, k: int, gap_tol=1e-7) -> dict:
         strategy = symmetrize(strategy)
     check_witness_size(params, strategy.dims[0])
     good = pass_probabilities(strategy, params)
-    G, cons, kappa, stages = witness_level(strategy, good, k, gap_tol)
-    self_cons = consistency({0: G}, {0: G}, strategy.Psi, [(0, 1.0)])
+    G, cons, kappa, stages = witness_level(strategy, good, k)
+    self_cons = consistency(G, G, strategy.Psi)
     inputs = {
         "eps": good.max(), "d": params.d, "q": params.q, "m": params.m, "k": k,
     }

@@ -14,7 +14,7 @@ The projective variant chains this with orthogonalization and re-measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -79,21 +79,9 @@ class ImprovementReport:
         }
 
     def as_dict(self):
-        out = {
-            "nu": self.nu,
-            "zeta": self.zeta,
-            "completeness": self.completeness,
-            "completeness_bound": self.completeness_bound,
-            "consistency_with_points": self.consistency_with_points,
-            "self_consistency_deficit": self.self_consistency_deficit,
-            "boundedness": self.boundedness,
-            "min_constraint_slack": self.min_constraint_slack,
-            "vacuous": self.vacuous,
-            "margins": self.margins(),
-            "sdp": self.sdp,
-        }
-        out.update(self.extras)
-        return out
+        out = asdict(self)
+        extras = out.pop("extras")
+        return {**out, "margins": self.margins(), **extras}
 
 
 def evaluated_at_points(G: SubMeasurement, f, m: int, d: int) -> list:
@@ -107,14 +95,15 @@ def measure_points_consistency(strategy: QuantumStrategy, G: SubMeasurement) -> 
     """E_u sum_{a != b} <psi| A^u_a (x) G_{[g(u)=b]} |psi>."""
     params = strategy.params
     points = strategy.families["A"]["points"]
-    us = list(points)
-    w = 1.0 / len(us)
+    w = 1.0 / len(points)
     evaluated = evaluated_at_points(G, params.field, params.m, params.d)
-    fam_g = {u: evaluated[point_index(u)] for u in us}
-    return consistency(points, fam_g, strategy.Psi, [(u, w) for u in us])
+    total = 0.0
+    for u, A in points.items():
+        total += w * consistency(A, evaluated[point_index(u)], strategy.Psi)
+    return total
 
 
-def improve(strategy: QuantumStrategy, good: Goodness, nu: float, gap_tol=1e-7):
+def improve(strategy: QuantumStrategy, good: Goodness, nu: float):
     """Returns (H family, Z, ImprovementReport); `good` is the strategy's
     goodness, which sets the zeta budget, and `nu` the measured consistency
     of the input polynomial measurement G with the points,
@@ -126,7 +115,7 @@ def improve(strategy: QuantumStrategy, good: Goodness, nu: float, gap_tol=1e-7):
     zeta = zeta_budget(params, eps, delta)
 
     instance = build_instance(strategy, params)
-    sol = solve(instance, gap_tol=gap_tol)
+    sol = solve(instance)
     ops = sum(A @ sol.T @ A for A in _points_at_values(strategy, params)) / params.q ** params.m
     H = SubMeasurement(instance.outcomes, ops)  # validates PSD and total <= I
 
@@ -139,8 +128,7 @@ def _measure_four_properties(strategy, H, Z, min_slack, sdp_summary, nu, zeta):
     Psi = strategy.Psi
     completeness = expect_joint(H.total(), np.eye(strategy.dims[1]), Psi).real
     cons = measure_points_consistency(strategy, H)
-    x = "x"
-    deficit = strong_self_consistency_deficit({x: H}, Psi, [(x, 1.0)])
+    deficit = strong_self_consistency_deficit(H, Psi)
     bound_val = expect_joint(
         Z, np.eye(strategy.dims[1]) - H.total(), Psi
     ).real
@@ -158,22 +146,19 @@ def _measure_four_properties(strategy, H, Z, min_slack, sdp_summary, nu, zeta):
     )
 
 
-def projective_improve(strategy: QuantumStrategy, good: Goodness, nu: float,
-                       gap_tol=1e-7):
+def projective_improve(strategy: QuantumStrategy, good: Goodness, nu: float):
     """improve followed by orthogonalization; the four properties are
     re-measured for the projective output against the same zeta budget."""
-    H, Z, report = improve(strategy, good, nu, gap_tol=gap_tol)
+    H, Z, report = improve(strategy, good, nu)
     P, ortho_report = orthogonalize(H, strategy.Psi)
     proj_report = _measure_four_properties(strategy, P, Z, report.min_constraint_slack,
                                            report.sdp, report.nu, report.zeta)
     # for projective families the two-sided distance form of self-consistency
     # is the meaningful one; record it alongside the deficit
-    x = "x"
-    proj_report.extras["self_consistency_cross_distance"] = cross_state_distance(
-        {x: P}, {x: P}, strategy.Psi, [(x, 1.0)]
-    )
-    proj_report.extras["orthogonalization"] = ortho_report.as_dict()
-    proj_report.extras["pre_projective"] = report.as_dict()
+    extras = proj_report.extras
+    extras["self_consistency_cross_distance"] = cross_state_distance(P, P, strategy.Psi)
+    extras["orthogonalization"] = ortho_report.as_dict()
+    extras["pre_projective"] = report.as_dict()
     return P, Z, proj_report
 
 

@@ -1,11 +1,11 @@
 """Operator-family toolkit: sub-measurements, consistency and the
-state-dependent distance, post-processing, completion, and strong
-self-consistency.
+state-dependent distance, grouping, completion, strong self-consistency and
+commutator masses.
 
 A bipartite state on C^{D_A} x C^{D_B} is carried as its coefficient matrix
 Psi of shape (D_A, D_B); <psi| M (x) N |psi> = vdot(Psi, M @ Psi @ N.T).
-Distances take families as {question: SubMeasurement} plus an explicit
-question distribution [(question, weight)].
+Distances and commutator masses take one family pair (or one family) per
+call; averaging over questions is left to the caller.
 """
 
 from __future__ import annotations
@@ -153,66 +153,65 @@ def is_swap_invariant(Psi, tol=1e-9) -> bool:
     return np.abs(Psi - Psi.T).max() <= tol
 
 
-def _as_dist(dist):
-    return [(x, float(w)) for x, w in dist]
+def _union_labels(A, B):
+    return list(A.outcomes) + [o for o in B.outcomes if o not in A]
 
 
-def consistency(fam_a, fam_b, Psi, dist) -> float:
-    """E_x sum_{a != b} <psi| A^x_a (x) B^x_b |psi>.
+def consistency(A, B, Psi) -> float:
+    """sum_{a != b} <psi| A_a (x) B_b |psi>.
 
-    fam_a acts on the left factor, fam_b on the right.  For measurements this
-    equals 1 - E_x sum_a <A^x_a (x) B^x_a>; for sub-measurements it is the
-    genuinely two-sided sum.
+    A acts on the left factor, B on the right.  For measurements this equals
+    1 - sum_a <A_a (x) B_a>; for sub-measurements it is the genuinely
+    two-sided sum.
     """
+    val = expect_joint(A.total(), B.total(), Psi)
+    for o in A.outcomes:
+        if o in B:
+            val -= expect_joint(A.op(o), B.op(o), Psi)
+    return 0.0 + val.real  # never -0.0
+
+
+def state_distance(A, B, Psi) -> float:
+    """sum_a || (A_a - B_a) |psi> ||^2 with both families applied to the left
+    factor; no bipartition is assumed beyond that placement."""
     total = 0.0
-    for x, w in _as_dist(dist):
-        A, B = fam_a[x], fam_b[x]
-        val = expect_joint(A.total(), B.total(), Psi)
-        for o in A.outcomes:
-            if o in B:
-                val -= expect_joint(A.op(o), B.op(o), Psi)
-        total += w * val.real
+    for o in _union_labels(A, B):
+        v = (A.op(o) - B.op(o)) @ Psi
+        total += float(np.sum(np.abs(v) ** 2))
     return total
 
 
-def state_distance(fam_a, fam_b, Psi, dist) -> float:
-    """E_x sum_a || (A^x_a - B^x_a) |psi> ||^2 with both families applied to
-    the left factor; no bipartition is assumed beyond that placement."""
+def cross_state_distance(A, B, Psi) -> float:
+    """sum_a || (A_a (x) I - I (x) B_a) |psi> ||^2."""
     total = 0.0
-    for x, w in _as_dist(dist):
-        A, B = fam_a[x], fam_b[x]
-        labels = list(A.outcomes) + [o for o in B.outcomes if o not in A]
-        for o in labels:
-            v = (A.op(o) - B.op(o)) @ Psi
-            total += w * float(np.sum(np.abs(v) ** 2))
+    for o in _union_labels(A, B):
+        v = A.op(o) @ Psi - Psi @ B.op(o).T
+        total += float(np.sum(np.abs(v) ** 2))
     return total
 
 
-def cross_state_distance(fam_a, fam_b, Psi, dist) -> float:
-    """E_x sum_a || (A^x_a (x) I - I (x) B^x_a) |psi> ||^2."""
-    total = 0.0
-    for x, w in _as_dist(dist):
-        A, B = fam_a[x], fam_b[x]
-        labels = list(A.outcomes) + [o for o in B.outcomes if o not in A]
-        for o in labels:
-            v = A.op(o) @ Psi - Psi @ B.op(o).T
-            total += w * float(np.sum(np.abs(v) ** 2))
-    return total
-
-
-def strong_self_consistency_deficit(fam, Psi, dist) -> float:
-    """<psi| A (x) I |psi> - E_x sum_a <psi| A^x_a (x) A^x_a |psi> on a
+def strong_self_consistency_deficit(A, Psi) -> float:
+    """<psi| A (x) I |psi> - sum_a <psi| A_a (x) A_a |psi> on a
     permutation-invariant state (checked)."""
     if not is_swap_invariant(Psi):
         raise MeasurementError("state is not permutation-invariant")
-    completeness = 0.0
+    completeness = 0.0 + expect_left(A.total(), Psi).real
     matched = 0.0
-    for x, w in _as_dist(dist):
-        A = fam[x]
-        completeness += w * expect_left(A.total(), Psi).real
-        for op in A.ops:
-            matched += w * expect_joint(op, op, Psi).real
+    for op in A.ops:
+        matched += expect_joint(op, op, Psi).real
     return completeness - matched
+
+
+def commutator_mass(pairs, Psi) -> float:
+    """sum over the operator-stack pairs (As, Bs), in order, of
+    sum_{a in As, b in Bs} ||[a, b] (x) I psi||^2."""
+    total = 0.0
+    for As, Bs in pairs:
+        for a in As:
+            for b in Bs:
+                comm = a @ b - b @ a
+                total += float(np.sum(np.abs(comm @ Psi) ** 2))
+    return total
 
 
 def scalar_trunc(x: float, delta: float) -> float:

@@ -103,7 +103,7 @@ def dilated_pair_state(Psi, left: DilatedMeasurement, right: DilatedMeasurement)
     return out.reshape(da, db)
 
 
-def joint_statistics_preserved(sub_a, sub_b, Psi, tol=1e-9):
+def joint_statistics_preserved(sub_a, sub_b, Psi):
     """Max deviation of joint outcome probabilities under dilation of both sides."""
     from .measurements import expect_joint
 

@@ -19,7 +19,7 @@ sub-measurements.  All measured quantities and their bounds are reported as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,9 +35,6 @@ from .measurements import (
 
 ZETA_GUARD = 0.25
 SVD_RANK_TOL = 1e-10
-
-_X = "x"  # the single-question placeholder used for distance calls
-
 
 @dataclass
 class OrthogonalizationReport:
@@ -62,21 +59,8 @@ class OrthogonalizationReport:
         return self.distance_bound - self.distance
 
     def as_dict(self):
-        return {
-            "zeta": self.zeta,
-            "trunc_delta": self.trunc_delta,
-            "trivial": self.trivial,
-            "svd_defective": self.svd_defective,
-            "min_singular_value": self.min_singular_value,
-            "q_completeness": self.q_completeness,
-            "q_completeness_bound": self.q_completeness_bound,
-            "q_completeness_margin": self.q_completeness_margin,
-            "distance": self.distance,
-            "distance_bound": self.distance_bound,
-            "distance_margin": self.distance_margin,
-            "projectivity_residual": self.projectivity_residual,
-            "stage_distances": self.stage_distances,
-        }
+        return {**asdict(self), "q_completeness_margin": self.q_completeness_margin,
+                "distance_margin": self.distance_margin}
 
 
 def round_to_projectors(sub: SubMeasurement, delta: float) -> SubMeasurement:
@@ -168,8 +152,7 @@ def orthogonalize_measurement(A: SubMeasurement, B: SubMeasurement, Psi):
     zeta measured directly.  Returns (P, report)."""
     if not (A.is_measurement() and B.is_measurement()):
         raise MeasurementError("both families must be measurements here")
-    zeta = consistency({_X: A}, {_X: B}, Psi, [(_X, 1.0)])
-    zeta = max(zeta, 0.0)
+    zeta = max(consistency(A, B, Psi), 0.0)
     report = OrthogonalizationReport(zeta=zeta, trunc_delta=float(np.sqrt(zeta)))
     if zeta > ZETA_GUARD:
         report.trivial = True
@@ -183,7 +166,7 @@ def orthogonalize_measurement(A: SubMeasurement, B: SubMeasurement, Psi):
     report.svd_defective = bool(np.isnan(smin) or smin < SVD_RANK_TOL)
 
     def dist_to(target):
-        return state_distance({_X: A}, {_X: target}, Psi, [(_X, 1.0)])
+        return state_distance(A, target, Psi)
 
     report.stage_distances = {
         "rounded": dist_to(rounded),
@@ -208,12 +191,12 @@ def orthogonalize(A: SubMeasurement, Psi):
     measured strong self-consistency deficit of A."""
     if not is_swap_invariant(Psi):
         raise MeasurementError("sub-measurement case needs a symmetric state")
-    zeta = max(strong_self_consistency_deficit({_X: A}, Psi, [(_X, 1.0)]), 0.0)
+    zeta = max(strong_self_consistency_deficit(A, Psi), 0.0)
     completed = A.completion()
     P_hat, report = orthogonalize_measurement(completed, completed, Psi)
     P = P_hat.drop(BOTTOM)
     report.zeta = zeta
-    report.distance = state_distance({_X: A}, {_X: P}, Psi, [(_X, 1.0)])
+    report.distance = state_distance(A, P, Psi)
     report.distance_bound = 100.0 * zeta ** 0.25
     report.projectivity_residual = projectivity_residual(P)
     return P, report

@@ -74,15 +74,6 @@ class SdpInstance:
     def dim(self):
         return self.constraints.shape[1]
 
-    def validate(self, psd_floor=-1e-9):
-        for A in self.constraints:
-            if np.abs(A - A.conj().T).max() > 1e-9:
-                raise SdpError("constraint not Hermitian")
-            w = np.linalg.eigvalsh(A)
-            if w.min() < psd_floor or w.max() > 1 + 1e-9:
-                raise SdpError("constraint outside [0, I]")
-        return self
-
 
 @dataclass
 class SdpSolution:

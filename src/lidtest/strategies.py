@@ -412,15 +412,18 @@ def goodness(judged: Judged) -> Goodness:
     subtest: exact for tables, floating point (summed in round order) for
     quantum strategies."""
     s, acc, den = judged.support, judged.acceptance, judged.denominator
+    mass_floats = np.array([float(m) for m in s.masses])
     out = []
     for k in range(len(SUBTESTS)):
         rows = s.subtest == k
         if not rows.any():
             out.append(Fraction(0))
         elif acc.dtype.kind == "f":
-            masses = [s.masses[c] for c in s.mass_class[rows].tolist()]
-            fail = sum((m * (1 - a) for m, a in zip(masses, acc[rows].tolist())), 0.0)
-            out.append(fail / sum(masses, 0.0))
+            # plain left-to-right float sums (sum() of floats is compensated
+            # from Python 3.12 on)
+            masses = mass_floats[s.mass_class[rows]]
+            fail = np.add.accumulate(masses * (1 - acc[rows]))[-1]
+            out.append(float(fail / np.add.accumulate(masses)[-1]))
         else:
             out.append(_mass_sum(s, rows, den - acc) / den / _mass_sum(s, rows, np.ones_like(acc)))
     return Goodness(*out)

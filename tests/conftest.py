@@ -19,15 +19,12 @@ def diagonal_indicator_family(outcomes, assignment, dim):
     return SubMeasurement(tuple(outcomes), ops, check=False)
 
 
-def agreement(fam_a, fam_b, Psi, dist) -> float:
-    """E_x sum_a <psi| A^x_a (x) B^x_a |psi> (matched-outcome mass), for
-    dist a list of (question, weight)."""
+def agreement(A, B, Psi) -> float:
+    """sum_a <psi| A_a (x) B_a |psi>, the matched-outcome mass."""
     total = 0.0
-    for x, w in dist:
-        A, B = fam_a[x], fam_b[x]
-        for o in A.outcomes:
-            if o in B:
-                total += float(w) * expect_joint(A.op(o), B.op(o), Psi).real
+    for o in A.outcomes:
+        if o in B:
+            total += expect_joint(A.op(o), B.op(o), Psi).real
     return total
 
 

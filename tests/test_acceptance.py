@@ -147,19 +147,18 @@ def test_criterion_07_distance_counterexample():
     from lidtest.measurements import SubMeasurement, consistency, cross_state_distance
     from lidtest.naimark import dilate, dilated_pair_state
 
-    X, ONE = "x", [("x", 1.0)]
     d = 2
     half = np.repeat(np.eye(d, dtype=complex)[None] / 2, 2, axis=0)
     A = SubMeasurement((0, 1), half)
     B = SubMeasurement((0, 1), half)
     Psi = random_state(rng_for(7), d, d)
-    assert cross_state_distance({X: A}, {X: B}, Psi, ONE) == 0.0
-    pre_cons = consistency({X: A}, {X: B}, Psi, ONE)
+    assert cross_state_distance(A, B, Psi) == 0.0
+    pre_cons = consistency(A, B, Psi)
     da, db = dilate(A), dilate(B)
     Psi_hat = dilated_pair_state(Psi, da, db)
-    post = cross_state_distance({X: da.family}, {X: db.family}, Psi_hat, ONE)
+    post = cross_state_distance(da.family, db.family, Psi_hat)
     assert post >= 1.0 - 1e-9
-    assert abs(consistency({X: da.family}, {X: db.family}, Psi_hat, ONE) - pre_cons) <= 1e-9
+    assert abs(consistency(da.family, db.family, Psi_hat) - pre_cons) <= 1e-9
 
 
 # ---- 8: orthogonalization ---------------------------------------------------------

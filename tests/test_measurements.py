@@ -26,10 +26,6 @@ from lidtest.measurements import (
 from conftest import agreement, diagonal_indicator_family, random_symmetric_state
 from oracles import post_process
 
-X = "x"
-ONE = [(X, 1.0)]
-
-
 def basis_family(dim):
     ops = np.zeros((dim, dim, dim), dtype=complex)
     for j in range(dim):
@@ -41,7 +37,7 @@ def test_shared_projective_family_on_aligned_product_state():
     A = basis_family(2)
     Psi = np.zeros((2, 2), dtype=complex)
     Psi[0, 0] = 1.0
-    assert consistency({X: A}, {X: A}, Psi, ONE) == pytest.approx(0.0, abs=1e-14)
+    assert consistency(A, A, Psi) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_consistency_equals_one_minus_agreement_for_measurements():
@@ -50,8 +46,8 @@ def test_consistency_equals_one_minus_agreement_for_measurements():
         A = random_povm(rng, 4, 3)
         B = random_povm(rng, 4, 3)
         Psi = random_state(rng, 4, 4)
-        c = consistency({X: A}, {X: B}, Psi, ONE)
-        a = agreement({X: A}, {X: B}, Psi, ONE)
+        c = consistency(A, B, Psi)
+        a = agreement(A, B, Psi)
         assert c == pytest.approx(1.0 - a, abs=1e-10)
 
 
@@ -61,7 +57,7 @@ def test_maximally_mixed_family_consistency():
         ops = np.repeat(np.eye(dim, dtype=complex)[None] / n, n, axis=0)
         A = SubMeasurement(tuple(range(n)), ops)
         Psi = random_state(rng_for(n), dim, dim)
-        val = consistency({X: A}, {X: A}, Psi, ONE)
+        val = consistency(A, A, Psi)
         assert val == pytest.approx((n - 1) / n, abs=1e-12)
 
 
@@ -69,15 +65,15 @@ def test_state_distance_identical_families():
     rng = rng_for(2)
     A = random_povm(rng, 3, 2)
     Psi = random_state(rng, 3, 5)
-    assert state_distance({X: A}, {X: A}, Psi, ONE) == 0.0
+    assert state_distance(A, A, Psi) == 0.0
 
 
 def test_projective_cross_distance_is_twice_consistency():
     rng = rng_for(3)
     for _ in range(5):
         A, B, Psi = perturbed_measurement_pair(rng, 4, 3, noise=0.0)
-        c = consistency({X: A}, {X: B}, Psi, ONE)
-        d = cross_state_distance({X: A}, {X: B}, Psi, ONE)
+        c = consistency(A, B, Psi)
+        d = cross_state_distance(A, B, Psi)
         assert d == pytest.approx(2 * c, abs=1e-10)
 
 
@@ -87,8 +83,8 @@ def test_cross_distance_at_most_twice_consistency_for_measurements():
         A = random_povm(rng, 4, 3)
         B = random_povm(rng, 4, 3)
         Psi = random_state(rng, 4, 4)
-        c = consistency({X: A}, {X: B}, Psi, ONE)
-        d = cross_state_distance({X: A}, {X: B}, Psi, ONE)
+        c = consistency(A, B, Psi)
+        d = cross_state_distance(A, B, Psi)
         assert d <= 2 * c + 1e-10
 
 
@@ -109,11 +105,9 @@ def test_post_process_data_processing_for_consistency():
         A = random_povm(rng, 4, 4)
         B = random_povm(rng, 4, 4)
         Psi = random_state(rng, 4, 4)
-        before = consistency({X: A}, {X: B}, Psi, ONE)
+        before = consistency(A, B, Psi)
         fn = lambda o: o % 2
-        after = consistency(
-            {X: post_process(A, fn)}, {X: post_process(B, fn)}, Psi, ONE
-        )
+        after = consistency(post_process(A, fn), post_process(B, fn), Psi)
         assert after <= before + 1e-10
 
 
@@ -132,7 +126,7 @@ def test_completion():
 def test_strong_self_consistency_diagonal_on_epr():
     A = basis_family(3)
     Psi = maximally_entangled(3)
-    assert strong_self_consistency_deficit({X: A}, Psi, ONE) == pytest.approx(0, abs=1e-12)
+    assert strong_self_consistency_deficit(A, Psi) == pytest.approx(0, abs=1e-12)
 
 
 def test_deficit_dominates_consistency_for_sub_measurements():
@@ -141,8 +135,8 @@ def test_deficit_dominates_consistency_for_sub_measurements():
         A = random_povm(rng, 4, 3)
         sub = SubMeasurement(A.outcomes, A.ops * rng.uniform(0.3, 0.9))
         Psi = random_symmetric_state(rng, 4)
-        deficit = strong_self_consistency_deficit({X: sub}, Psi, ONE)
-        cons = consistency({X: sub}, {X: sub}, Psi, ONE)
+        deficit = strong_self_consistency_deficit(sub, Psi)
+        cons = consistency(sub, sub, Psi)
         assert cons <= deficit + 1e-10
 
 
@@ -153,8 +147,8 @@ def test_projective_cross_self_distance_is_twice_deficit():
         keep = P.ops[:2]  # a projective sub-measurement
         sub = SubMeasurement(P.outcomes[:2], keep)
         Psi = random_symmetric_state(rng, 4)
-        deficit = strong_self_consistency_deficit({X: sub}, Psi, ONE)
-        d = cross_state_distance({X: sub}, {X: sub}, Psi, ONE)
+        deficit = strong_self_consistency_deficit(sub, Psi)
+        d = cross_state_distance(sub, sub, Psi)
         assert d == pytest.approx(2 * deficit, abs=1e-10)
 
 
@@ -177,7 +171,7 @@ def test_deficit_requires_symmetric_state():
     A = random_povm(rng, 3, 2)
     Psi = random_state(rng, 3, 3)
     with pytest.raises(MeasurementError):
-        strong_self_consistency_deficit({X: A}, Psi, ONE)
+        strong_self_consistency_deficit(A, Psi)
 
 
 def test_transfer_consistency_through_state_distance():
@@ -191,9 +185,9 @@ def test_transfer_consistency_through_state_distance():
         C = random_povm(rng, 4, 3)
         sub_C = SubMeasurement(C.outcomes, C.ops * 0.7)
         Psi = random_state(rng, 4, 4)
-        delta = consistency({X: A}, {X: sub_C}, Psi, ONE)
-        eps = state_distance({X: A}, {X: B}, Psi, ONE)
-        got = consistency({X: B}, {X: sub_C}, Psi, ONE)
+        delta = consistency(A, sub_C, Psi)
+        eps = state_distance(A, B, Psi)
+        got = consistency(B, sub_C, Psi)
         assert got <= delta + np.sqrt(eps) + 1e-8
 
 
@@ -210,9 +204,9 @@ def test_triangle_inequality_with_factor_k():
     Psi = random_state(rng, 4, 4)
     k = len(fams) - 1
     steps = [
-        state_distance({X: fams[i]}, {X: fams[i + 1]}, Psi, ONE) for i in range(k)
+        state_distance(fams[i], fams[i + 1], Psi) for i in range(k)
     ]
-    end_to_end = state_distance({X: fams[0]}, {X: fams[-1]}, Psi, ONE)
+    end_to_end = state_distance(fams[0], fams[-1], Psi)
     assert end_to_end <= k * sum(steps) + 1e-10
 
 

@@ -19,10 +19,6 @@ from lidtest.measurements import (
 )
 from lidtest.naimark import dilate, dilated_pair_state, joint_statistics_preserved
 
-X = "x"
-ONE = [(X, 1.0)]
-
-
 def compress(dil, outcome) -> np.ndarray:
     """(I (x) <aux|) op (I (x) |aux>): a dilated operator back on the base space."""
     d, a = dil.base_dim, dil.aux_state.shape[0]
@@ -89,8 +85,8 @@ def test_random_pairs_statistics_preserved(seed):
     # consistency (a statistics functional) is preserved exactly
     labels_match = set(A.outcomes) & set(B.outcomes)
     if labels_match:
-        before = consistency({X: A}, {X: B}, Psi, ONE)
-        after = consistency({X: dil_a.family}, {X: dil_b.family}, Psi_hat, ONE)
+        before = consistency(A, B, Psi)
+        after = consistency(dil_a.family, dil_b.family, Psi_hat)
         assert abs(before - after) < 1e-9
 
 
@@ -120,15 +116,15 @@ def test_dilation_breaks_state_dependent_distance():
     A = SubMeasurement((0, 1), half)
     B = SubMeasurement((0, 1), half)
     Psi = random_state(rng, d, d)
-    pre = cross_state_distance({X: A}, {X: B}, Psi, ONE)
+    pre = cross_state_distance(A, B, Psi)
     assert pre == pytest.approx(0.0, abs=1e-14)
-    pre_consistency = consistency({X: A}, {X: B}, Psi, ONE)
+    pre_consistency = consistency(A, B, Psi)
     assert pre_consistency == pytest.approx(0.5, abs=1e-12)
     dil_a, dil_b = dilate(A), dilate(B)
     Psi_hat = dilated_pair_state(Psi, dil_a, dil_b)
-    post = cross_state_distance({X: dil_a.family}, {X: dil_b.family}, Psi_hat, ONE)
+    post = cross_state_distance(dil_a.family, dil_b.family, Psi_hat)
     assert post >= 1.0 - 1e-9
-    post_consistency = consistency({X: dil_a.family}, {X: dil_b.family}, Psi_hat, ONE)
+    post_consistency = consistency(dil_a.family, dil_b.family, Psi_hat)
     assert post_consistency == pytest.approx(pre_consistency, abs=1e-10)
 
 

@@ -25,10 +25,6 @@ from lidtest.orthogonalize import (
 
 from conftest import random_symmetric_state, rotated_strategy
 
-X = "x"
-ONE = [(X, 1.0)]
-
-
 def aligned_projective_pair(rng, dim, n_outcomes):
     from lidtest.instances import conjugate_family
 
@@ -71,7 +67,7 @@ def test_stage_two_caps_total_rank():
 def test_stage_three_projective_output():
     rng = rng_for(3)
     A, B, Psi = perturbed_measurement_pair(rng, 6, 3, noise=0.08)
-    zeta = consistency({X: A}, {X: B}, Psi, ONE)
+    zeta = consistency(A, B, Psi)
     R = round_to_projectors(A, delta=float(np.sqrt(zeta)))
     Q = rank_reduce(R, Psi)
     P, smin = svd_project(Q)
@@ -122,7 +118,7 @@ def test_sub_measurement_wrapper():
     # on a state supported where it is complete
     sub = SubMeasurement(P0.outcomes[:3], P0.ops[:3])
     Psi = random_symmetric_state(rng, dim)
-    deficit = strong_self_consistency_deficit({X: sub}, Psi, ONE)
+    deficit = strong_self_consistency_deficit(sub, Psi)
     P, report = orthogonalize(sub, Psi)
     assert report.zeta == pytest.approx(deficit, abs=1e-12)
     assert report.projectivity_residual <= 1e-8
@@ -164,17 +160,17 @@ def test_stage_bounds_track_zeta():
         n_out = int(rng.integers(2, 5))
         noise = float(rng.uniform(0.0, 0.1))
         A, B, Psi = perturbed_measurement_pair(rng, dim, n_out, noise)
-        zeta = consistency({X: A}, {X: B}, Psi, ONE)
+        zeta = consistency(A, B, Psi)
         if zeta > 0.25 or zeta <= 0:
             continue
         delta = float(np.sqrt(zeta))
         R = round_to_projectors(A, delta)
-        dist_r = state_distance({X: A}, {X: R}, Psi, ONE)
+        dist_r = state_distance(A, R, Psi)
         assert dist_r <= 2.0 * np.sqrt(zeta) + 1e-9
         top = np.linalg.eigvalsh(R.total()).max()
         assert top <= 1.0 + 2.0 * np.sqrt(zeta) + 1e-9
         Q = rank_reduce(R, Psi)
-        dist_q = state_distance({X: A}, {X: Q}, Psi, ONE)
+        dist_q = state_distance(A, Q, Psi)
         assert dist_q <= 12.0 * np.sqrt(zeta) + 1e-9
 
 

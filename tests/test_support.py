@@ -370,6 +370,25 @@ def test_quantum_acceptance_contracts_each_question_pair_once(monkeypatch, q, pa
     assert len(judged.acceptance) == len(support)
 
 
+@pytest.mark.parametrize("kind", ["noisy", "rotated"])
+@pytest.mark.parametrize("q", [3, 5])
+def test_quantum_goodness_equals_round_by_round_sums(q, kind):
+    # the per-round float sums, each round's Fraction mass meeting its float
+    # failure one at a time, give the same bits as the array sums
+    from conftest import rotated_strategy
+    from lidtest.protocol import GROUPS
+
+    params = params_for(q, 2, 1)
+    strat = noisy_shared_randomness_strategy(params, 3, 1, q)
+    if kind == "rotated":
+        strat = rotated_strategy(strat, q, 0.02, GROUPS)
+    judged = judge(strat, params)
+    good = goodness(judged)
+    want = reference_goodness(list(judged))
+    assert (good.eps, good.delta, good.gamma) == want
+    assert all(isinstance(p, float) for p in want) and min(want[0], want[2]) > 0
+
+
 def test_noisy_builder_evaluates_no_polynomial_per_question(monkeypatch):
     # the tables come from grid rows and one restriction call over every
     # line; the families from integer answer indices
