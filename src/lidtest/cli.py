@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -367,6 +366,8 @@ def _run_batch(fn, jobs, workers):
     # a fork pool starts all its workers at once: never more than the jobs
     workers = min(workers, len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(fn, jobs))
     else:

@@ -1,10 +1,12 @@
 """Dilation of POVM families to projective measurements on an enlarged space.
 
 Each k-outcome sub-measurement gets a (k+1)-dimensional auxiliary register
-(the extra slot absorbs the incomplete part).  The dilating unitary is built
-by explicit column construction and orthonormal completion, so the dilated
-family reproduces every joint outcome probability exactly once the fixed
-auxiliary state is appended to the shared state.
+(the extra slot absorbs the incomplete part).  The isometry W stacks the
+square roots of the k operators and of the rest I - sum A; W and the
+embedding I (x) aux are both completed to unitaries by a complete QR
+factorization, so the dilated family reproduces every joint outcome
+probability exactly once the fixed auxiliary state is appended to the shared
+state.
 """
 
 from __future__ import annotations
@@ -14,26 +16,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_size
-from .measurements import BOTTOM, MeasurementError, SubMeasurement
+from .measurements import BOTTOM, COMPLETENESS_TOL, MeasurementError, SubMeasurement
 
 DIM_CAP = 4096
-
-
-def _sqrtm_psd(op):
-    w, v = np.linalg.eigh(op)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+# largest entry of V^H V - I accepted as an isometry: W^H W - I is minus the
+# negative part of I - sum A, which SubMeasurement.validate bounds by
+# COMPLETENESS_TOL, plus rounding
+ISOMETRY_TOL = 10 * COMPLETENESS_TOL
 
 
 def _complete_isometry(V):
-    """Columns orthonormal -> unitary [V | V_perp] with deterministic V_perp."""
+    """Columns orthonormal -> unitary [V | V_perp], where V_perp is the last
+    columns of V's complete QR factor, a deterministic function of V."""
     n, r = V.shape
-    proj = np.eye(n) - V @ V.conj().T
-    w, vecs = np.linalg.eigh(proj)
-    perp = vecs[:, w > 0.5]
-    if perp.shape[1] != n - r:
-        raise MeasurementError("isometry completion failed")
-    return np.concatenate([V, perp], axis=1)
+    if np.abs(V.conj().T @ V - np.eye(r)).max(initial=0.0) > ISOMETRY_TOL:
+        raise MeasurementError("isometry completion needs orthonormal columns")
+    Q = np.linalg.qr(V, mode="complete")[0]
+    return np.concatenate([V, Q[:, r:]], axis=1)
 
 
 @dataclass
@@ -65,34 +64,20 @@ def dilate(sub: SubMeasurement, aux_state=None) -> DilatedMeasurement:
         if aux.shape != (aux_dim,) or abs(np.linalg.norm(aux) - 1) > 1e-12:
             raise MeasurementError("auxiliary state must be a unit vector of "
                                    f"dimension {aux_dim}")
-    # W phi = sum_a (sqrt(A_a) phi)|a> + (sqrt(I - A) phi)|bot>
-    W = np.zeros((d * aux_dim, d), dtype=complex)
-    for j, op in enumerate(sub.ops):
-        root = _sqrtm_psd(op)
-        W += np.kron(root, _basis(aux_dim, j))
-    rest = np.eye(d) - sub.total()
-    W += np.kron(_sqrtm_psd(_clip_psd(rest)), _basis(aux_dim, k))
+    # square roots of A_1..A_k and of the rest I - sum A, negative
+    # eigenvalues clipped, from one stacked eigendecomposition
+    stack = np.concatenate([sub.ops, (np.eye(d) - sub.total())[None]])
+    w, v = np.linalg.eigh(stack)
+    roots = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().swapaxes(1, 2)
+    # W phi = sum_j (root_j phi) (x) |j>, with |k> the incomplete slot
+    W = roots.transpose(1, 0, 2).reshape(d * aux_dim, d)
     J = np.kron(np.eye(d), aux[:, None])
     U = _complete_isometry(W) @ _complete_isometry(J).conj().T
-    labels = sub.outcomes + (BOTTOM,)
-    ops = []
-    for j in range(aux_dim):
-        pick = np.zeros((aux_dim, aux_dim))
-        pick[j, j] = 1.0
-        ops.append(U.conj().T @ np.kron(np.eye(d), pick) @ U)
-    fam = SubMeasurement(labels, np.array(ops), check=False)
+    # U^H (I (x) |j><j|) U = R_j^H R_j, with R_j the rows of U at aux index j
+    R = U.reshape(d, aux_dim, d * aux_dim).swapaxes(0, 1)
+    ops = R.conj().swapaxes(1, 2) @ R
+    fam = SubMeasurement(sub.outcomes + (BOTTOM,), ops, check=False)
     return DilatedMeasurement(fam, aux, U, d)
-
-
-def _basis(n, j):
-    e = np.zeros((n, 1), dtype=complex)
-    e[j, 0] = 1.0
-    return e
-
-
-def _clip_psd(op):
-    w, v = np.linalg.eigh(op)
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 
 def dilated_pair_state(Psi, left: DilatedMeasurement, right: DilatedMeasurement):
@@ -103,17 +88,20 @@ def dilated_pair_state(Psi, left: DilatedMeasurement, right: DilatedMeasurement)
     return out.reshape(da, db)
 
 
+def _joint_table(X, Y, Psi):
+    """[<psi| X_a (x) Y_b |psi>]_{a, b} for operator stacks X and Y: the
+    matrices C_a = Psi^H X_a Psi against the flattened Y in one GEMM."""
+    C = Psi.conj().T @ X @ Psi
+    return C.reshape(len(X), -1) @ Y.reshape(len(Y), -1).T
+
+
 def joint_statistics_preserved(sub_a, sub_b, Psi):
     """Max deviation of joint outcome probabilities under dilation of both sides."""
-    from .measurements import expect_joint
-
     da = dilate(sub_a)
     db = dilate(sub_b)
     Psi_hat = dilated_pair_state(Psi, da, db)
-    worst = 0.0
-    for oa in sub_a.outcomes:
-        for ob in sub_b.outcomes:
-            orig = expect_joint(sub_a.op(oa), sub_b.op(ob), Psi)
-            new = expect_joint(da.family.op(oa), db.family.op(ob), Psi_hat)
-            worst = max(worst, abs(orig - new))
+    ka, kb = len(sub_a.outcomes), len(sub_b.outcomes)
+    orig = _joint_table(sub_a.ops, sub_b.ops, Psi)
+    new = _joint_table(da.family.ops[:ka], db.family.ops[:kb], Psi_hat)
+    worst = float(np.abs(orig - new).max(initial=0.0))
     return worst, da, db, Psi_hat

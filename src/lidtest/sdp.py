@@ -176,10 +176,7 @@ def _slackness(T, Z, A):
 
 
 def _min_slack(Z, A):
-    worst = np.inf
-    for An in A:
-        worst = min(worst, float(np.linalg.eigvalsh(_herm(Z - An)).min()))
-    return worst
+    return float(np.linalg.eigvalsh(_herm(Z - A)).min(initial=np.inf))
 
 
 def _inverses(Z, blocks):
@@ -216,7 +213,7 @@ def solve(instance: SdpInstance, gap_tol=1e-7, max_newton=2000):
     A = instance.constraints
     M, r = A.shape[0], instance.dim
     blocks = np.concatenate([A, np.zeros((1, r, r), dtype=complex)], axis=0)
-    lam_max = max(float(np.linalg.eigvalsh(An).max()) for An in A) if M else 0.0
+    lam_max = float(np.linalg.eigvalsh(A).max()) if M else 0.0
 
     mu = 1.0
     mu_end = gap_tol / (r * (M + 1))

@@ -10,7 +10,11 @@ every line with scalar `restrict_axis`.
 
 The quantum judge's reference is `accept`, one round by dense contraction
 with the line family grouped per round (`round_family`), and the builder's
-are the scalar restrictions `restrict_axis` and `restrict_diagonal`."""
+are the scalar restrictions `restrict_axis` and `restrict_diagonal`.
+
+The Naimark dilation's reference is `dilate`: one square root per operator,
+W as a sum of Kronecker products, the completion from the eigenvectors of
+the complementary projector, and each dilated operator as U^H (I (x) P_j) U."""
 
 import itertools
 import json
@@ -19,7 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from lidtest.gf import FieldElement
-from lidtest.measurements import expect_joint
+from lidtest.measurements import BOTTOM, MeasurementError, SubMeasurement, expect_joint
+from lidtest.naimark import DilatedMeasurement
 from lidtest.polyspace import (
     AxisLine,
     DiagonalLine,
@@ -392,3 +397,57 @@ def honest_tables(params, g):
             ans = restrict_diagonal(g, question).rebound(params.m * params.d)
         tables[group][question] = ans
     return tables
+
+
+def _sqrtm_psd(op):
+    w, v = np.linalg.eigh(op)
+    w = np.clip(w, 0.0, None)
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def _clip_psd(op):
+    w, v = np.linalg.eigh(op)
+    return (v * np.clip(w, 0.0, None)) @ v.conj().T
+
+
+def _complete_isometry(V):
+    """Columns orthonormal -> unitary [V | V_perp], V_perp the eigenvectors of
+    I - V V^H at eigenvalue 1."""
+    n, r = V.shape
+    w, vecs = np.linalg.eigh(np.eye(n) - V @ V.conj().T)
+    perp = vecs[:, w > 0.5]
+    if perp.shape[1] != n - r:
+        raise MeasurementError("isometry completion failed")
+    return np.concatenate([V, perp], axis=1)
+
+
+def _basis(n, j):
+    e = np.zeros((n, 1), dtype=complex)
+    e[j, 0] = 1.0
+    return e
+
+
+def dilate(sub, aux_state=None):
+    """Projective dilation of one sub-measurement, operator by operator."""
+    d = sub.dim
+    k = len(sub.outcomes)
+    aux_dim = k + 1
+    if aux_state is None:
+        aux = np.zeros(aux_dim, dtype=complex)
+        aux[0] = 1.0
+    else:
+        aux = np.asarray(aux_state, dtype=complex)
+    W = np.zeros((d * aux_dim, d), dtype=complex)
+    for j, op in enumerate(sub.ops):
+        W += np.kron(_sqrtm_psd(op), _basis(aux_dim, j))
+    rest = np.eye(d) - sub.total()
+    W += np.kron(_sqrtm_psd(_clip_psd(rest)), _basis(aux_dim, k))
+    J = np.kron(np.eye(d), aux[:, None])
+    U = _complete_isometry(W) @ _complete_isometry(J).conj().T
+    ops = []
+    for j in range(aux_dim):
+        pick = np.zeros((aux_dim, aux_dim))
+        pick[j, j] = 1.0
+        ops.append(U.conj().T @ np.kron(np.eye(d), pick) @ U)
+    fam = SubMeasurement(sub.outcomes + (BOTTOM,), np.array(ops), check=False)
+    return DilatedMeasurement(fam, aux, U, d)

@@ -437,8 +437,6 @@ def test_worker_pool_is_never_larger_than_the_batch(tmp_path, monkeypatch, comma
                                                     workers, pool):
     # the executor is replaced by a recorder that maps in this process, so
     # no worker is ever started
-    from lidtest import cli
-
     sizes = []
 
     class Recorder:
@@ -454,7 +452,7 @@ def test_worker_pool_is_never_larger_than_the_batch(tmp_path, monkeypatch, comma
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
     code, out = run_cli(tmp_path, command, cfg, "pool", seed=1, extra=("--workers", workers))
     assert code == 0 and sizes == pool
     assert len(json.loads(out.read_text())["report"]["instances"]) == cfg["instances"]

@@ -1,4 +1,5 @@
-"""The CLI and every module its commands import stay free of scipy."""
+"""The CLI and every module its commands import stay free of scipy, and
+importing the CLI starts no process pool machinery."""
 
 import ast
 import json
@@ -28,6 +29,20 @@ def test_cli_and_command_modules_do_not_import_scipy():
         f"for name in {modules!r}:\n"
         "    importlib.import_module('lidtest.' + name)\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": path})
+    assert json.loads(proc.stdout) == []
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # the pool is imported by _run_batch, and only for more than one worker
+    code = (
+        "import json, sys\n"
+        "import lidtest.cli\n"
+        "print(json.dumps(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')"
+        " if m in sys.modules)))\n"
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -17,7 +17,15 @@ from lidtest.measurements import (
     cross_state_distance,
     expect_joint,
 )
-from lidtest.naimark import dilate, dilated_pair_state, joint_statistics_preserved
+from lidtest.naimark import (
+    _complete_isometry,
+    _joint_table,
+    dilate,
+    dilated_pair_state,
+    joint_statistics_preserved,
+)
+
+import oracles
 
 def compress(dil, outcome) -> np.ndarray:
     """(I (x) <aux|) op (I (x) |aux>): a dilated operator back on the base space."""
@@ -148,3 +156,53 @@ def test_aux_state_validation():
     sub = random_povm(rng, 2, 2)
     with pytest.raises(MeasurementError):
         dilate(sub, aux_state=np.array([1.0, 1.0, 0.0]))  # not normalized
+
+
+def scalar_table(A, B, Psi) -> np.ndarray:
+    return np.array([[expect_joint(a, b, Psi) for b in B.ops] for a in A.ops])
+
+
+def sweep_family(rng, kind, d, k):
+    """(family, aux_state) of one input kind of the dilation sweep."""
+    if kind == "projective":
+        return random_projective_measurement(rng, d, k), None
+    sub = random_povm(rng, d, k)
+    if kind == "zero_operator":
+        ops = sub.ops.copy()
+        ops[int(rng.integers(k))] = 0.0
+        return SubMeasurement(sub.outcomes, ops), None
+    if kind == "below_identity":
+        return SubMeasurement(sub.outcomes, 0.7 * sub.ops), None
+    if kind == "aux_state":
+        aux = rng.normal(size=k + 1) + 1j * rng.normal(size=k + 1)
+        return sub, aux / np.linalg.norm(aux)
+    return sub, None
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("k", range(1, 6))
+def test_dilation_matches_the_operator_by_operator_oracle(d, k):
+    rng = rng_for(1000 + 10 * d + k)
+    for kind in ("povm", "projective", "zero_operator", "below_identity", "aux_state"):
+        A, aux = sweep_family(rng, kind, d, k)
+        db, kb = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        B = random_povm(rng, db, kb)
+        Psi = random_state(rng, d, db)
+        dil, ref = dilate(A, aux), oracles.dilate(A, aux)
+        D = d * (k + 1)
+        assert np.abs(dil.unitary.conj().T @ dil.unitary - np.eye(D)).max() <= 1e-12, kind
+        dil_b = dilate(B)
+        got = scalar_table(dil.family, dil_b.family, dilated_pair_state(Psi, dil, dil_b))
+        want = scalar_table(ref.family, dil_b.family, dilated_pair_state(Psi, ref, dil_b))
+        assert np.abs(got - want).max() <= 1e-12, kind
+        assert np.abs(_joint_table(A.ops, B.ops, Psi) - scalar_table(A, B, Psi)).max() <= 1e-12
+        assert joint_statistics_preserved(A, B, Psi)[0] <= 1e-12, kind
+
+
+def test_isometry_completion_refuses_non_orthonormal_columns():
+    rng = rng_for(8)
+    V = np.linalg.qr(rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3)))[0]
+    assert np.abs(_complete_isometry(V)[:, :3] - V).max() == 0.0
+    for bad in (1.01 * V, V + 1e-6 * V[:, ::-1]):
+        with pytest.raises(MeasurementError):
+            _complete_isometry(bad)
