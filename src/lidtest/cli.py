@@ -186,29 +186,20 @@ def _povm_instance(args):
 
     rng = rng_for(seed)
     if mode == "naimark":
-        from .measurements import DistanceReport
-
         A = random_povm(rng, dim, n_out)
         B = random_povm(rng, dim, n_out)
         Psi = random_state(rng, dim, dim)
         worst, dil_a, dil_b, Psi_hat = joint_statistics_preserved(A, B, Psi)
-        reports = [
-            DistanceReport("consistency", consistency(A, B, Psi),
-                           {"stage": "original", "dim": dim}),
-            DistanceReport("consistency",
-                           consistency(dil_a.family, dil_b.family, Psi_hat),
-                           {"stage": "dilated", "dim": int(Psi_hat.shape[0])}),
-            DistanceReport("state_dependent", cross_state_distance(A, B, Psi),
-                           {"stage": "original", "dim": dim}),
-            DistanceReport("state_dependent",
-                           cross_state_distance(dil_a.family, dil_b.family, Psi_hat),
-                           {"stage": "dilated", "dim": int(Psi_hat.shape[0])}),
-        ]
+        stages = (("original", A, B, Psi), ("dilated", dil_a.family, dil_b.family, Psi_hat))
+        reports = [{"kind": kind, "value": fn(a, b, psi), "stage": stage, "dim": psi.shape[0]}
+                   for kind, fn in (("consistency", consistency),
+                                    ("state_dependent", cross_state_distance))
+                   for stage, a, b, psi in stages]
         return {
             "seed": seed,
             "mode": mode,
             "max_statistic_deviation": worst,
-            "distance_reports": [r.as_dict() for r in reports],
+            "distance_reports": reports,
         }
     A, B, Psi = perturbed_measurement_pair(rng, dim, n_out, noise)
     P, report = orthogonalize_measurement(A, B, Psi)
@@ -293,7 +284,7 @@ def cmd_paste(cfg, seed):
         scalar_ineq_check,
         tv_distance_uniform_vs_distinct,
     )
-    from .measurements import scalar_trunc_inequality_check
+    from .measurements import expectations, scalar_trunc_inequality_check
 
     params = _params_from_config(cfg)
     f = params.field
@@ -335,9 +326,7 @@ def cmd_paste(cfg, seed):
             "mode": result.mode,
             "n_tuples": result.n_tuples,
             "telescoping_residual": result.telescoping_residual,
-            "completeness": float(
-                np.vdot(Psi, result.family.total() @ Psi).real
-            ),
+            "completeness": float(expectations(Psi, result.family.total()[None])[0].real),
         },
         "tv_distance": tv_distance_uniform_vs_distinct(f.q, k),
         "chernoff": chernoff,

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .improvement import evaluated_at_points, measure_points_consistency, projective_improve
-from .measurements import SubMeasurement, commutator_mass, consistency, expect_joint
+from .measurements import SubMeasurement, commutator_mass, consistency, expectations
 from .pasting import check_paste_size, complete_pasted, pasted_measurement
 from .polyspace import (
     AxisLine,
@@ -284,8 +284,7 @@ def witness_level(strategy: QuantumStrategy, good: Goodness, k: int):
 
     result = pasted_measurement(g_by_x, f, params.m - 1, params.d, k=k)
     incomplete = result.family
-    eye = np.eye(strategy.dims[1])
-    kappa = 1.0 - float(expect_joint(incomplete.total(), eye, strategy.Psi).real)
+    kappa = 1.0 - float(expectations(strategy.Psi, incomplete.total()[None])[0].real)
     G = complete_pasted(incomplete)
     cons = measure_points_consistency(strategy, G)
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .gf import GF
 from .errors import check_power
+from .measurements import squared_norms
 from .polyspace import all_points, point_index
 
 VERTEX_CAP = 4096
@@ -113,40 +114,34 @@ def verify_eigensystem(graph: HypercubeGraph, tol=1e-10, system=None):
     }
 
 
-def _pairs_second_moment(ops_a, ops_b, Psi):
-    """<psi| (A - B)^2 (x) I |psi> for left-factor operators."""
-    delta = ops_a - ops_b
-    v = delta @ Psi
-    return float(np.sum(np.abs(v) ** 2))
-
-
 def local_variance(family, Psi, graph: HypercubeGraph) -> float:
-    """(1/2) E_{(u,v) ~ edges} <psi| (A^u - A^v)^2 (x) I |psi>."""
-    f, m = graph.field, graph.m
-    by_index = _family_by_index(family, graph)
+    """(1/2) E_{(u,v) ~ edges} <psi| (A^u - A^v)^2 (x) I |psi>, where
+    <psi| (A - B)^2 (x) I |psi> = ||(A - B) psi||^2; the edges of one u are
+    stacked, and loops (v = u) add nothing."""
+    ops = _family_ops(family, graph)
+    w = 1.0 / (graph.size * graph.m * graph.field.q)
     total = 0.0
-    for (ui, vi), w in graph.edge_distribution():
-        if ui == vi:
-            continue
-        total += w * _pairs_second_moment(by_index[ui], by_index[vi], Psi)
+    for ui, vs in enumerate(graph._edges()[1].reshape(graph.size, -1)):
+        for term in squared_norms(Psi, ops[ui] - ops[vs[vs != ui]]):
+            total += w * term
     return 0.5 * total
 
 
 def global_variance(family, Psi, graph: HypercubeGraph) -> float:
-    """(1/2) E_{u,v independent} <psi| (A^u - A^v)^2 (x) I |psi>."""
-    by_index = _family_by_index(family, graph)
+    """(1/2) E_{u,v independent} <psi| (A^u - A^v)^2 (x) I |psi>, each
+    unordered pair once and doubled, the pairs of one u stacked."""
+    ops = _family_ops(family, graph)
     M = graph.size
     total = 0.0
     for ui in range(M):
-        for vi in range(ui + 1, M):
-            total += 2.0 * _pairs_second_moment(by_index[ui], by_index[vi], Psi)
+        for term in squared_norms(Psi, ops[ui] - ops[ui + 1:]):
+            total += 2.0 * term
     return 0.5 * total / (M * M)
 
 
-def _family_by_index(family, graph):
-    by_index = {}
-    for u, op in family.items():
-        by_index[point_index(u)] = np.asarray(op, dtype=complex)
+def _family_ops(family, graph):
+    """The family's operators, stacked in point_index order."""
+    by_index = {point_index(u): op for u, op in family.items()}
     if len(by_index) != graph.size:
         raise ValueError("family must cover every point of the cube")
-    return by_index
+    return np.array([by_index[i] for i in range(graph.size)], dtype=complex)

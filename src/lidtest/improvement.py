@@ -23,6 +23,7 @@ from .measurements import (
     consistency,
     cross_state_distance,
     expect_joint,
+    expectations,
     strong_self_consistency_deficit,
 )
 from .orthogonalize import orthogonalize
@@ -52,8 +53,7 @@ def _points_at_values(strategy, params):
     table = value_table(f, params.m, params.d)
     points = strategy.families["A"]["points"]
     for u in all_points(f, params.m):
-        by_value = np.stack([points[u].op(e) for e in f.elements()])
-        yield by_value[table[:, point_index(u)]]
+        yield points[u].at(f.elements())[table[:, point_index(u)]]
 
 
 @dataclass
@@ -126,7 +126,7 @@ def improve(strategy: QuantumStrategy, good: Goodness, nu: float):
 
 def _measure_four_properties(strategy, H, Z, min_slack, sdp_summary, nu, zeta):
     Psi = strategy.Psi
-    completeness = expect_joint(H.total(), np.eye(strategy.dims[1]), Psi).real
+    completeness = expectations(Psi, H.total()[None])[0].real
     cons = measure_points_consistency(strategy, H)
     deficit = strong_self_consistency_deficit(H, Psi)
     bound_val = expect_joint(

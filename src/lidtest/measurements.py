@@ -4,19 +4,23 @@ commutator masses.
 
 A bipartite state on C^{D_A} x C^{D_B} is carried as its coefficient matrix
 Psi of shape (D_A, D_B); <psi| M (x) N |psi> = vdot(Psi, M @ Psi @ N.T).
-Distances and commutator masses take one family pair (or one family) per
-call; averaging over questions is left to the caller.
+Terms on the state come from two kernels over operator stacks,
+`expectations` (<psi| X_j (x) Y_j |psi>) and `squared_norms`
+(||(X_j (x) I - I (x) Y_j) psi||^2), which callers reduce left to right;
+`aligned` stacks two families over their labels, and `expect_joint` is the
+scalar form for one-off totals.  Distances and commutator masses take one
+family pair (or one family) per call; averaging over questions is left to
+the caller.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 HERMITIAN_TOL = 1e-10
 PSD_FLOOR = -1e-10
 COMPLETENESS_TOL = 1e-9
+STACK_ENTRIES = 2 ** 13  # matrix entries per stacked family test or product
 
 
 class MeasurementError(ValueError):
@@ -102,9 +106,15 @@ class SubMeasurement:
         return np.abs(self.total() - np.eye(self.dim)).max() <= tol
 
     def is_projective(self, tol=1e-9) -> bool:
-        return all(
-            np.abs(op @ op - op).max() <= tol for op in self.ops
-        )
+        return bool(np.abs(self.ops @ self.ops - self.ops).max(initial=0.0) <= tol)
+
+    def at(self, labels) -> np.ndarray:
+        """The operators of `labels` in order, zero where the family lacks one
+        (the family's own stack, not a copy, for its own labels)."""
+        if tuple(labels) == self.outcomes:
+            return self.ops
+        padded = np.concatenate([self.ops, np.zeros((1, self.dim, self.dim), dtype=complex)])
+        return padded[[self._index.get(o, -1) for o in labels]]
 
     def group(self, labels) -> "SubMeasurement":
         """Sum the operators that share a label (labels[j] is outcome j's),
@@ -136,14 +146,36 @@ class SubMeasurement:
 # ---- bipartite expectation helpers -------------------------------------------
 
 
-def expect_joint(left, right, Psi) -> float:
+def expect_joint(left, right, Psi) -> np.complex128:
     """<psi| left (x) right |psi> for a state given as a matrix."""
-    val = np.vdot(Psi, left @ Psi @ right.T)
-    return val
+    return np.vdot(Psi, left @ Psi @ right.T)
 
 
-def expect_left(left, Psi) -> complex:
-    return np.vdot(Psi, left @ Psi)
+def _parts(n, Psi):
+    """Slices of n stacked terms, about STACK_ENTRIES operator entries each."""
+    step = max(1, STACK_ENTRIES // max(Psi.shape) ** 2)
+    return (slice(i, i + step) for i in range(0, n, step))
+
+
+def expectations(Psi, X, Y=None) -> np.ndarray:
+    """<psi| X_j (x) Y_j |psi> for every j of two operator stacks (Y=None:
+    the identity), each as (X_j @ Psi) @ Y_j.T and one vdot, as expect_joint."""
+    terms = []
+    for part in _parts(len(X), Psi):
+        prods = X[part] @ Psi if Y is None else (X[part] @ Psi) @ Y[part].transpose(0, 2, 1)
+        terms += [np.vdot(Psi, p) for p in prods]
+    return np.array(terms, dtype=complex)
+
+
+def squared_norms(Psi, X, Y=None) -> list:
+    """||(X_j (x) I - I (x) Y_j) psi||^2 for every j of two operator stacks
+    (Y=None: no right term), each as X_j @ Psi - Psi @ Y_j.T summed as one
+    array."""
+    terms = []
+    for part in _parts(len(X), Psi):
+        V = X[part] @ Psi if Y is None else X[part] @ Psi - Psi @ Y[part].transpose(0, 2, 1)
+        terms += [float(np.sum(np.abs(v) ** 2)) for v in V]
+    return terms
 
 
 def is_swap_invariant(Psi, tol=1e-9) -> bool:
@@ -153,8 +185,11 @@ def is_swap_invariant(Psi, tol=1e-9) -> bool:
     return np.abs(Psi - Psi.T).max() <= tol
 
 
-def _union_labels(A, B):
-    return list(A.outcomes) + [o for o in B.outcomes if o not in A]
+def aligned(A, B):
+    """A's labels then B's others, and each family's operators over them
+    (`SubMeasurement.at`); the two families may differ in dimension."""
+    labels = A.outcomes + tuple(o for o in B.outcomes if o not in A)
+    return labels, A.at(labels), B.at(labels)
 
 
 def consistency(A, B, Psi) -> float:
@@ -162,31 +197,32 @@ def consistency(A, B, Psi) -> float:
 
     A acts on the left factor, B on the right.  For measurements this equals
     1 - sum_a <A_a (x) B_a>; for sub-measurements it is the genuinely
-    two-sided sum.
+    two-sided sum.  The matched terms are subtracted in A's outcome order; a
+    label on one side only gives an exact zero, which changes no bit.
     """
     val = expect_joint(A.total(), B.total(), Psi)
-    for o in A.outcomes:
-        if o in B:
-            val -= expect_joint(A.op(o), B.op(o), Psi)
+    _, XA, XB = aligned(A, B)
+    for term in expectations(Psi, XA, XB):
+        val -= term
     return 0.0 + val.real  # never -0.0
 
 
 def state_distance(A, B, Psi) -> float:
     """sum_a || (A_a - B_a) |psi> ||^2 with both families applied to the left
     factor; no bipartition is assumed beyond that placement."""
+    _, XA, XB = aligned(A, B)
     total = 0.0
-    for o in _union_labels(A, B):
-        v = (A.op(o) - B.op(o)) @ Psi
-        total += float(np.sum(np.abs(v) ** 2))
+    for term in squared_norms(Psi, XA - XB):
+        total += term
     return total
 
 
 def cross_state_distance(A, B, Psi) -> float:
     """sum_a || (A_a (x) I - I (x) B_a) |psi> ||^2."""
+    _, XA, XB = aligned(A, B)
     total = 0.0
-    for o in _union_labels(A, B):
-        v = A.op(o) @ Psi - Psi @ B.op(o).T
-        total += float(np.sum(np.abs(v) ** 2))
+    for term in squared_norms(Psi, XA, XB):
+        total += term
     return total
 
 
@@ -195,22 +231,22 @@ def strong_self_consistency_deficit(A, Psi) -> float:
     permutation-invariant state (checked)."""
     if not is_swap_invariant(Psi):
         raise MeasurementError("state is not permutation-invariant")
-    completeness = 0.0 + expect_left(A.total(), Psi).real
+    completeness = 0.0 + expectations(Psi, A.total()[None])[0].real
     matched = 0.0
-    for op in A.ops:
-        matched += expect_joint(op, op, Psi).real
+    for term in expectations(Psi, A.ops, A.ops):
+        matched += term.real
     return completeness - matched
 
 
 def commutator_mass(pairs, Psi) -> float:
     """sum over the operator-stack pairs (As, Bs), in order, of
-    sum_{a in As, b in Bs} ||[a, b] (x) I psi||^2."""
+    sum_{a in As, b in Bs} ||[a, b] (x) I psi||^2; the commutators of one a
+    are stacked, never the whole As x Bs."""
     total = 0.0
     for As, Bs in pairs:
         for a in As:
-            for b in Bs:
-                comm = a @ b - b @ a
-                total += float(np.sum(np.abs(comm @ Psi) ** 2))
+            for term in squared_norms(Psi, a @ Bs - Bs @ a):
+                total += term
     return total
 
 
@@ -225,13 +261,3 @@ def scalar_trunc_inequality_check(x: float, delta: float) -> bool:
     lhs = (x - scalar_trunc(x, delta)) ** 2
     rhs = (x - x * x) / delta
     return lhs <= rhs + 1e-12
-
-
-@dataclass
-class DistanceReport:
-    kind: str  # 'consistency' | 'state_dependent'
-    value: float
-    detail: dict
-
-    def as_dict(self):
-        return {"kind": self.kind, "value": self.value, **self.detail}

@@ -19,6 +19,7 @@ sub-measurements.  All measured quantities and their bounds are reported as
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from .measurements import (
     MeasurementError,
     SubMeasurement,
     consistency,
+    expectations,
     is_swap_invariant,
     state_distance,
     strong_self_consistency_deficit,
@@ -65,44 +67,34 @@ class OrthogonalizationReport:
 
 def round_to_projectors(sub: SubMeasurement, delta: float) -> SubMeasurement:
     """Eigenvalue truncation at threshold 1 - delta (eigenvalues clamped to
-    [0, 1] first to control PSD drift)."""
-    ops = []
-    for op in sub.ops:
-        w, v = np.linalg.eigh(op)
-        w = np.clip(w, 0.0, 1.0)
-        keep = w >= 1.0 - delta
-        ops.append((v[:, keep] @ v[:, keep].conj().T) if keep.any()
-                   else np.zeros_like(op))
-    return SubMeasurement(sub.outcomes, np.array(ops), check=False)
+    [0, 1] first to control PSD drift); an effect with nothing kept is zero."""
+    ws, vs = np.linalg.eigh(sub.ops)
+    ops = np.zeros_like(sub.ops)
+    for j, keep in enumerate(np.clip(ws, 0.0, 1.0) >= 1.0 - delta):
+        ops[j] = vs[j][:, keep] @ vs[j][:, keep].conj().T
+    return SubMeasurement(sub.outcomes, ops, check=False)
 
 
-def _range_vectors(projector, tol=0.5):
-    w, v = np.linalg.eigh(projector)
-    return [v[:, j] for j in range(len(w)) if w[j] > tol]
+def _range_vectors(fam: SubMeasurement, tol=0.5):
+    """[(outcome position, eigenvector)] for every eigenvalue above tol of
+    fam's operators, in outcome and then eigenvalue order."""
+    ws, vs = np.linalg.eigh(fam.ops)
+    return [(j, vs[j][:, c]) for j, c in zip(*np.nonzero(ws > tol))]
 
 
 def rank_reduce(rounded: SubMeasurement, Psi) -> SubMeasurement:
     """Drop range vectors of smallest overlap until total rank <= dim."""
-    dim = rounded.dim
-    entries = []  # (outcome order, vector, overlap)
-    for idx, (o, op) in enumerate(rounded.items()):
-        for j, vec in enumerate(_range_vectors(op)):
-            overlap = float(np.sum(np.abs(Psi.conj().T @ vec) ** 2))
-            entries.append((overlap, idx, j, o, vec))
-    if len(entries) > dim:
+    entries = _range_vectors(rounded)
+    if len(entries) > rounded.dim:
         # stable deterministic order: overlap desc, then family position
-        entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-        entries = entries[:dim]
-        entries.sort(key=lambda e: (e[1], e[2]))
-    ops = []
-    for idx, (o, op) in enumerate(rounded.items()):
-        vecs = [e[4] for e in entries if e[1] == idx]
-        if vecs:
-            V = np.stack(vecs, axis=1)
-            ops.append(V @ V.conj().T)
-        else:
-            ops.append(np.zeros_like(op))
-    return SubMeasurement(rounded.outcomes, np.array(ops), check=False)
+        overlap = [float(np.sum(np.abs(Psi.conj().T @ vec) ** 2)) for _, vec in entries]
+        best = sorted(range(len(entries)), key=lambda t: -overlap[t])[:rounded.dim]
+        entries = [entries[t] for t in sorted(best)]
+    ops = np.zeros_like(rounded.ops)
+    for j, group in itertools.groupby(entries, key=lambda e: e[0]):
+        V = np.stack([vec for _, vec in group], axis=1)
+        ops[j] = V @ V.conj().T
+    return SubMeasurement(rounded.outcomes, ops, check=False)
 
 
 def svd_project(reduced: SubMeasurement):
@@ -111,39 +103,30 @@ def svd_project(reduced: SubMeasurement):
     Returns (P, min_singular_value); P is exactly projective with pairwise
     orthogonal effects by construction.
     """
-    dim = reduced.dim
-    rows = []
-    owners = []
-    for idx, (o, op) in enumerate(reduced.items()):
-        for vec in _range_vectors(op):
-            rows.append(vec.conj())  # row <v|
-            owners.append(idx)
-    if not rows:
-        zeros = np.zeros((len(reduced.outcomes), dim, dim), dtype=complex)
-        return SubMeasurement(reduced.outcomes, zeros, check=False), float("nan")
-    X = np.stack(rows, axis=0)  # (T, dim), T <= dim
+    entries = _range_vectors(reduced)
+    ops = np.zeros_like(reduced.ops)
+    if not entries:
+        return SubMeasurement(reduced.outcomes, ops, check=False), float("nan")
+    X = np.stack([vec.conj() for _, vec in entries], axis=0)  # rows <v|, T <= dim
     u, s, vh = np.linalg.svd(X, full_matrices=False)
     X_hat = u @ vh
-    owners = np.array(owners)
-    ops = []
-    for idx in range(len(reduced.outcomes)):
-        block = X_hat[owners == idx]
-        ops.append(block.conj().T @ block)
-    return (
-        SubMeasurement(reduced.outcomes, np.array(ops), check=False),
-        float(s.min()) if s.size else float("nan"),
-    )
+    owners = np.array([j for j, _ in entries])
+    for j in range(len(ops)):
+        block = X_hat[owners == j]
+        ops[j] = block.conj().T @ block
+    return SubMeasurement(reduced.outcomes, ops, check=False), float(s.min())
 
 
 def projectivity_residual(fam: SubMeasurement) -> float:
     """max over pairs of |P_a P_b - delta_ab P_a|; a pair holding a zero
-    operator gives 0 exactly, so only the live operators are walked."""
+    operator gives 0 exactly, so only the live operators are walked, one
+    stack of products P_a P_b per live a."""
     worst = 0.0
     live = fam.live_ops()
     for i, a in enumerate(live):
-        for j, b in enumerate(live):
-            target = a if i == j else 0.0
-            worst = max(worst, float(np.abs(a @ b - target).max()))
+        prods = a @ live
+        prods[i] -= a
+        worst = max(worst, float(np.abs(prods).max()))
     return worst
 
 
@@ -174,8 +157,8 @@ def orthogonalize_measurement(A: SubMeasurement, B: SubMeasurement, Psi):
         "projected": dist_to(P),
     }
     q_comp = 0.0
-    for op in reduced.ops:
-        q_comp += float(np.vdot(Psi, op @ Psi).real)
+    for term in expectations(Psi, reduced.ops):
+        q_comp += float(term.real)
     report.q_completeness = q_comp
     report.q_completeness_bound = 1.0 - 11.0 * zeta ** 0.25
     report.distance = report.stage_distances["projected"]

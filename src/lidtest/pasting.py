@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .gf import GF
-from .measurements import BOTTOM, MeasurementError, SubMeasurement, expect_joint
+from .measurements import BOTTOM, MeasurementError, SubMeasurement, expectations
 from .polyspace import check_space, polyspace_size, slice_indices
 
 TUPLE_BUDGET = 10 ** 5
@@ -76,18 +76,6 @@ def complete_slice_families(g_by_x: dict) -> dict:
             raise MeasurementError("slice families must be projective")
         out[x] = sub.completion()
     return out
-
-
-def sandwich(ghat_by_x, coords, outcomes) -> np.ndarray:
-    """Hhat^{x_1..x_k}_{g_1..g_k} for one coordinate tuple and one outcome
-    tuple (inner slot applied once, outer slots on both sides)."""
-    if len(coords) != len(outcomes):
-        raise ValueError("coordinate/outcome length mismatch")
-    op = None
-    for x, g in zip(reversed(coords), reversed(outcomes)):
-        G = ghat_by_x[x].op(g)
-        op = G if op is None else G @ op @ G
-    return op
 
 
 def telescope_step(fam: SubMeasurement, acc: np.ndarray) -> np.ndarray:
@@ -282,9 +270,8 @@ def chernoff_completeness_check(X, Psi, k: int, d: int, theta: float,
         raise ValueError("theta must lie in (0, 1)")
     if k < 2 * d / theta:
         raise ValueError(f"need k >= 2d/theta = {2 * d / theta:.1f}")
-    dim_b = Psi.shape[1]
-    kappa = 1.0 - expect_joint(X, np.eye(dim_b), Psi).real
-    measured = expect_joint(binomial_matrix_F(X, k, d), np.eye(dim_b), Psi).real
+    total, measured = expectations(Psi, np.stack([X, binomial_matrix_F(X, k, d)])).real
+    kappa = 1.0 - total
     bound = 1.0 - kappa / (1.0 - theta) - math.exp(-theta * theta * k / 2.0)
     out = {
         "kappa": float(kappa),

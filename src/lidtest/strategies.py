@@ -36,7 +36,10 @@ from .measurements import (
     COMPLETENESS_TOL,
     HERMITIAN_TOL,
     PSD_FLOOR,
+    STACK_ENTRIES,
     SubMeasurement,
+    aligned,
+    expectations,
     is_swap_invariant,
 )
 from .polyspace import (
@@ -65,7 +68,6 @@ from .protocol import (
 
 QUANTUM_DIM_CAP = 64
 ALPHABET_CAP = 10 ** 6  # answers of one quantum line family
-STACK_ENTRIES = 2 ** 13  # matrix entries per stacked family test or product
 
 
 @dataclass
@@ -312,12 +314,12 @@ def _by_value(fam: SubMeasurement, values, width) -> np.ndarray:
 
 
 def _contract(Psi, batch, acc):
-    """Add each batched term <psi| X (x) Y |psi>, as (X @ Psi) @ Y.T and one
-    vdot like expect_joint, to acc[owner] in order, and empty the batch."""
+    """Add each batched term <psi| X (x) Y |psi> (`expectations`) to
+    acc[owner] in order, and empty the batch."""
     owners, left, right = batch
     if owners:
-        prods = (np.concatenate(left) @ Psi) @ np.concatenate(right).transpose(0, 2, 1)
-        np.add.at(acc, np.concatenate(owners), [np.vdot(Psi, p).real for p in prods])
+        terms = expectations(Psi, np.concatenate(left), np.concatenate(right))
+        np.add.at(acc, np.concatenate(owners), terms.real)
         for part in batch:
             part.clear()
 
@@ -601,11 +603,10 @@ def symmetrize(strategy: QuantumStrategy) -> QuantumStrategy:
     Psi[d:2 * d, 0:d] = strategy.Psi.T / np.sqrt(2)
 
     def sym_family(fa, fb):
-        labels = list(fa.outcomes) + [o for o in fb.outcomes if o not in fa]
+        labels, opa, opb = aligned(fa, fb)
         ops = np.zeros((len(labels), 2 * d, 2 * d), dtype=complex)
-        ops[:, :d, :d] = [fa.op(o) for o in labels]
-        ops[:, d:, d:] = [fb.op(o) for o in labels]
-        return SubMeasurement(tuple(labels), ops, check=False)
+        ops[:, :d, :d], ops[:, d:, d:] = opa, opb
+        return SubMeasurement(labels, ops, check=False)
 
     fam_a, fam_b = strategy.families["A"], strategy.families["B"]
     shared = {g: {key: sym_family(fam_a[g][key], fam_b[g][key])

@@ -14,7 +14,11 @@ are the scalar restrictions `restrict_axis` and `restrict_diagonal`.
 
 The Naimark dilation's reference is `dilate`: one square root per operator,
 W as a sum of Kronecker products, the completion from the eigenvectors of
-the complementary projector, and each dilated operator as U^H (I (x) P_j) U."""
+the complementary projector, and each dilated operator as U^H (I (x) P_j) U.
+
+The pasting DP's reference is `sandwich`, one outcome tuple's operator
+Hhat^{x_1..x_k}_{g_1..g_k}.  The orthogonalization stages' references walk one operator at a time: one
+eigendecomposition, range-vector list and projector per outcome."""
 
 import itertools
 import json
@@ -451,3 +455,66 @@ def dilate(sub, aux_state=None):
         ops.append(U.conj().T @ np.kron(np.eye(d), pick) @ U)
     fam = SubMeasurement(sub.outcomes + (BOTTOM,), np.array(ops), check=False)
     return DilatedMeasurement(fam, aux, U, d)
+
+
+# ---- pasting -------------------------------------------------------------------
+
+
+def sandwich(ghat_by_x, coords, outcomes) -> np.ndarray:
+    """Hhat^{x_1..x_k}_{g_1..g_k} for one coordinate tuple and one outcome
+    tuple (inner slot applied once, outer slots on both sides)."""
+    if len(coords) != len(outcomes):
+        raise ValueError("coordinate/outcome length mismatch")
+    op = None
+    for x, g in zip(reversed(coords), reversed(outcomes)):
+        G = ghat_by_x[x].op(g)
+        op = G if op is None else G @ op @ G
+    return op
+
+
+# ---- orthogonalization stages, one operator at a time ----------------------------
+
+
+def round_to_projectors(sub, delta):
+    ops = []
+    for op in sub.ops:
+        w, v = np.linalg.eigh(op)
+        keep = np.clip(w, 0.0, 1.0) >= 1.0 - delta
+        ops.append((v[:, keep] @ v[:, keep].conj().T) if keep.any() else np.zeros_like(op))
+    return SubMeasurement(sub.outcomes, np.array(ops), check=False)
+
+
+def _range_vectors(op, tol=0.5):
+    w, v = np.linalg.eigh(op)
+    return [v[:, j] for j in range(len(w)) if w[j] > tol]
+
+
+def rank_reduce(rounded, Psi):
+    entries = []  # (overlap, outcome position, vector position, vector)
+    for idx, op in enumerate(rounded.ops):
+        for j, vec in enumerate(_range_vectors(op)):
+            entries.append((float(np.sum(np.abs(Psi.conj().T @ vec) ** 2)), idx, j, vec))
+    if len(entries) > rounded.dim:
+        entries = sorted(entries, key=lambda e: (-e[0], e[1], e[2]))[:rounded.dim]
+        entries.sort(key=lambda e: (e[1], e[2]))
+    ops = np.zeros_like(rounded.ops)
+    for idx in range(len(ops)):
+        vecs = [e[3] for e in entries if e[1] == idx]
+        if vecs:
+            ops[idx] = np.stack(vecs, axis=1) @ np.stack(vecs, axis=1).conj().T
+    return SubMeasurement(rounded.outcomes, ops, check=False)
+
+
+def svd_project(reduced):
+    rows, owners = [], []
+    for idx, op in enumerate(reduced.ops):
+        for vec in _range_vectors(op):
+            rows.append(vec.conj())
+            owners.append(idx)
+    if not rows:
+        return SubMeasurement(reduced.outcomes, np.zeros_like(reduced.ops), check=False), None
+    u, s, vh = np.linalg.svd(np.stack(rows, axis=0), full_matrices=False)
+    X_hat, owners = u @ vh, np.array(owners)
+    ops = [X_hat[owners == idx].conj().T @ X_hat[owners == idx]
+           for idx in range(len(reduced.ops))]
+    return SubMeasurement(reduced.outcomes, np.array(ops), check=False), float(s.min())

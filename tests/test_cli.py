@@ -747,6 +747,11 @@ GOLDEN = {
     # the benchmark's 16-table SDP, pinned before the noisy builder restricted
     # its tables on integer arrays
     "sdp-q3-t16.json": "1589b704b08bb29c944ebebead188a61aa26b81c96cf64c31b5c4134db7c92ec",
+    # Naimark and orthogonalization batches, pinned before their distances
+    # and expectations were read from the stacked state kernels
+    "round-povm-naimark.json":
+        "f66c742987953eb7f1c16952f17f418e3e1c532957753dc9a4b6f0a3c446849c",
+    "round-povm.json": "95657d013f97590c695d79458ab9c59040170a3a99db2eb1e9b8e3c6f787321f",
 }
 
 
@@ -784,6 +789,9 @@ def test_golden_report_hashes(tmp_path, monkeypatch):
     cli("paste-q5.json", "paste", q=5, m=1, d=1, k=4, dim=4)
     cli("sdp-q3.json", "sdp", q=3, m=2, d=1, tables=4)
     cli("sdp-q3-t16.json", "sdp", q=3, m=2, d=1, tables=16)
+    cli("round-povm-naimark.json", "round-povm", mode="naimark", dim=12, outcomes=4,
+        instances=4)
+    cli("round-povm.json", "round-povm", instances=4)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN}
     assert got == GOLDEN

@@ -8,7 +8,7 @@ from lidtest.hypercube import (
     local_variance,
     verify_eigensystem,
 )
-from lidtest.instances import random_point_family, rng_for
+from lidtest.instances import random_point_family, random_state, rng_for
 from lidtest.polyspace import AxisLine, all_points, point_index, restrict_axis
 from lidtest.strategies import pass_probabilities
 
@@ -193,6 +193,34 @@ def test_poincare_random_instances():
         Psi /= np.linalg.norm(Psi)
         rep = poincare_report(fam, Psi, g)
         assert rep["global"] <= g.m * rep["local"] + 1e-9
+
+
+@pytest.mark.parametrize("q,m,dim,db", [(2, 2, 2, 3), (3, 2, 3, 3), (4, 2, 2, 1), (2, 3, 3, 2)])
+def test_variances_equal_per_pair_loops(q, m, dim, db):
+    # one stack of differences per vertex keeps the per-edge and per-pair
+    # sums, in their order, bit for bit
+    from lidtest.protocol import TestParams
+
+    f = field_for_order(q)
+    g = HypercubeGraph(f, m)
+    rng = rng_for(q * m + dim)
+    fam = random_point_family(rng, TestParams(f, m, 1), dim)
+    Psi = random_state(rng, dim, db)
+    by_index = {point_index(u): op for u, op in fam.items()}
+
+    def moment(ui, vi):
+        return float(np.sum(np.abs((by_index[ui] - by_index[vi]) @ Psi) ** 2))
+
+    local = 0.0
+    for (ui, vi), w in g.edge_distribution():
+        if ui != vi:
+            local += w * moment(ui, vi)
+    glob = 0.0
+    for ui in range(g.size):
+        for vi in range(ui + 1, g.size):
+            glob += 2.0 * moment(ui, vi)
+    assert local_variance(fam, Psi, g) == 0.5 * local
+    assert global_variance(fam, Psi, g) == 0.5 * glob / (g.size * g.size)
 
 
 def test_variance_shift_invariance():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidtest.instances import (
     maximally_entangled,
@@ -14,11 +16,15 @@ from lidtest.measurements import (
     PSD_FLOOR,
     MeasurementError,
     SubMeasurement,
+    aligned,
+    commutator_mass,
     consistency,
     cross_state_distance,
     expect_joint,
+    expectations,
     is_swap_invariant,
     scalar_trunc_inequality_check,
+    squared_norms,
     state_distance,
     strong_self_consistency_deficit,
 )
@@ -279,3 +285,148 @@ def test_expect_joint_matches_kron():
     B = rng.normal(size=(4, 4))
     direct = np.vdot(Psi.reshape(-1), np.kron(A, B) @ Psi.reshape(-1))
     assert expect_joint(A, B, Psi) == pytest.approx(direct, abs=1e-12)
+
+
+# ---- the stacked state kernels against the per-outcome forms ------------------
+
+
+def _stack(rng, n, dim):
+    return rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 6), da=st.integers(1, 5), db=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 16), entries=st.sampled_from([1, 30, 2 ** 13]))
+def test_kernels_equal_scalar_forms_term_by_term(n, da, db, seed, entries):
+    # entries: the stack size, so that a stack spans one part or several
+    from unittest import mock
+
+    from lidtest import measurements
+
+    rng = rng_for(seed)
+    Psi = random_state(rng, da, db)
+    X, Y = _stack(rng, n, da), _stack(rng, n, db)
+    eye = np.eye(db)
+    with mock.patch.object(measurements, "STACK_ENTRIES", entries):
+        got, alone = expectations(Psi, X, Y), expectations(Psi, X)
+        explicit = expectations(Psi, X, np.repeat(eye[None], n, axis=0))
+        norms, cross = squared_norms(Psi, X), squared_norms(Psi, X, Y)
+    assert got.shape == alone.shape == (n,) and got.dtype == complex
+    assert all(g == expect_joint(x, y, Psi) for g, x, y in zip(got, X, Y))
+    assert all(g == expect_joint(x, eye, Psi) for g, x in zip(alone, X))
+    assert np.array_equal(alone, explicit)
+    assert norms == [float(np.sum(np.abs(x @ Psi) ** 2)) for x in X]
+    assert cross == [float(np.sum(np.abs(x @ Psi - Psi @ y.T) ** 2)) for x, y in zip(X, Y)]
+
+
+def per_label_consistency(A, B, Psi):
+    val = expect_joint(A.total(), B.total(), Psi)
+    for o in A.outcomes:
+        if o in B:
+            val -= expect_joint(A.op(o), B.op(o), Psi)
+    return 0.0 + val.real
+
+
+def per_label_distance(A, B, Psi, cross):
+    total = 0.0
+    for o in A.outcomes + tuple(o for o in B.outcomes if o not in A):
+        if cross:
+            v = A.op(o) @ Psi - Psi @ B.op(o).T
+        else:
+            v = (A.op(o) - B.op(o)) @ Psi
+        total += float(np.sum(np.abs(v) ** 2))
+    return total
+
+
+LABEL_SETS = {
+    "disjoint": (("x", "y"), ("z", "w")),
+    "overlapping": (("x", "y", "z"), ("z", "w", "x")),
+    "equal": (("x", "y"), ("x", "y")),
+    "left-empty": ((), ("x", "y")),
+    "right-empty": (("x",), ()),
+    "both-empty": ((), ()),
+}
+
+
+@pytest.mark.parametrize("da,db", [(2, 2), (3, 2), (2, 4)])
+@pytest.mark.parametrize("kind", LABEL_SETS)
+def test_aligned_stacks_the_label_union(kind, da, db):
+    a_labels, b_labels = LABEL_SETS[kind]
+    rng = rng_for(len(a_labels) + 7 * len(b_labels) + 11 * da + db)
+    A = SubMeasurement(a_labels, _stack(rng, len(a_labels), da), check=False)
+    B = SubMeasurement(b_labels, _stack(rng, len(b_labels), db), check=False)
+    labels, XA, XB = aligned(A, B)
+    assert labels == a_labels + tuple(o for o in b_labels if o not in a_labels)
+    assert XA.shape == (len(labels), da, da) and XB.shape == (len(labels), db, db)
+    for j, o in enumerate(labels):
+        assert np.array_equal(XA[j], A.op(o)) and np.array_equal(XB[j], B.op(o))
+    # the two-sided quantities over the aligned stacks keep the per-label bits
+    Psi = random_state(rng, da, db)
+    assert consistency(A, B, Psi) == per_label_consistency(A, B, Psi)
+    assert cross_state_distance(A, B, Psi) == per_label_distance(A, B, Psi, cross=True)
+    if da == db:
+        assert state_distance(A, B, Psi) == per_label_distance(A, B, Psi, cross=False)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_self_consistency_and_commutators_equal_scalar_loops(seed):
+    rng = rng_for(seed)
+    dim, n = 2 + seed % 3, 1 + seed
+    sub = random_povm(rng, dim, n).group([j % 3 for j in range(n)])
+    Psi = random_symmetric_state(rng, dim)
+    matched = 0.0
+    for op in sub.ops:
+        matched += expect_joint(op, op, Psi).real
+    want = (0.0 + np.vdot(Psi, sub.total() @ Psi).real) - matched
+    assert strong_self_consistency_deficit(sub, Psi) == want
+    pairs = [(sub.live_ops(), random_povm(rng, dim, 3).ops), (sub.ops[:0], sub.ops)]
+    total = 0.0
+    for As, Bs in pairs:
+        for a in As:
+            for b in Bs:
+                total += float(np.sum(np.abs((a @ b - b @ a) @ Psi) ** 2))
+    assert commutator_mass(pairs, Psi) == total
+    assert sub.is_projective() == all(np.abs(op @ op - op).max() <= 1e-9 for op in sub.ops)
+
+
+def test_consistency_contracts_by_stack_in_the_pipeline(monkeypatch):
+    # each consistency call takes its totals from one expect_joint and its
+    # matched terms from one stack; the strong self-consistency deficit
+    # takes none; per-outcome contraction would show as many calls per call
+    import sys
+
+    from lidtest import diagnostics, improvement, measurements, orthogonalize
+    from lidtest.gf import field_for_order
+    from lidtest.instances import noisy_shared_randomness_strategy
+    from lidtest.protocol import TestParams
+
+    events = []
+    expect = measurements.expect_joint
+
+    def counted_expect(*args):
+        events.append(("expect_joint", sys._getframe(1).f_code.co_name))
+        return expect(*args)
+
+    def marked(name, fn):
+        return lambda *args: events.append((name, None)) or fn(*args)
+
+    monkeypatch.setattr(measurements, "expect_joint", counted_expect)
+    for name in ("consistency", "strong_self_consistency_deficit"):
+        fn = getattr(measurements, name)
+        for module in (measurements, diagnostics, improvement, orthogonalize):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, marked(name, fn))
+    params = TestParams(field_for_order(3), 2, 1)
+    diagnostics.soundness_witness(noisy_shared_randomness_strategy(params, 3, 1, 0), k=2)
+    per_call, deficits = [], 0
+    for name, caller in events:
+        if name == "consistency":
+            per_call.append(0)
+        elif name == "strong_self_consistency_deficit":
+            deficits += 1
+        elif caller == "consistency":
+            per_call[-1] += 1
+        else:
+            assert caller != "strong_self_consistency_deficit"
+    assert len(per_call) > 10 and deficits > 0
+    assert max(per_call) == 1

@@ -6,6 +6,7 @@ from lidtest.instances import (
     perturbed_measurement_pair,
     random_povm,
     random_projective_measurement,
+    random_state,
     rng_for,
 )
 from lidtest.measurements import (
@@ -23,6 +24,7 @@ from lidtest.orthogonalize import (
     svd_project,
 )
 
+import oracles
 from conftest import random_symmetric_state, rotated_strategy
 
 def aligned_projective_pair(rng, dim, n_outcomes):
@@ -235,3 +237,32 @@ def test_projectivity_residual_edge_families_equal_dense_loop(kind):
     got = projectivity_residual(fam)
     assert got == dense_projectivity_residual(fam)
     assert (got == 0.0) == (kind == "all-zero")
+
+
+# ---- the stacked stages against the operator-by-operator oracles ----------------
+
+
+def stage_input(kind, rng, dim):
+    if kind == "perturbed":
+        A, _, Psi = perturbed_measurement_pair(rng, dim, 3, 0.2)
+        return A, Psi
+    if kind == "over-complete":  # more range vectors than dim: rank_reduce sorts
+        P = random_projective_measurement(rng, dim, 2)
+        A = SubMeasurement(range(3), np.concatenate([P.ops, np.eye(dim)[None]]), check=False)
+        return A, maximally_entangled(dim) if dim % 2 else random_state(rng, dim, 2)
+    return random_povm(rng, dim, 4), random_state(rng, dim, 3)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("kind", ["perturbed", "over-complete", "povm"])
+def test_stages_equal_operator_by_operator_oracles(kind, dim):
+    rng = rng_for(70 + dim)
+    for delta in (0.05, 0.3, 0.7):
+        A, Psi = stage_input(kind, rng, dim)
+        got, want = round_to_projectors(A, delta), oracles.round_to_projectors(A, delta)
+        assert np.array_equal(got.ops, want.ops) and got.outcomes == want.outcomes
+        got, want = rank_reduce(want, Psi), oracles.rank_reduce(want, Psi)
+        assert np.array_equal(got.ops, want.ops)
+        (got, smin), (want, want_smin) = svd_project(want), oracles.svd_project(want)
+        assert np.array_equal(got.ops, want.ops)
+        assert smin == want_smin or (np.isnan(smin) and want_smin is None)

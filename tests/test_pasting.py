@@ -17,7 +17,6 @@ from lidtest.pasting import (
     distinct_tuple_count,
     distinct_tuples,
     pasted_measurement,
-    sandwich,
     sandwich_total,
     scalar_ineq_check,
     tv_distance_uniform_vs_distinct,
@@ -28,6 +27,8 @@ from lidtest.polyspace import (
     interpolate_parallel,
     slice_at,
 )
+
+from oracles import sandwich
 
 
 # ---- brute-force references: outcome tuples of the pasting construction --------
