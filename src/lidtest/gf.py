@@ -218,21 +218,26 @@ class GF:
 
     # ---- element interface ---------------------------------------------------
 
-    def element(self, value) -> "FieldElement":
+    def index(self, value) -> int:
+        """The index of an element given as a FieldElement of this field, a
+        coefficient vector (zero-padded, entries reduced mod p) or an index."""
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise FieldError("element belongs to a different field")
-            return value
+            return value.i
         if isinstance(value, (list, tuple, np.ndarray)):
             coeffs = list(value) + [0] * (self.t - len(value))
             if len(coeffs) != self.t:
                 raise FieldError("coefficient vector too long")
-            i = sum((int(c) % self.p) * self.p ** j for j, c in enumerate(coeffs))
-            return FieldElement(self, i)
+            return sum((int(c) % self.p) * self.p ** j for j, c in enumerate(coeffs))
         i = int(value)
         if not 0 <= i < self.q:
             raise FieldError(f"index {i} out of range for q = {self.q}")
-        return FieldElement(self, i)
+        return i
+
+    def element(self, value) -> "FieldElement":
+        i = self.index(value)
+        return value if isinstance(value, FieldElement) else FieldElement(self, i)
 
     def from_prime(self, c: int) -> "FieldElement":
         """Embed a prime-subfield value as (c, 0, ..., 0)."""

@@ -198,11 +198,13 @@ def consistency(A, B, Psi) -> float:
     A acts on the left factor, B on the right.  For measurements this equals
     1 - sum_a <A_a (x) B_a>; for sub-measurements it is the genuinely
     two-sided sum.  The matched terms are subtracted in A's outcome order; a
-    label on one side only gives an exact zero, which changes no bit.
+    pair with a zero operator (a label on one side only, say) gives an
+    exact zero, which changes no bit, so only the other pairs are formed.
     """
     val = expect_joint(A.total(), B.total(), Psi)
     _, XA, XB = aligned(A, B)
-    for term in expectations(Psi, XA, XB):
+    live = XA.any(axis=(1, 2)) & XB.any(axis=(1, 2))
+    for term in expectations(Psi, XA[live], XB[live]):
         val -= term
     return 0.0 + val.real  # never -0.0
 

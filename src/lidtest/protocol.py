@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import StrategyError, check_power, check_size, guarded_cache
 from .gf import GF, FieldElement
-from .polyspace import AxisLine, DiagonalLine, Point, UniPoly, all_points
+from .polyspace import AxisLine, DiagonalLine, Point, UniPoly, all_points, point_index
 
 SUPPORT_GUARD = 10 ** 6
 
@@ -127,14 +127,26 @@ class Support:
     `questions` holds each question once, as (group, question), at its
     position: the points in grid order, then each canonical axis line and
     each canonical diagonal line in the order the points first reach them.
-    The other fields have one row per round, in the order of the subtests'
-    supports: the index into SUBTESTS, the question positions asked of A and
-    B, the role holding the line (0 for A, 1 for B, -1 for selfcons), the
-    point's parameter on the line (-1 for selfcons and degenerate lines), the
-    round's index into `masses`, and the axis of an axis line (-1 otherwise).
+    By position, `base` and `direction` hold a question's integer
+    coordinates (a point is its own base, with direction 0; an axis line's
+    direction is its unit vector), and `bound` its answer's degree bound (-1
+    for a value answer).  `axis_at[u, i]` is the position of the axis line
+    through grid point u along axis i, and `diag_at[u, v]` that of the
+    diagonal line through u in direction v (the degenerate line at u for
+    v = 0).  The other fields have one row per round, in the order of the
+    subtests' supports: the index into SUBTESTS, the question positions
+    asked of A and B, the role holding the line (0 for A, 1 for B, -1 for
+    selfcons), the point's parameter on the line (-1 for selfcons and
+    degenerate lines), the round's index into `masses`, and the axis of an
+    axis line (-1 otherwise).
     """
 
     questions: tuple
+    base: np.ndarray
+    direction: np.ndarray
+    bound: np.ndarray
+    axis_at: np.ndarray
+    diag_at: np.ndarray
     subtest: np.ndarray
     q_a: np.ndarray
     q_b: np.ndarray
@@ -146,6 +158,18 @@ class Support:
 
     def __len__(self):
         return len(self.subtest)
+
+    def position(self, question) -> int:
+        """The position of a question of the support (KeyError for any other)."""
+        if isinstance(question, AxisLine):
+            pos = self.axis_at[point_index(question.base), question.axis]
+        elif isinstance(question, DiagonalLine):
+            pos = self.diag_at[point_index(question.base), point_index(question.direction)]
+        else:
+            pos = point_index(question)
+        if self.questions[pos][1] != question:
+            raise KeyError(question)
+        return int(pos)
 
     def samples(self, rows=slice(None)):
         """Each round (or each in the index array `rows`) as a RoundSample."""
@@ -194,11 +218,17 @@ def support_table(params: TestParams) -> Support:
     rank[order] = np.arange(len(order))
     diag_pos = n + n_axis + rank[inverse.reshape(n, n)]
     t_diag = np.where(degenerate[None, :], -1, t_uv)
+    axis_keys, diag_keys = axis_id[first], keys[order]
     questions = tuple(itertools.chain(
         (("points", u) for u in pts),
-        (("axis", AxisLine(int(k % m), pts[int(k // m)])) for k in axis_id[first]),
-        (("diag", DiagonalLine(pts[int(k // n)], pts[int(k % n)])) for k in keys[order]),
+        (("axis", AxisLine(int(k % m), pts[int(k // m)])) for k in axis_keys),
+        (("diag", DiagonalLine(pts[int(k // n)], pts[int(k % n)])) for k in diag_keys),
     ))
+    base = np.concatenate([coords, coords[axis_keys // m], coords[diag_keys // n]])
+    direction = np.concatenate([np.zeros_like(coords), np.eye(m, dtype=np.int64)[axis_keys % m],
+                                coords[diag_keys % n]])
+    bound = np.concatenate([np.full(n, -1), np.full(n_axis, params.d),
+                            np.where(diag_keys % n == 0, -1, m * params.d)])
 
     w_axis, w_self, w_diag = params.weights
     masses = (w_axis / 2 / n / m, w_self / n) + tuple(
@@ -219,10 +249,11 @@ def support_table(params: TestParams) -> Support:
         blocks += [_rounds(DIAG, role, diag_pos[uu, vv], uu, t_diag[uu, vv],
                            np.tile(cls, n), -1) for role in (0, 1)]
     cols = [np.concatenate(c) for c in zip(*blocks)]
-    for col in cols:
+    for col in cols + [base, direction, bound, axis_pos, diag_pos]:
         col.setflags(write=False)  # the table is cached and shared
     subtest, q_a, q_b, role, t, mass_class, axis = cols
-    return Support(questions, subtest, q_a, q_b, role, t, mass_class, masses, axis)
+    return Support(questions, base, direction, bound, axis_pos, diag_pos,
+                   subtest, q_a, q_b, role, t, mass_class, masses, axis)
 
 
 def enumerate_rounds(params: TestParams):

@@ -118,7 +118,7 @@ def commuting_basis(instance: SdpInstance, tol=1e-10):
             return None
     weights = 1.0 + np.arange(len(A)) / (len(A) + 1.0)
     _, V = np.linalg.eigh(np.einsum("n,nij->ij", weights, A))
-    rotated = np.einsum("ji,njk,kl->nil", V.conj(), A, V)
+    rotated = V.conj().T @ A @ V
     off = rotated.copy()
     for n in range(len(A)):
         np.fill_diagonal(off[n], 0.0)

@@ -1,12 +1,17 @@
 """Prover strategies: classical tables, quantum operator families, exact
 pass probabilities, symmetrization, and the canonical adversarial example.
 
-Classical strategies are explicit tables keyed by canonical questions.  At
-construction each table is checked once per question and turned into one
-integer row per question position of `protocol.support_table`: the values a
-line answer gives along its line, or a value answer repeated.  A round's
-verdict is then one array comparison, and exact probabilities are integer
-hit counts per mass class, turned into Fractions at the end.  Quantum
+A classical strategy is one integer answer code per question position of
+`protocol.support_table` for each role: a value's index, or the base-q
+number of a line answer's coefficients.  Object tables are encoded once,
+each answer checked (`answer_codes`); strategy files are read into codes
+directly (`stratfile`).  The codes give one integer row per position
+(`answer_rows`): the values a line answer gives along its line, or a value
+answer repeated.  A round's verdict is then one array comparison, exact
+probabilities are integer hit counts per mass class, turned into Fractions
+at the end, and the audit transcript is rendered from the questions'
+integer coordinates and the codes; answers are decoded to FieldElement and
+UniPoly objects only on request (`tables`, `answer`).  Quantum
 strategies carry a bipartite state matrix plus per-question SubMeasurement
 families and are evaluated by exact dense contraction, once per question pair.
 `judge` gives every kind's acceptance over the support once, as a `Judged`
@@ -31,7 +36,6 @@ from math import lcm
 import numpy as np
 
 from .errors import check_power, check_size
-from .gf import FieldElement
 from .measurements import (
     COMPLETENESS_TOL,
     HERMITIAN_TOL,
@@ -43,13 +47,12 @@ from .measurements import (
     is_swap_invariant,
 )
 from .polyspace import (
-    AxisLine,
     MultiPoly,
-    Point,
     UniPoly,
     label_values,
     point_index,
     restrict_to_lines,
+    value_table,
 )
 from .protocol import (
     AXIS,
@@ -59,9 +62,7 @@ from .protocol import (
     ProtocolError,
     Support,
     TestParams,
-    answer_bound,
     check_answer_format,
-    question_group,
     support_table,
     verdict,
 )
@@ -86,22 +87,39 @@ class Goodness:
 
 
 class ClassicalStrategy:
-    """Total answer tables {group: {question: answer}}, with answers
-    FieldElement or UniPoly; `tables_b`, when given, answers for role B.
-    `rows[role]` holds the answers as integer rows by question position."""
+    """Answers to every question of `protocol.support_table`, as one integer
+    code per question position for each role (`codes`): a value answer's
+    index, or the base-q number of a line answer's bound + 1 coefficients,
+    constant term first.  `tables` and `tables_b` (answers for role B, when
+    given) are code arrays, -1 marking a question with no answer, or total
+    object tables {group: {question: answer}} to encode.  `rows[role]` holds
+    the values each answer gives along its line (a value answer repeated),
+    one integer row of q per position; `tables` and `answer` decode."""
 
     def __init__(self, params: TestParams, tables, tables_b=None):
-        self.params = params
-        self.tables = {"A": tables, "B": tables if tables_b is None else tables_b}
-        self.symmetric = tables_b is None
-        rows_a = answer_rows(params, tables)
-        self.rows = {"A": rows_a,
-                     "B": rows_a if tables_b is None else answer_rows(params, tables_b)}
+        codes = [t if isinstance(t, np.ndarray) else answer_codes(params, t)
+                 for t in (tables, tables_b) if t is not None]
+        for table in codes:
+            if (table < 0).any():
+                raise unanswered(support_table(params), int(np.argmax(table < 0)))
+        self.params, self.symmetric = params, tables_b is None
+        self.codes = {"A": codes[0], "B": codes[-1]}
+        rows = [answer_rows(params, table) for table in codes]
+        self.rows = {"A": rows[0], "B": rows[-1]}
+
+    @property
+    def tables(self):
+        """The answers decoded, as {role: {group: {question: answer}}}."""
+        questions, out = support_table(self.params).questions, {}
+        for role in ROLES:
+            out[role] = {group: {} for group in GROUPS}
+            for (group, question), ans in zip(questions, decoded(self.params, self.codes[role])):
+                out[role][group][question] = ans
+        return out
 
     def answer(self, role, question):
-        ans = self.tables[role][question_group(question)][question]
-        check_answer_format(self.params, question, ans)
-        return ans
+        pos = support_table(self.params).position(question)
+        return decoded(self.params, self.codes[role], [pos])[0]
 
     def answers(self, sample):
         return (self.answer("A", sample.question_a),
@@ -123,26 +141,75 @@ class ClassicalStrategy:
         return hits.astype(np.int64), 1
 
 
-def answer_rows(params: TestParams, tables) -> np.ndarray:
-    """A total answer table as one integer row of q values per question
-    position: a line answer's values at each line parameter (label_values),
-    or a value answer repeated.  Each answer's format is checked here, once."""
-    questions = support_table(params).questions
-    rows = np.empty((len(questions), params.q), dtype=np.int64)
-    at, polys = [], []
-    for pos, (group, question) in enumerate(questions):
+def unanswered(support: Support, pos) -> ProtocolError:
+    group, question = support.questions[pos]
+    return ProtocolError(f"no answer for the {group} question {question}")
+
+
+def code_dtype(params: TestParams):
+    """int64, or object (Python ints) where a line code can pass 2^63 - 1."""
+    e = params.m * params.d + 1
+    return np.int64 if e < 64 and params.q ** e <= 2 ** 63 else object
+
+
+def line_codes(params: TestParams, digits) -> np.ndarray:
+    """The codes of rows of line answer coefficients, constant term first."""
+    codes = np.zeros(len(digits), dtype=code_dtype(params))
+    for col in np.asarray(digits, dtype=np.int64).T:
+        codes = codes * params.q + col
+    return codes
+
+
+def line_digits(q, codes, bounds):
+    """(at, digits) per line answer bound b: the indices of the codes of
+    bound b, and their b + 1 base-q digits, constant term first."""
+    for b in sorted(set(bounds.tolist()) - {-1}):
+        at = np.flatnonzero(bounds == b)
+        rest, digits = codes[at], np.empty((len(at), b + 1), dtype=np.int64)
+        for k in range(b, -1, -1):
+            digits[:, k], rest = rest % q, rest // q
+        yield at, digits
+
+
+def answer_codes(params: TestParams, tables) -> np.ndarray:
+    """A total object table's codes (see ClassicalStrategy), each answer
+    checked here, once."""
+    support, codes = support_table(params), []
+    for pos, ((group, question), bound) in enumerate(zip(support.questions,
+                                                         support.bound.tolist())):
         ans = tables.get(group, {}).get(question)
         if ans is None:
-            raise ProtocolError(f"no answer for the {group} question {question}")
+            raise unanswered(support, pos)
         check_answer_format(params, question, ans)
-        if isinstance(ans, UniPoly):
-            at.append(pos)
-            polys.append(ans)
-        else:
-            rows[pos] = ans.i
-    if polys:
-        rows[at] = label_values(polys)
+        code = 0  # a value answer is one digit
+        for c in [ans.i] if bound < 0 else (ans.coeffs + (0,) * bound)[:bound + 1]:
+            code = code * params.q + c
+        codes.append(code)
+    return np.array(codes, dtype=code_dtype(params))
+
+
+def answer_rows(params: TestParams, codes) -> np.ndarray:
+    """Coded answers as one integer row of q values per question position:
+    a line answer's values at each line parameter (a Horner pass over its
+    digits, highest degree first), or a value answer repeated."""
+    f, bounds = params.field, support_table(params).bound
+    rows = np.repeat(np.where(bounds < 0, codes, 0).astype(np.int64)[:, None], f.q, axis=1)
+    for at, digits in line_digits(f.q, codes, bounds):
+        vals = np.zeros((len(at), f.q), dtype=np.int64)
+        for k in range(digits.shape[1] - 1, -1, -1):
+            vals = f.add(f.mul(vals, np.arange(f.q)), digits[:, k:k + 1])
+        rows[at] = vals
     return rows
+
+
+def decoded(params: TestParams, codes, at=slice(None)) -> list:
+    """The answers coded at positions `at` as FieldElement and UniPoly."""
+    f, codes, bounds = params.field, codes[at], support_table(params).bound[at]
+    out = [None if b >= 0 else f.element(c) for c, b in zip(codes.tolist(), bounds.tolist())]
+    for rows, digits in line_digits(f.q, codes, bounds):
+        for k, coeffs in zip(rows.tolist(), digits.tolist()):
+            out[k] = UniPoly(f, coeffs)
+    return out
 
 
 def honest_tables(params: TestParams, polys):
@@ -150,21 +217,19 @@ def honest_tables(params: TestParams, polys):
     one shape (m, d), where d may exceed params.d: value answers from
     label_values grid rows, line answers from one restrict_to_lines call."""
     f, m, d = params.field, polys[0].m, polys[0].d
-    questions = support_table(params).questions
-    lines = {pos: q for pos, (_, q) in enumerate(questions) if answer_bound(params, q) is not None}
-    directions = [[int(j == q.axis) for j in range(m)] if isinstance(q, AxisLine)
-                  else q.direction.ints() for q in lines.values()]
-    restricted = restrict_to_lines(f, m, d, [g.flat() for g in polys],
-                                   [q.base.ints() for q in lines.values()], directions)
+    s = support_table(params)
+    lines = np.flatnonzero(s.bound >= 0)
+    restricted = restrict_to_lines(f, m, d, [g.flat() for g in polys], s.base[lines],
+                                   s.direction[lines])
+    grid = (s.base @ f.q ** np.arange(m - 1, -1, -1)).tolist()  # a value's point is its base
     tables = []
     for values, rows in zip(label_values(tuple(polys)).tolist(), restricted.tolist()):
-        rows = dict(zip(lines, rows))
+        rows = dict(zip(lines.tolist(), rows))
         table = {group: {} for group in GROUPS}
-        for pos, (group, q) in enumerate(questions):
+        for pos, (group, q) in enumerate(s.questions):
             table[group][q] = (
                 UniPoly(f, rows[pos], bound=d if group == "axis" else params.m * params.d)
-                if pos in rows else
-                f.element(values[point_index(q.base if group == "diag" else q)]))
+                if pos in rows else f.element(values[grid[pos]]))
         tables.append(table)
     return tables
 
@@ -278,8 +343,8 @@ class QuantumStrategy:
         slot = {v: v.i for v in self.params.field.elements()}
         values, shared = {}, {}  # a built strategy's line families share outcome tuples
         for side in fams:
-            for fam, (_, q) in zip(side, support.questions):
-                if answer_bound(self.params, q) is None:
+            for fam, bound in zip(side, support.bound.tolist()):
+                if bound < 0:
                     values[id(fam)] = np.array([slot.setdefault(o, len(slot))
                                                 for o in fam.outcomes], dtype=np.intp)[:, None]
                 else:
@@ -403,10 +468,12 @@ def judge(strategy, params: TestParams) -> Judged:
 
 
 def _mass_sum(support: Support, rows, counts) -> Fraction:
-    """Exact sum over the rows of each round's mass times its integer count."""
-    classes, counts = support.mass_class[rows], counts[rows]
-    return sum((support.masses[c] * int(counts[classes == c].sum())
-                for c in np.unique(classes).tolist()), Fraction(0))
+    """Exact sum over the rows of each round's mass times its integer count:
+    the counts summed per mass class in integers, then weighted."""
+    per_class = np.zeros(len(support.masses), dtype=counts.dtype)
+    np.add.at(per_class, support.mass_class[rows], counts[rows])
+    return sum((mass * int(n) for mass, n in zip(support.masses, per_class.tolist())),
+               Fraction(0))
 
 
 def goodness(judged: Judged) -> Goodness:
@@ -463,45 +530,43 @@ def pass_probabilities_monte_carlo(judged: Judged, n_samples, seed):
     return out
 
 
-def _describe_question(question):
-    if isinstance(question, Point):
-        return {"kind": "point", "u": [c.coeffs for c in question]}
-    if isinstance(question, AxisLine):
-        return {"kind": "axis_line", "axis": question.axis,
-                "base": [c.coeffs for c in question.base]}
-    return {"kind": "diag_line", "base": [c.coeffs for c in question.base],
-            "dir": [c.coeffs for c in question.direction]}
-
-
-def _describe_answer(f, ans):
-    if isinstance(ans, FieldElement):
-        return {"value": ans.coeffs}
-    return {"coeffs": [list(f.element(c).coeffs) for c in ans.coeffs]}
-
-
 def export_transcript(strategy: ClassicalStrategy, path, judged: Judged):
     """Write the audit transcript of judged rounds as JSON lines, one per
     support sample: subtest, role holding the line, questions, answers,
     verdict, and exact mass.  Each line joins JSON fragments rendered once
-    per distinct question, answer and mass, and is written as it is made.
-    Returns the number of records."""
+    per question position (from its integer coordinates), answer code and
+    mass, and is written as it is made.  Returns the number of records."""
     if not isinstance(strategy, ClassicalStrategy):
         raise ProtocolError("transcripts are defined for deterministic tables")
     f, s = strategy.params.field, judged.support
+    elem = [json.dumps(f.coeffs_of(i)) for i in range(f.q)]
 
-    def dumps(obj):
-        return json.dumps(obj, sort_keys=True)
+    def vectors(rows):
+        return ["[" + ", ".join([elem[c] for c in row]) + "]" for row in rows.tolist()]
 
-    questions = [dumps(_describe_question(q)) for _, q in s.questions]
+    def question(group, base, direction, axis):
+        if group == "points":
+            return f'{{"kind": "point", "u": {base}}}'
+        if group == "axis":
+            return f'{{"axis": {axis}, "base": {base}, "kind": "axis_line"}}'
+        return f'{{"base": {base}, "dir": {direction}, "kind": "diag_line"}}'
+
+    questions = [question(group, *item) for (group, _), *item in zip(
+        s.questions, vectors(s.base), vectors(s.direction), s.direction.argmax(axis=1).tolist())]
 
     def answers(role):
-        table = strategy.tables[role]
-        return [dumps(_describe_answer(f, table[group][q])) for group, q in s.questions]
+        codes = strategy.codes[role]
+        out = [f'{{"value": {elem[c]}}}' if b < 0 else None
+               for c, b in zip(codes.tolist(), s.bound.tolist())]
+        for at, digits in line_digits(f.q, codes, s.bound):
+            for pos, coeffs in zip(at.tolist(), vectors(digits)):
+                out[pos] = f'{{"coeffs": {coeffs}}}'
+        return out
 
     answers_a = answers("A")
     answers_b = answers_a if strategy.symmetric else answers("B")
-    masses = [dumps(str(m)) for m in s.masses]
-    subtests = [dumps(sub) for sub in SUBTESTS]
+    masses = [json.dumps(str(m)) for m in s.masses]
+    subtests = [json.dumps(sub) for sub in SUBTESTS]
     roles = {0: '"A"', 1: '"B"', -1: "null"}
     with open(path, "w") as fh:
         fh.writelines(
@@ -527,8 +592,6 @@ def axis_failure_pessimistic(judged: Judged):
 def best_polyspace_agreement(params: TestParams, points_fn) -> Fraction:
     """max_g Pr_u[g(u) = points_fn(u)] over the whole admissible space,
     by exhaustive vectorized evaluation."""
-    from .polyspace import point_index, value_table
-
     f, m, d = params.field, params.m, params.d
     table = value_table(f, m, d)
     target = np.zeros(table.shape[1], dtype=np.int64)
@@ -551,8 +614,8 @@ def classical_to_quantum(strategy: ClassicalStrategy) -> QuantumStrategy:
 def shared_randomness_strategy(params: TestParams, weighted_tables) -> QuantumStrategy:
     """Diagonal quantum embedding of a distribution over deterministic tables:
     psi = sum_i sqrt(w_i) |ii> and indicator projector families, scattered
-    from answer indices: a value, or a line answer's base-q number in
-    _unipolys order."""
+    from the tables' answer codes, which index the outcome labels (a line
+    answer's base-q number is its place in _unipolys order)."""
     n = len(weighted_tables)
     weights = np.array([float(w) for w, _ in weighted_tables])
     if abs(weights.sum() - 1.0) > 1e-12:
@@ -561,16 +624,13 @@ def shared_randomness_strategy(params: TestParams, weighted_tables) -> QuantumSt
         raise ProtocolError("diagonal embedding expects symmetric tables")
     Psi = np.diag(np.sqrt(weights)).astype(complex)
 
-    f, diag = params.field, np.arange(n)
-    alphabets = {None: tuple(f.elements())}  # answer bound -> outcome labels
+    f, diag, support = params.field, np.arange(n), support_table(params)
+    alphabets = {-1: tuple(f.elements())}  # answer bound -> outcome labels
     alphabets.update((b, _unipolys(f, b)) for b in (params.d, params.m * params.d))
+    # the alphabets are capped, so every code is an int64 index into its own
+    codes = np.stack([s.codes["A"] for _, s in weighted_tables], axis=1).astype(np.intp)
     shared = {group: {} for group in GROUPS}
-    for group, question in support_table(params).questions:
-        bound = answer_bound(params, question)
-        answers = [s.tables["A"][group][question] for _, s in weighted_tables]
-        index = ([a.i for a in answers] if bound is None else
-                 np.array([(a.coeffs + (0,) * bound)[:bound + 1] for a in answers])
-                 @ f.q ** np.arange(bound, -1, -1))
+    for (group, question), bound, index in zip(support.questions, support.bound.tolist(), codes):
         ops = np.zeros((len(alphabets[bound]), n, n), dtype=complex)
         ops[index, diag, diag] = 1.0
         shared[group][question] = SubMeasurement(alphabets[bound], ops, check=False)

@@ -1,7 +1,12 @@
 """Strategy files: a JSON-structured text format with a typed header,
 classical tables as question -> answer records, and quantum operator
 families as dense row-major complex arrays with "re,im" entries.  Loading
-re-validates every invariant (degree bounds, completeness, state norm)."""
+re-validates every invariant (degree bounds, completeness, state norm).
+
+Classical records are read straight into answer codes (`ClassicalStrategy`):
+each group's coordinates and coefficients become integer arrays, each
+question is found by its position in `protocol.support_table`, and a
+question or answer object is built only for the message of a bad record."""
 
 from __future__ import annotations
 
@@ -14,8 +19,8 @@ from .errors import SizeGuardError, StrategyError
 from .gf import GF, FieldElement, field
 from .measurements import SubMeasurement
 from .polyspace import AxisLine, DiagonalLine, Point, UniPoly
-from .protocol import GROUPS, TestParams, answer_bound
-from .strategies import ClassicalStrategy, QuantumStrategy
+from .protocol import GROUPS, TestParams, answer_bound, support_table
+from .strategies import ClassicalStrategy, QuantumStrategy, code_dtype, line_codes
 
 
 class StrategyFileError(StrategyError):
@@ -125,14 +130,105 @@ def _file_under(table, question, entry):
     table[question] = entry
 
 
-def _classical_tables_in(params: TestParams, data):
-    tables = {}
+def _indices(f: GF, values, depth):
+    """f.index of each JSON value nested `depth` lists deep in `values`:
+    integer coefficient lists of one length, or in-range indices, as one
+    array operation; anything else value by value, which raises f.index's
+    error at the first bad value."""
+    try:
+        a = np.array(values)
+    except (ValueError, TypeError, OverflowError):  # ragged, or not numbers
+        a = None
+    if a is not None and a.dtype.kind == "i":
+        if a.ndim == depth + 1 and a.shape[-1] <= f.t:
+            return a % f.p @ f.p ** np.arange(a.shape[-1])
+        if a.ndim == depth and ((0 <= a) & (a < f.q)).all():
+            return a
+    if depth == 1:
+        return [f.index(c) for c in values]
+    return [[f.index(c) for c in row] for row in values]
+
+
+def _points(f: GF, values, m):
+    """The integer coordinates of JSON points, one row of m each."""
+    rows = np.asarray(_indices(f, values, 2), dtype=np.int64)
+    if rows.shape != (len(values), m):
+        raise ValueError(f"points of F_{f.q}^{m} have {m} coordinates")
+    return rows
+
+
+def _held_to(f: GF, rows, bound):
+    """Coefficient rows of line answers held to a degree bound as UniPoly
+    holds them: zero-padded, and cut after the bound where they end in 0."""
+    if not isinstance(rows, np.ndarray):  # rows of several lengths
+        width = max(map(len, rows))
+        rows = np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.int64)
+    over = rows[:, bound + 1:].any(axis=1)
+    if over.any():
+        UniPoly(f, rows[int(np.argmax(over))].tolist(), bound=bound)  # raises its bound error
+    held = np.zeros((len(rows), bound + 1), dtype=np.int64)
+    held[:, :rows.shape[1]] = rows[:, :bound + 1]
+    return held
+
+
+def _records(params: TestParams, support, group, recs):
+    """The question positions and answer codes of one group's classical
+    records, read field by field in the order a record's question and answer
+    are read: each question found through the support's position maps, and
+    a line off the support refused by its constructor, built for the message."""
+    f, m = params.field, params.m
+    place = f.q ** np.arange(m - 1, -1, -1)
+    if group == "points":
+        base = _points(f, [rec["u"] for rec in recs], m)
+        direction, at = np.zeros_like(base), base @ place
+    elif group == "axis":
+        axes = [int(rec["axis"]) for rec in recs]
+        if not all(0 <= i < m for i in axes):
+            raise ValueError(f"axis lines of F_{f.q}^{m} have axes 0 to {m - 1}")
+        base = _points(f, [rec["base"] for rec in recs], m)
+        direction, at = np.eye(m, dtype=np.int64)[axes], support.axis_at[base @ place, axes]
+    else:
+        base = _points(f, [rec["base"] for rec in recs], m)
+        direction = _points(f, [rec["dir"] for rec in recs], m)
+        at = support.diag_at[base @ place, direction @ place]
+    found = (support.base[at] == base).all(axis=1) & (support.direction[at] == direction).all(axis=1)
+    if not found.all():
+        question = _question_in(f, group, recs[int(np.argmin(found))])
+        raise ValueError(f"{question} is not a question of the support")
+    bounds, codes = support.bound[at], np.zeros(len(recs), dtype=code_dtype(params))
+    value = (bounds < 0).tolist()
+    if any(value):
+        codes[bounds < 0] = _indices(f, [rec["a"] if "a" in rec else rec["value"]
+                                         for rec, v in zip(recs, value) if v], 1)
+    if not all(value):
+        coeffs = _indices(f, [rec["coeffs"] for rec, v in zip(recs, value) if not v], 2)
+        codes[bounds >= 0] = line_codes(params, _held_to(f, coeffs, int(bounds.max())))
+    return at, codes
+
+
+def _classical_codes(params: TestParams, data):
+    """One table's answer codes by question position, -1 where no record
+    answers.  A group's records are read as arrays; if any is bad they are
+    read again one at a time, so the first bad record gives the error."""
+    support = support_table(params)
+    codes = np.full(len(support.questions), -1, dtype=code_dtype(params))
     for group, name in CLASSICAL_RECORDS.items():
-        tables[group] = {}
-        for rec in data[name]:
-            question = _question_in(params.field, group, rec)
-            _file_under(tables[group], question, _answer_in(params, question, rec))
-    return tables
+        recs = list(data[name])
+        if not recs:
+            continue
+        try:
+            at, found = _records(params, support, group, recs)
+            if np.bincount(at).max() > 1:
+                raise ValueError("two records for one question")
+            codes[at] = found
+        except (KeyError, TypeError, ValueError, OverflowError):
+            for rec in recs:
+                at, found = _records(params, support, group, [rec])
+                if codes[at[0]] != -1:
+                    raise StrategyFileError(
+                        f"two records for the question {support.questions[at[0]][1]}")
+                codes[at] = found
+    return codes
 
 
 def _families_out(families):
@@ -219,10 +315,9 @@ def load_strategy(path):
     params = _params_from_header(doc.get("params", {}))
     try:
         if kind == "classical":
-            tables = _classical_tables_in(params, doc["tables"])
-            tables_b = (_classical_tables_in(params, doc["tables_b"])
-                        if "tables_b" in doc else None)
-            return ClassicalStrategy(params, tables, tables_b)
+            codes = _classical_codes(params, doc["tables"])
+            codes_b = _classical_codes(params, doc["tables_b"]) if "tables_b" in doc else None
+            return ClassicalStrategy(params, codes, codes_b)
         if kind == "quantum":
             fam_a = _families_in(params, doc["families"]["A"])
             fam_b = (_families_in(params, doc["families"]["B"])
@@ -237,6 +332,6 @@ def load_strategy(path):
             )
     except SizeGuardError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise StrategyFileError(f"invalid strategy file: {exc}") from exc
     raise StrategyFileError(f"unknown strategy type {kind!r}")

@@ -18,7 +18,12 @@ the complementary projector, and each dilated operator as U^H (I (x) P_j) U.
 
 The pasting DP's reference is `sandwich`, one outcome tuple's operator
 Hhat^{x_1..x_k}_{g_1..g_k}.  The orthogonalization stages' references walk one operator at a time: one
-eigendecomposition, range-vector list and projector per outcome."""
+eigendecomposition, range-vector list and projector per outcome.
+
+The classical strategy file loader's reference is `load_classical`, which
+builds every record's question and answer objects (`classical_tables_in`);
+the transcript's is `object_transcript`, which renders the decoded answer
+objects; and `object_rows` gives a table's integer rows from its objects."""
 
 import itertools
 import json
@@ -26,6 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from lidtest.errors import SizeGuardError
 from lidtest.gf import FieldElement
 from lidtest.measurements import BOTTOM, MeasurementError, SubMeasurement, expect_joint
 from lidtest.naimark import DilatedMeasurement
@@ -47,9 +53,11 @@ from lidtest.protocol import (
     SELFCONS,
     ProtocolError,
     RoundSample,
+    answer_bound,
     question_group,
 )
-from lidtest.strategies import group_by_value
+from lidtest.stratfile import StrategyFileError, _params_from_header
+from lidtest.strategies import ClassicalStrategy, group_by_value
 
 
 def _assign(role, line_q, point_q):
@@ -169,39 +177,133 @@ def reference_monte_carlo(pairs, n_samples, seed):
     return out
 
 
+def _describe_question(question):
+    if isinstance(question, Point):
+        return {"kind": "point", "u": [c.coeffs for c in question]}
+    if isinstance(question, AxisLine):
+        return {"kind": "axis_line", "axis": question.axis,
+                "base": [c.coeffs for c in question.base]}
+    return {"kind": "diag_line", "base": [c.coeffs for c in question.base],
+            "dir": [c.coeffs for c in question.direction]}
+
+
+def _describe_answer(f, ans):
+    if isinstance(ans, FieldElement):
+        return {"value": ans.coeffs}
+    return {"coeffs": [list(f.element(c).coeffs) for c in ans.coeffs]}
+
+
 def reference_transcript(strategy, path, pairs):
     """The transcript written record by record from the round objects."""
     f = strategy.params.field
-
-    def describe(question):
-        if isinstance(question, Point):
-            return {"kind": "point", "u": [c.coeffs for c in question]}
-        if isinstance(question, AxisLine):
-            return {"kind": "axis_line", "axis": question.axis,
-                    "base": [c.coeffs for c in question.base]}
-        return {"kind": "diag_line", "base": [c.coeffs for c in question.base],
-                "dir": [c.coeffs for c in question.direction]}
-
-    def describe_answer(ans):
-        if isinstance(ans, FieldElement):
-            return {"value": ans.coeffs}
-        return {"coeffs": [list(f.element(c).coeffs) for c in ans.coeffs]}
-
     with open(path, "w") as fh:
         for sample, acc in pairs:
             answers = strategy.answers(sample)
             record = {
                 "subtest": sample.subtest,
                 "role": sample.line_role,
-                "question_a": describe(sample.question_a),
-                "question_b": describe(sample.question_b),
-                "answer_a": describe_answer(answers[0]),
-                "answer_b": describe_answer(answers[1]),
+                "question_a": _describe_question(sample.question_a),
+                "question_b": _describe_question(sample.question_b),
+                "answer_a": _describe_answer(f, answers[0]),
+                "answer_b": _describe_answer(f, answers[1]),
                 "accept": bool(acc),
                 "mass": str(sample.mass),
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     return len(pairs)
+
+
+def object_transcript(strategy, path, judged):
+    """export_transcript as it rendered objects: one JSON fragment per
+    question object of the support and per answer object of the decoded
+    tables, joined per round as the lines are written."""
+    f, s = strategy.params.field, judged.support
+
+    def dumps(obj):
+        return json.dumps(obj, sort_keys=True)
+
+    questions = [dumps(_describe_question(q)) for _, q in s.questions]
+    tables = strategy.tables
+    answers_a, answers_b = ([dumps(_describe_answer(f, tables[role][group][q]))
+                             for group, q in s.questions] for role in ROLES)
+    masses = [dumps(str(m)) for m in s.masses]
+    subtests = [dumps(sub) for sub in (AXIS, SELFCONS, DIAG)]
+    roles = {0: '"A"', 1: '"B"', -1: "null"}
+    with open(path, "w") as fh:
+        fh.writelines(
+            f'{{"accept": {"true" if acc else "false"}, "answer_a": {answers_a[a]}, '
+            f'"answer_b": {answers_b[b]}, "mass": {masses[c]}, "question_a": {questions[a]}, '
+            f'"question_b": {questions[b]}, "role": {roles[r]}, "subtest": {subtests[k]}}}\n'
+            for acc, a, b, c, r, k in zip(
+                judged.acceptance.tolist(), s.q_a.tolist(), s.q_b.tolist(),
+                s.mass_class.tolist(), s.line_role.tolist(), s.subtest.tolist()))
+    return len(s)
+
+
+def object_rows(params, tables):
+    """A total answer table's integer rows from its objects: label_values
+    of the line answers, and each value answer repeated."""
+    questions = reference_questions(params)
+    rows = np.empty((len(questions), params.q), dtype=np.int64)
+    for pos, (group, question) in enumerate(questions):
+        ans = tables[group][question]
+        rows[pos] = ans.i if isinstance(ans, FieldElement) else label_values((ans,))[0]
+    return rows
+
+
+# ---- the classical strategy file loader that built objects -----------------------
+
+CLASSICAL_RECORDS = {"points": "points", "axis": "axis_lines", "diag": "diag_lines"}
+
+
+def _point_in(f, data):
+    return Point(f.element(c) for c in data)
+
+
+def _question_in(f, group, rec):
+    if group == "points":
+        return _point_in(f, rec["u"])
+    if group == "axis":
+        return AxisLine(int(rec["axis"]), _point_in(f, rec["base"]))
+    return DiagonalLine(_point_in(f, rec["base"]), _point_in(f, rec["dir"]))
+
+
+def _answer_in(params, question, rec):
+    f = params.field
+    bound = answer_bound(params, question)
+    if bound is None:
+        return f.element(rec["a"] if "a" in rec else rec["value"])
+    return UniPoly(f, rec["coeffs"], bound=bound)
+
+
+def classical_tables_in(params, data):
+    """A file's classical records as object tables, record by record: each
+    question and answer built, and a repeated question refused."""
+    tables = {}
+    for group, name in CLASSICAL_RECORDS.items():
+        tables[group] = {}
+        for rec in data[name]:
+            question = _question_in(params.field, group, rec)
+            if question in tables[group]:
+                raise StrategyFileError(f"two records for the question {question}")
+            tables[group][question] = _answer_in(params, question, rec)
+    return tables
+
+
+def load_classical(path):
+    """load_strategy for a classical file as it read objects: both tables
+    read record by record, then encoded by ClassicalStrategy."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    params = _params_from_header(doc.get("params", {}))
+    try:
+        tables = classical_tables_in(params, doc["tables"])
+        tables_b = classical_tables_in(params, doc["tables_b"]) if "tables_b" in doc else None
+        return ClassicalStrategy(params, tables, tables_b)
+    except SizeGuardError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StrategyFileError(f"invalid strategy file: {exc}") from exc
 
 
 # ---- the soundness pipeline ------------------------------------------------------

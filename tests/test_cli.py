@@ -137,8 +137,9 @@ def test_malformed_line_outcome_is_a_strategy_file_error(tmp_path, outcome):
 def test_run_test_enumerates_the_support_once(tmp_path, monkeypatch):
     # one support table is built per run, its lines come from integer arrays
     # rather than one DiagonalLine.through per (point, direction) pair, and
-    # each answer's format is checked once per question, not once per round
-    from lidtest import protocol, strategies
+    # the file's records are read once per group, as arrays: no answer
+    # object is checked, per question or per round
+    from lidtest import protocol, strategies, stratfile
     from lidtest.instances import corrupted_tables
     from lidtest.polyspace import DiagonalLine
 
@@ -146,7 +147,7 @@ def test_run_test_enumerates_the_support_once(tmp_path, monkeypatch):
     (_, strat), = corrupted_tables(params, 1, 2, np.random.default_rng(0))
     path = tmp_path / "classical.json"
     save_strategy(strat, path)
-    builds, throughs, checks = [], [], []
+    builds, throughs, checks, reads = [], [], [], []
 
     def counting_support(*args):
         builds.append(args)
@@ -156,9 +157,15 @@ def test_run_test_enumerates_the_support_once(tmp_path, monkeypatch):
         checks.append(args)
         return check_answer_format(*args)
 
+    def counting_records(*args):
+        reads.append(args)
+        return records(*args)
+
     support_class, check_answer_format = protocol.Support, strategies.check_answer_format
+    records = stratfile._records
     monkeypatch.setattr(protocol, "Support", counting_support)
     monkeypatch.setattr(strategies, "check_answer_format", counting_check)
+    monkeypatch.setattr(stratfile, "_records", counting_records)
     monkeypatch.setattr(DiagonalLine, "through",
                         classmethod(lambda cls, u, v: throughs.append((u, v))))
     protocol.support_table.cache_clear()
@@ -173,7 +180,8 @@ def test_run_test_enumerates_the_support_once(tmp_path, monkeypatch):
     assert "monte_carlo" in rep and rep["transcript_rounds"] > 0
     assert len(builds) == 1
     assert throughs == []
-    assert len(checks) == len(builds[0][0]) < rep["transcript_rounds"]
+    assert checks == []
+    assert [args[2] for args in reads] == ["points", "axis", "diag"]
 
 
 def test_invalid_strategy_file_exit_code(tmp_path):
