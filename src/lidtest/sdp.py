@@ -11,9 +11,9 @@ dual variable Z:
 where the bare Z^{-1} term plays the role of the slack block.  On the path
 T_g = mu (Z - A_g)^{-1}, and the duality gap equals mu * r * (M + 1)
 exactly, so mu is driven down until the gap target is met.  Each mu step is
-solved by a damped Newton iteration in Z; the Newton system
-sum_j W_j dZ W_j = Phi - I is assembled as one GEMM over the stacked
-inverses W_j and solved densely (desk-scale dimensions).
+solved by a damped Newton iteration in Z.  Z, the W_j and the steps are zero
+off the index blocks (the components of the support of the starting Z and
+every A_g), so sum_j W_j dZ W_j = Phi - I is one s^2 x s^2 system per block.
 
 A closed form exists when all constraints commute: in a joint eigenbasis the
 optimal Z takes entrywise maxima and T splits basis vectors equally among
@@ -179,25 +179,48 @@ def _min_slack(Z, A):
     return float(np.linalg.eigvalsh(_herm(Z - A)).min(initial=np.inf))
 
 
-def _inverses(Z, blocks):
-    """Stable inverses (Z - A_j)^{-1} via one stacked Hermitian
-    eigendecomposition; returns None if any block is not strictly positive."""
-    w, v = np.linalg.eigh(_herm(Z - blocks))
-    if w.min() <= 0:
-        return None
-    return (v / w[:, None, :]) @ v.conj().swapaxes(-1, -2)
+def index_blocks(Z, A):
+    """The index blocks: connected components of the union support of Z and
+    every A_g, as one (blocks, size) array of increasing indices per size."""
+    linked = (Z != 0) | (A != 0).any(axis=0)
+    linked |= linked.T | np.eye(len(Z), dtype=bool)
+    label, least = None, np.arange(len(Z))
+    while not np.array_equal(label, least):  # each index takes its neighbours' least label
+        label, least = least, np.where(linked, least, len(Z)).min(axis=1)
+    blocks = [np.flatnonzero(label == b) for b in range(len(Z)) if label[b] == b]
+    return [np.array([b for b in blocks if len(b) == s]) for s in sorted({len(b) for b in blocks})]
 
 
-def _newton_matrix(W, mu):
-    """The Newton system's matrix: K[(i,l),(j,k)] = mu sum_n W_n[i,j] W_n[k,l],
-    so that K vec(dZ) = vec(mu sum_n W_n dZ W_n), as one GEMM over the
-    flattened blocks."""
-    n, r = W.shape[0], W.shape[1]
-    flat = W.reshape(n, r * r)
-    # (flat.T @ flat)[(i,j),(k,l)] = sum_n W_n[i,j] W_n[k,l]
-    K = (flat.T @ flat).reshape(r, r, r, r).transpose(0, 3, 1, 2).reshape(r * r, r * r)
-    K *= mu
-    return K
+def _inverses(Z, blocks, groups):
+    """Stable inverses (Z - A_j)^{-1}, one stacked Hermitian eigendecomposition
+    per index-block size scattered into W (exact zeros off the blocks): W and
+    each size's (w, v), or None if any block is not strictly positive."""
+    W, eigs = np.zeros_like(blocks), []
+    for idx in groups:
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        w, v = np.linalg.eigh(_herm(Z[rows, cols] - blocks[:, rows, cols]))
+        if w.min() <= 0:
+            return None
+        W[:, rows, cols] = (v / w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        eigs.append((w, v))
+    return W, eigs
+
+
+def _newton_step(W, R, mu, groups):
+    """Solve mu sum_n W_n dZ W_n = R: per index block, the system
+    K[(i,l),(j,k)] = mu sum_n W_n[i,j] W_n[k,l] is a diagonal block of one
+    GEMM over the flattened blocks of its size (summed as the dense r^2 x r^2
+    GEMM is; a 1 x n @ n x 1 product would sum in another order), solved
+    stacked.  Off the blocks R is zero, and so is dZ."""
+    dz = np.zeros_like(R)
+    for idx in groups:
+        (nb, s), rows, cols = idx.shape, idx[:, :, None], idx[:, None, :]
+        flat = W[:, rows, cols].reshape(len(W), nb * s * s)
+        K = (flat.T @ flat).reshape(nb, s * s, nb, s * s)[np.arange(nb), :, np.arange(nb)]
+        K = K.reshape(nb, s, s, s, s).transpose(0, 1, 4, 2, 3).reshape(nb, s * s, s * s)
+        K *= mu
+        dz[rows, cols] = np.linalg.solve(K, R[rows, cols].reshape(nb, s * s, 1)).reshape(nb, s, s)
+    return dz
 
 
 def solve(instance: SdpInstance, gap_tol=1e-7, max_newton=2000):
@@ -224,9 +247,11 @@ def solve(instance: SdpInstance, gap_tol=1e-7, max_newton=2000):
     else:
         Z = (lam_max + mu * (M + 1) + 1.0) * np.eye(r, dtype=complex)
 
-    W = _inverses(Z, blocks)
-    if W is None:
+    groups = index_blocks(Z, A)
+    got = _inverses(Z, blocks, groups)
+    if got is None:
         raise SdpError("left the interior", {"mu": mu, "iters": 0})
+    W, eigs = got
     iters = 0
     eye = np.eye(r)
     while True:
@@ -255,18 +280,17 @@ def solve(instance: SdpInstance, gap_tol=1e-7, max_newton=2000):
             else:
                 stalled = 0
             best_res = min(best_res, res)
-            dz = np.linalg.solve(_newton_matrix(W, mu), R.reshape(-1)).reshape(r, r)
-            dz = _herm(dz)
+            dz = _herm(_newton_step(W, R, mu, groups))
             step = 1.0
             for _ in range(60):
                 cand = Z + step * dz
-                W_cand = _inverses(cand, blocks)
-                if W_cand is not None:
+                got = _inverses(cand, blocks, groups)
+                if got is not None:
                     break
                 step *= 0.5
             else:
                 raise SdpError("line search failed", {"mu": mu, "iters": iters})
-            Z, W = cand, W_cand
+            Z, (W, eigs) = cand, got
             iters += 1
             if iters > max_newton:
                 raise SdpError(
@@ -277,10 +301,9 @@ def solve(instance: SdpInstance, gap_tol=1e-7, max_newton=2000):
             break
         mu = max(mu * 0.1, mu_end)
 
-    T = mu * W[:M]
-    T = _herm(T)
+    T = _herm(mu * W[:M])
     primal_raw = float(sum(np.trace(T[n] @ A[n]).real for n in range(M)))
-    T = _polish_active_support(T, Z, A, mu)
+    T = _polish_active_support(T, eigs, groups, mu)
     T = _project_to_completion(T, Z, A)
     primal = float(sum(np.trace(T[n] @ A[n]).real for n in range(M)))
     dual = float(np.trace(Z).real)
@@ -302,20 +325,22 @@ def solve(instance: SdpInstance, gap_tol=1e-7, max_newton=2000):
     )
 
 
-def _polish_active_support(T, Z, A, mu):
+def _polish_active_support(T, eigs, groups, mu):
     """Exact complementary slackness: on the central path T_n and (Z - A_n)
     commute with eigenvalue products equal to mu, so eigendirections of
     (Z - A_n) above sqrt(mu) are inactive.  Their residual primal mass is
     dropped here and reassigned by the completion projection, which always
-    finds a direction with residual <= (M+1) mu."""
-    theta = np.sqrt(mu)
-    out = np.empty_like(T)
-    for n in range(len(A)):
-        w, v = np.linalg.eigh(_herm(Z - A[n]))
-        keep = v[:, w <= theta]
-        proj = keep @ keep.conj().T
-        out[n] = _herm(proj @ T[n] @ proj)
-    return out
+    finds a direction with residual <= (M+1) mu.  The eigendirections are
+    the final iterate's (`eigs` of `_inverses`); with w ascending the kept
+    ones are a column prefix, and each projector sums over exactly those."""
+    theta, M, proj = np.sqrt(mu), len(T), np.zeros_like(T)
+    for idx, (w, v) in zip(groups, eigs):
+        kept, v, block = (w[:M] <= theta).sum(axis=-1), v[:M], np.zeros_like(v[:M])
+        for c in range(1, idx.shape[1] + 1):
+            keep = v[kept == c][..., :c]
+            block[kept == c] = keep @ keep.conj().swapaxes(-1, -2)
+        proj[:, idx[:, :, None], idx[:, None, :]] = block
+    return _herm(proj @ T @ proj)
 
 
 def _project_to_completion(T, Z, A, tie_tol=1e-9):

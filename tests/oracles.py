@@ -23,7 +23,11 @@ eigendecomposition, range-vector list and projector per outcome.
 The classical strategy file loader's reference is `load_classical`, which
 builds every record's question and answer objects (`classical_tables_in`);
 the transcript's is `object_transcript`, which renders the decoded answer
-objects; and `object_rows` gives a table's integer rows from its objects."""
+objects; and `object_rows` gives a table's integer rows from its objects.
+
+The SDP's references are the dense kernels the index-block ones replaced:
+`dense_inverses` (one r x r eigendecomposition per constraint) and
+`dense_newton_matrix` (one r^2 x r^2 system)."""
 
 import itertools
 import json
@@ -620,3 +624,24 @@ def svd_project(reduced):
     ops = [X_hat[owners == idx].conj().T @ X_hat[owners == idx]
            for idx in range(len(reduced.ops))]
     return SubMeasurement(reduced.outcomes, np.array(ops), check=False), float(s.min())
+
+
+def dense_inverses(Z, blocks):
+    """The SDP's inverses (Z - A_j)^{-1} from one stacked r x r Hermitian
+    eigendecomposition; None if any Z - A_j is not strictly positive."""
+    w, v = np.linalg.eigh(0.5 * (Z - blocks + (Z - blocks).conj().swapaxes(-1, -2)))
+    if w.min() <= 0:
+        return None
+    return (v / w[:, None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def dense_newton_matrix(W, mu):
+    """The r^2 x r^2 Newton matrix K[(i,l),(j,k)] = mu sum_n W_n[i,j] W_n[k,l],
+    so that K vec(dZ) = vec(mu sum_n W_n dZ W_n), as one GEMM over the
+    flattened W_n."""
+    n, r = W.shape[0], W.shape[1]
+    flat = W.reshape(n, r * r)
+    K = (flat.T @ flat).reshape(r, r, r, r).transpose(0, 3, 1, 2).reshape(r * r, r * r)
+    K *= mu
+    return K
+

@@ -1,7 +1,7 @@
 """Differential tests of the stacked numeric kernels against the per-tuple,
 per-block and per-scalar code they replaced, kept here as oracles: the
-pasting DP and its slice maps, the SDP Newton matrix and block inverses, and
-the hypercube character matrix."""
+pasting DP and its slice maps, the SDP Newton matrix and block inverses
+(against einsum and a per-block loop), and the hypercube character matrix."""
 
 import numpy as np
 import pytest
@@ -25,6 +25,8 @@ from lidtest.polyspace import (
     slice_at,
     slice_indices,
 )
+
+from oracles import dense_newton_matrix
 
 
 # ---- oracles ----------------------------------------------------------------------
@@ -274,9 +276,14 @@ def random_complex(rng, *shape):
 def test_newton_matrix_gemm_matches_einsum(r, n):
     rng = rng_for(200 + r + n)
     W = random_complex(rng, n, r, r)
-    K = sdp._newton_matrix(W, 0.3)
+    K = dense_newton_matrix(W, 0.3)
+    want = reference_newton_matrix(W, 0.3)
     assert K.shape == (r * r, r * r)
-    assert np.abs(K - reference_newton_matrix(W, 0.3)).max() <= 1e-12
+    assert np.abs(K - want).max() <= 1e-12
+    # the block Newton step over one block solves the einsum-assembled system
+    R = random_complex(rng, r, r)
+    dz = sdp._newton_step(W, R, 0.3, [np.arange(r)[None]])
+    assert np.abs(want @ dz.reshape(-1) - R.reshape(-1)).max() <= 1e-9 * np.abs(R).max()
 
 
 @pytest.mark.parametrize("r,n", [(1, 4), (3, 5), (16, 82)])
@@ -286,13 +293,15 @@ def test_stacked_inverses_match_per_block_loop(r, n):
     blocks = H @ H.conj().transpose(0, 2, 1)
     top = max(np.linalg.eigvalsh(A).max() for A in blocks)
     Z = (top + 0.5) * np.eye(r) + 0.01 * random_complex(rng, r, r)
-    got, want = sdp._inverses(Z, blocks), reference_inverses(Z, blocks)
-    assert got is not None and want is not None
+    one_block = sdp.index_blocks(Z, blocks)
+    assert [idx.shape for idx in one_block] == [(1, r)]
+    (got, _), want = sdp._inverses(Z, blocks, one_block), reference_inverses(Z, blocks)
+    assert want is not None
     assert np.abs(got - want).max() <= 1e-12
     # one block not strictly positive: both give None
     bad = blocks.copy()
     bad[n // 2] = (top + 1.0) * np.eye(r)
-    assert sdp._inverses(Z, bad) is None
+    assert sdp._inverses(Z, bad, one_block) is None
     assert reference_inverses(Z, bad) is None
 
 
