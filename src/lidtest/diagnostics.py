@@ -6,11 +6,15 @@ The pipeline follows the induction over m: at m = 1 the single axis family is
 the polynomial measurement; at m > 1 the last coordinate is fixed to each
 value x, the (m-1)-variable pipeline runs on that slice, the slice result is
 self-improved to a projective family, and the slices are pasted into one
-global measurement.  Goodness is measured once per strategy and handed down,
-and the hypotheses of slice commutativity and pasting are read from the
-per-slice improvement reports, not measured again.  Polynomial-labelled
-families are labelled by polynomial index and read at points and along lines
-through the cached value table of their space.
+global measurement.  A slice takes the strategy's own families by
+question position: the slice support's coordinates, lifted by one
+coordinate, are found in the strategy's support (`Support.at`) and its
+families gathered there, so no question object is built.  Goodness is measured once per
+strategy and handed down, and the hypotheses of slice commutativity and
+pasting are read from the per-slice improvement reports, not measured
+again.  Polynomial-labelled families are labelled by polynomial index and
+read at points and along lines through the cached value table of their
+space.
 
 Bounds that exceed 1 at desk scale are never silently 'passed': every report
 carries a vacuity flag alongside the raw measured value."""
@@ -25,17 +29,8 @@ import numpy as np
 from .improvement import evaluated_at_points, measure_points_consistency, projective_improve
 from .measurements import SubMeasurement, commutator_mass, consistency, expectations
 from .pasting import check_paste_size, complete_pasted, pasted_measurement
-from .polyspace import (
-    AxisLine,
-    DiagonalLine,
-    all_points,
-    label_values,
-    point,
-    point_index,
-    polyspace_size,
-    value_table,
-)
-from .protocol import GROUPS, TestParams, all_questions
+from .polyspace import label_values, polyspace_size, value_table
+from .protocol import TestParams, support_table
 from .sdp import check_instance_size
 from .strategies import (
     Goodness,
@@ -124,7 +119,7 @@ def points_commutativity(strategy: QuantumStrategy) -> BoundReport:
     params = strategy.params
     good = pass_probabilities(strategy, params)
     gamma = float(good.gamma)
-    live = [A.live_ops() for A in strategy.families["A"]["points"].values()]
+    live = [A.live_ops() for A in strategy.point_families]
     total = commutator_mass(((A, B) for A in live for B in live), strategy.Psi)
     total /= len(live) ** 2
     inputs = {"gamma": gamma, "m": params.m, "d": params.d, "q": params.q}
@@ -171,49 +166,41 @@ def pasted_line_consistency(strategy: QuantumStrategy, pasted: SubMeasurement) -
     params = strategy.params
     f, d = params.field, params.d
     Psi = strategy.Psi
-    axis_fams = strategy.families["A"]["axis"]
     # A line answer has degree <= d <= q - 1 (the pipeline's k lies in
     # [d + 1, q]), so its values at t = 0..d fix it: their base-q number is
     # the answer's key, on both sides.  The line through u in the last
-    # direction holds the points u*q + t in point_index order.
+    # direction holds the grid points u*q + t.
     weights = f.q ** np.arange(d + 1)
     table = value_table(f, params.m, d)[list(pasted.outcomes)]
+    starts = np.arange(f.q ** (params.m - 1)) * f.q
+    lines = support_table(params).axis_at[starts, params.m - 1]
     total = 0.0
-    pts = list(all_points(f, params.m - 1))
-    for u in pts:
-        B = axis_fams[AxisLine(params.m - 1, point(f, u.ints() + (0,)))]
+    for start, pos in zip(starts.tolist(), lines.tolist()):
+        B = strategy.families["A"][pos]
         B = B.group((label_values(B.outcomes)[:, :d + 1] @ weights).tolist())
-        start = point_index(u) * f.q
         restricted = pasted.group((table[:, start:start + d + 1] @ weights).tolist())
         total += consistency(restricted, B, Psi)
-    return total / len(pts)
+    return total / len(starts)
 
 
 # ---- the end-to-end soundness pipeline ------------------------------------------
 
 
 def restricted_strategy(strategy: QuantumStrategy, x: int) -> QuantumStrategy:
-    """Freeze the last coordinate at x; line families are the lifted lines'."""
+    """Freeze the last coordinate at x: each question of the slice is the
+    question through its points with x appended (its direction gets a 0),
+    and takes that question's family."""
     params = strategy.params
-    f, m1, d = params.field, params.m, params.d
-    m = m1 - 1
-    if m < 1:
+    if params.m < 2:
         raise ValueError("nothing left to restrict")
-    sub_params = TestParams(f, m, d)
-
-    def lift(u):
-        return point(f, u.ints() + (x,))
-
-    shared = {group: {} for group in GROUPS}
-    for group, question in all_questions(sub_params):
-        if group == "points":
-            lifted = lift(question)
-        elif group == "axis":
-            lifted = AxisLine(question.axis, lift(question.base))
-        else:
-            lifted = DiagonalLine(lift(question.base),
-                                  point(f, question.direction.ints() + (0,)))
-        shared[group][question] = strategy.families["A"][group][lifted]
+    sub_params = TestParams(params.field, params.m - 1, params.d)
+    sub = support_table(sub_params)
+    n = len(sub.group)
+    lifted, _ = support_table(params).at(
+        sub.group, np.column_stack([sub.base, np.full(n, x)]),
+        np.column_stack([sub.direction, np.zeros(n, dtype=np.int64)]))
+    fams = strategy.families["A"]
+    shared = tuple(fams[pos] for pos in lifted.tolist())
     return QuantumStrategy(
         sub_params, strategy.Psi, {"A": shared, "B": shared},
         symmetric=True, projective=strategy.projective, check=False,
@@ -227,8 +214,7 @@ def base_case_family(strategy: QuantumStrategy) -> SubMeasurement:
     if params.m != 1:
         raise ValueError("base case applies to one variable only")
     f = params.field
-    line = AxisLine.through(point(f, (0,)), 0)
-    fam = strategy.families["A"]["axis"][line]
+    fam = strategy.families["A"][support_table(params).axis_at[0, 0]]
     relabelled = [sum(c * f.q ** j for j, c in enumerate(ans.coeffs)) for ans in fam.outcomes]
     return SubMeasurement(relabelled, fam.ops, check=False)
 

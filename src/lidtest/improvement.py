@@ -27,7 +27,7 @@ from .measurements import (
     strong_self_consistency_deficit,
 )
 from .orthogonalize import orthogonalize
-from .polyspace import all_points, point_index, value_table
+from .polyspace import value_table
 from .protocol import ProtocolError, TestParams
 from .sdp import SdpInstance, solve
 from .strategies import Goodness, QuantumStrategy, group_by_value
@@ -47,13 +47,12 @@ def build_instance(strategy: QuantumStrategy, params: TestParams = None) -> SdpI
 
 
 def _points_at_values(strategy, params):
-    """For every point u, in point_index order: A^u_{g(u)} stacked over
-    every polynomial index g, gathered from one value table."""
+    """For every point u, in grid order: A^u_{g(u)} stacked over every
+    polynomial index g, gathered from one value table."""
     f = params.field
     table = value_table(f, params.m, params.d)
-    points = strategy.families["A"]["points"]
-    for u in all_points(f, params.m):
-        yield points[u].at(f.elements())[table[:, point_index(u)]]
+    for u, A in enumerate(strategy.point_families):
+        yield A.at(f.elements())[table[:, u]]
 
 
 @dataclass
@@ -85,7 +84,7 @@ class ImprovementReport:
 
 
 def evaluated_at_points(G: SubMeasurement, f, m: int, d: int) -> list:
-    """[G evaluated at u, for u in point_index order]: the polynomial indices
+    """[G evaluated at u, for u in grid order]: the polynomial indices
     labelling G, grouped by their value at each point in the value table."""
     rows = value_table(f, m, d)[list(G.outcomes)]
     return [group_by_value(G, values, f) for values in rows.T]
@@ -94,12 +93,12 @@ def evaluated_at_points(G: SubMeasurement, f, m: int, d: int) -> list:
 def measure_points_consistency(strategy: QuantumStrategy, G: SubMeasurement) -> float:
     """E_u sum_{a != b} <psi| A^u_a (x) G_{[g(u)=b]} |psi>."""
     params = strategy.params
-    points = strategy.families["A"]["points"]
+    points = strategy.point_families
     w = 1.0 / len(points)
     evaluated = evaluated_at_points(G, params.field, params.m, params.d)
     total = 0.0
-    for u, A in points.items():
-        total += w * consistency(A, evaluated[point_index(u)], strategy.Psi)
+    for A, E in zip(points, evaluated):
+        total += w * consistency(A, E, strategy.Psi)
     return total
 
 

@@ -5,28 +5,31 @@ Subtests: 'axis' (point vs axis-parallel line), 'selfcons' (same point to
 both players), 'diag' (point vs general line whose direction has a bounded
 number of free leading coordinates).  Probabilities are fractions.Fraction
 end to end; floating point never enters this layer.  The support is one
-integer table per TestParams (`support_table`, built once and cached), and
-the object views `all_questions` and `enumerate_rounds` read it.
+integer table per TestParams (`support_table`, built once and cached), in
+which a question is named by its position; `Support.at` finds the position
+of integer coordinates.  Question objects are built only on request: by
+`Support.questions` and by the round view `enumerate_rounds`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import StrategyError, check_power, check_size, guarded_cache
 from .gf import GF, FieldElement
-from .polyspace import AxisLine, DiagonalLine, Point, UniPoly, all_points, point_index
+from .polyspace import AxisLine, DiagonalLine, UniPoly, all_points
 
 SUPPORT_GUARD = 10 ** 6
 
 AXIS, SELFCONS, DIAG = "axis", "selfcons", "diag"
 SUBTESTS = (AXIS, SELFCONS, DIAG)
 ROLES = ("A", "B")
-# the groups answer tables and measurement families file questions under
+# the groups of questions: Support.group indexes this, and strategy files
+# and object tables list questions under these names
 GROUPS = ("points", "axis", "diag")
 
 
@@ -61,26 +64,6 @@ class TestParams:
 
     def weight(self, subtest):
         return self.weights[SUBTESTS.index(subtest)]
-
-
-def question_group(question):
-    """The table group a question is filed under: 'points', 'axis' or 'diag'."""
-    if isinstance(question, Point):
-        return "points"
-    if isinstance(question, AxisLine):
-        return "axis"
-    if isinstance(question, DiagonalLine):
-        return "diag"
-    raise ProtocolError(f"unknown question {question!r}")
-
-
-def answer_bound(params: TestParams, question):
-    """Expected UniPoly degree bound for a line question (None for values)."""
-    if isinstance(question, AxisLine):
-        return params.d
-    if isinstance(question, DiagonalLine):
-        return None if question.degenerate else params.m * params.d
-    return None
 
 
 @dataclass(frozen=True)
@@ -124,24 +107,25 @@ def _check_support(params: TestParams):
 class Support:
     """The question support of one TestParams as integer arrays.
 
-    `questions` holds each question once, as (group, question), at its
-    position: the points in grid order, then each canonical axis line and
-    each canonical diagonal line in the order the points first reach them.
-    By position, `base` and `direction` hold a question's integer
-    coordinates (a point is its own base, with direction 0; an axis line's
-    direction is its unit vector), and `bound` its answer's degree bound (-1
-    for a value answer).  `axis_at[u, i]` is the position of the axis line
-    through grid point u along axis i, and `diag_at[u, v]` that of the
-    diagonal line through u in direction v (the degenerate line at u for
-    v = 0).  The other fields have one row per round, in the order of the
-    subtests' supports: the index into SUBTESTS, the question positions
+    A question is named by its position: the points in grid order, then
+    each canonical axis line and each canonical diagonal line in the order
+    the points first reach them.  By position, `group` holds a question's
+    index into GROUPS, `base` and `direction` its integer coordinates (a
+    point is its own base, with direction 0; an axis line's direction is its
+    unit vector), and `bound` its answer's degree bound (-1 for a value
+    answer).  `axis_at[u, i]` is the position of the axis line through grid
+    point u along axis i, and `diag_at[u, v]` that of the diagonal line
+    through u in direction v (the degenerate line at u for v = 0); `at`
+    reads them.  The other fields have one row per round, in the order of
+    the subtests' supports: the index into SUBTESTS, the question positions
     asked of A and B, the role holding the line (0 for A, 1 for B, -1 for
     selfcons), the point's parameter on the line (-1 for selfcons and
     degenerate lines), the round's index into `masses`, and the axis of an
     axis line (-1 otherwise).
     """
 
-    questions: tuple
+    field: GF
+    group: np.ndarray
     base: np.ndarray
     direction: np.ndarray
     bound: np.ndarray
@@ -159,17 +143,48 @@ class Support:
     def __len__(self):
         return len(self.subtest)
 
+    def at(self, group, base, direction):
+        """(positions, canonical) for questions of `group` (an index into
+        GROUPS, or one per row) given by integer coordinates in range, one
+        row of m each: the position of the support question through the
+        same points, and whether it has exactly these coordinates."""
+        place = self.field.q ** np.arange(base.shape[1] - 1, -1, -1)
+        u = base @ place
+        line = np.where(group == 1, self.axis_at[u, direction.argmax(axis=1)],
+                        self.diag_at[u, direction @ place])
+        pos = np.where(group == 0, u, line)
+        same = (self.base[pos] == base) & (self.direction[pos] == direction)
+        return pos, same.all(axis=1)
+
     def position(self, question) -> int:
-        """The position of a question of the support (KeyError for any other)."""
+        """The position of a question object of the support (KeyError for any other)."""
         if isinstance(question, AxisLine):
-            pos = self.axis_at[point_index(question.base), question.axis]
+            group, base = 1, question.base.ints()
+            direction = np.eye(len(base), dtype=np.int64)[question.axis]
         elif isinstance(question, DiagonalLine):
-            pos = self.diag_at[point_index(question.base), point_index(question.direction)]
+            group, base, direction = 2, question.base.ints(), question.direction.ints()
         else:
-            pos = point_index(question)
-        if self.questions[pos][1] != question:
+            group, base, direction = 0, question.ints(), (0,) * len(question)
+        if len(base) != self.base.shape[1]:
             raise KeyError(question)
-        return int(pos)
+        pos, canonical = self.at(group, np.array([base]), np.array([direction]))
+        if not canonical[0]:
+            raise KeyError(question)
+        return int(pos[0])
+
+    @cached_property
+    def questions(self) -> tuple:
+        """Each question as (group, question object), by position; built on
+        first use, for messages and the object views."""
+        f, m = self.field, self.base.shape[1]
+        pts = list(all_points(f, m))
+        place = f.q ** np.arange(m - 1, -1, -1)
+        return tuple(
+            (GROUPS[g], pts[u] if g == 0 else AxisLine(i, pts[u]) if g == 1
+             else DiagonalLine(pts[u], pts[v]))
+            for g, u, v, i in zip(self.group.tolist(), (self.base @ place).tolist(),
+                                  (self.direction @ place).tolist(),
+                                  self.direction.argmax(axis=1).tolist()))
 
     def samples(self, rows=slice(None)):
         """Each round (or each in the index array `rows`) as a RoundSample."""
@@ -192,9 +207,8 @@ def support_table(params: TestParams) -> Support:
     arrays over every (point, axis) and (point, direction) pair."""
     f, m = params.field, params.m
     q, n = f.q, f.q ** m
-    pts = list(all_points(f, m))
     place = q ** np.arange(m - 1, -1, -1)  # grid index = coordinates @ place
-    coords = np.array([u.ints() for u in pts], dtype=np.int64).reshape(n, m)
+    coords = np.arange(n)[:, None] // place % q
     # the axis line through (u, i) has base u with u_i = 0, where it is first met
     axis_id = (np.arange(n)[:, None] - coords * place) * m + np.arange(m)
     first = coords == 0
@@ -219,11 +233,7 @@ def support_table(params: TestParams) -> Support:
     diag_pos = n + n_axis + rank[inverse.reshape(n, n)]
     t_diag = np.where(degenerate[None, :], -1, t_uv)
     axis_keys, diag_keys = axis_id[first], keys[order]
-    questions = tuple(itertools.chain(
-        (("points", u) for u in pts),
-        (("axis", AxisLine(int(k % m), pts[int(k // m)])) for k in axis_keys),
-        (("diag", DiagonalLine(pts[int(k // n)], pts[int(k % n)])) for k in diag_keys),
-    ))
+    group = np.repeat(np.arange(len(GROUPS)), [n, n_axis, len(diag_keys)])
     base = np.concatenate([coords, coords[axis_keys // m], coords[diag_keys // n]])
     direction = np.concatenate([np.zeros_like(coords), np.eye(m, dtype=np.int64)[axis_keys % m],
                                 coords[diag_keys % n]])
@@ -249,10 +259,10 @@ def support_table(params: TestParams) -> Support:
         blocks += [_rounds(DIAG, role, diag_pos[uu, vv], uu, t_diag[uu, vv],
                            np.tile(cls, n), -1) for role in (0, 1)]
     cols = [np.concatenate(c) for c in zip(*blocks)]
-    for col in cols + [base, direction, bound, axis_pos, diag_pos]:
+    for col in cols + [group, base, direction, bound, axis_pos, diag_pos]:
         col.setflags(write=False)  # the table is cached and shared
     subtest, q_a, q_b, role, t, mass_class, axis = cols
-    return Support(questions, base, direction, bound, axis_pos, diag_pos,
+    return Support(f, group, base, direction, bound, axis_pos, diag_pos,
                    subtest, q_a, q_b, role, t, mass_class, masses, axis)
 
 
@@ -260,12 +270,6 @@ def enumerate_rounds(params: TestParams):
     """Exact support of the full question distribution, as RoundSamples that
     share one object per distinct question."""
     yield from support_table(params).samples()
-
-
-def all_questions(params: TestParams):
-    """Every question of the support once, as (group, question), in
-    Support.questions order."""
-    return iter(support_table(params).questions)
 
 
 def line_value(sample: RoundSample):
@@ -299,18 +303,14 @@ def verdict(sample: RoundSample, answers) -> bool:
     return line_value(sample)(line_ans) == point_ans
 
 
-def check_answer_format(params: TestParams, question, answer):
-    """Degree-bound, shape and field validation for one answer."""
+def check_answer_format(params: TestParams, bound: int, answer):
+    """Field, shape and degree-bound validation of one answer to a question
+    whose answers have degree bound `bound` (-1 for a value answer)."""
     if getattr(answer, "field", params.field) != params.field:
         raise ProtocolError(f"answer {answer!r} lies outside {params.field!r}")
-    if isinstance(question, Point):
+    if bound < 0:
         if not isinstance(answer, FieldElement):
-            raise ProtocolError("point questions take value answers")
-        return
-    bound = answer_bound(params, question)
-    if bound is None:
-        if not isinstance(answer, FieldElement):
-            raise ProtocolError("degenerate-line questions take value answers")
+            raise ProtocolError("point and degenerate-line questions take value answers")
         return
     if not isinstance(answer, UniPoly):
         raise ProtocolError("line questions take polynomial answers")

@@ -11,9 +11,10 @@ answer repeated.  A round's verdict is then one array comparison, exact
 probabilities are integer hit counts per mass class, turned into Fractions
 at the end, and the audit transcript is rendered from the questions'
 integer coordinates and the codes; answers are decoded to FieldElement and
-UniPoly objects only on request (`tables`, `answer`).  Quantum
-strategies carry a bipartite state matrix plus per-question SubMeasurement
-families and are evaluated by exact dense contraction, once per question pair.
+UniPoly objects only on request (`tables`, `answer`).  A quantum
+strategy is a bipartite state matrix plus one SubMeasurement family per
+question position for each role, in the same order as the codes, and is
+evaluated by exact dense contraction, once per question pair.
 `judge` gives every kind's acceptance over the support once, as a `Judged`
 record, and the aggregators read that record.
 
@@ -180,7 +181,7 @@ def answer_codes(params: TestParams, tables) -> np.ndarray:
         ans = tables.get(group, {}).get(question)
         if ans is None:
             raise unanswered(support, pos)
-        check_answer_format(params, question, ans)
+        check_answer_format(params, bound, ans)
         code = 0  # a value answer is one digit
         for c in [ans.i] if bound < 0 else (ans.coeffs + (0,) * bound)[:bound + 1]:
             code = code * params.q + c
@@ -285,13 +286,15 @@ class RandomizedClassicalStrategy:
 
 
 class QuantumStrategy:
-    """Bipartite state plus per-question measurement families per role."""
+    """Bipartite state plus, for each role, one measurement family per
+    question position of `protocol.support_table`: `families` is
+    {"A": tuple, "B": tuple}, the same tuple for both roles when symmetric."""
 
     def __init__(self, params: TestParams, Psi, families, symmetric=None,
                  projective=False, check=True):
         self.params = params
         self.Psi = np.asarray(Psi, dtype=complex)
-        self.families = families  # {role: {'points': {...}, 'axis': {...}, 'diag': {...}}}
+        self.families = families
         self.projective = projective
         if symmetric is None:
             symmetric = families.get("A") is families.get("B")
@@ -303,20 +306,26 @@ class QuantumStrategy:
     def dims(self):
         return self.Psi.shape
 
+    @property
+    def point_families(self):
+        """A's point families: the first q^m positions, in grid order."""
+        return self.families["A"][:self.params.q ** self.params.m]
+
     def validate(self):
         da, db = self.Psi.shape
         check_size("local dimension", max(da, db), QUANTUM_DIM_CAP)
         norm = float(np.sum(np.abs(self.Psi) ** 2))
         if abs(norm - 1.0) > 1e-9:
             raise ProtocolError(f"state norm {norm:.2e} != 1")
-        questions = {question for _, question in support_table(self.params).questions}
+        support = support_table(self.params)
         for role, fams in self.families.items():
-            dim = da if role == "A" else db
-            missing = questions.difference(*fams.values())
-            if missing:
-                raise ProtocolError(f"no {role} family for the question {min(missing, key=str)}")
-            for group in fams.values():
-                check_families(list(group.values()), dim, self.projective)
+            if len(fams) != len(support.group):
+                raise ProtocolError(f"{len(fams)} {role} families for "
+                                    f"{len(support.group)} questions")
+            if None in fams:
+                _, question = support.questions[fams.index(None)]
+                raise ProtocolError(f"no {role} family for the question {question}")
+            check_families(fams, da if role == "A" else db, self.projective)
         if self.symmetric:
             if not is_swap_invariant(self.Psi):
                 raise ProtocolError("symmetric strategy needs a swap-invariant state")
@@ -336,8 +345,7 @@ class QuantumStrategy:
         sum is the per-round one, bit for bit."""
         pairs = np.stack([support.q_a, support.q_b], axis=1)
         _, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
-        fams = [[self.families[role][group][q] for group, q in support.questions]
-                for role in ROLES]
+        fams = [self.families[role] for role in ROLES]
         # the value slot of each outcome at each t (one column for a value
         # family): a field element's value, then any other label as first seen
         slot = {v: v.i for v in self.params.field.elements()}
@@ -401,7 +409,7 @@ def check_family(sub: SubMeasurement, dim, projective):
 
 
 def check_families(subs, dim, projective):
-    """check_family over a group of families, as stacked Hermitian, PSD and
+    """check_family over a sequence of families, as stacked Hermitian, PSD and
     completeness tests of about STACK_ENTRIES operator entries each
     (which bounds their temporaries).  A stack that fails is checked family
     by family, so the first bad family raises the message it raises alone."""
@@ -551,8 +559,9 @@ def export_transcript(strategy: ClassicalStrategy, path, judged: Judged):
             return f'{{"axis": {axis}, "base": {base}, "kind": "axis_line"}}'
         return f'{{"base": {base}, "dir": {direction}, "kind": "diag_line"}}'
 
-    questions = [question(group, *item) for (group, _), *item in zip(
-        s.questions, vectors(s.base), vectors(s.direction), s.direction.argmax(axis=1).tolist())]
+    questions = [question(GROUPS[g], *item) for g, *item in zip(
+        s.group.tolist(), vectors(s.base), vectors(s.direction),
+        s.direction.argmax(axis=1).tolist())]
 
     def answers(role):
         codes = strategy.codes[role]
@@ -629,11 +638,12 @@ def shared_randomness_strategy(params: TestParams, weighted_tables) -> QuantumSt
     alphabets.update((b, _unipolys(f, b)) for b in (params.d, params.m * params.d))
     # the alphabets are capped, so every code is an int64 index into its own
     codes = np.stack([s.codes["A"] for _, s in weighted_tables], axis=1).astype(np.intp)
-    shared = {group: {} for group in GROUPS}
-    for (group, question), bound, index in zip(support.questions, support.bound.tolist(), codes):
+    shared = []
+    for bound, index in zip(support.bound.tolist(), codes):
         ops = np.zeros((len(alphabets[bound]), n, n), dtype=complex)
         ops[index, diag, diag] = 1.0
-        shared[group][question] = SubMeasurement(alphabets[bound], ops, check=False)
+        shared.append(SubMeasurement(alphabets[bound], ops, check=False))
+    shared = tuple(shared)
     return QuantumStrategy(
         params, Psi, {"A": shared, "B": shared}, symmetric=True, projective=True
     )
@@ -668,9 +678,7 @@ def symmetrize(strategy: QuantumStrategy) -> QuantumStrategy:
         ops[:, :d, :d], ops[:, d:, d:] = opa, opb
         return SubMeasurement(labels, ops, check=False)
 
-    fam_a, fam_b = strategy.families["A"], strategy.families["B"]
-    shared = {g: {key: sym_family(fam_a[g][key], fam_b[g][key])
-                  for key in set(fam_a[g]) | set(fam_b[g])} for g in GROUPS}
+    shared = tuple(map(sym_family, strategy.families["A"], strategy.families["B"]))
     return QuantumStrategy(
         strategy.params,
         Psi,

@@ -3,10 +3,12 @@ classical tables as question -> answer records, and quantum operator
 families as dense row-major complex arrays with "re,im" entries.  Loading
 re-validates every invariant (degree bounds, completeness, state norm).
 
-Classical records are read straight into answer codes (`ClassicalStrategy`):
-each group's coordinates and coefficients become integer arrays, each
-question is found by its position in `protocol.support_table`, and a
-question or answer object is built only for the message of a bad record."""
+Records are written from the integer coordinates of `protocol.support_table`
+and read back by question position: each group's coordinates become integer
+arrays, and `Support.at` finds their positions.  Classical records are read
+straight into answer codes (`ClassicalStrategy`), quantum records into one
+family per position (`QuantumStrategy`); a question object is built only
+for the message of a bad record."""
 
 from __future__ import annotations
 
@@ -19,8 +21,8 @@ from .errors import SizeGuardError, StrategyError
 from .gf import GF, FieldElement, field
 from .measurements import SubMeasurement
 from .polyspace import AxisLine, DiagonalLine, Point, UniPoly
-from .protocol import GROUPS, TestParams, answer_bound, support_table
-from .strategies import ClassicalStrategy, QuantumStrategy, code_dtype, line_codes
+from .protocol import GROUPS, TestParams, support_table
+from .strategies import ClassicalStrategy, QuantumStrategy, code_dtype, line_codes, line_digits
 
 
 class StrategyFileError(StrategyError):
@@ -48,14 +50,6 @@ def _params_from_header(h: dict) -> TestParams:
         raise StrategyFileError(f"bad params header: {exc}") from exc
 
 
-def _elem_out(e) -> list:
-    return list(e.coeffs)
-
-
-def _point_out(u: Point) -> list:
-    return [_elem_out(c) for c in u]
-
-
 def _point_in(f: GF, data) -> Point:
     return Point(f.element(c) for c in data)
 
@@ -81,12 +75,43 @@ def _matrix_in(rows) -> np.ndarray:
 CLASSICAL_RECORDS = {"points": "points", "axis": "axis_lines", "diag": "diag_lines"}
 
 
-def _question_out(question) -> dict:
-    if isinstance(question, Point):
-        return {"u": _point_out(question)}
-    if isinstance(question, AxisLine):
-        return {"axis": question.axis, "base": _point_out(question.base)}
-    return {"base": _point_out(question.base), "dir": _point_out(question.direction)}
+def _records_out(params: TestParams, names, entries) -> dict:
+    """{names[g]: records} for each group g: each question's coordinates
+    joined with entries[pos], its answer or family fields, in file order
+    within its group: points by coordinates, axis lines by axis then base,
+    and diagonal lines by base then direction."""
+    s, f = support_table(params), params.field
+    elem = [list(f.coeffs_of(i)) for i in range(f.q)]
+    axis = s.direction.argmax(axis=1)
+    out = {}
+    for g, group in enumerate(GROUPS):
+        at = np.flatnonzero(s.group == g)
+        keys = np.column_stack([axis[at], s.base[at]] if group == "axis"
+                               else [s.base[at], s.direction[at]])
+        records = []
+        for pos in at[np.lexsort(keys.T[::-1])].tolist():
+            base = [elem[c] for c in s.base[pos].tolist()]
+            if group == "points":
+                question = {"u": base}
+            elif group == "axis":
+                question = {"axis": int(axis[pos]), "base": base}
+            else:
+                question = {"base": base, "dir": [elem[c] for c in s.direction[pos].tolist()]}
+            records.append({**question, **entries[pos]})
+        out[names[g]] = records
+    return out
+
+
+def _table_out(params: TestParams, codes) -> dict:
+    """A classical table's records, each answer from its code."""
+    s, f = support_table(params), params.field
+    elem = [list(f.coeffs_of(i)) for i in range(f.q)]
+    answers = [{"a" if g == 0 else "value": elem[c]} if b < 0 else None
+               for c, b, g in zip(codes.tolist(), s.bound.tolist(), s.group.tolist())]
+    for at, digits in line_digits(f.q, codes, s.bound):
+        for pos, row in zip(at.tolist(), digits.tolist()):
+            answers[pos] = {"coeffs": [elem[c] for c in row]}
+    return _records_out(params, tuple(CLASSICAL_RECORDS.values()), answers)
 
 
 def _question_in(f: GF, group, rec):
@@ -97,37 +122,12 @@ def _question_in(f: GF, group, rec):
     return DiagonalLine(_point_in(f, rec["base"]), _point_in(f, rec["dir"]))
 
 
-def _answer_out(f, group, ans) -> dict:
-    if isinstance(ans, UniPoly):
-        return {"coeffs": [_elem_out(f.element(c)) for c in ans.coeffs]}
-    return {"a" if group == "points" else "value": _elem_out(ans)}
-
-
-def _answer_in(params: TestParams, question, rec):
-    """A classical answer or a quantum outcome label for `question`: a value,
-    or a polynomial held to the question's degree bound."""
-    f = params.field
-    bound = answer_bound(params, question)
-    if bound is None:
+def _outcome_in(f: GF, bound, rec):
+    """A quantum outcome label: a value for a question with value answers
+    (bound -1), else a polynomial held to the degree bound."""
+    if bound < 0:
         return f.element(rec["a"] if "a" in rec else rec["value"])
     return UniPoly(f, rec["coeffs"], bound=bound)
-
-
-def _classical_tables_out(f, tables):
-    return {
-        name: [
-            {**_question_out(question), **_answer_out(f, group, ans)}
-            for question, ans in sorted(tables[group].items(), key=_file_order)
-        ]
-        for group, name in CLASSICAL_RECORDS.items()
-    }
-
-
-def _file_under(table, question, entry):
-    """table[question] = entry, for a question no earlier record gave."""
-    if question in table:
-        raise StrategyFileError(f"two records for the question {question}")
-    table[question] = entry
 
 
 def _indices(f: GF, values, depth):
@@ -171,30 +171,36 @@ def _held_to(f: GF, rows, bound):
     return held
 
 
-def _records(params: TestParams, support, group, recs):
-    """The question positions and answer codes of one group's classical
-    records, read field by field in the order a record's question and answer
-    are read: each question found through the support's position maps, and
-    a line off the support refused by its constructor, built for the message."""
+def _positions(params: TestParams, support, group, recs):
+    """The question positions of one group's records, read field by field in
+    the order a record's question is read and found by `Support.at`; a
+    question off the support is refused by its constructor, or else as not
+    a question of the support, built for the message."""
     f, m = params.field, params.m
-    place = f.q ** np.arange(m - 1, -1, -1)
-    if group == "points":
-        base = _points(f, [rec["u"] for rec in recs], m)
-        direction, at = np.zeros_like(base), base @ place
-    elif group == "axis":
+    if group == "axis":
         axes = [int(rec["axis"]) for rec in recs]
         if not all(0 <= i < m for i in axes):
             raise ValueError(f"axis lines of F_{f.q}^{m} have axes 0 to {m - 1}")
-        base = _points(f, [rec["base"] for rec in recs], m)
-        direction, at = np.eye(m, dtype=np.int64)[axes], support.axis_at[base @ place, axes]
+    base = _points(f, [rec["u" if group == "points" else "base"] for rec in recs], m)
+    if group == "points":
+        direction = np.zeros_like(base)
+    elif group == "axis":
+        direction = np.eye(m, dtype=np.int64)[axes]
     else:
-        base = _points(f, [rec["base"] for rec in recs], m)
         direction = _points(f, [rec["dir"] for rec in recs], m)
-        at = support.diag_at[base @ place, direction @ place]
-    found = (support.base[at] == base).all(axis=1) & (support.direction[at] == direction).all(axis=1)
-    if not found.all():
-        question = _question_in(f, group, recs[int(np.argmin(found))])
+    at, canonical = support.at(GROUPS.index(group), base, direction)
+    if not canonical.all():
+        question = _question_in(f, group, recs[int(np.argmin(canonical))])
         raise ValueError(f"{question} is not a question of the support")
+    return at
+
+
+def _records(params: TestParams, support, group, recs):
+    """The question positions and answer codes of one group's classical
+    records, read field by field in the order a record's question and answer
+    are read."""
+    f = params.field
+    at = _positions(params, support, group, recs)
     bounds, codes = support.bound[at], np.zeros(len(recs), dtype=code_dtype(params))
     value = (bounds < 0).tolist()
     if any(value):
@@ -211,7 +217,7 @@ def _classical_codes(params: TestParams, data):
     answers.  A group's records are read as arrays; if any is bad they are
     read again one at a time, so the first bad record gives the error."""
     support = support_table(params)
-    codes = np.full(len(support.questions), -1, dtype=code_dtype(params))
+    codes = np.full(len(support.group), -1, dtype=code_dtype(params))
     for group, name in CLASSICAL_RECORDS.items():
         recs = list(data[name])
         if not recs:
@@ -231,46 +237,32 @@ def _classical_codes(params: TestParams, data):
     return codes
 
 
-def _families_out(families):
-    return {
-        group: [
-            {**_question_out(question),
-             "outcomes": [_outcome_out(o) for o in sub.outcomes],
-             "ops": [_matrix_out(op) for op in sub.ops]}
-            for question, sub in sorted(families[group].items(), key=_file_order)
-        ]
-        for group in GROUPS
-    }
-
-
-def _file_order(entry):
-    """Sort key of a (question, answer or family) entry within its group."""
-    question = entry[0]
-    if isinstance(question, Point):
-        return question.ints()
-    if isinstance(question, AxisLine):
-        return (question.axis, question.base.ints())
-    return (question.base.ints(), question.direction.ints())
-
-
 def _outcome_out(o):
-    if isinstance(o, FieldElement):
-        return {"value": _elem_out(o)}
-    return {"coeffs": list(o.coeffs)}
+    return {"value" if isinstance(o, FieldElement) else "coeffs": list(o.coeffs)}
 
 
 def _families_in(params: TestParams, data):
-    families = {}
+    """One role's families by question position, None where no record gives
+    one, read record by record: its question, outcomes and operators."""
+    f, support = params.field, support_table(params)
+    fams = [None] * len(support.group)
     for group in GROUPS:
-        families[group] = {}
         for rec in data[group]:
-            question = _question_in(params.field, group, rec)
-            _file_under(families[group], question, SubMeasurement(
-                tuple(_answer_in(params, question, o) for o in rec["outcomes"]),
-                np.array([_matrix_in(op) for op in rec["ops"]]),
-                check=False,
-            ))
-    return families
+            pos = int(_positions(params, support, group, [rec])[0])
+            bound = int(support.bound[pos])
+            fam = SubMeasurement(tuple(_outcome_in(f, bound, o) for o in rec["outcomes"]),
+                                 np.array([_matrix_in(op) for op in rec["ops"]]), check=False)
+            if fams[pos] is not None:
+                _, question = support.questions[pos]
+                raise StrategyFileError(f"two records for the question {question}")
+            fams[pos] = fam
+    return tuple(fams)
+
+
+def _families_out(params: TestParams, fams):
+    return _records_out(params, GROUPS, [
+        {"outcomes": [_outcome_out(o) for o in sub.outcomes],
+         "ops": [_matrix_out(op) for op in sub.ops]} for sub in fams])
 
 
 def save_strategy(strategy, path):
@@ -280,10 +272,10 @@ def save_strategy(strategy, path):
             "type": "classical",
             "params": _params_header(params),
             "symmetric": strategy.symmetric,
-            "tables": _classical_tables_out(params.field, strategy.tables["A"]),
+            "tables": _table_out(params, strategy.codes["A"]),
         }
         if not strategy.symmetric:
-            doc["tables_b"] = _classical_tables_out(params.field, strategy.tables["B"])
+            doc["tables_b"] = _table_out(params, strategy.codes["B"])
     elif isinstance(strategy, QuantumStrategy):
         doc = {
             "type": "quantum",
@@ -292,10 +284,10 @@ def save_strategy(strategy, path):
             "symmetric": strategy.symmetric,
             "projective": strategy.projective,
             "psi": _matrix_out(strategy.Psi),
-            "families": {"A": _families_out(strategy.families["A"])},
+            "families": {"A": _families_out(params, strategy.families["A"])},
         }
         if strategy.families["B"] is not strategy.families["A"]:
-            doc["families"]["B"] = _families_out(strategy.families["B"])
+            doc["families"]["B"] = _families_out(params, strategy.families["B"])
     else:
         raise StrategyFileError(f"cannot serialize {type(strategy).__name__}")
     with open(path, "w") as fh:

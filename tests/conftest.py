@@ -71,24 +71,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 def rotated_strategy(base, seed, theta=0.15, groups=("points",)):
     """The symmetric strategy `base` with each family of the given groups
-    conjugated by its own random unitary exp(i theta H): still valid and
-    projective, but its families no longer commute."""
+    conjugated by its own random unitary exp(i theta H), drawn in question
+    position order: still valid and projective, but its families no longer
+    commute."""
     from lidtest.instances import rng_for
     from lidtest.measurements import SubMeasurement
+    from lidtest.protocol import GROUPS, support_table
     from lidtest.strategies import QuantumStrategy
 
     rng = rng_for(seed)
     dim = base.dims[0]
-    shared = dict(base.families["A"])
-    for group in groups:
-        rotated = {}
-        for question, sub in shared[group].items():
+    shared = list(base.families["A"])
+    for pos, group in enumerate(support_table(base.params).group.tolist()):
+        if GROUPS[group] in groups:
+            sub = shared[pos]
             H = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             H = theta * (H + H.conj().T)
             w, v = np.linalg.eigh(H)
             U = (v * np.exp(1j * w)) @ v.conj().T
             ops = np.array([U @ op @ U.conj().T for op in sub.ops])
-            rotated[question] = SubMeasurement(sub.outcomes, ops, check=False)
-        shared[group] = rotated
+            shared[pos] = SubMeasurement(sub.outcomes, ops, check=False)
+    shared = tuple(shared)
     return QuantumStrategy(base.params, base.Psi, {"A": shared, "B": shared},
                            symmetric=True, projective=True)

@@ -57,8 +57,7 @@ from lidtest.protocol import (
     SELFCONS,
     ProtocolError,
     RoundSample,
-    answer_bound,
-    question_group,
+    support_table,
 )
 from lidtest.stratfile import StrategyFileError, _params_from_header
 from lidtest.strategies import ClassicalStrategy, group_by_value
@@ -272,6 +271,26 @@ def _question_in(f, group, rec):
     return DiagonalLine(_point_in(f, rec["base"]), _point_in(f, rec["dir"]))
 
 
+def question_group(question):
+    """The table group a question is filed under: 'points', 'axis' or 'diag'."""
+    if isinstance(question, Point):
+        return "points"
+    if isinstance(question, AxisLine):
+        return "axis"
+    if isinstance(question, DiagonalLine):
+        return "diag"
+    raise ProtocolError(f"unknown question {question!r}")
+
+
+def answer_bound(params, question):
+    """Expected UniPoly degree bound for a line question (None for values)."""
+    if isinstance(question, AxisLine):
+        return params.d
+    if isinstance(question, DiagonalLine):
+        return None if question.degenerate else params.m * params.d
+    return None
+
+
 def _answer_in(params, question, rec):
     f = params.field
     bound = answer_bound(params, question)
@@ -329,13 +348,11 @@ def slice_hypotheses(strategy, g_by_x, evaluated_by_x, Zs):
     f = params.field
     m_slice = params.m - 1
     Psi = strategy.Psi
-    points = strategy.families["A"]["points"]
-
     cons = 0.0
     n = 0
     for x in range(f.q):
         for u, evaluated in zip(all_points(f, m_slice), evaluated_by_x[x]):
-            A = points[point(f, u.ints() + (x,))]
+            A = question_family(strategy, "A", point(f, u.ints() + (x,)))
             val = expect_joint(A.total(), evaluated.total(), Psi)
             for o in A.outcomes:
                 if o in evaluated:
@@ -360,7 +377,7 @@ def slice_hypotheses(strategy, g_by_x, evaluated_by_x, Zs):
         G = g_by_x[x]
         rest = np.eye(G.dim) - G.total()
         bound_val += expect_joint(rest, Zs[x], Psi).real
-        slice_points = [points[point(f, u.ints() + (x,))] for u in pts]
+        slice_points = [question_family(strategy, "A", point(f, u.ints() + (x,))) for u in pts]
         for g_values in values:
             avg = np.zeros((G.dim, G.dim), dtype=complex)
             for A, v in zip(slice_points, g_values):
@@ -380,12 +397,11 @@ def pasted_line_consistency(strategy, pasted):
     f, d = strategy.params.field, strategy.params.d
     m_slice = strategy.params.m - 1
     Psi = strategy.Psi
-    axis_fams = strategy.families["A"]["axis"]
     total = 0.0
     pts = list(all_points(f, m_slice))
     for u in pts:
         line = AxisLine(m_slice, point(f, u.ints() + (0,)))
-        B = axis_fams[line]
+        B = question_family(strategy, "A", line)
         restricted = post_process(pasted, lambda h, line=line: restrict_axis(
             poly_by_index(f, m_slice + 1, d, h), line))
         val = expect_joint(restricted.total(), B.total(), Psi)
@@ -399,9 +415,9 @@ def pasted_line_consistency(strategy, pasted):
 # ---- the quantum judge and the noisy builder -------------------------------------
 
 
-def lookup(layout, role, question):
-    """The entry for `question` in a role -> group -> question layout."""
-    return layout[role][question_group(question)][question]
+def question_family(strategy, role, question):
+    """The family `role` measures on a question object, found by its position."""
+    return strategy.families[role][support_table(strategy.params).position(question)]
 
 
 def round_family(strategy, role, sample):
@@ -410,7 +426,7 @@ def round_family(strategy, role, sample):
     label_values; a degenerate diagonal line's value outcomes pass through
     unchanged."""
     question = sample.question_a if role == "A" else sample.question_b
-    fam = lookup(strategy.families, role, question)
+    fam = question_family(strategy, role, question)
     line = sample.line
     if role != sample.line_role or (isinstance(line, DiagonalLine) and line.degenerate):
         return fam

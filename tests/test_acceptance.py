@@ -253,7 +253,7 @@ def test_criterion_10_self_improvement_batch():
     )
     from lidtest.instances import noisy_shared_randomness_strategy
     from conftest import diagonal_indicator_family
-    from lidtest.polyspace import enumerate_polyspace
+    from lidtest.polyspace import all_points, enumerate_polyspace
     from lidtest.protocol import TestParams as TP
     from lidtest.strategies import pass_probabilities
 
@@ -265,7 +265,7 @@ def test_criterion_10_self_improvement_batch():
             params, n_tables=3 + seed % 3, n_corrupt=1 + seed % 2, seed=seed
         )
         polys = list(enumerate_polyspace(f, 1, 1))
-        pts_family = strat.families["A"]["points"]
+        pts_family = dict(zip(all_points(f, 1), strat.point_families))
         n = strat.dims[0]
         assignment = []
         for i in range(n):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from lidtest.cli import main
 from lidtest.gf import field, field_for_order
 from lidtest.polyspace import MultiPoly, UniPoly
-from lidtest.protocol import TestParams
+from lidtest.protocol import GROUPS, TestParams, support_table
 from lidtest.stratfile import load_strategy, save_strategy
 from lidtest.strategies import honest_strategy, pass_probabilities
 
@@ -110,10 +110,10 @@ def test_quantum_strategy_file_round_trip_is_byte_identical(tmp_path):
     loaded = load_strategy(first)
     save_strategy(loaded, second)
     assert first.read_bytes() == second.read_bytes()
-    for group, fams in strat.families["A"].items():
-        for question, sub in fams.items():
-            assert loaded.families["A"][group][question].outcomes == sub.outcomes
-    axis = loaded.families["A"]["axis"].values()
+    for sub, back in zip(strat.families["A"], loaded.families["A"], strict=True):
+        assert back.outcomes == sub.outcomes
+    axis = [sub for sub, group in zip(loaded.families["A"], support_table(params).group)
+            if group == GROUPS.index("axis")]
     assert all(isinstance(o, UniPoly) for sub in axis for o in sub.outcomes)
 
 
@@ -748,6 +748,10 @@ GOLDEN = {
     "rotated.json": "549a07c0d0d63eb45bcd19904f9d9d723977c055324d3255be41f09ce235f77c",
     "soundness-rotated.json":
         "cc091e3205a98ea3253d808920794be1025663fa34d99b3668d48eb60826541a",
+    # a projective file with A != B noisy families on a state that is not
+    # swap-invariant: the only pinned report that goes through symmetrize
+    "soundness-asymmetric.json":
+        "48d39922357de358432cc3425987c3d7030654756e74bb75fc9bc19f5beff61e",
     # a paste and an SDP batch, pinned before polynomial outcomes were
     # labelled by index
     "paste-q5.json": "f675fa417e6a3efed20d4bf3baf4a479fbd0d2bf7b8c87f15f71707750aa6443",
@@ -767,8 +771,8 @@ def test_golden_report_hashes(tmp_path, monkeypatch):
     import hashlib
 
     from conftest import rotated_strategy
-    from lidtest.instances import corrupted_tables, noisy_shared_randomness_strategy
-    from lidtest.protocol import GROUPS
+    from lidtest.instances import corrupted_tables, noisy_shared_randomness_strategy, random_state
+    from lidtest.strategies import QuantumStrategy
 
     def cli(out, command="run-test", seed=0, **cfg):
         argv = [command, "--seed", str(seed), "--out", out]
@@ -794,6 +798,12 @@ def test_golden_report_hashes(tmp_path, monkeypatch):
     save_strategy(rotated_strategy(noisy_shared_randomness_strategy(params, 3, 1, 0), 0, 0.02,
                                    GROUPS), "rotated.json")
     cli("soundness-rotated.json", "soundness-report", q=3, m=2, d=1, strategy="rotated.json")
+    fam_a = noisy_shared_randomness_strategy(params, 2, 1, 0).families["A"]
+    fam_b = noisy_shared_randomness_strategy(params, 2, 2, 1).families["A"]
+    save_strategy(QuantumStrategy(params, random_state(np.random.default_rng(0), 2, 2),
+                                  {"A": fam_a, "B": fam_b}, symmetric=False, projective=True),
+                  "asymmetric.json")
+    cli("soundness-asymmetric.json", "soundness-report", q=3, m=2, d=1, strategy="asymmetric.json")
     cli("paste-q5.json", "paste", q=5, m=1, d=1, k=4, dim=4)
     cli("sdp-q3.json", "sdp", q=3, m=2, d=1, tables=4)
     cli("sdp-q3-t16.json", "sdp", q=3, m=2, d=1, tables=16)

@@ -87,6 +87,45 @@ def test_restricted_strategy_of_noisy_is_valid():
     assert 0 <= max(good.as_floats()) < 1
 
 
+def test_pipeline_builds_no_question_objects(monkeypatch):
+    # every slice takes the strategy's own families by position, so the
+    # pipeline builds no point or line object, even with a cold support cache
+    from lidtest import protocol
+    from lidtest.polyspace import AxisLine, DiagonalLine, Point, point
+
+    params = TestParams(field(3), 3, 1)
+    strat = noisy_shared_randomness_strategy(params, 3, 1, seed=0)
+    where = {question: pos for pos, (_, question) in enumerate(
+        protocol.support_table(params).questions)}
+    f = params.field
+    for x in range(3):
+        sub = restricted_strategy(strat, x)
+        assert sub.families["B"] is sub.families["A"]
+        for (group, question), fam in zip(protocol.support_table(sub.params).questions,
+                                          sub.families["A"], strict=True):
+            if group == "points":
+                lifted = point(f, question.ints() + (x,))
+            elif group == "axis":
+                lifted = AxisLine(question.axis, point(f, question.base.ints() + (x,)))
+            else:
+                lifted = DiagonalLine(point(f, question.base.ints() + (x,)),
+                                      point(f, question.direction.ints() + (0,)))
+            assert fam is strat.families["A"][where[lifted]]
+    made = []
+    point_new = Point.__new__
+    monkeypatch.setattr(Point, "__new__", staticmethod(
+        lambda cls, coords: made.append("Point") or point_new(cls, coords)))
+    for cls in (AxisLine, DiagonalLine):
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, name=cls.__name__: made.append(name))
+    protocol.support_table.cache_clear()
+    try:
+        soundness_witness(strat, k=3)
+    finally:
+        protocol.support_table.cache_clear()
+    assert made == []
+
+
 def test_base_case_family_is_polynomial_measurement():
     params, g, strat = honest_quantum(3, 1, 1, (2, 1))
     G = base_case_family(strat)
@@ -364,19 +403,17 @@ def test_soundness_witness_builds_one_value_table_per_space():
 def dense_points_commutativity(strategy):
     """E_{u,v} sum_{a,b} ||[A^u_a, A^v_b] (x) I psi||^2 over every outcome
     pair, zero operators included."""
-    points = strategy.families["A"]["points"]
+    points = strategy.point_families
     Psi = strategy.Psi
-    us = list(points)
     total = 0.0
-    for u in us:
-        for v in us:
-            A, B = points[u], points[v]
+    for A in points:
+        for B in points:
             for a in A.outcomes:
                 for b in B.outcomes:
                     comm = A.op(a) @ B.op(b) - B.op(b) @ A.op(a)
                     vvec = comm @ Psi
                     total += float(np.sum(np.abs(vvec) ** 2))
-    return total / len(us) ** 2
+    return total / len(points) ** 2
 
 
 def dense_slice_commutativity(strategy, g_by_x):

@@ -28,7 +28,7 @@ from lidtest.protocol import TestParams, enumerate_rounds, line_value
 from lidtest.stratfile import load_strategy, save_strategy
 from lidtest.strategies import QuantumStrategy, group_by_value, judge, symmetrize
 
-from oracles import lookup, post_process, round_family
+from oracles import post_process, question_family, round_family
 
 GRID = [(q, m, d) for q in (2, 3, 4, 5) for m in (1, 2) for d in (0, 1)]
 
@@ -52,9 +52,8 @@ def dense_strategy(shape, seed):
     in the low bits."""
     rng = rng_for(seed)
     families = {
-        role: {group: {question: random_povm(rng, 3, len(sub.outcomes), sub.outcomes)
-                       for question, sub in fams.items()}
-               for group, fams in shape.families["A"].items()}
+        role: tuple(random_povm(rng, 3, len(sub.outcomes), sub.outcomes)
+                    for sub in shape.families["A"])
         for role in ("A", "B")
     }
     Psi = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -91,9 +90,9 @@ def test_round_family_matches_line_value_post_processing(tmp_path, q, m, d, kind
     for sample in enumerate_rounds(params):
         role = sample.line_role
         if role is None:
-            assert round_family(strat, "A", sample) is lookup(strat.families, "A", sample.point)
+            assert round_family(strat, "A", sample) is question_family(strat, "A", sample.point)
             continue
-        fam = lookup(strat.families, role, sample.line)
+        fam = question_family(strat, role, sample.line)
         key = (id(fam), sample.line, sample.point)
         if key not in reference:
             reference[key] = post_process(fam, line_value(sample))
@@ -104,7 +103,7 @@ def test_round_family_matches_line_value_post_processing(tmp_path, q, m, d, kind
         assert np.array_equal(got.ops, want.ops)
         other = "B" if role == "A" else "A"
         point_q = sample.question_b if role == "A" else sample.question_a
-        assert round_family(strat, other, sample) is lookup(strat.families, other, point_q)
+        assert round_family(strat, other, sample) is question_family(strat, other, point_q)
         n_lines += 1
     assert n_lines == sum(1 for s in enumerate_rounds(params) if s.line_role)
 
@@ -142,10 +141,10 @@ def test_evaluated_slices_and_points_consistency_match_post_processing(q, m, d):
 
     polys = tuple(g.index() for g in enumerate_polyspace(f, m, d))
     G = random_povm(rng, 3, len(polys), polys)
-    points = strat.families["A"]["points"]
+    points = strat.point_families
     w = 1.0 / len(points)
     want = 0.0
-    for u, A in points.items():
+    for u, A in zip(all_points(f, m), points):
         at_u = post_process(G, lambda g: poly_by_index(f, m, d, g)(u))
         want += w * consistency(A, at_u, strat.Psi)
     assert measure_points_consistency(strat, G) == want

@@ -13,6 +13,7 @@ from lidtest.polyspace import AxisLine, all_points, point_index, restrict_axis
 from lidtest.strategies import pass_probabilities
 
 from conftest import random_symmetric_state
+from oracles import question_family
 
 
 def laplacian(graph: HypercubeGraph) -> np.ndarray:
@@ -49,7 +50,7 @@ def points_variance_diagnostics(strategy, G, Psi=None):
     eps, delta, _ = good.as_floats()
 
     roots = {g: _psd_sqrt(G.op(g)) for g in G.outcomes}
-    points = strategy.families["A"]["points"]
+    points = dict(zip(all_points(f, m), strategy.point_families))
 
     # local: (u, v) over edges, operators A^u_{g(u)} against sqrt(G_g) weights
     def second_moment(u, v):
@@ -76,13 +77,12 @@ def points_variance_diagnostics(strategy, G, Psi=None):
             glob += second_moment(by_pt[ui], by_pt[vi]) / (M * M)
 
     # line families against evaluated/restricted outcomes
-    axis = strategy.families["A"]["axis"]
     gen_b = 0.0
     n_lines = 0
     for u in all_points(f, m):
         for i in range(m):
             line = AxisLine.through(u, i)
-            fam = axis[line]
+            fam = question_family(strategy, "A", line)
             t = line.param_of(u)
             for g in G.outcomes:
                 target = g(u)
@@ -308,7 +308,7 @@ def test_points_variance_adversary_embedding():
     f = field(3)
     params = TestParams(f, 2, 1)
     strat = classical_to_quantum(example_adversary(params))
-    pts = strat.families["A"]["points"]
+    pts = dict(zip(all_points(f, 2), strat.point_families))
     # G puts its single outcome on the best-agreeing admissible polynomial
     best = max(
         enumerate_polyspace(f, 2, 1),

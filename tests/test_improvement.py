@@ -11,7 +11,7 @@ from lidtest.improvement import (
 )
 from lidtest.instances import noisy_shared_randomness_strategy
 from lidtest.measurements import SubMeasurement
-from lidtest.polyspace import MultiPoly, enumerate_polyspace, poly_by_index
+from lidtest.polyspace import MultiPoly, all_points, enumerate_polyspace, poly_by_index
 from lidtest.protocol import TestParams
 from lidtest.strategies import classical_to_quantum, honest_strategy, pass_probabilities
 
@@ -34,7 +34,7 @@ def noisy_setup(seed, q=2, m=1, d=1, n_tables=3, n_corrupt=1):
     polys = list(enumerate_polyspace(f, m, d))
     # G guesses, per shared-randomness branch, the best-agreeing polynomial
     assignment = []
-    pts_family = strat.families["A"]["points"]
+    pts_family = dict(zip(all_points(f, m), strat.point_families))
     n = strat.dims[0]
     for i in range(n):
         def table_value(u):
@@ -65,7 +65,7 @@ def test_build_instance_entries_are_agreements():
     # commuting diagonal strategy: A_h diagonal with entries = agreement fractions
     params, strat, G = noisy_setup(seed=3)
     inst = build_instance(strat, params)
-    pts_family = strat.families["A"]["points"]
+    pts_family = dict(zip(all_points(params.field, params.m), strat.point_families))
     n = strat.dims[0]
     for idx, h in enumerate(inst.outcomes):
         h = poly_by_index(params.field, params.m, params.d, h)
@@ -163,7 +163,7 @@ def test_assembly_identity():
                            measure_points_consistency(strat, G))
     inst = build_instance(strat, params)
     sol = solve(inst)
-    pts = strat.families["A"]["points"]
+    pts = dict(zip(all_points(params.field, params.m), strat.point_families))
     M = len(pts)
     for n, label in enumerate(inst.outcomes):
         h = poly_by_index(params.field, params.m, params.d, label)

@@ -14,6 +14,7 @@ from lidtest.protocol import (
     TestParams,
     check_answer_format,
     enumerate_rounds,
+    support_table,
     verdict,
 )
 
@@ -165,12 +166,15 @@ def test_check_answer_format():
     f = p.field
     s_axis = next(x for x in enumerate_rounds(p) if x.subtest == AXIS)
     qline = s_axis.question_a if s_axis.line_role == "A" else s_axis.question_b
+    support = support_table(p)
+    line_bound, point_bound = (int(support.bound[support.position(question)])
+                               for question in (qline, point(f, (0, 0))))
     too_big = UniPoly(f, [0, 0, 1])
     with pytest.raises(ProtocolError):
-        check_answer_format(p, qline, too_big)
-    check_answer_format(p, qline, UniPoly(f, [1, 2], bound=1))
+        check_answer_format(p, line_bound, too_big)
+    check_answer_format(p, line_bound, UniPoly(f, [1, 2], bound=1))
     with pytest.raises(ProtocolError):
-        check_answer_format(p, point(f, (0, 0)), too_big)
+        check_answer_format(p, point_bound, too_big)
 
 
 def test_sample_line_and_point():

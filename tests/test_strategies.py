@@ -210,19 +210,21 @@ def test_quantum_validation_rejects_bad_state():
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("m", [1, 2])
 def test_question_set_is_the_round_support(q, m):
-    # all_questions lists each question of enumerate_rounds once, and every
-    # table built from it is keyed by exactly those questions
+    # Support.questions lists each question of enumerate_rounds once, every
+    # object table built from it is keyed by exactly those questions, and a
+    # quantum strategy holds one family per question position
     from collections import defaultdict
 
     from lidtest.instances import corrupted_tables
-    from lidtest.protocol import all_questions, enumerate_rounds, question_group
+    from lidtest.protocol import enumerate_rounds, support_table
+    from oracles import question_group
 
     params = make_params(q, m, 1)
     expected = defaultdict(set)
     for s in enumerate_rounds(params):
         for question in (s.question_a, s.question_b):
             expected[question_group(question)].add(question)
-    listed = list(all_questions(params))
+    listed = list(support_table(params).questions)
     assert len(listed) == len(set(listed))
     by_group = defaultdict(list)
     for group, question in listed:
@@ -231,8 +233,9 @@ def test_question_set_is_the_round_support(q, m):
     _, honest = random_honest(params, q + m)
     corrupted = [s for _, s in corrupted_tables(params, 2, 1, np.random.default_rng(0))]
     layouts += [honest.tables["A"]] + [s.tables["A"] for s in corrupted]
-    layouts.append(shared_randomness_strategy(
-        params, [(Fraction(1, 2), s) for s in corrupted]).families["A"])
+    families = shared_randomness_strategy(
+        params, [(Fraction(1, 2), s) for s in corrupted]).families["A"]
+    assert len(families) == len(listed)
     if m > 1 and q > 2:  # the adversary needs d + 1 <= q - 1 and m >= 2
         layouts.append(example_adversary(params).tables["A"])
     for layout in layouts:

@@ -1,6 +1,7 @@
 """The classical strategy file path on answer codes: the loader against the
 object loader in `oracles`, transcripts against the object renderer, codes
-past int64, and the objects and modules a run-test on a file does not touch."""
+past int64, and the objects and modules a run-test on a file does not touch;
+and quantum files read by question position, shuffled or bad."""
 
 import copy
 import json
@@ -14,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lidtest.cli import main
 from lidtest.gf import FieldElement, field_for_order
-from lidtest.instances import corrupted_tables
-from lidtest.polyspace import MultiPoly, Point, UniPoly
+from lidtest.instances import corrupted_tables, noisy_shared_randomness_strategy
+from lidtest.polyspace import AxisLine, DiagonalLine, MultiPoly, Point, UniPoly
 from lidtest.protocol import ROLES, TestParams, support_table
 from lidtest.stratfile import load_strategy, save_strategy
 from lidtest.strategies import (
@@ -198,11 +200,11 @@ def test_codes_past_int64_stay_exact(tmp_path):
 
 
 def test_file_run_builds_no_question_or_answer_objects(tmp_path, monkeypatch):
-    # the benchmark's strategy file: q = 4, m = 3, one table, 5 corrupted points
+    # the benchmark's strategy file: q = 4, m = 3, one table, 5 corrupted
+    # points; the support is built inside the run, from a cold cache
     params = TestParams(field_for_order(4), 3, 1)
     (_, strat), = corrupted_tables(params, 1, 5, np.random.default_rng(0))
     save_strategy(strat, tmp_path / "strategy.json")
-    support_table(params)
     made = Counter()
     point_new, element_init, poly_init = Point.__new__, FieldElement.__init__, UniPoly.__init__
     monkeypatch.setattr(Point, "__new__", staticmethod(
@@ -211,8 +213,15 @@ def test_file_run_builds_no_question_or_answer_objects(tmp_path, monkeypatch):
                         lambda self, *args: made.update(["FieldElement"]) or element_init(self, *args))
     monkeypatch.setattr(UniPoly, "__init__",
                         lambda self, *args, **kw: made.update(["UniPoly"]) or poly_init(self, *args, **kw))
-    loaded = load_strategy(tmp_path / "strategy.json")
-    export_transcript(loaded, tmp_path / "transcript.jsonl", judge(loaded, params))
+    for cls in (AxisLine, DiagonalLine):
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, name=cls.__name__: made.update([name]))
+    support_table.cache_clear()
+    try:
+        loaded = load_strategy(tmp_path / "strategy.json")
+        export_transcript(loaded, tmp_path / "transcript.jsonl", judge(loaded, params))
+    finally:
+        support_table.cache_clear()
     assert made == Counter()
     assert loaded.codes["A"].tolist() == strat.codes["A"].tolist()
 
@@ -231,3 +240,64 @@ def test_run_test_on_a_file_leaves_numpy_ma_unimported(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
+# ---- quantum files, read by question position -------------------------------------
+
+
+def quantum_doc(tmp_path):
+    """A saved noisy q = 3 m = 2 strategy, and its file as a JSON document."""
+    params = TestParams(field_for_order(3), 2, 1)
+    strat = noisy_shared_randomness_strategy(params, 2, 1, seed=3)
+    save_strategy(strat, tmp_path / "quantum.json")
+    return strat, json.loads((tmp_path / "quantum.json").read_text())
+
+
+def record_question(f, group, rec):
+    """The question object of a quantum file's line record."""
+    base = Point(f.element(c) for c in rec["base"])
+    if group == "axis":
+        return AxisLine(rec["axis"], base)
+    return DiagonalLine(base, Point(f.element(c) for c in rec["dir"]))
+
+
+def test_quantum_file_with_shuffled_records_loads_the_same_families(tmp_path):
+    strat, doc = quantum_doc(tmp_path)
+    rng = np.random.default_rng(0)
+    for recs in doc["families"]["A"].values():
+        rng.shuffle(recs)
+    path = tmp_path / "shuffled.json"
+    path.write_text(json.dumps(doc))
+    loaded = load_strategy(path)
+    assert loaded.families["B"] is loaded.families["A"]
+    for want, got in zip(strat.families["A"], loaded.families["A"], strict=True):
+        assert got.outcomes == want.outcomes
+        assert np.array_equal(got.ops, want.ops)
+
+
+@pytest.mark.parametrize("bad", ["duplicate", "off-support", "missing"])
+def test_bad_quantum_file_exits_3_with_one_line(tmp_path, capsys, bad):
+    strat, doc = quantum_doc(tmp_path)
+    f, support = strat.params.field, support_table(strat.params)
+    fams = doc["families"]["A"]
+    if bad == "duplicate":
+        fams["axis"].append(copy.deepcopy(fams["axis"][2]))
+        message = f"two records for the question {record_question(f, 'axis', fams['axis'][2])}"
+    elif bad == "off-support":
+        # a point of F_3^3 beside every point of F_3^2
+        extra = copy.deepcopy(fams["points"][0])
+        extra["u"].append([1])
+        fams["points"].append(extra)
+        message = "points of F_3^2 have 2 coordinates"
+    else:
+        # the first missing question in support order is named
+        gone = [record_question(f, "diag", rec) for rec in (fams["diag"].pop(),
+                                                            fams["diag"].pop(0))]
+        message = f"no A family for the question {min(gone, key=support.position)}"
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    argv = ["run-test", "--set", "q=3", "--set", "m=2", "--set", "d=1",
+            "--set", f"strategy={json.dumps(str(tmp_path / 'bad.json'))}",
+            "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 3
+    assert not (tmp_path / "report.json").exists()
+    assert capsys.readouterr().err == f"strategy error: invalid strategy file: {message}\n"

@@ -17,7 +17,7 @@ from lidtest.instances import (
 )
 from lidtest.measurements import MeasurementError, SubMeasurement, is_swap_invariant
 from lidtest.polyspace import AxisLine, DiagonalLine, MultiPoly, UniPoly
-from lidtest.protocol import ProtocolError, TestParams, answer_bound, support_table, verdict
+from lidtest.protocol import GROUPS, ProtocolError, TestParams, support_table, verdict
 from lidtest.stratfile import load_strategy, save_strategy
 from lidtest.strategies import (
     ClassicalStrategy,
@@ -202,9 +202,8 @@ def reference_validate(strategy):
     """QuantumStrategy.validate's family loop, one family at a time."""
     da, db = strategy.dims
     for role, fams in strategy.families.items():
-        for group in fams.values():
-            for sub in group.values():
-                check_family(sub, da if role == "A" else db, strategy.projective)
+        for sub in fams:
+            check_family(sub, da if role == "A" else db, strategy.projective)
 
 
 def break_ops(kind, ops):
@@ -238,14 +237,16 @@ def test_stacked_validation_matches_per_family_checks(kind, group):
     strat = noisy_shared_randomness_strategy(params, 3, 1, seed=2)
     reference_validate(strat)
     strat.validate()
-    fams = strat.families["A"][group]
-    keys = list(fams)
+    fams = list(strat.families["A"])
+    keys = np.flatnonzero(support_table(params).group == GROUPS.index(group)).tolist()
     rng = np.random.default_rng(len(kind) + len(group))
     # break one family, or two where the later is broken differently
     picks = [("incomplete", keys[-1]), ("hermitian", keys[len(keys) // 2])] if kind == "two" \
         else [(kind, keys[int(rng.integers(len(keys)))])]
     for how, key in picks:
         fams[key] = SubMeasurement(fams[key].outcomes, break_ops(how, fams[key].ops), check=False)
+    shared = tuple(fams)
+    strat.families = {"A": shared, "B": shared}
     with pytest.raises((ProtocolError, MeasurementError)) as want:
         reference_validate(strat)
     with pytest.raises(type(want.value)) as got:
@@ -256,7 +257,10 @@ def test_stacked_validation_matches_per_family_checks(kind, group):
 def test_quantum_strategy_missing_a_family_is_a_protocol_error():
     params = params_for(2, 2, 1)
     strat = noisy_shared_randomness_strategy(params, 2, 1, seed=1)
-    del strat.families["A"]["diag"][next(iter(strat.families["A"]["diag"]))]
+    fams = list(strat.families["A"])
+    fams[int(np.argmax(support_table(params).group == GROUPS.index("diag")))] = None
+    shared = tuple(fams)
+    strat.families = {"A": shared, "B": shared}
     with pytest.raises(ProtocolError, match="no A family"):
         strat.validate()
 
@@ -298,15 +302,14 @@ def dense_strategy(params, dim, seed, permute=False, drop=False):
     rng = np.random.default_rng(seed)
     families = {}
     for role in ("A", "B"):
-        families[role] = {}
-        for group, fams in shape.families["A"].items():
-            families[role][group] = {}
-            for question, sub in fams.items():
-                labels = list(sub.outcomes)
-                if permute:
-                    labels = [labels[j] for j in rng.permutation(len(labels))]
-                fam = random_povm(rng, dim, len(labels), labels)
-                families[role][group][question] = fam.drop(labels[0]) if drop else fam
+        families[role] = []
+        for sub in shape.families["A"]:
+            labels = list(sub.outcomes)
+            if permute:
+                labels = [labels[j] for j in rng.permutation(len(labels))]
+            fam = random_povm(rng, dim, len(labels), labels)
+            families[role].append(fam.drop(labels[0]) if drop else fam)
+        families[role] = tuple(families[role])
     return QuantumStrategy(params, random_state(rng, dim, dim), families, symmetric=False,
                            check=False)
 
@@ -364,7 +367,7 @@ def test_quantum_acceptance_contracts_each_question_pair_once(monkeypatch, q, pa
     judged = judge(strat, params)
     assert calls == []
     lines = [fam for fam in grouped if isinstance(fam.outcomes[0], UniPoly)]
-    n_lines = sum(1 for _, question in support.questions if answer_bound(params, question))
+    n_lines = int(np.count_nonzero(support.bound > 0))
     assert len(lines) == len({id(fam) for fam in lines}) == n_lines
     assert sum(map(len, terms)) == pairs * q
     assert len(judged.acceptance) == len(support)
