@@ -9,12 +9,13 @@ self-improved to a projective family, and the slices are pasted into one
 global measurement.  A slice takes the strategy's own families by
 question position: the slice support's coordinates, lifted by one
 coordinate, are found in the strategy's support (`Support.at`) and its
-families gathered there, so no question object is built.  Goodness is measured once per
-strategy and handed down, and the hypotheses of slice commutativity and
-pasting are read from the per-slice improvement reports, not measured
-again.  Polynomial-labelled families are labelled by polynomial index and
+families gathered there, so no question object is built; a diagonal line's
+answer codes are rewritten to the slice's degree bound.  Goodness is
+measured once per strategy and handed down, and the hypotheses of slice
+commutativity and pasting are read from the per-slice improvement reports,
+not measured again.  Polynomial-labelled families are labelled by polynomial index and
 read at points and along lines through the cached value table of their
-space.
+space; each improved slice family is read at the points once per level.
 
 Bounds that exceed 1 at desk scale are never silently 'passed': every report
 carries a vacuity flag alongside the raw measured value."""
@@ -26,15 +27,17 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .improvement import evaluated_at_points, measure_points_consistency, projective_improve
+from .improvement import measure_points_consistency, projective_improve
 from .measurements import SubMeasurement, commutator_mass, consistency, expectations
 from .pasting import check_paste_size, complete_pasted, pasted_measurement
-from .polyspace import label_values, polyspace_size, value_table
+from .polyspace import polyspace_size, value_table
 from .protocol import TestParams, support_table
 from .sdp import check_instance_size
 from .strategies import (
     Goodness,
     QuantumStrategy,
+    answer_rows,
+    line_digits,
     pass_probabilities,
     symmetrize,
 )
@@ -127,10 +130,11 @@ def points_commutativity(strategy: QuantumStrategy) -> BoundReport:
 
 
 def slice_commutativity(strategy: QuantumStrategy, good: Goodness, g_by_x: dict,
-                        zeta: float):
+                        evaluated_by_x: dict, zeta: float):
     """Both commutator masses (raw outcome pairs and evaluated pairs) with
-    their bounds; zeta folds the measured slice hypotheses, and gamma is read
-    from the strategy's goodness `good`."""
+    their bounds; evaluated_by_x[x] is g_by_x[x] at the slice's points
+    (`evaluated_at_points`), zeta folds the measured slice hypotheses, and
+    gamma is read from the strategy's goodness `good`."""
     params = strategy.params
     f = params.field
     m_slice = params.m - 1
@@ -140,8 +144,8 @@ def slice_commutativity(strategy: QuantumStrategy, good: Goodness, g_by_x: dict,
     # a zero operator adds exactly +0.0 to a non-negative sum, so both loops
     # walk only the live operators, in outcome order
     live = {x: G.live_ops() for x, G in g_by_x.items()}
-    live_evaluated = {x: [E.live_ops() for E in evaluated_at_points(G, f, m_slice, params.d)]
-                      for x, G in g_by_x.items()}
+    live_evaluated = {x: [E.live_ops() for E in evaluated]
+                      for x, evaluated in evaluated_by_x.items()}
 
     qs = range(f.q)
     raw = commutator_mass(((live[x], live[y]) for x in qs for y in qs), Psi)
@@ -168,8 +172,9 @@ def pasted_line_consistency(strategy: QuantumStrategy, pasted: SubMeasurement) -
     Psi = strategy.Psi
     # A line answer has degree <= d <= q - 1 (the pipeline's k lies in
     # [d + 1, q]), so its values at t = 0..d fix it: their base-q number is
-    # the answer's key, on both sides.  The line through u in the last
-    # direction holds the grid points u*q + t.
+    # the answer's key, on both sides (an answer's values are read from its
+    # code).  The line through u in the last direction holds the grid points
+    # u*q + t.
     weights = f.q ** np.arange(d + 1)
     table = value_table(f, params.m, d)[list(pasted.outcomes)]
     starts = np.arange(f.q ** (params.m - 1)) * f.q
@@ -177,7 +182,8 @@ def pasted_line_consistency(strategy: QuantumStrategy, pasted: SubMeasurement) -
     total = 0.0
     for start, pos in zip(starts.tolist(), lines.tolist()):
         B = strategy.families["A"][pos]
-        B = B.group((label_values(B.outcomes)[:, :d + 1] @ weights).tolist())
+        codes = np.array(B.outcomes)
+        B = B.group((answer_rows(f, codes, np.full(len(codes), d))[:, :d + 1] @ weights).tolist())
         restricted = pasted.group((table[:, start:start + d + 1] @ weights).tolist())
         total += consistency(restricted, B, Psi)
     return total / len(starts)
@@ -189,7 +195,9 @@ def pasted_line_consistency(strategy: QuantumStrategy, pasted: SubMeasurement) -
 def restricted_strategy(strategy: QuantumStrategy, x: int) -> QuantumStrategy:
     """Freeze the last coordinate at x: each question of the slice is the
     question through its points with x appended (its direction gets a 0),
-    and takes that question's family."""
+    and takes that question's family.  A diagonal family's codes are held to
+    the slice's bound (m - 1) d, not m d; an answer above it is a wrong
+    answer on the slice, and its operator is dropped."""
     params = strategy.params
     if params.m < 2:
         raise ValueError("nothing left to restrict")
@@ -199,8 +207,17 @@ def restricted_strategy(strategy: QuantumStrategy, x: int) -> QuantumStrategy:
     lifted, _ = support_table(params).at(
         sub.group, np.column_stack([sub.base, np.full(n, x)]),
         np.column_stack([sub.direction, np.zeros(n, dtype=np.int64)]))
-    fams = strategy.families["A"]
-    shared = tuple(fams[pos] for pos in lifted.tolist())
+    fams, bounds = strategy.families["A"], support_table(params).bound.tolist()
+
+    def slice_family(pos, bound):
+        fam, shift = fams[pos], params.q ** (bounds[pos] - bound)
+        if shift == 1:
+            return fam
+        codes = np.array(fam.outcomes)
+        keep = np.flatnonzero(codes % shift == 0)
+        return SubMeasurement((codes[keep] // shift).tolist(), fam.ops[keep], check=False)
+
+    shared = tuple(map(slice_family, lifted.tolist(), sub.bound.tolist()))
     return QuantumStrategy(
         sub_params, strategy.Psi, {"A": shared, "B": shared},
         symmetric=True, projective=strategy.projective, check=False,
@@ -209,14 +226,16 @@ def restricted_strategy(strategy: QuantumStrategy, x: int) -> QuantumStrategy:
 
 def base_case_family(strategy: QuantumStrategy) -> SubMeasurement:
     """For one variable there is a single axis line; its answer family,
-    relabelled by polynomial index sum_j c_j q^j, is already the wanted measurement."""
+    relabelled from answer code to polynomial index sum_j c_j q^j, is
+    already the wanted measurement."""
     params = strategy.params
     if params.m != 1:
         raise ValueError("base case applies to one variable only")
-    f = params.field
+    q, d = params.q, params.d
     fam = strategy.families["A"][support_table(params).axis_at[0, 0]]
-    relabelled = [sum(c * f.q ** j for j, c in enumerate(ans.coeffs)) for ans in fam.outcomes]
-    return SubMeasurement(relabelled, fam.ops, check=False)
+    codes = np.array(fam.outcomes)
+    (_, digits), = line_digits(q, codes, np.full(len(codes), d))
+    return SubMeasurement((digits @ q ** np.arange(d + 1)).tolist(), fam.ops, check=False)
 
 
 def witness_level(strategy: QuantumStrategy, good: Goodness, k: int):
@@ -235,12 +254,12 @@ def witness_level(strategy: QuantumStrategy, good: Goodness, k: int):
         cons = measure_points_consistency(strategy, G)
         return G, cons, 0.0, {"base_case": {"dim": G.dim}}
     f = params.field
-    g_by_x, reports, per_x, levels = {}, [], {}, {}
+    g_by_x, evaluated_by_x, reports, per_x, levels = {}, {}, [], {}, {}
     for x in range(f.q):
         sub = restricted_strategy(strategy, x)
         sub_good = pass_probabilities(sub, sub.params)
         _, nu_x, kappa_x, sub_stages = witness_level(sub, sub_good, k)
-        g_by_x[x], _, rep = projective_improve(sub, sub_good, nu_x)
+        g_by_x[x], _, rep, evaluated_by_x[x] = projective_improve(sub, sub_good, nu_x)
         reports.append(rep)
         per_x[str(x)] = rep.as_dict()
         if sub.params.m > 1:  # a base-case slice has nothing to nest
@@ -264,7 +283,7 @@ def witness_level(strategy: QuantumStrategy, good: Goodness, k: int):
     }
     kappa_slices = 1.0 - mean([r.completeness for r in reports])
     zeta_hyp = max(hyp["consistency"], hyp["self_consistency"], hyp["boundedness"], 0.0)
-    comm_reports = slice_commutativity(strategy, good, g_by_x, zeta_hyp)
+    comm_reports = slice_commutativity(strategy, good, g_by_x, evaluated_by_x, zeta_hyp)
     stages["slice_commutativity"] = [r.as_dict() for r in comm_reports]
     stages["slice_hypotheses"] = hyp
 

@@ -30,7 +30,7 @@ from .orthogonalize import orthogonalize
 from .polyspace import value_table
 from .protocol import ProtocolError, TestParams
 from .sdp import SdpInstance, solve
-from .strategies import Goodness, QuantumStrategy, group_by_value
+from .strategies import Goodness, QuantumStrategy
 
 
 def zeta_budget(params: TestParams, eps: float, delta: float) -> float:
@@ -49,10 +49,9 @@ def build_instance(strategy: QuantumStrategy, params: TestParams = None) -> SdpI
 def _points_at_values(strategy, params):
     """For every point u, in grid order: A^u_{g(u)} stacked over every
     polynomial index g, gathered from one value table."""
-    f = params.field
-    table = value_table(f, params.m, params.d)
+    table = value_table(params.field, params.m, params.d)
     for u, A in enumerate(strategy.point_families):
-        yield A.at(f.elements())[table[:, u]]
+        yield A.at(range(params.q))[table[:, u]]
 
 
 @dataclass
@@ -85,17 +84,21 @@ class ImprovementReport:
 
 def evaluated_at_points(G: SubMeasurement, f, m: int, d: int) -> list:
     """[G evaluated at u, for u in grid order]: the polynomial indices
-    labelling G, grouped by their value at each point in the value table."""
+    labelling G, grouped by their value at each point in the value table,
+    so each is labelled by value index as a point family is."""
     rows = value_table(f, m, d)[list(G.outcomes)]
-    return [group_by_value(G, values, f) for values in rows.T]
+    return [G.group(values) for values in rows.T.tolist()]
 
 
-def measure_points_consistency(strategy: QuantumStrategy, G: SubMeasurement) -> float:
-    """E_u sum_{a != b} <psi| A^u_a (x) G_{[g(u)=b]} |psi>."""
+def measure_points_consistency(strategy: QuantumStrategy, G: SubMeasurement,
+                               evaluated=None) -> float:
+    """E_u sum_{a != b} <psi| A^u_a (x) G_{[g(u)=b]} |psi>, reading G at the
+    points from `evaluated` (its evaluated_at_points list) when given."""
     params = strategy.params
+    if evaluated is None:
+        evaluated = evaluated_at_points(G, params.field, params.m, params.d)
     points = strategy.point_families
     w = 1.0 / len(points)
-    evaluated = evaluated_at_points(G, params.field, params.m, params.d)
     total = 0.0
     for A, E in zip(points, evaluated):
         total += w * consistency(A, E, strategy.Psi)
@@ -123,10 +126,10 @@ def improve(strategy: QuantumStrategy, good: Goodness, nu: float):
     return H, sol.Z, report
 
 
-def _measure_four_properties(strategy, H, Z, min_slack, sdp_summary, nu, zeta):
+def _measure_four_properties(strategy, H, Z, min_slack, sdp_summary, nu, zeta, evaluated=None):
     Psi = strategy.Psi
     completeness = expectations(Psi, H.total()[None])[0].real
-    cons = measure_points_consistency(strategy, H)
+    cons = measure_points_consistency(strategy, H, evaluated)
     deficit = strong_self_consistency_deficit(H, Psi)
     bound_val = expect_joint(
         Z, np.eye(strategy.dims[1]) - H.total(), Psi
@@ -147,18 +150,22 @@ def _measure_four_properties(strategy, H, Z, min_slack, sdp_summary, nu, zeta):
 
 def projective_improve(strategy: QuantumStrategy, good: Goodness, nu: float):
     """improve followed by orthogonalization; the four properties are
-    re-measured for the projective output against the same zeta budget."""
+    re-measured for the projective output P against the same zeta budget.
+    Returns (P, Z, report, evaluated), evaluated being P's
+    evaluated_at_points list, for callers that read P at the points."""
+    params = strategy.params
     H, Z, report = improve(strategy, good, nu)
     P, ortho_report = orthogonalize(H, strategy.Psi)
+    evaluated = evaluated_at_points(P, params.field, params.m, params.d)
     proj_report = _measure_four_properties(strategy, P, Z, report.min_constraint_slack,
-                                           report.sdp, report.nu, report.zeta)
+                                           report.sdp, report.nu, report.zeta, evaluated)
     # for projective families the two-sided distance form of self-consistency
     # is the meaningful one; record it alongside the deficit
     extras = proj_report.extras
     extras["self_consistency_cross_distance"] = cross_state_distance(P, P, strategy.Psi)
     extras["orthogonalization"] = ortho_report.as_dict()
     extras["pre_projective"] = report.as_dict()
-    return P, Z, proj_report
+    return P, Z, proj_report, evaluated
 
 
 # convenience for reporting

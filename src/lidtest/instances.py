@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import check_size
 from .measurements import SubMeasurement
-from .polyspace import MultiPoly
 from .protocol import TestParams, support_table
 from .strategies import (
     QUANTUM_DIM_CAP,
@@ -110,19 +109,19 @@ def perturbed_measurement_pair(rng, dim, n_outcomes, noise):
 def corrupted_tables(params: TestParams, n_tables, n_corrupt, rng):
     """Honest tables with a few corrupted point answers; the line tables stay
     honest, so goodness degrades but stays small.  The draws come table by
-    table (the polynomial, then each corrupted point and its value), and
-    every table is built by one honest_tables call."""
-    f, m, d = params.field, params.m, params.d
-    polys, corrupt = [], []
+    table (the polynomial's flat coefficients, then each corrupted point and
+    its value), and every table is built by one honest_tables call; a
+    point's code is at its grid index."""
+    q, m, d = params.q, params.m, params.d
+    coeffs, corrupt = [], []
     for _ in range(n_tables):
-        polys.append(MultiPoly(f, m, d, rng.integers(0, f.q, size=(d + 1) ** m)))
-        picks = rng.choice(f.q ** m, size=min(n_corrupt, f.q ** m), replace=False)
-        corrupt.append({int(k): f.element(int(rng.integers(0, f.q))) for k in picks})
+        coeffs.append(rng.integers(0, q, size=(d + 1) ** m))
+        picks = rng.choice(q ** m, size=min(n_corrupt, q ** m), replace=False)
+        corrupt.append((picks, [int(rng.integers(0, q)) for _ in picks]))
     weighted = []
-    for tables, changes in zip(honest_tables(params, polys), corrupt):
-        points = list(tables["points"])  # grid order
-        tables["points"].update((points[k], value) for k, value in changes.items())
-        weighted.append((Fraction(1, n_tables), ClassicalStrategy(params, tables)))
+    for codes, (picks, values) in zip(honest_tables(params, coeffs), corrupt):
+        codes[picks] = values
+        weighted.append((Fraction(1, n_tables), ClassicalStrategy(params, codes)))
     return weighted
 
 

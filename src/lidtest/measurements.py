@@ -10,7 +10,8 @@ Terms on the state come from two kernels over operator stacks,
 `aligned` stacks two families over their labels, and `expect_joint` is the
 scalar form for one-off totals.  Distances and commutator masses take one
 family pair (or one family) per call; averaging over questions is left to
-the caller.
+the caller.  Every family the package builds is labelled by ints: value
+indices, line answer codes (`strategies`) or polynomial indices, and `BOTTOM`.
 """
 
 from __future__ import annotations
@@ -56,11 +57,11 @@ class SubMeasurement:
         outcomes = tuple(outcomes)
         if len(outcomes) != ops.shape[0]:
             raise MeasurementError("label/operator count mismatch")
-        if len(set(outcomes)) != len(outcomes):
+        self._index = {o: j for j, o in enumerate(outcomes)}
+        if len(self._index) != len(outcomes):
             raise MeasurementError("duplicate outcome labels")
         self.outcomes = outcomes
         self.ops = ops
-        self._index = {o: j for j, o in enumerate(outcomes)}
         if check:
             self.validate()
 

@@ -5,7 +5,8 @@ Coefficients are dense, indexed by exponent tuples (e_1, ..., e_m) with every
 e_j <= d, flattened in row-major order.  A polynomial is identified with an
 integer index (base-q digits = flat coefficients), the outcome label of
 polynomial-labelled measurement families and of the SDP, whose values are
-rows of `value_table`, built once per (field, m, d).
+rows of `value_table`, built once per (field, m, d).  `label_values` and
+`restrict_to_lines` read polynomials as flat coefficient rows.
 """
 
 from __future__ import annotations
@@ -385,28 +386,16 @@ def monomial_table(f: GF, m: int, d: int) -> np.ndarray:
 
 def evaluate_on_grid(g: MultiPoly) -> np.ndarray:
     """Integer-encoded values of g at all q^m points (point-index order)."""
-    return label_values((g,))[0]
+    return label_values(g.field, g.m, g.d, g.flat()[None])[0]
 
 
-def label_values(labels) -> np.ndarray:
-    """Integer-encoded value table of a tuple of polynomial labels, one row
-    per label.  UniPoly labels give shape (n, q), column t holding the value
-    at line parameter t; MultiPoly labels (one space) give shape (n, q^m),
+def label_values(f: GF, m: int, d: int, coeffs) -> np.ndarray:
+    """Integer-encoded value table of polynomials of the (m, d) space given
+    by flat coefficient rows, one row per polynomial, of shape (n, q^m):
     the evaluate_on_grid rows, indexed by point_index."""
-    first = labels[0]
-    f = first.field
-    if isinstance(first, UniPoly):
-        width = max(len(p.coeffs) for p in labels)  # bounds may differ: pad with zeros
-        coeffs = np.array([p.coeffs + (0,) * (width - len(p.coeffs)) for p in labels],
-                          dtype=np.int64)
-        ts = np.arange(f.q)[None, :]
-        vals = np.zeros((len(labels), f.q), dtype=np.int64)
-        for k in range(width - 1, -1, -1):  # Horner, all labels and parameters at once
-            vals = f.add(f.mul(vals, ts), coeffs[:, k:k + 1])
-        return vals
-    coeffs = np.array([g.flat() for g in labels], dtype=np.int64)
-    table = monomial_table(f, first.m, first.d)
-    vals = np.zeros((len(labels), table.shape[0]), dtype=np.int64)
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    table = monomial_table(f, m, d)
+    vals = np.zeros((len(coeffs), table.shape[0]), dtype=np.int64)
     for col in range(coeffs.shape[1]):
         vals = f.add(vals, f.mul(coeffs[:, col:col + 1], table[None, :, col]))
     return vals

@@ -301,20 +301,3 @@ def verdict(sample: RoundSample, answers) -> bool:
     elif not isinstance(line_ans, UniPoly):
         raise ProtocolError("line answer must be a polynomial")
     return line_value(sample)(line_ans) == point_ans
-
-
-def check_answer_format(params: TestParams, bound: int, answer):
-    """Field, shape and degree-bound validation of one answer to a question
-    whose answers have degree bound `bound` (-1 for a value answer)."""
-    if getattr(answer, "field", params.field) != params.field:
-        raise ProtocolError(f"answer {answer!r} lies outside {params.field!r}")
-    if bound < 0:
-        if not isinstance(answer, FieldElement):
-            raise ProtocolError("point and degenerate-line questions take value answers")
-        return
-    if not isinstance(answer, UniPoly):
-        raise ProtocolError("line questions take polynomial answers")
-    if answer.degree() > bound:
-        raise ProtocolError(
-            f"line answer degree {answer.degree()} exceeds bound {bound}"
-        )

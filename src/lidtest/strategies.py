@@ -1,34 +1,34 @@
 """Prover strategies: classical tables, quantum operator families, exact
 pass probabilities, symmetrization, and the canonical adversarial example.
 
-A classical strategy is one integer answer code per question position of
-`protocol.support_table` for each role: a value's index, or the base-q
-number of a line answer's coefficients.  Object tables are encoded once,
-each answer checked (`answer_codes`); strategy files are read into codes
-directly (`stratfile`).  The codes give one integer row per position
-(`answer_rows`): the values a line answer gives along its line, or a value
-answer repeated.  A round's verdict is then one array comparison, exact
-probabilities are integer hit counts per mass class, turned into Fractions
-at the end, and the audit transcript is rendered from the questions'
-integer coordinates and the codes; answers are decoded to FieldElement and
-UniPoly objects only on request (`tables`, `answer`).  A quantum
-strategy is a bipartite state matrix plus one SubMeasurement family per
-question position for each role, in the same order as the codes, and is
-evaluated by exact dense contraction, once per question pair.
-`judge` gives every kind's acceptance over the support once, as a `Judged`
-record, and the aggregators read that record.
+An answer is named by its integer code: a value's index in 0..q-1, or, for
+a line answer of degree bound b, the base-q number of its b + 1
+coefficients, constant term first.  A classical strategy is one code per
+question position of `protocol.support_table` for each role, and a quantum
+strategy's families are labelled by the same codes.  The built-in tables
+are made as code arrays from flat coefficient rows (`honest_tables`), and
+strategy files are read into codes (`stratfile`).  The codes give one
+integer row per answer (`answer_rows`): the values a line answer gives
+along its line, or a value answer repeated.  A round's verdict is then one
+array comparison, exact probabilities are integer hit counts per mass
+class, turned into Fractions at the end, and the audit transcript is
+rendered from the questions' integer coordinates and the codes; answers are
+decoded to FieldElement and UniPoly objects only on request (`tables`,
+`answer`).  A quantum strategy is a bipartite state matrix plus one
+SubMeasurement family per question position for each role, in the same
+order as the codes, and is evaluated by exact dense contraction, once per
+question pair.  `judge` gives every kind's acceptance over the support
+once, as a `Judged` record, and the aggregators read that record.
 
 A quantum round groups the line family's outcomes by the value they give at
 the point's parameter t: each line family's operators are summed per
-(t, value) once, from its integer value table (`label_values`), and matched
-by value against the point family's operators in stacked contractions.
-`protocol.line_value` is the per-answer form of the same rule.  Honest and
-noisy tables are built on integer arrays (`honest_tables`).
+(t, value) once, from the value rows of its codes, and matched by value
+against the point family's operators in stacked contractions.
+`protocol.line_value` is the per-answer form of the same rule.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,14 +47,7 @@ from .measurements import (
     expectations,
     is_swap_invariant,
 )
-from .polyspace import (
-    MultiPoly,
-    UniPoly,
-    label_values,
-    point_index,
-    restrict_to_lines,
-    value_table,
-)
+from .polyspace import MultiPoly, UniPoly, label_values, point_index, restrict_to_lines, value_table
 from .protocol import (
     AXIS,
     GROUPS,
@@ -63,7 +56,6 @@ from .protocol import (
     ProtocolError,
     Support,
     TestParams,
-    check_answer_format,
     support_table,
     verdict,
 )
@@ -92,20 +84,20 @@ class ClassicalStrategy:
     code per question position for each role (`codes`): a value answer's
     index, or the base-q number of a line answer's bound + 1 coefficients,
     constant term first.  `tables` and `tables_b` (answers for role B, when
-    given) are code arrays, -1 marking a question with no answer, or total
-    object tables {group: {question: answer}} to encode.  `rows[role]` holds
-    the values each answer gives along its line (a value answer repeated),
-    one integer row of q per position; `tables` and `answer` decode."""
+    given) are code arrays, -1 marking a question with no answer.
+    `rows[role]` holds the values each answer gives along its line (a value
+    answer repeated), one integer row of q per position; `tables` and
+    `answer` decode."""
 
     def __init__(self, params: TestParams, tables, tables_b=None):
-        codes = [t if isinstance(t, np.ndarray) else answer_codes(params, t)
-                 for t in (tables, tables_b) if t is not None]
+        codes = [t for t in (tables, tables_b) if t is not None]
+        support = support_table(params)
         for table in codes:
             if (table < 0).any():
-                raise unanswered(support_table(params), int(np.argmax(table < 0)))
+                raise unanswered(support, int(np.argmax(table < 0)))
         self.params, self.symmetric = params, tables_b is None
         self.codes = {"A": codes[0], "B": codes[-1]}
-        rows = [answer_rows(params, table) for table in codes]
+        rows = [answer_rows(params.field, table, support.bound) for table in codes]
         self.rows = {"A": rows[0], "B": rows[-1]}
 
     @property
@@ -172,28 +164,11 @@ def line_digits(q, codes, bounds):
         yield at, digits
 
 
-def answer_codes(params: TestParams, tables) -> np.ndarray:
-    """A total object table's codes (see ClassicalStrategy), each answer
-    checked here, once."""
-    support, codes = support_table(params), []
-    for pos, ((group, question), bound) in enumerate(zip(support.questions,
-                                                         support.bound.tolist())):
-        ans = tables.get(group, {}).get(question)
-        if ans is None:
-            raise unanswered(support, pos)
-        check_answer_format(params, bound, ans)
-        code = 0  # a value answer is one digit
-        for c in [ans.i] if bound < 0 else (ans.coeffs + (0,) * bound)[:bound + 1]:
-            code = code * params.q + c
-        codes.append(code)
-    return np.array(codes, dtype=code_dtype(params))
-
-
-def answer_rows(params: TestParams, codes) -> np.ndarray:
-    """Coded answers as one integer row of q values per question position:
-    a line answer's values at each line parameter (a Horner pass over its
-    digits, highest degree first), or a value answer repeated."""
-    f, bounds = params.field, support_table(params).bound
+def answer_rows(f, codes, bounds) -> np.ndarray:
+    """Codes of answers of degree bounds `bounds` (-1 for a value) as one
+    integer row of q values each: a line answer's values at each line
+    parameter (a Horner pass over its digits, highest degree first), or a
+    value answer repeated."""
     rows = np.repeat(np.where(bounds < 0, codes, 0).astype(np.int64)[:, None], f.q, axis=1)
     for at, digits in line_digits(f.q, codes, bounds):
         vals = np.zeros((len(at), f.q), dtype=np.int64)
@@ -213,31 +188,35 @@ def decoded(params: TestParams, codes, at=slice(None)) -> list:
     return out
 
 
-def honest_tables(params: TestParams, polys):
-    """Answer tables for every question from each fixed polynomial, all of
-    one shape (m, d), where d may exceed params.d: value answers from
-    label_values grid rows, line answers from one restrict_to_lines call."""
-    f, m, d = params.field, polys[0].m, polys[0].d
-    s = support_table(params)
+def honest_tables(params: TestParams, coeffs, d=None) -> np.ndarray:
+    """One code array per polynomial, answering every question from it: the
+    polynomials are flat coefficient rows of individual degree d (params.d
+    by default; it may exceed params.d).  Value answers are label_values
+    grid entries, and line answers come from one restrict_to_lines call,
+    coded by line_codes; a line answer of degree above its question's bound
+    is left unanswered (-1)."""
+    f, m = params.field, params.m
+    d = params.d if d is None else d
+    coeffs, s = np.asarray(coeffs, dtype=np.int64), support_table(params)
+    grid = s.base @ f.q ** np.arange(m - 1, -1, -1)  # a value's point is its base
+    tables = label_values(f, m, d, coeffs)[:, grid].astype(code_dtype(params))
     lines = np.flatnonzero(s.bound >= 0)
-    restricted = restrict_to_lines(f, m, d, [g.flat() for g in polys], s.base[lines],
-                                   s.direction[lines])
-    grid = (s.base @ f.q ** np.arange(m - 1, -1, -1)).tolist()  # a value's point is its base
-    tables = []
-    for values, rows in zip(label_values(tuple(polys)).tolist(), restricted.tolist()):
-        rows = dict(zip(lines.tolist(), rows))
-        table = {group: {} for group in GROUPS}
-        for pos, (group, q) in enumerate(s.questions):
-            table[group][q] = (
-                UniPoly(f, rows[pos], bound=d if group == "axis" else params.m * params.d)
-                if pos in rows else f.element(values[grid[pos]]))
-        tables.append(table)
+    restricted = restrict_to_lines(f, m, d, coeffs, s.base[lines], s.direction[lines])
+    width = max(restricted.shape[2], m * params.d + 1)  # the widest line answer
+    restricted = np.pad(restricted, ((0, 0), (0, 0), (0, width - restricted.shape[2])))
+    bounds = s.bound[lines]
+    for b in set(bounds.tolist()):
+        at = np.flatnonzero(bounds == b)
+        rows = restricted[:, at]
+        codes = line_codes(params, rows[:, :, :b + 1].reshape(-1, b + 1)).reshape(len(coeffs), -1)
+        codes[rows[:, :, b + 1:].any(axis=2)] = -1
+        tables[:, lines[at]] = codes
     return tables
 
 
 def honest_strategy(params: TestParams, g: MultiPoly) -> ClassicalStrategy:
     """Answer every question from the fixed polynomial g."""
-    return ClassicalStrategy(params, honest_tables(params, [g])[0])
+    return ClassicalStrategy(params, honest_tables(params, g.flat()[None], g.d)[0])
 
 
 def example_adversary(params: TestParams) -> ClassicalStrategy:
@@ -251,12 +230,11 @@ def example_adversary(params: TestParams) -> ClassicalStrategy:
     if params.m * d < d + 1:
         raise ProtocolError("need m * d >= d + 1 so diagonal answers can hold "
                             "the points function")
-    tables = honest_tables(params, [adversary_points_polynomial(params)])[0]
-    axis_fn = tables["axis"]
-    for line, answer in axis_fn.items():
-        # give up in the first direction; h is constant along the others
-        axis_fn[line] = UniPoly(f, [0], bound=d) if line.axis == 0 else answer.rebound(d)
-    return ClassicalStrategy(params, tables)
+    h = adversary_points_polynomial(params)
+    codes = honest_tables(params, h.flat()[None], h.d)[0]
+    # give up (answer 0) in the first direction; h is constant along the others
+    codes[support_table(params).axis_at[:, 0]] = 0
+    return ClassicalStrategy(params, codes)
 
 
 def adversary_points_polynomial(params: TestParams) -> MultiPoly:
@@ -319,13 +297,17 @@ class QuantumStrategy:
             raise ProtocolError(f"state norm {norm:.2e} != 1")
         support = support_table(self.params)
         for role, fams in self.families.items():
+            dim = da if role == "A" else db
+            if role == "B" and fams is self.families.get("A") and dim == da:
+                continue  # one table for both roles is checked once
             if len(fams) != len(support.group):
                 raise ProtocolError(f"{len(fams)} {role} families for "
                                     f"{len(support.group)} questions")
             if None in fams:
                 _, question = support.questions[fams.index(None)]
                 raise ProtocolError(f"no {role} family for the question {question}")
-            check_families(fams, da if role == "A" else db, self.projective)
+            check_labels(fams, support, role)
+            check_families(fams, dim, self.projective)
         if self.symmetric:
             if not is_swap_invariant(self.Psi):
                 raise ProtocolError("symmetric strategy needs a swap-invariant state")
@@ -339,36 +321,34 @@ class QuantumStrategy:
         |psi>, in the point family's outcome order.  A round reads only its
         two questions, so each distinct pair is evaluated once: the other side
         grouped by value (`_by_value`), one family at a time, and contracted
-        against the point family in stacks (`_contract`).  A value no answer
-        gives has a zero sum, and a zero's sign changes no nonzero result;
-        a term of +-0.0 cannot change a sum that starts at +0.0, so every
-        sum is the per-round one, bit for bit."""
+        against the point family in stacks (`_contract`).  An outcome's
+        values are read from its code (`answer_rows`): one column for a
+        value family, one per line parameter t for a line family.  A value
+        no answer gives has a zero sum, and a zero's sign changes no nonzero
+        result; a term of +-0.0 cannot change a sum that starts at +0.0, so
+        every sum is the per-round one, bit for bit."""
         pairs = np.stack([support.q_a, support.q_b], axis=1)
         _, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
-        fams = [self.families[role] for role in ROLES]
-        # the value slot of each outcome at each t (one column for a value
-        # family): a field element's value, then any other label as first seen
-        slot = {v: v.i for v in self.params.field.elements()}
-        values, shared = {}, {}  # a built strategy's line families share outcome tuples
-        for side in fams:
-            for fam, bound in zip(side, support.bound.tolist()):
-                if bound < 0:
-                    values[id(fam)] = np.array([slot.setdefault(o, len(slot))
-                                                for o in fam.outcomes], dtype=np.intp)[:, None]
-                else:
-                    if id(fam.outcomes) not in shared:
-                        shared[id(fam.outcomes)] = label_values(fam.outcomes)
-                    values[id(fam)] = shared[id(fam.outcomes)]
+        fams, f, rows = [self.families[role] for role in ROLES], self.params.field, {}
+
+        def values(fam, bound):  # built families share outcome tuples
+            if (id(fam.outcomes), bound) not in rows:
+                codes = np.array(fam.outcomes)
+                rows[id(fam.outcomes), bound] = answer_rows(
+                    f, codes, np.full(len(codes), bound))[:, :1 if bound < 0 else None]
+            return rows[id(fam.outcomes), bound]
+
         t, role = support.t[first], support.line_role[first]
         line_pos = np.where(t < 0, -1, pairs[first, np.maximum(role, 0)])
         acc, batch, key = np.zeros(len(first)), ([], [], []), None
         for i in np.argsort(line_pos, kind="stable").tolist():
             p = int(role[i] == 0)  # the point's side
-            point, other = fams[p][pairs[first[i], p]], fams[1 - p][pairs[first[i], 1 - p]]
+            point, at = fams[p][pairs[first[i], p]], pairs[first[i], 1 - p]
+            other = fams[1 - p][at]
             if key != (line_pos[i], id(other)):  # one line family at a time
                 key = (line_pos[i], id(other))
-                grouped = _by_value(other, values[id(other)], len(slot))
-            pair = (point.ops, grouped[max(t[i], 0), values[id(point)][:, 0]])
+                grouped = _by_value(other, values(other, int(support.bound[at])), f.q)
+            pair = (point.ops, grouped[max(t[i], 0), values(point, -1)[:, 0]])
             for part, item in zip(batch, (np.full(len(point.ops), i), pair[p], pair[1 - p])):
                 part.append(item)
             if sum(map(len, batch[0])) * max(self.Psi.shape) ** 2 >= STACK_ENTRIES:
@@ -378,7 +358,7 @@ class QuantumStrategy:
 
 
 def _by_value(fam: SubMeasurement, values, width) -> np.ndarray:
-    """ops[t, v] over width value slots: the sum, from zero and in outcome
+    """ops[t, v] over width values: the sum, from zero and in outcome
     order, of fam's operators o with values[o, t] = v, as `group` sums."""
     ts = np.arange(values.shape[1])
     ops = np.zeros((len(ts), width) + fam.ops.shape[1:], dtype=complex)
@@ -395,6 +375,20 @@ def _contract(Psi, batch, acc):
         np.add.at(acc, np.concatenate(owners), terms.real)
         for part in batch:
             part.clear()
+
+
+def check_labels(fams, support: Support, role):
+    """Refuse a family not labelled by its question's answer codes, the ints
+    0 to q^(b+1) - 1 for a line answer of bound b and 0 to q - 1 for a
+    value; each outcome tuple is checked once per bound."""
+    checked = set()
+    for pos, (fam, bound) in enumerate(zip(fams, support.bound.tolist())):
+        size = support.field.q ** max(bound + 1, 1)
+        if (id(fam.outcomes), bound) not in checked and not all(
+                type(o) is int and 0 <= o < size for o in fam.outcomes):
+            raise ProtocolError(f"the {role} family for the question {support.questions[pos][1]} "
+                                f"is not labelled by the answer codes 0 to {size - 1}")
+        checked.add((id(fam.outcomes), bound))
 
 
 def check_family(sub: SubMeasurement, dim, projective):
@@ -432,16 +426,6 @@ def _stack_ok(fams, dim, projective):
                 and np.linalg.eigvalsh(totals).max() <= 1 + COMPLETENESS_TOL
                 and np.abs(totals - np.eye(dim)).max() <= COMPLETENESS_TOL
                 and (not projective or np.abs(ops @ ops - ops).max() <= 1e-9))
-
-
-def group_by_value(fam: SubMeasurement, values, f) -> SubMeasurement:
-    """fam's outcomes grouped by the integer-encoded values they give (one
-    per outcome: a column of label_values), relabelled as FieldElements so
-    they match value-labelled families (an int names a FieldElement only in
-    the prime subfield)."""
-    grouped = fam.group(values.tolist())
-    return SubMeasurement(tuple(f.element(v) for v in grouped.outcomes), grouped.ops,
-                          check=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -623,8 +607,8 @@ def classical_to_quantum(strategy: ClassicalStrategy) -> QuantumStrategy:
 def shared_randomness_strategy(params: TestParams, weighted_tables) -> QuantumStrategy:
     """Diagonal quantum embedding of a distribution over deterministic tables:
     psi = sum_i sqrt(w_i) |ii> and indicator projector families, scattered
-    from the tables' answer codes, which index the outcome labels (a line
-    answer's base-q number is its place in _unipolys order)."""
+    from the tables' answer codes, which are the outcome labels: each family
+    of one answer bound has every code of that bound, in order."""
     n = len(weighted_tables)
     weights = np.array([float(w) for w, _ in weighted_tables])
     if abs(weights.sum() - 1.0) > 1e-12:
@@ -634,8 +618,10 @@ def shared_randomness_strategy(params: TestParams, weighted_tables) -> QuantumSt
     Psi = np.diag(np.sqrt(weights)).astype(complex)
 
     f, diag, support = params.field, np.arange(n), support_table(params)
-    alphabets = {-1: tuple(f.elements())}  # answer bound -> outcome labels
-    alphabets.update((b, _unipolys(f, b)) for b in (params.d, params.m * params.d))
+    alphabets = {-1: tuple(range(f.q))}  # answer bound -> outcome labels
+    for b in (params.d, params.m * params.d):
+        check_line_alphabet(f, b)
+        alphabets[b] = tuple(range(f.q ** (b + 1)))
     # the alphabets are capped, so every code is an int64 index into its own
     codes = np.stack([s.codes["A"] for _, s in weighted_tables], axis=1).astype(np.intp)
     shared = []
@@ -652,12 +638,6 @@ def shared_randomness_strategy(params: TestParams, weighted_tables) -> QuantumSt
 def check_line_alphabet(f, bound):
     """Refuse a line answer alphabet, every degree-<=bound answer, over ALPHABET_CAP."""
     check_power("line answer alphabet", f.q, bound + 1, ALPHABET_CAP)
-
-
-def _unipolys(f, bound):
-    """Every degree-<=bound univariate answer, the outcome labels of a line."""
-    check_line_alphabet(f, bound)
-    return tuple(UniPoly(f, c) for c in itertools.product(range(f.q), repeat=bound + 1))
 
 
 def symmetrize(strategy: QuantumStrategy) -> QuantumStrategy:

@@ -7,8 +7,10 @@ Records are written from the integer coordinates of `protocol.support_table`
 and read back by question position: each group's coordinates become integer
 arrays, and `Support.at` finds their positions.  Classical records are read
 straight into answer codes (`ClassicalStrategy`), quantum records into one
-family per position (`QuantumStrategy`); a question object is built only
-for the message of a bad record."""
+family per position (`QuantumStrategy`), whose outcome labels are read into
+the same codes and written back from them: a value outcome as its
+coefficient vector, a line outcome as its coefficient indices.  A question
+object is built only for the message of a bad record."""
 
 from __future__ import annotations
 
@@ -18,9 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SizeGuardError, StrategyError
-from .gf import GF, FieldElement, field
+from .gf import GF, field
 from .measurements import SubMeasurement
-from .polyspace import AxisLine, DiagonalLine, Point, UniPoly
+from .polyspace import AxisLine, DiagonalLine, Point
 from .protocol import GROUPS, TestParams, support_table
 from .strategies import ClassicalStrategy, QuantumStrategy, code_dtype, line_codes, line_digits
 
@@ -122,14 +124,6 @@ def _question_in(f: GF, group, rec):
     return DiagonalLine(_point_in(f, rec["base"]), _point_in(f, rec["dir"]))
 
 
-def _outcome_in(f: GF, bound, rec):
-    """A quantum outcome label: a value for a question with value answers
-    (bound -1), else a polynomial held to the degree bound."""
-    if bound < 0:
-        return f.element(rec["a"] if "a" in rec else rec["value"])
-    return UniPoly(f, rec["coeffs"], bound=bound)
-
-
 def _indices(f: GF, values, depth):
     """f.index of each JSON value nested `depth` lists deep in `values`:
     integer coefficient lists of one length, or in-range indices, as one
@@ -157,15 +151,14 @@ def _points(f: GF, values, m):
     return rows
 
 
-def _held_to(f: GF, rows, bound):
-    """Coefficient rows of line answers held to a degree bound as UniPoly
-    holds them: zero-padded, and cut after the bound where they end in 0."""
+def _held_to(rows, bound):
+    """Coefficient rows of line answers held to a degree bound: zero-padded,
+    and cut after the bound where they end in 0."""
     if not isinstance(rows, np.ndarray):  # rows of several lengths
         width = max(map(len, rows))
         rows = np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.int64)
-    over = rows[:, bound + 1:].any(axis=1)
-    if over.any():
-        UniPoly(f, rows[int(np.argmax(over))].tolist(), bound=bound)  # raises its bound error
+    if rows[:, bound + 1:].any():
+        raise ValueError("coefficients exceed the degree bound")
     held = np.zeros((len(rows), bound + 1), dtype=np.int64)
     held[:, :rows.shape[1]] = rows[:, :bound + 1]
     return held
@@ -199,17 +192,21 @@ def _records(params: TestParams, support, group, recs):
     """The question positions and answer codes of one group's classical
     records, read field by field in the order a record's question and answer
     are read."""
-    f = params.field
     at = _positions(params, support, group, recs)
     bounds, codes = support.bound[at], np.zeros(len(recs), dtype=code_dtype(params))
-    value = (bounds < 0).tolist()
-    if any(value):
-        codes[bounds < 0] = _indices(f, [rec["a"] if "a" in rec else rec["value"]
-                                         for rec, v in zip(recs, value) if v], 1)
-    if not all(value):
-        coeffs = _indices(f, [rec["coeffs"] for rec, v in zip(recs, value) if not v], 2)
-        codes[bounds >= 0] = line_codes(params, _held_to(f, coeffs, int(bounds.max())))
+    for rows, bound in ((bounds < 0, -1), (bounds >= 0, int(bounds.max()))):
+        if rows.any():
+            codes[rows] = _codes(params, [rec for rec, r in zip(recs, rows.tolist()) if r], bound)
     return at, codes
+
+
+def _codes(params: TestParams, recs, bound):
+    """The codes of the answers (or outcomes) of records for a question of
+    degree bound `bound`: value indices, or line codes held to the bound."""
+    f = params.field
+    if bound < 0:
+        return _indices(f, [rec["a"] if "a" in rec else rec["value"] for rec in recs], 1)
+    return line_codes(params, _held_to(_indices(f, [rec["coeffs"] for rec in recs], 2), bound))
 
 
 def _classical_codes(params: TestParams, data):
@@ -237,20 +234,18 @@ def _classical_codes(params: TestParams, data):
     return codes
 
 
-def _outcome_out(o):
-    return {"value" if isinstance(o, FieldElement) else "coeffs": list(o.coeffs)}
-
-
 def _families_in(params: TestParams, data):
     """One role's families by question position, None where no record gives
-    one, read record by record: its question, outcomes and operators."""
-    f, support = params.field, support_table(params)
+    one, read record by record: its question, outcome labels (read into
+    answer codes, as classical answers are) and operators."""
+    support = support_table(params)
     fams = [None] * len(support.group)
     for group in GROUPS:
         for rec in data[group]:
             pos = int(_positions(params, support, group, [rec])[0])
-            bound = int(support.bound[pos])
-            fam = SubMeasurement(tuple(_outcome_in(f, bound, o) for o in rec["outcomes"]),
+            outcomes = rec["outcomes"]
+            labels = _codes(params, outcomes, int(support.bound[pos])) if outcomes else []
+            fam = SubMeasurement(np.asarray(labels).tolist(),
                                  np.array([_matrix_in(op) for op in rec["ops"]]), check=False)
             if fams[pos] is not None:
                 _, question = support.questions[pos]
@@ -260,9 +255,19 @@ def _families_in(params: TestParams, data):
 
 
 def _families_out(params: TestParams, fams):
+    """A role's family records, each outcome rendered from its code: a
+    value's coefficient vector, or a line answer's coefficient indices."""
+    f, bounds = params.field, support_table(params).bound.tolist()
+
+    def outcomes(sub, bound):
+        if bound < 0:
+            return [{"value": list(f.coeffs_of(c))} for c in sub.outcomes]
+        (_, digits), = line_digits(f.q, np.array(sub.outcomes), np.full(len(sub.outcomes), bound))
+        return [{"coeffs": row} for row in digits.tolist()]
+
     return _records_out(params, GROUPS, [
-        {"outcomes": [_outcome_out(o) for o in sub.outcomes],
-         "ops": [_matrix_out(op) for op in sub.ops]} for sub in fams])
+        {"outcomes": outcomes(sub, bound), "ops": [_matrix_out(op) for op in sub.ops]}
+        for sub, bound in zip(fams, bounds)])
 
 
 def save_strategy(strategy, path):

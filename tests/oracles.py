@@ -9,8 +9,11 @@ families and their dual certificates, and the pasted family restricted to
 every line with scalar `restrict_axis`.
 
 The quantum judge's reference is `accept`, one round by dense contraction
-with the line family grouped per round (`round_family`), and the builder's
+with the line family grouped per round (`round_family`), each outcome's
+code decoded to its UniPoly (`decode_line`) and evaluated; the builder's
 are the scalar restrictions `restrict_axis` and `restrict_diagonal`.
+Object answer tables are encoded into the codes ClassicalStrategy takes by
+`answer_codes`, each answer checked by `check_answer_format`.
 
 The Naimark dilation's reference is `dilate`: one square root per operator,
 W as a sum of Kronecker products, the completion from the eigenvectors of
@@ -32,6 +35,7 @@ The SDP's references are the dense kernels the index-block ones replaced:
 import itertools
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,7 +64,7 @@ from lidtest.protocol import (
     support_table,
 )
 from lidtest.stratfile import StrategyFileError, _params_from_header
-from lidtest.strategies import ClassicalStrategy, group_by_value
+from lidtest.strategies import ClassicalStrategy, code_dtype, unanswered
 
 
 def _assign(role, line_q, point_q):
@@ -244,14 +248,58 @@ def object_transcript(strategy, path, judged):
 
 
 def object_rows(params, tables):
-    """A total answer table's integer rows from its objects: label_values
-    of the line answers, and each value answer repeated."""
+    """A total answer table's integer rows from its objects: each line
+    answer evaluated at every line parameter, and each value answer
+    repeated."""
     questions = reference_questions(params)
     rows = np.empty((len(questions), params.q), dtype=np.int64)
     for pos, (group, question) in enumerate(questions):
         ans = tables[group][question]
-        rows[pos] = ans.i if isinstance(ans, FieldElement) else label_values((ans,))[0]
+        rows[pos] = ans.i if isinstance(ans, FieldElement) else [ans(t).i for t in range(params.q)]
     return rows
+
+
+# ---- object answer tables, encoded -------------------------------------------------
+
+
+def check_answer_format(params, bound, answer):
+    """Field, shape and degree-bound validation of one answer to a question
+    whose answers have degree bound `bound` (-1 for a value answer)."""
+    if getattr(answer, "field", params.field) != params.field:
+        raise ProtocolError(f"answer {answer!r} lies outside {params.field!r}")
+    if bound < 0:
+        if not isinstance(answer, FieldElement):
+            raise ProtocolError("point and degenerate-line questions take value answers")
+        return
+    if not isinstance(answer, UniPoly):
+        raise ProtocolError("line questions take polynomial answers")
+    if answer.degree() > bound:
+        raise ProtocolError(
+            f"line answer degree {answer.degree()} exceeds bound {bound}"
+        )
+
+
+def answer_codes(params, tables):
+    """A total object table {group: {question: answer}} as the code array
+    ClassicalStrategy takes, each answer checked here, once."""
+    support, codes = support_table(params), []
+    for pos, ((group, question), bound) in enumerate(zip(support.questions,
+                                                         support.bound.tolist())):
+        ans = tables.get(group, {}).get(question)
+        if ans is None:
+            raise unanswered(support, pos)
+        check_answer_format(params, bound, ans)
+        code = 0  # a value answer is one digit
+        for c in [ans.i] if bound < 0 else (ans.coeffs + (0,) * bound)[:bound + 1]:
+            code = code * params.q + c
+        codes.append(code)
+    return np.array(codes, dtype=code_dtype(params))
+
+
+def object_strategy(params, tables, tables_b=None):
+    """ClassicalStrategy of object tables, each encoded by answer_codes."""
+    return ClassicalStrategy(params, answer_codes(params, tables),
+                             None if tables_b is None else answer_codes(params, tables_b))
 
 
 # ---- the classical strategy file loader that built objects -----------------------
@@ -322,7 +370,7 @@ def load_classical(path):
     try:
         tables = classical_tables_in(params, doc["tables"])
         tables_b = classical_tables_in(params, doc["tables_b"]) if "tables_b" in doc else None
-        return ClassicalStrategy(params, tables, tables_b)
+        return object_strategy(params, tables, tables_b)
     except SizeGuardError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -370,9 +418,9 @@ def slice_hypotheses(strategy, g_by_x, evaluated_by_x, Zs):
 
     bound_val = 0.0
     min_slack = np.inf
-    elements = tuple(f.elements())
     pts = list(all_points(f, m_slice))  # point_index order, as value-table columns
-    values = label_values(tuple(enumerate_polyspace(f, m_slice, params.d))).tolist()
+    values = label_values(f, m_slice, params.d, [g.flat() for g in enumerate_polyspace(
+        f, m_slice, params.d)]).tolist()
     for x in range(f.q):
         G = g_by_x[x]
         rest = np.eye(G.dim) - G.total()
@@ -381,7 +429,7 @@ def slice_hypotheses(strategy, g_by_x, evaluated_by_x, Zs):
         for g_values in values:
             avg = np.zeros((G.dim, G.dim), dtype=complex)
             for A, v in zip(slice_points, g_values):
-                avg += A.op(elements[v])
+                avg += A.op(v)
             avg /= f.q ** m_slice
             w = np.linalg.eigvalsh(0.5 * (Zs[x] + Zs[x].conj().T) - avg)
             min_slack = min(min_slack, float(w.min()))
@@ -392,8 +440,9 @@ def slice_hypotheses(strategy, g_by_x, evaluated_by_x, Zs):
 def pasted_line_consistency(strategy, pasted):
     """E_u sum over mismatched line answers of <H_{[h along line u]} (x) B^u_f>,
     each pasted outcome restricted to the line through u in the last
-    direction with scalar restrict_axis; pasted is labelled by polynomial
-    index, decoded with poly_by_index."""
+    direction with scalar restrict_axis and encoded (encode_line), as B's
+    outcomes are; pasted is labelled by polynomial index, decoded with
+    poly_by_index."""
     f, d = strategy.params.field, strategy.params.d
     m_slice = strategy.params.m - 1
     Psi = strategy.Psi
@@ -402,8 +451,8 @@ def pasted_line_consistency(strategy, pasted):
     for u in pts:
         line = AxisLine(m_slice, point(f, u.ints() + (0,)))
         B = question_family(strategy, "A", line)
-        restricted = post_process(pasted, lambda h, line=line: restrict_axis(
-            poly_by_index(f, m_slice + 1, d, h), line))
+        restricted = post_process(pasted, lambda h, line=line: encode_line(restrict_axis(
+            poly_by_index(f, m_slice + 1, d, h), line)))
         val = expect_joint(restricted.total(), B.total(), Psi)
         for o in restricted.outcomes:
             if o in B:
@@ -422,16 +471,44 @@ def question_family(strategy, role, question):
 
 def round_family(strategy, role, sample):
     """The family `role` measures in this round.  A line family is grouped
-    by the value its outcomes give the round's point, one column of its
-    label_values; a degenerate diagonal line's value outcomes pass through
-    unchanged."""
+    by the value its outcomes give the round's point, each outcome's code
+    decoded to its UniPoly and evaluated there; a degenerate diagonal line's
+    value outcomes pass through unchanged."""
     question = sample.question_a if role == "A" else sample.question_b
     fam = question_family(strategy, role, question)
     line = sample.line
     if role != sample.line_role or (isinstance(line, DiagonalLine) and line.degenerate):
         return fam
-    values = label_values(fam.outcomes)[:, line.param_of(sample.point).i]
-    return group_by_value(fam, values, strategy.params.field)
+    t, support = line.param_of(sample.point).i, support_table(strategy.params)
+    bound = int(support.bound[support.position(line)])
+    return post_process(fam, lambda code: line_values(strategy.params.field, bound, code)[t])
+
+
+@lru_cache(maxsize=None)
+def line_values(f, bound, code):
+    """The values at t = 0..q-1 of the line answer coded `code`, decoded to
+    its UniPoly and evaluated at each t."""
+    p = decode_line(f, code, bound)
+    return tuple(p(t).i for t in range(f.q))
+
+
+def decode_line(f, code, bound):
+    """The UniPoly of a line answer code of degree bound `bound`: its bound + 1
+    base-q digits, constant term first."""
+    digits = []
+    for _ in range(bound + 1):
+        code, c = divmod(code, f.q)
+        digits.append(c)
+    return UniPoly(f, digits[::-1])
+
+
+def encode_line(p):
+    """The code of a line answer UniPoly: the base-q number of its
+    coefficients, constant term first."""
+    code = 0
+    for c in p.coeffs:
+        code = code * p.field.q + c
+    return code
 
 
 def accept(strategy, sample):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from lidtest.cli import main
 from lidtest.gf import field, field_for_order
-from lidtest.polyspace import MultiPoly, UniPoly
+from lidtest.polyspace import MultiPoly
 from lidtest.protocol import GROUPS, TestParams, support_table
 from lidtest.stratfile import load_strategy, save_strategy
 from lidtest.strategies import honest_strategy, pass_probabilities
@@ -112,9 +112,15 @@ def test_quantum_strategy_file_round_trip_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
     for sub, back in zip(strat.families["A"], loaded.families["A"], strict=True):
         assert back.outcomes == sub.outcomes
-    axis = [sub for sub, group in zip(loaded.families["A"], support_table(params).group)
+    # every family is labelled by its answer codes: a value's index, or a
+    # line answer's base-q number
+    q, support = params.q, support_table(params)
+    codes = {-1: tuple(range(q)), 1: tuple(range(q ** 2)), 2: tuple(range(q ** 3))}
+    axis = [sub for sub, group in zip(loaded.families["A"], support.group)
             if group == GROUPS.index("axis")]
-    assert all(isinstance(o, UniPoly) for sub in axis for o in sub.outcomes)
+    assert axis and all(sub.outcomes == tuple(range(q ** (params.d + 1))) for sub in axis)
+    assert [sub.outcomes for sub in loaded.families["A"]] == [
+        codes[b] for b in support.bound.tolist()]
 
 
 # an axis line answer has degree at most d = 1, and its coefficients are a list
@@ -138,8 +144,9 @@ def test_run_test_enumerates_the_support_once(tmp_path, monkeypatch):
     # one support table is built per run, its lines come from integer arrays
     # rather than one DiagonalLine.through per (point, direction) pair, and
     # the file's records are read once per group, as arrays: no answer
-    # object is checked, per question or per round
-    from lidtest import protocol, strategies, stratfile
+    # object is made, per question or per round
+    from lidtest import protocol, stratfile
+    from lidtest.gf import FieldElement
     from lidtest.instances import corrupted_tables
     from lidtest.polyspace import DiagonalLine
 
@@ -153,18 +160,18 @@ def test_run_test_enumerates_the_support_once(tmp_path, monkeypatch):
         builds.append(args)
         return support_class(*args)
 
-    def counting_check(*args):
+    def counting_element(self, *args):
         checks.append(args)
-        return check_answer_format(*args)
+        element_init(self, *args)
 
     def counting_records(*args):
         reads.append(args)
         return records(*args)
 
-    support_class, check_answer_format = protocol.Support, strategies.check_answer_format
+    support_class, element_init = protocol.Support, FieldElement.__init__
     records = stratfile._records
     monkeypatch.setattr(protocol, "Support", counting_support)
-    monkeypatch.setattr(strategies, "check_answer_format", counting_check)
+    monkeypatch.setattr(FieldElement, "__init__", counting_element)
     monkeypatch.setattr(stratfile, "_records", counting_records)
     monkeypatch.setattr(DiagonalLine, "through",
                         classmethod(lambda cls, u, v: throughs.append((u, v))))
@@ -711,7 +718,7 @@ def test_asymmetric_classical_file_round_trip(tmp_path):
     g1 = MultiPoly(f, 1, 1, np.array([0, 1]))
     s0 = honest_strategy(params, g0)
     s1 = honest_strategy(params, g1)
-    both = ClassicalStrategy(params, s0.tables["A"], s1.tables["B"])
+    both = ClassicalStrategy(params, s0.codes["A"], s1.codes["B"])
     assert not both.symmetric
     path = tmp_path / "asym.json"
     save_strategy(both, path)

@@ -110,7 +110,13 @@ def test_pipeline_builds_no_question_objects(monkeypatch):
             else:
                 lifted = DiagonalLine(point(f, question.base.ints() + (x,)),
                                       point(f, question.direction.ints() + (0,)))
-            assert fam is strat.families["A"][where[lifted]]
+            want = strat.families["A"][where[lifted]]
+            if fam is not want:  # a diagonal line's codes, held to the slice's bound
+                shift = f.q ** params.d
+                keep = [j for j, c in enumerate(want.outcomes) if c % shift == 0]
+                assert group == "diag" and not question.degenerate
+                assert fam.outcomes == tuple(want.outcomes[j] // shift for j in keep)
+                assert np.array_equal(fam.ops, want.ops[keep])
     made = []
     point_new = Point.__new__
     monkeypatch.setattr(Point, "__new__", staticmethod(
@@ -124,6 +130,58 @@ def test_pipeline_builds_no_question_objects(monkeypatch):
     finally:
         protocol.support_table.cache_clear()
     assert made == []
+
+
+def test_each_improved_slice_family_is_evaluated_once(monkeypatch):
+    # the projective family of each slice is evaluated at the points once:
+    # its consistency with the points and the slice commutativity both read
+    # that one evaluation
+    from lidtest import diagnostics, improvement
+
+    params = TestParams(field(3), 3, 1)
+    strat = noisy_shared_randomness_strategy(params, 3, 1, seed=0)
+    evaluated, improved = [], []
+    evaluate, improve = improvement.evaluated_at_points, diagnostics.projective_improve
+
+    def counting(G, *args):
+        evaluated.append(G)
+        return evaluate(G, *args)
+
+    def recording(*args):
+        out = improve(*args)
+        improved.append(out[0])
+        return out
+
+    monkeypatch.setattr(improvement, "evaluated_at_points", counting)
+    # any evaluation made from the pipeline's own module is counted too
+    monkeypatch.setattr(diagnostics, "evaluated_at_points", counting, raising=False)
+    monkeypatch.setattr(diagnostics, "projective_improve", recording)
+    soundness_witness(strat, k=3)
+    assert len(improved) == 3 + 3 * 3  # the slices of the top level and of each slice
+    for P in improved:
+        assert sum(G is P for G in evaluated) == 1
+
+
+def test_pipeline_builds_no_field_element_or_polynomial(monkeypatch):
+    # the noisy build, its judge and the pipeline stay on integer codes and
+    # indices: no field element, line answer or polynomial object is made
+    from collections import Counter
+
+    from lidtest.gf import FieldElement
+    from lidtest.strategies import goodness, judge
+
+    made = Counter()
+    for cls in (FieldElement, UniPoly, MultiPoly):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, name=cls.__name__, init=init,
+                            **kw: made.update([name]) or init(self, *args, **kw))
+    params = TestParams(field(3), 3, 1)
+    strat = noisy_shared_randomness_strategy(params, 3, 1, seed=0)
+    assert made == Counter()
+    goodness(judge(strat, params))
+    assert made == Counter()
+    soundness_witness(strat, k=3)
+    assert made == Counter()
 
 
 def test_base_case_family_is_polynomial_measurement():
@@ -148,7 +206,8 @@ def test_slice_commutativity_honest_zero():
         ops = np.zeros((len(polys), 1, 1), dtype=complex)
         ops[polys.index(slice_at(g, f.element(x)).index())] = 1.0
         g_by_x[x] = SubMeasurement(polys, ops, check=False)
-    reports = slice_commutativity(strat, pass_probabilities(strat), g_by_x, 0.0)
+    reports = slice_commutativity(strat, pass_probabilities(strat), g_by_x,
+                                  evaluated_slices(strat, g_by_x), 0.0)
     for rep in reports:
         assert rep.measured == pytest.approx(0.0, abs=1e-12)
         assert rep.margin >= 0
@@ -265,9 +324,9 @@ def test_soundness_witness_measures_each_consistency_once(monkeypatch):
 
     measured = []
 
-    def counting(strategy, G):
+    def counting(strategy, G, *args):
         measured.append((strategy, G))
-        return measure_points_consistency(strategy, G)
+        return measure_points_consistency(strategy, G, *args)
 
     monkeypatch.setattr(diagnostics, "measure_points_consistency", counting)
     monkeypatch.setattr(improvement, "measure_points_consistency", counting)
@@ -416,6 +475,14 @@ def dense_points_commutativity(strategy):
     return total / len(points) ** 2
 
 
+def evaluated_slices(strategy, g_by_x):
+    """Each slice family evaluated at the slice's points, as the pipeline
+    hands them to slice_commutativity."""
+    params = strategy.params
+    return {x: evaluated_at_points(G, params.field, params.m - 1, params.d)
+            for x, G in g_by_x.items()}
+
+
 def dense_slice_commutativity(strategy, g_by_x):
     """The raw and evaluated slice commutator masses over every outcome pair,
     zero operators included."""
@@ -460,8 +527,8 @@ def test_slice_commutativity_in_the_pipeline_equals_dense_loops(monkeypatch, q, 
     live = diagnostics.slice_commutativity
     levels = []
 
-    def checked(strategy, good, g_by_x, zeta):
-        reports = live(strategy, good, g_by_x, zeta)
+    def checked(strategy, good, g_by_x, evaluated_by_x, zeta):
+        reports = live(strategy, good, g_by_x, evaluated_by_x, zeta)
         raw, evaluated = dense_slice_commutativity(strategy, g_by_x)
         assert reports[0].measured == raw > 0
         assert reports[1].measured == evaluated > 0
@@ -504,7 +571,8 @@ def test_slice_commutativity_edge_families_equal_dense_loops(q, kind):
     strat = QuantumStrategy(params, random_state(rng, 3, 3), shape.families,
                             symmetric=False, check=False)
     g_by_x = edge_slice_families(kind, f, 1, rng)
-    reports = slice_commutativity(strat, pass_probabilities(strat), g_by_x, 0.0)
+    reports = slice_commutativity(strat, pass_probabilities(strat), g_by_x,
+                                  evaluated_slices(strat, g_by_x), 0.0)
     raw, evaluated = dense_slice_commutativity(strat, g_by_x)
     assert reports[0].measured == raw
     assert reports[1].measured == evaluated

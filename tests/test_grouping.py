@@ -1,9 +1,11 @@
 """Grouping outcomes through integer value tables, checked against the
 per-outcome evaluation it replaced: `oracles.post_process` with
-`protocol.line_value` (line families, as the per-round oracle
+`protocol.line_value` (line families, whose codes are decoded here by
+their place among every coefficient tuple, as the per-round oracle
 `oracles.round_family` groups them) or `MultiPoly.__call__` (G families),
 and the sequential sum that post-processing used before `group`."""
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidtest.gf import FieldElement, field_for_order
+from lidtest.gf import field_for_order
 from lidtest.improvement import evaluated_at_points, measure_points_consistency
 from lidtest.instances import noisy_shared_randomness_strategy, random_povm, rng_for
 from lidtest.measurements import SubMeasurement
@@ -24,9 +26,9 @@ from lidtest.polyspace import (
     point_index,
     poly_by_index,
 )
-from lidtest.protocol import TestParams, enumerate_rounds, line_value
+from lidtest.protocol import TestParams, enumerate_rounds, line_value, support_table
 from lidtest.stratfile import load_strategy, save_strategy
-from lidtest.strategies import QuantumStrategy, group_by_value, judge, symmetrize
+from lidtest.strategies import QuantumStrategy, answer_rows, judge, symmetrize
 
 from oracles import post_process, question_family, round_family
 
@@ -95,11 +97,18 @@ def test_round_family_matches_line_value_post_processing(tmp_path, q, m, d, kind
         fam = question_family(strat, role, sample.line)
         key = (id(fam), sample.line, sample.point)
         if key not in reference:
-            reference[key] = post_process(fam, line_value(sample))
+            bound = int(support_table(params).bound[support_table(params).position(sample.line)])
+            if bound < 0:  # a degenerate line: the value labels themselves
+                reference[key] = post_process(fam, lambda a: a)
+            else:  # a code is its coefficients' place in product order
+                answers = list(itertools.product(range(q), repeat=bound + 1))
+                value = line_value(sample)
+                reference[key] = post_process(fam, lambda c: value(UniPoly(params.field,
+                                                                           answers[c])).i)
         want = reference[key]
         got = round_family(strat, role, sample)
         assert got.outcomes == want.outcomes
-        assert all(isinstance(o, FieldElement) for o in got.outcomes)
+        assert all(type(o) is int and 0 <= o < q for o in got.outcomes)
         assert np.array_equal(got.ops, want.ops)
         other = "B" if role == "A" else "A"
         point_q = sample.question_b if role == "A" else sample.question_a
@@ -113,13 +122,13 @@ def test_multipoly_families_grouped_at_every_grid_point(q, m, d):
     f = field_for_order(q)
     polys = tuple(enumerate_polyspace(f, m, d))
     rng = rng_for(q + m + d)
-    G = random_povm(rng, 3, len(polys), polys)
-    table = label_values(polys)
+    G = random_povm(rng, 3, len(polys))  # labelled by polynomial index
+    table = label_values(f, m, d, [g.flat() for g in polys])
     for u in all_points(f, m):
-        want = post_process(G, lambda g: g(u))
-        got = group_by_value(G, table[:, point_index(u)], f)
+        want = post_process(G, lambda g: polys[g](u).i)
+        got = G.group(table[:, point_index(u)].tolist())
         assert got.outcomes == want.outcomes
-        assert all(isinstance(o, FieldElement) for o in got.outcomes)
+        assert all(type(o) is int and 0 <= o < q for o in got.outcomes)
         assert np.array_equal(got.ops, want.ops)
 
 
@@ -133,7 +142,7 @@ def test_evaluated_slices_and_points_consistency_match_post_processing(q, m, d):
     g_by_x = {x: random_povm(rng, 3, len(slice_polys), slice_polys) for x in range(q)}
     for x, G in g_by_x.items():
         for u, got in zip(all_points(f, m - 1), evaluated_at_points(G, f, m - 1, d)):
-            want = post_process(G, lambda g: poly_by_index(f, m - 1, d, g)(u))
+            want = post_process(G, lambda g: poly_by_index(f, m - 1, d, g)(u).i)
             assert got.outcomes == want.outcomes
             assert np.array_equal(got.ops, want.ops)
 
@@ -145,7 +154,7 @@ def test_evaluated_slices_and_points_consistency_match_post_processing(q, m, d):
     w = 1.0 / len(points)
     want = 0.0
     for u, A in zip(all_points(f, m), points):
-        at_u = post_process(G, lambda g: poly_by_index(f, m, d, g)(u))
+        at_u = post_process(G, lambda g: poly_by_index(f, m, d, g)(u).i)
         want += w * consistency(A, at_u, strat.Psi)
     assert measure_points_consistency(strat, G) == want
 
@@ -154,13 +163,19 @@ def test_evaluated_slices_and_points_consistency_match_post_processing(q, m, d):
 def test_label_values_match_scalar_evaluation(q):
     f = field_for_order(q)
     rng = np.random.default_rng(q)
-    unis = tuple(UniPoly(f, rng.integers(0, q, size=3)) for _ in range(20))
-    assert label_values(unis).tolist() == [[p(t).i for t in range(q)] for p in unis]
+    # line answer codes of bound 2 (and values, bound -1) through answer_rows
+    digits = rng.integers(0, q, size=(20, 3))
+    unis = [UniPoly(f, row) for row in digits.tolist()]
+    codes = digits @ q ** np.arange(2, -1, -1)  # constant term first
+    assert answer_rows(f, codes, np.full(20, 2)).tolist() == [[p(t).i for t in range(q)]
+                                                              for p in unis]
+    values = rng.integers(0, q, size=5)
+    assert answer_rows(f, values, np.full(5, -1)).tolist() == [[v] * q for v in values.tolist()]
     for m, d in ((1, 1), (2, 1), (2, 2)):
         multis = tuple(MultiPoly(f, m, d, rng.integers(0, q, size=(d + 1) ** m))
                        for _ in range(10))
         want = [[g(u).i for u in all_points(f, m)] for g in multis]
-        assert label_values(multis).tolist() == want
+        assert label_values(f, m, d, [g.flat() for g in multis]).tolist() == want
         assert [point_index(u) for u in all_points(f, m)] == list(range(q ** m))
 
 
@@ -214,7 +229,11 @@ def test_slice_commutativity_evaluates_each_slice_family_once(monkeypatch):
         return original(self, labels)
 
     monkeypatch.setattr(SubMeasurement, "group", counting)
-    diagnostics.slice_commutativity(strat, pass_probabilities(strat), g_by_x, 0.0)
-    # one evaluation per (x, u), shared by every commutator pair
+    evaluated_by_x = {x: evaluated_at_points(G, f, m - 1, d) for x, G in g_by_x.items()}
+    # one evaluation per (x, u), made once and handed in: slice commutativity
+    # shares it between every commutator pair and evaluates nothing itself
     slice_families = [G for G in grouped if any(G is g for g in g_by_x.values())]
     assert len(slice_families) == q * q ** (m - 1)
+    del grouped[:]
+    diagnostics.slice_commutativity(strat, pass_probabilities(strat), g_by_x, evaluated_by_x, 0.0)
+    assert grouped == []

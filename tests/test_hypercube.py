@@ -13,7 +13,7 @@ from lidtest.polyspace import AxisLine, all_points, point_index, restrict_axis
 from lidtest.strategies import pass_probabilities
 
 from conftest import random_symmetric_state
-from oracles import question_family
+from oracles import decode_line, encode_line, question_family
 
 
 def laplacian(graph: HypercubeGraph) -> np.ndarray:
@@ -56,8 +56,8 @@ def points_variance_diagnostics(strategy, G, Psi=None):
     def second_moment(u, v):
         tot = 0.0
         for g in G.outcomes:
-            a_u = points[u].op(g(u))
-            a_v = points[v].op(g(v))
+            a_u = points[u].op(g(u).i)
+            a_v = points[v].op(g(v).i)
             vvec = (a_u - a_v) @ Psi @ roots[g].T
             tot += float(np.sum(np.abs(vvec) ** 2))
         return tot
@@ -88,9 +88,9 @@ def points_variance_diagnostics(strategy, G, Psi=None):
                 target = g(u)
                 ev = np.zeros((fam.dim, fam.dim), dtype=complex)
                 for ans in fam.outcomes:
-                    if ans(t) == target:
+                    if decode_line(f, ans, d)(t) == target:
                         ev = ev + fam.op(ans)
-                restr = fam.op(restrict_axis(g, line))
+                restr = fam.op(encode_line(restrict_axis(g, line)))
                 vvec = (ev - restr) @ Psi @ roots[g].T
                 gen_b += float(np.sum(np.abs(vvec) ** 2))
             n_lines += 1

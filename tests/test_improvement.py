@@ -122,8 +122,8 @@ def test_four_properties_on_noisy_instances(seed):
 
 def test_projective_improve_output_projective():
     params, strat, G = noisy_setup(seed=7)
-    P, Z, report = projective_improve(strat, pass_probabilities(strat),
-                                      measure_points_consistency(strat, G))
+    P, Z, report, _ = projective_improve(strat, pass_probabilities(strat),
+                                         measure_points_consistency(strat, G))
     for i in range(len(P.ops)):
         assert np.abs(P.ops[i] @ P.ops[i] - P.ops[i]).max() < 1e-8
         for j in range(i + 1, len(P.ops)):
@@ -133,8 +133,8 @@ def test_projective_improve_output_projective():
 
 def test_projective_improve_honest_fixed_point():
     params, g, strat, G = honest_setup()
-    P, Z, report = projective_improve(strat, pass_probabilities(strat),
-                                      measure_points_consistency(strat, G))
+    P, Z, report, _ = projective_improve(strat, pass_probabilities(strat),
+                                         measure_points_consistency(strat, G))
     assert np.abs(P.op(g.index()) - 1.0).max() < 1e-8
     assert improvement_margins_ok(report)
 
@@ -175,8 +175,8 @@ def test_assembly_identity():
 
 def test_projective_improve_cross_distance_recorded():
     params, strat, G = noisy_setup(seed=15)
-    P, Z, report = projective_improve(strat, pass_probabilities(strat),
-                                      measure_points_consistency(strat, G))
+    P, Z, report, _ = projective_improve(strat, pass_probabilities(strat),
+                                         measure_points_consistency(strat, G))
     cross = report.extras["self_consistency_cross_distance"]
     # projective families: cross distance == 2 * deficit
     assert cross == pytest.approx(2 * report.self_consistency_deficit, abs=1e-8)

@@ -232,6 +232,23 @@ def test_validation_rejects_bad_families():
     bad = np.array([[[0, 1], [0, 0]]], dtype=complex)
     with pytest.raises(MeasurementError):
         SubMeasurement((0,), bad)  # not Hermitian
+    for check in (True, False):
+        with pytest.raises(MeasurementError, match="duplicate outcome labels"):
+            SubMeasurement((0, 1, 0), np.array([eye, eye, eye]) / 3, check=check)
+
+
+def test_each_label_is_hashed_once():
+    hashed = []
+
+    class Label(int):
+        def __hash__(self):
+            hashed.append(int(self))
+            return int.__hash__(self)
+
+    labels = tuple(map(Label, range(5)))
+    sub = SubMeasurement(labels, np.repeat(np.eye(2, dtype=complex)[None] / 5, 5, axis=0))
+    assert sorted(hashed) == list(range(5))
+    assert np.shares_memory(sub.op(labels[3]), sub.ops[3])
 
 
 def per_operator_psd_message(ops):

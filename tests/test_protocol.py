@@ -12,13 +12,12 @@ from lidtest.protocol import (
     ProtocolError,
     RoundSample,
     TestParams,
-    check_answer_format,
     enumerate_rounds,
     support_table,
     verdict,
 )
 
-from oracles import restricted_diag_distribution, total_mass
+from oracles import check_answer_format, restricted_diag_distribution, total_mass
 
 
 def params_for(q, m, d, weights=None):

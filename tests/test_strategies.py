@@ -26,6 +26,8 @@ from lidtest.strategies import (
     symmetrize,
 )
 
+from oracles import object_strategy
+
 
 def make_params(q, m, d):
     return TestParams(field_for_order(q), m, d)
@@ -79,8 +81,7 @@ def test_uniform_random_points_self_consistency():
         for bits_b in range(4):
             ta = deterministic_tables(bits_a)
             tb = deterministic_tables(bits_b)
-            mixture.append((Fraction(1, 16),
-                            ClassicalStrategy(params, ta, tb)))
+            mixture.append((Fraction(1, 16), object_strategy(params, ta, tb)))
     rand = RandomizedClassicalStrategy(mixture)
     good = pass_probabilities(rand, params)
     assert good.delta == Fraction(1, 2)
@@ -153,7 +154,7 @@ def corrupted_tables_strategy(params, n_tables, n_corrupt, seed):
             u = keys[int(k)]
             pts[u] = f.element(int(rng.integers(0, f.q)))
         weighted.append((Fraction(1, n_tables),
-                         ClassicalStrategy(params, {**s.tables["A"], "points": pts})))
+                         object_strategy(params, {**s.tables["A"], "points": pts})))
     return shared_randomness_strategy(params, weighted)
 
 
@@ -248,7 +249,7 @@ def test_monte_carlo_of_a_mixture_within_three_sigma():
     params = make_params(2, 1, 1)
     _, s0 = random_honest(params, 1)
     _, s1 = random_honest(params, 4)
-    crossed = ClassicalStrategy(params, s0.tables["A"], s1.tables["A"])
+    crossed = ClassicalStrategy(params, s0.codes["A"], s1.codes["A"])
     mix = RandomizedClassicalStrategy([(Fraction(1, 2), s0), (Fraction(1, 2), crossed)])
     judged = judge(mix, params)
     exact = goodness(judged)
@@ -287,11 +288,12 @@ HONEST_SHAPES = [(q, m, d) for q in (2, 3, 4, 5, 7, 8, 9) for m in (1, 2, 3) for
 @given(qmd=st.sampled_from(HONEST_SHAPES), seed=st.integers(0, 2 ** 32 - 1))
 def test_honest_tables_match_scalar_evaluation(qmd, seed):
     # grid rows and the array restriction against MultiPoly.__call__ and the
-    # scalar restrictions, question by question and in question order
+    # scalar restrictions, question by question and in question order, each
+    # scalar answer checked and encoded by the oracle
     import oracles
     from lidtest.strategies import honest_tables
 
     params = make_params(*qmd)
     g, _ = random_honest(params, seed)
-    got, want = honest_tables(params, [g])[0], oracles.honest_tables(params, g)
-    assert [list(t.items()) for t in got.values()] == [list(t.items()) for t in want.values()]
+    got, want = honest_tables(params, g.flat()[None])[0], oracles.honest_tables(params, g)
+    assert got.tolist() == oracles.answer_codes(params, want).tolist()

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from lidtest.cli import main
 from lidtest.gf import FieldElement, field_for_order
 from lidtest.instances import corrupted_tables, noisy_shared_randomness_strategy
-from lidtest.polyspace import AxisLine, DiagonalLine, MultiPoly, Point, UniPoly
+from lidtest.polyspace import AxisLine, DiagonalLine, Point, UniPoly
 from lidtest.protocol import ROLES, TestParams, support_table
 from lidtest.stratfile import load_strategy, save_strategy
 from lidtest.strategies import (
@@ -40,7 +40,7 @@ def classical_doc(tmp_path, q, m, d, seed, asymmetric):
     second corrupted table answers for role B."""
     params = TestParams(field_for_order(q), m, d)
     (_, s0), (_, s1) = corrupted_tables(params, 2, 2, np.random.default_rng(seed))
-    strat = ClassicalStrategy(params, s0.tables["A"], s1.tables["A"]) if asymmetric else s0
+    strat = ClassicalStrategy(params, s0.codes["A"], s1.codes["A"]) if asymmetric else s0
     path = tmp_path / "base.json"
     save_strategy(strat, path)
     return json.loads(path.read_text())
@@ -143,16 +143,14 @@ def test_loader_refuses_questions_off_the_support(tmp_path):
 
 def transcript_strategies(q, m):
     """A seeded corrupted strategy; an asymmetric one from two explicit
-    tables, honest but at two points each; and the adversary."""
+    code tables, honest but at two points each; and the adversary."""
     params = TestParams(field_for_order(q), m, 1)
-    f, rng = params.field, np.random.default_rng(q * 10 + m)
+    rng = np.random.default_rng(q * 10 + m)
     (_, corrupted), = corrupted_tables(params, 1, 3, rng)
-    tables = honest_tables(params, [MultiPoly(f, m, 1, rng.integers(0, q, 2 ** m))
-                                    for _ in ROLES])
-    for table in tables:
-        points = list(table["points"])
-        for k in rng.choice(len(points), 2).tolist():
-            table["points"][points[k]] = f.element(int(rng.integers(q)))
+    tables = honest_tables(params, [rng.integers(0, q, 2 ** m) for _ in ROLES])
+    for codes in tables:  # a point's code is at its grid index
+        for k in rng.choice(q ** m, 2).tolist():
+            codes[k] = int(rng.integers(q))
     out = {"corrupted": corrupted, "asymmetric": ClassicalStrategy(params, *tables)}
     if q >= 3 and m >= 2:
         out["adversary"] = example_adversary(params)
@@ -167,9 +165,10 @@ def transcript_strategies(q, m):
 def test_transcripts_match_the_object_renderer(tmp_path, q, m):
     params, tables, strats = transcript_strategies(q, m)
     asymmetric = strats["asymmetric"]
-    assert asymmetric.tables == dict(zip(ROLES, tables))
-    for role, table in zip(ROLES, tables):
-        assert asymmetric.rows[role].tolist() == oracles.object_rows(params, table).tolist()
+    decoded = asymmetric.tables
+    for role, codes in zip(ROLES, tables):
+        assert oracles.answer_codes(params, decoded[role]).tolist() == codes.tolist()
+        assert asymmetric.rows[role].tolist() == oracles.object_rows(params, decoded[role]).tolist()
     for name, strat in strats.items():
         if m == 3 and name != "asymmetric":
             continue
@@ -183,12 +182,13 @@ def test_codes_past_int64_stay_exact(tmp_path):
     # diagonal answers of degree <= 64 over F_2: codes up to 2^65 - 1
     params = TestParams(field_for_order(2), 2, 32)
     rng = np.random.default_rng(5)
-    table, = honest_tables(params, [MultiPoly(params.field, 2, 32, rng.integers(0, 2, 33 ** 2))])
+    table, = honest_tables(params, [rng.integers(0, 2, 33 ** 2)])
     strat = ClassicalStrategy(params, table)
     codes = strat.codes["A"]
     assert codes.dtype == object and max(codes.tolist()) >= 2 ** 63
-    assert strat.rows["A"].tolist() == oracles.object_rows(params, table).tolist()
-    assert strat.tables["A"] == table
+    decoded = strat.tables["A"]
+    assert strat.rows["A"].tolist() == oracles.object_rows(params, decoded).tolist()
+    assert oracles.answer_codes(params, decoded).tolist() == table.tolist()
     save_strategy(strat, tmp_path / "wide.json")
     assert outcome(load_strategy, tmp_path / "wide.json") == outcome(
         oracles.load_classical, tmp_path / "wide.json")
@@ -275,7 +275,7 @@ def test_quantum_file_with_shuffled_records_loads_the_same_families(tmp_path):
         assert np.array_equal(got.ops, want.ops)
 
 
-@pytest.mark.parametrize("bad", ["duplicate", "off-support", "missing"])
+@pytest.mark.parametrize("bad", ["duplicate", "off-support", "missing", "duplicate-outcome"])
 def test_bad_quantum_file_exits_3_with_one_line(tmp_path, capsys, bad):
     strat, doc = quantum_doc(tmp_path)
     f, support = strat.params.field, support_table(strat.params)
@@ -294,6 +294,12 @@ def test_bad_quantum_file_exits_3_with_one_line(tmp_path, capsys, bad):
         gone = [record_question(f, "diag", rec) for rec in (fams["diag"].pop(),
                                                             fams["diag"].pop(0))]
         message = f"no A family for the question {min(gone, key=support.position)}"
+    if bad == "duplicate-outcome":
+        # one axis record lists a line answer twice, with an index list and
+        # with coefficient vectors: both read to one code
+        outcomes = fams["axis"][1]["outcomes"]
+        outcomes[1] = {"coeffs": [[c] for c in outcomes[0]["coeffs"]]}
+        message = "duplicate outcome labels"
     (tmp_path / "bad.json").write_text(json.dumps(doc))
     argv = ["run-test", "--set", "q=3", "--set", "m=2", "--set", "d=1",
             "--set", f"strategy={json.dumps(str(tmp_path / 'bad.json'))}",
@@ -301,3 +307,44 @@ def test_bad_quantum_file_exits_3_with_one_line(tmp_path, capsys, bad):
     assert main(argv) == 3
     assert not (tmp_path / "report.json").exists()
     assert capsys.readouterr().err == f"strategy error: invalid strategy file: {message}\n"
+
+
+# every field of order at most 9 but 7, with m <= 2 and d <= 1, where a file
+# holds at most 5,000 outcomes (q = 8 and 9 only at m = 1, or at d = 0)
+ROUND_TRIP_SHAPES = [
+    (q, m, d) for q in (2, 3, 4, 5, 8, 9) for m in (1, 2) for d in (0, 1)
+    if sum(q ** max(b + 1, 1) for b in support_table(TestParams(field_for_order(q), m, d))
+           .bound.tolist()) <= 5000]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_quantum_file_round_trip_keeps_bytes_and_codes(tmp_path_factory, q, data):
+    # save -> load -> save gives the same bytes, over prime and extension
+    # fields (where a value outcome is written as a coefficient vector), and
+    # every loaded family keeps its answer codes as labels
+    from lidtest.instances import random_state
+    from lidtest.strategies import QuantumStrategy
+
+    m, d = data.draw(st.sampled_from([(m, d) for p, m, d in ROUND_TRIP_SHAPES if p == q]))
+    seed, two_tables = data.draw(st.integers(0, 2 ** 16)), data.draw(st.booleans())
+    params = TestParams(field_for_order(q), m, d)
+    strat = noisy_shared_randomness_strategy(params, 2, 1, seed)
+    if two_tables:  # A != B on a state that is not swap-invariant
+        other = noisy_shared_randomness_strategy(params, 2, 2, seed + 1)
+        strat = QuantumStrategy(params, random_state(np.random.default_rng(seed), 2, 2),
+                                {"A": strat.families["A"], "B": other.families["A"]},
+                                symmetric=False, projective=True)
+    path = tmp_path_factory.mktemp("round_trip")
+    save_strategy(strat, path / "first.json")
+    loaded = load_strategy(path / "first.json")
+    save_strategy(loaded, path / "second.json")
+    assert (path / "first.json").read_bytes() == (path / "second.json").read_bytes()
+    assert (loaded.families["B"] is loaded.families["A"]) == (not two_tables)
+    bounds = support_table(params).bound.tolist()
+    for role in ROLES:
+        for want, got, b in zip(strat.families[role], loaded.families[role], bounds,
+                                strict=True):
+            assert got.outcomes == want.outcomes == tuple(range(q ** max(b + 1, 1)))
+            assert np.array_equal(got.ops, want.ops)

@@ -1,6 +1,7 @@
 """Differential tests of the integer support table and the array judge
 against the object-walking references in `oracles`."""
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -87,7 +88,7 @@ def strategies_for(params, seed):
     g = MultiPoly(f, m, d, rng.integers(0, f.q, size=(d + 1) ** m))
     (_, c0), (_, c1) = corrupted_tables(params, 2, 3, rng)
     out = {"honest": honest_strategy(params, g), "corrupted": c0,
-           "asymmetric": ClassicalStrategy(params, c0.tables["A"], c1.tables["A"])}
+           "asymmetric": ClassicalStrategy(params, c0.codes["A"], c1.codes["A"])}
     if d + 1 <= f.q - 1 and m * d >= d + 1:
         out["adversary"] = example_adversary(params)
     out["mixture"] = RandomizedClassicalStrategy([(Fraction(1, 3), out["corrupted"]),
@@ -185,11 +186,11 @@ def test_answers_from_another_field_are_rejected():
     from lidtest.gf import field
 
     params = params_for(9, 1, 1)
-    tables = strategies.honest_tables(params, [MultiPoly.zero(params.field, 1, 1)])[0]
+    tables = honest_strategy(params, MultiPoly.zero(params.field, 1, 1)).tables["A"]
     other = field(3, 2, (1, 0, 1))
     tables["points"] = {u: other.element(a.i) for u, a in tables["points"].items()}
     with pytest.raises(ProtocolError, match="lies outside"):
-        ClassicalStrategy(params, tables)
+        oracles.answer_codes(params, tables)
 
 
 def test_strategy_for_other_params_is_a_protocol_error():
@@ -252,6 +253,51 @@ def test_stacked_validation_matches_per_family_checks(kind, group):
     with pytest.raises(type(want.value)) as got:
         strat.validate()
     assert str(got.value) == str(want.value)
+
+
+def test_a_shared_family_table_is_checked_once(monkeypatch):
+    # a symmetric strategy's one table serves both roles and is checked
+    # once; an asymmetric strategy's two tables are checked one each
+    params = params_for(3, 2, 1)
+    checked = []
+    check = strategies.check_families
+    monkeypatch.setattr(strategies, "check_families",
+                        lambda fams, *args: checked.append(fams) or check(fams, *args))
+    noisy = noisy_shared_randomness_strategy(params, 3, 1, seed=2)
+    assert checked == [noisy.families["A"]]
+    other = noisy_shared_randomness_strategy(params, 3, 2, seed=3)
+    del checked[:]
+    QuantumStrategy(params, noisy.Psi, {"A": noisy.families["A"], "B": other.families["A"]},
+                    symmetric=False)
+    assert checked == [noisy.families["A"], other.families["A"]]
+
+
+@pytest.mark.parametrize("bad", ["object", "range", "negative", "bool"])
+def test_family_labels_must_be_answer_codes(bad):
+    # a point family is labelled by the value indices 0..q-1, and a line
+    # family of bound b by the codes 0..q^(b+1)-1
+    params = params_for(3, 2, 1)
+    strat = noisy_shared_randomness_strategy(params, 2, 1, seed=4)
+    support = support_table(params)
+    fams = list(strat.families["A"])
+    pos = int(np.argmax(support.bound == 1)) if bad == "range" else 0
+    labels = list(fams[pos].outcomes)
+    if bad == "object":
+        labels = list(params.field.elements())
+    elif bad == "range":  # an axis family labelled as a diagonal one
+        labels[-1] = 3 ** 3
+    elif bad == "negative":
+        labels[0] = -3
+    else:
+        labels = [False, True, 2]
+    fams[pos] = SubMeasurement(labels, fams[pos].ops, check=False)
+    shared = tuple(fams)
+    _, question = support.questions[pos]
+    size = 3 ** (2 if bad == "range" else 1)
+    with pytest.raises(ProtocolError, match=f"the A family for the question "
+                       f"{re.escape(str(question))} is not labelled by the answer "
+                       f"codes 0 to {size - 1}"):
+        QuantumStrategy(params, strat.Psi, {"A": shared, "B": shared})
 
 
 def test_quantum_strategy_missing_a_family_is_a_protocol_error():
@@ -366,7 +412,9 @@ def test_quantum_acceptance_contracts_each_question_pair_once(monkeypatch, q, pa
     monkeypatch.setattr(measurements, "expect_joint", tripwire("expect_joint"))
     judged = judge(strat, params)
     assert calls == []
-    lines = [fam for fam in grouped if isinstance(fam.outcomes[0], UniPoly)]
+    line_ids = {id(fam) for fam, bound in zip(strat.families["A"], support.bound.tolist())
+                if bound > 0}
+    lines = [fam for fam in grouped if id(fam) in line_ids]
     n_lines = int(np.count_nonzero(support.bound > 0))
     assert len(lines) == len({id(fam) for fam in lines}) == n_lines
     assert sum(map(len, terms)) == pairs * q
