@@ -12,6 +12,10 @@ coordinate value x, the construction is:
      the completion outcome on misses;
   4. average over k-tuples of pairwise distinct coordinates.
 
+Only a global outcome whose slices h|_x are nonzero outcomes of G^x at d+1
+or more coordinates can get weight, so the sums in steps 3-4 run on these
+candidates only; every other outcome gets the zero operator.
+
 Families are labelled by polynomial index.  The result is a sub-measurement
 over the (m+1)-variable space; completing it assigns the leftover mass to the
 zero polynomial, index 0.  The completeness of the
@@ -33,8 +37,8 @@ from .measurements import BOTTOM, MeasurementError, SubMeasurement, expectations
 from .polyspace import check_space, polyspace_size, slice_indices
 
 TUPLE_BUDGET = 10 ** 5
-# complex entries in one (global outcomes, dim, dim) stack of the DP (16 MB);
-# its trie path keeps up to k (d + 1) such stacks
+# complex entries in the pasted family, one dim x dim operator per global
+# outcome (16 MB); the DP's stacks hold candidate outcomes only, never more
 PASTE_GUARD = 10 ** 6
 
 
@@ -116,22 +120,22 @@ def paste_step(layers, live, hit, miss, top):
 
     layers[w] is the running sandwich of the inner coordinates with w hits
     (w = top meaning at least top).  Layer 0 holds no hit, so it is one
-    dim x dim operator shared by every global outcome.  Every other layer
-    holds one operator X_n per global outcome n, stored row-major across
-    outcomes: layers[w][i, n, j] = X_n[i, j], which makes conjugating all
-    of them by one matrix two copy-free GEMMs.  live masks the global
-    outcomes whose slice operator is nonzero, hit stacks those operators in
-    outcome order, and miss is the completion operator.  Every layer is
-    conjugated by both: hits move it up one weight, capped at top, and the
-    miss keeps it.  The cap is exact because every step is linear and only
-    weight >= top is kept.
+    dim x dim operator shared by every outcome.  Every other layer holds
+    one operator X_n per candidate outcome n (see pasted_measurement),
+    stored row-major across outcomes: layers[w][i, n, j] = X_n[i, j], which
+    makes conjugating all of them by one matrix two copy-free GEMMs.  live
+    masks the candidates whose slice operator is nonzero, hit stacks those
+    operators in candidate order, and miss is the completion operator.
+    Every layer is conjugated by both: hits move it up one weight, capped
+    at top, and the miss keeps it.  The cap is exact because every step is
+    linear and only weight >= top is kept.
 
     Hits are formed on the live rows only.  A projective slice measurement
-    on C^dim has at most dim nonzero outcomes, so most global outcomes get
-    a zero slice operator; their hit term is an exact zero, and adding it
-    would change no bit.  The live hit terms are added in the order a step
-    over every outcome adds them: layer v < top is hit_{v-1} + miss_v, and
-    layer top is (hit_{top-1} + hit_top) + miss_top.
+    on C^dim has at most dim nonzero outcomes, so a candidate's slice
+    operator is zero at some coordinates; its hit term there is an exact
+    zero, and adding it would change no bit.  The live hit terms are added
+    in the order a step over every outcome adds them: layer v < top is
+    hit_{v-1} + miss_v, and layer top is (hit_{top-1} + hit_top) + miss_top.
     """
     dim = miss.shape[0]
 
@@ -166,6 +170,10 @@ def pasted_measurement(g_by_x: dict, f: GF, m: int, d: int, k: int,
     so tuples that share an inner suffix share its DP state (and its
     telescoping accumulator): exact mode takes sum_{j<=k} q!/(q-j)! steps
     in place of k q!/(q-k)!.
+
+    The DP runs on candidate rows, the global outcomes that d + 1 or more
+    slices hit: any other outcome has at most d hits in every tuple, so its
+    weight-(d+1) sum is exactly zero, and its operator is left zero.
     """
     if k < d + 1:
         raise ValueError(f"need k >= d + 1, got k = {k}")
@@ -174,15 +182,22 @@ def pasted_measurement(g_by_x: dict, f: GF, m: int, d: int, k: int,
     ghat = complete_slice_families(g_by_x)
     n_global = polyspace_size(f, m + 1, d)
 
-    # per coordinate x: which global outcomes n hit a nonzero Ghat^x_{n|_x}
-    # (live), those operators, and the completion operator
-    slices = {}
+    # per coordinate x: the slice operators and each global outcome's slice
+    ops, idx = {}, {}
     for x, G in g_by_x.items():
-        ops = np.zeros((polyspace_size(f, m, d), dim, dim), dtype=complex)
-        ops[list(G.outcomes)] = G.ops
-        idx = slice_indices(f, m + 1, d, x)
-        live = ops.any(axis=(1, 2))[idx]
-        slices[x] = (live, ops[idx[live]], ghat[x].op(BOTTOM))
+        ops[x] = np.zeros((polyspace_size(f, m, d), dim, dim), dtype=complex)
+        ops[x][list(G.outcomes)] = G.ops
+        idx[x] = slice_indices(f, m + 1, d, x)
+    top = d + 1
+    # the candidates: only an outcome that top slices hit can reach weight top
+    cand = np.flatnonzero(sum(ops[x].any(axis=(1, 2))[idx[x]] for x in g_by_x) >= top)
+    # per x: which candidates hit a nonzero Ghat^x_{n|_x} (live), those
+    # operators, and the completion operator
+    slices = {}
+    for x in g_by_x:
+        hit = ops[x][idx[x][cand]]
+        live = hit.any(axis=(1, 2))
+        slices[x] = (live, hit[live], ghat[x].op(BOTTOM))
 
     count = distinct_tuple_count(f.q, k)
     if count <= tuple_budget:
@@ -193,9 +208,8 @@ def pasted_measurement(g_by_x: dict, f: GF, m: int, d: int, k: int,
         tuples = [tuple(rng.permutation(f.q)[:k]) for _ in range(tuple_budget)]
         mode = "sampled"
 
-    top = d + 1
     eye = np.eye(dim, dtype=complex)
-    total = np.zeros((dim, n_global, dim), dtype=complex)  # row-major, as the layers
+    total = np.zeros((dim, cand.size, dim), dtype=complex)  # row-major, as the layers
     worst_telescope = 0.0
     path = [([eye], eye)]  # (DP layers, telescoping accumulator) along the trie
     prev = ()
@@ -210,9 +224,10 @@ def pasted_measurement(g_by_x: dict, f: GF, m: int, d: int, k: int,
         total += layers[top]
         worst_telescope = max(worst_telescope, float(np.abs(acc - eye).max()))
         prev = inner_first
-    total = total.transpose(1, 0, 2).copy()  # one C-ordered operator per outcome
-    total /= len(tuples)
-    family = SubMeasurement(range(n_global), total)
+    out = np.zeros((n_global, dim, dim), dtype=complex)  # one operator per outcome
+    out[cand] = total.transpose(1, 0, 2)
+    out /= len(tuples)
+    family = SubMeasurement(range(n_global), out)
     return PastedResult(
         family=family,
         mode=mode,

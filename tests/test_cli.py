@@ -771,6 +771,9 @@ GOLDEN = {
     "round-povm-naimark.json":
         "f66c742987953eb7f1c16952f17f418e3e1c532957753dc9a4b6f0a3c446849c",
     "round-povm.json": "95657d013f97590c695d79458ab9c59040170a3a99db2eb1e9b8e3c6f787321f",
+    # the paste with the fewest candidate rows per global outcome (60 of
+    # 4,096), pinned before the pasting DP ran on candidate rows only
+    "paste-q8.json": "f9f3ec0d31c01872e9fc34148a6d43b7b5a26edb717f0a00d90a4e2bcdf77f53",
 }
 
 
@@ -812,6 +815,7 @@ def test_golden_report_hashes(tmp_path, monkeypatch):
                   "asymmetric.json")
     cli("soundness-asymmetric.json", "soundness-report", q=3, m=2, d=1, strategy="asymmetric.json")
     cli("paste-q5.json", "paste", q=5, m=1, d=1, k=4, dim=4)
+    cli("paste-q8.json", "paste", q=8, m=1, d=1, k=5, dim=4)
     cli("sdp-q3.json", "sdp", q=3, m=2, d=1, tables=4)
     cli("sdp-q3-t16.json", "sdp", q=3, m=2, d=1, tables=16)
     cli("round-povm-naimark.json", "round-povm", mode="naimark", dim=12, outcomes=4,

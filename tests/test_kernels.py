@@ -1,7 +1,10 @@
 """Differential tests of the stacked numeric kernels against the per-tuple,
 per-block and per-scalar code they replaced, kept here as oracles: the
-pasting DP and its slice maps, the SDP Newton matrix and block inverses
-(against einsum and a per-block loop), and the hypercube character matrix."""
+pasting DP, its slice maps and its candidate rows (against interpolation),
+the SDP Newton matrix and block inverses (against einsum and a per-block
+loop), and the hypercube character matrix."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -15,13 +18,17 @@ from lidtest.pasting import (
     complete_slice_families,
     distinct_tuple_count,
     distinct_tuples,
+    paste_step,
     pasted_measurement,
     sandwich_total,
 )
 from lidtest.polyspace import (
     all_points,
     enumerate_polyspace,
+    interpolate_parallel,
     point_index,
+    poly_by_index,
+    polyspace_size,
     slice_at,
     slice_indices,
 )
@@ -240,6 +247,110 @@ def test_live_row_dp_matches_dense_dp(q, m, d, k, dim, budget, kind, monkeypatch
     assert result.telescoping_residual == telescope
     # ... and with the miss products taken one matrix at a time, skipping
     # the zero hits and keeping the order of the sums changes no bit
+    monkeypatch.setattr(pasting, "_conjugate_rows", per_matrix_conjugate_rows)
+    result = pasted_measurement(g_by_x, f, m, d, k, seed=3, tuple_budget=budget)
+    assert np.array_equal(result.family.ops, ops)
+    assert result.telescoping_residual == telescope
+
+
+def interpolated_candidates(g_by_x, f, m, d):
+    """The interpolants of live slice outcomes over every (d+1)-subset of
+    coordinates, by index: the global outcomes that at least d + 1 slices
+    hit, since any d + 1 slices of a global outcome fix it."""
+    live = {x: [poly_by_index(f, m, d, g) for g, op in zip(G.outcomes, G.ops) if op.any()]
+            for x, G in g_by_x.items()}
+    return sorted({interpolate_parallel(list(zip(xs, gs)), d).index()
+                   for xs in itertools.combinations(sorted(g_by_x), d + 1)
+                   for gs in itertools.product(*(live[x] for x in xs))})
+
+
+def paste_command_slices(q, m, d, dim):
+    """The slice families of cli.cmd_paste at this size and seed 0."""
+    f = field_for_order(q)
+    rng = rng_for(0)
+    size = polyspace_size(f, m, d)
+    return f, {x: random_projective_measurement(rng, dim, min(dim, size)) for x in range(q)}
+
+
+# (q, m, d, k, dim, candidates, global outcomes): the benchmark's paste
+# command and the pinned q = 8 paste
+PASTE_COMMANDS = [(5, 1, 1, 4, 4, 24, 625), (8, 1, 1, 5, 4, 60, 4096)]
+
+
+def rows_per_step(monkeypatch):
+    """Record the outcome rows of every layer paste_step is given or returns."""
+    rows = []
+
+    def counted(layers, live, hit, miss, top):
+        out = paste_step(layers, live, hit, miss, top)
+        rows.extend(layer.shape[1] for layer in layers[1:] + out[1:])
+        rows.append(live.size)
+        return out
+
+    monkeypatch.setattr(pasting, "paste_step", counted)
+    return rows
+
+
+@pytest.mark.parametrize("q,m,d,k,dim,n_cand,n_global", PASTE_COMMANDS)
+def test_paste_command_dp_runs_on_candidate_rows(q, m, d, k, dim, n_cand, n_global,
+                                                 monkeypatch):
+    f, g_by_x = paste_command_slices(q, m, d, dim)
+    cand = interpolated_candidates(g_by_x, f, m, d)
+    assert len(cand) == n_cand
+    rows = rows_per_step(monkeypatch)
+    result = pasted_measurement(g_by_x, f, m, d, k, seed=0)
+    assert rows and set(rows) == {n_cand}
+    assert len(result.family.outcomes) == n_global
+    assert set(np.flatnonzero(result.family.ops.any(axis=(1, 2)))) <= set(cand)
+
+
+@pytest.mark.parametrize("q,m,d,k,dim,budget", PASTE_GRID)
+def test_dp_runs_on_interpolated_candidates(q, m, d, k, dim, budget, monkeypatch):
+    f = field_for_order(q)
+    g_by_x = random_slice_families(rng_for(100 + q + 10 * k), f, m, d, dim)
+    cand = interpolated_candidates(g_by_x, f, m, d)
+    rows = rows_per_step(monkeypatch)
+    result = pasted_measurement(g_by_x, f, m, d, k, seed=3, tuple_budget=budget)
+    assert set(rows) == {len(cand)}
+    assert set(np.flatnonzero(result.family.ops.any(axis=(1, 2)))) <= set(cand)
+
+
+def one_live_slice(g_by_x):
+    """Every slice family but the first set to zero: no global outcome has
+    two live slices."""
+    first = min(g_by_x)
+    return {x: G if x == first else SubMeasurement(G.outcomes, 0 * G.ops, check=False)
+            for x, G in g_by_x.items()}
+
+
+# (q, m, d, k, dim, tuple budget, kind): no candidate at all ("one live"),
+# and sampled mode at the benchmark's paste size and at q = 8
+EDGE_GRID = [
+    (3, 1, 1, 3, 2, 10 ** 5, "one live"),
+    (3, 2, 1, 2, 2, 10 ** 5, "one live"),
+    (5, 1, 1, 4, 4, 40, "sampled"),
+    (8, 1, 1, 5, 3, 30, "sampled"),
+]
+
+
+@pytest.mark.parametrize("q,m,d,k,dim,budget,kind", EDGE_GRID)
+def test_candidate_row_dp_edge_cases_match_dense_dp(q, m, d, k, dim, budget, kind,
+                                                    monkeypatch):
+    f = field_for_order(q)
+    g_by_x = random_slice_families(rng_for(500 + q + 10 * k), f, m, d, dim)
+    if kind == "one live":
+        g_by_x = one_live_slice(g_by_x)
+    assert (budget < distinct_tuple_count(q, k)) == (kind == "sampled")
+    ops, telescope = dense_pasted_measurement(g_by_x, f, m, d, k, seed=3,
+                                              tuple_budget=budget)
+    rows = rows_per_step(monkeypatch)
+    result = pasted_measurement(g_by_x, f, m, d, k, seed=3, tuple_budget=budget)
+    assert result.mode == ("sampled" if kind == "sampled" else "exact")
+    assert set(rows) == {len(interpolated_candidates(g_by_x, f, m, d))}
+    assert np.abs(result.family.ops - ops).max() <= 1e-12
+    assert result.telescoping_residual == telescope
+    if kind == "one live":
+        assert rows[0] == 0 and not result.family.ops.any()
     monkeypatch.setattr(pasting, "_conjugate_rows", per_matrix_conjugate_rows)
     result = pasted_measurement(g_by_x, f, m, d, k, seed=3, tuple_budget=budget)
     assert np.array_equal(result.family.ops, ops)
