@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .improvement import measure_points_consistency, projective_improve
-from .measurements import SubMeasurement, commutator_mass, consistency, expectations
+from .measurements import SubMeasurement, commutator_mass, consistency, expectations, state_support
 from .pasting import check_paste_size, complete_pasted, pasted_measurement
 from .polyspace import polyspace_size, value_table
 from .protocol import TestParams, support_table
@@ -179,13 +179,13 @@ def pasted_line_consistency(strategy: QuantumStrategy, pasted: SubMeasurement) -
     table = value_table(f, params.m, d)[list(pasted.outcomes)]
     starts = np.arange(f.q ** (params.m - 1)) * f.q
     lines = support_table(params).axis_at[starts, params.m - 1]
-    total = 0.0
+    total, support = 0.0, state_support(Psi)
     for start, pos in zip(starts.tolist(), lines.tolist()):
         B = strategy.families["A"][pos]
         codes = np.array(B.outcomes)
         B = B.group((answer_rows(f, codes, np.full(len(codes), d))[:, :d + 1] @ weights).tolist())
         restricted = pasted.group((table[:, start:start + d + 1] @ weights).tolist())
-        total += consistency(restricted, B, Psi)
+        total += consistency(restricted, B, Psi, support)
     return total / len(starts)
 
 

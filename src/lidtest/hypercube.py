@@ -15,7 +15,7 @@ import numpy as np
 
 from .gf import GF
 from .errors import check_power
-from .measurements import squared_norms
+from .measurements import squared_norms, state_support
 from .polyspace import all_points, point_index
 
 VERTEX_CAP = 4096
@@ -120,9 +120,9 @@ def local_variance(family, Psi, graph: HypercubeGraph) -> float:
     stacked, and loops (v = u) add nothing."""
     ops = _family_ops(family, graph)
     w = 1.0 / (graph.size * graph.m * graph.field.q)
-    total = 0.0
+    total, support = 0.0, state_support(Psi)
     for ui, vs in enumerate(graph._edges()[1].reshape(graph.size, -1)):
-        for term in squared_norms(Psi, ops[ui] - ops[vs[vs != ui]]):
+        for term in squared_norms(Psi, ops[ui] - ops[vs[vs != ui]], support=support):
             total += w * term
     return 0.5 * total
 
@@ -132,9 +132,9 @@ def global_variance(family, Psi, graph: HypercubeGraph) -> float:
     unordered pair once and doubled, the pairs of one u stacked."""
     ops = _family_ops(family, graph)
     M = graph.size
-    total = 0.0
+    total, support = 0.0, state_support(Psi)
     for ui in range(M):
-        for term in squared_norms(Psi, ops[ui] - ops[ui + 1:]):
+        for term in squared_norms(Psi, ops[ui] - ops[ui + 1:], support=support):
             total += 2.0 * term
     return 0.5 * total / (M * M)
 

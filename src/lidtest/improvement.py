@@ -24,6 +24,7 @@ from .measurements import (
     cross_state_distance,
     expect_joint,
     expectations,
+    state_support,
     strong_self_consistency_deficit,
 )
 from .orthogonalize import orthogonalize
@@ -99,9 +100,9 @@ def measure_points_consistency(strategy: QuantumStrategy, G: SubMeasurement,
         evaluated = evaluated_at_points(G, params.field, params.m, params.d)
     points = strategy.point_families
     w = 1.0 / len(points)
-    total = 0.0
+    total, support = 0.0, state_support(strategy.Psi)
     for A, E in zip(points, evaluated):
-        total += w * consistency(A, E, strategy.Psi)
+        total += w * consistency(A, E, strategy.Psi, support)
     return total
 
 

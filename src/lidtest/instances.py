@@ -67,17 +67,15 @@ def random_projective_measurement(rng, dim, n_outcomes, outcomes=None):
 
 
 def random_povm(rng, dim, n_outcomes, outcomes=None):
-    """Gram-normalized random PSD effects: a genuinely non-projective POVM."""
-    raw = []
-    for _ in range(n_outcomes):
-        X = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        raw.append(X @ X.conj().T)
-    S = np.sum(raw, axis=0)
-    w, v = np.linalg.eigh(S)
+    """Gram-normalized random PSD effects: a genuinely non-projective POVM.
+    One draw gives every outcome's real, then imaginary, Gaussian matrix."""
+    G = rng.normal(size=(n_outcomes, 2, dim, dim))
+    X = G[:, 0] + 1j * G[:, 1]
+    raw = X @ X.conj().transpose(0, 2, 1)
+    w, v = np.linalg.eigh(np.sum(raw, axis=0))
     inv_root = (v / np.sqrt(w)) @ v.conj().T
-    ops = np.array([inv_root @ E @ inv_root for E in raw])
     labels = tuple(range(n_outcomes)) if outcomes is None else tuple(outcomes)
-    return SubMeasurement(labels, ops, check=False)
+    return SubMeasurement(labels, inv_root @ raw @ inv_root, check=False)
 
 
 def mix_with(sub: SubMeasurement, other: SubMeasurement, eta: float):

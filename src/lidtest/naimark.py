@@ -6,17 +6,30 @@ square roots of the k operators and of the rest I - sum A; W and the
 embedding I (x) aux are both completed to unitaries by a complete QR
 factorization, so the dilated family reproduces every joint outcome
 probability exactly once the fixed auxiliary state is appended to the shared
-state.
+state.  The completed embedding depends on (d, aux) alone and is computed
+once per pair (`_embedding_adjoint`), not once per dilation.
+
+Row i*(k+1) + j of the dilated state psi (x) aux_a (x) aux_b is zero
+unless aux_a[j] is nonzero, so with the default aux one row (and column) in
+k+1 is nonzero; `_joint_table`, like the `measurements` kernels, multiplies
+on the nonzero rows only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import check_size
-from .measurements import BOTTOM, COMPLETENESS_TOL, MeasurementError, SubMeasurement
+from .measurements import (
+    BOTTOM,
+    COMPLETENESS_TOL,
+    MeasurementError,
+    SubMeasurement,
+    state_support,
+)
 
 DIM_CAP = 4096
 # largest entry of V^H V - I accepted as an isometry: W^H W - I is minus the
@@ -33,6 +46,15 @@ def _complete_isometry(V):
         raise MeasurementError("isometry completion needs orthonormal columns")
     Q = np.linalg.qr(V, mode="complete")[0]
     return np.concatenate([V, Q[:, r:]], axis=1)
+
+
+@lru_cache(maxsize=16)
+def _embedding_adjoint(d, aux_bytes):
+    """[J | J_perp]^H for J = I_d (x) aux (aux as complex bytes), read-only."""
+    aux = np.frombuffer(aux_bytes, dtype=complex)
+    adjoint = _complete_isometry(np.kron(np.eye(d), aux[:, None])).conj().T
+    adjoint.flags.writeable = False
+    return adjoint
 
 
 @dataclass
@@ -71,8 +93,7 @@ def dilate(sub: SubMeasurement, aux_state=None) -> DilatedMeasurement:
     roots = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().swapaxes(1, 2)
     # W phi = sum_j (root_j phi) (x) |j>, with |k> the incomplete slot
     W = roots.transpose(1, 0, 2).reshape(d * aux_dim, d)
-    J = np.kron(np.eye(d), aux[:, None])
-    U = _complete_isometry(W) @ _complete_isometry(J).conj().T
+    U = _complete_isometry(W) @ _embedding_adjoint(d, aux.tobytes())
     # U^H (I (x) |j><j|) U = R_j^H R_j, with R_j the rows of U at aux index j
     R = U.reshape(d, aux_dim, d * aux_dim).swapaxes(0, 1)
     ops = R.conj().swapaxes(1, 2) @ R
@@ -90,8 +111,11 @@ def dilated_pair_state(Psi, left: DilatedMeasurement, right: DilatedMeasurement)
 
 def _joint_table(X, Y, Psi):
     """[<psi| X_a (x) Y_b |psi>]_{a, b} for operator stacks X and Y: the
-    matrices C_a = Psi^H X_a Psi against the flattened Y in one GEMM."""
-    C = Psi.conj().T @ X @ Psi
+    matrices C_a = Psi^H X_a Psi, both GEMMs over Psi's nonzero rows and
+    each keeping its full output width (a narrower product may round
+    otherwise), against the flattened Y in one GEMM over every entry."""
+    rows, _ = state_support(Psi)
+    C = (Psi[rows].conj().T @ X[:, rows])[..., rows] @ Psi[rows]
     return C.reshape(len(X), -1) @ Y.reshape(len(Y), -1).T
 
 

@@ -169,10 +169,12 @@ def solve_commuting(instance: SdpInstance, basis=None):
 
 
 def _slackness(T, Z, A):
-    worst = 0.0
-    for n in range(len(A)):
-        worst = max(worst, float(np.linalg.norm(T[n] @ (Z - A[n]))))
-    return worst
+    """max_n ||T_n (Z - A_n)||_F, each norm as np.linalg.norm sums it: the
+    dot of the real parts plus the dot of the imaginary parts."""
+    flat = (T @ (Z - A)).reshape(len(A), 1, Z.size)
+    re, im = flat.real, flat.imag
+    squares = re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)
+    return max(0.0, float(np.sqrt(squares).max(initial=0.0)))
 
 
 def _min_slack(Z, A):
@@ -348,16 +350,16 @@ def _project_to_completion(T, Z, A, tie_tol=1e-9):
     part of the slack is assigned eigenvector-wise to the tightest
     constraints (equal split on near-ties), and any tiny excess above I is
     then removed by a symmetric normalization, which keeps every block PSD."""
-    M, r = T.shape[0], T.shape[1]
+    r = T.shape[1]
     S = _herm(np.eye(r) - T.sum(axis=0))
     w, V = np.linalg.eigh(S)
-    T = T.copy()
+    T, slack = T.copy(), Z - A
     for j in range(r):
         if w[j] <= 0:
             continue
-        v = V[:, j]
-        res = np.array([float((v.conj() @ (Z - A[n]) @ v).real) for n in range(M)])
-        v = v[:, None]
+        v = V[:, j:j + 1]
+        # the residual v^H (Z - A_n) v of every constraint n
+        res = ((v.conj().T @ slack) @ v)[:, 0, 0].real
         winners = np.nonzero(res <= res.min() + tie_tol)[0]
         share = w[j] / len(winners)
         proj = v @ v.conj().T

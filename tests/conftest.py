@@ -1,6 +1,16 @@
 import numpy as np
 
-from lidtest.measurements import SubMeasurement, expect_joint
+import oracles
+from lidtest.measurements import (
+    SubMeasurement,
+    aligned,
+    consistency,
+    cross_state_distance,
+    expect_joint,
+    expectations,
+    squared_norms,
+)
+from lidtest.naimark import _joint_table
 
 
 def random_symmetric_state(rng, d):
@@ -26,6 +36,25 @@ def agreement(A, B, Psi) -> float:
         if o in B:
             total += expect_joint(A.op(o), B.op(o), Psi).real
     return total
+
+
+def assert_state_kernels_match_dense(A, B, Psi):
+    """Every state kernel on A (left factor) and B (right factor) gives the
+    bytes of its reference on the whole state (`oracles.dense_*`)."""
+    _, XA, XB = aligned(A, B)
+    cases = [
+        (expectations(Psi, XA, XB), oracles.dense_expectations(Psi, XA, XB)),
+        (expectations(Psi, XA), oracles.dense_expectations(Psi, XA)),
+        (squared_norms(Psi, XA, XB), oracles.dense_squared_norms(Psi, XA, XB)),
+        (squared_norms(Psi, XA), oracles.dense_squared_norms(Psi, XA)),
+        (_joint_table(A.ops, B.ops, Psi), oracles.dense_joint_table(A.ops, B.ops, Psi)),
+        (consistency(A, B, Psi), oracles.dense_consistency(A, B, Psi)),
+        (cross_state_distance(A, B, Psi), oracles.dense_cross_state_distance(A, B, Psi)),
+    ]
+    for left, right in ((A.total(), B.total()), (XA[0], XB[-1])):
+        cases.append((expect_joint(left, right, Psi), oracles.dense_expect_joint(left, right, Psi)))
+    for j, (got, want) in enumerate(cases):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), j
 
 
 CRITERIA = {

@@ -30,7 +30,13 @@ objects; and `object_rows` gives a table's integer rows from its objects.
 
 The SDP's references are the dense kernels the index-block ones replaced:
 `dense_inverses` (one r x r eigendecomposition per constraint) and
-`dense_newton_matrix` (one r^2 x r^2 system)."""
+`dense_newton_matrix` (one r^2 x r^2 system), and the per-constraint loops
+the stacked ones replaced: `slackness` and `project_to_completion`.
+
+The state kernels' references multiply by the whole state, zero rows and
+columns included: `dense_expect_joint`, `dense_expectations`,
+`dense_squared_norms`, `dense_consistency`, `dense_cross_state_distance`
+and `dense_joint_table`.  `random_povm` draws outcome by outcome."""
 
 import itertools
 import json
@@ -41,8 +47,15 @@ import numpy as np
 
 from lidtest.errors import SizeGuardError
 from lidtest.gf import FieldElement
-from lidtest.measurements import BOTTOM, MeasurementError, SubMeasurement, expect_joint
+from lidtest.measurements import (
+    BOTTOM,
+    MeasurementError,
+    SubMeasurement,
+    aligned,
+    expect_joint,
+)
 from lidtest.naimark import DilatedMeasurement
+from lidtest.sdp import _herm
 from lidtest.polyspace import (
     AxisLine,
     DiagonalLine,
@@ -656,6 +669,56 @@ def dilate(sub, aux_state=None):
     return DilatedMeasurement(fam, aux, U, d)
 
 
+# ---- the state kernels on the whole state ------------------------------------------
+
+
+def dense_expect_joint(left, right, Psi):
+    return np.vdot(Psi, left @ Psi @ right.T)
+
+
+def dense_expectations(Psi, X, Y=None):
+    prods = X @ Psi if Y is None else (X @ Psi) @ Y.transpose(0, 2, 1)
+    return np.array([np.vdot(Psi, p) for p in prods], dtype=complex)
+
+
+def dense_squared_norms(Psi, X, Y=None):
+    V = X @ Psi if Y is None else X @ Psi - Psi @ Y.transpose(0, 2, 1)
+    return [float(np.sum(np.abs(v) ** 2)) for v in V]
+
+
+def dense_consistency(A, B, Psi):
+    val = dense_expect_joint(A.total(), B.total(), Psi)
+    _, XA, XB = aligned(A, B)
+    live = XA.any(axis=(1, 2)) & XB.any(axis=(1, 2))
+    for term in dense_expectations(Psi, XA[live], XB[live]):
+        val -= term
+    return 0.0 + val.real
+
+
+def dense_cross_state_distance(A, B, Psi):
+    _, XA, XB = aligned(A, B)
+    total = 0.0
+    for term in dense_squared_norms(Psi, XA, XB):
+        total += term
+    return total
+
+
+def dense_joint_table(X, Y, Psi):
+    C = Psi.conj().T @ X @ Psi
+    return C.reshape(len(X), -1) @ Y.reshape(len(Y), -1).T
+
+
+def random_povm(rng, dim, n_outcomes):
+    raw = []
+    for _ in range(n_outcomes):
+        X = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        raw.append(X @ X.conj().T)
+    w, v = np.linalg.eigh(np.sum(raw, axis=0))
+    inv_root = (v / np.sqrt(w)) @ v.conj().T
+    return SubMeasurement(tuple(range(n_outcomes)),
+                          np.array([inv_root @ E @ inv_root for E in raw]), check=False)
+
+
 # ---- pasting -------------------------------------------------------------------
 
 
@@ -738,3 +801,29 @@ def dense_newton_matrix(W, mu):
     K *= mu
     return K
 
+
+def slackness(T, Z, A):
+    worst = 0.0
+    for n in range(len(A)):
+        worst = max(worst, float(np.linalg.norm(T[n] @ (Z - A[n]))))
+    return worst
+
+
+def project_to_completion(T, Z, A, tie_tol=1e-9):
+    M, r = T.shape[0], T.shape[1]
+    w, V = np.linalg.eigh(_herm(np.eye(r) - T.sum(axis=0)))
+    T = T.copy()
+    for j in range(r):
+        if w[j] <= 0:
+            continue
+        v = V[:, j]
+        res = np.array([float((v.conj() @ (Z - A[n]) @ v).real) for n in range(M)])
+        v = v[:, None]
+        winners = np.nonzero(res <= res.min() + tie_tol)[0]
+        share = w[j] / len(winners)
+        proj = v @ v.conj().T
+        for n in winners:
+            T[n] += share * proj
+    wn, Vn = np.linalg.eigh(_herm(T.sum(axis=0)))
+    inv_root = (Vn / np.sqrt(wn)) @ Vn.conj().T
+    return np.array([_herm(inv_root @ Tn @ inv_root) for Tn in T])

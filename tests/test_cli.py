@@ -774,6 +774,10 @@ GOLDEN = {
     # the paste with the fewest candidate rows per global outcome (60 of
     # 4,096), pinned before the pasting DP ran on candidate rows only
     "paste-q8.json": "f9f3ec0d31c01872e9fc34148a6d43b7b5a26edb717f0a00d90a4e2bcdf77f53",
+    # the benchmark's 40-instance Naimark batch, pinned before products with
+    # the dilated state ran on its support
+    "round-povm-naimark-40.json":
+        "b2bb6ac2a0575fdb51c1a0e565b379db1b437433185e941f890c1c0ec2a1400d",
 }
 
 
@@ -820,6 +824,8 @@ def test_golden_report_hashes(tmp_path, monkeypatch):
     cli("sdp-q3-t16.json", "sdp", q=3, m=2, d=1, tables=16)
     cli("round-povm-naimark.json", "round-povm", mode="naimark", dim=12, outcomes=4,
         instances=4)
+    cli("round-povm-naimark-40.json", "round-povm", mode="naimark", dim=12, outcomes=4,
+        instances=40)
     cli("round-povm.json", "round-povm", instances=4)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN}

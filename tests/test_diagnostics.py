@@ -419,6 +419,37 @@ def test_pasted_line_consistency_equals_scalar_restriction(q, m, d):
     assert got > 1e-3  # the random families disagree with the lines
 
 
+def test_consistency_loops_take_the_state_support_once(monkeypatch):
+    import sys
+    from collections import Counter
+
+    from lidtest import diagnostics, improvement, measurements
+
+    callers = Counter()
+    support = measurements.state_support
+
+    def counted(Psi):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return support(Psi)
+
+    for module in (measurements, improvement, diagnostics):
+        monkeypatch.setattr(module, "state_support", counted)
+    params = TestParams(field_for_order(3), 2, 1)
+    rng = rng_for(4)
+    strat = QuantumStrategy(params, random_state(rng, 3, 3),
+                            noisy_shared_randomness_strategy(params, 3, 1, seed=4).families,
+                            symmetric=False, check=False)
+    polys = tuple(g.index() for g in enumerate_polyspace(params.field, 2, 1))
+    measure_points_consistency(strat, random_projective_measurement(rng, 3, len(polys), polys))
+    assert callers == Counter({"measure_points_consistency": 1})
+    slice_polys = tuple(g.index() for g in enumerate_polyspace(params.field, 1, 1))
+    g_by_x = {x: random_projective_measurement(rng, 3, len(slice_polys), slice_polys)
+              for x in range(3)}
+    callers.clear()
+    pasted_line_consistency(strat, pasted_measurement(g_by_x, params.field, 1, 1, k=2).family)
+    assert callers == Counter({"pasted_line_consistency": 1})
+
+
 def test_soundness_witness_makes_no_scalar_restriction(monkeypatch):
     import sys
 

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lidtest import measurements
+
 from lidtest.instances import (
     maximally_entangled,
     perturbed_measurement_pair,
@@ -29,7 +31,13 @@ from lidtest.measurements import (
     strong_self_consistency_deficit,
 )
 
-from conftest import agreement, diagonal_indicator_family, random_symmetric_state
+import oracles
+from conftest import (
+    agreement,
+    assert_state_kernels_match_dense,
+    diagonal_indicator_family,
+    random_symmetric_state,
+)
 from oracles import post_process
 
 def basis_family(dim):
@@ -447,3 +455,84 @@ def test_consistency_contracts_by_stack_in_the_pipeline(monkeypatch):
             assert caller != "strong_self_consistency_deficit"
     assert len(per_call) > 10 and deficits > 0
     assert max(per_call) == 1
+
+
+# ---- products on the state's support ---------------------------------------------
+
+
+def support_state(rng, kind, da, db):
+    """A random state whose zero rows and columns are set by kind."""
+    Psi = random_state(rng, da, db)
+    if kind == "zero_rows":
+        Psi[rng.choice(da, size=rng.integers(1, da), replace=False)] = 0.0
+    elif kind == "zero_cols":
+        Psi[:, rng.choice(db, size=rng.integers(1, db), replace=False)] = 0.0
+    elif kind == "zero_rows_and_cols":
+        Psi[rng.choice(da, size=rng.integers(1, da), replace=False)] = 0.0
+        Psi[:, rng.choice(db, size=rng.integers(1, db), replace=False)] = 0.0
+    elif kind == "single_entry":
+        Psi = np.zeros((da, db), dtype=complex)
+        Psi[rng.integers(da), rng.integers(db)] = np.exp(1j * rng.uniform(0, 2 * np.pi))
+    elif kind == "maximally_entangled":
+        Psi = maximally_entangled(da)
+    return Psi / np.linalg.norm(Psi)
+
+
+SUPPORT_CASES = [
+    (kind, da, db)
+    for kind in ("zero_rows", "zero_cols", "zero_rows_and_cols", "single_entry", "full",
+                 "maximally_entangled")
+    for da, db in ((2, 2), (3, 3), (5, 2), (2, 6), (6, 6), (1, 4), (4, 1), (9, 7))
+    if (da > 1 or "rows" not in kind) and (db > 1 or "cols" not in kind)
+    and (da == db or kind != "maximally_entangled")
+]
+
+
+@pytest.mark.parametrize("kind,da,db", SUPPORT_CASES)
+def test_state_kernels_keep_the_dense_bits_on_any_support(kind, da, db):
+    rng = rng_for(100 * da + 10 * db + len(kind))
+    for _ in range(4):
+        Psi = support_state(rng, kind, da, db)
+        A, B = random_povm(rng, da, int(rng.integers(1, 5))), random_povm(rng, db, int(rng.integers(1, 5)))
+        assert_state_kernels_match_dense(A, B, Psi)
+        assert_state_kernels_match_dense(A.group([j % 2 for j in range(len(A.outcomes))]), B, Psi)
+
+
+@pytest.mark.parametrize("shape,rows,cols", [
+    ((4, 5), [0, 2], [1, 3, 4]),
+    ((4, 5), [0, 1, 2, 3], [1, 3, 4]),  # every row nonzero: no gather
+    ((4, 5), [2], [0, 1, 2, 3, 4]),     # one nonzero row: no gather
+    ((1, 5), [0], [1, 3]),              # one row: GEMM shapes never arise
+])
+def test_state_support_gathers_only_gemm_shapes(shape, rows, cols):
+    Psi = np.zeros(shape, dtype=complex)
+    Psi[np.ix_(rows, cols)] = 1.0
+    got = measurements.state_support(Psi)
+    for side, nonzero, full in zip(got, (rows, cols), shape):
+        if 1 < len(nonzero) < full and min(shape) > 1:
+            assert np.array_equal(side, nonzero)
+        else:
+            assert side == slice(None)
+
+
+def test_commutator_mass_takes_the_support_once(monkeypatch):
+    calls = []
+    support = measurements.state_support
+    monkeypatch.setattr(measurements, "state_support", lambda Psi: calls.append(1) or support(Psi))
+    rng = rng_for(3)
+    A, B = random_povm(rng, 3, 4), random_povm(rng, 3, 3)
+    Psi = support_state(rng, "zero_rows", 3, 3)
+    commutator_mass([(A.ops, B.ops), (B.ops, A.ops)], Psi)
+    strong_self_consistency_deficit(A, random_symmetric_state(rng, 3))
+    consistency(A, B, Psi)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 12])
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_random_povm_keeps_the_per_outcome_draws(dim, n):
+    for seed in range(3):
+        rng, ref_rng = rng_for(seed), rng_for(seed)
+        got, want = random_povm(rng, dim, n), oracles.random_povm(ref_rng, dim, n)
+        assert np.array_equal(got.ops, want.ops) and got.outcomes == want.outcomes
+        assert rng.normal() == ref_rng.normal()

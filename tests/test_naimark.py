@@ -13,12 +13,16 @@ from lidtest.measurements import (
     BOTTOM,
     MeasurementError,
     SubMeasurement,
+    aligned,
     consistency,
     cross_state_distance,
     expect_joint,
+    expectations,
+    squared_norms,
 )
 from lidtest.naimark import (
     _complete_isometry,
+    _embedding_adjoint,
     _joint_table,
     dilate,
     dilated_pair_state,
@@ -26,6 +30,7 @@ from lidtest.naimark import (
 )
 
 import oracles
+from conftest import assert_state_kernels_match_dense
 
 def compress(dil, outcome) -> np.ndarray:
     """(I (x) <aux|) op (I (x) |aux>): a dilated operator back on the base space."""
@@ -206,3 +211,83 @@ def test_isometry_completion_refuses_non_orthonormal_columns():
     for bad in (1.01 * V, V + 1e-6 * V[:, ::-1]):
         with pytest.raises(MeasurementError):
             _complete_isometry(bad)
+
+
+# ---- products with the dilated state on its support --------------------------------
+
+
+def sweep_aux(rng, kind, n):
+    """An auxiliary state of length n: the default, a random one with a zero
+    first entry, or a random one with no zero entry."""
+    if kind == "default":
+        return None
+    aux = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if kind == "zero_entry":
+        aux[0] = 0.0
+    return aux / np.linalg.norm(aux)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("k", range(1, 6))
+def test_state_kernels_on_dilated_states_keep_the_dense_bits(d, k):
+    rng = rng_for(3000 + 10 * d + k)
+    for kind in ("default", "zero_entry", "no_zero"):
+        db, kb = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        A, B = random_povm(rng, d, k), random_povm(rng, db, kb)
+        dil_a = dilate(A, sweep_aux(rng, kind, k + 1))
+        dil_b = dilate(B, sweep_aux(rng, kind, kb + 1))
+        Psi_hat = dilated_pair_state(random_state(rng, d, db), dil_a, dil_b)
+        assert_state_kernels_match_dense(dil_a.family, dil_b.family, Psi_hat)
+
+
+def test_products_with_a_dilated_state_run_on_its_support():
+    # every matmul that takes the state, or a product with it, is recorded
+    # with its inner dimension, which must not exceed the state's support
+    inner = []
+
+    class Recording(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            plain = [x.view(np.ndarray) if isinstance(x, Recording) else x for x in inputs]
+            if ufunc is np.matmul:
+                inner.append(plain[0].shape[-1])
+            out = getattr(ufunc, method)(*plain, **kwargs)
+            return out.view(Recording) if isinstance(out, np.ndarray) else out
+
+    rng = rng_for(5)
+    for (d, k, kind), (db, kb) in (((3, 4, "default"), (2, 3)), ((4, 2, "zero_entry"), (3, 2))):
+        A, B = random_povm(rng, d, k), random_povm(rng, db, kb)
+        dil_a, dil_b = dilate(A, sweep_aux(rng, kind, k + 1)), dilate(B)
+        Psi_hat = dilated_pair_state(random_state(rng, d, db), dil_a, dil_b)
+        rows = np.count_nonzero(Psi_hat.any(axis=1))
+        support = max(rows, np.count_nonzero(Psi_hat.any(axis=0)))
+        assert support < min(Psi_hat.shape)
+        state, fa, fb = Psi_hat.view(Recording), dil_a.family, dil_b.family
+        _, XA, XB = aligned(fa, fb)
+        for run in (lambda: expectations(state, XA, XB), lambda: expectations(state, XA),
+                    lambda: squared_norms(state, XA, XB), lambda: squared_norms(state, XA),
+                    lambda: expect_joint(XA[0], XB[0], state),
+                    lambda: consistency(fa, fb, state), lambda: cross_state_distance(fa, fb, state)):
+            inner.clear()
+            run()
+            assert inner and max(inner) <= support
+        # the last, flattened GEMM of the joint table sums over every entry
+        inner.clear()
+        _joint_table(XA, XB, state)
+        assert len(inner) == 3 and max(inner[:2]) <= rows
+        assert inner[2] == Psi_hat.shape[1] ** 2
+
+
+def test_embedding_is_completed_once_per_dimension_and_aux_state():
+    rng = rng_for(77)
+    sub = random_povm(rng, 3, 2)
+    auxes = [None, sweep_aux(rng, "zero_entry", 3), sweep_aux(rng, "no_zero", 3)]
+    fresh = []
+    for aux in auxes:
+        _embedding_adjoint.cache_clear()
+        fresh.append(dilate(sub, aux).unitary)
+    _embedding_adjoint.cache_clear()
+    for _ in range(2):
+        for aux, want in zip(auxes, fresh):
+            assert np.array_equal(dilate(sub, aux).unitary, want)
+    assert _embedding_adjoint.cache_info().misses == len(auxes)
+    assert not _embedding_adjoint(3, np.eye(3, dtype=complex)[0].tobytes()).flags.writeable

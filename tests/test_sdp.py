@@ -16,7 +16,7 @@ from lidtest.sdp import (
     solve_commuting,
 )
 
-from oracles import dense_inverses, dense_newton_matrix
+from oracles import dense_inverses, dense_newton_matrix, project_to_completion, slackness
 
 
 def diagonal_instance(rng, r, n_constraints):
@@ -260,6 +260,33 @@ def test_block_kernels_are_bit_equal_to_dense(kind, r):
     dz = sdp._newton_step(W, R, 0.3, groups)
     want = np.linalg.solve(dense_newton_matrix(W, 0.3), R.reshape(-1)).reshape(r, r)
     assert np.array_equal(bits(dz), bits(want))
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "rotated", "random"])
+@pytest.mark.parametrize("r", [1, 3, 16])
+def test_stacked_residuals_are_bit_equal_to_constraint_loops(kind, r):
+    Z, blocks, W, _ = kernel_inputs(kind, r)
+    A = blocks[:-1]
+    for scale in (0.3, 0.05):  # the second leaves slack I - sum T to assign
+        T = scale * W[:-1]
+        assert sdp._slackness(T, Z, A) == slackness(T, Z, A)
+        got = sdp._project_to_completion(T, Z, A)
+        assert np.array_equal(bits(got), bits(project_to_completion(T, Z, A)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stacked_residuals_match_the_loops_on_random_stacks(seed):
+    # dense complex stacks: an axis-wise norm, say, rounds otherwise here
+    rng = rng_for(700 + seed)
+    for _ in range(10):
+        M, r = int(rng.integers(1, 20)), int(rng.integers(1, 17))
+        X = rng.normal(size=(M, r, r)) + 1j * rng.normal(size=(M, r, r))
+        T = 0.1 * (X @ X.conj().swapaxes(1, 2)) / (M * r)
+        A = sdp._herm(rng.normal(size=(M, r, r)) + 1j * rng.normal(size=(M, r, r)))
+        Z = sdp._herm(rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))
+        assert sdp._slackness(T, Z, A) == slackness(T, Z, A)
+        got = sdp._project_to_completion(T, Z, A)
+        assert np.array_equal(bits(got), bits(project_to_completion(T, Z, A)))
 
 
 def dense_solve(inst, monkeypatch):
