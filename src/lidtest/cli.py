@@ -99,9 +99,9 @@ def _pasting_k(cfg, params, default) -> int:
 
 def _strategy_from_config(cfg, params, seed):
     from .instances import noisy_shared_randomness_strategy
-    from .polyspace import ENUM_GUARD, check_space, poly_by_index, polyspace_size
+    from .polyspace import ENUM_GUARD, check_space, polyspace_size
     from .stratfile import load_strategy
-    from .strategies import example_adversary, honest_strategy
+    from .strategies import ClassicalStrategy, example_adversary, honest_tables
 
     entry = cfg.get("strategy")
     if entry is None:
@@ -117,7 +117,9 @@ def _strategy_from_config(cfg, params, seed):
         size = polyspace_size(params.field, params.m, params.d)
         if index >= size:
             raise ConfigError(f"poly_index {index} lies outside [0, {size})")
-        return honest_strategy(params, poly_by_index(params.field, params.m, params.d, index))
+        # the index's base-q digits are the flat coefficients, digit 0 first
+        coeffs = [index // params.q ** j % params.q for j in range((params.d + 1) ** params.m)]
+        return ClassicalStrategy(params, honest_tables(params, [coeffs])[0])
     if builtin == "adversary":
         return example_adversary(params)
     if builtin == "noisy":

@@ -4,7 +4,9 @@ Elements are stored as integers in [0, q) encoding coefficient vectors in
 base p (little-endian polynomial basis).  Multiplication goes through
 discrete log/antilog tables built from a primitive element found at
 construction, so every field operation is O(1) table work and vectorizes
-over numpy integer arrays.
+over numpy integer arrays.  The library works on these indices only; the
+element objects with operator arithmetic that the tests check the tables
+against live in tests/algebra.py.
 """
 
 from __future__ import annotations
@@ -219,12 +221,8 @@ class GF:
     # ---- element interface ---------------------------------------------------
 
     def index(self, value) -> int:
-        """The index of an element given as a FieldElement of this field, a
-        coefficient vector (zero-padded, entries reduced mod p) or an index."""
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldError("element belongs to a different field")
-            return value.i
+        """The index of an element given as a coefficient vector (zero-padded,
+        entries reduced mod p) or an index."""
         if isinstance(value, (list, tuple, np.ndarray)):
             coeffs = list(value) + [0] * (self.t - len(value))
             if len(coeffs) != self.t:
@@ -234,25 +232,6 @@ class GF:
         if not 0 <= i < self.q:
             raise FieldError(f"index {i} out of range for q = {self.q}")
         return i
-
-    def element(self, value) -> "FieldElement":
-        i = self.index(value)
-        return value if isinstance(value, FieldElement) else FieldElement(self, i)
-
-    def from_prime(self, c: int) -> "FieldElement":
-        """Embed a prime-subfield value as (c, 0, ..., 0)."""
-        return FieldElement(self, int(c) % self.p)
-
-    @property
-    def zero(self):
-        return FieldElement(self, 0)
-
-    @property
-    def one(self):
-        return FieldElement(self, 1)
-
-    def elements(self):
-        return (FieldElement(self, i) for i in range(self.q))
 
     def coeffs_of(self, i: int):
         return tuple(int(c) for c in self._digits[i])
@@ -268,90 +247,6 @@ class GF:
 
     def __repr__(self):
         return f"GF({self.p}^{self.t}, modulus={list(self.modulus)})"
-
-
-class FieldElement:
-    __slots__ = ("field", "i")
-
-    def __init__(self, field: GF, i: int):
-        self.field = field
-        self.i = int(i)
-
-    @property
-    def coeffs(self):
-        return self.field.coeffs_of(self.i)
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldError("mixed-field arithmetic")
-            return other
-        if isinstance(other, int):
-            return self.field.from_prime(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, int(self.field.add(self.i, o.i)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElement(self.field, int(self.field.neg(self.i)))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, int(self.field.sub(self.i, o.i)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, int(self.field.mul(self.i, o.i)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inv()
-
-    def inv(self):
-        return FieldElement(self.field, int(self.field.inv(self.i)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, int(self.field.pow(self.i, e)))
-
-    def trace(self):
-        return FieldElement(self.field, int(self.field._trace[self.i]))
-
-    def __bool__(self):
-        return self.i != 0
-
-    def __eq__(self, other):
-        """Equal to an element of the same field, or to the int c in [0, p)
-        that names a prime-subfield element, so equal values hash equally."""
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.i == other.i
-        if isinstance(other, int):
-            return 0 <= other < self.field.p and self.i == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.i)
-
-    def __repr__(self):
-        if self.field.t == 1:
-            return f"F{self.field.q}({self.i})"
-        return f"F{self.field.q}{self.coeffs}"
 
 
 @lru_cache(maxsize=None)
@@ -373,9 +268,9 @@ def field_for_order(q: int) -> GF:
     raise FieldError(f"{q} is not a prime power of at most {MAX_Q}")
 
 
-def character_sum(f: GF, a) -> complex:
-    """E_{x ~ F_q} omega^tr(x*a): 1 at a = 0 and 0 elsewhere."""
-    a = f.element(a)
+def character_sum(f: GF, a: int) -> complex:
+    """E_{x ~ F_q} omega^tr(x*a) for the element of index a: 1 at a = 0 and
+    0 elsewhere."""
     xs = np.arange(f.q)
-    tr = f.trace_int(f.mul(xs, a.i))
+    tr = f.trace_int(f.mul(xs, f.index(a)))
     return complex(f._omega_pows[tr].mean())

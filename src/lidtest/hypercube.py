@@ -1,10 +1,12 @@
 """Hypercube graph over F_q^m: adjacency, Laplacian, the additive-character
-eigenbasis, and the local/global variance machinery for point-indexed
-operator families.
+eigenbasis, and the local/global variance machinery for operator families
+indexed by point.
 
-The eigenbasis is constructed analytically from characters and then verified,
-never recovered from a generic eigensolver; variance sums iterate the exact
-edge distribution (u, i, x) -> (u, u + x e_i)."""
+Points are grid indices, as in `polyspace`, and a family is a stack of one
+operator per point in grid order.  The eigenbasis is constructed analytically
+from characters and then verified, never recovered from a generic
+eigensolver; variance sums iterate the exact edge distribution
+(u, i, x) -> (u, u + x e_i)."""
 
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ import numpy as np
 from .gf import GF
 from .errors import check_power
 from .measurements import squared_norms, state_support
-from .polyspace import all_points, point_index
 
 VERTEX_CAP = 4096
 
@@ -76,35 +77,29 @@ class HypercubeGraph:
         return f._omega_pows[phase] / np.sqrt(self.size)
 
     def character_eigensystem(self):
-        """[(alpha, eigenvalue, eigenvector)] with eigenvalue
-        (1/M)(m - |alpha|)/m, in point-index order of alpha."""
-        f, m, M = self.field, self.m, self.size
-        vecs = np.ascontiguousarray(self.character_matrix().T)
-        out = []
-        for alpha, vec in zip(all_points(f, m), vecs):
-            weight = sum(1 for c in alpha if c.i != 0)
-            lam = (m - weight) / (m * M)
-            out.append((alpha, lam, vec))
-        return out
+        """(eigenvalues, eigenvectors): the character of alpha, column alpha
+        of `character_matrix`, has eigenvalue (1/M)(m - |alpha|)/m, where
+        |alpha| counts alpha's nonzero coordinates; alpha in point-index
+        order."""
+        m, M = self.m, self.size
+        lams = (m - np.count_nonzero(self._coords(), axis=1)) / (m * M)
+        return lams, self.character_matrix()
 
     def spectral_gap(self, system=None) -> float:
         """Second-smallest Laplacian eigenvalue; analytically 1/(m*M).
         system: the character eigensystem, when the caller already built it."""
-        system = self.character_eigensystem() if system is None else system
-        lams = sorted(1.0 / self.size - lam for _, lam, _ in system)
-        return lams[1]
+        lams, _ = self.character_eigensystem() if system is None else system
+        return float(np.sort(1.0 / self.size - lams)[1])
 
 
 def verify_eigensystem(graph: HypercubeGraph, tol=1e-10, system=None):
     """Residuals of K phi = lambda phi and of orthonormality.
     system: the character eigensystem, when the caller already built it."""
     K = graph.adjacency()
-    system = graph.character_eigensystem() if system is None else system
-    vecs = np.stack([v for _, _, v in system], axis=1)
-    lams = np.array([lam for _, lam, _ in system])
+    lams, vecs = graph.character_eigensystem() if system is None else system
     gram = vecs.conj().T @ vecs
     residual = float(np.abs(K @ vecs - vecs * lams).max())
-    gram_residual = float(np.abs(gram - np.eye(len(system))).max())
+    gram_residual = float(np.abs(gram - np.eye(len(lams))).max())
     frob = float(np.linalg.norm((vecs * lams) @ vecs.conj().T - K))
     return {
         "max_eigen_residual": residual,
@@ -114,11 +109,12 @@ def verify_eigensystem(graph: HypercubeGraph, tol=1e-10, system=None):
     }
 
 
-def local_variance(family, Psi, graph: HypercubeGraph) -> float:
-    """(1/2) E_{(u,v) ~ edges} <psi| (A^u - A^v)^2 (x) I |psi>, where
+def local_variance(ops, Psi, graph: HypercubeGraph) -> float:
+    """(1/2) E_{(u,v) ~ edges} <psi| (A^u - A^v)^2 (x) I |psi> for the stack
+    ops of one operator A^u per point, in grid order, where
     <psi| (A - B)^2 (x) I |psi> = ||(A - B) psi||^2; the edges of one u are
     stacked, and loops (v = u) add nothing."""
-    ops = _family_ops(family, graph)
+    ops = _point_stack(ops, graph)
     w = 1.0 / (graph.size * graph.m * graph.field.q)
     total, support = 0.0, state_support(Psi)
     for ui, vs in enumerate(graph._edges()[1].reshape(graph.size, -1)):
@@ -127,10 +123,11 @@ def local_variance(family, Psi, graph: HypercubeGraph) -> float:
     return 0.5 * total
 
 
-def global_variance(family, Psi, graph: HypercubeGraph) -> float:
-    """(1/2) E_{u,v independent} <psi| (A^u - A^v)^2 (x) I |psi>, each
-    unordered pair once and doubled, the pairs of one u stacked."""
-    ops = _family_ops(family, graph)
+def global_variance(ops, Psi, graph: HypercubeGraph) -> float:
+    """(1/2) E_{u,v independent} <psi| (A^u - A^v)^2 (x) I |psi> for a stack
+    as in local_variance, each unordered pair once and doubled, the pairs of
+    one u stacked."""
+    ops = _point_stack(ops, graph)
     M = graph.size
     total, support = 0.0, state_support(Psi)
     for ui in range(M):
@@ -139,9 +136,9 @@ def global_variance(family, Psi, graph: HypercubeGraph) -> float:
     return 0.5 * total / (M * M)
 
 
-def _family_ops(family, graph):
-    """The family's operators, stacked in point_index order."""
-    by_index = {point_index(u): op for u, op in family.items()}
-    if len(by_index) != graph.size:
+def _point_stack(ops, graph):
+    """ops as a complex stack, refused unless it has one operator per point."""
+    ops = np.asarray(ops, dtype=complex)
+    if len(ops) != graph.size:
         raise ValueError("family must cover every point of the cube")
-    return np.array([by_index[i] for i in range(graph.size)], dtype=complex)
+    return ops

@@ -134,11 +134,10 @@ def noisy_shared_randomness_strategy(params: TestParams, n_tables, n_corrupt, se
 
 
 def random_point_family(rng, params: TestParams, dim):
-    """0 <= A^u <= I per point, for variance diagnostics."""
-    fams = {}
-    from .polyspace import all_points
-
-    for u in all_points(params.field, params.m):
+    """0 <= A^u <= I per point, for variance diagnostics: a (q^m, dim, dim)
+    stack in grid order."""
+    fams = np.empty((params.q ** params.m, dim, dim), dtype=complex)
+    for u in range(len(fams)):
         X = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         H = X @ X.conj().T
         fams[u] = H / (np.linalg.eigvalsh(H).max() + rng.uniform(0.1, 1.0))

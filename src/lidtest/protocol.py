@@ -1,5 +1,5 @@
 """The two-prover low individual degree test: question distribution with
-exact rational masses, transcripts, and verdicts.
+exact rational masses.
 
 Subtests: 'axis' (point vs axis-parallel line), 'selfcons' (same point to
 both players), 'diag' (point vs general line whose direction has a bounded
@@ -7,21 +7,21 @@ number of free leading coordinates).  Probabilities are fractions.Fraction
 end to end; floating point never enters this layer.  The support is one
 integer table per TestParams (`support_table`, built once and cached), in
 which a question is named by its position; `Support.at` finds the position
-of integer coordinates.  Question objects are built only on request: by
-`Support.questions` and by the round view `enumerate_rounds`.
+of integer coordinates, and `Support.describe` renders a position for
+messages.  Verdicts are judged over this table in `strategies`.  The
+question objects and the round-by-round view with per-round verdicts, the
+references the tests check this table against, live in tests/algebra.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from .errors import StrategyError, check_power, check_size, guarded_cache
-from .gf import GF, FieldElement
-from .polyspace import AxisLine, DiagonalLine, UniPoly, all_points
+from .gf import GF
 
 SUPPORT_GUARD = 10 ** 6
 
@@ -29,7 +29,7 @@ AXIS, SELFCONS, DIAG = "axis", "selfcons", "diag"
 SUBTESTS = (AXIS, SELFCONS, DIAG)
 ROLES = ("A", "B")
 # the groups of questions: Support.group indexes this, and strategy files
-# and object tables list questions under these names
+# list questions under these names
 GROUPS = ("points", "axis", "diag")
 
 
@@ -64,36 +64,6 @@ class TestParams:
 
     def weight(self, subtest):
         return self.weights[SUBTESTS.index(subtest)]
-
-
-@dataclass(frozen=True)
-class RoundSample:
-    subtest: str
-    question_a: object
-    question_b: object
-    mass: Fraction
-
-    @property
-    def line_role(self):
-        """Which player holds the line question, or None for selfcons."""
-        if isinstance(self.question_a, (AxisLine, DiagonalLine)):
-            return "A"
-        if isinstance(self.question_b, (AxisLine, DiagonalLine)):
-            return "B"
-        return None
-
-    @property
-    def line(self):
-        """The line question, or None for selfcons."""
-        role = self.line_role
-        if role is None:
-            return None
-        return self.question_a if role == "A" else self.question_b
-
-    @property
-    def point(self):
-        """The point question (the shared one for selfcons)."""
-        return self.question_b if self.line_role == "A" else self.question_a
 
 
 def _check_support(params: TestParams):
@@ -156,42 +126,23 @@ class Support:
         same = (self.base[pos] == base) & (self.direction[pos] == direction)
         return pos, same.all(axis=1)
 
-    def position(self, question) -> int:
-        """The position of a question object of the support (KeyError for any other)."""
-        if isinstance(question, AxisLine):
-            group, base = 1, question.base.ints()
-            direction = np.eye(len(base), dtype=np.int64)[question.axis]
-        elif isinstance(question, DiagonalLine):
-            group, base, direction = 2, question.base.ints(), question.direction.ints()
-        else:
-            group, base, direction = 0, question.ints(), (0,) * len(question)
-        if len(base) != self.base.shape[1]:
-            raise KeyError(question)
-        pos, canonical = self.at(group, np.array([base]), np.array([direction]))
-        if not canonical[0]:
-            raise KeyError(question)
-        return int(pos[0])
+    def describe(self, pos) -> str:
+        """The question at a position in words, for messages."""
+        return question_text(self.group[pos], self.base[pos], self.direction[pos])
 
-    @cached_property
-    def questions(self) -> tuple:
-        """Each question as (group, question object), by position; built on
-        first use, for messages and the object views."""
-        f, m = self.field, self.base.shape[1]
-        pts = list(all_points(f, m))
-        place = f.q ** np.arange(m - 1, -1, -1)
-        return tuple(
-            (GROUPS[g], pts[u] if g == 0 else AxisLine(i, pts[u]) if g == 1
-             else DiagonalLine(pts[u], pts[v]))
-            for g, u, v, i in zip(self.group.tolist(), (self.base @ place).tolist(),
-                                  (self.direction @ place).tolist(),
-                                  self.direction.argmax(axis=1).tolist()))
 
-    def samples(self, rows=slice(None)):
-        """Each round (or each in the index array `rows`) as a RoundSample."""
-        qs = [question for _, question in self.questions]
-        for sub, a, b, c in zip(self.subtest[rows].tolist(), self.q_a[rows].tolist(),
-                                self.q_b[rows].tolist(), self.mass_class[rows].tolist()):
-            yield RoundSample(SUBTESTS[sub], qs[a], qs[b], self.masses[c])
+def question_text(group, base, direction) -> str:
+    """A question in words, for messages, from its group (an index into
+    GROUPS) and its coordinates as element indices: a point, an axis line
+    as its base and axis, or a diagonal line as base + t * direction."""
+    base, direction = tuple(map(int, base)), tuple(map(int, direction))
+    if group == 0:
+        return f"point {base}"
+    if group == 1:
+        return f"axis-{direction.index(1)} line through {base}"
+    if not any(direction):
+        return f"degenerate diagonal line at {base}"
+    return f"diagonal line {base} + t * {direction}"
 
 
 def _rounds(subtest, role, line, pt, t, mass_class, axis):
@@ -264,40 +215,3 @@ def support_table(params: TestParams) -> Support:
     subtest, q_a, q_b, role, t, mass_class, axis = cols
     return Support(f, group, base, direction, bound, axis_pos, diag_pos,
                    subtest, q_a, q_b, role, t, mass_class, masses, axis)
-
-
-def enumerate_rounds(params: TestParams):
-    """Exact support of the full question distribution, as RoundSamples that
-    share one object per distinct question."""
-    yield from support_table(params).samples()
-
-
-def line_value(sample: RoundSample):
-    """The map from a line answer to the value it gives the round's point:
-    evaluation at the point's parameter, or the answer itself on a
-    degenerate (single-point) diagonal line."""
-    line = sample.line
-    if isinstance(line, DiagonalLine) and line.degenerate:
-        return lambda ans: ans
-    t = line.param_of(sample.point)
-    return lambda ans: ans(t)
-
-
-def verdict(sample: RoundSample, answers) -> bool:
-    """Accept/reject a transcript; raises ProtocolError on malformed answers."""
-    ans_a, ans_b = answers
-    if sample.subtest == SELFCONS:
-        if not (isinstance(ans_a, FieldElement) and isinstance(ans_b, FieldElement)):
-            raise ProtocolError("self-consistency answers must be values")
-        return ans_a == ans_b
-    line_ans = ans_a if sample.line_role == "A" else ans_b
-    point_ans = ans_b if sample.line_role == "A" else ans_a
-    if not isinstance(point_ans, FieldElement):
-        raise ProtocolError("point answer must be a value")
-    line = sample.line
-    if isinstance(line, DiagonalLine) and line.degenerate:
-        if not isinstance(line_ans, FieldElement):
-            raise ProtocolError("degenerate-line answer must be a value")
-    elif not isinstance(line_ans, UniPoly):
-        raise ProtocolError("line answer must be a polynomial")
-    return line_value(sample)(line_ans) == point_ans

@@ -12,19 +12,18 @@ integer row per answer (`answer_rows`): the values a line answer gives
 along its line, or a value answer repeated.  A round's verdict is then one
 array comparison, exact probabilities are integer hit counts per mass
 class, turned into Fractions at the end, and the audit transcript is
-rendered from the questions' integer coordinates and the codes; answers are
-decoded to FieldElement and UniPoly objects only on request (`tables`,
-`answer`).  A quantum strategy is a bipartite state matrix plus one
-SubMeasurement family per question position for each role, in the same
-order as the codes, and is evaluated by exact dense contraction, once per
-question pair.  `judge` gives every kind's acceptance over the support
+rendered from the questions' integer coordinates and the codes.  The
+answer objects and the per-round verdict that the tests check these arrays
+against live in tests/algebra.py.  A quantum strategy is a bipartite state
+matrix plus one SubMeasurement family per question position for each role,
+in the same order as the codes, and is evaluated by exact dense
+contraction, once per question pair.  `judge` gives every kind's acceptance over the support
 once, as a `Judged` record, and the aggregators read that record.
 
 A quantum round groups the line family's outcomes by the value they give at
 the point's parameter t: each line family's operators are summed per
 (t, value) once, from the value rows of its codes, and matched by value
 against the point family's operators in stacked contractions.
-`protocol.line_value` is the per-answer form of the same rule.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from .measurements import (
     expectations,
     is_swap_invariant,
 )
-from .polyspace import MultiPoly, UniPoly, label_values, point_index, restrict_to_lines, value_table
+from .polyspace import label_values, restrict_to_lines
 from .protocol import (
     AXIS,
     GROUPS,
@@ -57,7 +56,6 @@ from .protocol import (
     Support,
     TestParams,
     support_table,
-    verdict,
 )
 
 QUANTUM_DIM_CAP = 64
@@ -86,8 +84,7 @@ class ClassicalStrategy:
     constant term first.  `tables` and `tables_b` (answers for role B, when
     given) are code arrays, -1 marking a question with no answer.
     `rows[role]` holds the values each answer gives along its line (a value
-    answer repeated), one integer row of q per position; `tables` and
-    `answer` decode."""
+    answer repeated), one integer row of q per position."""
 
     def __init__(self, params: TestParams, tables, tables_b=None):
         codes = [t for t in (tables, tables_b) if t is not None]
@@ -99,28 +96,6 @@ class ClassicalStrategy:
         self.codes = {"A": codes[0], "B": codes[-1]}
         rows = [answer_rows(params.field, table, support.bound) for table in codes]
         self.rows = {"A": rows[0], "B": rows[-1]}
-
-    @property
-    def tables(self):
-        """The answers decoded, as {role: {group: {question: answer}}}."""
-        questions, out = support_table(self.params).questions, {}
-        for role in ROLES:
-            out[role] = {group: {} for group in GROUPS}
-            for (group, question), ans in zip(questions, decoded(self.params, self.codes[role])):
-                out[role][group][question] = ans
-        return out
-
-    def answer(self, role, question):
-        pos = support_table(self.params).position(question)
-        return decoded(self.params, self.codes[role], [pos])[0]
-
-    def answers(self, sample):
-        return (self.answer("A", sample.question_a),
-                self.answer("B", sample.question_b))
-
-    def accept(self, sample) -> int:
-        """1 if the verifier accepts this round's answers, else 0."""
-        return int(verdict(sample, self.answers(sample)))
 
     def acceptance(self, support: Support):
         """Every round's verdict at once: the line side's value at the
@@ -135,8 +110,7 @@ class ClassicalStrategy:
 
 
 def unanswered(support: Support, pos) -> ProtocolError:
-    group, question = support.questions[pos]
-    return ProtocolError(f"no answer for the {group} question {question}")
+    return ProtocolError(f"no answer for the {support.describe(pos)}")
 
 
 def code_dtype(params: TestParams):
@@ -178,16 +152,6 @@ def answer_rows(f, codes, bounds) -> np.ndarray:
     return rows
 
 
-def decoded(params: TestParams, codes, at=slice(None)) -> list:
-    """The answers coded at positions `at` as FieldElement and UniPoly."""
-    f, codes, bounds = params.field, codes[at], support_table(params).bound[at]
-    out = [None if b >= 0 else f.element(c) for c, b in zip(codes.tolist(), bounds.tolist())]
-    for rows, digits in line_digits(f.q, codes, bounds):
-        for k, coeffs in zip(rows.tolist(), digits.tolist()):
-            out[k] = UniPoly(f, coeffs)
-    return out
-
-
 def honest_tables(params: TestParams, coeffs, d=None) -> np.ndarray:
     """One code array per polynomial, answering every question from it: the
     polynomials are flat coefficient rows of individual degree d (params.d
@@ -214,11 +178,6 @@ def honest_tables(params: TestParams, coeffs, d=None) -> np.ndarray:
     return tables
 
 
-def honest_strategy(params: TestParams, g: MultiPoly) -> ClassicalStrategy:
-    """Answer every question from the fixed polynomial g."""
-    return ClassicalStrategy(params, honest_tables(params, g.flat()[None], g.d)[0])
-
-
 def example_adversary(params: TestParams) -> ClassicalStrategy:
     """The degree-(d+1) points function x_1^{d+1} paired with give-up axis
     answers in the first direction; passes with probability 1 - 1/m on the
@@ -230,16 +189,12 @@ def example_adversary(params: TestParams) -> ClassicalStrategy:
     if params.m * d < d + 1:
         raise ProtocolError("need m * d >= d + 1 so diagonal answers can hold "
                             "the points function")
-    h = adversary_points_polynomial(params)
-    codes = honest_tables(params, h.flat()[None], h.d)[0]
-    # give up (answer 0) in the first direction; h is constant along the others
+    x1 = np.zeros((d + 2) ** params.m, dtype=np.int64)
+    x1[(d + 1) * (d + 2) ** (params.m - 1)] = 1  # the flat coefficient row of x_1^{d+1}
+    codes = honest_tables(params, x1[None], d + 1)[0]
+    # give up (answer 0) in the first direction; x_1^{d+1} is constant along the others
     codes[support_table(params).axis_at[:, 0]] = 0
     return ClassicalStrategy(params, codes)
-
-
-def adversary_points_polynomial(params: TestParams) -> MultiPoly:
-    f, m, d = params.field, params.m, params.d
-    return MultiPoly.from_terms(f, m, d + 1, {(d + 1,) + (0,) * (m - 1): 1})
 
 
 class RandomizedClassicalStrategy:
@@ -250,10 +205,6 @@ class RandomizedClassicalStrategy:
         if sum(w for w, _ in self.weighted_tables) != 1:
             raise ProtocolError("table weights must sum to 1")
         self.params = self.weighted_tables[0][1].params
-
-    def accept(self, sample) -> Fraction:
-        """Exact acceptance probability of one round under the mixture."""
-        return sum(w * s.accept(sample) for w, s in self.weighted_tables)
 
     def acceptance(self, support: Support):
         """Every round's acceptance as integer numerators over the common
@@ -304,8 +255,8 @@ class QuantumStrategy:
                 raise ProtocolError(f"{len(fams)} {role} families for "
                                     f"{len(support.group)} questions")
             if None in fams:
-                _, question = support.questions[fams.index(None)]
-                raise ProtocolError(f"no {role} family for the question {question}")
+                missing = support.describe(fams.index(None))
+                raise ProtocolError(f"no {role} family for the {missing}")
             check_labels(fams, support, role)
             check_families(fams, dim, self.projective)
         if self.symmetric:
@@ -386,7 +337,7 @@ def check_labels(fams, support: Support, role):
         size = support.field.q ** max(bound + 1, 1)
         if (id(fam.outcomes), bound) not in checked and not all(
                 type(o) is int and 0 <= o < size for o in fam.outcomes):
-            raise ProtocolError(f"the {role} family for the question {support.questions[pos][1]} "
+            raise ProtocolError(f"the {role} family for the {support.describe(pos)} "
                                 f"is not labelled by the answer codes 0 to {size - 1}")
         checked.add((id(fam.outcomes), bound))
 
@@ -440,13 +391,6 @@ class Judged:
 
     def __len__(self):
         return len(self.support)
-
-    def __iter__(self):
-        """(RoundSample, acceptance probability) per round, in round order."""
-        accs = self.acceptance.tolist()
-        if self.denominator != 1:
-            accs = [Fraction(a, self.denominator) for a in accs]
-        return zip(self.support.samples(), accs)
 
 
 def judge(strategy, params: TestParams) -> Judged:
@@ -580,18 +524,6 @@ def axis_failure_pessimistic(judged: Judged):
     rows = s.subtest == SUBTESTS.index(AXIS)
     lost = np.where(s.axis == 0, den, den - judged.acceptance)
     return _mass_sum(s, rows, lost) / den / _mass_sum(s, rows, np.ones_like(lost))
-
-
-def best_polyspace_agreement(params: TestParams, points_fn) -> Fraction:
-    """max_g Pr_u[g(u) = points_fn(u)] over the whole admissible space,
-    by exhaustive vectorized evaluation."""
-    f, m, d = params.field, params.m, params.d
-    table = value_table(f, m, d)
-    target = np.zeros(table.shape[1], dtype=np.int64)
-    for u, a in points_fn.items():
-        target[point_index(u)] = a.i
-    hits = (table == target[None, :]).sum(axis=1)
-    return Fraction(int(hits.max()), table.shape[1])
 
 
 # ---- quantum constructions ----------------------------------------------------

@@ -9,8 +9,9 @@ arrays, and `Support.at` finds their positions.  Classical records are read
 straight into answer codes (`ClassicalStrategy`), quantum records into one
 family per position (`QuantumStrategy`), whose outcome labels are read into
 the same codes and written back from them: a value outcome as its
-coefficient vector, a line outcome as its coefficient indices.  A question
-object is built only for the message of a bad record."""
+coefficient vector, a line outcome as its coefficient indices.  A bad
+record's message renders its question from the integer coordinates
+(`protocol.question_text`)."""
 
 from __future__ import annotations
 
@@ -22,8 +23,7 @@ import numpy as np
 from .errors import SizeGuardError, StrategyError
 from .gf import GF, field
 from .measurements import SubMeasurement
-from .polyspace import AxisLine, DiagonalLine, Point
-from .protocol import GROUPS, TestParams, support_table
+from .protocol import GROUPS, TestParams, question_text, support_table
 from .strategies import ClassicalStrategy, QuantumStrategy, code_dtype, line_codes, line_digits
 
 
@@ -50,10 +50,6 @@ def _params_from_header(h: dict) -> TestParams:
         return TestParams(f, int(h["m"]), int(h["d"]), weights=weights)
     except (KeyError, TypeError, ValueError) as exc:
         raise StrategyFileError(f"bad params header: {exc}") from exc
-
-
-def _point_in(f: GF, data) -> Point:
-    return Point(f.element(c) for c in data)
 
 
 def _cx_out(z: complex) -> str:
@@ -116,14 +112,6 @@ def _table_out(params: TestParams, codes) -> dict:
     return _records_out(params, tuple(CLASSICAL_RECORDS.values()), answers)
 
 
-def _question_in(f: GF, group, rec):
-    if group == "points":
-        return _point_in(f, rec["u"])
-    if group == "axis":
-        return AxisLine(int(rec["axis"]), _point_in(f, rec["base"]))
-    return DiagonalLine(_point_in(f, rec["base"]), _point_in(f, rec["dir"]))
-
-
 def _indices(f: GF, values, depth):
     """f.index of each JSON value nested `depth` lists deep in `values`:
     integer coefficient lists of one length, or in-range indices, as one
@@ -167,8 +155,7 @@ def _held_to(rows, bound):
 def _positions(params: TestParams, support, group, recs):
     """The question positions of one group's records, read field by field in
     the order a record's question is read and found by `Support.at`; a
-    question off the support is refused by its constructor, or else as not
-    a question of the support, built for the message."""
+    question off the support is refused, rendered from its coordinates."""
     f, m = params.field, params.m
     if group == "axis":
         axes = [int(rec["axis"]) for rec in recs]
@@ -181,10 +168,12 @@ def _positions(params: TestParams, support, group, recs):
         direction = np.eye(m, dtype=np.int64)[axes]
     else:
         direction = _points(f, [rec["dir"] for rec in recs], m)
-    at, canonical = support.at(GROUPS.index(group), base, direction)
+    g = GROUPS.index(group)
+    at, canonical = support.at(g, base, direction)
     if not canonical.all():
-        question = _question_in(f, group, recs[int(np.argmin(canonical))])
-        raise ValueError(f"{question} is not a question of the support")
+        bad = int(np.argmin(canonical))
+        raise ValueError(f"the {question_text(g, base[bad], direction[bad])} "
+                         "is not a question of the support")
     return at
 
 
@@ -228,8 +217,7 @@ def _classical_codes(params: TestParams, data):
             for rec in recs:
                 at, found = _records(params, support, group, [rec])
                 if codes[at[0]] != -1:
-                    raise StrategyFileError(
-                        f"two records for the question {support.questions[at[0]][1]}")
+                    raise StrategyFileError(f"two records for the {support.describe(at[0])}")
                 codes[at] = found
     return codes
 
@@ -248,8 +236,7 @@ def _families_in(params: TestParams, data):
             fam = SubMeasurement(np.asarray(labels).tolist(),
                                  np.array([_matrix_in(op) for op in rec["ops"]]), check=False)
             if fams[pos] is not None:
-                _, question = support.questions[pos]
-                raise StrategyFileError(f"two records for the question {question}")
+                raise StrategyFileError(f"two records for the {support.describe(pos)}")
             fams[pos] = fam
     return tuple(fams)
 

@@ -123,3 +123,12 @@ def rotated_strategy(base, seed, theta=0.15, groups=("points",)):
     shared = tuple(shared)
     return QuantumStrategy(base.params, base.Psi, {"A": shared, "B": shared},
                            symmetric=True, projective=True)
+
+
+def honest_strategy(params, coeffs, d=None):
+    """The ClassicalStrategy answering every question from one polynomial,
+    given as its flat coefficient row (individual degree d, params.d by
+    default)."""
+    from lidtest.strategies import ClassicalStrategy, honest_tables
+
+    return ClassicalStrategy(params, honest_tables(params, [coeffs], d)[0])

@@ -1,7 +1,9 @@
 """Object-walking references for the integer support table and judge: the
 question support enumerated round by round with AxisLine/DiagonalLine.through,
 and the per-round goodness, Monte Carlo and transcript loops.  Tests compare
-the fast paths in `protocol` and `strategies` against these.
+the fast paths in `protocol` and `strategies` against these.  The objects
+they walk (elements, points, polynomials, lines and rounds) are the
+reference algebra of `algebra`; the library itself has none of them.
 
 The soundness pipeline's references are here too: per-outcome
 post-processing, the slice hypotheses measured a second time from the slice
@@ -13,7 +15,9 @@ with the line family grouped per round (`round_family`), each outcome's
 code decoded to its UniPoly (`decode_line`) and evaluated; the builder's
 are the scalar restrictions `restrict_axis` and `restrict_diagonal`.
 Object answer tables are encoded into the codes ClassicalStrategy takes by
-`answer_codes`, each answer checked by `check_answer_format`.
+`answer_codes`, each answer checked by `check_answer_format`, and
+`best_agreement` is the exhaustive agreement of point values with the
+admissible space.
 
 The Naimark dilation's reference is `dilate`: one square root per operator,
 W as a sum of Kronecker products, the completion from the eigenvectors of
@@ -24,7 +28,8 @@ Hhat^{x_1..x_k}_{g_1..g_k}.  The orthogonalization stages' references walk one o
 eigendecomposition, range-vector list and projector per outcome.
 
 The classical strategy file loader's reference is `load_classical`, which
-builds every record's question and answer objects (`classical_tables_in`);
+builds every record's question and answer objects (`classical_tables_in`)
+and names a bad record's question as the library does (`Support.describe`);
 the transcript's is `object_transcript`, which renders the decoded answer
 objects; and `object_rows` gives a table's integer rows from its objects.
 
@@ -46,7 +51,6 @@ from functools import lru_cache
 import numpy as np
 
 from lidtest.errors import SizeGuardError
-from lidtest.gf import FieldElement
 from lidtest.measurements import (
     BOTTOM,
     MeasurementError,
@@ -56,28 +60,36 @@ from lidtest.measurements import (
 )
 from lidtest.naimark import DilatedMeasurement
 from lidtest.sdp import _herm
-from lidtest.polyspace import (
-    AxisLine,
-    DiagonalLine,
-    Point,
-    UniPoly,
-    all_points,
-    enumerate_polyspace,
-    label_values,
-    point,
-    poly_by_index,
-)
+from lidtest.polyspace import label_values, value_table
 from lidtest.protocol import (
     AXIS,
     DIAG,
+    GROUPS,
     ROLES,
     SELFCONS,
     ProtocolError,
-    RoundSample,
+    question_text,
     support_table,
 )
 from lidtest.stratfile import StrategyFileError, _params_from_header
 from lidtest.strategies import ClassicalStrategy, code_dtype, unanswered
+
+from algebra import (
+    AxisLine,
+    DiagonalLine,
+    FieldElement,
+    Point,
+    RoundSample,
+    UniPoly,
+    all_points,
+    decoded,
+    element,
+    enumerate_polyspace,
+    point,
+    poly_by_index,
+    position,
+    questions,
+)
 
 
 def _assign(role, line_q, point_q):
@@ -132,7 +144,7 @@ def _diag_rounds(params, pts, weight=None, restrict_i=None):
 
 def reference_rounds(params):
     """The full question distribution, round by round, in support order."""
-    pts = list(all_points(params.field, params.m))
+    pts = all_points(params.field, params.m)
     yield from _axis_rounds(params, pts)
     yield from _selfcons_rounds(params, pts)
     yield from _diag_rounds(params, pts)
@@ -141,7 +153,7 @@ def reference_rounds(params):
 def reference_questions(params):
     """Every question once: the points, then the axis and diagonal lines
     through every (point, axis) and (point, direction) pair, first-met order."""
-    pts = list(all_points(params.field, params.m))
+    pts = all_points(params.field, params.m)
     listed = [("points", u) for u in pts]
     seen = set()
     for group, line in itertools.chain(
@@ -157,8 +169,8 @@ def restricted_diag_distribution(params, j):
     """Diagonal test conditioned on the direction count being j (1 <= j <= m)."""
     if not 1 <= j <= params.m:
         raise ProtocolError(f"direction count {j} out of range 1..{params.m}")
-    pts = list(all_points(params.field, params.m))
-    yield from _diag_rounds(params, pts, weight=Fraction(1), restrict_i=j)
+    yield from _diag_rounds(params, all_points(params.field, params.m), weight=Fraction(1),
+                            restrict_i=j)
 
 
 def total_mass(samples):
@@ -210,15 +222,17 @@ def _describe_question(question):
 def _describe_answer(f, ans):
     if isinstance(ans, FieldElement):
         return {"value": ans.coeffs}
-    return {"coeffs": [list(f.element(c).coeffs) for c in ans.coeffs]}
+    return {"coeffs": [list(f.coeffs_of(c)) for c in ans.coeffs]}
 
 
 def reference_transcript(strategy, path, pairs):
     """The transcript written record by record from the round objects."""
-    f = strategy.params.field
+    f, support = strategy.params.field, support_table(strategy.params)
+    answers_by_role = [decoded(strategy.params, strategy.codes[role]) for role in ROLES]
     with open(path, "w") as fh:
         for sample, acc in pairs:
-            answers = strategy.answers(sample)
+            answers = [by_pos[position(support, question)] for by_pos, question in
+                       zip(answers_by_role, (sample.question_a, sample.question_b))]
             record = {
                 "subtest": sample.subtest,
                 "role": sample.line_role,
@@ -242,18 +256,17 @@ def object_transcript(strategy, path, judged):
     def dumps(obj):
         return json.dumps(obj, sort_keys=True)
 
-    questions = [dumps(_describe_question(q)) for _, q in s.questions]
-    tables = strategy.tables
-    answers_a, answers_b = ([dumps(_describe_answer(f, tables[role][group][q]))
-                             for group, q in s.questions] for role in ROLES)
+    described = [dumps(_describe_question(q)) for _, q in questions(s)]
+    answers_a, answers_b = ([dumps(_describe_answer(f, ans)) for ans in
+                             decoded(strategy.params, strategy.codes[role])] for role in ROLES)
     masses = [dumps(str(m)) for m in s.masses]
     subtests = [dumps(sub) for sub in (AXIS, SELFCONS, DIAG)]
     roles = {0: '"A"', 1: '"B"', -1: "null"}
     with open(path, "w") as fh:
         fh.writelines(
             f'{{"accept": {"true" if acc else "false"}, "answer_a": {answers_a[a]}, '
-            f'"answer_b": {answers_b[b]}, "mass": {masses[c]}, "question_a": {questions[a]}, '
-            f'"question_b": {questions[b]}, "role": {roles[r]}, "subtest": {subtests[k]}}}\n'
+            f'"answer_b": {answers_b[b]}, "mass": {masses[c]}, "question_a": {described[a]}, '
+            f'"question_b": {described[b]}, "role": {roles[r]}, "subtest": {subtests[k]}}}\n'
             for acc, a, b, c, r, k in zip(
                 judged.acceptance.tolist(), s.q_a.tolist(), s.q_b.tolist(),
                 s.mass_class.tolist(), s.line_role.tolist(), s.subtest.tolist()))
@@ -270,6 +283,13 @@ def object_rows(params, tables):
         ans = tables[group][question]
         rows[pos] = ans.i if isinstance(ans, FieldElement) else [ans(t).i for t in range(params.q)]
     return rows
+
+
+def best_agreement(params, points) -> Fraction:
+    """max_g Pr_u[g(u) = points[u]] over the admissible space, for point
+    values in grid order, by exhaustive comparison with every value row."""
+    table = value_table(params.field, params.m, params.d)
+    return Fraction(int((table == np.asarray(points)).sum(axis=1).max()), table.shape[1])
 
 
 # ---- object answer tables, encoded -------------------------------------------------
@@ -296,7 +316,7 @@ def answer_codes(params, tables):
     """A total object table {group: {question: answer}} as the code array
     ClassicalStrategy takes, each answer checked here, once."""
     support, codes = support_table(params), []
-    for pos, ((group, question), bound) in enumerate(zip(support.questions,
+    for pos, ((group, question), bound) in enumerate(zip(questions(support),
                                                          support.bound.tolist())):
         ans = tables.get(group, {}).get(question)
         if ans is None:
@@ -321,26 +341,26 @@ CLASSICAL_RECORDS = {"points": "points", "axis": "axis_lines", "diag": "diag_lin
 
 
 def _point_in(f, data):
-    return Point(f.element(c) for c in data)
+    return Point(element(f, c) for c in data)
 
 
 def _question_in(f, group, rec):
+    """A record's question object; a line off the support is refused with
+    the library's rendering of its coordinates."""
     if group == "points":
         return _point_in(f, rec["u"])
+    base = _point_in(f, rec["base"])
     if group == "axis":
-        return AxisLine(int(rec["axis"]), _point_in(f, rec["base"]))
-    return DiagonalLine(_point_in(f, rec["base"]), _point_in(f, rec["dir"]))
-
-
-def question_group(question):
-    """The table group a question is filed under: 'points', 'axis' or 'diag'."""
-    if isinstance(question, Point):
-        return "points"
-    if isinstance(question, AxisLine):
-        return "axis"
-    if isinstance(question, DiagonalLine):
-        return "diag"
-    raise ProtocolError(f"unknown question {question!r}")
+        direction = point(f, [int(j == int(rec["axis"])) for j in range(len(base))])
+    else:
+        direction = _point_in(f, rec["dir"])
+    try:
+        if group == "axis":
+            return AxisLine(int(rec["axis"]), base)
+        return DiagonalLine(base, direction)
+    except ValueError:
+        text = question_text(GROUPS.index(group), base.ints(), direction.ints())
+        raise ValueError(f"the {text} is not a question of the support") from None
 
 
 def answer_bound(params, question):
@@ -356,20 +376,21 @@ def _answer_in(params, question, rec):
     f = params.field
     bound = answer_bound(params, question)
     if bound is None:
-        return f.element(rec["a"] if "a" in rec else rec["value"])
+        return element(f, rec["a"] if "a" in rec else rec["value"])
     return UniPoly(f, rec["coeffs"], bound=bound)
 
 
 def classical_tables_in(params, data):
     """A file's classical records as object tables, record by record: each
     question and answer built, and a repeated question refused."""
-    tables = {}
+    tables, support = {}, support_table(params)
     for group, name in CLASSICAL_RECORDS.items():
         tables[group] = {}
         for rec in data[name]:
             question = _question_in(params.field, group, rec)
             if question in tables[group]:
-                raise StrategyFileError(f"two records for the question {question}")
+                raise StrategyFileError(
+                    f"two records for the {support.describe(position(support, question))}")
             tables[group][question] = _answer_in(params, question, rec)
     return tables
 
@@ -431,7 +452,7 @@ def slice_hypotheses(strategy, g_by_x, evaluated_by_x, Zs):
 
     bound_val = 0.0
     min_slack = np.inf
-    pts = list(all_points(f, m_slice))  # point_index order, as value-table columns
+    pts = all_points(f, m_slice)  # grid order, as value-table columns
     values = label_values(f, m_slice, params.d, [g.flat() for g in enumerate_polyspace(
         f, m_slice, params.d)]).tolist()
     for x in range(f.q):
@@ -460,7 +481,7 @@ def pasted_line_consistency(strategy, pasted):
     m_slice = strategy.params.m - 1
     Psi = strategy.Psi
     total = 0.0
-    pts = list(all_points(f, m_slice))
+    pts = all_points(f, m_slice)
     for u in pts:
         line = AxisLine(m_slice, point(f, u.ints() + (0,)))
         B = question_family(strategy, "A", line)
@@ -479,7 +500,7 @@ def pasted_line_consistency(strategy, pasted):
 
 def question_family(strategy, role, question):
     """The family `role` measures on a question object, found by its position."""
-    return strategy.families[role][support_table(strategy.params).position(question)]
+    return strategy.families[role][position(support_table(strategy.params), question)]
 
 
 def round_family(strategy, role, sample):
@@ -493,7 +514,7 @@ def round_family(strategy, role, sample):
     if role != sample.line_role or (isinstance(line, DiagonalLine) and line.degenerate):
         return fam
     t, support = line.param_of(sample.point).i, support_table(strategy.params)
-    bound = int(support.bound[support.position(line)])
+    bound = int(support.bound[position(support, line)])
     return post_process(fam, lambda code: line_values(strategy.params.field, bound, code)[t])
 
 

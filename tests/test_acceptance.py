@@ -19,10 +19,8 @@ def test_criterion_01_character_sums():
     start = time.perf_counter()
     for q in (2, 3, 4, 5, 7, 8, 9):
         f = field_for_order(q)
-        for a in f.elements():
-            val = character_sum(f, a)
-            target = 1.0 if a.i == 0 else 0.0
-            assert abs(val - target) <= 1e-10, (q, a)
+        for a in range(q):
+            assert abs(character_sum(f, a) - (1.0 if a == 0 else 0.0)) <= 1e-10, (q, a)
     assert time.perf_counter() - start < 1.0
 
 
@@ -89,15 +87,14 @@ def test_criterion_04_poincare_batch():
 
 
 def test_criterion_05_honest_exactly_one():
-    from lidtest.polyspace import MultiPoly
-    from lidtest.strategies import honest_strategy, pass_probabilities
+    from conftest import honest_strategy
+    from lidtest.strategies import pass_probabilities
 
     f = field_for_order(4)
     params = TestParams(f, 2, 1)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        g = MultiPoly(f, 2, 1, rng.integers(0, 4, size=4))
-        good = pass_probabilities(honest_strategy(params, g), params)
+        good = pass_probabilities(honest_strategy(params, rng.integers(0, 4, size=4)), params)
         assert good.eps == Fraction(0)
         assert good.delta == Fraction(0)
         assert good.gamma == Fraction(0)
@@ -108,18 +105,15 @@ def test_criterion_05_honest_exactly_one():
 
 @pytest.mark.parametrize("m,q,d", [(2, 5, 1), (3, 4, 1)])
 def test_criterion_06_adversary(m, q, d):
-    from lidtest.strategies import (
-        axis_failure_pessimistic,
-        best_polyspace_agreement,
-        example_adversary,
-        judge,
-    )
+    from lidtest.strategies import axis_failure_pessimistic, example_adversary, judge
+    from oracles import best_agreement
 
     start = time.perf_counter()
     params = TestParams(field_for_order(q), m, d)
     strat = example_adversary(params)
     assert axis_failure_pessimistic(judge(strat, params)) == Fraction(1, m)
-    best = best_polyspace_agreement(params, strat.tables["A"]["points"])
+    # the point answers: the first q^m positions, in grid order
+    best = best_agreement(params, strat.codes["A"][:q ** m])
     assert best <= 1 - m * Fraction(1, m) + Fraction(d + 1, q)
     assert time.perf_counter() - start < 60.0
 
@@ -197,7 +191,7 @@ def test_criterion_09_sdp_batch():
         rng_for,
     )
     from lidtest.measurements import SubMeasurement
-    from lidtest.polyspace import all_points
+    from algebra import all_points
     from lidtest.protocol import TestParams as TP
     from lidtest.sdp import SdpInstance, commuting_basis, solve, solve_commuting
 
@@ -217,13 +211,11 @@ def test_criterion_09_sdp_batch():
             rng = rng_for(seed)
             dim = int(rng.integers(2, 9))
             points = {
-                u: random_projective_measurement(
-                    rng, dim, 3, outcomes=tuple(f.elements())
-                )
+                u: random_projective_measurement(rng, dim, 3)
                 for u in all_points(f, 1)
             }
             ops = []
-            from lidtest.polyspace import enumerate_polyspace
+            from algebra import enumerate_polyspace
 
             for g in enumerate_polyspace(f, 1, 1):
                 avg = sum(points[u].op(g(u)) for u in points) / len(points)
@@ -253,7 +245,7 @@ def test_criterion_10_self_improvement_batch():
     )
     from lidtest.instances import noisy_shared_randomness_strategy
     from conftest import diagonal_indicator_family
-    from lidtest.polyspace import all_points, enumerate_polyspace
+    from algebra import all_points, enumerate_polyspace
     from lidtest.protocol import TestParams as TP
     from lidtest.strategies import pass_probabilities
 
@@ -300,12 +292,7 @@ def test_criterion_11_pasting():
         sandwich_total,
         tv_distance_uniform_vs_distinct,
     )
-    from lidtest.polyspace import (
-        MultiPoly,
-        enumerate_polyspace,
-        interpolate_parallel,
-        slice_at,
-    )
+    from algebra import MultiPoly, enumerate_polyspace, interpolate_parallel, slice_at
 
     f = field_for_order(5)
     m, d, k = 1, 1, 3
@@ -330,14 +317,14 @@ def test_criterion_11_pasting():
     honest = {}
     for x in range(5):
         ops = np.zeros((len(polys), 1, 1), dtype=complex)
-        ops[polys.index(slice_at(h, f.element(x)).index())] = 1.0
+        ops[polys.index(slice_at(h, x).index())] = 1.0
         honest[x] = SubMeasurement(polys, ops, check=False)
     result = pasted_measurement(honest, f, m, d, k=k)
     assert result.telescoping_residual <= 1e-9
     supported = [g for g in result.family.outcomes
                  if np.abs(result.family.op(g)).max() > 1e-12]
     assert supported == [h.index()]
-    nodes = [(f.element(x), slice_at(h, f.element(x))) for x in (0, 1)]
+    nodes = [(x, slice_at(h, x)) for x in (0, 1)]
     assert interpolate_parallel(nodes, d) == h
     assert np.abs(result.family.op(h.index()) - 1.0).max() <= 1e-12
 

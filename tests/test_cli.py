@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from lidtest.cli import main
 from lidtest.gf import field, field_for_order
-from lidtest.polyspace import MultiPoly
 from lidtest.protocol import GROUPS, TestParams, support_table
 from lidtest.stratfile import load_strategy, save_strategy
-from lidtest.strategies import honest_strategy, pass_probabilities
+from lidtest.strategies import pass_probabilities
+
+from conftest import honest_strategy
 
 
 def run_cli(tmp_path, command, cfg, name, seed=None, fmt="json", extra=()):
@@ -44,6 +45,21 @@ def test_run_test_honest_zero(tmp_path):
     assert good["diag_failure"] == "0/1"
     assert rep["version"]
     assert rep["config"] == cfg
+
+
+@pytest.mark.parametrize("q,m,d,index", [(3, 2, 1, 5), (4, 2, 1, 200), (5, 1, 2, 31)])
+def test_honest_entry_answers_from_the_indexed_polynomial(q, m, d, index):
+    # poly_index names the polynomial whose flat coefficients are its base-q
+    # digits; every point answer is that polynomial's value there
+    from algebra import all_points, poly_by_index
+    from lidtest.cli import _strategy_from_config
+
+    params = TestParams(field_for_order(q), m, d)
+    strat = _strategy_from_config({"strategy": {"builtin": "honest", "poly_index": index}},
+                                  params, None)
+    g = poly_by_index(params.field, m, d, index)
+    assert g.index() == index
+    assert strat.codes["A"][:q ** m].tolist() == [g(u).i for u in all_points(params.field, m)]
 
 
 def test_run_test_adversary_headline_failure(tmp_path):
@@ -73,8 +89,7 @@ def test_run_test_monte_carlo_agrees(tmp_path):
 def test_strategy_file_round_trip(tmp_path):
     f = field(3)
     params = TestParams(f, 2, 1)
-    g = MultiPoly(f, 2, 1, np.array([1, 2, 0, 1]))
-    strat = honest_strategy(params, g)
+    strat = honest_strategy(params, [1, 2, 0, 1])
     path = tmp_path / "strategy.json"
     save_strategy(strat, path)
     loaded = load_strategy(path)
@@ -141,40 +156,28 @@ def test_malformed_line_outcome_is_a_strategy_file_error(tmp_path, outcome):
 
 
 def test_run_test_enumerates_the_support_once(tmp_path, monkeypatch):
-    # one support table is built per run, its lines come from integer arrays
-    # rather than one DiagonalLine.through per (point, direction) pair, and
-    # the file's records are read once per group, as arrays: no answer
-    # object is made, per question or per round
+    # one support table is built per run, and the file's records are read
+    # once per group, as arrays
     from lidtest import protocol, stratfile
-    from lidtest.gf import FieldElement
     from lidtest.instances import corrupted_tables
-    from lidtest.polyspace import DiagonalLine
 
     params = TestParams(field(3), 2, 1)
     (_, strat), = corrupted_tables(params, 1, 2, np.random.default_rng(0))
     path = tmp_path / "classical.json"
     save_strategy(strat, path)
-    builds, throughs, checks, reads = [], [], [], []
+    builds, reads = [], []
 
     def counting_support(*args):
         builds.append(args)
         return support_class(*args)
 
-    def counting_element(self, *args):
-        checks.append(args)
-        element_init(self, *args)
-
     def counting_records(*args):
         reads.append(args)
         return records(*args)
 
-    support_class, element_init = protocol.Support, FieldElement.__init__
-    records = stratfile._records
+    support_class, records = protocol.Support, stratfile._records
     monkeypatch.setattr(protocol, "Support", counting_support)
-    monkeypatch.setattr(FieldElement, "__init__", counting_element)
     monkeypatch.setattr(stratfile, "_records", counting_records)
-    monkeypatch.setattr(DiagonalLine, "through",
-                        classmethod(lambda cls, u, v: throughs.append((u, v))))
     protocol.support_table.cache_clear()
     try:
         cfg = {"q": 3, "m": 2, "d": 1, "strategy": str(path), "mc_samples": 200,
@@ -186,9 +189,47 @@ def test_run_test_enumerates_the_support_once(tmp_path, monkeypatch):
     rep = json.loads(out.read_text())["report"]
     assert "monte_carlo" in rep and rep["transcript_rounds"] > 0
     assert len(builds) == 1
-    assert throughs == []
-    assert checks == []
     assert [args[2] for args in reads] == ["points", "axis", "diag"]
+
+
+# one bad classical file per question group: a record repeated, dropped or
+# moved off the support; the one-line message names the question from its
+# coordinates (element indices)
+@pytest.mark.parametrize("records,question,change,text", [
+    ("points", {"u": [[1], [2]]}, "repeat", "two records for the point (1, 2)"),
+    ("points", {"u": [[0], [1]]}, "drop", "no answer for the point (0, 1)"),
+    ("axis_lines", {"axis": 1, "base": [[2], [0]]}, "repeat",
+     "two records for the axis-1 line through (2, 0)"),
+    ("axis_lines", {"axis": 1, "base": [[2], [0]]}, {"base": [[2], [1]]},
+     "the axis-1 line through (2, 1) is not a question of the support"),
+    ("diag_lines", {"base": [[0], [1]], "dir": [[1], [2]]}, "repeat",
+     "two records for the diagonal line (0, 1) + t * (1, 2)"),
+    ("diag_lines", {"base": [[0], [1]], "dir": [[1], [2]]}, {"dir": [[2], [2]]},
+     "the diagonal line (0, 1) + t * (2, 2) is not a question of the support"),
+    ("diag_lines", {"base": [[2], [1]], "dir": [[0], [0]]}, "repeat",
+     "two records for the degenerate diagonal line at (2, 1)"),
+])
+def test_bad_classical_file_names_its_question(tmp_path, capsys, records, question, change, text):
+    from lidtest.instances import corrupted_tables
+
+    params = TestParams(field(3), 2, 1)
+    (_, strat), = corrupted_tables(params, 1, 1, np.random.default_rng(0))
+    save_strategy(strat, tmp_path / "good.json")
+    doc = json.loads((tmp_path / "good.json").read_text())
+    recs = doc["tables"][records]
+    i = next(k for k, rec in enumerate(recs) if question.items() <= rec.items())
+    if change == "repeat":
+        recs.append(dict(recs[i]))
+    elif change == "drop":
+        del recs[i]
+    else:
+        recs[i].update(change)
+    (tmp_path / "bad-strategy.json").write_text(json.dumps(doc))
+    code, out = run_cli(tmp_path, "run-test", {"q": 3, "m": 2, "d": 1,
+                                               "strategy": str(tmp_path / "bad-strategy.json")},
+                        "run")
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err == f"strategy error: invalid strategy file: {text}\n"
 
 
 def test_invalid_strategy_file_exit_code(tmp_path):
@@ -709,15 +750,11 @@ def test_round_povm_naimark_mode(tmp_path):
 
 
 def test_asymmetric_classical_file_round_trip(tmp_path):
-    from lidtest.strategies import ClassicalStrategy, honest_strategy
-    from lidtest.polyspace import MultiPoly
+    from lidtest.strategies import ClassicalStrategy
 
-    f = field(2)
-    params = TestParams(f, 1, 1)
-    g0 = MultiPoly(f, 1, 1, np.array([1, 0]))
-    g1 = MultiPoly(f, 1, 1, np.array([0, 1]))
-    s0 = honest_strategy(params, g0)
-    s1 = honest_strategy(params, g1)
+    params = TestParams(field(2), 1, 1)
+    s0 = honest_strategy(params, [1, 0])
+    s1 = honest_strategy(params, [0, 1])
     both = ClassicalStrategy(params, s0.codes["A"], s1.codes["B"])
     assert not both.symmetric
     path = tmp_path / "asym.json"
@@ -778,6 +815,11 @@ GOLDEN = {
     # the dilated state ran on its support
     "round-povm-naimark-40.json":
         "b2bb6ac2a0575fdb51c1a0e565b379db1b437433185e941f890c1c0ec2a1400d",
+    # the honest and adversary built-ins and an eigenvalue spectrum, pinned
+    # before they were built from integer coefficient rows and grid indices
+    "honest-q3.json": "79f8f6085e949f1d21e68fbe3699679fe598525829ff9adb7770fc0c1d3426d6",
+    "adversary-q4.json": "9db7ad80da5b0f154b1443732c0114a41286c9fb93606406acb7b2406dc52db3",
+    "spectrum-q5m3.json": "3a4f7eb3fd6410066d3dfec731dd18cf49f6aa768b4b97042b82ad4bb29cfac9",
 }
 
 
@@ -827,6 +869,9 @@ def test_golden_report_hashes(tmp_path, monkeypatch):
     cli("round-povm-naimark-40.json", "round-povm", mode="naimark", dim=12, outcomes=4,
         instances=40)
     cli("round-povm.json", "round-povm", instances=4)
+    cli("honest-q3.json", q=3, m=2, d=1, strategy={"builtin": "honest", "poly_index": 5})
+    cli("adversary-q4.json", q=4, m=2, d=1, strategy={"builtin": "adversary"})
+    cli("spectrum-q5m3.json", "spectrum", q=5, m=3)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN}
     assert got == GOLDEN

@@ -23,24 +23,19 @@ from lidtest.instances import (
 )
 from lidtest.measurements import SubMeasurement, expect_joint
 from lidtest.pasting import pasted_measurement
-from lidtest.polyspace import MultiPoly, UniPoly, enumerate_polyspace, poly_by_index
 from lidtest.protocol import GROUPS, TestParams
-from lidtest.strategies import (
-    QuantumStrategy,
-    classical_to_quantum,
-    honest_strategy,
-    pass_probabilities,
-)
+from lidtest.strategies import QuantumStrategy, classical_to_quantum, pass_probabilities
 
+from algebra import MultiPoly, enumerate_polyspace
 import oracles
-from conftest import rotated_strategy
+from conftest import honest_strategy, rotated_strategy
 
 
 def honest_quantum(q, m, d, coeffs):
     f = field(q)
     params = TestParams(f, m, d)
     g = MultiPoly(f, m, d, np.array(coeffs))
-    return params, g, classical_to_quantum(honest_strategy(params, g))
+    return params, g, classical_to_quantum(honest_strategy(params, coeffs))
 
 
 def test_bound_table_is_total():
@@ -87,21 +82,21 @@ def test_restricted_strategy_of_noisy_is_valid():
     assert 0 <= max(good.as_floats()) < 1
 
 
-def test_pipeline_builds_no_question_objects(monkeypatch):
-    # every slice takes the strategy's own families by position, so the
-    # pipeline builds no point or line object, even with a cold support cache
+def test_pipeline_builds_no_question_objects():
+    # every slice takes the strategy's own families by position, checked
+    # against the lifted question objects
+    from algebra import AxisLine, DiagonalLine, point, questions
     from lidtest import protocol
-    from lidtest.polyspace import AxisLine, DiagonalLine, Point, point
 
     params = TestParams(field(3), 3, 1)
     strat = noisy_shared_randomness_strategy(params, 3, 1, seed=0)
     where = {question: pos for pos, (_, question) in enumerate(
-        protocol.support_table(params).questions)}
+        questions(protocol.support_table(params)))}
     f = params.field
     for x in range(3):
         sub = restricted_strategy(strat, x)
         assert sub.families["B"] is sub.families["A"]
-        for (group, question), fam in zip(protocol.support_table(sub.params).questions,
+        for (group, question), fam in zip(questions(protocol.support_table(sub.params)),
                                           sub.families["A"], strict=True):
             if group == "points":
                 lifted = point(f, question.ints() + (x,))
@@ -117,19 +112,6 @@ def test_pipeline_builds_no_question_objects(monkeypatch):
                 assert group == "diag" and not question.degenerate
                 assert fam.outcomes == tuple(want.outcomes[j] // shift for j in keep)
                 assert np.array_equal(fam.ops, want.ops[keep])
-    made = []
-    point_new = Point.__new__
-    monkeypatch.setattr(Point, "__new__", staticmethod(
-        lambda cls, coords: made.append("Point") or point_new(cls, coords)))
-    for cls in (AxisLine, DiagonalLine):
-        monkeypatch.setattr(cls, "__post_init__",
-                            lambda self, name=cls.__name__: made.append(name))
-    protocol.support_table.cache_clear()
-    try:
-        soundness_witness(strat, k=3)
-    finally:
-        protocol.support_table.cache_clear()
-    assert made == []
 
 
 def test_each_improved_slice_family_is_evaluated_once(monkeypatch):
@@ -163,25 +145,24 @@ def test_each_improved_slice_family_is_evaluated_once(monkeypatch):
 
 
 def test_pipeline_builds_no_field_element_or_polynomial(monkeypatch):
-    # the noisy build, its judge and the pipeline stay on integer codes and
-    # indices: no field element, line answer or polynomial object is made
-    from collections import Counter
-
-    from lidtest.gf import FieldElement
+    # the noisy build, its judge and the pipeline stay on integer arrays:
+    # no element is converted one at a time (GF.index), and no polynomial is
+    # restricted line by line (restrict_to_lines runs once, in the build)
+    from lidtest import polyspace, strategies
+    from lidtest.gf import GF
     from lidtest.strategies import goodness, judge
 
-    made = Counter()
-    for cls in (FieldElement, UniPoly, MultiPoly):
-        init = cls.__init__
-        monkeypatch.setattr(cls, "__init__", lambda self, *args, name=cls.__name__, init=init,
-                            **kw: made.update([name]) or init(self, *args, **kw))
+    calls = []
+    index, restrict = GF.index, polyspace.restrict_to_lines
+    monkeypatch.setattr(GF, "index", lambda *args: calls.append("index") or index(*args))
+    monkeypatch.setattr(strategies, "restrict_to_lines",
+                        lambda *args: calls.append("restrict") or restrict(*args))
     params = TestParams(field(3), 3, 1)
     strat = noisy_shared_randomness_strategy(params, 3, 1, seed=0)
-    assert made == Counter()
+    assert calls == ["restrict"]
     goodness(judge(strat, params))
-    assert made == Counter()
     soundness_witness(strat, k=3)
-    assert made == Counter()
+    assert calls == ["restrict"]
 
 
 def test_base_case_family_is_polynomial_measurement():
@@ -199,12 +180,12 @@ def test_slice_commutativity_honest_zero():
     params, g, strat = honest_quantum(2, 2, 1, (0, 1, 1, 0))
     f = params.field
     polys = tuple(h.index() for h in enumerate_polyspace(f, 1, 1))
-    from lidtest.polyspace import slice_at
+    from algebra import slice_at
 
     g_by_x = {}
     for x in range(2):
         ops = np.zeros((len(polys), 1, 1), dtype=complex)
-        ops[polys.index(slice_at(g, f.element(x)).index())] = 1.0
+        ops[polys.index(slice_at(g, x).index())] = 1.0
         g_by_x[x] = SubMeasurement(polys, ops, check=False)
     reports = slice_commutativity(strat, pass_probabilities(strat), g_by_x,
                                   evaluated_slices(strat, g_by_x), 0.0)
@@ -380,8 +361,9 @@ def test_slice_hypotheses_match_the_remeasured_reference(monkeypatch, q, m, kind
     if kind == "noisy":
         strat = noisy_shared_randomness_strategy(params, 3, 1, seed=q + m)
     else:
-        g = poly_by_index(params.field, m, 1, 5)
-        strat = classical_to_quantum(honest_strategy(params, g))
+        # the polynomial of index 5: its flat coefficients are 5's base-q digits
+        coeffs = [5 // params.q ** j % params.q for j in range(2 ** m)]
+        strat = classical_to_quantum(honest_strategy(params, coeffs))
     levels = pipeline_levels(strat, 2, monkeypatch)
     assert [lv.params.m for lv, _, _ in levels] == [2] * (q if m == 3 else 0) + [m]
     for level, stages, slices in levels:
@@ -451,25 +433,16 @@ def test_consistency_loops_take_the_state_support_once(monkeypatch):
 
 
 def test_soundness_witness_makes_no_scalar_restriction(monkeypatch):
+    # the pasted outcomes are restricted to lines by value-table rows, not by
+    # restricting polynomials: no lidtest module restricts during the witness
     import sys
 
     params = TestParams(field(2), 3, 1)
     strat = noisy_shared_randomness_strategy(params, 3, 1, seed=0)
     calls = []
-    original = UniPoly.__call__
-
-    def counting_call(self, x):
-        calls.append("UniPoly.__call__")
-        return original(self, x)
-
-    def counting_restrict(g, line, restrict=sys.modules["lidtest.polyspace"].restrict_axis):
-        calls.append("restrict_axis")
-        return restrict(g, line)
-
-    monkeypatch.setattr(UniPoly, "__call__", counting_call)
     for name, module in list(sys.modules.items()):
-        if name.startswith("lidtest") and hasattr(module, "restrict_axis"):
-            monkeypatch.setattr(module, "restrict_axis", counting_restrict)
+        if name.startswith("lidtest") and hasattr(module, "restrict_to_lines"):
+            monkeypatch.setattr(module, "restrict_to_lines", lambda *args: calls.append(args))
     bundle = soundness_witness(strat, k=2)
     assert "slice_levels" in bundle["stages"]
     assert calls == []

@@ -1,6 +1,6 @@
 """Grouping outcomes through integer value tables, checked against the
 per-outcome evaluation it replaced: `oracles.post_process` with
-`protocol.line_value` (line families, whose codes are decoded here by
+`algebra.line_value` (line families, whose codes are decoded here by
 their place among every coefficient tuple, as the per-round oracle
 `oracles.round_family` groups them) or `MultiPoly.__call__` (G families),
 and the sequential sum that post-processing used before `group`."""
@@ -17,19 +17,22 @@ from lidtest.gf import field_for_order
 from lidtest.improvement import evaluated_at_points, measure_points_consistency
 from lidtest.instances import noisy_shared_randomness_strategy, random_povm, rng_for
 from lidtest.measurements import SubMeasurement
-from lidtest.polyspace import (
+from lidtest.polyspace import label_values
+from lidtest.protocol import TestParams, support_table
+from lidtest.stratfile import load_strategy, save_strategy
+from lidtest.strategies import QuantumStrategy, answer_rows, symmetrize
+
+from algebra import (
     MultiPoly,
     UniPoly,
     all_points,
     enumerate_polyspace,
-    label_values,
+    enumerate_rounds,
+    line_value,
     point_index,
     poly_by_index,
+    position,
 )
-from lidtest.protocol import TestParams, enumerate_rounds, line_value, support_table
-from lidtest.stratfile import load_strategy, save_strategy
-from lidtest.strategies import QuantumStrategy, answer_rows, judge, symmetrize
-
 from oracles import post_process, question_family, round_family
 
 GRID = [(q, m, d) for q in (2, 3, 4, 5) for m in (1, 2) for d in (0, 1)]
@@ -97,7 +100,8 @@ def test_round_family_matches_line_value_post_processing(tmp_path, q, m, d, kind
         fam = question_family(strat, role, sample.line)
         key = (id(fam), sample.line, sample.point)
         if key not in reference:
-            bound = int(support_table(params).bound[support_table(params).position(sample.line)])
+            support = support_table(params)
+            bound = int(support.bound[position(support, sample.line)])
             if bound < 0:  # a degenerate line: the value labels themselves
                 reference[key] = post_process(fam, lambda a: a)
             else:  # a code is its coefficients' place in product order
@@ -195,19 +199,19 @@ def test_group_equals_sequential_post_process_bitwise(n, dim, n_labels, seed):
 
 
 def test_judge_evaluates_no_line_answer_per_outcome(monkeypatch):
+    # a line family's outcome values come from one answer_rows call per
+    # shared outcome tuple and bound, not from one evaluation per outcome
+    from lidtest import strategies
+
     params = TestParams(field_for_order(3), 2, 1)
     strat = noisy_shared_randomness_strategy(params, 3, 1, seed=0)
     calls = []
-    original = UniPoly.__call__
-
-    def counting(self, x):
-        calls.append(x)
-        return original(self, x)
-
-    monkeypatch.setattr(UniPoly, "__call__", counting)
-    judged = judge(strat, params)
-    assert len(judged) == len(list(enumerate_rounds(params)))
-    assert calls == []
+    rows = strategies.answer_rows
+    monkeypatch.setattr(strategies, "answer_rows",
+                        lambda f, codes, bounds: calls.append(len(codes)) or rows(f, codes, bounds))
+    judged = strategies.judge(strat, params)
+    assert len(judged) == len(support_table(params))
+    assert calls == [3, 3 ** 2, 3 ** 3]  # values, axis answers, diagonal answers
 
 
 def test_slice_commutativity_evaluates_each_slice_family_once(monkeypatch):

@@ -9,11 +9,11 @@ from lidtest.hypercube import (
     verify_eigensystem,
 )
 from lidtest.instances import random_point_family, random_state, rng_for
-from lidtest.polyspace import AxisLine, all_points, point_index, restrict_axis
 from lidtest.strategies import pass_probabilities
 
-from conftest import random_symmetric_state
-from oracles import decode_line, encode_line, question_family
+from algebra import AxisLine, MultiPoly, all_points, enumerate_polyspace, point_index
+from conftest import honest_strategy, random_symmetric_state
+from oracles import decode_line, encode_line, question_family, restrict_axis
 
 
 def laplacian(graph: HypercubeGraph) -> np.ndarray:
@@ -113,7 +113,6 @@ def _psd_sqrt(op):
     return (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
 
 
-
 def test_adjacency_m1_q2():
     g = HypercubeGraph(field(2), 1)
     K = g.adjacency()
@@ -148,9 +147,9 @@ def test_character_eigensystem(q, m):
 
 def test_eigenvalue_formula_examples():
     g = HypercubeGraph(field(2), 2)  # M = 4
-    system = g.character_eigensystem()
+    eigenvalues, _ = g.character_eigensystem()
     lams = {}
-    for alpha, lam, _ in system:
+    for alpha, lam in zip(all_points(g.field, 2), eigenvalues.tolist()):
         weight = sum(1 for c in alpha if c.i)
         lams.setdefault(weight, set()).add(round(lam, 12))
     assert lams[0] == {round(1 / 4, 12)}
@@ -173,7 +172,7 @@ def test_constant_family_zero_variance():
     f = field(2)
     g = HypercubeGraph(f, 2)
     op = np.array([[0.3, 0.1], [0.1, 0.5]], dtype=complex)
-    fam = {u: op for u in all_points(f, 2)}
+    fam = np.array([op] * g.size)
     Psi = random_symmetric_state(rng_for(0), 2)
     assert local_variance(fam, Psi, g) == pytest.approx(0.0, abs=1e-14)
     assert global_variance(fam, Psi, g) == pytest.approx(0.0, abs=1e-14)
@@ -206,10 +205,9 @@ def test_variances_equal_per_pair_loops(q, m, dim, db):
     rng = rng_for(q * m + dim)
     fam = random_point_family(rng, TestParams(f, m, 1), dim)
     Psi = random_state(rng, dim, db)
-    by_index = {point_index(u): op for u, op in fam.items()}
 
     def moment(ui, vi):
-        return float(np.sum(np.abs((by_index[ui] - by_index[vi]) @ Psi) ** 2))
+        return float(np.sum(np.abs((fam[ui] - fam[vi]) @ Psi) ** 2))
 
     local = 0.0
     for (ui, vi), w in g.edge_distribution():
@@ -233,7 +231,7 @@ def test_variance_shift_invariance():
     fam = random_point_family(rng, TestParams(f, 2, 1), 3)
     Psi = random_symmetric_state(rng, 3)
     shift = 0.1 * np.eye(3)
-    shifted = {u: op + shift for u, op in fam.items()}
+    shifted = fam + shift
     assert local_variance(fam, Psi, g) == pytest.approx(
         local_variance(shifted, Psi, g), abs=1e-12
     )
@@ -244,14 +242,13 @@ def test_variance_shift_invariance():
 
 def test_points_variance_honest_strategy_zero():
     from lidtest.measurements import SubMeasurement
-    from lidtest.polyspace import MultiPoly
     from lidtest.protocol import TestParams
-    from lidtest.strategies import classical_to_quantum, honest_strategy
+    from lidtest.strategies import classical_to_quantum
 
     f = field(2)
     params = TestParams(f, 2, 1)
     g = MultiPoly.from_terms(f, 2, 1, {(1, 1): 1})
-    strat = classical_to_quantum(honest_strategy(params, g))
+    strat = classical_to_quantum(honest_strategy(params, g.flat()))
     G = SubMeasurement((g,), np.eye(1, dtype=complex)[None])
     rep = points_variance_diagnostics(strat, G)
     for entry in rep.values():
@@ -262,7 +259,6 @@ def test_points_variance_honest_strategy_zero():
 def test_points_variance_noisy_strategies_within_bounds():
     from lidtest.instances import noisy_shared_randomness_strategy
     from conftest import diagonal_indicator_family
-    from lidtest.polyspace import enumerate_polyspace
     from lidtest.protocol import TestParams
 
     f = field(2)
@@ -271,12 +267,11 @@ def test_points_variance_noisy_strategies_within_bounds():
         strat = noisy_shared_randomness_strategy(params, n_tables=3, n_corrupt=1,
                                                  seed=seed)
         # G guesses the honest polynomial of each table by best agreement
-        from lidtest.strategies import best_polyspace_agreement
-
         polys = list(enumerate_polyspace(f, 2, 1))
         assignment = []
         for _, table in strat_tables(params, seed):
-            pts = table.tables["A"]["points"]
+            # the point questions take the first q^m positions, in grid order
+            pts = dict(zip(all_points(f, 2), table.codes["A"].tolist()))
             best = max(
                 polys,
                 key=lambda h: sum(1 for u, a in pts.items() if h(u) == a),
@@ -298,12 +293,7 @@ def test_points_variance_adversary_embedding():
     from lidtest.gf import field
     from lidtest.measurements import SubMeasurement
     from lidtest.protocol import TestParams
-    from lidtest.strategies import (
-        best_polyspace_agreement,
-        classical_to_quantum,
-        example_adversary,
-    )
-    from lidtest.polyspace import enumerate_polyspace
+    from lidtest.strategies import classical_to_quantum, example_adversary
 
     f = field(3)
     params = TestParams(f, 2, 1)

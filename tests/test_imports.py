@@ -1,5 +1,6 @@
-"""The CLI and every module its commands import stay free of scipy, and
-importing the CLI starts no process pool machinery."""
+"""The CLI and every module its commands import stay free of scipy,
+importing the CLI starts no process pool machinery, and the library holds
+no object algebra and nothing from the tests."""
 
 import ast
 import json
@@ -48,3 +49,27 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": path})
     assert json.loads(proc.stdout) == []
+
+
+# the object algebra that lives in tests/algebra.py, as the tests' reference
+OBJECT_NAMES = {"FieldElement", "Point", "UniPoly", "MultiPoly", "AxisLine", "DiagonalLine",
+                "RoundSample"}
+TEST_MODULES = {p.stem for p in (ROOT / "tests").glob("*.py")} | {"tests"}
+
+
+def test_library_is_integer_only():
+    # no lidtest module defines or imports a question, element or polynomial
+    # object, and none imports from the tests
+    found = []
+    for path in sorted((ROOT / "src" / "lidtest").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name in OBJECT_NAMES:
+                found.append((path.name, "defines", node.name))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [a.name for a in node.names] if isinstance(node, ast.Import) \
+                    else [node.module or ""]
+                found += [(path.name, "imports", a.name) for a in node.names
+                          if a.name.split(".")[-1] in OBJECT_NAMES]
+                found += [(path.name, "imports", m) for m in modules
+                          if m.split(".")[0] in TEST_MODULES]
+    assert found == []

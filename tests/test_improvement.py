@@ -11,18 +11,18 @@ from lidtest.improvement import (
 )
 from lidtest.instances import noisy_shared_randomness_strategy
 from lidtest.measurements import SubMeasurement
-from lidtest.polyspace import MultiPoly, all_points, enumerate_polyspace, poly_by_index
 from lidtest.protocol import TestParams
-from lidtest.strategies import classical_to_quantum, honest_strategy, pass_probabilities
+from lidtest.strategies import classical_to_quantum, pass_probabilities
 
-from conftest import diagonal_indicator_family
+from algebra import MultiPoly, all_points, enumerate_polyspace, poly_by_index
+from conftest import diagonal_indicator_family, honest_strategy
 
 
 def honest_setup(q=2, m=1, d=1, coeffs=(1, 0)):
     f = field(q) if q in (2, 3, 5, 7) else None
     params = TestParams(f, m, d)
     g = MultiPoly(f, m, d, np.array(coeffs))
-    strat = classical_to_quantum(honest_strategy(params, g))
+    strat = classical_to_quantum(honest_strategy(params, coeffs))
     G = SubMeasurement((g.index(),), np.eye(1, dtype=complex)[None])
     return params, g, strat, G
 

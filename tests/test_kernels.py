@@ -22,17 +22,16 @@ from lidtest.pasting import (
     pasted_measurement,
     sandwich_total,
 )
-from lidtest.polyspace import (
+from lidtest.polyspace import polyspace_size, slice_indices
+
+from algebra import (
     all_points,
     enumerate_polyspace,
     interpolate_parallel,
     point_index,
     poly_by_index,
-    polyspace_size,
     slice_at,
-    slice_indices,
 )
-
 from oracles import dense_newton_matrix
 
 
@@ -43,7 +42,7 @@ def reference_slice_indices(f, m, d, x):
     """Position of slice_at(h, x) among the (m-1)-variable polynomials, one
     scalar slice and one dict lookup per polynomial h."""
     pos = {g.key(): j for j, g in enumerate(enumerate_polyspace(f, m - 1, d))}
-    return np.array([pos[slice_at(h, f.element(x)).key()]
+    return np.array([pos[slice_at(h, x).key()]
                      for h in enumerate_polyspace(f, m, d)])
 
 

@@ -21,13 +21,8 @@ from lidtest.pasting import (
     scalar_ineq_check,
     tv_distance_uniform_vs_distinct,
 )
-from lidtest.polyspace import (
-    MultiPoly,
-    enumerate_polyspace,
-    interpolate_parallel,
-    slice_at,
-)
 
+from algebra import MultiPoly, enumerate_polyspace, interpolate_parallel, slice_at
 from oracles import sandwich
 
 
@@ -51,7 +46,7 @@ def tuple_for(h, coords, w) -> tuple:
     """The outcome tuple h_w: slice of h on hits, completion slot on misses."""
     f = h.field
     return tuple(
-        slice_at(h, f.element(x)) if bit else BOTTOM
+        slice_at(h, x) if bit else BOTTOM
         for x, bit in zip(coords, w)
     )
 
@@ -69,9 +64,8 @@ def is_global_tuple(outcomes, coords, f, d: int) -> bool:
     if len(hits) < d + 1:
         return False
     nodes = hits[: d + 1]
-    h = interpolate_parallel([(f.element(x), g) for x, g in nodes], d)
-    return all(slice_at(h, f.element(x)) == g for x, g in hits)
-
+    h = interpolate_parallel([(x, g) for x, g in nodes], d)
+    return all(slice_at(h, x) == g for x, g in hits)
 
 
 def test_distinct_tuples_count():
@@ -97,7 +91,7 @@ def honest_slice_families(f, m, d, h, dim=1):
     polys = tuple(g.index() for g in enumerate_polyspace(f, m, d))
     out = {}
     for x in range(f.q):
-        target = slice_at(h, f.element(x)).index()
+        target = slice_at(h, x).index()
         ops = np.zeros((len(polys), dim, dim), dtype=complex)
         ops[polys.index(target)] = np.eye(dim)
         out[x] = SubMeasurement(polys, ops, check=False)
@@ -125,7 +119,7 @@ def test_sandwich_k1_is_projective_slice():
     f = field(3)
     h = MultiPoly.from_terms(f, 2, 1, {(1, 1): 1})
     ghat = complete_slice_families(honest_slice_families(f, 1, 1, h))
-    g0 = slice_at(h, f.element(0)).index()
+    g0 = slice_at(h, 0).index()
     op = sandwich(ghat, (0,), (g0,))
     assert np.abs(op @ op - op).max() < 1e-12
 
@@ -189,7 +183,7 @@ def test_types_and_outcome_tuples():
     tup = tuple_for(h, coords, w)
     assert type_of(tup) == w
     assert tup[1] is BOTTOM
-    assert tup[0] == slice_at(h, f.element(0))
+    assert tup[0] == slice_at(h, 0)
     outs = list(outcomes_of_type(f, 1, 1, (1, 0)))
     assert len(outs) == 9
     assert all(t[1] is BOTTOM for t in outs)
@@ -228,7 +222,7 @@ def test_honest_pasting_recovers_interpolant():
         if other != h.index():
             assert np.abs(fam.op(other)).max() < 1e-12
     # and the supported outcome is exactly the interpolant of d+1 slices
-    nodes = [(f.element(x), slice_at(h, f.element(x))) for x in (0, 1)]
+    nodes = [(x, slice_at(h, x)) for x in (0, 1)]
     assert interpolate_parallel(nodes, 1) == h
 
 

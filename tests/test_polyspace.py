@@ -8,25 +8,34 @@ from hypothesis import strategies as st
 
 from lidtest.gf import field, field_for_order
 from lidtest.polyspace import (
+    SizeGuardError,
+    label_values,
+    polyspace_size,
+    restrict_to_lines,
+    slice_indices,
+    value_table,
+)
+
+from algebra import (
     AxisLine,
     DiagonalLine,
     MultiPoly,
-    SizeGuardError,
     UniPoly,
     all_points,
+    element,
     enumerate_polyspace,
-    evaluate_on_grid,
     interpolate_parallel,
     point,
     point_index,
     poly_by_index,
-    polyspace_size,
-    restrict_axis,
-    restrict_diagonal,
     slice_at,
-    slice_indices,
-    value_table,
 )
+from oracles import restrict_axis, restrict_diagonal
+
+
+def evaluate_on_grid(g):
+    """The values of g at every point, in grid order (label_values)."""
+    return label_values(g.field, g.m, g.d, g.flat()[None])[0]
 
 
 def agreement_fraction(g, h):
@@ -38,18 +47,12 @@ def agreement_fraction(g, h):
     return Fraction(int(np.count_nonzero(vg == vh)), vg.size)
 
 
-def multipoly_from_dict(f, data):
-    """The inverse of MultiPoly.as_dict."""
-    return MultiPoly(f, int(data["m"]), int(data["d"]),
-                     np.array(data["coeffs"], dtype=np.int64))
-
-
 def brute_eval(g, u):
     """Naive monomial-sum oracle for evaluation."""
     f = g.field
-    acc = f.zero
+    acc = element(f, 0)
     for exps in itertools.product(range(g.d + 1), repeat=g.m):
-        term = f.element(int(g.coeffs[exps]))
+        term = element(f, int(g.coeffs[exps]))
         for uj, e in zip(u, exps):
             term = term * uj ** e
         acc = acc + term
@@ -60,7 +63,7 @@ def test_zero_poly_evaluates_to_zero():
     f = field(3)
     z = MultiPoly.zero(f, 2, 1)
     for u in all_points(f, 2):
-        assert z(u) == f.zero
+        assert z(u) == 0
 
 
 def test_exponent_above_d_rejected():
@@ -74,8 +77,9 @@ def test_evaluate_matches_brute_force():
     rng = np.random.default_rng(11)
     for _ in range(10):
         g = MultiPoly(f, 2, 1, rng.integers(0, 3, size=4))
+        values = label_values(f, 2, 1, g.flat()[None])[0]
         for u in all_points(f, 2):
-            assert g(u) == brute_eval(g, u)
+            assert g(u) == brute_eval(g, u) == values[point_index(u)]
 
 
 def test_evaluate_on_grid_order():
@@ -93,7 +97,7 @@ def test_restrict_axis_constant():
     line = AxisLine.through(point(f, (1, 2)), axis=0)
     fline = restrict_axis(g, line)
     assert fline.degree() <= 0
-    assert fline(0) == f.element(3)
+    assert fline(0) == 3
 
 
 def test_restrict_axis_product_poly():
@@ -152,7 +156,7 @@ def test_interpolate_constant_slices():
     h = interpolate_parallel([(0, c), (1, c)], d=1)
     assert h.m == 2
     for u in all_points(f, 2):
-        assert h(u) == f.element(2)
+        assert h(u) == 2
 
 
 def test_interpolate_two_nodes_formula():
@@ -243,8 +247,8 @@ def test_diagonal_canonicalization_unique():
         if line.degenerate:
             continue
         # any other parameterization of the same point set canonicalizes equally
-        s = f.element(int(rng.integers(1, 5)))
-        shift = f.element(int(rng.integers(0, 5)))
+        s = element(f, int(rng.integers(1, 5)))
+        shift = element(f, int(rng.integers(0, 5)))
         u2 = line.point_at(shift)
         v2 = point(f, [(s * c).i for c in v])
         assert DiagonalLine.through(u2, v2) == line
@@ -269,15 +273,7 @@ def test_unipoly_bound_enforced():
     assert p.coeffs == (1, 0, 0)
 
 
-def test_multipoly_dict_round_trip():
-    f = field(3)
-    g = MultiPoly(f, 2, 1, np.array([1, 2, 0, 1]))
-    data = g.as_dict()
-    assert data == {"m": 2, "d": 1, "coeffs": [1, 2, 0, 1]}
-    assert multipoly_from_dict(f, data) == g
-
-
-# ---- the integer index format, property-tested ---------------------------------
+# ---- the integer index format and the array kernels, property-tested ----------------
 
 # (q, m, d) with spaces of at most 10^5 members, well within ENUM_GUARD
 INDEX_SPACES = [(q, m, d) for q in (2, 3, 4, 5, 7, 8, 9) for m in (1, 2, 3) for d in (0, 1, 2)
@@ -299,6 +295,22 @@ def test_index_format_round_trips(data):
     if d + 1 <= q:
         nodes = data.draw(st.permutations(range(q)))[:d + 1]
         assert interpolate_parallel([(t, slice_at(g, t)) for t in nodes], d) == g
+        # and back: slicing the interpolant returns each slice it was given
+        slices = [(t, poly_by_index(f, m - 1, d, data.draw(
+            st.integers(0, polyspace_size(f, m - 1, d) - 1)))) for t in nodes]
+        h = interpolate_parallel(slices, d)
+        assert [slice_at(h, t) for t, _ in slices] == [s for _, s in slices]
+    # restrict_to_lines against the scalar restrictions, on one axis line and
+    # one diagonal line (degenerate when v = 0) through a drawn point
+    u, v = (point(f, data.draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m)))
+            for _ in range(2))
+    axis = AxisLine.through(u, data.draw(st.integers(0, m - 1)))
+    diag = DiagonalLine.through(u, v)
+    unit = np.eye(m, dtype=np.int64)[axis.axis]
+    got = restrict_to_lines(f, m, d, g.flat()[None], [axis.base.ints(), diag.base.ints()],
+                            [unit, diag.direction.ints()])[0].tolist()
+    want = [restrict_axis(g, axis).coeffs, restrict_diagonal(g, diag).coeffs]
+    assert got == [list(c) + [0] * (m * d + 1 - len(c)) for c in want]
     with pytest.raises(ValueError):
         table[n, 0] = 0
 

@@ -4,20 +4,28 @@ from fractions import Fraction
 import pytest
 
 from lidtest.gf import field, field_for_order
-from lidtest.polyspace import DiagonalLine, MultiPoly, UniPoly, point
-from lidtest.protocol import (
-    AXIS,
-    DIAG,
-    SELFCONS,
-    ProtocolError,
+from lidtest.protocol import AXIS, DIAG, SELFCONS, ProtocolError, TestParams, support_table
+
+from algebra import (
+    AxisLine,
+    DiagonalLine,
+    MultiPoly,
+    Point,
     RoundSample,
-    TestParams,
+    UniPoly,
+    element,
     enumerate_rounds,
-    support_table,
+    point,
+    position,
     verdict,
 )
-
-from oracles import check_answer_format, restricted_diag_distribution, total_mass
+from oracles import (
+    check_answer_format,
+    restrict_axis,
+    restrict_diagonal,
+    restricted_diag_distribution,
+    total_mass,
+)
 
 
 def params_for(q, m, d, weights=None):
@@ -61,24 +69,22 @@ def test_selfcons_verdict():
     f = field(3)
     u = point(f, (1,))
     s = RoundSample(SELFCONS, u, u, Fraction(1))
-    assert verdict(s, (f.element(2), f.element(2)))
-    assert not verdict(s, (f.element(2), f.element(1)))
+    assert verdict(s, (element(f, 2), element(f, 2)))
+    assert not verdict(s, (element(f, 2), element(f, 1)))
 
 
 def test_axis_verdict_zero_poly():
     p = params_for(3, 2, 1)
     s = next(x for x in enumerate_rounds(p) if x.subtest == AXIS)
     f = p.field
-    zero = UniPoly(f, [0, 0], bound=1)
-    good = (zero, f.zero) if s.line_role == "A" else (f.zero, zero)
-    bad = (zero, f.one) if s.line_role == "A" else (f.one, zero)
+    zero, one = UniPoly(f, [0, 0], bound=1), element(f, 1)
+    good = (zero, element(f, 0)) if s.line_role == "A" else (element(f, 0), zero)
+    bad = (zero, one) if s.line_role == "A" else (one, zero)
     assert verdict(s, good)
     assert not verdict(s, bad)
 
 
 def honest_answers(g, sample):
-    from lidtest.polyspace import AxisLine, Point, restrict_axis, restrict_diagonal
-
     def answer(question):
         if isinstance(question, Point):
             return g(question)
@@ -113,12 +119,11 @@ def test_degenerate_diag_uses_value_answer():
     ]
     assert degenerate
     f = p.field
-    s = degenerate[0]
-    pair = (f.zero, f.zero)
-    assert verdict(s, pair)
+    s, zero = degenerate[0], element(f, 0)
+    assert verdict(s, (zero, zero))
     bad = UniPoly(f, [0], bound=0)
     with pytest.raises(ProtocolError):
-        verdict(s, (bad, f.zero) if s.line_role == "A" else (f.zero, bad))
+        verdict(s, (bad, zero) if s.line_role == "A" else (zero, bad))
 
 
 def test_restricted_diag_support_and_marginal():
@@ -166,7 +171,7 @@ def test_check_answer_format():
     s_axis = next(x for x in enumerate_rounds(p) if x.subtest == AXIS)
     qline = s_axis.question_a if s_axis.line_role == "A" else s_axis.question_b
     support = support_table(p)
-    line_bound, point_bound = (int(support.bound[support.position(question)])
+    line_bound, point_bound = (int(support.bound[position(support, question)])
                                for question in (qline, point(f, (0, 0))))
     too_big = UniPoly(f, [0, 0, 1])
     with pytest.raises(ProtocolError):

@@ -6,19 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lidtest.gf import field, field_for_order
-from lidtest.polyspace import MultiPoly, UniPoly, all_points, point
 from lidtest.protocol import TestParams
 from lidtest.strategies import (
     ClassicalStrategy,
     Goodness,
     RandomizedClassicalStrategy,
-    adversary_points_polynomial,
     axis_failure_pessimistic,
-    best_polyspace_agreement,
     classical_to_quantum,
     example_adversary,
     goodness,
-    honest_strategy,
     judge,
     pass_probabilities,
     pass_probabilities_monte_carlo,
@@ -26,7 +22,21 @@ from lidtest.strategies import (
     symmetrize,
 )
 
-from oracles import object_strategy
+from algebra import (
+    AxisLine,
+    DiagonalLine,
+    MultiPoly,
+    UniPoly,
+    all_points,
+    element,
+    enumerate_rounds,
+    group_of,
+    point,
+    questions,
+    tables,
+)
+from conftest import honest_strategy
+from oracles import best_agreement, object_strategy
 
 
 def make_params(q, m, d):
@@ -34,11 +44,10 @@ def make_params(q, m, d):
 
 
 def random_honest(params, seed):
+    """(flat coefficient row, its honest strategy) of a random polynomial."""
     rng = np.random.default_rng(seed)
-    size = (params.d + 1) ** params.m
-    g = MultiPoly(params.field, params.m, params.d,
-                  rng.integers(0, params.q, size=size))
-    return g, honest_strategy(params, g)
+    coeffs = rng.integers(0, params.q, size=(params.d + 1) ** params.m)
+    return coeffs, honest_strategy(params, coeffs)
 
 
 def test_honest_strategy_perfect():
@@ -51,14 +60,12 @@ def test_honest_strategy_perfect():
 
 def test_uniform_random_points_self_consistency():
     # m=1, q=2, d=0: uniformly random answers fail self-consistency half the time
-    from lidtest.polyspace import AxisLine, DiagonalLine
-
     params = make_params(2, 1, 0)
     f = params.field
 
     def deterministic_tables(bits):
-        pts = {point(f, (0,)): f.element(bits & 1),
-               point(f, (1,)): f.element(bits >> 1)}
+        pts = {point(f, (0,)): element(f, bits & 1),
+               point(f, (1,)): element(f, bits >> 1)}
         # d = 0: line answers are constants; answer with the value at t = 0
         axis = {}
         diag = {}
@@ -102,12 +109,12 @@ def test_adversary_exact_failures():
 def test_adversary_agreement_bound():
     params = make_params(5, 2, 1)
     strat = example_adversary(params)
-    best = best_polyspace_agreement(params, strat.tables["A"]["points"])
     m, d, q = params.m, params.d, params.q
+    points = strat.codes["A"][:q ** m]  # the first q^m positions, in grid order
+    x1 = MultiPoly.from_terms(params.field, m, d + 1, {(d + 1,) + (0,) * (m - 1): 1})
+    assert points.tolist() == [x1(u).i for u in all_points(params.field, m)]
     bound = 1 - m * Fraction(1, m) + Fraction(d + 1, q)
-    assert best <= bound
-    h = adversary_points_polynomial(params)
-    assert h.d == d + 1
+    assert best_agreement(params, points) <= bound
 
 
 def test_adversary_needs_room():
@@ -147,14 +154,12 @@ def corrupted_tables_strategy(params, n_tables, n_corrupt, seed):
     f = params.field
     weighted = []
     for _ in range(n_tables):
-        g, s = random_honest(params, int(rng.integers(0, 2 ** 31)))
-        pts = dict(s.tables["A"]["points"])
-        keys = list(pts)
+        _, s = random_honest(params, int(rng.integers(0, 2 ** 31)))
+        table = tables(s)
+        keys = list(table["points"])
         for k in rng.choice(len(keys), size=n_corrupt, replace=False):
-            u = keys[int(k)]
-            pts[u] = f.element(int(rng.integers(0, f.q)))
-        weighted.append((Fraction(1, n_tables),
-                         object_strategy(params, {**s.tables["A"], "points": pts})))
+            table["points"][keys[int(k)]] = element(f, int(rng.integers(0, f.q)))
+        weighted.append((Fraction(1, n_tables), object_strategy(params, table)))
     return shared_randomness_strategy(params, weighted)
 
 
@@ -207,25 +212,23 @@ def test_quantum_validation_rejects_bad_state():
         type(q)(params, q.Psi * 2, q.families, symmetric=True)
 
 
-
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("m", [1, 2])
 def test_question_set_is_the_round_support(q, m):
-    # Support.questions lists each question of enumerate_rounds once, every
-    # object table built from it is keyed by exactly those questions, and a
-    # quantum strategy holds one family per question position
+    # the support lists each question of the rounds once, every decoded
+    # table is keyed by exactly those questions, and a quantum strategy
+    # holds one family per question position
     from collections import defaultdict
 
     from lidtest.instances import corrupted_tables
-    from lidtest.protocol import enumerate_rounds, support_table
-    from oracles import question_group
+    from lidtest.protocol import support_table
 
     params = make_params(q, m, 1)
     expected = defaultdict(set)
     for s in enumerate_rounds(params):
         for question in (s.question_a, s.question_b):
-            expected[question_group(question)].add(question)
-    listed = list(support_table(params).questions)
+            expected[group_of(question)].add(question)
+    listed = list(questions(support_table(params)))
     assert len(listed) == len(set(listed))
     by_group = defaultdict(list)
     for group, question in listed:
@@ -233,12 +236,12 @@ def test_question_set_is_the_round_support(q, m):
     layouts = [by_group]
     _, honest = random_honest(params, q + m)
     corrupted = [s for _, s in corrupted_tables(params, 2, 1, np.random.default_rng(0))]
-    layouts += [honest.tables["A"]] + [s.tables["A"] for s in corrupted]
+    layouts += [tables(honest)] + [tables(s) for s in corrupted]
     families = shared_randomness_strategy(
         params, [(Fraction(1, 2), s) for s in corrupted]).families["A"]
     assert len(families) == len(listed)
     if m > 1 and q > 2:  # the adversary needs d + 1 <= q - 1 and m >= 2
-        layouts.append(example_adversary(params).tables["A"])
+        layouts.append(tables(example_adversary(params)))
     for layout in layouts:
         assert {group: set(entries) for group, entries in layout.items()} == expected
 
@@ -275,7 +278,8 @@ def test_classical_and_quantum_acceptance_agree_per_round(qmd, seed, n_corrupt):
              (RandomizedClassicalStrategy(weighted),
               shared_randomness_strategy(params, weighted))]
     for classical, quantum in pairs:
-        want = [float(acc) for _, acc in judge(classical, params)]
+        judged = judge(classical, params)
+        want = judged.acceptance / judged.denominator
         assert np.abs(judge(quantum, params).acceptance - want).max() < 1e-12
 
 
@@ -294,6 +298,7 @@ def test_honest_tables_match_scalar_evaluation(qmd, seed):
     from lidtest.strategies import honest_tables
 
     params = make_params(*qmd)
-    g, _ = random_honest(params, seed)
-    got, want = honest_tables(params, g.flat()[None])[0], oracles.honest_tables(params, g)
+    coeffs, _ = random_honest(params, seed)
+    g = MultiPoly(params.field, params.m, params.d, coeffs)
+    got, want = honest_tables(params, [coeffs])[0], oracles.honest_tables(params, g)
     assert got.tolist() == oracles.answer_codes(params, want).tolist()

@@ -8,7 +8,6 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,9 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lidtest.cli import main
-from lidtest.gf import FieldElement, field_for_order
+from lidtest.gf import field_for_order
 from lidtest.instances import corrupted_tables, noisy_shared_randomness_strategy
-from lidtest.polyspace import AxisLine, DiagonalLine, Point, UniPoly
 from lidtest.protocol import ROLES, TestParams, support_table
 from lidtest.stratfile import load_strategy, save_strategy
 from lidtest.strategies import (
@@ -29,6 +27,7 @@ from lidtest.strategies import (
     judge,
 )
 
+from algebra import AxisLine, DiagonalLine, Point, element, position, tables
 import oracles
 
 # (q, m) with small supports; q = 4 and 8 are extension fields
@@ -129,7 +128,8 @@ def test_loader_refuses_questions_off_the_support(tmp_path):
     doc = classical_doc(tmp_path, 3, 2, 1, 0, False)
     cases = [("points", 0, "u", [[0]], "points of F_3^2 have 2 coordinates"),
              ("axis_lines", 0, "axis", 2, "axis lines of F_3^2 have axes 0 to 1"),
-             ("diag_lines", 1, "dir", [[0], [2]], "diagonal line not in canonical form")]
+             ("diag_lines", 1, "dir", [[0], [2]],
+              "the diagonal line (0, 0) + t * (0, 2) is not a question of the support")]
     for name, i, key, value, message in cases:
         bad = copy.deepcopy(doc)
         bad["tables"][name][i][key] = value
@@ -163,10 +163,10 @@ def transcript_strategies(q, m):
 @pytest.mark.parametrize("q,m", [(q, m) for q in (2, 3, 4, 5, 8) for m in (1, 2, 3)
                                  if (q, m) != (8, 3)])
 def test_transcripts_match_the_object_renderer(tmp_path, q, m):
-    params, tables, strats = transcript_strategies(q, m)
+    params, codes_by_role, strats = transcript_strategies(q, m)
     asymmetric = strats["asymmetric"]
-    decoded = asymmetric.tables
-    for role, codes in zip(ROLES, tables):
+    decoded = {role: tables(asymmetric, role) for role in ROLES}
+    for role, codes in zip(ROLES, codes_by_role):
         assert oracles.answer_codes(params, decoded[role]).tolist() == codes.tolist()
         assert asymmetric.rows[role].tolist() == oracles.object_rows(params, decoded[role]).tolist()
     for name, strat in strats.items():
@@ -186,7 +186,7 @@ def test_codes_past_int64_stay_exact(tmp_path):
     strat = ClassicalStrategy(params, table)
     codes = strat.codes["A"]
     assert codes.dtype == object and max(codes.tolist()) >= 2 ** 63
-    decoded = strat.tables["A"]
+    decoded = tables(strat)
     assert strat.rows["A"].tolist() == oracles.object_rows(params, decoded).tolist()
     assert oracles.answer_codes(params, decoded).tolist() == table.tolist()
     save_strategy(strat, tmp_path / "wide.json")
@@ -201,28 +201,23 @@ def test_codes_past_int64_stay_exact(tmp_path):
 
 def test_file_run_builds_no_question_or_answer_objects(tmp_path, monkeypatch):
     # the benchmark's strategy file: q = 4, m = 3, one table, 5 corrupted
-    # points; the support is built inside the run, from a cold cache
+    # points; the support is built inside the run, from a cold cache.  The
+    # records are read as arrays: no element is converted one at a time
+    from lidtest.gf import GF
+
     params = TestParams(field_for_order(4), 3, 1)
     (_, strat), = corrupted_tables(params, 1, 5, np.random.default_rng(0))
     save_strategy(strat, tmp_path / "strategy.json")
-    made = Counter()
-    point_new, element_init, poly_init = Point.__new__, FieldElement.__init__, UniPoly.__init__
-    monkeypatch.setattr(Point, "__new__", staticmethod(
-        lambda cls, coords: made.update(["Point"]) or point_new(cls, coords)))
-    monkeypatch.setattr(FieldElement, "__init__",
-                        lambda self, *args: made.update(["FieldElement"]) or element_init(self, *args))
-    monkeypatch.setattr(UniPoly, "__init__",
-                        lambda self, *args, **kw: made.update(["UniPoly"]) or poly_init(self, *args, **kw))
-    for cls in (AxisLine, DiagonalLine):
-        monkeypatch.setattr(cls, "__post_init__",
-                            lambda self, name=cls.__name__: made.update([name]))
+    calls = []
+    index = GF.index
+    monkeypatch.setattr(GF, "index", lambda *args: calls.append(args) or index(*args))
     support_table.cache_clear()
     try:
         loaded = load_strategy(tmp_path / "strategy.json")
         export_transcript(loaded, tmp_path / "transcript.jsonl", judge(loaded, params))
     finally:
         support_table.cache_clear()
-    assert made == Counter()
+    assert calls == []
     assert loaded.codes["A"].tolist() == strat.codes["A"].tolist()
 
 
@@ -255,10 +250,10 @@ def quantum_doc(tmp_path):
 
 def record_question(f, group, rec):
     """The question object of a quantum file's line record."""
-    base = Point(f.element(c) for c in rec["base"])
+    base = Point(element(f, c) for c in rec["base"])
     if group == "axis":
         return AxisLine(rec["axis"], base)
-    return DiagonalLine(base, Point(f.element(c) for c in rec["dir"]))
+    return DiagonalLine(base, Point(element(f, c) for c in rec["dir"]))
 
 
 def test_quantum_file_with_shuffled_records_loads_the_same_families(tmp_path):
@@ -282,7 +277,8 @@ def test_bad_quantum_file_exits_3_with_one_line(tmp_path, capsys, bad):
     fams = doc["families"]["A"]
     if bad == "duplicate":
         fams["axis"].append(copy.deepcopy(fams["axis"][2]))
-        message = f"two records for the question {record_question(f, 'axis', fams['axis'][2])}"
+        question = record_question(f, "axis", fams["axis"][2])
+        message = f"two records for the {support.describe(position(support, question))}"
     elif bad == "off-support":
         # a point of F_3^3 beside every point of F_3^2
         extra = copy.deepcopy(fams["points"][0])
@@ -293,7 +289,8 @@ def test_bad_quantum_file_exits_3_with_one_line(tmp_path, capsys, bad):
         # the first missing question in support order is named
         gone = [record_question(f, "diag", rec) for rec in (fams["diag"].pop(),
                                                             fams["diag"].pop(0))]
-        message = f"no A family for the question {min(gone, key=support.position)}"
+        first = min(position(support, question) for question in gone)
+        message = f"no A family for the {support.describe(first)}"
     if bad == "duplicate-outcome":
         # one axis record lists a line answer twice, with an index list and
         # with coefficient vectors: both read to one code

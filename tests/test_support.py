@@ -17,8 +17,7 @@ from lidtest.instances import (
     random_state,
 )
 from lidtest.measurements import MeasurementError, SubMeasurement, is_swap_invariant
-from lidtest.polyspace import AxisLine, DiagonalLine, MultiPoly, UniPoly
-from lidtest.protocol import GROUPS, ProtocolError, TestParams, support_table, verdict
+from lidtest.protocol import GROUPS, ProtocolError, TestParams, support_table
 from lidtest.stratfile import load_strategy, save_strategy
 from lidtest.strategies import (
     ClassicalStrategy,
@@ -29,13 +28,25 @@ from lidtest.strategies import (
     example_adversary,
     export_transcript,
     goodness,
-    honest_strategy,
     judge,
     pass_probabilities_monte_carlo,
     symmetrize,
 )
 
+from algebra import (
+    AxisLine,
+    DiagonalLine,
+    decoded,
+    element,
+    judged_rounds,
+    position,
+    questions,
+    samples,
+    tables,
+    verdict,
+)
 import oracles
+from conftest import honest_strategy
 from oracles import (
     reference_goodness,
     reference_monte_carlo,
@@ -61,12 +72,12 @@ def test_support_table_matches_object_enumeration(q, m, custom_weights):
     weights = (Fraction(1, 2), Fraction(1, 6), Fraction(1, 3)) if custom_weights else None
     params = params_for(q, m, 1, weights)
     table = support_table(params)
-    assert list(table.questions) == reference_questions(params)
+    assert list(questions(table)) == reference_questions(params)
     rounds = list(reference_rounds(params))
     assert len(table) == len(rounds)
-    questions = [question for _, question in table.questions]
+    listed = [question for _, question in questions(table)]
     for k, sample in enumerate(rounds):
-        assert (questions[table.q_a[k]], questions[table.q_b[k]]) == (
+        assert (listed[table.q_a[k]], listed[table.q_b[k]]) == (
             sample.question_a, sample.question_b)
         assert table.masses[table.mass_class[k]] == sample.mass
         assert table.line_role[k] == {"A": 0, "B": 1, None: -1}[sample.line_role]
@@ -76,7 +87,7 @@ def test_support_table_matches_object_enumeration(q, m, custom_weights):
         else:
             assert table.t[k] == line.param_of(sample.point).i
         assert table.axis[k] == (line.axis if isinstance(line, AxisLine) else -1)
-    keys = [(s.subtest, s.question_a, s.question_b, s.mass) for s in table.samples()]
+    keys = [(s.subtest, s.question_a, s.question_b, s.mass) for s in samples(table)]
     assert keys == [(s.subtest, s.question_a, s.question_b, s.mass) for s in rounds]
 
 
@@ -85,9 +96,9 @@ def strategies_for(params, seed):
     of two of them with weights that are not dyadic."""
     f, m, d = params.field, params.m, params.d
     rng = np.random.default_rng(seed)
-    g = MultiPoly(f, m, d, rng.integers(0, f.q, size=(d + 1) ** m))
+    coeffs = rng.integers(0, f.q, size=(d + 1) ** m)
     (_, c0), (_, c1) = corrupted_tables(params, 2, 3, rng)
-    out = {"honest": honest_strategy(params, g), "corrupted": c0,
+    out = {"honest": honest_strategy(params, coeffs), "corrupted": c0,
            "asymmetric": ClassicalStrategy(params, c0.codes["A"], c1.codes["A"])}
     if d + 1 <= f.q - 1 and m * d >= d + 1:
         out["adversary"] = example_adversary(params)
@@ -97,14 +108,15 @@ def strategies_for(params, seed):
 
 
 def reference_verdicts(strat, rounds):
-    """ClassicalStrategy.accept per round, each answer looked up and checked
+    """The per-round verdict on the decoded answers, each answer looked up
     once per question object of the reference rounds."""
-    answers = {}
+    support, answers = support_table(strat.params), {}
+    by_pos = {role: decoded(strat.params, strat.codes[role]) for role in ("A", "B")}
 
     def answer(role, question):
         key = (role, id(question))
         if key not in answers:
-            answers[key] = strat.answer(role, question)
+            answers[key] = by_pos[role][position(support, question)]
         return answers[key]
 
     return [int(verdict(s, (answer("A", s.question_a), answer("B", s.question_b))))
@@ -131,7 +143,7 @@ def test_judge_matches_per_round_verdicts(tmp_path, q, m, d):
         else:
             accepted[name] = reference_verdicts(strat, rounds)
         pairs = list(zip(rounds, accepted[name]))
-        assert [acc for _, acc in judged] == accepted[name], name
+        assert [acc for _, acc in judged_rounds(judged)] == accepted[name], name
         good = goodness(judged)
         assert (good.eps, good.delta, good.gamma) == reference_goodness(pairs), name
         mc = pass_probabilities_monte_carlo(judged, 600, seed=q + m + d)
@@ -146,15 +158,6 @@ def test_judge_matches_per_round_verdicts(tmp_path, q, m, d):
         assert got.read_bytes() == want.read_bytes(), name
 
 
-def test_table_verdicts_match_accept_on_sampled_rounds():
-    # reference_verdicts memoizes answers; ClassicalStrategy.accept itself agrees
-    params = params_for(3, 2, 1)
-    rounds = rounds_for(3, 2)
-    for name, strat in strategies_for(params, 7).items():
-        want = [strat.accept(s) for s in rounds]
-        assert [acc for _, acc in judge(strat, params)] == want, name
-
-
 def test_mixture_monte_carlo_compares_draws_exactly():
     # weights 1/3 and 2/3 put acceptances at 1/3 and 2/3, which no draw equals
     # and float rounding of a/den would misjudge near the boundary
@@ -163,7 +166,7 @@ def test_mixture_monte_carlo_compares_draws_exactly():
     judged = judge(mix, params)
     assert judged.denominator == 3
     assert set(judged.acceptance.tolist()) >= {1, 2, 3}
-    pairs = list(judged)
+    pairs = judged_rounds(judged)
     for seed in range(5):
         assert repr(pass_probabilities_monte_carlo(judged, 3000, seed)) == repr(
             reference_monte_carlo(pairs, 3000, seed))
@@ -186,15 +189,15 @@ def test_answers_from_another_field_are_rejected():
     from lidtest.gf import field
 
     params = params_for(9, 1, 1)
-    tables = honest_strategy(params, MultiPoly.zero(params.field, 1, 1)).tables["A"]
+    table = tables(honest_strategy(params, [0, 0]))
     other = field(3, 2, (1, 0, 1))
-    tables["points"] = {u: other.element(a.i) for u, a in tables["points"].items()}
+    table["points"] = {u: element(other, a.i) for u, a in table["points"].items()}
     with pytest.raises(ProtocolError, match="lies outside"):
-        oracles.answer_codes(params, tables)
+        oracles.answer_codes(params, table)
 
 
 def test_strategy_for_other_params_is_a_protocol_error():
-    strat = honest_strategy(params_for(3, 2, 1), MultiPoly.zero(field_for_order(3), 2, 1))
+    strat = honest_strategy(params_for(3, 2, 1), [0] * 4)
     with pytest.raises(ProtocolError, match="q=3 m=2 d=1 questions, not q=3 m=1 d=1"):
         judge(strat, params_for(3, 1, 1))
 
@@ -283,7 +286,7 @@ def test_family_labels_must_be_answer_codes(bad):
     pos = int(np.argmax(support.bound == 1)) if bad == "range" else 0
     labels = list(fams[pos].outcomes)
     if bad == "object":
-        labels = list(params.field.elements())
+        labels = [element(params.field, i) for i in range(3)]
     elif bad == "range":  # an axis family labelled as a diagonal one
         labels[-1] = 3 ** 3
     elif bad == "negative":
@@ -292,11 +295,10 @@ def test_family_labels_must_be_answer_codes(bad):
         labels = [False, True, 2]
     fams[pos] = SubMeasurement(labels, fams[pos].ops, check=False)
     shared = tuple(fams)
-    _, question = support.questions[pos]
     size = 3 ** (2 if bad == "range" else 1)
-    with pytest.raises(ProtocolError, match=f"the A family for the question "
-                       f"{re.escape(str(question))} is not labelled by the answer "
-                       f"codes 0 to {size - 1}"):
+    question = "axis-0 line through (0, 0)" if bad == "range" else "point (0, 0)"
+    with pytest.raises(ProtocolError, match=f"the A family for the {re.escape(question)} "
+                       f"is not labelled by the answer codes 0 to {size - 1}"):
         QuantumStrategy(params, strat.Psi, {"A": shared, "B": shared})
 
 
@@ -307,7 +309,8 @@ def test_quantum_strategy_missing_a_family_is_a_protocol_error():
     fams[int(np.argmax(support_table(params).group == GROUPS.index("diag")))] = None
     shared = tuple(fams)
     strat.families = {"A": shared, "B": shared}
-    with pytest.raises(ProtocolError, match="no A family"):
+    with pytest.raises(ProtocolError, match=re.escape(
+            "no A family for the degenerate diagonal line at (0, 0)")):
         strat.validate()
 
 
@@ -379,7 +382,7 @@ def test_quantum_acceptance_per_pair_matches_per_round_accept(tmp_path, monkeypa
                         contract(Psi, batch, acc))
     for name, strat in found.items():
         contracted.clear()
-        want = np.array([oracles.accept(strat, r) for r in support.samples()])
+        want = np.array([oracles.accept(strat, r) for r in samples(support)])
         got, den = strat.acceptance(support)
         assert den == 1
         assert np.array_equal(got, want), name
@@ -435,7 +438,7 @@ def test_quantum_goodness_equals_round_by_round_sums(q, kind):
         strat = rotated_strategy(strat, q, 0.02, GROUPS)
     judged = judge(strat, params)
     good = goodness(judged)
-    want = reference_goodness(list(judged))
+    want = reference_goodness(judged_rounds(judged))
     assert (good.eps, good.delta, good.gamma) == want
     assert all(isinstance(p, float) for p in want) and min(want[0], want[2]) > 0
 
@@ -447,16 +450,8 @@ def test_noisy_builder_evaluates_no_polynomial_per_question(monkeypatch):
 
     params = params_for(5, 2, 1)
     calls = []
-
-    def tripwire(name):
-        return lambda *args, **kwargs: calls.append(name)
-
     restrict = polyspace.restrict_to_lines
     monkeypatch.setattr(strategies, "restrict_to_lines",
                         lambda *args: calls.append("restrict_to_lines") or restrict(*args))
-    monkeypatch.setattr(MultiPoly, "__call__", tripwire("MultiPoly.__call__"))
-    monkeypatch.setattr(UniPoly, "__call__", tripwire("UniPoly.__call__"))
-    for name in ("restrict_axis", "restrict_diagonal"):
-        monkeypatch.setattr(polyspace, name, tripwire(name))
     noisy_shared_randomness_strategy(params, 3, 1, 0)
     assert calls == ["restrict_to_lines"]
