@@ -820,6 +820,10 @@ GOLDEN = {
     "honest-q3.json": "79f8f6085e949f1d21e68fbe3699679fe598525829ff9adb7770fc0c1d3426d6",
     "adversary-q4.json": "9db7ad80da5b0f154b1443732c0114a41286c9fb93606406acb7b2406dc52db3",
     "spectrum-q5m3.json": "3a4f7eb3fd6410066d3dfec731dd18cf49f6aa768b4b97042b82ad4bb29cfac9",
+    # the soundness reports whose top-level polynomial family has 65,536
+    # outcomes, pinned before `group` found its slots on label arrays
+    "soundness-q4m3.json": "30c63e66ee6816b0fca2c588313a2a75f12dee16ea0ec1630808c31cb51fb709",
+    "soundness-q2m4.json": "a8b5fba5bd76090bed2e3900547bbb82ba4f8ffd511b9b9dc1ad607c3ce247bb",
 }
 
 
@@ -872,6 +876,8 @@ def test_golden_report_hashes(tmp_path, monkeypatch):
     cli("honest-q3.json", q=3, m=2, d=1, strategy={"builtin": "honest", "poly_index": 5})
     cli("adversary-q4.json", q=4, m=2, d=1, strategy={"builtin": "adversary"})
     cli("spectrum-q5m3.json", "spectrum", q=5, m=3)
+    cli("soundness-q4m3.json", "soundness-report", q=4, m=3, d=1, k=3, strategy=noisy)
+    cli("soundness-q2m4.json", "soundness-report", q=2, m=4, d=1, k=2, strategy=noisy)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN}
     assert got == GOLDEN
