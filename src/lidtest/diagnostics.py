@@ -176,15 +176,14 @@ def pasted_line_consistency(strategy: QuantumStrategy, pasted: SubMeasurement) -
     # code).  The line through u in the last direction holds the grid points
     # u*q + t.
     weights = f.q ** np.arange(d + 1)
-    table = value_table(f, params.m, d)[list(pasted.outcomes)]
+    table = value_table(f, params.m, d)[pasted.outcomes]
     starts = np.arange(f.q ** (params.m - 1)) * f.q
     lines = support_table(params).axis_at[starts, params.m - 1]
     total, support = 0.0, state_support(Psi)
     for start, pos in zip(starts.tolist(), lines.tolist()):
         B = strategy.families["A"][pos]
-        codes = np.array(B.outcomes)
-        B = B.group((answer_rows(f, codes, np.full(len(codes), d))[:, :d + 1] @ weights).tolist())
-        restricted = pasted.group((table[:, start:start + d + 1] @ weights).tolist())
+        B = B.group(answer_rows(f, B.outcomes, np.full(len(B.outcomes), d))[:, :d + 1] @ weights)
+        restricted = pasted.group(table[:, start:start + d + 1] @ weights)
         total += consistency(restricted, B, Psi, support)
     return total / len(starts)
 
@@ -213,9 +212,8 @@ def restricted_strategy(strategy: QuantumStrategy, x: int) -> QuantumStrategy:
         fam, shift = fams[pos], params.q ** (bounds[pos] - bound)
         if shift == 1:
             return fam
-        codes = np.array(fam.outcomes)
-        keep = np.flatnonzero(codes % shift == 0)
-        return SubMeasurement((codes[keep] // shift).tolist(), fam.ops[keep], check=False)
+        keep = fam.outcomes % shift == 0
+        return SubMeasurement(fam.outcomes[keep] // shift, fam.ops[keep], check=False)
 
     shared = tuple(map(slice_family, lifted.tolist(), sub.bound.tolist()))
     return QuantumStrategy(
@@ -233,9 +231,8 @@ def base_case_family(strategy: QuantumStrategy) -> SubMeasurement:
         raise ValueError("base case applies to one variable only")
     q, d = params.q, params.d
     fam = strategy.families["A"][support_table(params).axis_at[0, 0]]
-    codes = np.array(fam.outcomes)
-    (_, digits), = line_digits(q, codes, np.full(len(codes), d))
-    return SubMeasurement((digits @ q ** np.arange(d + 1)).tolist(), fam.ops, check=False)
+    (_, digits), = line_digits(q, fam.outcomes, np.full(len(fam.outcomes), d))
+    return SubMeasurement(digits @ q ** np.arange(d + 1), fam.ops, check=False)
 
 
 def witness_level(strategy: QuantumStrategy, good: Goodness, k: int):

@@ -44,7 +44,7 @@ def build_instance(strategy: QuantumStrategy, params: TestParams = None) -> SdpI
     """Constraint operators A_g = E_u A^u_{g(u)}, one per polynomial index g."""
     params = params or strategy.params
     ops = sum(_points_at_values(strategy, params)) / params.q ** params.m
-    return SdpInstance(tuple(range(len(ops))), ops)
+    return SdpInstance(ops)
 
 
 def _points_at_values(strategy, params):
@@ -52,7 +52,7 @@ def _points_at_values(strategy, params):
     polynomial index g, gathered from one value table."""
     table = value_table(params.field, params.m, params.d)
     for u, A in enumerate(strategy.point_families):
-        yield A.at(range(params.q))[table[:, u]]
+        yield A.at(np.arange(params.q))[table[:, u]]
 
 
 @dataclass
@@ -87,8 +87,7 @@ def evaluated_at_points(G: SubMeasurement, f, m: int, d: int) -> list:
     """[G evaluated at u, for u in grid order]: the polynomial indices
     labelling G, grouped by their value at each point in the value table,
     so each is labelled by value index as a point family is."""
-    rows = value_table(f, m, d)[list(G.outcomes)]
-    return [G.group(values) for values in rows.T.tolist()]
+    return [G.group(values) for values in value_table(f, m, d)[G.outcomes].T]
 
 
 def measure_points_consistency(strategy: QuantumStrategy, G: SubMeasurement,
@@ -120,7 +119,7 @@ def improve(strategy: QuantumStrategy, good: Goodness, nu: float):
     instance = build_instance(strategy, params)
     sol = solve(instance)
     ops = sum(A @ sol.T @ A for A in _points_at_values(strategy, params)) / params.q ** params.m
-    H = SubMeasurement(instance.outcomes, ops)  # validates PSD and total <= I
+    H = SubMeasurement(np.arange(len(ops)), ops)  # validates PSD and total <= I
 
     report = _measure_four_properties(strategy, H, sol.Z, sol.min_constraint_slack,
                                       sol.residual_summary(), nu, zeta)

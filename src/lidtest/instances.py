@@ -62,7 +62,7 @@ def random_projective_measurement(rng, dim, n_outcomes, outcomes=None):
     for i in range(dim):
         v = U[:, i:i + 1]
         ops[buckets[i]] += v @ v.conj().T
-    labels = tuple(range(n_outcomes)) if outcomes is None else tuple(outcomes)
+    labels = np.arange(n_outcomes) if outcomes is None else outcomes
     return SubMeasurement(labels, ops, check=False)
 
 
@@ -74,7 +74,7 @@ def random_povm(rng, dim, n_outcomes, outcomes=None):
     raw = X @ X.conj().transpose(0, 2, 1)
     w, v = np.linalg.eigh(np.sum(raw, axis=0))
     inv_root = (v / np.sqrt(w)) @ v.conj().T
-    labels = tuple(range(n_outcomes)) if outcomes is None else tuple(outcomes)
+    labels = np.arange(n_outcomes) if outcomes is None else outcomes
     return SubMeasurement(labels, inv_root @ raw @ inv_root, check=False)
 
 

@@ -10,8 +10,9 @@ Terms on the state come from two kernels over operator stacks,
 `aligned` stacks two families over their labels, and `expect_joint` is the
 scalar form for one-off totals.  Distances and commutator masses take one
 family pair (or one family) per call; averaging over questions is left to
-the caller.  Every family the package builds is labelled by ints: value
-indices, line answer codes (`strategies`) or polynomial indices, and `BOTTOM`.
+the caller.  A family's labels are one int64 array: value indices, line
+answer codes (`strategies`) or polynomial indices, and -1 (`BOTTOM`) for
+the outcome `completion` adds.
 
 Products with the state skip its zero rows and columns (`state_support`):
 X @ Psi runs over Psi's nonzero rows and each product with Y.T over its
@@ -39,25 +40,13 @@ class MeasurementError(ValueError):
     pass
 
 
-class _Bottom:
-    """Sentinel outcome added by completion."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "BOTTOM"
-
-
-BOTTOM = _Bottom()
+BOTTOM = -1  # the completion outcome: no answer code or polynomial index
 
 
 class SubMeasurement:
-    """Outcome-labelled family of PSD operators with total at most identity."""
+    """PSD operators with total at most identity, one per outcome, labelled by
+    a 1-D int64 array of distinct integers (an int64 array is kept as given,
+    so families built from one alphabet share its array)."""
 
     def __init__(self, outcomes, ops, check=True):
         ops = np.asarray(ops, dtype=complex)
@@ -65,11 +54,10 @@ class SubMeasurement:
             ops = ops[None]
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
             raise MeasurementError("operators must be square matrices")
-        outcomes = tuple(outcomes)
+        outcomes = _labels(outcomes)
         if len(outcomes) != ops.shape[0]:
             raise MeasurementError("label/operator count mismatch")
-        self._index = {o: j for j, o in enumerate(outcomes)}
-        if len(self._index) != len(outcomes):
+        if not np.diff(np.sort(outcomes)).all():
             raise MeasurementError("duplicate outcome labels")
         self.outcomes = outcomes
         self.ops = ops
@@ -93,21 +81,20 @@ class SubMeasurement:
             raise MeasurementError(f"total exceeds identity: max eig {w.max():.6f}")
         return self
 
-    def op(self, outcome):
-        j = self._index.get(outcome)
-        if j is None:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return self.ops[j]
+    def _rows(self, labels) -> np.ndarray:
+        """The row of each label, len(outcomes) where the family lacks it."""
+        n = len(self.outcomes)
+        order = np.argsort(self.outcomes)
+        rows = np.append(order, n)[np.searchsorted(self.outcomes, labels, sorter=order)]
+        return np.where(np.append(self.outcomes, 0)[rows] == labels, rows, n)
 
-    def __contains__(self, outcome):
-        return outcome in self._index
+    def op(self, outcome):
+        j = self._rows([outcome])[0]
+        return self.ops[j] if j < len(self.ops) else np.zeros((self.dim, self.dim), dtype=complex)
 
     def live_ops(self) -> np.ndarray:
         """The operators that are not exactly zero, in outcome order."""
         return self.ops[np.any(self.ops != 0, axis=(1, 2))]
-
-    def items(self):
-        return zip(self.outcomes, self.ops)
 
     def total(self) -> np.ndarray:
         if not len(self.outcomes):
@@ -123,36 +110,47 @@ class SubMeasurement:
     def at(self, labels) -> np.ndarray:
         """The operators of `labels` in order, zero where the family lacks one
         (the family's own stack, not a copy, for its own labels)."""
-        if tuple(labels) == self.outcomes:
+        if np.array_equal(labels, self.outcomes):
             return self.ops
         padded = np.concatenate([self.ops, np.zeros((1, self.dim, self.dim), dtype=complex)])
-        return padded[[self._index.get(o, -1) for o in labels]]
+        return padded[self._rows(labels)]
 
     def group(self, labels) -> "SubMeasurement":
         """Sum the operators that share a label (labels[j] is outcome j's),
         keeping labels in first-seen order; completeness is preserved.  Each
         sum adds its operators in outcome order, starting from zero."""
-        slot = {}
-        slots = [slot.setdefault(b, len(slot)) for b in labels]
-        ops = np.zeros((len(slot), self.dim, self.dim), dtype=complex)
-        np.add.at(ops, np.asarray(slots, dtype=np.intp), self.ops)
-        return SubMeasurement(tuple(slot), ops, check=False)
+        values, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        order = np.argsort(first, kind="stable")  # the values in first-seen order
+        ops = np.zeros((len(values), self.dim, self.dim), dtype=complex)
+        np.add.at(ops, np.argsort(order)[inverse], self.ops)
+        return SubMeasurement(values[order], ops, check=False)
 
-    def completion(self, label=BOTTOM) -> "SubMeasurement":
-        if label in self._index:
+    def completion(self) -> "SubMeasurement":
+        """The family with the rest I - total as the outcome BOTTOM."""
+        if BOTTOM in self.outcomes:
             raise MeasurementError("completion label already present")
         rest = np.eye(self.dim) - self.total()
         ops = np.concatenate([self.ops, rest[None]], axis=0)
-        return SubMeasurement(self.outcomes + (label,), ops, check=False)
+        return SubMeasurement(np.append(self.outcomes, BOTTOM), ops, check=False)
 
     def drop(self, label) -> "SubMeasurement":
-        keep = [j for j, o in enumerate(self.outcomes) if o != label]
-        return SubMeasurement(
-            tuple(self.outcomes[j] for j in keep), self.ops[keep], check=False
-        )
+        keep = self.outcomes != label
+        return SubMeasurement(self.outcomes[keep], self.ops[keep], check=False)
 
     def __repr__(self):
         return f"SubMeasurement({len(self.outcomes)} outcomes, dim {self.dim})"
+
+
+def _labels(outcomes) -> np.ndarray:
+    """outcomes as a 1-D int64 array, the array itself when it is one; a
+    label that is not an integer, a bool included, is refused."""
+    seq = outcomes if isinstance(outcomes, np.ndarray) else list(outcomes)
+    labels = np.asarray(seq)
+    if labels.ndim != 1 or labels.size and (
+            labels.dtype == bool or not np.can_cast(labels.dtype, np.int64)
+            or seq is not outcomes and any(isinstance(o, (bool, np.bool_)) for o in seq)):
+        raise MeasurementError("outcome labels must be integers")
+    return labels.astype(np.int64, copy=False)
 
 
 # ---- bipartite expectation helpers -------------------------------------------
@@ -227,7 +225,8 @@ def is_swap_invariant(Psi, tol=1e-9) -> bool:
 def aligned(A, B):
     """A's labels then B's others, and each family's operators over them
     (`SubMeasurement.at`); the two families may differ in dimension."""
-    labels = A.outcomes + tuple(o for o in B.outcomes if o not in A)
+    extra = B.outcomes[A._rows(B.outcomes) == len(A.outcomes)]
+    labels = np.concatenate([A.outcomes, extra]) if len(extra) else A.outcomes
     return labels, A.at(labels), B.at(labels)
 
 

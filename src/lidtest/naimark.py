@@ -97,7 +97,7 @@ def dilate(sub: SubMeasurement, aux_state=None) -> DilatedMeasurement:
     # U^H (I (x) |j><j|) U = R_j^H R_j, with R_j the rows of U at aux index j
     R = U.reshape(d, aux_dim, d * aux_dim).swapaxes(0, 1)
     ops = R.conj().swapaxes(1, 2) @ R
-    fam = SubMeasurement(sub.outcomes + (BOTTOM,), ops, check=False)
+    fam = SubMeasurement(np.append(sub.outcomes, BOTTOM), ops, check=False)
     return DilatedMeasurement(fam, aux, U, d)
 
 

@@ -186,7 +186,7 @@ def pasted_measurement(g_by_x: dict, f: GF, m: int, d: int, k: int,
     ops, idx = {}, {}
     for x, G in g_by_x.items():
         ops[x] = np.zeros((polyspace_size(f, m, d), dim, dim), dtype=complex)
-        ops[x][list(G.outcomes)] = G.ops
+        ops[x][G.outcomes] = G.ops
         idx[x] = slice_indices(f, m + 1, d, x)
     top = d + 1
     # the candidates: only an outcome that top slices hit can reach weight top
@@ -227,7 +227,7 @@ def pasted_measurement(g_by_x: dict, f: GF, m: int, d: int, k: int,
     out = np.zeros((n_global, dim, dim), dtype=complex)  # one operator per outcome
     out[cand] = total.transpose(1, 0, 2)
     out /= len(tuples)
-    family = SubMeasurement(range(n_global), out)
+    family = SubMeasurement(np.arange(n_global), out)
     return PastedResult(
         family=family,
         mode=mode,
@@ -241,7 +241,8 @@ def complete_pasted(family: SubMeasurement) -> SubMeasurement:
     """Measurement completion assigning the leftover to the zero polynomial, index 0."""
     rest = np.eye(family.dim) - family.total()
     ops = family.ops.copy()
-    ops[family.outcomes.index(0)] += rest
+    zero, = np.flatnonzero(family.outcomes == 0)
+    ops[zero] += rest
     return SubMeasurement(family.outcomes, ops, check=False)
 
 

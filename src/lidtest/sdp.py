@@ -59,20 +59,22 @@ def check_instance_size(n_outcomes: int, dim: int) -> None:
 
 @dataclass
 class SdpInstance:
-    outcomes: tuple
     constraints: np.ndarray  # (M, r, r) Hermitian PSD, each <= I
 
     def __post_init__(self):
         self.constraints = np.asarray(self.constraints, dtype=complex)
         if self.constraints.ndim != 3:
             raise SdpError("constraints must be a stacked array")
-        if len(self.outcomes) != self.constraints.shape[0]:
-            raise SdpError("outcome/constraint count mismatch")
-        check_instance_size(len(self.outcomes), self.dim)
+        check_instance_size(len(self.constraints), self.dim)
 
     @property
     def dim(self):
         return self.constraints.shape[1]
+
+    @property
+    def outcomes(self):
+        """The constraints' labels, 0 to M - 1 (perfbench reads M from it)."""
+        return range(len(self.constraints))
 
 
 @dataclass

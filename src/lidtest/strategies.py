@@ -282,12 +282,12 @@ class QuantumStrategy:
         _, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
         fams, f, rows = [self.families[role] for role in ROLES], self.params.field, {}
 
-        def values(fam, bound):  # built families share outcome tuples
-            if (id(fam.outcomes), bound) not in rows:
-                codes = np.array(fam.outcomes)
-                rows[id(fam.outcomes), bound] = answer_rows(
+        def values(fam, bound):  # built families share label arrays
+            codes = fam.outcomes
+            if (id(codes), bound) not in rows:
+                rows[id(codes), bound] = answer_rows(
                     f, codes, np.full(len(codes), bound))[:, :1 if bound < 0 else None]
-            return rows[id(fam.outcomes), bound]
+            return rows[id(codes), bound]
 
         t, role = support.t[first], support.line_role[first]
         line_pos = np.where(t < 0, -1, pairs[first, np.maximum(role, 0)])
@@ -329,17 +329,17 @@ def _contract(Psi, batch, acc):
 
 
 def check_labels(fams, support: Support, role):
-    """Refuse a family not labelled by its question's answer codes, the ints
-    0 to q^(b+1) - 1 for a line answer of bound b and 0 to q - 1 for a
-    value; each outcome tuple is checked once per bound."""
+    """Refuse a family not labelled by its question's answer codes, 0 to
+    q^(b+1) - 1 for a line answer of bound b and 0 to q - 1 for a value
+    (SubMeasurement refuses a label that is not an integer); each label
+    array is range-checked once per bound."""
     checked = set()
     for pos, (fam, bound) in enumerate(zip(fams, support.bound.tolist())):
-        size = support.field.q ** max(bound + 1, 1)
-        if (id(fam.outcomes), bound) not in checked and not all(
-                type(o) is int and 0 <= o < size for o in fam.outcomes):
+        size, codes = support.field.q ** max(bound + 1, 1), fam.outcomes
+        if (id(codes), bound) not in checked and ((codes < 0) | (codes >= size)).any():
             raise ProtocolError(f"the {role} family for the {support.describe(pos)} "
                                 f"is not labelled by the answer codes 0 to {size - 1}")
-        checked.add((id(fam.outcomes), bound))
+        checked.add((id(codes), bound))
 
 
 def check_family(sub: SubMeasurement, dim, projective):
@@ -368,7 +368,7 @@ def check_families(subs, dim, projective):
 
 def _stack_ok(fams, dim, projective):
     """Whether every family passes check_family, by one stacked test."""
-    if any(s.dim != dim or not s.outcomes for s in fams):
+    if any(s.dim != dim or not len(s.outcomes) for s in fams):
         return False
     ops = np.concatenate([s.ops for s in fams])
     totals = np.add.reduceat(ops, np.cumsum([0] + [len(s.outcomes) for s in fams[:-1]]))
@@ -550,10 +550,10 @@ def shared_randomness_strategy(params: TestParams, weighted_tables) -> QuantumSt
     Psi = np.diag(np.sqrt(weights)).astype(complex)
 
     f, diag, support = params.field, np.arange(n), support_table(params)
-    alphabets = {-1: tuple(range(f.q))}  # answer bound -> outcome labels
+    alphabets = {-1: np.arange(f.q)}  # answer bound -> outcome labels
     for b in (params.d, params.m * params.d):
         check_line_alphabet(f, b)
-        alphabets[b] = tuple(range(f.q ** (b + 1)))
+        alphabets[b] = np.arange(f.q ** (b + 1))
     # the alphabets are capped, so every code is an int64 index into its own
     codes = np.stack([s.codes["A"] for _, s in weighted_tables], axis=1).astype(np.intp)
     shared = []

@@ -233,8 +233,8 @@ def _families_in(params: TestParams, data):
             pos = int(_positions(params, support, group, [rec])[0])
             outcomes = rec["outcomes"]
             labels = _codes(params, outcomes, int(support.bound[pos])) if outcomes else []
-            fam = SubMeasurement(np.asarray(labels).tolist(),
-                                 np.array([_matrix_in(op) for op in rec["ops"]]), check=False)
+            fam = SubMeasurement(labels, np.array([_matrix_in(op) for op in rec["ops"]]),
+                                 check=False)
             if fams[pos] is not None:
                 raise StrategyFileError(f"two records for the {support.describe(pos)}")
             fams[pos] = fam
@@ -249,7 +249,7 @@ def _families_out(params: TestParams, fams):
     def outcomes(sub, bound):
         if bound < 0:
             return [{"value": list(f.coeffs_of(c))} for c in sub.outcomes]
-        (_, digits), = line_digits(f.q, np.array(sub.outcomes), np.full(len(sub.outcomes), bound))
+        (_, digits), = line_digits(f.q, sub.outcomes, np.full(len(sub.outcomes), bound))
         return [{"coeffs": row} for row in digits.tolist()]
 
     return _records_out(params, GROUPS, [

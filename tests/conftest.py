@@ -33,7 +33,7 @@ def agreement(A, B, Psi) -> float:
     """sum_a <psi| A_a (x) B_a |psi>, the matched-outcome mass."""
     total = 0.0
     for o in A.outcomes:
-        if o in B:
+        if o in B.outcomes:
             total += expect_joint(A.op(o), B.op(o), Psi).real
     return total
 

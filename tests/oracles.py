@@ -41,7 +41,11 @@ the stacked ones replaced: `slackness` and `project_to_completion`.
 The state kernels' references multiply by the whole state, zero rows and
 columns included: `dense_expect_joint`, `dense_expectations`,
 `dense_squared_norms`, `dense_consistency`, `dense_cross_state_distance`
-and `dense_joint_table`.  `random_povm` draws outcome by outcome."""
+and `dense_joint_table`.  `random_povm` draws outcome by outcome.
+
+The label lookups' references are `dict_at`, `dict_group` and
+`dict_aligned`, which find a label's row, or a grouped label's slot, in a
+dict."""
 
 import itertools
 import json
@@ -411,6 +415,39 @@ def load_classical(path):
         raise StrategyFileError(f"invalid strategy file: {exc}") from exc
 
 
+# ---- label lookups through a dict -------------------------------------------------
+
+
+def dict_at(sub, labels):
+    """sub's operators of `labels` in order, zero where sub lacks one, each
+    row found in a dict from label to row; sub's own stack for its own
+    labels."""
+    labels, own = [int(o) for o in labels], sub.outcomes.tolist()
+    if labels == own:
+        return sub.ops
+    index = {o: j for j, o in enumerate(own)}
+    padded = np.concatenate([sub.ops, np.zeros((1, sub.dim, sub.dim), dtype=complex)])
+    return padded[np.array([index.get(o, -1) for o in labels], dtype=np.intp)]
+
+
+def dict_group(sub, labels):
+    """(labels in first-seen order, summed operators): each label's slot
+    from one dict.setdefault per outcome, then the same np.add.at."""
+    slot = {}
+    slots = [slot.setdefault(int(b), len(slot)) for b in labels]
+    ops = np.zeros((len(slot), sub.dim, sub.dim), dtype=complex)
+    np.add.at(ops, np.asarray(slots, dtype=np.intp), sub.ops)
+    return list(slot), ops
+
+
+def dict_aligned(A, B):
+    """A's labels then B's others, in B's order, and each family's
+    operators over them (`dict_at`)."""
+    own = set(A.outcomes.tolist())
+    labels = A.outcomes.tolist() + [o for o in B.outcomes.tolist() if o not in own]
+    return labels, dict_at(A, labels), dict_at(B, labels)
+
+
 # ---- the soundness pipeline ------------------------------------------------------
 
 
@@ -437,7 +474,7 @@ def slice_hypotheses(strategy, g_by_x, evaluated_by_x, Zs):
             A = question_family(strategy, "A", point(f, u.ints() + (x,)))
             val = expect_joint(A.total(), evaluated.total(), Psi)
             for o in A.outcomes:
-                if o in evaluated:
+                if o in evaluated.outcomes:
                     val -= expect_joint(A.op(o), evaluated.op(o), Psi)
             cons += val.real
             n += 1
@@ -489,7 +526,7 @@ def pasted_line_consistency(strategy, pasted):
             poly_by_index(f, m_slice + 1, d, h), line)))
         val = expect_joint(restricted.total(), B.total(), Psi)
         for o in restricted.outcomes:
-            if o in B:
+            if o in B.outcomes:
                 val -= expect_joint(restricted.op(o), B.op(o), Psi)
         total += val.real
     return total / len(pts)
@@ -554,7 +591,7 @@ def accept(strategy, sample):
     point_fam, other = (fam_b, fam_a) if sample.line_role == "A" else (fam_a, fam_b)
     total = 0.0
     for o in point_fam.outcomes:
-        if o in other:
+        if o in other.outcomes:
             total += expect_joint(fam_a.op(o), fam_b.op(o), strategy.Psi).real
     return total
 
@@ -686,7 +723,7 @@ def dilate(sub, aux_state=None):
         pick = np.zeros((aux_dim, aux_dim))
         pick[j, j] = 1.0
         ops.append(U.conj().T @ np.kron(np.eye(d), pick) @ U)
-    fam = SubMeasurement(sub.outcomes + (BOTTOM,), np.array(ops), check=False)
+    fam = SubMeasurement(np.append(sub.outcomes, BOTTOM), np.array(ops), check=False)
     return DilatedMeasurement(fam, aux, U, d)
 
 

@@ -218,9 +218,9 @@ def test_criterion_09_sdp_batch():
             from algebra import enumerate_polyspace
 
             for g in enumerate_polyspace(f, 1, 1):
-                avg = sum(points[u].op(g(u)) for u in points) / len(points)
+                avg = sum(points[u].op(g(u).i) for u in points) / len(points)
                 ops.append(avg)
-            inst = SdpInstance(tuple(enumerate_polyspace(f, 1, 1)), np.array(ops))
+            inst = SdpInstance(np.array(ops))
         sol = solve(inst)
         assert sol.duality_gap <= 1e-6, seed
         assert sol.slackness_residual <= 1e-5, seed

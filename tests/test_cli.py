@@ -126,15 +126,15 @@ def test_quantum_strategy_file_round_trip_is_byte_identical(tmp_path):
     save_strategy(loaded, second)
     assert first.read_bytes() == second.read_bytes()
     for sub, back in zip(strat.families["A"], loaded.families["A"], strict=True):
-        assert back.outcomes == sub.outcomes
+        assert np.array_equal(back.outcomes, sub.outcomes)
     # every family is labelled by its answer codes: a value's index, or a
     # line answer's base-q number
     q, support = params.q, support_table(params)
-    codes = {-1: tuple(range(q)), 1: tuple(range(q ** 2)), 2: tuple(range(q ** 3))}
+    codes = {-1: list(range(q)), 1: list(range(q ** 2)), 2: list(range(q ** 3))}
     axis = [sub for sub, group in zip(loaded.families["A"], support.group)
             if group == GROUPS.index("axis")]
-    assert axis and all(sub.outcomes == tuple(range(q ** (params.d + 1))) for sub in axis)
-    assert [sub.outcomes for sub in loaded.families["A"]] == [
+    assert axis and all(sub.outcomes.tolist() == list(range(q ** (params.d + 1))) for sub in axis)
+    assert [sub.outcomes.tolist() for sub in loaded.families["A"]] == [
         codes[b] for b in support.bound.tolist()]
 
 

@@ -42,7 +42,7 @@ def sequential_post_process(sub, fn):
     """The grouping loop post_process ran before `group`: one running sum
     per label, started at zero, labels in first-seen order."""
     grouped, order = {}, []
-    for o, op in sub.items():
+    for o, op in zip(sub.outcomes, sub.ops):
         b = fn(o)
         if b not in grouped:
             grouped[b] = np.zeros((sub.dim, sub.dim), dtype=complex)
@@ -111,8 +111,8 @@ def test_round_family_matches_line_value_post_processing(tmp_path, q, m, d, kind
                                                                            answers[c])).i)
         want = reference[key]
         got = round_family(strat, role, sample)
-        assert got.outcomes == want.outcomes
-        assert all(type(o) is int and 0 <= o < q for o in got.outcomes)
+        assert np.array_equal(got.outcomes, want.outcomes)
+        assert got.outcomes.dtype == np.int64 and all(0 <= o < q for o in got.outcomes)
         assert np.array_equal(got.ops, want.ops)
         other = "B" if role == "A" else "A"
         point_q = sample.question_b if role == "A" else sample.question_a
@@ -130,9 +130,9 @@ def test_multipoly_families_grouped_at_every_grid_point(q, m, d):
     table = label_values(f, m, d, [g.flat() for g in polys])
     for u in all_points(f, m):
         want = post_process(G, lambda g: polys[g](u).i)
-        got = G.group(table[:, point_index(u)].tolist())
-        assert got.outcomes == want.outcomes
-        assert all(type(o) is int and 0 <= o < q for o in got.outcomes)
+        got = G.group(table[:, point_index(u)])
+        assert np.array_equal(got.outcomes, want.outcomes)
+        assert got.outcomes.dtype == np.int64 and all(0 <= o < q for o in got.outcomes)
         assert np.array_equal(got.ops, want.ops)
 
 
@@ -147,7 +147,7 @@ def test_evaluated_slices_and_points_consistency_match_post_processing(q, m, d):
     for x, G in g_by_x.items():
         for u, got in zip(all_points(f, m - 1), evaluated_at_points(G, f, m - 1, d)):
             want = post_process(G, lambda g: poly_by_index(f, m - 1, d, g)(u).i)
-            assert got.outcomes == want.outcomes
+            assert np.array_equal(got.outcomes, want.outcomes)
             assert np.array_equal(got.ops, want.ops)
 
     from lidtest.measurements import consistency

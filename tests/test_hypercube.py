@@ -11,7 +11,14 @@ from lidtest.hypercube import (
 from lidtest.instances import random_point_family, random_state, rng_for
 from lidtest.strategies import pass_probabilities
 
-from algebra import AxisLine, MultiPoly, all_points, enumerate_polyspace, point_index
+from algebra import (
+    AxisLine,
+    MultiPoly,
+    all_points,
+    enumerate_polyspace,
+    point_index,
+    poly_by_index,
+)
 from conftest import honest_strategy, random_symmetric_state
 from oracles import decode_line, encode_line, question_family, restrict_axis
 
@@ -49,16 +56,17 @@ def points_variance_diagnostics(strategy, G, Psi=None):
     good = pass_probabilities(strategy, params)
     eps, delta, _ = good.as_floats()
 
-    roots = {g: _psd_sqrt(G.op(g)) for g in G.outcomes}
+    polys = [poly_by_index(f, m, d, n) for n in G.outcomes.tolist()]  # G's labels
+    roots = [_psd_sqrt(op) for op in G.ops]
     points = dict(zip(all_points(f, m), strategy.point_families))
 
     # local: (u, v) over edges, operators A^u_{g(u)} against sqrt(G_g) weights
     def second_moment(u, v):
         tot = 0.0
-        for g in G.outcomes:
+        for g, root in zip(polys, roots):
             a_u = points[u].op(g(u).i)
             a_v = points[v].op(g(v).i)
-            vvec = (a_u - a_v) @ Psi @ roots[g].T
+            vvec = (a_u - a_v) @ Psi @ root.T
             tot += float(np.sum(np.abs(vvec) ** 2))
         return tot
 
@@ -84,14 +92,14 @@ def points_variance_diagnostics(strategy, G, Psi=None):
             line = AxisLine.through(u, i)
             fam = question_family(strategy, "A", line)
             t = line.param_of(u)
-            for g in G.outcomes:
+            for g, root in zip(polys, roots):
                 target = g(u)
                 ev = np.zeros((fam.dim, fam.dim), dtype=complex)
                 for ans in fam.outcomes:
                     if decode_line(f, ans, d)(t) == target:
                         ev = ev + fam.op(ans)
                 restr = fam.op(encode_line(restrict_axis(g, line)))
-                vvec = (ev - restr) @ Psi @ roots[g].T
+                vvec = (ev - restr) @ Psi @ root.T
                 gen_b += float(np.sum(np.abs(vvec) ** 2))
             n_lines += 1
     gen_b /= n_lines
@@ -249,7 +257,7 @@ def test_points_variance_honest_strategy_zero():
     params = TestParams(f, 2, 1)
     g = MultiPoly.from_terms(f, 2, 1, {(1, 1): 1})
     strat = classical_to_quantum(honest_strategy(params, g.flat()))
-    G = SubMeasurement((g,), np.eye(1, dtype=complex)[None])
+    G = SubMeasurement((g.index(),), np.eye(1, dtype=complex)[None])
     rep = points_variance_diagnostics(strat, G)
     for entry in rep.values():
         assert entry["measured"] == pytest.approx(0.0, abs=1e-12)
@@ -276,8 +284,9 @@ def test_points_variance_noisy_strategies_within_bounds():
                 polys,
                 key=lambda h: sum(1 for u, a in pts.items() if h(u) == a),
             )
-            assignment.append(best)
-        G = diagonal_indicator_family(tuple(polys), assignment, len(assignment))
+            assignment.append(best.index())
+        G = diagonal_indicator_family(tuple(h.index() for h in polys), assignment,
+                                      len(assignment))
         rep = points_variance_diagnostics(strat, G)
         for name, entry in rep.items():
             assert entry["margin"] >= -1e-9, (seed, name, entry)
@@ -303,10 +312,10 @@ def test_points_variance_adversary_embedding():
     best = max(
         enumerate_polyspace(f, 2, 1),
         key=lambda h: sum(
-            1 for u in pts if abs(pts[u].op(h(u))[0, 0] - 1) < 1e-9
+            1 for u in pts if abs(pts[u].op(h(u).i)[0, 0] - 1) < 1e-9
         ),
     )
-    G = SubMeasurement((best,), np.eye(1, dtype=complex)[None])
+    G = SubMeasurement((best.index(),), np.eye(1, dtype=complex)[None])
     rep = points_variance_diagnostics(strat, G)
     for name, entry in rep.items():
         assert entry["margin"] >= -1e-9, (name, entry)

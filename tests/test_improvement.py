@@ -57,7 +57,7 @@ def noisy_setup(seed, q=2, m=1, d=1, n_tables=3, n_corrupt=1):
 def test_build_instance_honest_has_unit_eigenvector():
     params, g, strat, G = honest_setup()
     inst = build_instance(strat, params)
-    A_star = inst.constraints[list(inst.outcomes).index(g.index())]
+    A_star = inst.constraints[g.index()]  # constraints are labelled by index
     assert np.linalg.eigvalsh(A_star).max() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -67,14 +67,13 @@ def test_build_instance_entries_are_agreements():
     inst = build_instance(strat, params)
     pts_family = dict(zip(all_points(params.field, params.m), strat.point_families))
     n = strat.dims[0]
-    for idx, h in enumerate(inst.outcomes):
-        h = poly_by_index(params.field, params.m, params.d, h)
-        A_h = inst.constraints[idx]
+    for idx, A_h in enumerate(inst.constraints):
+        h = poly_by_index(params.field, params.m, params.d, idx)
         assert np.abs(A_h - np.diag(np.diag(A_h))).max() < 1e-12
         for i in range(n):
             hits = 0
             for u, sub in pts_family.items():
-                if abs(sub.op(h(u))[i, i] - 1) < 1e-9:
+                if abs(sub.op(h(u).i)[i, i] - 1) < 1e-9:
                     hits += 1
             assert A_h[i, i].real == pytest.approx(hits / len(pts_family), abs=1e-12)
         assert np.linalg.eigvalsh(A_h).max() <= 1 + 1e-12
@@ -165,12 +164,12 @@ def test_assembly_identity():
     sol = solve(inst)
     pts = dict(zip(all_points(params.field, params.m), strat.point_families))
     M = len(pts)
-    for n, label in enumerate(inst.outcomes):
-        h = poly_by_index(params.field, params.m, params.d, label)
+    for n in range(len(inst.constraints)):
+        h = poly_by_index(params.field, params.m, params.d, n)
         rebuilt = sum(
-            pts[u].op(h(u)) @ sol.T[n] @ pts[u].op(h(u)) for u in pts
+            pts[u].op(h(u).i) @ sol.T[n] @ pts[u].op(h(u).i) for u in pts
         ) / M
-        assert np.linalg.norm(H.op(label) - rebuilt) < 1e-12
+        assert np.linalg.norm(H.op(n) - rebuilt) < 1e-12
 
 
 def test_projective_improve_cross_distance_recorded():

@@ -31,6 +31,8 @@ from lidtest.measurements import (
     strong_self_consistency_deficit,
 )
 
+from lidtest.strategies import ALPHABET_CAP
+
 import oracles
 from conftest import (
     agreement,
@@ -106,7 +108,7 @@ def test_post_process_identity_and_grouping():
     rng = rng_for(5)
     A = random_povm(rng, 3, 4)
     same = post_process(A, lambda o: o)
-    assert same.outcomes == A.outcomes
+    assert np.array_equal(same.outcomes, A.outcomes)
     assert np.allclose(same.ops, A.ops)
     grouped = post_process(A, lambda o: o % 2)
     assert np.allclose(grouped.total(), A.total())
@@ -245,18 +247,85 @@ def test_validation_rejects_bad_families():
             SubMeasurement((0, 1, 0), np.array([eye, eye, eye]) / 3, check=check)
 
 
-def test_each_label_is_hashed_once():
-    hashed = []
-
-    class Label(int):
-        def __hash__(self):
-            hashed.append(int(self))
-            return int.__hash__(self)
-
-    labels = tuple(map(Label, range(5)))
+def test_an_int64_label_array_is_kept_and_op_is_a_view():
+    labels = np.array([4, 0, 7, -1, 2])
     sub = SubMeasurement(labels, np.repeat(np.eye(2, dtype=complex)[None] / 5, 5, axis=0))
-    assert sorted(hashed) == list(range(5))
-    assert np.shares_memory(sub.op(labels[3]), sub.ops[3])
+    assert sub.outcomes is labels
+    assert np.shares_memory(sub.op(-1), sub.ops[3])
+    assert not sub.op(1).any()
+    assert sub.at(labels) is sub.ops and sub.at(labels.tolist()) is sub.ops
+    # any other integer sequence is read into a new int64 array
+    for given in (labels.tolist(), labels.astype(np.int8), range(5)):
+        other = SubMeasurement(given, sub.ops)
+        assert other.outcomes.dtype == np.int64 and other.outcomes is not given
+    assert SubMeasurement([], np.zeros((0, 2, 2))).outcomes.dtype == np.int64
+
+
+@pytest.mark.parametrize("labels", [["a", "b"], [0.0, 1.0], [False, True], [0, True],
+                                    np.array([0, 1], dtype=np.uint64), [[0], [1]],
+                                    [2 ** 63, 0]])
+def test_labels_that_are_not_int64_integers_are_refused(labels):
+    with pytest.raises(MeasurementError, match="^outcome labels must be"):
+        SubMeasurement(labels, np.zeros((2, 2, 2)), check=False)
+
+
+# the completion outcome, small codes, codes around ALPHABET_CAP (the widest
+# quantum line alphabet) and a large index
+LABEL_POOL = st.sampled_from([BOTTOM, 0, 1, 2, 5, ALPHABET_CAP - 1, ALPHABET_CAP,
+                              ALPHABET_CAP + 1, 2 ** 62])
+
+
+def signed_zero_ops(rng, n, dim):
+    """n operators of mixed scale whose real and imaginary parts are +0.0 or
+    -0.0 in about a third of their entries, and some operators all zeros."""
+    ops = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+    ops *= 10.0 ** rng.integers(-8, 9, size=(n, 1, 1))
+    for part in (ops.real, ops.imag):
+        zero = rng.random(part.shape) < 0.3
+        part[zero] = np.copysign(0.0, rng.normal(size=int(zero.sum())))
+    ops[rng.random(n) < 0.2] = -0.0
+    return ops
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), dim=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_label_lookups_match_the_dict_references(data, dim, seed):
+    # at, op, aligned, group, completion and drop on label arrays against the
+    # dict-based lookups they replaced, bytes and signed zeros included
+    own = data.draw(st.lists(LABEL_POOL, unique=True, max_size=6))
+    other = data.draw(st.lists(LABEL_POOL, unique=True, max_size=6))
+    query = data.draw(st.lists(LABEL_POOL, max_size=8))
+    rng = np.random.default_rng(seed)
+    A = SubMeasurement(own, signed_zero_ops(rng, len(own), dim), check=False)
+    B = SubMeasurement(other, signed_zero_ops(rng, len(other), dim + 1), check=False)
+    for labels in (query, own, np.array(query, dtype=np.int64)):
+        got = A.at(labels)
+        assert got.shape == (len(labels), dim, dim)
+        assert got.tobytes() == oracles.dict_at(A, labels).tobytes()
+    assert A.at(own) is A.ops and A.at(A.outcomes) is A.ops
+    for o in query:
+        got = A.op(o)
+        assert got.tobytes() == oracles.dict_at(A, [o])[0].tobytes()
+        assert np.shares_memory(got, A.ops) == (o in own)
+    labels, XA, XB = aligned(A, B)
+    want = oracles.dict_aligned(A, B)
+    assert labels.dtype == np.int64 and labels.tolist() == want[0]
+    assert XA.tobytes() == want[1].tobytes() and XB.tobytes() == want[2].tobytes()
+    by = data.draw(st.lists(LABEL_POOL, min_size=len(own), max_size=len(own)))
+    want_labels, want_ops = oracles.dict_group(A, by)
+    for given_labels in (by, np.array(by, dtype=np.int64)):
+        grouped = A.group(given_labels)
+        assert grouped.outcomes.dtype == np.int64 and grouped.outcomes.tolist() == want_labels
+        assert grouped.ops.tobytes() == want_ops.tobytes()
+    if BOTTOM not in own:
+        completed = A.completion()
+        assert completed.outcomes.tolist() == own + [BOTTOM]
+        assert np.array_equal(completed.op(BOTTOM), np.eye(dim) - A.total())
+    for o in query[:1]:
+        keep = [j for j, p in enumerate(own) if p != o]
+        dropped = A.drop(o)
+        assert dropped.outcomes.tolist() == [own[j] for j in keep]
+        assert dropped.ops.tobytes() == A.ops[keep].tobytes()
 
 
 def per_operator_psd_message(ops):
@@ -289,10 +358,10 @@ def test_stacked_psd_check_reports_the_first_bad_operator(bad):
 
 
 def test_diagonal_indicator_family():
-    fam = diagonal_indicator_family(("a", "b"), ["a", "b", "a"], 3)
+    fam = diagonal_indicator_family((7, 3), [7, 3, 7], 3)
     assert fam.is_projective()
     assert fam.is_measurement()
-    assert fam.op("a")[2, 2] == 1.0
+    assert fam.op(7)[2, 2] == 1.0
 
 
 def test_scalar_trunc_inequality():
@@ -347,14 +416,15 @@ def test_kernels_equal_scalar_forms_term_by_term(n, da, db, seed, entries):
 def per_label_consistency(A, B, Psi):
     val = expect_joint(A.total(), B.total(), Psi)
     for o in A.outcomes:
-        if o in B:
+        if o in B.outcomes:
             val -= expect_joint(A.op(o), B.op(o), Psi)
     return 0.0 + val.real
 
 
 def per_label_distance(A, B, Psi, cross):
     total = 0.0
-    for o in A.outcomes + tuple(o for o in B.outcomes if o not in A):
+    own = A.outcomes.tolist()
+    for o in own + [o for o in B.outcomes.tolist() if o not in own]:
         if cross:
             v = A.op(o) @ Psi - Psi @ B.op(o).T
         else:
@@ -364,11 +434,11 @@ def per_label_distance(A, B, Psi, cross):
 
 
 LABEL_SETS = {
-    "disjoint": (("x", "y"), ("z", "w")),
-    "overlapping": (("x", "y", "z"), ("z", "w", "x")),
-    "equal": (("x", "y"), ("x", "y")),
-    "left-empty": ((), ("x", "y")),
-    "right-empty": (("x",), ()),
+    "disjoint": ((3, 1), (-1, 9)),
+    "overlapping": ((3, 1, -1), (-1, 9, 3)),
+    "equal": ((3, 1), (3, 1)),
+    "left-empty": ((), (3, 1)),
+    "right-empty": ((3,), ()),
     "both-empty": ((), ()),
 }
 
@@ -381,7 +451,7 @@ def test_aligned_stacks_the_label_union(kind, da, db):
     A = SubMeasurement(a_labels, _stack(rng, len(a_labels), da), check=False)
     B = SubMeasurement(b_labels, _stack(rng, len(b_labels), db), check=False)
     labels, XA, XB = aligned(A, B)
-    assert labels == a_labels + tuple(o for o in b_labels if o not in a_labels)
+    assert labels.tolist() == list(a_labels) + [o for o in b_labels if o not in a_labels]
     assert XA.shape == (len(labels), da, da) and XB.shape == (len(labels), db, db)
     for j, o in enumerate(labels):
         assert np.array_equal(XA[j], A.op(o)) and np.array_equal(XB[j], B.op(o))
@@ -534,5 +604,5 @@ def test_random_povm_keeps_the_per_outcome_draws(dim, n):
     for seed in range(3):
         rng, ref_rng = rng_for(seed), rng_for(seed)
         got, want = random_povm(rng, dim, n), oracles.random_povm(ref_rng, dim, n)
-        assert np.array_equal(got.ops, want.ops) and got.outcomes == want.outcomes
+        assert np.array_equal(got.ops, want.ops) and np.array_equal(got.outcomes, want.outcomes)
         assert rng.normal() == ref_rng.normal()

@@ -260,7 +260,7 @@ def test_stages_equal_operator_by_operator_oracles(kind, dim):
     for delta in (0.05, 0.3, 0.7):
         A, Psi = stage_input(kind, rng, dim)
         got, want = round_to_projectors(A, delta), oracles.round_to_projectors(A, delta)
-        assert np.array_equal(got.ops, want.ops) and got.outcomes == want.outcomes
+        assert np.array_equal(got.ops, want.ops) and np.array_equal(got.outcomes, want.outcomes)
         got, want = rank_reduce(want, Psi), oracles.rank_reduce(want, Psi)
         assert np.array_equal(got.ops, want.ops)
         (got, smin), (want, want_smin) = svd_project(want), oracles.svd_project(want)

@@ -129,7 +129,7 @@ def test_sandwich_diagonal_is_product_of_indicators():
     rng = rng_for(0)
     f = field(3)
     dim = 4
-    polys = tuple(enumerate_polyspace(f, 1, 1))
+    polys = tuple(g.index() for g in enumerate_polyspace(f, 1, 1))
     g_by_x = {}
     assignments = {}
     for x in range(3):

@@ -22,14 +22,14 @@ from oracles import dense_inverses, dense_newton_matrix, project_to_completion, 
 def diagonal_instance(rng, r, n_constraints):
     diags = rng.uniform(0, 1, size=(n_constraints, r))
     ops = np.array([np.diag(d).astype(complex) for d in diags])
-    return SdpInstance(tuple(range(n_constraints)), ops)
+    return SdpInstance(ops)
 
 
 def rotated_commuting_instance(rng, r, n_constraints):
     inst = diagonal_instance(rng, r, n_constraints)
     U = random_unitary(rng, r)
     ops = np.array([U @ A @ U.conj().T for A in inst.constraints])
-    return SdpInstance(inst.outcomes, ops)
+    return SdpInstance(ops)
 
 
 def random_instance(rng, r, n_constraints):
@@ -38,13 +38,13 @@ def random_instance(rng, r, n_constraints):
         P = random_projective_measurement(rng, r, 2)
         scale = rng.uniform(0.1, 1.0)
         ops.append(scale * P.ops[0])
-    return SdpInstance(tuple(range(n_constraints)), np.array(ops))
+    return SdpInstance(np.array(ops))
 
 
 def test_single_constraint_closed_form():
     # one constraint A = I/2: optimum Z = I/2, T = I, value r/2
     r = 4
-    inst = SdpInstance((0,), (np.eye(r, dtype=complex) / 2)[None])
+    inst = SdpInstance((np.eye(r, dtype=complex) / 2)[None])
     sol = solve(inst)
     assert np.abs(sol.Z - np.eye(r) / 2).max() < 1e-6
     assert np.abs(sol.T[0] - np.eye(r)).max() < 1e-6
@@ -110,7 +110,7 @@ def test_degenerate_ties_split_equally():
     # two identical constraints: the slack splits equally between them
     r = 3
     A = np.diag([1.0, 0.5, 0.0]).astype(complex)
-    inst = SdpInstance((0, 1), np.array([A, A]))
+    inst = SdpInstance(np.array([A, A]))
     sol = solve(inst)
     assert np.abs(sol.T[0] - sol.T[1]).max() < 1e-6
     assert np.abs(sol.T.sum(axis=0) - np.eye(r)).max() < 1e-10
@@ -140,17 +140,17 @@ def nearly_commuting_instance(eps, r=4):
     ops = diagonal_instance(rng_for(60), r, 3).constraints.copy()
     ops[1, 0, 1] += eps
     ops[1, 1, 0] += eps
-    return SdpInstance((0, 1, 2), ops)
+    return SdpInstance(ops)
 
 
 def test_caps_enforced():
     with pytest.raises(SizeGuardError):
-        SdpInstance(tuple(range(2)), np.zeros((2, 65, 65)))
+        SdpInstance(np.zeros((2, 65, 65)))
 
 
 def test_zero_instance():
     r = 3
-    inst = SdpInstance((0, 1), np.zeros((2, r, r), dtype=complex))
+    inst = SdpInstance(np.zeros((2, r, r), dtype=complex))
     sol = solve(inst)
     assert sol.dual_objective == pytest.approx(0.0, abs=1e-6)
     assert np.abs(sol.T.sum(axis=0) - np.eye(r)).max() < 1e-10
@@ -165,7 +165,7 @@ def test_larger_noncommuting_instance_converges():
     for _ in range(M):
         P = random_projective_measurement(rng, r, 2)
         ops.append(float(rng.uniform(0.1, 1.0)) * P.ops[0])
-    inst = SdpInstance(tuple(range(M)), np.array(ops))
+    inst = SdpInstance(np.array(ops))
     sol = solve(inst)
     assert sol.duality_gap <= 5e-6
     assert sol.slackness_residual <= 1e-5
@@ -196,7 +196,7 @@ def mixed_block_instance(rng, sizes=(3, 2, 1, 2, 1), n_constraints=6):
             ops[n, start:start + s, start:start + s] = (U * rng.uniform(0, 1, s)) @ U.conj().T
         start += s
     perm = rng.permutation(r)
-    return SdpInstance(tuple(range(n_constraints)), ops[:, perm][:, :, perm]), perm, sizes
+    return SdpInstance(ops[:, perm][:, :, perm]), perm, sizes
 
 
 def test_index_blocks_are_the_support_components():
@@ -353,7 +353,7 @@ def test_solve_leaves_numpy_ma_unimported():
     # a plain 1-D np.unique imports numpy.ma on its first call (about 10 ms)
     code = ("import sys; import numpy as np; from lidtest.sdp import SdpInstance, solve; "
             "A = np.array([np.diag(d) for d in np.eye(3)[:2] / 2]).astype(complex); "
-            "solve(SdpInstance((0, 1), A)); print('numpy.ma' in sys.modules)")
+            "solve(SdpInstance(A)); print('numpy.ma' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)

@@ -29,6 +29,7 @@ from lidtest.strategies import (
     export_transcript,
     goodness,
     judge,
+    pass_probabilities,
     pass_probabilities_monte_carlo,
     symmetrize,
 )
@@ -278,21 +279,24 @@ def test_a_shared_family_table_is_checked_once(monkeypatch):
 @pytest.mark.parametrize("bad", ["object", "range", "negative", "bool"])
 def test_family_labels_must_be_answer_codes(bad):
     # a point family is labelled by the value indices 0..q-1, and a line
-    # family of bound b by the codes 0..q^(b+1)-1
+    # family of bound b by the codes 0..q^(b+1)-1; a label that is not an
+    # integer, a bool included, is refused by SubMeasurement itself
     params = params_for(3, 2, 1)
     strat = noisy_shared_randomness_strategy(params, 2, 1, seed=4)
     support = support_table(params)
     fams = list(strat.families["A"])
     pos = int(np.argmax(support.bound == 1)) if bad == "range" else 0
-    labels = list(fams[pos].outcomes)
-    if bad == "object":
-        labels = [element(params.field, i) for i in range(3)]
-    elif bad == "range":  # an axis family labelled as a diagonal one
+    labels = fams[pos].outcomes.tolist()
+    if bad in ("object", "bool"):
+        labels = [element(params.field, i) for i in range(3)] if bad == "object" \
+            else [False, True, 2]
+        with pytest.raises(MeasurementError, match="^outcome labels must be integers$"):
+            SubMeasurement(labels, fams[pos].ops, check=False)
+        return
+    if bad == "range":  # an axis family labelled as a diagonal one
         labels[-1] = 3 ** 3
-    elif bad == "negative":
-        labels[0] = -3
     else:
-        labels = [False, True, 2]
+        labels[0] = -3
     fams[pos] = SubMeasurement(labels, fams[pos].ops, check=False)
     shared = tuple(fams)
     size = 3 ** (2 if bad == "range" else 1)
@@ -300,6 +304,19 @@ def test_family_labels_must_be_answer_codes(bad):
     with pytest.raises(ProtocolError, match=f"the A family for the {re.escape(question)} "
                        f"is not labelled by the answer codes 0 to {size - 1}"):
         QuantumStrategy(params, strat.Psi, {"A": shared, "B": shared})
+
+
+def test_a_family_labelled_by_an_int64_array_is_accepted():
+    # answer codes held in an int64 array are the codes 0 to q - 1 a point
+    # family takes, as a list of ints is
+    params = params_for(3, 2, 1)
+    strat = noisy_shared_randomness_strategy(params, 2, 1, seed=4)
+    fams = list(strat.families["A"])
+    fams[0] = SubMeasurement(np.arange(3), fams[0].ops)
+    shared = tuple(fams)
+    got = QuantumStrategy(params, strat.Psi, {"A": shared, "B": shared})
+    assert got.families["A"][0].outcomes.tolist() == [0, 1, 2]
+    assert pass_probabilities(got) == pass_probabilities(strat)
 
 
 def test_quantum_strategy_missing_a_family_is_a_protocol_error():
