@@ -57,7 +57,8 @@ class SubMeasurement:
         outcomes = _labels(outcomes)
         if len(outcomes) != ops.shape[0]:
             raise MeasurementError("label/operator count mismatch")
-        if not np.diff(np.sort(outcomes)).all():
+        ranked = np.sort(outcomes)
+        if (ranked[1:] == ranked[:-1]).any():
             raise MeasurementError("duplicate outcome labels")
         self.outcomes = outcomes
         self.ops = ops
@@ -97,9 +98,7 @@ class SubMeasurement:
         return self.ops[np.any(self.ops != 0, axis=(1, 2))]
 
     def total(self) -> np.ndarray:
-        if not len(self.outcomes):
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return self.ops.sum(axis=0)
+        return self.ops.sum(axis=0)  # zeros for a family with no outcome
 
     def is_measurement(self, tol=COMPLETENESS_TOL) -> bool:
         return np.abs(self.total() - np.eye(self.dim)).max() <= tol
@@ -225,8 +224,10 @@ def is_swap_invariant(Psi, tol=1e-9) -> bool:
 def aligned(A, B):
     """A's labels then B's others, and each family's operators over them
     (`SubMeasurement.at`); the two families may differ in dimension."""
+    if np.array_equal(A.outcomes, B.outcomes):
+        return A.outcomes, A.ops, B.ops
     extra = B.outcomes[A._rows(B.outcomes) == len(A.outcomes)]
-    labels = np.concatenate([A.outcomes, extra]) if len(extra) else A.outcomes
+    labels = np.concatenate([A.outcomes, extra])
     return labels, A.at(labels), B.at(labels)
 
 
